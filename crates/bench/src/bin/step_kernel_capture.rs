@@ -389,7 +389,7 @@ fn main() {
     // Any mode that runs the sharded path doubles as a determinism
     // check: the fold checksum must not move with the thread count
     // (cache armed and all — the arena and verify path are sharded
-    // over the same `run_jobs` fan-out as the bulk rescan).
+    // over the same `run_indexed` fan-out as the bulk rescan).
     for c in cells.iter().filter(|c| c.threads > 1) {
         let traj = trajectory_in(c.n, c.side, scenario(c.scenario), c.steps, 31);
         let bound = scenario(c.scenario).v_max;

@@ -209,6 +209,9 @@ impl RunOptions {
         if opts.nodes == Some(0) {
             return Err("--nodes must be positive".into());
         }
+        if opts.threads == Some(0) {
+            return Err("--threads must be positive".into());
+        }
         if opts.step_threads == Some(0) {
             return Err("--step-threads must be positive".into());
         }
@@ -441,6 +444,7 @@ mod tests {
         assert!(parse(&["--iterations", "abc"]).is_err());
         assert!(parse(&["--bogus"]).is_err());
         assert!(parse(&["--iterations", "0"]).is_err());
+        assert!(parse(&["--threads", "0"]).is_err());
     }
 
     #[test]

@@ -15,6 +15,7 @@
 
 use crate::common::{banner, fmt, side_for, RunOptions, Table};
 use crate::obs::ObsSession;
+use manet_core::graph::parallel::default_threads;
 use manet_core::obs::KernelMetrics;
 use manet_core::sim::{
     find_critical_range, fit_scaling_exponent, ConnectivityMetric, CriticalRangeSearch,
@@ -132,7 +133,10 @@ pub fn run(opts: &RunOptions, session: &mut ObsSession) -> Result<(), CoreError>
                 serde_json::from_str(&text).map_err(|e| CoreError::Invalid {
                     reason: format!("cannot parse checkpoint {}: {e}", path.display()),
                 })?;
-            ck.validate(&fingerprint, jobs.len())?;
+            ck.validate(&fingerprint, jobs.len())
+                .map_err(|e| CoreError::Invalid {
+                    reason: format!("cannot resume from checkpoint {}: {e}", path.display()),
+                })?;
             println!(
                 "resuming from {} ({} of {} cells done)",
                 path.display(),
@@ -144,11 +148,7 @@ pub fn run(opts: &RunOptions, session: &mut ObsSession) -> Result<(), CoreError>
         _ => SweepCheckpoint::new(fingerprint.clone(), jobs.len()),
     };
 
-    let threads = opts.threads.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|t| t.get())
-            .unwrap_or(1)
-    });
+    let threads = opts.threads.unwrap_or_else(default_threads);
     let mut scheduler = SweepScheduler::new(threads);
     if let Some(budget) = opts.max_cells {
         scheduler = scheduler.with_budget(budget);

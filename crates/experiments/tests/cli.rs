@@ -888,3 +888,100 @@ fn k_target_thresholds_k_connectivity() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("k-connectivity"));
 }
+
+#[test]
+fn zero_threads_is_a_clean_usage_error() {
+    for cmd in ["critical-scaling", "fixed"] {
+        let out = repro().args([cmd, "--threads", "0"]).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{cmd}: stderr: {err}");
+        assert!(err.contains("--threads must be positive"), "{cmd}: {err}");
+        assert!(!err.contains("panicked"), "{cmd} panicked: {err}");
+    }
+}
+
+#[test]
+fn bad_checkpoints_are_rejected_without_partial_resume() {
+    let base = [
+        "critical-scaling",
+        "--iterations",
+        "2",
+        "--steps",
+        "20",
+        "--n-sweep",
+        "8,12",
+        "--models",
+        "waypoint",
+        "--threads",
+        "2",
+    ];
+    let write_ckpt = |tag: &str, extra: &[&str]| {
+        let dir = temp_out(tag);
+        let ckpt = dir.join("sweep.ckpt.json");
+        let out = repro()
+            .args(base)
+            .args(extra)
+            .args(["--max-cells", "1", "--checkpoint"])
+            .arg(&ckpt)
+            .arg("--out")
+            .arg(&dir)
+            .output()
+            .unwrap();
+        assert!(out.status.success());
+        let text = std::fs::read_to_string(&ckpt).unwrap();
+        std::fs::remove_dir_all(dir).ok();
+        text
+    };
+    let valid = write_ckpt("ckpt_valid", &[]);
+    let foreign = write_ckpt("ckpt_foreign", &["--seed", "99"]);
+    assert!(
+        valid.contains("\"results\":["),
+        "checkpoint schema: {valid}"
+    );
+    let cases = [
+        ("truncated", valid[..valid.len() / 2].to_string()),
+        ("garbled", "{\"fingerprint\": [1, 2".to_string()),
+        ("foreign", foreign),
+        (
+            "wrong_length",
+            valid.replace("\"results\":[", "\"results\":[null,"),
+        ),
+    ];
+    for (tag, text) in cases {
+        let dir = temp_out(&format!("ckpt_bad_{tag}"));
+        let ckpt = dir.join("sweep.ckpt.json");
+        std::fs::write(&ckpt, &text).unwrap();
+        let out = repro()
+            .args(base)
+            .arg("--checkpoint")
+            .arg(&ckpt)
+            .arg("--out")
+            .arg(&dir)
+            .output()
+            .unwrap();
+        let (stdout, stderr) = (
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr),
+        );
+        assert!(!out.status.success(), "{tag}: bad checkpoint accepted");
+        assert!(!stderr.contains("panicked"), "{tag} panicked: {stderr}");
+        assert!(
+            stderr.contains(&ckpt.display().to_string()),
+            "{tag}: error must name the checkpoint file: {stderr}"
+        );
+        assert!(
+            !stdout.contains("resuming from"),
+            "{tag}: resumed: {stdout}"
+        );
+        assert!(
+            !dir.join("critical_scaling.csv").exists(),
+            "{tag}: final artifact written from a bad checkpoint"
+        );
+        assert_eq!(
+            std::fs::read_to_string(&ckpt).unwrap(),
+            text,
+            "{tag}: bad checkpoint was overwritten"
+        );
+        std::fs::remove_dir_all(dir).ok();
+    }
+}

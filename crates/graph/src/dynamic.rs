@@ -30,7 +30,7 @@
 //! is ever exceeded, the model lied about its dynamics, and the kernel
 //! routes that step through the full rebuild-and-diff oracle path
 //! instead of trusting the incremental machinery — observable via
-//! [`DynamicGraph::fallback_steps`], never silent.
+//! `fallback_steps` in [`DynamicGraph::metrics`], never silent.
 //!
 //! # Determinism
 //!
@@ -275,6 +275,54 @@ fn unpack_pair(p: u64) -> (u32, u32) {
     ((p >> 32) as u32, p as u32)
 }
 
+/// The `w`-th of `shards` balanced contiguous ranges over `0..len`:
+/// base-width ranges, the first `len % shards` one wider, so the
+/// ranges partition `0..len` in shard order.
+fn balanced_range(len: usize, shards: usize, w: usize) -> std::ops::Range<usize> {
+    let (base, rem) = (len / shards, len % shards);
+    let lo = w * base + w.min(rem);
+    lo..lo + base + usize::from(w < rem)
+}
+
+/// Appends every forward pair of `grid` within squared radius `r2` to
+/// the empty `out`, returning the scan counts. With `shards > 1` the
+/// lattice splits into balanced axis-0 column strips — contiguous
+/// linear cell ranges — each filling one recycled `frags` buffer on
+/// the fan-out; fragments concatenate in strip order. Disjoint strips
+/// examine disjoint pair sets, so `out` holds the serial sweep's pair
+/// set at any shard count.
+fn scan_pairs_sharded<const D: usize>(
+    grid: &MovingCellGrid<D>,
+    r2: f64,
+    shards: usize,
+    frags: &mut Vec<Vec<u64>>,
+    out: &mut Vec<u64>,
+) -> ShardScan {
+    let cols = grid.cells_per_side();
+    let shards = shards.min(cols).max(1);
+    let mut scan = ShardScan::default();
+    if shards == 1 {
+        let examined = grid.scan_forward_pairs(0, cols, r2, |a, b| out.push(pack_pair(a, b)));
+        scan.absorb(examined, out.len() as u64);
+        return scan;
+    }
+    frags.resize_with(shards, Vec::new);
+    let scanned = parallel::run_indexed(shards, std::mem::take(frags), |w, mut buf| {
+        buf.clear();
+        let xs = balanced_range(cols, shards, w);
+        let examined = grid.scan_forward_pairs(xs.start, xs.end, r2, |a, b| {
+            buf.push(pack_pair(a, b));
+        });
+        (buf, examined)
+    });
+    for (buf, examined) in scanned {
+        scan.absorb(examined, buf.len() as u64);
+        out.extend_from_slice(&buf);
+        frags.push(buf);
+    }
+    scan
+}
+
 /// Single linear merge of two lex-sorted packed edge lists into the
 /// diff. Packed order is lexicographic pair order, so `added` and
 /// `removed` come out exactly as the per-row oracle emits them.
@@ -336,7 +384,7 @@ struct VerletCache {
 /// [`DynamicGraph::with_displacement_bound`]) is policed every step;
 /// violations fall back to the full rebuild-and-diff oracle for that
 /// step (bit-identical output, counted by
-/// [`DynamicGraph::fallback_steps`]).
+/// `fallback_steps` in [`DynamicGraph::metrics`]).
 ///
 /// # Example
 ///
@@ -646,31 +694,6 @@ impl<const D: usize> DynamicGraph<D> {
         }
     }
 
-    /// Steps taken through the per-moved-node incremental kernel.
-    pub fn incremental_steps(&self) -> u64 {
-        self.metrics.incremental_steps
-    }
-
-    /// Steps that rescanned the whole snapshot through the grid in one
-    /// allocation-free bulk pass (taken when at least
-    /// [`BULK_RESCAN_FRACTION`] of the nodes moved).
-    pub fn bulk_rescan_steps(&self) -> u64 {
-        self.metrics.bulk_rescan_steps
-    }
-
-    /// Steps that took the full rebuild-and-diff oracle path instead:
-    /// grid construction was impossible (degenerate side/range) or a
-    /// declared displacement bound was violated.
-    pub fn fallback_steps(&self) -> u64 {
-        self.metrics.fallback_steps
-    }
-
-    /// Steps served by streaming the Verlet candidate arena instead of
-    /// scanning cell neighborhoods.
-    pub fn cache_verify_steps(&self) -> u64 {
-        self.metrics.cache_verify_steps
-    }
-
     /// The full deterministic counter set accumulated since
     /// construction: path decisions per step, moved-set and rescan
     /// candidate volumes, and edge-event magnitudes. Pure event counts
@@ -885,47 +908,17 @@ impl<const D: usize> DynamicGraph<D> {
     /// one global unstable sort is a function of the pair *set* alone
     /// — shard-count (and thread-count) invariance for free.
     fn step_cache_rebuild(&mut self, points: &[Point<D>]) {
-        let mut frags = std::mem::take(&mut self.shard_pairs);
         let grid = self.grid.as_ref().expect("caller checked the grid"); // lint:allow(R3): step() dispatches here only when the grid exists
         let n = grid.len();
         let rs = self.range + self.skin;
-        let rs2 = rs * rs;
         self.cache.pairs.clear();
-        let cols = grid.cells_per_side();
-        let n_shards = self.step_threads.min(cols).max(1);
-        let mut shard_scan = ShardScan::default();
-        if n_shards == 1 {
-            let pairs = &mut self.cache.pairs;
-            let examined = grid.scan_forward_pairs(0, cols, rs2, |a, b| {
-                pairs.push(pack_pair(a, b));
-            });
-            shard_scan.absorb(examined, pairs.len() as u64);
-        } else {
-            frags.resize_with(n_shards, Vec::new);
-            let (base, rem) = (cols / n_shards, cols % n_shards);
-            let mut lo = 0usize;
-            let jobs: Vec<_> = frags
-                .drain(..)
-                .enumerate()
-                .map(|(w, mut buf)| {
-                    buf.clear();
-                    let (x_lo, x_hi) = (lo, lo + base + usize::from(w < rem));
-                    lo = x_hi;
-                    move || {
-                        let examined = grid
-                            .scan_forward_pairs(x_lo, x_hi, rs2, |a, b| buf.push(pack_pair(a, b)));
-                        (buf, examined)
-                    }
-                })
-                .collect();
-            debug_assert_eq!(lo, cols, "strips must partition the lattice");
-            for (buf, examined) in parallel::run_jobs(jobs) {
-                shard_scan.absorb(examined, buf.len() as u64);
-                self.cache.pairs.extend_from_slice(&buf);
-                frags.push(buf);
-            }
-        }
-        self.shard_pairs = frags;
+        let shard_scan = scan_pairs_sharded(
+            grid,
+            rs * rs,
+            self.step_threads,
+            &mut self.shard_pairs,
+            &mut self.cache.pairs,
+        );
         self.cache.pairs.sort_unstable();
         let offsets = &mut self.cache.offsets;
         offsets.clear();
@@ -991,31 +984,19 @@ impl<const D: usize> DynamicGraph<D> {
                 }
             }
         } else {
-            let mut frags = std::mem::take(&mut self.shard_pairs);
+            let frags = &mut self.shard_pairs;
             frags.resize_with(n_shards, Vec::new);
-            let (base, rem) = (cand.len() / n_shards, cand.len() % n_shards);
-            let mut lo = 0usize;
-            let jobs: Vec<_> = frags
-                .drain(..)
-                .enumerate()
-                .map(|(w, mut buf)| {
-                    buf.clear();
-                    let (p_lo, p_hi) = (lo, lo + base + usize::from(w < rem));
-                    lo = p_hi;
-                    let slice = &cand[p_lo..p_hi];
-                    move || {
-                        for &packed in slice {
-                            let (a, b) = unpack_pair(packed);
-                            if points[a as usize].distance_sq(&points[b as usize]) <= r2 {
-                                buf.push(packed);
-                            }
-                        }
-                        buf
+            let kept = parallel::run_indexed(n_shards, std::mem::take(frags), |w, mut buf| {
+                buf.clear();
+                for &packed in &cand[balanced_range(cand.len(), n_shards, w)] {
+                    let (a, b) = unpack_pair(packed);
+                    if points[a as usize].distance_sq(&points[b as usize]) <= r2 {
+                        buf.push(packed);
                     }
-                })
-                .collect();
-            debug_assert_eq!(lo, cand.len(), "slices must partition the arena");
-            for buf in parallel::run_jobs(jobs) {
+                }
+                buf
+            });
+            for buf in kept {
                 for &packed in &buf {
                     let (a, b) = unpack_pair(packed);
                     new_pairs.push(packed);
@@ -1024,7 +1005,6 @@ impl<const D: usize> DynamicGraph<D> {
                 }
                 frags.push(buf);
             }
-            self.shard_pairs = frags;
         }
         // Rows filled from a lex-sorted pair list are already sorted:
         // for row x, every lower partner a (from pairs (a, x), keys
@@ -1289,52 +1269,16 @@ impl<const D: usize> DynamicGraph<D> {
     /// serial sweep at any thread count.
     fn step_bulk(&mut self) {
         self.ensure_edge_pairs();
-        // Detach the fragment buffers before borrowing the grid: the
-        // workers fill them while the grid is shared immutably.
-        let mut frags = std::mem::take(&mut self.shard_pairs);
         let grid = self.grid.as_ref().expect("caller checked the grid"); // lint:allow(R3): step() dispatches here only when the grid exists
         let n = grid.len();
-        let r2 = self.range * self.range;
-
         self.new_pairs.clear();
-        let cols = grid.cells_per_side();
-        let n_shards = self.step_threads.min(cols).max(1);
-        let mut shard_scan = ShardScan::default();
-        if n_shards == 1 {
-            // Serial sweep: emit straight into the pair list.
-            let new_pairs = &mut self.new_pairs;
-            let examined = grid.scan_forward_pairs(0, cols, r2, |a, b| {
-                new_pairs.push(pack_pair(a, b));
-            });
-            shard_scan.absorb(examined, new_pairs.len() as u64);
-        } else {
-            // Balanced axis-0 strips: base-width strips, the first
-            // `rem` one cell wider — every cell covered exactly once.
-            frags.resize_with(n_shards, Vec::new);
-            let (base, rem) = (cols / n_shards, cols % n_shards);
-            let mut lo = 0usize;
-            let jobs: Vec<_> = frags
-                .drain(..)
-                .enumerate()
-                .map(|(w, mut buf)| {
-                    buf.clear();
-                    let (x_lo, x_hi) = (lo, lo + base + usize::from(w < rem));
-                    lo = x_hi;
-                    move || {
-                        let examined = grid
-                            .scan_forward_pairs(x_lo, x_hi, r2, |a, b| buf.push(pack_pair(a, b)));
-                        (buf, examined)
-                    }
-                })
-                .collect();
-            debug_assert_eq!(lo, cols, "strips must partition the lattice");
-            for (buf, examined) in parallel::run_jobs(jobs) {
-                shard_scan.absorb(examined, buf.len() as u64);
-                self.new_pairs.extend_from_slice(&buf);
-                frags.push(buf);
-            }
-        }
-        self.shard_pairs = frags;
+        let shard_scan = scan_pairs_sharded(
+            grid,
+            self.range * self.range,
+            self.step_threads,
+            &mut self.shard_pairs,
+            &mut self.new_pairs,
+        );
         self.new_pairs.sort_unstable();
 
         if self.next_rows.len() != n {
@@ -1453,10 +1397,14 @@ mod tests {
                 "snapshot drifted from the from-scratch build"
             );
         }
-        assert_eq!(dg.fallback_steps(), 0, "no bound declared, no fallback");
+        assert_eq!(
+            dg.metrics().fallback_steps,
+            0,
+            "no bound declared, no fallback"
+        );
         // Every node teleports every step: all steps bulk-rescan.
-        assert_eq!(dg.bulk_rescan_steps(), 25);
-        assert_eq!(dg.incremental_steps(), 0);
+        assert_eq!(dg.metrics().bulk_rescan_steps, 25);
+        assert_eq!(dg.metrics().incremental_steps, 0);
     }
 
     /// The incremental kernel's delta and snapshot must be bit-identical
@@ -1497,9 +1445,12 @@ mod tests {
             assert_eq!(dg.graph(), &next, "snapshot diverged at step {step}");
             oracle = next;
         }
-        assert!(dg.incremental_steps() > 0, "moved-node path never taken");
-        assert!(dg.bulk_rescan_steps() > 0, "bulk path never taken");
-        assert_eq!(dg.fallback_steps(), 0);
+        assert!(
+            dg.metrics().incremental_steps > 0,
+            "moved-node path never taken"
+        );
+        assert!(dg.metrics().bulk_rescan_steps > 0, "bulk path never taken");
+        assert_eq!(dg.metrics().fallback_steps, 0);
     }
 
     #[test]
@@ -1513,14 +1464,20 @@ mod tests {
         // An in-bound step stays incremental.
         pts[0] = Point::new([0.5, 50.0]);
         dg.step(&pts);
-        assert_eq!((dg.incremental_steps(), dg.fallback_steps()), (1, 0));
+        assert_eq!(
+            (dg.metrics().incremental_steps, dg.metrics().fallback_steps),
+            (1, 0)
+        );
         // A 40-unit teleport violates the declared bound: the kernel
         // must route through the full rebuild-and-diff oracle, still
         // producing the exact snapshot and delta.
         let old = dg.graph().clone();
         pts[0] = Point::new([40.5, 50.0]);
         dg.step(&pts);
-        assert_eq!((dg.incremental_steps(), dg.fallback_steps()), (1, 1));
+        assert_eq!(
+            (dg.metrics().incremental_steps, dg.metrics().fallback_steps),
+            (1, 1)
+        );
         let next = AdjacencyList::from_points(&pts, side, r);
         assert_eq!(dg.graph(), &next);
         assert_eq!(dg.last_diff(), &old.diff(&next));
@@ -1528,7 +1485,10 @@ mod tests {
         // consistent grid.
         pts[3] = Point::new([15.2, 50.3]);
         dg.step(&pts);
-        assert_eq!((dg.incremental_steps(), dg.fallback_steps()), (2, 1));
+        assert_eq!(
+            (dg.metrics().incremental_steps, dg.metrics().fallback_steps),
+            (2, 1)
+        );
         assert_eq!(dg.graph(), &AdjacencyList::from_points(&pts, side, r));
     }
 
@@ -1538,7 +1498,7 @@ mod tests {
         let mut dg = DynamicGraph::new(&pts, 10.0, 1.5).with_displacement_bound(Some(0.0));
         dg.step(&pts);
         assert!(dg.last_diff().is_empty());
-        assert_eq!(dg.fallback_steps(), 0);
+        assert_eq!(dg.metrics().fallback_steps, 0);
     }
 
     #[test]
@@ -1554,8 +1514,8 @@ mod tests {
         let mut dg = DynamicGraph::new(&pts, 10.0, f64::NAN);
         assert_eq!(dg.graph().edge_count(), 0); // NaN range: edgeless
         dg.step(&pts1(&[0.0, 0.5]));
-        assert_eq!(dg.fallback_steps(), 1);
-        assert_eq!(dg.incremental_steps(), 0);
+        assert_eq!(dg.metrics().fallback_steps, 1);
+        assert_eq!(dg.metrics().incremental_steps, 0);
         assert_eq!(dg.graph().edge_count(), 0);
     }
 
@@ -1718,9 +1678,12 @@ mod tests {
                 assert_eq!(dg.grid_metrics(), serial.grid_metrics());
             }
         }
-        assert!(serial.bulk_rescan_steps() > 0, "bulk path never exercised");
         assert!(
-            serial.incremental_steps() > 0,
+            serial.metrics().bulk_rescan_steps > 0,
+            "bulk path never exercised"
+        );
+        assert!(
+            serial.metrics().incremental_steps > 0,
             "incremental path never exercised"
         );
     }
@@ -1907,7 +1870,7 @@ mod tests {
         let old = dg.graph().clone();
         pts[0] = Point::new([80.0, 50.0]);
         dg.step(&pts);
-        assert_eq!(dg.fallback_steps(), 1, "violation must oracle");
+        assert_eq!(dg.metrics().fallback_steps, 1, "violation must oracle");
         let next = AdjacencyList::from_points(&pts, side, r);
         assert_eq!(dg.graph(), &next);
         assert_eq!(dg.last_diff(), &old.diff(&next));

@@ -28,6 +28,8 @@
 //! * [`bfs`] — hop distances and diameter (multi-hop relay depth);
 //! * [`kconn`] — vertex connectivity (an extension beyond the paper's
 //!   1-connectivity, useful for dependability margins).
+//! * [`parallel`] — [`parallel::run_indexed`], the workspace's one
+//!   deterministic fan-out (index-ordered results at any thread count).
 //!
 //! # Example
 //!
@@ -60,7 +62,7 @@ pub mod dynamic_components;
 pub mod kconn;
 pub mod merge;
 pub mod mst;
-mod parallel;
+pub mod parallel;
 
 pub use adjacency::AdjacencyList;
 pub use components::ComponentSummary;

@@ -589,12 +589,12 @@ fn step_kernel_dmax_violation_falls_back_not_corrupts() {
         oracle = next;
     }
     assert_eq!(
-        dg.fallback_steps(),
+        dg.metrics().fallback_steps,
         violations,
         "every violating step (and only those) must take the oracle path"
     );
     assert!(
-        dg.incremental_steps() > 0,
+        dg.metrics().incremental_steps > 0,
         "in-bound steps stay incremental"
     );
 }

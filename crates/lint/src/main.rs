@@ -44,7 +44,7 @@ fn main() -> ExitCode {
                     println!("  {path}\n    {reason}");
                 }
                 println!();
-                println!("R6-exempt library modules (sanctioned fan-out sites):");
+                println!("R6-exempt library module (the sanctioned fan-out site):");
                 for (path, reason) in manet_lint::walk::R6_EXEMPT_MODULES {
                     println!("  {path}\n    {reason}");
                 }

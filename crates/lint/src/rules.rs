@@ -10,7 +10,7 @@
 //! | `R3` | no `unwrap()`/`expect()`/`panic!` in non-test library code paths (`assert!`-family macros are the sanctioned panic: they state invariants) |
 //! | `R4` | every library crate root carries `#![forbid(unsafe_code)]` and `#![deny(missing_docs)]` |
 //! | `R5` | no float reductions (`.sum::<f64>()`, `.fold`) over hash-backed containers in the geom/graph/stats kernels |
-//! | `R6` | no ad-hoc threading (`thread::spawn`, `thread::scope`) in library code — fan-out goes through the sanctioned sites in `R6_EXEMPT_MODULES`, whose merge order is documented and byte-identity-tested |
+//! | `R6` | no ad-hoc threading (`thread::spawn`, `thread::scope`) in library code — fan-out goes through `run_indexed`, the one sanctioned site in `R6_EXEMPT_MODULES`, whose index-order merge is documented and byte-identity-tested |
 //!
 //! Rules run against the scanner's *code* view of each line (comments,
 //! strings and char literals removed) and respect its `#[cfg(test)]`
@@ -46,7 +46,7 @@ pub fn rule_description(rule: &str) -> &'static str {
         "R3" => "unwrap()/expect()/panic! in non-test library code",
         "R4" => "crate root missing #![forbid(unsafe_code)] / #![deny(missing_docs)]",
         "R5" => "unordered float reduction over a hash-backed container",
-        "R6" => "ad-hoc threading outside the sanctioned fan-out modules",
+        "R6" => "ad-hoc threading outside the sanctioned fan-out module",
         _ => "unknown rule",
     }
 }
@@ -137,9 +137,9 @@ pub fn check_file(ctx: &FileContext, lines: &[ScannedLine], findings: &mut Vec<F
         }
 
         // R6 — ad-hoc threading in library code. Spawning threads
-        // anywhere but the modules in `R6_EXEMPT_MODULES` risks a
+        // anywhere but the module in `R6_EXEMPT_MODULES` risks a
         // merge order nobody documented or tested; route fan-out
-        // through the sanctioned sites instead.
+        // through its `run_indexed` instead.
         if !ctx.tool_crate && !ctx.bin_target && !ctx.r6_exempt {
             for tok in R6_TOKENS {
                 if has_token(&line.code, tok) {

@@ -32,33 +32,19 @@ pub const R2_EXEMPT_MODULES: [(&str, &str); 1] = [(
      span reports go to stderr/metrics.json spans, never into deterministic outputs",
 )];
 
-/// Library modules exempt from `R6` by design: the three sanctioned
-/// `std::thread` fan-out sites. Everywhere else, library code must stay
+/// The library module exempt from `R6` by design: the one sanctioned
+/// `std::thread` fan-out site. Everywhere else, library code must stay
 /// single-threaded so determinism never depends on a merge order that
 /// is not spelled out and tested. Mirrored by `disallowed-methods` in
 /// the root `clippy.toml`.
-pub const R6_EXEMPT_MODULES: [(&str, &str); 3] = [
-    (
-        "crates/graph/src/parallel.rs",
-        "the step kernel's scoped fan-out helper: workers run on disjoint spatial \
-         shards and results are folded serially in shard order, so every artifact \
-         is byte-identical across thread counts (pinned by unit, property, and \
-         CLI byte-identity tests)",
-    ),
-    (
-        "crates/sim/src/engine.rs",
-        "the per-iteration trajectory runner: each iteration derives its RNG seed \
-         from the master seed and its index, and outputs are collected by \
-         iteration index, so results are bit-identical across thread counts",
-    ),
-    (
-        "crates/sim/src/sweep.rs",
-        "the batched sweep scheduler: workers race over an atomic job cursor but \
-         every job owns its inputs and output slot, and results are merged in \
-         job-id order after the scope joins, so sweep artifacts are byte-identical \
-         across thread counts (pinned by unit, property, and CLI tests)",
-    ),
-];
+pub const R6_EXEMPT_MODULES: [(&str, &str); 1] = [(
+    "crates/graph/src/parallel.rs",
+    "run_indexed, the workspace's one fan-out: workers claim owned jobs off one \
+     shared cursor and results are sorted back into job-index order after the \
+     scope joins, so the step kernel's shards, the engine's iterations and the \
+     sweep's cells are byte-identical across thread counts (pinned by unit, \
+     property, and CLI byte-identity tests)",
+)];
 
 /// Where a file sits in the workspace, from the rules' point of view.
 #[derive(Debug, Clone)]
@@ -195,9 +181,9 @@ mod tests {
     fn r6_exemption_covers_only_the_sanctioned_fanout_sites() {
         let par = classify("crates/graph/src/parallel.rs");
         assert!(par.r6_exempt && !par.tool_crate && !par.exempt);
-        assert!(classify("crates/sim/src/engine.rs").r6_exempt);
-        assert!(classify("crates/sim/src/sweep.rs").r6_exempt);
-        // The rest of both crates stays under R6.
+        // Its callers, and the rest of both crates, stay under R6.
+        assert!(!classify("crates/sim/src/engine.rs").r6_exempt);
+        assert!(!classify("crates/sim/src/sweep.rs").r6_exempt);
         assert!(!classify("crates/graph/src/dynamic.rs").r6_exempt);
         assert!(!classify("crates/sim/src/stream.rs").r6_exempt);
         assert!(!classify("crates/sim/src/scaling.rs").r6_exempt);

@@ -9,6 +9,7 @@
 
 use crate::{config::SimConfig, SimError};
 use manet_geom::Point;
+use manet_graph::parallel::{default_threads, run_indexed};
 use manet_mobility::Mobility;
 use manet_stats::SeedSequence;
 use rand::SeedableRng;
@@ -46,8 +47,8 @@ pub trait StepObserver<const D: usize> {
 ///
 /// Iteration `i` draws all randomness from
 /// `StdRng::seed_from_u64(SeedSequence::new(config.seed()).seed_for(i))`,
-/// independent of which worker thread executes it.
-#[allow(clippy::disallowed_methods)] // thread::scope/spawn: the sanctioned iteration fan-out site (see clippy.toml)
+/// independent of which worker thread executes it; iterations fan out
+/// through [`run_indexed`], which returns them in index order.
 pub fn run_simulation<const D: usize, M, O, F>(
     config: &SimConfig<D>,
     model: &M,
@@ -60,18 +61,9 @@ where
 {
     let region = config.region();
     let seq = SeedSequence::new(config.seed());
-    let iterations = config.iterations();
-    let threads = config
-        .threads()
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-        .min(iterations)
-        .max(1);
-
-    let run_iteration = |iteration: usize| -> O::Output {
+    let threads = config.threads().unwrap_or_else(default_threads);
+    let iterations = vec![(); config.iterations()];
+    Ok(run_indexed(threads, iterations, |iteration, ()| {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seq.seed_for(iteration as u64));
         let mut positions = region.place_uniform(config.nodes(), &mut rng);
         let mut model = model.clone();
@@ -83,39 +75,7 @@ where
             observer.observe(step, &positions);
         }
         observer.finish()
-    };
-
-    if threads == 1 {
-        return Ok((0..iterations).map(run_iteration).collect());
-    }
-
-    let mut slots: Vec<Option<O::Output>> = Vec::with_capacity(iterations);
-    slots.resize_with(iterations, || None);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for t in 0..threads {
-            let run_iteration = &run_iteration;
-            handles.push(scope.spawn(move || {
-                let mut outs = Vec::new();
-                let mut i = t;
-                while i < iterations {
-                    outs.push((i, run_iteration(i)));
-                    i += threads;
-                }
-                outs
-            }));
-        }
-        for handle in handles {
-            let outs = handle.join().expect("simulation worker panicked"); // lint:allow(R3): a worker panic must propagate, not be swallowed
-            for (i, out) in outs {
-                slots[i] = Some(out);
-            }
-        }
-    });
-    Ok(slots
-        .into_iter()
-        .map(|s| s.expect("every iteration produced an output")) // lint:allow(R3): the dispatch loop above fills every iteration slot
-        .collect())
+    }))
 }
 
 #[cfg(test)]

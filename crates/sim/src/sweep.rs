@@ -1,5 +1,5 @@
-//! Deterministic batched sweep scheduler: a work-stealing job pool
-//! over independent scenario jobs with checkpoint/resume.
+//! Deterministic batched sweep scheduler: a job pool over independent
+//! scenario jobs with checkpoint/resume.
 //!
 //! Grid experiments (the critical-scaling sweep, and the parameter
 //! sweeps ROADMAP items 3–5 plan) all share one shape: a fixed list of
@@ -7,25 +7,16 @@
 //! results must be merged into artifacts that are **byte-identical at
 //! every thread count**. [`SweepScheduler`] owns that shape once.
 //!
-//! # Determinism argument
+//! # Determinism
 //!
-//! Workers race freely over a shared atomic job cursor (classic
-//! work-stealing from a single deque of pending job ids), so *which*
-//! worker runs a job and in *what order* jobs finish is scheduling
-//! noise. Determinism comes from the structure around the race, the
-//! same discipline as `crates/graph/src/parallel.rs` one layer up:
-//!
-//! * every job owns its inputs (`&J`) and produces an owned result —
-//!   nothing is shared mutably between jobs;
-//! * each job id is claimed exactly once (`fetch_add` on the cursor);
-//! * workers tag results with their job id, and the main thread merges
-//!   them into a job-id-indexed slot vector after the scope joins.
-//!
-//! The merged [`SweepRun::results`] is therefore a pure function of
-//! `(jobs, cached results, job function)` — the thread count never
-//! appears. `tests/critical_scaling.rs` pins byte-identity across
-//! scheduler thread counts {1, 2, 4, 7} on top of this module's unit
-//! tests.
+//! Pending jobs fan out through `manet_graph::parallel::run_indexed`,
+//! the workspace's one thread site, whose results come back in
+//! pending (= job-id) order whatever the thread count. Every job owns
+//! its inputs and produces an owned result, so the merged
+//! [`SweepRun::results`] is a pure function of `(jobs, cached
+//! results, job function)` — the thread count never appears.
+//! `tests/critical_scaling.rs` pins byte-identity across scheduler
+//! thread counts {1, 2, 4, 7} on top of this module's unit tests.
 //!
 //! # Checkpoint/resume
 //!
@@ -38,15 +29,11 @@
 //! interrupted grid resumable: persist the checkpoint, exit, reload,
 //! run the rest. Because jobs are deterministic, a resumed grid's
 //! results are bitwise the ones an uninterrupted run produces.
-//!
-//! This module is one of the three sanctioned `std::thread` sites in
-//! the workspace (see `R6_EXEMPT_MODULES` in `crates/lint/src/walk.rs`
-//! and the root `clippy.toml`).
 
 use crate::SimError;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use manet_graph::parallel::run_indexed;
 
-/// A deterministic work-stealing pool over independent sweep jobs.
+/// A deterministic pool over independent sweep jobs.
 ///
 /// Construct with a thread count, optionally bound the number of jobs
 /// one invocation may execute with [`SweepScheduler::with_budget`],
@@ -82,16 +69,6 @@ impl SweepScheduler {
         self
     }
 
-    /// The configured worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The configured job budget, if any.
-    pub fn budget(&self) -> Option<usize> {
-        self.budget
-    }
-
     /// Runs the jobs whose `cached` slot is empty (up to the budget)
     /// and merges fresh results into the slots **in job-id order**.
     ///
@@ -110,7 +87,6 @@ impl SweepScheduler {
     /// # Panics
     ///
     /// Propagates a panic from any job.
-    #[allow(clippy::disallowed_methods)] // thread::scope/spawn: the sanctioned sweep fan-out site
     pub fn run<J, R, F>(
         &self,
         jobs: &[J],
@@ -142,48 +118,10 @@ impl SweepScheduler {
         let executed = pending.len();
 
         let mut slots = cached;
-        let workers = self.threads.min(pending.len());
-        if workers <= 1 {
-            // Zero or one worker's worth of work runs inline — the
-            // serial path pays no thread overhead and is the reference
-            // order the parallel merge reproduces.
-            for id in pending {
-                slots[id] = Some(run_job(id, &jobs[id])?);
-            }
-            return Ok(SweepRun { slots, executed });
-        }
-
-        let cursor = AtomicUsize::new(0);
-        let cursor = &cursor;
-        let pending = &pending;
-        let run_job = &run_job;
-        // Each worker claims job ids off the shared cursor and tags
-        // its outputs; the merge below is the only ordered step.
-        let mut tagged: Vec<(usize, Result<R, SimError>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(move || {
-                        let mut local = Vec::new();
-                        loop {
-                            let next = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(&id) = pending.get(next) else {
-                                break;
-                            };
-                            local.push((id, run_job(id, &jobs[id])));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("sweep worker panicked")) // lint:allow(R3): a worker panic is already a crash; propagate it
-                .collect()
-        });
-        // Merge in job-id order; on failure surface the error with the
-        // smallest job id so the outcome is scheduling-independent.
-        tagged.sort_by_key(|(id, _)| *id);
-        for (id, result) in tagged {
+        let results = run_indexed(self.threads, pending, |_, id| (id, run_job(id, &jobs[id])));
+        // Results arrive in ascending job id, so `?` surfaces the
+        // smallest failing id whatever the scheduling.
+        for (id, result) in results {
             slots[id] = Some(result?);
         }
         Ok(SweepRun { slots, executed })
@@ -417,16 +355,6 @@ mod tests {
         assert_eq!(run.executed(), 9);
         let values = run.into_complete().unwrap();
         assert_eq!(values, vec![0, 1, 4, 9, 16, 25, 36, 49, 64]);
-    }
-
-    #[test]
-    fn results_are_identical_across_thread_counts() {
-        let jobs = square_jobs(23);
-        let reference = run_squares(&SweepScheduler::new(1), &jobs, vec![None; 23]);
-        for threads in [2, 4, 7, 16] {
-            let run = run_squares(&SweepScheduler::new(threads), &jobs, vec![None; 23]);
-            assert_eq!(run, reference, "threads={threads} changed the sweep");
-        }
     }
 
     #[test]
