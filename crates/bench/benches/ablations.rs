@@ -3,9 +3,8 @@
 //! identical inputs, so the speedup claims stay measured, not asserted.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use manet_bench::{bench_waypoint, placement, small_problem};
+use manet_bench::{bench_waypoint, small_problem};
 use manet_core::geom::BoundaryPolicy;
-use manet_core::graph::{critical_range, MergeProfile};
 use manet_core::mobility::Drunkard;
 use manet_core::occupancy::Occupancy;
 use manet_core::sim::search::find_range_for_connectivity_fraction;
@@ -35,19 +34,6 @@ fn quantile_vs_bisection(c: &mut Criterion) {
         bch.iter(|| {
             black_box(find_range_for_connectivity_fraction(&cfg, &model, 0.9, 1.0).unwrap())
         })
-    });
-    group.finish();
-}
-
-/// Prim bottleneck vs full Kruskal profile when only the CTR is needed.
-fn prim_vs_kruskal_for_ctr(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ctr_only");
-    let pts = placement(128, 1000.0, 13);
-    group.bench_function("prim_bottleneck", |b| {
-        b.iter(|| black_box(critical_range(black_box(&pts))))
-    });
-    group.bench_function("kruskal_full_profile", |b| {
-        b.iter(|| black_box(MergeProfile::of(black_box(&pts)).critical_range()))
     });
     group.finish();
 }
@@ -107,7 +93,6 @@ fn occupancy_pmf_paths(c: &mut Criterion) {
 criterion_group!(
     ablations,
     quantile_vs_bisection,
-    prim_vs_kruskal_for_ctr,
     drunkard_boundary_policies,
     profile_resolutions,
     occupancy_pmf_paths,

@@ -286,6 +286,51 @@ fn fixed_and_uptime_match_goldens_across_thread_counts() {
     }
 }
 
+/// The paper's figures — fig2/fig3 from the per-step MST bottleneck,
+/// fig4–fig6 from the per-step merge profile, fig7–fig9 from the
+/// stationary and theory paths — reproduce `tests/goldens/figs/`
+/// byte-for-byte at any thread count.
+#[test]
+fn figs_match_goldens_across_thread_counts() {
+    let golden_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/goldens/figs");
+    for threads in ["1", "3"] {
+        let dir = temp_out(&format!("figs_goldens_t{threads}"));
+        let out = repro()
+            .args([
+                "figs",
+                "--iterations",
+                "2",
+                "--steps",
+                "60",
+                "--placements",
+                "40",
+                "--seed",
+                "20020623",
+                "--threads",
+                threads,
+                "--out",
+            ])
+            .arg(&dir)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        for fig in 2..=9 {
+            let artifact = format!("fig{fig}.csv");
+            let got = std::fs::read_to_string(dir.join(&artifact)).unwrap();
+            let want = std::fs::read_to_string(golden_dir.join(&artifact)).unwrap();
+            assert_eq!(
+                got, want,
+                "{artifact} diverged from tests/goldens/figs at --threads {threads}"
+            );
+        }
+        std::fs::remove_dir_all(dir).ok();
+    }
+}
+
 /// Blanks the value following `start_pat` (up to `end`) so manifest
 /// fields that legitimately vary between runs — the recorded worker
 /// thread count and the build-profile `features` provenance — don't

@@ -15,8 +15,8 @@
 //!   transmitting range** (the bottleneck = longest MST edge), the
 //!   single quantity from which all of the paper's `r_f` metrics are
 //!   derived;
-//! * [`merge`] — the full Kruskal merge profile: largest component
-//!   size as a step function of the range;
+//! * [`merge`] — the Kruskal merge profile over the same MST's edges:
+//!   largest component size as a step function of the range;
 //! * [`dynamic`] — edge deltas between snapshots and [`DynamicGraph`],
 //!   the streaming path that feeds the temporal-connectivity subsystem
 //!   (`manet-trace`) with per-step changed edges instead of `O(n²)`

@@ -3,9 +3,13 @@
 //!
 //! For fixed node positions, raising the range `r` only adds edges, so
 //! the size of the largest connected component is a nondecreasing step
-//! function of `r`. [`MergeProfile`] materializes that step function by
-//! running Kruskal's algorithm over all pairwise distances and
-//! recording every range at which the maximum component size grows.
+//! function of `r`. The components at range `r` are exactly the
+//! components of the minimum spanning tree's edges of length `<= r`
+//! (the cut property), so [`MergeProfile`] materializes that step
+//! function from the `n − 1` edges of [`minimum_spanning_tree`] alone:
+//! Kruskal's union order over the MST, recording every range at which
+//! the maximum component size grows. The same dense Prim that yields
+//! the critical range therefore answers every range query.
 //!
 //! This is the device behind the paper's Figures 4–6: the average size
 //! of the largest component at an arbitrary range — and the ranges
@@ -14,6 +18,7 @@
 //! instead of re-simulating for every candidate range.
 
 use crate::dsu::UnionFind;
+use crate::mst::minimum_spanning_tree;
 use manet_geom::Point;
 
 /// Step function `r -> size of largest connected component`.
@@ -43,29 +48,32 @@ pub struct MergeProfile {
 }
 
 impl MergeProfile {
-    /// Builds the profile of `points` by sorting all `O(n²)` pairwise
-    /// distances and merging with union-find.
+    /// Builds the profile of `points` by union-find over the `n − 1`
+    /// edges of their minimum spanning tree sorted by length: `O(n²)`
+    /// for the dense Prim, `O(n)` memory. Equal-length edges form one
+    /// event, so the profile does not depend on which tied MST Prim
+    /// returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming the first node with a non-finite coordinate (see
+    /// [`minimum_spanning_tree`]).
     pub fn of<const D: usize>(points: &[Point<D>]) -> Self {
         let n = points.len();
-        let mut dists = Vec::with_capacity(n.saturating_mul(n.saturating_sub(1)) / 2);
-        for i in 0..n {
-            for j in (i + 1)..n {
-                dists.push((points[i].distance_sq(&points[j]), i as u32, j as u32));
-            }
-        }
-        dists.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("distances are finite")); // lint:allow(R3): distances of finite points are finite, so the comparator is total
+        let mut edges = minimum_spanning_tree(points);
+        edges.sort_by(|a, b| a.length.total_cmp(&b.length));
 
         let mut uf = UnionFind::new(n);
-        let mut events = Vec::new();
-        let mut current_max = if n == 0 { 0 } else { 1u32 };
-        for (d2, i, j) in dists {
-            uf.union(i as usize, j as usize);
+        let mut events: Vec<(f64, u32)> = Vec::new();
+        let mut current_max = 1u32;
+        for e in edges {
+            uf.union(e.a as usize, e.b as usize);
             let m = uf.largest_component() as u32;
             if m > current_max {
                 current_max = m;
-                events.push((d2.sqrt(), m));
-                if m as usize == n {
-                    break;
+                match events.last_mut() {
+                    Some(last) if last.0 == e.length => last.1 = m,
+                    _ => events.push((e.length, m)),
                 }
             }
         }
@@ -77,7 +85,9 @@ impl MergeProfile {
         self.n
     }
 
-    /// The recorded `(range, size)` growth events.
+    /// The recorded `(range, size)` growth events, one per distinct
+    /// range, holding the size once every edge of that length has
+    /// merged.
     pub fn events(&self) -> &[(f64, u32)] {
         &self.events
     }
@@ -139,6 +149,150 @@ mod tests {
     use crate::mst::critical_range;
     use rand::{RngExt, SeedableRng};
 
+    /// The all-pairs oracle: Kruskal over every `i < j` pair sorted by
+    /// squared distance, one raw event per growing union.
+    fn all_pairs_events<const D: usize>(points: &[Point<D>]) -> Vec<(f64, u32)> {
+        let n = points.len();
+        let mut pairs = Vec::new();
+        for i in 0..n {
+            for j in (i + 1)..n {
+                pairs.push((points[i].distance_sq(&points[j]), i, j));
+            }
+        }
+        pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let mut uf = UnionFind::new(n);
+        let mut events = Vec::new();
+        let mut current_max = 1u32;
+        for (d2, i, j) in pairs {
+            uf.union(i, j);
+            let m = uf.largest_component() as u32;
+            if m > current_max {
+                current_max = m;
+                events.push((d2.sqrt(), m));
+            }
+        }
+        events
+    }
+
+    /// Collapses runs of equal-range events into the last (largest)
+    /// size of the run.
+    fn merge_same_range(events: Vec<(f64, u32)>) -> Vec<(f64, u32)> {
+        let mut merged: Vec<(f64, u32)> = Vec::new();
+        for (r, m) in events {
+            match merged.last_mut() {
+                Some(last) if last.0 == r => last.1 = m,
+                _ => merged.push((r, m)),
+            }
+        }
+        merged
+    }
+
+    /// A sparse integer lattice with holes and duplicate points: many
+    /// pairs sit at exactly the same distance.
+    fn lattice_with_holes(seed: u64, side: u32, keep: f64) -> Vec<Point<2>> {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut pts = Vec::new();
+        for x in 0..side {
+            for y in 0..side {
+                if rng.random_range(0.0..1.0) < keep {
+                    let p = Point::new([f64::from(x), f64::from(y)]);
+                    pts.push(p);
+                    if rng.random_range(0.0..1.0) < 0.1 {
+                        pts.push(p);
+                    }
+                }
+            }
+        }
+        pts
+    }
+
+    #[test]
+    #[should_panic(expected = "minimum_spanning_tree: node 1 has a non-finite coordinate")]
+    fn non_finite_position_names_the_node() {
+        let pts = vec![Point::new([0.0]), Point::new([f64::NAN]), Point::new([1.0])];
+        MergeProfile::of(&pts);
+    }
+
+    #[test]
+    fn lattice_ties_match_the_all_pairs_oracle() {
+        let mut tied_events = 0;
+        let mut exact_ties = 0;
+        let mut ulp_gaps = 0;
+        for seed in 0..6 {
+            let pts = lattice_with_holes(seed, 14, 0.3);
+            let n = pts.len();
+            let prof = MergeProfile::of(&pts);
+            let raw = all_pairs_events(&pts);
+            tied_events += raw.len();
+            let oracle = merge_same_range(raw);
+            tied_events -= oracle.len();
+            assert_eq!(prof.events(), &oracle[..], "seed {seed}");
+            for target in 0..=n + 1 {
+                let want = if target > n {
+                    None
+                } else if target <= 1 {
+                    Some(0.0)
+                } else {
+                    oracle.iter().find(|e| e.1 as usize >= target).map(|e| e.0)
+                };
+                assert_eq!(prof.range_for_size(target), want, "seed {seed}");
+            }
+            assert_eq!(prof.critical_range(), Some(critical_range(&pts)));
+            assert_eq!(prof.critical_range(), oracle.last().map(|e| e.0));
+
+            // Probe at every distinct pair distance `d = sqrt(d2)` of
+            // the lattice, each shared by many pairs.
+            let mut d2s: Vec<f64> = (0..n)
+                .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
+                .map(|(i, j)| pts[i].distance_sq(&pts[j]))
+                .collect();
+            d2s.sort_by(f64::total_cmp);
+            d2s.dedup();
+            for d2 in d2s {
+                let d = d2.sqrt();
+                let at = prof.largest_component_at(d);
+                if d * d >= d2 {
+                    // The graph's `d2 <= r * r` test admits every pair
+                    // at `d`, as the profile's `length <= r` does.
+                    exact_ties += 1;
+                    let g = AdjacencyList::from_points_brute_force(&pts, d);
+                    assert_eq!(at, largest_component_size(&g), "seed {seed}, d2 {d2}");
+                } else {
+                    // `d * d` rounds one ulp below `d2`, so the graph at
+                    // `d` drops the pairs at `d2` while the profile
+                    // counts them; the graph agrees one ulp higher.
+                    ulp_gaps += 1;
+                    let g = AdjacencyList::from_points_brute_force(&pts, d.next_up());
+                    assert_eq!(at, largest_component_size(&g), "seed {seed}, d2 {d2}");
+                }
+                if d2 > 0.0 {
+                    let below = AdjacencyList::from_points_brute_force(&pts, d.next_down());
+                    assert_eq!(
+                        prof.largest_component_at(d.next_down()),
+                        largest_component_size(&below),
+                        "seed {seed}, below d2 {d2}"
+                    );
+                }
+            }
+        }
+        // The fixtures exercise same-range merging and both sides of
+        // the one-ulp gap.
+        assert!(tied_events > 0);
+        assert!(exact_ties > 0 && ulp_gaps > 0, "{exact_ties} / {ulp_gaps}");
+    }
+
+    #[test]
+    fn matches_the_all_pairs_oracle_at_scale() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(1000);
+        let pts: Vec<Point<2>> = (0..1000)
+            .map(|_| Point::new([rng.random_range(0.0..1000.0), rng.random_range(0.0..1000.0)]))
+            .collect();
+        let raw = all_pairs_events(&pts);
+        let prof = MergeProfile::of(&pts);
+        assert_eq!(prof.events(), &raw[..]);
+        assert_eq!(prof.critical_range(), Some(critical_range(&pts)));
+    }
+
     #[test]
     fn empty_and_singleton() {
         let empty: Vec<Point<1>> = vec![];
@@ -162,7 +316,7 @@ mod tests {
             .collect();
         let prof = MergeProfile::of(&pts);
         for w in prof.events().windows(2) {
-            assert!(w[0].0 <= w[1].0, "ranges must be nondecreasing");
+            assert!(w[0].0 < w[1].0, "ranges must strictly increase");
             assert!(w[0].1 < w[1].1, "sizes must strictly increase");
         }
         assert_eq!(prof.events().last().unwrap().1 as usize, pts.len());

@@ -33,6 +33,11 @@ pub struct MstEdge {
 /// Edges are returned in the order Prim adds them; lengths are exact
 /// Euclidean distances.
 ///
+/// # Panics
+///
+/// Panics naming the first node with a non-finite coordinate: a NaN
+/// or infinite position has no distance to anything.
+///
 /// # Example
 ///
 /// ```
@@ -46,6 +51,13 @@ pub struct MstEdge {
 /// assert!((total - 3.0).abs() < 1e-12);
 /// ```
 pub fn minimum_spanning_tree<const D: usize>(points: &[Point<D>]) -> Vec<MstEdge> {
+    for (i, p) in points.iter().enumerate() {
+        assert!(
+            p.is_finite(),
+            "minimum_spanning_tree: node {i} has a non-finite coordinate {:?}",
+            p.coords()
+        );
+    }
     let n = points.len();
     if n <= 1 {
         return Vec::new();
@@ -128,6 +140,18 @@ mod tests {
         let one = vec![Point::new([3.0, 3.0])];
         assert!(minimum_spanning_tree(&one).is_empty());
         assert_eq!(critical_range(&one), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "minimum_spanning_tree: node 2 has a non-finite coordinate")]
+    fn non_finite_position_names_the_node() {
+        let pts = vec![
+            Point::new([0.0, 0.0]),
+            Point::new([1.0, 0.0]),
+            Point::new([f64::NAN, 1.0]),
+            Point::new([2.0, f64::INFINITY]),
+        ];
+        critical_range(&pts);
     }
 
     #[test]

@@ -20,9 +20,9 @@ use manet_graph::critical_range;
 use manet_mobility::Mobility;
 use manet_stats::{FrozenSeries, RunningMoments};
 
-/// Observer computing the critical transmitting range of every step
-/// (positions-only lane of the connectivity stream: the MST bottleneck
-/// needs no fixed-range snapshot).
+/// Observer recording the critical transmitting range of every step in
+/// time order (positions-only lane of the connectivity stream: the MST
+/// bottleneck needs no fixed-range snapshot).
 struct CriticalRangeObserver {
     series: Vec<f64>,
 }
@@ -39,8 +39,27 @@ impl<const D: usize> ConnectivityObserver<D> for CriticalRangeObserver {
     }
 }
 
+/// Runs the campaign and returns each iteration's critical-range
+/// series **in time order** (the input of [`crate::simulate_uptime`]'s
+/// up/down run analysis).
+///
+/// # Errors
+///
+/// Propagates engine errors.
+pub fn simulate_raw_critical_series<const D: usize, M>(
+    config: &SimConfig<D>,
+    model: &M,
+) -> Result<Vec<Vec<f64>>, SimError>
+where
+    M: Mobility<D> + Clone + Send + Sync,
+{
+    run_connectivity_stream(config, model, None, |_| CriticalRangeObserver {
+        series: Vec::with_capacity(config.steps()),
+    })
+}
+
 /// Runs the campaign and records the critical range of every step of
-/// every iteration.
+/// every iteration, frozen into sorted series for quantile queries.
 ///
 /// # Errors
 ///
@@ -54,10 +73,7 @@ pub fn simulate_critical_ranges<const D: usize, M>(
 where
     M: Mobility<D> + Clone + Send + Sync,
 {
-    let raw = run_connectivity_stream(config, model, None, |_| CriticalRangeObserver {
-        series: Vec::with_capacity(config.steps()),
-    })?;
-    let per_iteration = raw
+    let per_iteration = simulate_raw_critical_series(config, model)?
         .into_iter()
         .map(FrozenSeries::new)
         .collect::<Result<Vec<_>, _>>()?;

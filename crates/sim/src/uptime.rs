@@ -10,50 +10,9 @@
 //! quantities engineers actually provision against: mean time between
 //! failures, mean time to repair, and the longest outage.
 
-use crate::{
-    config::SimConfig,
-    stream::{run_connectivity_stream, ConnectivityObserver, StepView},
-    SimError,
-};
-use manet_graph::critical_range;
+pub use crate::critical::simulate_raw_critical_series;
+use crate::{config::SimConfig, SimError};
 use manet_mobility::Mobility;
-
-/// Observer recording the critical range of every step **in time
-/// order** (unlike [`crate::simulate_critical_ranges`], which freezes
-/// sorted series for quantile queries). Positions-only stream lane.
-struct RawSeriesObserver {
-    series: Vec<f64>,
-}
-
-impl<const D: usize> ConnectivityObserver<D> for RawSeriesObserver {
-    type Output = Vec<f64>;
-
-    fn observe(&mut self, view: &StepView<'_, D>) {
-        self.series.push(critical_range(view.positions()));
-    }
-
-    fn finish(self) -> Vec<f64> {
-        self.series
-    }
-}
-
-/// Runs the campaign and returns each iteration's critical-range
-/// series in time order.
-///
-/// # Errors
-///
-/// Propagates engine errors.
-pub fn simulate_raw_critical_series<const D: usize, M>(
-    config: &SimConfig<D>,
-    model: &M,
-) -> Result<Vec<Vec<f64>>, SimError>
-where
-    M: Mobility<D> + Clone + Send + Sync,
-{
-    run_connectivity_stream(config, model, None, |_| RawSeriesObserver {
-        series: Vec::with_capacity(config.steps()),
-    })
-}
 
 /// Up/down run statistics of one iteration at a fixed range.
 #[derive(Debug, Clone, Copy, PartialEq)]
