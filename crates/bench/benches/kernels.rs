@@ -46,6 +46,24 @@ fn bench_graph_build(c: &mut Criterion) {
             black_box(AdjacencyList::from_points_grid(black_box(&pts), 1000.0, 150.0).unwrap())
         })
     });
+    // side/r = 19 >= 14: the sizes where `from_points` may pick the
+    // grid (n > GRID_CROSSOVER), to locate the crossover.
+    for &n in &[192usize, 400, 2000] {
+        let pts = placement(n, 1024.0, 12);
+        group.bench_function(format!("brute_force_n={n}_side=1024_r=54"), |b| {
+            b.iter(|| {
+                black_box(AdjacencyList::from_points_brute_force(
+                    black_box(&pts),
+                    54.0,
+                ))
+            })
+        });
+        group.bench_function(format!("grid_n={n}_side=1024_r=54"), |b| {
+            b.iter(|| {
+                black_box(AdjacencyList::from_points_grid(black_box(&pts), 1024.0, 54.0).unwrap())
+            })
+        });
+    }
     group.finish();
 }
 

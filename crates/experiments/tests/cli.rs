@@ -792,6 +792,41 @@ fn critical_scaling_matches_golden_across_thread_counts() {
     }
 }
 
+/// n = 256 puts probe construction on the grid branch of
+/// `AdjacencyList::from_points`, and the bisection's first probe sits
+/// at `r = 1e-9`: a grid sized `(side/r)^D` used to overflow there.
+/// The lattice rule keeps it at ~n cells.
+#[test]
+fn critical_scaling_runs_on_the_grid_branch_at_tiny_first_probe() {
+    let dir = temp_out("critical_grid_branch");
+    let out = repro()
+        .args([
+            "critical-scaling",
+            "--n-sweep",
+            "256",
+            "--models",
+            "waypoint",
+            "--iterations",
+            "1",
+            "--steps",
+            "5",
+            "--out",
+        ])
+        .arg(&dir)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let csv = std::fs::read_to_string(dir.join("critical_scaling.csv")).unwrap();
+    let rows: Vec<&str> = csv.lines().skip(1).collect();
+    assert_eq!(rows.len(), 1, "one (model, n) row: {csv}");
+    assert!(rows[0].starts_with("waypoint,256,"), "row: {}", rows[0]);
+    std::fs::remove_dir_all(dir).ok();
+}
+
 #[test]
 fn critical_scaling_checkpoint_resume_is_byte_identical() {
     let base = [

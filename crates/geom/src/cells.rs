@@ -1,10 +1,9 @@
-//! Shared cell-indexing arithmetic for the grid spatial indexes.
+//! Cell-indexing arithmetic for [`MovingCellGrid`](crate::MovingCellGrid).
 //!
-//! Both [`CellGrid`](crate::CellGrid) (rebuild-per-query-set) and
-//! [`MovingCellGrid`](crate::MovingCellGrid) (built once, updated per
-//! step) bucket points of `[0, side]^D` into a `cells_per_side^D`
-//! lattice; this module holds the layout math they share so the two
-//! indexes cannot drift apart on cell assignment.
+//! The grid buckets points of `[0, side]^D` into a
+//! `cells_per_side^D` lattice; this module holds the layout math:
+//! validation, cell assignment with boundary clamping, and the full
+//! and forward (half) cell neighborhoods.
 
 use crate::{GeomError, Point};
 

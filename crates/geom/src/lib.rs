@@ -10,13 +10,13 @@
 //!   sampling, containment and boundary policies;
 //! * [`sampling`] — uniform sampling in balls and on spheres (the
 //!   drunkard model's jump distribution);
-//! * [`CellGrid`] — a uniform-grid spatial index answering fixed-radius
-//!   neighbor queries in `O(1)` expected per node, used to build
-//!   communication graphs without the `O(n²)` distance matrix;
-//! * [`MovingCellGrid`] — the same lattice maintained *incrementally*
-//!   across mobility steps: built once, then updated by relocating only
-//!   the nodes that crossed a cell boundary, while measuring the moved
-//!   set and maximum displacement for the incremental step kernels.
+//! * [`MovingCellGrid`] — the one uniform-grid spatial index: its
+//!   forward half-neighborhood scan builds communication graphs
+//!   without the `O(n²)` distance matrix, and it is maintained
+//!   *incrementally* across mobility steps (only nodes that crossed a
+//!   cell boundary relocate) while measuring the moved set and maximum
+//!   displacement for the step kernels. Every caller sizes its cells
+//!   with one lattice rule, [`MovingCellGrid::lattice_cell_size`].
 //!
 //! # Example
 //!
@@ -35,13 +35,11 @@
 #![deny(missing_docs)]
 
 mod cells;
-pub mod grid;
 pub mod moving_grid;
 pub mod point;
 pub mod region;
 pub mod sampling;
 
-pub use grid::CellGrid;
 pub use moving_grid::MovingCellGrid;
 pub use point::Point;
 pub use region::{BoundaryPolicy, Region};

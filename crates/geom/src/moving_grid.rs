@@ -1,21 +1,36 @@
-//! A spatial index that *moves with* its point set.
+//! The workspace's one uniform-grid spatial index.
 //!
-//! [`CellGrid`](crate::CellGrid) answers fixed-radius queries for one
-//! frozen placement; a mobile trajectory would have to rebuild it every
-//! step, paying the full counting sort and buffer traffic even when
-//! almost nothing moved. [`MovingCellGrid`] is built once and then
-//! [`MovingCellGrid::update`]d per step: only the nodes whose position
-//! changed are examined, and only those that crossed a cell boundary
-//! are relocated between buckets. The update also *measures* the step —
-//! it reports which nodes moved and the maximum squared displacement —
-//! which is exactly the information an incremental neighbor kernel
-//! needs to scan only moved nodes and to police a mobility model's
-//! declared displacement bound.
+//! Building the communication graph naively costs `O(n²)` distance
+//! checks. [`MovingCellGrid`] buckets nodes into cells at least `r`
+//! wide, so every neighbor within `r` of a node lies in its own or one
+//! of the `3^D` adjacent cells, and
+//! [`MovingCellGrid::scan_forward_pairs`] enumerates each in-range
+//! pair once by visiting every adjacent cell pair once. The static
+//! graph build (`AdjacencyList::from_points_grid` in `manet-graph`)
+//! is one build plus one full scan.
+//!
+//! The step kernels build the index once and then
+//! [`MovingCellGrid::update`] it per step: only the nodes whose
+//! position changed are examined, and only those that crossed a cell
+//! boundary are relocated between buckets. The update also *measures*
+//! the step — it reports which nodes moved and the maximum squared
+//! displacement — which is exactly the information an incremental
+//! neighbor kernel needs to scan only moved nodes and to police a
+//! mobility model's declared displacement bound.
+//!
+//! # The lattice rule
+//!
+//! Every grid-indexed graph build sizes its cells with
+//! [`MovingCellGrid::lattice_cell_size`]: width
+//! `max(radius, side / ⌈n^{1/D}⌉)`. A width `>= radius` keeps the scan
+//! complete, and the floor caps the lattice at about `n` cells, so a
+//! tiny radius never demands a `(side/radius)^D`-cell allocation.
 //!
 //! Bucket membership lists preserve a stable order (relocation removes
 //! in place instead of swap-removing), so iteration order — and
 //! therefore any downstream tie-breaking — is a deterministic function
-//! of the update history.
+//! of the update history. A node with a non-finite coordinate has no
+//! cell: bucketing it panics, naming the node.
 
 use crate::cells::CellLayout;
 use crate::{GeomError, Point};
@@ -41,6 +56,11 @@ use manet_obs::GridMetrics;
 /// grid.for_each_candidate(&pts[0], |j| near0.push(j));
 /// near0.sort_unstable();
 /// assert_eq!(near0, vec![0, 1]);
+///
+/// // Every pair within range 1, each once, over the whole lattice.
+/// let mut pairs = Vec::new();
+/// grid.scan_forward_pairs(0, grid.cells_per_side(), 1.0, |a, b| pairs.push((a, b)));
+/// assert_eq!(pairs, vec![(0, 1)]);
 /// # Ok::<(), manet_geom::GeomError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -77,6 +97,10 @@ impl<const D: usize> MovingCellGrid<D> {
     /// Returns [`GeomError::NonPositive`] when `side` or `cell_size`
     /// is not strictly positive, and [`GeomError::NonFinite`] when
     /// either is NaN/infinite.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a point has a non-finite coordinate.
     pub fn build(points: &[Point<D>], side: f64, cell_size: f64) -> Result<Self, GeomError> {
         let layout = CellLayout::new(side, cell_size)?;
         let n_cells = layout.n_cells::<D>();
@@ -86,23 +110,80 @@ impl<const D: usize> MovingCellGrid<D> {
             coords: (0..n_cells)
                 .map(|_| std::array::from_fn(|_| Vec::new()))
                 .collect(),
-            node_cell: Vec::with_capacity(points.len()),
-            node_slot: Vec::with_capacity(points.len()),
+            node_cell: vec![0; points.len()],
+            node_slot: vec![0; points.len()],
             points: points.to_vec(),
             metrics: GridMetrics::default(),
         };
-        for (i, p) in points.iter().enumerate() {
-            let c = layout.cell_of(p);
-            grid.node_slot.push(grid.buckets[c].len() as u32);
-            grid.buckets[c].push(i as u32);
-            for (k, col) in grid.coords[c].iter_mut().enumerate() {
-                col.push(p.coord(k));
-            }
-            grid.node_cell.push(c as u32);
-        }
+        grid.bucket_all(points);
         #[cfg(feature = "strict-invariants")]
         grid.debug_validate();
         Ok(grid)
+    }
+
+    /// The lattice rule: the cell size for indexing `n_points` nodes
+    /// of `[0, side]^D` at query radius `radius`, which is
+    /// `max(radius, side / ⌈n_points^{1/D}⌉)`.
+    ///
+    /// A width `>= radius` keeps the `3^D`-cell candidate scan
+    /// complete, and any coarser lattice stays correct (it only widens
+    /// the candidate set), so the lattice is floored at about
+    /// `n_points` cells in total.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`MovingCellGrid::build`] errors for `side` and for
+    /// `radius` in place of the cell size.
+    pub fn lattice_cell_size(n_points: usize, side: f64, radius: f64) -> Result<f64, GeomError> {
+        CellLayout::new(side, radius)?;
+        let per_axis = (n_points.max(1) as f64).powf(1.0 / D as f64).ceil();
+        Ok(radius.max(side / per_axis))
+    }
+
+    /// The cell node `i` at position `p` belongs in.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `p` has a non-finite coordinate: the cell cast would
+    /// otherwise file it in a boundary cell and silently isolate it.
+    #[inline]
+    fn cell_of_node(&self, i: usize, p: &Point<D>) -> usize {
+        assert!(
+            p.is_finite(),
+            "MovingCellGrid: node {i} has a non-finite coordinate {:?}",
+            p.coords()
+        );
+        self.layout.cell_of(p)
+    }
+
+    /// Empties every occupied bucket (at most `n` of them), counting
+    /// each as one touched cell.
+    fn clear_occupied(&mut self) {
+        for &c in &self.node_cell {
+            let c = c as usize;
+            if !self.buckets[c].is_empty() {
+                self.metrics.cells_touched += 1;
+                self.buckets[c].clear();
+                for col in &mut self.coords[c] {
+                    col.clear();
+                }
+            }
+        }
+    }
+
+    /// Files every node at `points` into its (emptied) bucket in
+    /// ascending id order — the canonical bucket order.
+    fn bucket_all(&mut self, points: &[Point<D>]) {
+        for (i, p) in points.iter().enumerate() {
+            let c = self.cell_of_node(i, p);
+            self.node_slot[i] = self.buckets[c].len() as u32;
+            self.buckets[c].push(i as u32);
+            for (k, col) in self.coords[c].iter_mut().enumerate() {
+                col.push(p.coord(k));
+            }
+            self.node_cell[i] = c as u32;
+            self.points[i] = *p;
+        }
     }
 
     /// Number of indexed points.
@@ -185,7 +266,8 @@ impl<const D: usize> MovingCellGrid<D> {
     /// # Panics
     ///
     /// Panics when `new_points.len()` differs from the indexed node
-    /// count or a `moved` index is out of range.
+    /// count, a `moved` index is out of range, or a moved node has a
+    /// non-finite coordinate.
     pub fn relocate(&mut self, new_points: &[Point<D>], moved: &[u32]) {
         assert_eq!(
             new_points.len(),
@@ -197,7 +279,7 @@ impl<const D: usize> MovingCellGrid<D> {
         for &iu in moved {
             let i = iu as usize;
             let new_p = new_points[i];
-            let c = self.layout.cell_of(&new_p);
+            let c = self.cell_of_node(i, &new_p);
             let old_c = self.node_cell[i] as usize;
             let slot = self.node_slot[i] as usize;
             if c != old_c {
@@ -240,7 +322,8 @@ impl<const D: usize> MovingCellGrid<D> {
     /// # Panics
     ///
     /// Panics when `new_points.len()` differs from the indexed node
-    /// count (a driver logic error).
+    /// count (a driver logic error) or a moved node has a non-finite
+    /// coordinate.
     pub fn update(&mut self, new_points: &[Point<D>], moved: &mut Vec<u32>) -> f64 {
         let max_d2 = self.measure(new_points, moved);
         self.relocate(new_points, moved);
@@ -255,7 +338,7 @@ impl<const D: usize> MovingCellGrid<D> {
     /// # Panics
     ///
     /// Panics when `new_points.len()` differs from the indexed node
-    /// count.
+    /// count or a point has a non-finite coordinate.
     pub fn reset(&mut self, new_points: &[Point<D>]) {
         assert_eq!(
             new_points.len(),
@@ -263,26 +346,8 @@ impl<const D: usize> MovingCellGrid<D> {
             "node count changed between updates"
         );
         self.metrics.resets += 1;
-        // Clear only the buckets that hold someone (<= n of them).
-        for &c in &self.node_cell {
-            if !self.buckets[c as usize].is_empty() {
-                self.metrics.cells_touched += 1;
-                self.buckets[c as usize].clear();
-                for col in &mut self.coords[c as usize] {
-                    col.clear();
-                }
-            }
-        }
-        for (i, p) in new_points.iter().enumerate() {
-            let c = self.layout.cell_of(p);
-            self.node_slot[i] = self.buckets[c].len() as u32;
-            self.buckets[c].push(i as u32);
-            for (k, col) in self.coords[c].iter_mut().enumerate() {
-                col.push(p.coord(k));
-            }
-            self.node_cell[i] = c as u32;
-            self.points[i] = *p;
-        }
+        self.clear_occupied();
+        self.bucket_all(new_points);
         #[cfg(feature = "strict-invariants")]
         self.debug_validate();
     }
@@ -304,7 +369,7 @@ impl<const D: usize> MovingCellGrid<D> {
     /// # Panics
     ///
     /// Panics when `new_points.len()` differs from the indexed node
-    /// count.
+    /// count or a point has a non-finite coordinate.
     pub fn rebuild_with_cell_size(
         &mut self,
         new_points: &[Point<D>],
@@ -321,29 +386,12 @@ impl<const D: usize> MovingCellGrid<D> {
         self.metrics.resets += 1;
         // Drop the old occupancy while the old layout's cell indices
         // are still valid; any bucket truncated below is empty.
-        for &c in &self.node_cell {
-            if !self.buckets[c as usize].is_empty() {
-                self.metrics.cells_touched += 1;
-                self.buckets[c as usize].clear();
-                for col in &mut self.coords[c as usize] {
-                    col.clear();
-                }
-            }
-        }
+        self.clear_occupied();
         self.layout = layout;
         self.buckets.resize_with(n_cells, Vec::new);
         self.coords
             .resize_with(n_cells, || std::array::from_fn(|_| Vec::new()));
-        for (i, p) in new_points.iter().enumerate() {
-            let c = self.layout.cell_of(p);
-            self.node_slot[i] = self.buckets[c].len() as u32;
-            self.buckets[c].push(i as u32);
-            for (k, col) in self.coords[c].iter_mut().enumerate() {
-                col.push(p.coord(k));
-            }
-            self.node_cell[i] = c as u32;
-            self.points[i] = *p;
-        }
+        self.bucket_all(new_points);
         #[cfg(feature = "strict-invariants")]
         self.debug_validate();
         Ok(())
@@ -451,6 +499,32 @@ impl<const D: usize> MovingCellGrid<D> {
     /// accumulate per axis in ascending order over the
     /// struct-of-arrays columns — bitwise equal to
     /// [`Point::distance_sq`] on the stored positions.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `r2` exceeds the squared cell width on a lattice of
+    /// more than one cell — in-range neighbors could then sit beyond
+    /// adjacent cells and the scan would miss them. (A single cell
+    /// holds every pair, so any radius is complete there; a requested
+    /// cell size above `side` lands on it.) Size the cells with
+    /// [`MovingCellGrid::lattice_cell_size`].
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use manet_geom::{MovingCellGrid, Point};
+    ///
+    /// let pts = vec![
+    ///     Point::new([0.5, 0.5]),
+    ///     Point::new([1.0, 0.5]),
+    ///     Point::new([9.0, 9.0]),
+    /// ];
+    /// let grid = MovingCellGrid::build(&pts, 10.0, 1.0)?;
+    /// let mut pairs = Vec::new();
+    /// grid.scan_forward_pairs(0, grid.cells_per_side(), 1.0, |i, j| pairs.push((i, j)));
+    /// assert_eq!(pairs, vec![(0, 1)]);
+    /// # Ok::<(), manet_geom::GeomError>(())
+    /// ```
     pub fn scan_forward_pairs<F: FnMut(u32, u32)>(
         &self,
         x_lo: usize,
@@ -459,6 +533,12 @@ impl<const D: usize> MovingCellGrid<D> {
         mut emit: F,
     ) -> u64 {
         debug_assert!(x_lo <= x_hi && x_hi <= self.layout.cells_per_side);
+        let w = self.layout.cell_width;
+        assert!(
+            self.layout.cells_per_side == 1 || r2 <= w * w * (1.0 + 1e-9),
+            "squared radius {r2} exceeds the squared cell width {}",
+            w * w
+        );
         let col_cells = if D > 1 {
             self.layout.cells_per_side.pow(D as u32 - 1)
         } else {
@@ -546,12 +626,200 @@ mod tests {
     }
 
     #[test]
+    fn build_rejects_nan_side() {
+        let pts = [Point::new([0.5])];
+        assert!(MovingCellGrid::build(&pts, f64::NAN, 1.0).is_err());
+        assert!(MovingCellGrid::build(&pts, 1.0, f64::NAN).is_err());
+    }
+
+    #[test]
     fn empty_grid() {
         let grid: MovingCellGrid<2> = MovingCellGrid::build(&[], 10.0, 1.0).unwrap();
         assert!(grid.is_empty());
         let mut moved = vec![7u32]; // must be cleared
         assert_eq!(grid.clone().update(&[], &mut moved), 0.0);
         assert!(moved.is_empty());
+    }
+
+    #[test]
+    fn empty_point_set_scans_no_pairs() {
+        let grid: MovingCellGrid<2> = MovingCellGrid::build(&[], 10.0, 1.0).unwrap();
+        assert!(grid.is_empty());
+        let examined = grid.scan_forward_pairs(0, grid.cells_per_side(), 1.0, |_, _| {
+            panic!("an empty grid has no pairs")
+        });
+        assert_eq!(examined, 0);
+    }
+
+    /// All in-range pairs, each once as `(min, max)`, sorted.
+    fn scanned_pairs<const D: usize>(grid: &MovingCellGrid<D>, r: f64) -> Vec<(u32, u32)> {
+        let mut out = Vec::new();
+        grid.scan_forward_pairs(0, grid.cells_per_side(), r * r, |a, b| out.push((a, b)));
+        out.sort_unstable();
+        out
+    }
+
+    /// The oracle: every pair with `distance_sq <= r·r`.
+    fn brute_force_pairs<const D: usize>(pts: &[Point<D>], r: f64) -> Vec<(u32, u32)> {
+        let mut out = Vec::new();
+        for i in 0..pts.len() {
+            for j in (i + 1)..pts.len() {
+                if pts[i].distance_sq(&pts[j]) <= r * r {
+                    out.push((i as u32, j as u32));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn cell_width_at_least_requested() {
+        let grid = MovingCellGrid::build(&[Point::new([0.5, 0.5])], 10.0, 3.0).unwrap();
+        assert!(grid.cell_width() >= 3.0);
+        assert_eq!(grid.cells_per_side(), 3);
+    }
+
+    /// A cell size above the side collapses to one cell narrower than
+    /// requested; that cell holds every pair, so the scan accepts the
+    /// requested radius.
+    #[test]
+    fn tiny_region_single_cell() {
+        let pts = [Point::new([0.1]), Point::new([0.9])];
+        let grid = MovingCellGrid::build(&pts, 1.0, 5.0).unwrap();
+        assert_eq!(grid.cells_per_side(), 1);
+        assert_eq!(scanned_pairs(&grid, 5.0), vec![(0, 1)]);
+    }
+
+    /// Points on the far boundary (and outside the region) clamp into
+    /// the last cell instead of indexing past the lattice.
+    #[test]
+    fn points_on_boundary_are_indexed() {
+        let pts = vec![
+            Point::new([0.0, 0.0]),
+            Point::new([10.0, 10.0]),
+            Point::new([10.5, 9.5]),
+            Point::new([-0.5, 0.5]),
+        ];
+        let grid = MovingCellGrid::build(&pts, 10.0, 1.0).unwrap();
+        assert_eq!(grid.len(), 4);
+        assert_eq!(scanned_pairs(&grid, 1.0), brute_force_pairs(&pts, 1.0));
+        assert_eq!(scanned_pairs(&grid, 1.0), vec![(0, 3), (1, 2)]);
+    }
+
+    #[test]
+    fn squared_distance_reported() {
+        let pts = vec![Point::new([0.0]), Point::new([0.6])];
+        let grid = MovingCellGrid::build(&pts, 10.0, 1.0).unwrap();
+        let mut seen = Vec::new();
+        grid.for_each_candidate_dist2(&pts[0], |j, d2| seen.push((j, d2)));
+        assert_eq!(seen.len(), 2);
+        assert_eq!(seen[0], (0, 0.0));
+        assert_eq!(seen[1].0, 1);
+        assert!((seen[1].1 - 0.36).abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the squared cell width")]
+    fn radius_larger_than_cell_panics() {
+        let pts = [Point::new([0.5, 0.5]), Point::new([3.0, 3.0])];
+        let grid = MovingCellGrid::build(&pts, 10.0, 1.0).unwrap();
+        grid.scan_forward_pairs(0, grid.cells_per_side(), 25.0, |_, _| {});
+    }
+
+    /// A per-node query (candidates filtered by exact distance) agrees
+    /// with the forward scan's pairs.
+    #[test]
+    fn candidate_query_matches_forward_pairs() {
+        let pts = vec![
+            Point::new([1.0, 1.0]),
+            Point::new([1.5, 1.0]),
+            Point::new([5.0, 5.0]),
+            Point::new([1.0, 1.4]),
+        ];
+        let grid = MovingCellGrid::build(&pts, 10.0, 1.0).unwrap();
+        let mut queried = Vec::new();
+        for (i, p) in pts.iter().enumerate() {
+            grid.for_each_candidate_dist2(p, |j, d2| {
+                if (j as usize) > i && d2 <= 1.0 {
+                    queried.push((i as u32, j));
+                }
+            });
+        }
+        queried.sort_unstable();
+        assert_eq!(queried, vec![(0, 1), (0, 3), (1, 3)]);
+        assert_eq!(queried, scanned_pairs(&grid, 1.0));
+    }
+
+    #[test]
+    fn forward_scan_matches_brute_force_2d_trials() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(99);
+        for trial in 0..20 {
+            let n = 50 + trial;
+            let pts: Vec<Point<2>> = (0..n)
+                .map(|_| Point::new([rng.random_range(0.0..100.0), rng.random_range(0.0..100.0)]))
+                .collect();
+            let r = rng.random_range(2.0..15.0);
+            let grid = MovingCellGrid::build(&pts, 100.0, r).unwrap();
+            assert_eq!(
+                scanned_pairs(&grid, r),
+                brute_force_pairs(&pts, r),
+                "trial {trial} r={r}"
+            );
+        }
+    }
+
+    /// The strip odometer also walks 1-D and 3-D lattices completely.
+    #[test]
+    fn forward_scan_matches_brute_force_1d_and_3d() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let pts1: Vec<Point<1>> = (0..200)
+            .map(|_| Point::new([rng.random_range(0.0..50.0)]))
+            .collect();
+        let grid1 = MovingCellGrid::build(&pts1, 50.0, 2.0).unwrap();
+        assert_eq!(scanned_pairs(&grid1, 2.0), brute_force_pairs(&pts1, 2.0));
+
+        let pts3: Vec<Point<3>> = (0..100)
+            .map(|_| {
+                Point::new([
+                    rng.random_range(0.0..20.0),
+                    rng.random_range(0.0..20.0),
+                    rng.random_range(0.0..20.0),
+                ])
+            })
+            .collect();
+        let grid3 = MovingCellGrid::build(&pts3, 20.0, 4.0).unwrap();
+        assert_eq!(scanned_pairs(&grid3, 4.0), brute_force_pairs(&pts3, 4.0));
+    }
+
+    /// The lattice floor caps a tiny radius at about `n` cells, yet the
+    /// cells never shrink below the radius.
+    #[test]
+    fn lattice_cell_size_floors_the_cell_count() {
+        type G2 = MovingCellGrid<2>;
+        assert_eq!(G2::lattice_cell_size(400, 1e6, 1e-9).unwrap(), 1e6 / 20.0);
+        assert_eq!(G2::lattice_cell_size(400, 1e6, 1e5).unwrap(), 1e5);
+        assert_eq!(G2::lattice_cell_size(0, 8.0, 1.0).unwrap(), 8.0);
+        assert_eq!(
+            MovingCellGrid::<3>::lattice_cell_size(1000, 30.0, 0.5).unwrap(),
+            3.0
+        );
+        for (side, radius) in [(0.0, 1.0), (1.0, 0.0), (1.0, -2.0), (f64::NAN, 1.0)] {
+            assert!(G2::lattice_cell_size(10, side, radius).is_err());
+        }
+        assert!(G2::lattice_cell_size(10, 1.0, f64::NAN).is_err());
+        let pts = vec![Point::new([0.0, 0.0]); 400];
+        let cell = G2::lattice_cell_size(pts.len(), 1e6, 1e-9).unwrap();
+        let grid = MovingCellGrid::build(&pts, 1e6, cell).unwrap();
+        assert_eq!(grid.cells_per_side(), 20);
+    }
+
+    #[test]
+    #[should_panic(expected = "node 0 has a non-finite coordinate")]
+    fn rebuild_with_cell_size_rejects_nan_position() {
+        let mut pts = [Point::new([0.5, 0.5])];
+        let mut grid = MovingCellGrid::build(&pts, 10.0, 1.0).unwrap();
+        pts[0] = Point::new([f64::NAN, f64::NAN]);
+        let _ = grid.rebuild_with_cell_size(&pts, 10.0, 2.0);
     }
 
     /// Candidate completeness: after arbitrary updates, every pair
@@ -655,6 +923,32 @@ mod tests {
             assert_eq!(candidates(&grid, p), candidates(&fresh, p));
         }
         assert_eq!(grid.points(), fresh.points());
+    }
+
+    /// Re-bucketing a held grid at a fresh placement enumerates the
+    /// same pairs, and examines the same candidates, as a fresh build.
+    #[test]
+    fn reset_matches_fresh_build_across_placements() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(515);
+        let place = |rng: &mut rand::rngs::StdRng| -> Vec<Point<2>> {
+            (0..60)
+                .map(|_| Point::new([rng.random_range(0.0..100.0), rng.random_range(0.0..100.0)]))
+                .collect()
+        };
+        let collect = |g: &MovingCellGrid<2>| {
+            let mut v = Vec::new();
+            let examined = g.scan_forward_pairs(0, g.cells_per_side(), 25.0, |i, j| v.push((i, j)));
+            (v, examined)
+        };
+        let mut grid = MovingCellGrid::build(&place(&mut rng), 100.0, 5.0).unwrap();
+        for trial in 0..12 {
+            let pts = place(&mut rng);
+            grid.reset(&pts);
+            let fresh = MovingCellGrid::build(&pts, 100.0, 5.0).unwrap();
+            assert_eq!(collect(&grid), collect(&fresh), "trial {trial}");
+            assert_eq!(grid.points(), fresh.points());
+            assert_eq!(grid.len(), 60);
+        }
     }
 
     /// Widening (or narrowing) the cells mid-run re-buckets every node
@@ -797,15 +1091,11 @@ mod tests {
             scanned.push((a, b));
         });
         scanned.sort_unstable();
-        let mut brute = Vec::new();
-        for i in 0..pts.len() {
-            for j in (i + 1)..pts.len() {
-                if pts[i].distance_sq(&pts[j]) <= r * r {
-                    brute.push((i as u32, j as u32));
-                }
-            }
-        }
-        assert_eq!(scanned, brute, "forward scan missed or duplicated a pair");
+        assert_eq!(
+            scanned,
+            brute_force_pairs(&pts, r),
+            "forward scan missed or duplicated a pair"
+        );
         // Examined = unordered pairs sharing a same-or-adjacent cell:
         // cross-check against the full-neighborhood candidate scan,
         // which visits each such pair twice plus every node once.

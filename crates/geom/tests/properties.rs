@@ -1,6 +1,6 @@
 //! Property-based tests for the geometry substrate.
 
-use manet_geom::{sampling, CellGrid, Point, Region};
+use manet_geom::{sampling, MovingCellGrid, Point, Region};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -108,14 +108,17 @@ proptest! {
         let region: Region<2> = Region::new(side).unwrap();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let pts = region.place_uniform(n, &mut rng);
-        let grid = CellGrid::build(&pts, side, r).unwrap();
+        let cell = MovingCellGrid::<2>::lattice_cell_size(n, side, r).unwrap();
+        let grid = MovingCellGrid::build(&pts, side, cell).unwrap();
         let mut got = Vec::new();
-        grid.for_each_pair_within(r, |i, j, _| got.push((i, j)));
+        grid.scan_forward_pairs(0, grid.cells_per_side(), r * r, |i, j| {
+            got.push((i as usize, j as usize));
+        });
         got.sort_unstable();
         let mut want = Vec::new();
         for i in 0..n {
             for j in (i + 1)..n {
-                if pts[i].distance(&pts[j]) <= r {
+                if pts[i].distance_sq(&pts[j]) <= r * r {
                     want.push((i, j));
                 }
             }

@@ -66,7 +66,7 @@
 //! exactly the fallback contract of the legacy paths. See
 //! [`DynamicGraph::set_skin`] for how `skin` is chosen.
 
-use crate::adjacency::AdjacencyList;
+use crate::adjacency::{fill_sorted_rows, pack_pair, unpack_pair, AdjacencyList};
 use crate::parallel;
 use manet_geom::{MovingCellGrid, Point};
 use manet_obs::{GridMetrics, ShardScan, StepKernelMetrics};
@@ -260,20 +260,6 @@ const SKIN_MIN_REBUILD_STEPS: f64 = 3.0;
 /// over scoped threads costs more than streaming it. Deterministic —
 /// a pure function of the arena length, never of thread timing.
 const VERIFY_SHARD_MIN_PAIRS: usize = 4096;
-
-/// Packs a canonical pair (`a < b`) into one `u64` whose natural order
-/// is the lexicographic `(a, b)` order — the bulk/verify paths sort
-/// and merge flat `u64` lists instead of per-row neighbor merges.
-#[inline]
-fn pack_pair(a: u32, b: u32) -> u64 {
-    ((a as u64) << 32) | b as u64
-}
-
-/// Inverse of [`pack_pair`].
-#[inline]
-fn unpack_pair(p: u64) -> (u32, u32) {
-    ((p >> 32) as u32, p as u32)
-}
 
 /// The `w`-th of `shards` balanced contiguous ranges over `0..len`:
 /// base-width ranges, the first `len % shards` one wider, so the
@@ -491,22 +477,11 @@ impl<const D: usize> DynamicGraph<D> {
     /// consumer makes step 0 uniform with the rest of the stream.
     pub fn new(points: &[Point<D>], side: f64, range: f64) -> Self {
         let graph = AdjacencyList::from_points(points, side, range);
-        // Cell width >= range keeps the 3^D-cell candidate scan
-        // complete, and any *coarser* lattice stays correct (it only
-        // widens the candidate set), so the lattice is floored at
-        // ~n total cells — a tiny range must not demand a
-        // `(side/range)^D`-cell allocation. Degenerate parameters
-        // disable the grid and the kernel rebuilds every step instead.
-        let grid = if range.is_finite() && range > 0.0 && side.is_finite() && side > 0.0 {
-            let per_axis_cap = (points.len().max(1) as f64)
-                .powf(1.0 / D as f64)
-                .ceil()
-                .max(1.0);
-            let cell_size = range.max(side / per_axis_cap);
-            MovingCellGrid::build(points, side, cell_size).ok()
-        } else {
-            None
-        };
+        // Degenerate parameters disable the grid and the kernel
+        // rebuilds every step instead.
+        let grid = MovingCellGrid::<D>::lattice_cell_size(points.len(), side, range)
+            .and_then(|cell_size| MovingCellGrid::build(points, side, cell_size))
+            .ok();
         let diff = EdgeDiff {
             added: graph.edges().map(|(a, b)| (a as u32, b as u32)).collect(),
             removed: Vec::new(),
@@ -816,17 +791,12 @@ impl<const D: usize> DynamicGraph<D> {
             return false;
         }
         // Widen the cells so one forward half-neighborhood still
-        // covers the inflated candidate radius, with the same ~n-cell
-        // lattice floor as construction. Metrics-preserving: the
-        // switch counts as one grid reset.
-        let per_axis_cap = (points.len().max(1) as f64)
-            .powf(1.0 / D as f64)
-            .ceil()
-            .max(1.0);
-        let cell_size = (self.range + s).max(self.side / per_axis_cap);
+        // covers the inflated candidate radius, under the same lattice
+        // rule as construction. Metrics-preserving: the switch counts
+        // as one grid reset.
         let grid = self.grid.as_mut().expect("caller checked the grid"); // lint:allow(R3): step() dispatches here only when the grid exists
-        if grid
-            .rebuild_with_cell_size(points, self.side, cell_size)
+        if MovingCellGrid::<D>::lattice_cell_size(points.len(), self.side, self.range + s)
+            .and_then(|cell_size| grid.rebuild_with_cell_size(points, self.side, cell_size))
             .is_err()
         {
             return false;
@@ -1280,21 +1250,7 @@ impl<const D: usize> DynamicGraph<D> {
             &mut self.new_pairs,
         );
         self.new_pairs.sort_unstable();
-
-        if self.next_rows.len() != n {
-            self.next_rows.resize_with(n, Vec::new);
-        }
-        for row in &mut self.next_rows {
-            row.clear();
-        }
-        // Rows filled from the lex-sorted pair list come out sorted
-        // (see `cache_verify_pass` for the argument).
-        let next = &mut self.next_rows;
-        for &packed in &self.new_pairs {
-            let (a, b) = unpack_pair(packed);
-            next[a as usize].push(b);
-            next[b as usize].push(a);
-        }
+        fill_sorted_rows(&mut self.next_rows, n, &self.new_pairs);
         merge_packed_diff(&self.edge_pairs, &self.new_pairs, &mut self.diff);
         let pairs = self.new_pairs.len();
         self.graph.swap_neighbor_rows(&mut self.next_rows, pairs);
@@ -1517,6 +1473,69 @@ mod tests {
         assert_eq!(dg.metrics().fallback_steps, 1);
         assert_eq!(dg.metrics().incremental_steps, 0);
         assert_eq!(dg.graph().edge_count(), 0);
+    }
+
+    /// Exact ties through both step paths: nodes on an integer lattice
+    /// hop by whole lattice spacings, so hundreds of pairs sit at
+    /// exactly `d == r` every step (`r·r` exact). The grid-built
+    /// snapshot (n > GRID_CROSSOVER, side >= 14·r), incremental steps
+    /// and bulk steps must all keep the brute-force `d² <= r·r` edge
+    /// set, edge for edge.
+    #[test]
+    fn exact_ties_survive_incremental_and_bulk_steps() {
+        let (side, r) = (80.0, 5.0);
+        let mut pts: Vec<Point<2>> = (0..14)
+            .flat_map(|x| (0..14).map(move |y| Point::new([3.0 * x as f64, 4.0 * y as f64])))
+            .collect();
+        let mut dg = DynamicGraph::new(&pts, side, r);
+        let mut oracle = AdjacencyList::from_points_brute_force(&pts, r);
+        assert_eq!(dg.graph(), &oracle);
+        assert!(oracle.edge_count() >= 500, "ties present");
+        for step in 0..6 {
+            for (i, p) in pts.iter_mut().enumerate() {
+                if step % 2 == 0 {
+                    // A seventh of the nodes hop: incremental path.
+                    if i % 7 == 0 {
+                        *p = *p + Point::new([3.0, 4.0]);
+                    }
+                } else {
+                    // Everyone shifts, a fifth also hop: bulk path.
+                    let dy = if i % 5 == 0 { 4.0 } else { 0.0 };
+                    *p = *p + Point::new([if step == 3 { -3.0 } else { 3.0 }, dy]);
+                }
+            }
+            dg.step(&pts);
+            let next = AdjacencyList::from_points_brute_force(&pts, r);
+            assert_eq!(dg.last_diff(), &oracle.diff(&next), "diff at step {step}");
+            assert_eq!(dg.graph(), &next, "snapshot at step {step}");
+            oracle = next;
+        }
+        assert_eq!(dg.metrics().incremental_steps, 3);
+        assert_eq!(dg.metrics().bulk_rescan_steps, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "node 2 has a non-finite coordinate")]
+    fn new_rejects_nan_position() {
+        let _ = DynamicGraph::new(&pts1(&[0.0, 1.0, f64::NAN]), 10.0, 1.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "node 1 has a non-finite coordinate")]
+    fn incremental_step_rejects_nan_position() {
+        let mut pts = pts1(&[0.0, 1.0, 5.0]);
+        let mut dg = DynamicGraph::new(&pts, 10.0, 1.5);
+        pts[1] = Point::new([f64::NAN]);
+        dg.step(&pts);
+    }
+
+    #[test]
+    #[should_panic(expected = "node 2 has a non-finite coordinate")]
+    fn bulk_step_rejects_infinite_position() {
+        let mut pts = pts1(&[0.0, 1.0, 5.0]);
+        let mut dg = DynamicGraph::new(&pts, 10.0, 1.5);
+        pts = pts1(&[0.5, 1.5, f64::INFINITY]);
+        dg.step(&pts);
     }
 
     #[test]
