@@ -3,9 +3,6 @@
 //! Everything here is deterministic (fixed seeds) so bench runs are
 //! comparable across machines and commits.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 use manet_core::geom::{Point, Region};
 use manet_core::mobility::{Drunkard, RandomWaypoint};
 use manet_core::{AnyModel, ModelRegistry, MtrmProblem, PaperScale};

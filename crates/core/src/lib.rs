@@ -56,8 +56,7 @@
 //! # Ok::<(), manet_core::CoreError>(())
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod availability;
 pub mod energy;

@@ -34,7 +34,11 @@ pub fn critical_range_1d(positions: &[f64]) -> Result<f64, CoreError> {
         return Ok(0.0);
     }
     let mut sorted = positions.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("positions checked finite")); // lint:allow(R3): comparator is total: positions validated finite before sorting
+    #[expect(
+        clippy::expect_used,
+        reason = "comparator is total: positions validated finite before sorting"
+    )]
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("positions checked finite"));
     Ok(sorted.windows(2).map(|w| w[1] - w[0]).fold(0.0, f64::max))
 }
 
@@ -75,7 +79,11 @@ pub fn largest_component_1d(positions: &[f64], r: f64) -> Result<usize, CoreErro
         return Ok(0);
     }
     let mut sorted = positions.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("positions checked finite")); // lint:allow(R3): comparator is total: positions validated finite before sorting
+    #[expect(
+        clippy::expect_used,
+        reason = "comparator is total: positions validated finite before sorting"
+    )]
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("positions checked finite"));
     let mut best = 1usize;
     let mut run = 1usize;
     for w in sorted.windows(2) {
@@ -232,7 +240,11 @@ pub fn has_isolated_node(positions: &[f64], r: f64) -> Result<bool, CoreError> {
         return Ok(false);
     }
     let mut sorted = positions.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("positions checked finite")); // lint:allow(R3): comparator is total: positions validated finite before sorting
+    #[expect(
+        clippy::expect_used,
+        reason = "comparator is total: positions validated finite before sorting"
+    )]
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("positions checked finite"));
     for i in 0..n {
         let left_far = i == 0 || sorted[i] - sorted[i - 1] > r;
         let right_far = i == n - 1 || sorted[i + 1] - sorted[i] > r;

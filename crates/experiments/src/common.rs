@@ -55,7 +55,7 @@ pub struct RunOptions {
     /// deterministic kernel counters, spans when profiling) on success.
     pub metrics: Option<PathBuf>,
     /// `--profile`: arm the wall-clock span timer and print the span
-    /// table to stderr (tool-crate-only wall clock, per lint R2).
+    /// table to stderr (wall clock, so never in an artifact; rule R2).
     pub profile: bool,
     /// `--progress`: coarse stderr progress lines (sweep point i/N),
     /// kept strictly off stdout and artifacts.

@@ -5,10 +5,10 @@
 //! subcommand. The deterministic plane (manifest + counters) feeds the
 //! `--metrics PATH` artifact, whose bytes are a pure function of the
 //! configuration (thread count appears only as the manifest's declared
-//! field). The wall-clock plane (`--profile` spans) and the
-//! `--progress` lines are tool-crate-only (lint R2 allows the clock
-//! here) and go exclusively to stderr, never into stdout tables or
-//! artifacts.
+//! field). The wall-clock plane (`--profile` spans, timed by
+//! `SpanTimer`, whose clock read is rule R2's one waiver) and the
+//! `--progress` lines go exclusively to stderr, never into stdout
+//! tables or artifacts.
 
 use crate::common::RunOptions;
 use manet_core::obs::{KernelMetrics, RunManifest, SpanEntry, SpanTimer};

@@ -31,8 +31,7 @@
 //! # Ok::<(), manet_geom::GeomError>(())
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 mod cells;
 pub mod moving_grid;

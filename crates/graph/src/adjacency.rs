@@ -201,6 +201,10 @@ impl AdjacencyList {
         debug_assert_ne!(a, b, "self loops are not allowed");
         for (x, y) in [(a, b), (b, a)] {
             let list = &mut self.neighbors[x];
+            #[expect(
+                clippy::expect_used,
+                reason = "the step kernel inserts only edges that its diff reports as new"
+            )]
             let pos = list
                 .binary_search(&(y as u32))
                 .expect_err("edge already present");
@@ -214,9 +218,13 @@ impl AdjacencyList {
     pub(crate) fn remove_edge_sorted(&mut self, a: usize, b: usize) {
         for (x, y) in [(a, b), (b, a)] {
             let list = &mut self.neighbors[x];
+            #[expect(
+                clippy::expect_used,
+                reason = "undirected symmetry invariant of the representation"
+            )]
             let pos = list
                 .binary_search(&(y as u32))
-                .expect("edge present in both lists"); // lint:allow(R3): undirected symmetry invariant of the representation
+                .expect("edge present in both lists");
             list.remove(pos);
         }
         self.edge_count -= 1;
@@ -477,5 +485,13 @@ mod tests {
     fn bad_endpoint_panics() {
         let mut g = AdjacencyList::empty(2);
         g.add_edge(0, 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "edge already present")]
+    fn inserting_a_present_edge_panics() {
+        let mut g = AdjacencyList::empty(3);
+        g.insert_edge_sorted(0, 2);
+        g.insert_edge_sorted(2, 0);
     }
 }

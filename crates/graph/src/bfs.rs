@@ -32,7 +32,11 @@ pub fn hop_distances(graph: &AdjacencyList, src: usize) -> Vec<Option<u32>> {
     let mut queue = VecDeque::new();
     queue.push_back(src as u32);
     while let Some(v) = queue.pop_front() {
-        let dv = dist[v as usize].expect("enqueued nodes have distances"); // lint:allow(R3): BFS assigns a distance before enqueueing a node
+        #[expect(
+            clippy::expect_used,
+            reason = "BFS assigns a distance before enqueueing a node"
+        )]
+        let dv = dist[v as usize].expect("enqueued nodes have distances");
         for &w in graph.neighbors(v as usize) {
             if dist[w as usize].is_none() {
                 dist[w as usize] = Some(dv + 1);

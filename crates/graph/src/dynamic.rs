@@ -729,7 +729,11 @@ impl<const D: usize> DynamicGraph<D> {
             self.step_cached(points);
             return;
         }
-        let grid = self.grid.as_mut().expect("checked above"); // lint:allow(R3): dispatch returns early when no grid exists
+        #[expect(
+            clippy::expect_used,
+            reason = "dispatch returns early when no grid exists"
+        )]
+        let grid = self.grid.as_mut().expect("checked above");
         let max_disp_sq = grid.measure(points, &mut self.moved);
         self.metrics.moved_nodes += self.moved.len() as u64;
         if let Some(bound_sq) = self.bound_sq {
@@ -749,7 +753,11 @@ impl<const D: usize> DynamicGraph<D> {
             // Armed: the arming rebuild served this step as its first
             // bulk pass at the inflated radius.
         } else {
-            let grid = self.grid.as_mut().expect("checked above"); // lint:allow(R3): dispatch returns early when no grid exists
+            #[expect(
+                clippy::expect_used,
+                reason = "dispatch returns early when no grid exists"
+            )]
+            let grid = self.grid.as_mut().expect("checked above");
             grid.reset(points);
             self.step_bulk();
         }
@@ -794,7 +802,11 @@ impl<const D: usize> DynamicGraph<D> {
         // covers the inflated candidate radius, under the same lattice
         // rule as construction. Metrics-preserving: the switch counts
         // as one grid reset.
-        let grid = self.grid.as_mut().expect("caller checked the grid"); // lint:allow(R3): step() dispatches here only when the grid exists
+        #[expect(
+            clippy::expect_used,
+            reason = "step() dispatches here only when the grid exists"
+        )]
+        let grid = self.grid.as_mut().expect("caller checked the grid");
         if MovingCellGrid::<D>::lattice_cell_size(points.len(), self.side, self.range + s)
             .and_then(|cell_size| grid.rebuild_with_cell_size(points, self.side, cell_size))
             .is_err()
@@ -821,7 +833,11 @@ impl<const D: usize> DynamicGraph<D> {
     /// otherwise stream the arena (trivially, when nothing moved
     /// bitwise).
     fn step_cached(&mut self, points: &[Point<D>]) {
-        let grid = self.grid.as_ref().expect("caller checked the grid"); // lint:allow(R3): step() dispatches here only when the grid exists
+        #[expect(
+            clippy::expect_used,
+            reason = "step() dispatches here only when the grid exists"
+        )]
+        let grid = self.grid.as_ref().expect("caller checked the grid");
         let refs = grid.points();
         let mut moved = 0u64;
         let mut max_step_sq = 0.0f64;
@@ -854,7 +870,11 @@ impl<const D: usize> DynamicGraph<D> {
             }
         }
         if self.cache.stale || self.max_drift_sq > self.drift_limit_sq {
-            let grid = self.grid.as_mut().expect("caller checked the grid"); // lint:allow(R3): step() dispatches here only when the grid exists
+            #[expect(
+                clippy::expect_used,
+                reason = "step() dispatches here only when the grid exists"
+            )]
+            let grid = self.grid.as_mut().expect("caller checked the grid");
             grid.reset(points);
             self.step_cache_rebuild(points);
         } else if moved == 0 {
@@ -878,7 +898,11 @@ impl<const D: usize> DynamicGraph<D> {
     /// one global unstable sort is a function of the pair *set* alone
     /// — shard-count (and thread-count) invariance for free.
     fn step_cache_rebuild(&mut self, points: &[Point<D>]) {
-        let grid = self.grid.as_ref().expect("caller checked the grid"); // lint:allow(R3): step() dispatches here only when the grid exists
+        #[expect(
+            clippy::expect_used,
+            reason = "step() dispatches here only when the grid exists"
+        )]
+        let grid = self.grid.as_ref().expect("caller checked the grid");
         let n = grid.len();
         let rs = self.range + self.skin;
         self.cache.pairs.clear();
@@ -1127,7 +1151,11 @@ impl<const D: usize> DynamicGraph<D> {
     /// new positions and `self.moved` holds the moved set; emit the
     /// delta from moved-node rescans and patch the snapshot in place.
     fn step_incremental(&mut self) {
-        let grid = self.grid.as_ref().expect("caller checked the grid"); // lint:allow(R3): step() dispatches here only when the grid exists
+        #[expect(
+            clippy::expect_used,
+            reason = "step() dispatches here only when the grid exists"
+        )]
+        let grid = self.grid.as_ref().expect("caller checked the grid");
         let pts = grid.points();
         let r2 = self.range * self.range;
         self.diff.clear();
@@ -1239,7 +1267,11 @@ impl<const D: usize> DynamicGraph<D> {
     /// serial sweep at any thread count.
     fn step_bulk(&mut self) {
         self.ensure_edge_pairs();
-        let grid = self.grid.as_ref().expect("caller checked the grid"); // lint:allow(R3): step() dispatches here only when the grid exists
+        #[expect(
+            clippy::expect_used,
+            reason = "step() dispatches here only when the grid exists"
+        )]
+        let grid = self.grid.as_ref().expect("caller checked the grid");
         let n = grid.len();
         self.new_pairs.clear();
         let shard_scan = scan_pairs_sharded(

@@ -192,7 +192,11 @@ impl FlowNetwork {
         // Trace back and push one unit.
         let mut v = sink;
         while v != source {
-            let (prev, arc) = parent[v].expect("path traced from sink"); // lint:allow(R3): parent pointers were set along the augmenting path before tracing
+            #[expect(
+                clippy::expect_used,
+                reason = "parent pointers were set along the augmenting path before tracing"
+            )]
+            let (prev, arc) = parent[v].expect("path traced from sink");
             let (_, cap, rev) = &mut self.arcs[prev as usize][arc as usize];
             *cap -= 1;
             let rev = *rev;

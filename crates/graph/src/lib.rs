@@ -50,8 +50,7 @@
 //! assert!(manet_graph::components::is_connected(&graph));
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod adjacency;
 pub mod bfs;

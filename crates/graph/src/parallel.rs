@@ -24,9 +24,9 @@
 //! The contract is pinned by this module's unit tests, the step
 //! kernel's thread-invariance proptests, `tests/determinism.rs`,
 //! `tests/critical_scaling.rs` and the CLI byte-identity tests. This is
-//! the one `R6_EXEMPT_MODULES` entry in `crates/lint/src/walk.rs` and
-//! the one `clippy::disallowed_methods` waiver for the root
-//! `clippy.toml` threading bans.
+//! the one waiver (an `#[expect(clippy::disallowed_methods)]`) of the
+//! root `clippy.toml` threading bans, rule R6 of the determinism
+//! contract.
 
 use std::sync::{Mutex, PoisonError};
 
@@ -49,7 +49,13 @@ pub fn default_threads() -> usize {
 ///
 /// Re-raises a panic from `f` with its original payload, once every
 /// worker has stopped.
-#[allow(clippy::disallowed_methods)] // thread::scope/spawn: the sanctioned fan-out site (see clippy.toml)
+#[expect(
+    clippy::disallowed_methods,
+    reason = "run_indexed, the workspace's one fan-out: workers claim owned jobs off one \
+              shared cursor and results are sorted back into job-index order after the \
+              scope joins, so the step kernel's shards, the engine's iterations and the \
+              sweep's cells are byte-identical across thread counts"
+)]
 pub fn run_indexed<J, R, F>(threads: usize, jobs: Vec<J>, f: F) -> Vec<R>
 where
     J: Send,

@@ -143,8 +143,12 @@ impl<const D: usize> Mobility<D> for Drunkard<D> {
             if self.p_pause > 0.0 && rng.random_bool(self.p_pause) {
                 continue;
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "radius validated positive and finite at construction"
+            )]
             let proposal =
-                sample_in_ball(pos, self.radius, rng).expect("radius validated at construction"); // lint:allow(R3): radius validated positive and finite at construction
+                sample_in_ball(pos, self.radius, rng).expect("radius validated at construction");
             *pos = match self.boundary {
                 BoundaryPolicy::Resample => {
                     if region.contains(&proposal) {
@@ -154,9 +158,13 @@ impl<const D: usize> Mobility<D> for Drunkard<D> {
                         // inside the region, so the disk∩region has
                         // positive measure and this terminates quickly.
                         let mut candidate = proposal;
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "radius validated positive and finite at construction"
+                        )]
                         while !region.contains(&candidate) {
                             candidate = sample_in_ball(pos, self.radius, rng)
-                                .expect("radius validated at construction"); // lint:allow(R3): radius validated positive and finite at construction
+                                .expect("radius validated at construction");
                         }
                         candidate
                     }

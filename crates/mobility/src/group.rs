@@ -180,8 +180,12 @@ impl<const D: usize> Mobility<D> for ReferencePointGroup<D> {
                 if self.is_leader(i) {
                     Role::Leader(self.new_leg(region, rng))
                 } else {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "tether validated positive and finite at construction"
+                    )]
                     let o = sample_in_ball(&origin, self.tether / 2.0, rng)
-                        .expect("tether validated at construction"); // lint:allow(R3): tether validated positive and finite at construction
+                        .expect("tether validated at construction");
                     Role::Member { offset: o.coords() }
                 }
             })
@@ -223,8 +227,12 @@ impl<const D: usize> Mobility<D> for ReferencePointGroup<D> {
                 }
                 Role::Member { offset } => {
                     let leader = positions[self.leader_of(i)];
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "tether validated positive and finite at construction"
+                    )]
                     let jitter = sample_in_ball(&origin, self.tether / 2.0, rng)
-                        .expect("tether validated at construction"); // lint:allow(R3): tether validated positive and finite at construction
+                        .expect("tether validated at construction");
                     let mut out = leader.coords();
                     for ((c, o), j) in out.iter_mut().zip(&offset).zip(&jitter.coords()) {
                         *c += o + j;

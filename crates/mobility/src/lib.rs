@@ -52,8 +52,7 @@
 //! # Ok::<(), manet_mobility::ModelError>(())
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod boundary;
 pub mod direction;

@@ -17,16 +17,15 @@
 //!   gates alongside the trace goldens.
 //! * **Plane 2 — wall-clock span profiling** ([`span`]): a hierarchical
 //!   [`SpanTimer`] for bench/CLI drivers. Timing is inherently
-//!   nondeterministic, so this plane is confined by the `manet-lint`
-//!   `R2` contract to tool code; the [`span`] module itself carries the
-//!   documented R2 exemption (see `crates/lint/src/walk.rs`).
+//!   nondeterministic, so this plane is confined by the determinism
+//!   contract's `R2` rule to tool code; the [`span`] module itself
+//!   carries the one documented R2 waiver.
 //!
 //! [`manifest::RunManifest`] records run provenance (command, seed,
 //! models, sizes, thread count, compiled features) so any `metrics.json`
 //! artifact can be traced back to the exact invocation that produced it.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod manifest;
 pub mod metrics;

@@ -1,10 +1,10 @@
 //! Plane 2: wall-clock span profiling for bench/CLI drivers.
 //!
 //! This module is the *only* library code in the workspace allowed to
-//! read the monotonic clock: `manet-lint` rule `R2` bans wall-clock
-//! sources from deterministic library crates, and this file is carried
-//! in the lint's module exemption table (`crates/lint/src/walk.rs`)
-//! with the reason recorded there. The boundary is kept honest by
+//! read the monotonic clock: rule `R2` of the determinism contract bans
+//! wall-clock sources (clippy's `disallowed_methods`), and
+//! [`SpanTimer::enter`]'s one clock read carries R2's only
+//! `#[expect]` waiver, with its reason. The boundary is kept honest by
 //! construction: a [`SpanTimer`] only ever *observes* durations — no
 //! simulated value may depend on one — and the drivers that arm it
 //! (the experiments CLI under `--profile`, `step_kernel_capture`)
@@ -154,10 +154,12 @@ impl SpanTimer {
     /// Opens a span named `name`, nested under the currently open span
     /// (if any). Pair with [`SpanTimer::exit`], or prefer
     /// [`SpanTimer::time`].
-    // This module is the R2 exemption doorway (see the module docs and
-    // manet-lint's R2_EXEMPT_MODULES); the clippy mirror of that rule
-    // is waived at exactly the one clock read.
-    #[allow(clippy::disallowed_methods)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the span-profiling plane of manet-obs: the one library module allowed to read \
+                  the monotonic clock; disarmed unless a bench/CLI --profile flag arms it, and \
+                  span reports go to stderr/metrics.json spans, never into deterministic outputs"
+    )]
     pub fn enter(&mut self, name: &str) {
         if !self.armed {
             return;

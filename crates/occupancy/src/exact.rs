@@ -139,9 +139,12 @@ impl Occupancy {
     ///
     /// Returns [`OccupancyError::ProblemTooLarge`] when `n·C` exceeds
     /// the practicality bound.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic: try_distribution is the fallible API"
+    )]
     pub fn distribution(&self) -> Vec<f64> {
         self.distribution_impl()
-            // lint:allow(R3): documented panic: try_distribution is the fallible API
             .expect("distribution() requires a problem within the DP bound; use try_distribution")
     }
 

@@ -45,8 +45,7 @@
 //! # Ok::<(), manet_occupancy::OccupancyError>(())
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod asymptotic;
 pub mod domains;

@@ -32,9 +32,13 @@ impl<const D: usize> ConnectivityObserver<D> for ComponentRangeObserver {
 
     fn observe(&mut self, view: &StepView<'_, D>) {
         let profile = MergeProfile::of(view.positions());
+        #[expect(
+            clippy::expect_used,
+            reason = "target validated against n at config time"
+        )]
         let r = profile
             .range_for_size(self.target)
-            .expect("target validated against n at config time"); // lint:allow(R3): target validated against n at config time
+            .expect("target validated against n at config time");
         self.series.push(r);
     }
 

@@ -50,8 +50,9 @@ impl<const D: usize> SimConfig<D> {
     }
 
     /// The deployment region `[0, l]^D`.
+    #[expect(clippy::expect_used, reason = "side validated at build time")]
     pub fn region(&self) -> Region<D> {
-        Region::new(self.side).expect("side validated at build time") // lint:allow(R3): side validated at build time
+        Region::new(self.side).expect("side validated at build time")
     }
 
     /// Number of independent iterations (fresh placements).

@@ -66,8 +66,7 @@
 //! # Ok::<(), manet_sim::SimError>(())
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod component;
 pub mod config;

@@ -294,12 +294,13 @@ where
     )?;
     let per_iteration = run_connectivity_stream(config, model, None, |_| ProfileObserver {
         stride: config.profile_stride(),
+        #[expect(clippy::expect_used, reason = "grid parameters validated just above")]
         profile: RangeSizeProfile::new(
             config.nodes(),
             config.profile_max_range(),
             config.profile_bins(),
         )
-        .expect("grid validated above"), // lint:allow(R3): grid parameters validated just above
+        .expect("grid validated above"),
     })?;
     Ok(ProfileResults { per_iteration })
 }

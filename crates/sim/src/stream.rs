@@ -107,10 +107,13 @@ impl<const D: usize> StepView<'_, D> {
         self.link.as_ref()
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic: observers require a range-bound stream"
+    )]
     fn link_expected(&self) -> &LinkView<'_> {
         self.link
             .as_ref()
-            // lint:allow(R3): documented panic: observers require a range-bound stream
             .expect("observer requires a ConnectivityStream built with a transmitting range")
     }
 
@@ -304,7 +307,8 @@ impl<const D: usize, O: ConnectivityObserver<D>> StepObserver<D> for Connectivit
             }
             Some((dg, _)) => dg.step(positions),
         }
-        let (dg, dc) = self.state.as_mut().expect("state initialized above"); // lint:allow(R3): state initialized earlier in this call
+        #[expect(clippy::expect_used, reason = "state initialized earlier in this call")]
+        let (dg, dc) = self.state.as_mut().expect("state initialized above");
         dc.apply(dg.last_diff(), dg.graph());
         // End-to-end oracle check: the incrementally-maintained
         // components must match a from-scratch labeling of the

@@ -36,7 +36,11 @@ pub fn ks_test<F: Fn(f64) -> f64>(sample: &[f64], cdf: F) -> Result<GofResult, S
         return Err(StatsError::NonFinite { name: "sample" });
     }
     let mut xs = sample.to_vec();
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite")); // lint:allow(R3): samples validated finite at entry, comparator is total
+    #[expect(
+        clippy::expect_used,
+        reason = "samples validated finite at entry, comparator is total"
+    )]
+    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     let n = xs.len() as f64;
     let mut d: f64 = 0.0;
     for (i, &x) in xs.iter().enumerate() {

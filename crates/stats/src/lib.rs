@@ -39,8 +39,7 @@
 //! assert!((m.sample_variance() - 5.0 / 3.0).abs() < 1e-12);
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod ci;
 pub mod distributions;

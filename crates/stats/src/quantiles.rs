@@ -89,7 +89,11 @@ impl FrozenSeries {
         if values.iter().any(|v| !v.is_finite()) {
             return Err(StatsError::NonFinite { name: "values" });
         }
-        values.sort_by(|a, b| a.partial_cmp(b).expect("values checked finite")); // lint:allow(R3): values checked finite before sorting, comparator is total
+        #[expect(
+            clippy::expect_used,
+            reason = "values checked finite before sorting, comparator is total"
+        )]
+        values.sort_by(|a, b| a.partial_cmp(b).expect("values checked finite"));
         Ok(FrozenSeries { sorted: values })
     }
 
@@ -114,8 +118,9 @@ impl FrozenSeries {
     }
 
     /// Maximum observation.
+    #[expect(clippy::expect_used, reason = "non-empty by construction")]
     pub fn max(&self) -> f64 {
-        *self.sorted.last().expect("non-empty by construction") // lint:allow(R3): non-empty by construction
+        *self.sorted.last().expect("non-empty by construction")
     }
 
     /// Mean of the observations.

@@ -55,7 +55,11 @@ impl Summary {
         if values.iter().any(|v| !v.is_finite()) {
             return Err(StatsError::NonFinite { name: "values" });
         }
-        values.sort_by(|a, b| a.partial_cmp(b).expect("finite")); // lint:allow(R3): values validated finite, comparator is total
+        #[expect(
+            clippy::expect_used,
+            reason = "values validated finite, comparator is total"
+        )]
+        values.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         let moments: RunningMoments = values.iter().copied().collect();
         Ok(Summary {
             count: values.len(),
@@ -65,7 +69,8 @@ impl Summary {
             q1: quantile(&values, 0.25)?,
             median: quantile(&values, 0.5)?,
             q3: quantile(&values, 0.75)?,
-            max: *values.last().expect("non-empty"), // lint:allow(R3): non-empty checked at entry
+            #[expect(clippy::expect_used, reason = "non-empty checked at entry")]
+            max: *values.last().expect("non-empty"),
         })
     }
 }

@@ -36,7 +36,8 @@ impl IntervalAccumulator {
         let bins = steps.clamp(1, DEFAULT_BINS);
         IntervalAccumulator {
             moments: RunningMoments::new(),
-            histogram: Histogram::new(0.0, hi, bins).expect("hi > 0 and bins >= 1 by construction"), // lint:allow(R3): hi > 0 and bins >= 1 by construction
+            #[expect(clippy::expect_used, reason = "hi > 0 and bins >= 1 by construction")]
+            histogram: Histogram::new(0.0, hi, bins).expect("hi > 0 and bins >= 1 by construction"),
             censored: 0,
         }
     }

@@ -62,8 +62,7 @@
 //! # Ok::<(), manet_trace::TraceError>(())
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod intervals;
 pub mod recorder;

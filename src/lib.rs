@@ -24,7 +24,6 @@
 //! # Ok::<(), manet::CoreError>(())
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub use manet_core::*;
