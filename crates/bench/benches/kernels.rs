@@ -2,10 +2,15 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use manet_bench::placement;
-use manet_core::graph::{components, critical_range, AdjacencyList, MergeProfile, UnionFind};
+use manet_core::geom::{Point, Region};
+use manet_core::graph::{
+    components, critical_range, AdjacencyList, CriticalRangeTracker, MergeProfile, UnionFind,
+};
+use manet_core::mobility::{Mobility, RandomWaypoint};
 use manet_core::occupancy::Occupancy;
 use manet_core::one_dim;
 use manet_core::stats::FrozenSeries;
+use rand::SeedableRng;
 use std::hint::black_box;
 
 fn bench_mst(c: &mut Criterion) {
@@ -14,6 +19,52 @@ fn bench_mst(c: &mut Criterion) {
         let pts = placement(n, 1000.0, 7);
         group.bench_function(format!("n={n}"), |b| {
             b.iter(|| black_box(critical_range(black_box(&pts))))
+        });
+    }
+    group.finish();
+}
+
+/// Positions of `n` random-waypoint nodes on the paper's side
+/// `l = n²` over `steps` consecutive steps.
+fn waypoint_trajectory(n: usize, steps: usize, seed: u64) -> Vec<Vec<Point<2>>> {
+    let side = (n * n) as f64;
+    let region: Region<2> = Region::new(side).expect("positive side");
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut model = RandomWaypoint::new(0.1, 0.01 * side, 40, 0.0).expect("valid parameters");
+    let mut positions = region.place_uniform(n, &mut rng);
+    model.init(&positions, &region, &mut rng);
+    (0..steps)
+        .map(|_| {
+            model.step(&mut positions, &region, &mut rng);
+            positions.clone()
+        })
+        .collect()
+}
+
+/// Per-step critical range along one fixed 200-step trajectory: the
+/// warm-start tracker (fresh per pass, so each pass pays its first-step
+/// reseed, as each simulation iteration does) against one stateless
+/// Prim per step. Divide ns/iter by 200 for the per-step cost.
+fn bench_critical_range_warm(c: &mut Criterion) {
+    let mut group = c.benchmark_group("critical_range_warm");
+    for &n in &[16usize, 64, 128] {
+        let trajectory = waypoint_trajectory(n, 200, 13);
+        group.bench_function(format!("tracker_n={n}_200_steps"), |b| {
+            b.iter(|| {
+                let mut tracker = CriticalRangeTracker::new();
+                trajectory
+                    .iter()
+                    .map(|pts| tracker.critical_range(black_box(pts)))
+                    .fold(0.0, f64::max)
+            })
+        });
+        group.bench_function(format!("prim_n={n}_200_steps"), |b| {
+            b.iter(|| {
+                trajectory
+                    .iter()
+                    .map(|pts| critical_range(black_box(pts)))
+                    .fold(0.0, f64::max)
+            })
         });
     }
     group.finish();
@@ -119,6 +170,7 @@ fn bench_quantiles(c: &mut Criterion) {
 criterion_group!(
     kernels,
     bench_mst,
+    bench_critical_range_warm,
     bench_merge_profile,
     bench_graph_build,
     bench_components,

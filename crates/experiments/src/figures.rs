@@ -4,6 +4,28 @@ use crate::common::{self, banner, fmt, nodes_for_side, r_stationary, RunOptions,
 use crate::obs::ObsSession;
 use manet_core::mobility::RandomWaypoint;
 use manet_core::{AnyModel, CoreError, MtrmProblem};
+use std::collections::BTreeMap;
+
+/// `r_stationary` per `(l, n)` cell, each computed on first use. The
+/// figures calibrate against only a few distinct cells (Figures 7–9's
+/// `l = 4096`, `n = 64` is also one of Figures 2, 3 and 6's sides), so
+/// [`all`] shares one cache across the run; a single-figure subcommand
+/// passes a fresh one.
+#[derive(Debug, Default)]
+pub struct Calibrations(BTreeMap<(u64, usize), f64>);
+
+impl Calibrations {
+    /// [`r_stationary`] at side `l`, computed once per cache.
+    fn r_stationary(&mut self, opts: &RunOptions, l: f64) -> Result<f64, CoreError> {
+        let key = (l.to_bits(), nodes_for_side(l));
+        if let Some(&rs) = self.0.get(&key) {
+            return Ok(rs);
+        }
+        let rs = r_stationary(opts, l)?;
+        self.0.insert(key, rs);
+        Ok(rs)
+    }
+}
 
 /// Builds the MTRM problem for one `(l, model)` cell of the figures.
 fn problem(
@@ -39,6 +61,7 @@ fn problem(
 fn range_ratio_figure<F>(
     opts: &RunOptions,
     session: &mut ObsSession,
+    calibrations: &mut Calibrations,
     name: &str,
     model_name: &str,
     title: &str,
@@ -61,7 +84,7 @@ where
             common::L_VALUES.len()
         ));
         session.span_enter(&format!("{name}/side"));
-        let rs = r_stationary(opts, l)?;
+        let rs = calibrations.r_stationary(opts, l)?;
         let p = problem(opts, l, n, make_model(opts, l)?)?;
         let sol = p.solve()?;
         let pooled = sol.critical.pooled().map_err(CoreError::Sim)?;
@@ -90,10 +113,15 @@ where
 }
 
 /// Figure 2: `r_x / r_stationary` vs `l`, random waypoint.
-pub fn fig2(opts: &RunOptions, session: &mut ObsSession) -> Result<(), CoreError> {
+pub fn fig2(
+    opts: &RunOptions,
+    session: &mut ObsSession,
+    calibrations: &mut Calibrations,
+) -> Result<(), CoreError> {
     range_ratio_figure(
         opts,
         session,
+        calibrations,
         "fig2",
         "waypoint",
         "Figure 2: r_x / r_stationary vs l (random waypoint)",
@@ -102,10 +130,15 @@ pub fn fig2(opts: &RunOptions, session: &mut ObsSession) -> Result<(), CoreError
 }
 
 /// Figure 3: `r_x / r_stationary` vs `l`, drunkard.
-pub fn fig3(opts: &RunOptions, session: &mut ObsSession) -> Result<(), CoreError> {
+pub fn fig3(
+    opts: &RunOptions,
+    session: &mut ObsSession,
+    calibrations: &mut Calibrations,
+) -> Result<(), CoreError> {
     range_ratio_figure(
         opts,
         session,
+        calibrations,
         "fig3",
         "drunkard",
         "Figure 3: r_x / r_stationary vs l (drunkard)",
@@ -188,7 +221,11 @@ pub fn fig5(opts: &RunOptions, session: &mut ObsSession) -> Result<(), CoreError
 }
 
 /// Figure 6: `rl90/rl75/rl50 ÷ r_stationary` vs `l`, random waypoint.
-pub fn fig6(opts: &RunOptions, session: &mut ObsSession) -> Result<(), CoreError> {
+pub fn fig6(
+    opts: &RunOptions,
+    session: &mut ObsSession,
+    calibrations: &mut Calibrations,
+) -> Result<(), CoreError> {
     banner("Figure 6: rl90/rl75/rl50 over r_stationary vs l (random waypoint)");
     session.note_model("waypoint");
     let mut table = Table::new(&["l", "n", "r_stat", "rl90/rs", "rl75/rs", "rl50/rs"]);
@@ -201,7 +238,7 @@ pub fn fig6(opts: &RunOptions, session: &mut ObsSession) -> Result<(), CoreError
             common::L_VALUES.len()
         ));
         session.span_enter("fig6/side");
-        let rs = r_stationary(opts, l)?;
+        let rs = calibrations.r_stationary(opts, l)?;
         let p = problem(opts, l, n, opts.paper_waypoint(l)?)?;
         let rl = p.ranges_for_component_fractions(&[0.9, 0.75, 0.5])?;
         table.row(vec![
@@ -225,9 +262,14 @@ pub fn fig6(opts: &RunOptions, session: &mut ObsSession) -> Result<(), CoreError
 }
 
 /// The `l = 4096`, `n = 64` single-cell sweep shared by Figures 7–9.
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the run context (options, session, calibration cache) plus one figure's labels, points and model"
+)]
 fn sweep_r100<F>(
     opts: &RunOptions,
     session: &mut ObsSession,
+    calibrations: &mut Calibrations,
     name: &str,
     title: &str,
     axis: &str,
@@ -242,7 +284,7 @@ where
     let l = 4096.0;
     let n = 64;
     session.note_nodes(n);
-    let rs = r_stationary(opts, l)?;
+    let rs = calibrations.r_stationary(opts, l)?;
     let mut table = Table::new(&[axis, "r100/rs", "r100_sd/rs"]);
     for (i, &x) in points.iter().enumerate() {
         session.progress(&format!("{name}: {axis}={x} ({}/{})", i + 1, points.len()));
@@ -269,7 +311,11 @@ where
 
 /// Figure 7: `r100/r_stationary` vs `p_stationary` (coarse 0..1 plus
 /// the paper's fine sweep of the 0.4–0.6 threshold window).
-pub fn fig7(opts: &RunOptions, session: &mut ObsSession) -> Result<(), CoreError> {
+pub fn fig7(
+    opts: &RunOptions,
+    session: &mut ObsSession,
+    calibrations: &mut Calibrations,
+) -> Result<(), CoreError> {
     let mut points: Vec<f64> = vec![0.0, 0.2, 0.8, 1.0];
     let mut p: f64 = 0.40;
     while p <= 0.601 {
@@ -282,6 +328,7 @@ pub fn fig7(opts: &RunOptions, session: &mut ObsSession) -> Result<(), CoreError
     sweep_r100(
         opts,
         session,
+        calibrations,
         "fig7",
         "Figure 7: r100/r_stationary vs p_stationary (random waypoint, l=4096, n=64)",
         "p_stat",
@@ -296,7 +343,11 @@ pub fn fig7(opts: &RunOptions, session: &mut ObsSession) -> Result<(), CoreError
 
 /// Figure 8: `r100/r_stationary` vs `t_pause` (axis scaled with the
 /// run horizon; equals the paper's 0..10000 under `--paper`).
-pub fn fig8(opts: &RunOptions, session: &mut ObsSession) -> Result<(), CoreError> {
+pub fn fig8(
+    opts: &RunOptions,
+    session: &mut ObsSession,
+    calibrations: &mut Calibrations,
+) -> Result<(), CoreError> {
     let points: Vec<f64> = [0u32, 2000, 4000, 6000, 8000, 10_000]
         .iter()
         .map(|&t| opts.scale_steps(t) as f64)
@@ -305,6 +356,7 @@ pub fn fig8(opts: &RunOptions, session: &mut ObsSession) -> Result<(), CoreError
     sweep_r100(
         opts,
         session,
+        calibrations,
         "fig8",
         "Figure 8: r100/r_stationary vs t_pause (random waypoint, l=4096, n=64)",
         "t_pause",
@@ -318,13 +370,18 @@ pub fn fig8(opts: &RunOptions, session: &mut ObsSession) -> Result<(), CoreError
 }
 
 /// Figure 9: `r100/r_stationary` vs `v_max` (in units of `l`).
-pub fn fig9(opts: &RunOptions, session: &mut ObsSession) -> Result<(), CoreError> {
+pub fn fig9(
+    opts: &RunOptions,
+    session: &mut ObsSession,
+    calibrations: &mut Calibrations,
+) -> Result<(), CoreError> {
     let points = [0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5];
     let l = 4096.0;
     let pause = opts.scale_steps(2000);
     sweep_r100(
         opts,
         session,
+        calibrations,
         "fig9",
         "Figure 9: r100/r_stationary vs v_max/l (random waypoint, l=4096, n=64)",
         "vmax/l",
@@ -337,14 +394,15 @@ pub fn fig9(opts: &RunOptions, session: &mut ObsSession) -> Result<(), CoreError
     )
 }
 
-/// Runs Figures 2–9 in order.
+/// Runs Figures 2–9 in order, calibrating each `(l, n)` cell once.
 pub fn all(opts: &RunOptions, session: &mut ObsSession) -> Result<(), CoreError> {
-    fig2(opts, session)?;
-    fig3(opts, session)?;
+    let cal = &mut Calibrations::default();
+    fig2(opts, session, cal)?;
+    fig3(opts, session, cal)?;
     fig4(opts, session)?;
     fig5(opts, session)?;
-    fig6(opts, session)?;
-    fig7(opts, session)?;
-    fig8(opts, session)?;
-    fig9(opts, session)
+    fig6(opts, session, cal)?;
+    fig7(opts, session, cal)?;
+    fig8(opts, session, cal)?;
+    fig9(opts, session, cal)
 }

@@ -92,14 +92,14 @@ fn main() {
     let mut session = ObsSession::new(&command, &opts);
     let s = &mut session;
     let result = match command.as_str() {
-        "fig2" => figures::fig2(&opts, s),
-        "fig3" => figures::fig3(&opts, s),
+        "fig2" => figures::fig2(&opts, s, &mut Default::default()),
+        "fig3" => figures::fig3(&opts, s, &mut Default::default()),
         "fig4" => figures::fig4(&opts, s),
         "fig5" => figures::fig5(&opts, s),
-        "fig6" => figures::fig6(&opts, s),
-        "fig7" => figures::fig7(&opts, s),
-        "fig8" => figures::fig8(&opts, s),
-        "fig9" => figures::fig9(&opts, s),
+        "fig6" => figures::fig6(&opts, s, &mut Default::default()),
+        "fig7" => figures::fig7(&opts, s, &mut Default::default()),
+        "fig8" => figures::fig8(&opts, s, &mut Default::default()),
+        "fig9" => figures::fig9(&opts, s, &mut Default::default()),
         "figs" => figures::all(&opts, s),
         "stationary" => stationary::run(&opts, s),
         "quantity" => quantity::run(&opts, s),

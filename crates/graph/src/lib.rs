@@ -14,7 +14,8 @@
 //! * [`mst`] — dense Prim Euclidean MST and the **critical
 //!   transmitting range** (the bottleneck = longest MST edge), the
 //!   single quantity from which all of the paper's `r_f` metrics are
-//!   derived;
+//!   derived, plus [`CriticalRangeTracker`], which certifies it along
+//!   a trajectory from the previous step's tree;
 //! * [`merge`] — the Kruskal merge profile over the same MST's edges:
 //!   largest component size as a step function of the range;
 //! * [`dynamic`] — edge deltas between snapshots and [`DynamicGraph`],
@@ -69,4 +70,6 @@ pub use dsu::UnionFind;
 pub use dynamic::{DynamicGraph, EdgeDiff, Skin};
 pub use dynamic_components::{DynamicComponents, FULL_REBUILD_CHURN_FRACTION};
 pub use merge::MergeProfile;
-pub use mst::{critical_range, minimum_spanning_tree, MstEdge};
+pub use mst::{
+    critical_range, minimum_spanning_tree, CriticalRangeTracker, MstEdge, TrackerCounts,
+};

@@ -9,6 +9,43 @@
 //! (CTR) — is therefore the exact solution of the paper's MTR problem
 //! for a known placement, and its per-step time series drives the whole
 //! mobile evaluation (see `manet-sim`).
+//!
+//! Two entry points compute it:
+//!
+//! * [`critical_range`] — stateless dense Prim, `n(n−1)/2` pair
+//!   distances per call. The answer for independent placements.
+//! * [`CriticalRangeTracker`] — the same value, bit for bit, for a
+//!   *sequence* of placements that each moved a little since the last
+//!   (one mobility trajectory). It keeps the previous step's spanning
+//!   tree and *certifies* the bottleneck instead of recomputing the MST.
+//!
+//! # The certificate
+//!
+//! Work with squared distances throughout, and let `b*` be the
+//! *bottleneck*: the smallest possible longest edge over all spanning
+//! trees, which is the longest edge of every MST. Let `T` be any
+//! spanning tree, `e` its longest edge (squared length `L`), and
+//! `(A, B)` the two sides of `T` with `e` removed. `T` itself shows
+//! `b* <= L`. Every spanning tree crosses the cut `(A, B)`, so every
+//! spanning tree has an edge at least as long as `m`, the minimum over
+//! the `|A|·|B|` cross pairs; hence `b* >= m`. Since `e` itself crosses
+//! the cut, `m <= L`. When `m == L` the bounds meet and `b* = L`
+//! exactly (bottleneck min–max duality). `L` is one pair's
+//! `distance_sq`, the same value Prim compares (the function is
+//! symmetric bit for bit, since `a − b` and `b − a` round to negatives
+//! of each other), so `sqrt(L)` is bit-identical to [`critical_range`]
+//! whichever tied MST Prim picks.
+//!
+//! When `m < L`, swapping `e` for the shortest cross pair yields a
+//! spanning tree of strictly smaller total weight, and the tracker
+//! repeats. Total weight strictly decreases, so no tree repeats and the
+//! loop terminates; its cost is bounded explicitly instead: before each
+//! cut scan the tracker checks that the step's scans stay within
+//! Prim's own `n(n−1)/2` pairs and otherwise *reseeds* from
+//! [`minimum_spanning_tree`]. Any step therefore costs at most about
+//! twice a cold Prim (one budget of scans plus one Prim). A typical
+//! mobility step needs one or two rounds, and its longest edge usually
+//! cuts off one node or a few, so each round costs `O(n)`.
 
 use manet_geom::Point;
 
@@ -24,14 +61,46 @@ pub struct MstEdge {
     pub length: f64,
 }
 
+/// Panics naming the first node with a non-finite coordinate: a NaN or
+/// infinite position has no distance to anything.
+fn assert_finite<const D: usize>(points: &[Point<D>]) {
+    for (i, p) in points.iter().enumerate() {
+        assert!(
+            p.is_finite(),
+            "minimum_spanning_tree: node {i} has a non-finite coordinate {:?}",
+            p.coords()
+        );
+    }
+}
+
+/// Number of distinct pairs among `n` nodes: one dense Prim's distance
+/// evaluations.
+fn pair_count(n: usize) -> u64 {
+    let n = n as u64;
+    n * n.saturating_sub(1) / 2
+}
+
+/// A vertex outside Prim's tree: its position, its best known squared
+/// distance to the tree and the tree vertex achieving it.
+#[derive(Clone, Copy)]
+struct Candidate<const D: usize> {
+    point: Point<D>,
+    d2: f64,
+    parent: u32,
+    index: u32,
+}
+
 /// Computes the Euclidean MST with dense Prim in `O(n²)` time and
 /// `O(n)` memory — optimal for the complete geometric graph, where
 /// just enumerating candidate edges already costs `n²/2` distance
 /// evaluations.
 ///
 /// Returns `n - 1` edges for `n >= 1` points (empty for `n <= 1`).
-/// Edges are returned in the order Prim adds them; lengths are exact
-/// Euclidean distances.
+/// Edges are returned in the order Prim adds them, growing one tree
+/// from node 0: each edge's `a` is already in the tree when `b` joins.
+/// Lengths are exact Euclidean distances. Among equal-length candidates the choice is
+/// unspecified, so with ties the edge set may be any of the tied MSTs
+/// (the bottleneck and the sorted length sequence are the same for all).
 ///
 /// # Panics
 ///
@@ -51,52 +120,51 @@ pub struct MstEdge {
 /// assert!((total - 3.0).abs() < 1e-12);
 /// ```
 pub fn minimum_spanning_tree<const D: usize>(points: &[Point<D>]) -> Vec<MstEdge> {
-    for (i, p) in points.iter().enumerate() {
-        assert!(
-            p.is_finite(),
-            "minimum_spanning_tree: node {i} has a non-finite coordinate {:?}",
-            p.coords()
-        );
-    }
+    assert_finite(points);
     let n = points.len();
     if n <= 1 {
         return Vec::new();
     }
-    let mut in_tree = vec![false; n];
-    let mut best_d2 = vec![f64::INFINITY; n];
-    let mut best_parent = vec![0u32; n];
+    // The non-tree vertices, compacted: adding a vertex swap-removes
+    // its slot, so the scan streams over non-tree vertices only and
+    // needs no membership test.
+    let mut rest: Vec<Candidate<D>> = points
+        .iter()
+        .zip(0u32..)
+        .skip(1)
+        .map(|(&point, index)| Candidate {
+            point,
+            d2: f64::INFINITY,
+            parent: 0,
+            index,
+        })
+        .collect();
     let mut edges = Vec::with_capacity(n - 1);
 
-    let mut current = 0usize;
-    in_tree[0] = true;
-    for _ in 1..n {
+    let (mut current, mut p) = (0u32, points[0]);
+    while !rest.is_empty() {
         // Relax distances against the vertex just added, then pick the
         // closest non-tree vertex.
-        let p = points[current];
-        let mut next = usize::MAX;
+        let mut next = 0;
         let mut next_d2 = f64::INFINITY;
-        for j in 0..n {
-            if in_tree[j] {
-                continue;
+        for (k, c) in rest.iter_mut().enumerate() {
+            let d2 = p.distance_sq(&c.point);
+            if d2 < c.d2 {
+                c.d2 = d2;
+                c.parent = current;
             }
-            let d2 = p.distance_sq(&points[j]);
-            if d2 < best_d2[j] {
-                best_d2[j] = d2;
-                best_parent[j] = current as u32;
-            }
-            if best_d2[j] < next_d2 {
-                next_d2 = best_d2[j];
-                next = j;
+            if c.d2 < next_d2 {
+                next_d2 = c.d2;
+                next = k;
             }
         }
-        debug_assert!(next != usize::MAX);
-        in_tree[next] = true;
+        let added = rest.swap_remove(next);
         edges.push(MstEdge {
-            a: best_parent[next],
-            b: next as u32,
-            length: next_d2.sqrt(),
+            a: added.parent,
+            b: added.index,
+            length: added.d2.sqrt(),
         });
-        current = next;
+        (current, p) = (added.index, added.point);
     }
     edges
 }
@@ -107,6 +175,11 @@ pub fn minimum_spanning_tree<const D: usize>(points: &[Point<D>]) -> Vec<MstEdge
 ///
 /// Returns `0.0` for fewer than two points (a single node is trivially
 /// connected).
+///
+/// # Panics
+///
+/// Panics naming the first node with a non-finite coordinate (see
+/// [`minimum_spanning_tree`]).
 ///
 /// # Example
 ///
@@ -119,10 +192,287 @@ pub fn minimum_spanning_tree<const D: usize>(points: &[Point<D>]) -> Vec<MstEdge
 /// assert_eq!(critical_range(&pts), 3.0);
 /// ```
 pub fn critical_range<const D: usize>(points: &[Point<D>]) -> f64 {
-    minimum_spanning_tree(points)
-        .iter()
-        .map(|e| e.length)
-        .fold(0.0, f64::max)
+    longest(&minimum_spanning_tree(points))
+}
+
+/// Length of the longest edge (`0.0` for none).
+fn longest(edges: &[MstEdge]) -> f64 {
+    edges.iter().map(|e| e.length).fold(0.0, f64::max)
+}
+
+/// Deterministic work counters of a [`CriticalRangeTracker`]: pure
+/// functions of the placements it was fed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TrackerCounts {
+    /// Queries answered.
+    pub calls: u64,
+    /// Queries answered by a certificate, without a reseed.
+    pub certified: u64,
+    /// Cut scans (certification rounds) run.
+    pub rounds: u64,
+    /// Queries answered by a from-scratch [`minimum_spanning_tree`]:
+    /// the first query, a change of `n`, `n < 2`, or an exhausted
+    /// budget.
+    pub reseeds: u64,
+    /// Candidate pair distances evaluated: every cut scan's `|A|·|B|`
+    /// plus `n(n−1)/2` per reseed.
+    pub pairs: u64,
+}
+
+/// Warm-start critical range along a trajectory: carries the previous
+/// placement's spanning tree and certifies the new bottleneck (see the
+/// [module docs](self) for the certificate and its proof).
+///
+/// [`critical_range`](Self::critical_range) returns exactly
+/// [`critical_range`](fn@critical_range)'s value, bit for bit, for any
+/// sequence of placements. It is fast when consecutive placements are
+/// close (one mobility step apart) and never costs more than about two
+/// cold Prims, because each query's cut scans are capped at Prim's
+/// `n(n−1)/2` pairs before it falls back to a reseed. It holds `O(n)`
+/// memory and no state but the last tree, so one tracker per
+/// trajectory keeps results independent of how trajectories are
+/// scheduled across threads.
+///
+/// The tree is kept rooted at node 0 with intrusive child lists, so the
+/// side of a cut edge below it is enumerated in time proportional to
+/// its size, and an edge swap re-roots that side along one path.
+///
+/// # Example
+///
+/// ```
+/// use manet_geom::Point;
+/// use manet_graph::{critical_range, CriticalRangeTracker};
+///
+/// let mut tracker = CriticalRangeTracker::new();
+/// let mut pts = vec![Point::new([0.0]), Point::new([1.0]), Point::new([4.0])];
+/// assert_eq!(tracker.critical_range(&pts), 3.0); // reseed: first query
+/// pts[2] = Point::new([3.5]);
+/// assert_eq!(tracker.critical_range(&pts), critical_range(&pts)); // certified
+/// assert_eq!(tracker.counts().reseeds, 1);
+/// assert_eq!(tracker.counts().certified, 1);
+/// ```
+#[derive(Debug, Default)]
+pub struct CriticalRangeTracker {
+    /// Parent of each node in the last placement's spanning tree, rooted
+    /// at node 0 (`parent[0]` is [`NONE`]); empty when there is no tree.
+    parent: Vec<u32>,
+    /// Each node's children as a doubly linked list through
+    /// `next_sibling`/`prev_sibling`, [`NONE`]-terminated.
+    first_child: Vec<u32>,
+    next_sibling: Vec<u32>,
+    prev_sibling: Vec<u32>,
+    /// Squared length of each node's edge to its parent at the current
+    /// placement; `-inf` for the root, so it is never the longest.
+    len2: Vec<f64>,
+    /// Scratch: the subtree below the current cut edge, as a list and
+    /// as flags.
+    subtree: Vec<u32>,
+    in_subtree: Vec<bool>,
+    counts: TrackerCounts,
+}
+
+/// The empty link of the tracker's parent and child lists.
+const NONE: u32 = u32::MAX;
+
+impl CriticalRangeTracker {
+    /// A tracker with no tree yet: its first query reseeds.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Work counters accumulated over every query so far.
+    pub fn counts(&self) -> TrackerCounts {
+        self.counts
+    }
+
+    /// The critical transmitting range of `points`, bit-identical to
+    /// [`critical_range`](fn@critical_range), certified against the
+    /// tree kept from the previous query when one exists for the same
+    /// `n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming the first node with a non-finite coordinate, with
+    /// [`minimum_spanning_tree`]'s message.
+    pub fn critical_range<const D: usize>(&mut self, points: &[Point<D>]) -> f64 {
+        assert_finite(points);
+        self.counts.calls += 1;
+        let n = points.len();
+        if n < 2 || self.parent.len() != n {
+            return self.reseed(points);
+        }
+        let r = self.certify(points);
+        #[cfg(feature = "strict-invariants")]
+        debug_assert_eq!(
+            r.to_bits(),
+            critical_range(points).to_bits(),
+            "strict-invariants: certified critical range differs from Prim's"
+        );
+        r
+    }
+
+    /// Replaces the tree with a fresh MST and returns its bottleneck.
+    fn reseed<const D: usize>(&mut self, points: &[Point<D>]) -> f64 {
+        let n = points.len();
+        let mst = minimum_spanning_tree(points);
+        self.counts.reseeds += 1;
+        self.counts.pairs += pair_count(n);
+        for list in [
+            &mut self.parent,
+            &mut self.first_child,
+            &mut self.next_sibling,
+            &mut self.prev_sibling,
+        ] {
+            list.clear();
+            list.resize(n, NONE);
+        }
+        // Prim grows one tree from node 0, and each edge's `a` is already
+        // in it when `b` joins, so `a` is `b`'s parent.
+        for e in &mst {
+            self.link(e.b, e.a);
+        }
+        self.in_subtree.clear();
+        self.in_subtree.resize(n, false);
+        longest(&mst)
+    }
+
+    /// Runs certification rounds on the kept tree (`n >= 2`), swapping
+    /// the longest edge for the shortest cut pair until the certificate
+    /// holds or the budget runs out.
+    fn certify<const D: usize>(&mut self, points: &[Point<D>]) -> f64 {
+        let n = points.len();
+        let budget = pair_count(n);
+        let mut scanned = 0u64;
+        self.len2.clear();
+        self.len2.push(f64::NEG_INFINITY);
+        self.len2
+            .extend((1..n).map(|v| points[v].distance_sq(&points[self.parent[v] as usize])));
+        loop {
+            let (cut, l2) = self.len2.iter().copied().enumerate().fold(
+                (0, f64::NEG_INFINITY),
+                |best, (v, d2)| if d2 > best.1 { (v, d2) } else { best },
+            );
+            self.collect_subtree(cut as u32);
+            let size = self.subtree.len();
+            let pairs = (size * (n - size)) as u64;
+            if scanned + pairs > budget {
+                return self.reseed(points);
+            }
+            scanned += pairs;
+            self.counts.rounds += 1;
+            self.counts.pairs += pairs;
+
+            let (m, [inside, outside]) = self.shortest_cut_pair(points, cut, l2);
+            if m == l2 {
+                self.counts.certified += 1;
+                return l2.sqrt();
+            }
+            self.rehang(cut as u32, inside, outside, m);
+        }
+    }
+
+    /// Fills `subtree` with `root` and its descendants.
+    fn collect_subtree(&mut self, root: u32) {
+        self.subtree.clear();
+        self.subtree.push(root);
+        let mut k = 0;
+        while k < self.subtree.len() {
+            let mut child = self.first_child[self.subtree[k] as usize];
+            while child != NONE {
+                self.subtree.push(child);
+                child = self.next_sibling[child as usize];
+            }
+            k += 1;
+        }
+    }
+
+    /// The shortest pair across the cut between `subtree` (below edge
+    /// `cut`) and the rest, as `(squared length, [inside, outside])`.
+    /// The cut edge itself crosses with squared length `l2`, so only a
+    /// strictly shorter pair replaces it. The outer loop runs over the
+    /// smaller side, so the work stays within twice the pair count.
+    fn shortest_cut_pair<const D: usize>(
+        &mut self,
+        points: &[Point<D>],
+        cut: usize,
+        l2: f64,
+    ) -> (f64, [u32; 2]) {
+        let mut best = (l2, [cut as u32, self.parent[cut]]);
+        for &v in &self.subtree {
+            self.in_subtree[v as usize] = true;
+        }
+        if 2 * self.subtree.len() <= points.len() {
+            for &i in &self.subtree {
+                let p = points[i as usize];
+                for (j, q) in points.iter().enumerate() {
+                    if !self.in_subtree[j] {
+                        let d2 = p.distance_sq(q);
+                        if d2 < best.0 {
+                            best = (d2, [i, j as u32]);
+                        }
+                    }
+                }
+            }
+        } else {
+            for (j, q) in points.iter().enumerate() {
+                if !self.in_subtree[j] {
+                    for &i in &self.subtree {
+                        let d2 = q.distance_sq(&points[i as usize]);
+                        if d2 < best.0 {
+                            best = (d2, [i, j as u32]);
+                        }
+                    }
+                }
+            }
+        }
+        for &v in &self.subtree {
+            self.in_subtree[v as usize] = false;
+        }
+        best
+    }
+
+    /// Swaps edge `cut` (to `cut`'s parent) for the edge `inside`–
+    /// `outside` of squared length `len2`: re-roots the subtree below
+    /// `cut` at `inside` by reversing the path between them, and hangs
+    /// it from `outside`.
+    fn rehang(&mut self, cut: u32, inside: u32, outside: u32, len2: f64) {
+        let (mut v, mut new_parent, mut new_len2) = (inside, outside, len2);
+        loop {
+            let (old_parent, old_len2) = (self.parent[v as usize], self.len2[v as usize]);
+            self.unlink(v);
+            self.link(v, new_parent);
+            self.len2[v as usize] = new_len2;
+            if v == cut {
+                return;
+            }
+            (v, new_parent, new_len2) = (old_parent, v, old_len2);
+        }
+    }
+
+    /// Makes `v` the first child of `parent`.
+    fn link(&mut self, v: u32, parent: u32) {
+        let head = self.first_child[parent as usize];
+        self.parent[v as usize] = parent;
+        self.next_sibling[v as usize] = head;
+        self.prev_sibling[v as usize] = NONE;
+        if head != NONE {
+            self.prev_sibling[head as usize] = v;
+        }
+        self.first_child[parent as usize] = v;
+    }
+
+    /// Removes `v` from its parent's child list.
+    fn unlink(&mut self, v: u32) {
+        let (prev, next) = (self.prev_sibling[v as usize], self.next_sibling[v as usize]);
+        if prev == NONE {
+            self.first_child[self.parent[v as usize] as usize] = next;
+        } else {
+            self.next_sibling[prev as usize] = next;
+        }
+        if next != NONE {
+            self.prev_sibling[next as usize] = prev;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -271,5 +621,147 @@ mod tests {
             uf.union(e.a as usize, e.b as usize);
         }
         assert!(uf.is_single_component());
+    }
+
+    /// Asserts the tracker and the stateless Prim agree bit for bit.
+    fn assert_same<const D: usize>(t: &mut CriticalRangeTracker, pts: &[Point<D>], what: &str) {
+        let warm = t.critical_range(pts);
+        let cold = critical_range(pts);
+        assert_eq!(warm.to_bits(), cold.to_bits(), "{what}: {warm} vs {cold}");
+    }
+
+    #[test]
+    fn tracker_degenerate_sizes() {
+        let mut t = CriticalRangeTracker::new();
+        let empty: Vec<Point<2>> = vec![];
+        assert_eq!(t.critical_range(&empty), 0.0);
+        assert_eq!(t.critical_range(&[Point::new([3.0, 3.0])]), 0.0);
+        let two = [Point::new([0.0, 0.0]), Point::new([3.0, 4.0])];
+        assert_eq!(t.critical_range(&two), 5.0); // reseed: n changed
+        assert_eq!(t.critical_range(&two), 5.0); // certified: one pair
+        let c = t.counts();
+        assert_eq!((c.calls, c.reseeds, c.certified, c.rounds), (4, 3, 1, 1));
+        assert_eq!(c.pairs, 1 + 1);
+    }
+
+    #[test]
+    fn tracker_reseeds_when_n_changes() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+        let mut t = CriticalRangeTracker::new();
+        let mut pts: Vec<Point<2>> = (0..20)
+            .map(|_| Point::new([rng.random_range(0.0..10.0), rng.random_range(0.0..10.0)]))
+            .collect();
+        assert_same(&mut t, &pts, "first");
+        assert_same(&mut t, &pts, "same placement");
+        assert_eq!(t.counts().reseeds, 1);
+        pts.push(Point::new([5.0, 5.0]));
+        assert_same(&mut t, &pts, "grown");
+        assert_eq!(t.counts().reseeds, 2);
+        pts.truncate(7);
+        assert_same(&mut t, &pts, "shrunk");
+        assert_same(&mut t, &pts, "shrunk again");
+        let c = t.counts();
+        assert_eq!((c.calls, c.reseeds, c.certified), (5, 3, 2));
+    }
+
+    #[test]
+    fn tracker_keeps_exact_ties_on_a_moving_lattice() {
+        // Integer lattice points with duplicates, moved by integer
+        // steps: every squared distance stays an exact integer, so many
+        // pairs tie exactly at every step, including at the bottleneck.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(14);
+        let mut pts: Vec<Point<2>> = Vec::new();
+        for x in 0..8u32 {
+            for y in 0..8u32 {
+                if rng.random_range(0.0..1.0) < 0.5 {
+                    let p = Point::new([f64::from(x), f64::from(y)]);
+                    pts.push(p);
+                    if rng.random_range(0.0..1.0) < 0.15 {
+                        pts.push(p);
+                    }
+                }
+            }
+        }
+        let mut t = CriticalRangeTracker::new();
+        for step in 0..300 {
+            assert_same(&mut t, &pts, &format!("step {step}"));
+            for p in pts.iter_mut() {
+                if rng.random_range(0.0..1.0) < 0.2 {
+                    let axis = rng.random_range(0..2usize);
+                    let delta = if rng.random_range(0.0..1.0) < 0.5 {
+                        -1.0
+                    } else {
+                        1.0
+                    };
+                    let mut c = p.coords();
+                    c[axis] = (c[axis] + delta).clamp(0.0, 7.0);
+                    *p = Point::new(c);
+                }
+            }
+        }
+        let c = t.counts();
+        assert_eq!(c.calls, 300);
+        assert!(c.certified > 200, "{c:?}");
+        assert!(
+            c.rounds > c.certified,
+            "the fixture must exercise swaps: {c:?}"
+        );
+    }
+
+    #[test]
+    fn tracker_certifies_a_far_outlier() {
+        // A tight cluster plus one far node: the outlier's edge is the
+        // bottleneck, its cut is the outlier alone, and the first scan
+        // certifies it with n − 1 pairs.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(21);
+        let mut pts: Vec<Point<2>> = (0..30)
+            .map(|_| Point::new([rng.random_range(0.0..1.0), rng.random_range(0.0..1.0)]))
+            .collect();
+        pts.push(Point::new([100.0, 100.0]));
+        let mut t = CriticalRangeTracker::new();
+        assert_same(&mut t, &pts, "seed");
+        pts[30] = Point::new([90.0, 95.0]);
+        assert_same(&mut t, &pts, "outlier moved");
+        let c = t.counts();
+        assert_eq!((c.reseeds, c.certified, c.rounds), (1, 1, 1));
+        assert_eq!(c.pairs, 31 * 30 / 2 + 30);
+    }
+
+    #[test]
+    fn tracker_matches_prim_along_random_trajectories() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(77);
+        for (n, step) in [(3usize, 0.5), (12, 0.2), (40, 0.05), (40, 2.0)] {
+            let mut pts: Vec<Point<2>> = (0..n)
+                .map(|_| Point::new([rng.random_range(0.0..10.0), rng.random_range(0.0..10.0)]))
+                .collect();
+            let mut t = CriticalRangeTracker::new();
+            for s in 0..200 {
+                assert_same(&mut t, &pts, &format!("n {n} step {s}"));
+                for p in pts.iter_mut() {
+                    let c = p.coords();
+                    *p = Point::new([
+                        (c[0] + rng.random_range(-step..step)).clamp(0.0, 10.0),
+                        (c[1] + rng.random_range(-step..step)).clamp(0.0, 10.0),
+                    ]);
+                }
+            }
+            let c = t.counts();
+            assert_eq!(c.certified + c.reseeds, c.calls);
+            assert!(c.pairs <= (c.calls + c.reseeds) * pair_count(n), "{c:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "minimum_spanning_tree: node 2 has a non-finite coordinate")]
+    fn tracker_non_finite_position_names_the_node() {
+        let mut pts = vec![
+            Point::new([0.0, 0.0]),
+            Point::new([1.0, 0.0]),
+            Point::new([2.0, 1.0]),
+        ];
+        let mut t = CriticalRangeTracker::new();
+        t.critical_range(&pts);
+        pts[2] = Point::new([f64::NAN, 1.0]);
+        t.critical_range(&pts);
     }
 }

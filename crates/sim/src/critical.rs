@@ -16,22 +16,32 @@ use crate::{
     stream::{run_connectivity_stream, ConnectivityObserver, StepView},
     SimError,
 };
-use manet_graph::critical_range;
+use manet_graph::CriticalRangeTracker;
 use manet_mobility::Mobility;
 use manet_stats::{FrozenSeries, RunningMoments};
 
 /// Observer recording the critical transmitting range of every step in
 /// time order (positions-only lane of the connectivity stream: the MST
 /// bottleneck needs no fixed-range snapshot).
+///
+/// Consecutive steps of one trajectory differ by one mobility step, so
+/// the observer keeps a [`CriticalRangeTracker`] that certifies each
+/// step's bottleneck against the previous step's spanning tree instead
+/// of running a cold Prim; its values are bit-identical to
+/// [`manet_graph::critical_range`]. Every iteration builds its own
+/// observer, so no tracker state crosses iterations and the series do
+/// not depend on the thread count.
 struct CriticalRangeObserver {
     series: Vec<f64>,
+    tracker: CriticalRangeTracker,
 }
 
 impl<const D: usize> ConnectivityObserver<D> for CriticalRangeObserver {
     type Output = Vec<f64>;
 
     fn observe(&mut self, view: &StepView<'_, D>) {
-        self.series.push(critical_range(view.positions()));
+        self.series
+            .push(self.tracker.critical_range(view.positions()));
     }
 
     fn finish(self) -> Vec<f64> {
@@ -55,6 +65,7 @@ where
 {
     run_connectivity_stream(config, model, None, |_| CriticalRangeObserver {
         series: Vec::with_capacity(config.steps()),
+        tracker: CriticalRangeTracker::new(),
     })
 }
 
