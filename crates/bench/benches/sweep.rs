@@ -6,7 +6,7 @@
 //! `overhead` group runs grids of near-empty jobs, so any gap between
 //! thread counts is pure scheduling. Second, how does the
 //! critical-scaling workload (the `manet-repro critical-scaling`
-//! spine: one stochastic bisection per cell) scale with workers? Cells
+//! spine: two merge-profile passes per cell) scale with workers? Cells
 //! are independent campaigns, so the `critical_cells` group should
 //! approach linear speedup until cells run out.
 //!
@@ -41,7 +41,7 @@ fn scheduler_overhead(c: &mut Criterion) {
 
 fn critical_cells(c: &mut Criterion) {
     let mut group = c.benchmark_group("sweep_critical_cells");
-    // A 12-cell grid of small bisection campaigns (the critical-scaling
+    // A 12-cell grid of small exact-finder campaigns (the critical-scaling
     // workload shape at bench scale).
     let cells: Vec<(usize, u64)> = (0..12).map(|i| (10 + (i % 3) * 2, i as u64)).collect();
     let search = CriticalRangeSearch::new().with_target(0.95);

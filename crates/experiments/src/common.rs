@@ -60,8 +60,8 @@ pub struct RunOptions {
     /// `--progress`: coarse stderr progress lines (sweep point i/N),
     /// kept strictly off stdout and artifacts.
     pub progress: bool,
-    /// `--target F`: connectivity level in `(0, 1]` the critical-range
-    /// bisection thresholds (critical-scaling; default 0.99).
+    /// `--target F`: connectivity level in `(0, 1]` the critical range
+    /// must reach (critical-scaling; default 0.99).
     pub target: f64,
     /// `--k-target K`: threshold on `k`-vertex-connectivity instead of
     /// the giant-component fraction (critical-scaling).

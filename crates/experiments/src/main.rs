@@ -43,7 +43,7 @@
 //!   --progress       coarse progress lines on stderr (sweep point
 //!                    i/N); stdout and artifacts stay byte-identical
 //!   --target F       connectivity level the critical-scaling
-//!                    bisection thresholds (default 0.99)
+//!                    critical range must reach (default 0.99)
 //!   --k-target K     critical-scaling: threshold k-vertex-
 //!                    connectivity instead of giant-component fraction
 //!   --n-sweep A,B,.. critical-scaling node counts (default 16,32,64);

@@ -4,8 +4,10 @@
 //! transmitting range of a mobile network scales as a power law in the
 //! node count. This experiment locates the transition for each
 //! (mobility model × `n`) cell of a density-preserving sweep
-//! (`side_for(n)` keeps `n / l²` at the paper's base density) via
-//! deterministic stochastic bisection, then fits
+//! (`side_for(n)` keeps `n / l²` at the paper's base density) with
+//! [`find_critical_range`] (exact merge-profile passes for the giant
+//! fraction, the critical-range quantile for `k = 1`, deterministic
+//! stochastic bisection for `k >= 2`), then fits
 //! `log rho_c = a - beta · log n` per model and reports `beta` with a
 //! Student-t confidence interval. Cells run on the batched sweep
 //! scheduler (`manet_sim::sweep`): `--threads` drives the worker pool,
@@ -112,7 +114,7 @@ pub fn run(opts: &RunOptions, session: &mut ObsSession) -> Result<(), CoreError>
     // Everything that shapes a cell's result goes into the fingerprint,
     // so a checkpoint refuses to resume against a different grid.
     let fingerprint = format!(
-        "critical-scaling-v1 seed={} iterations={} steps={} target={} metric={} cells=[{}]",
+        "critical-scaling-v2 seed={} iterations={} steps={} target={} metric={} cells=[{}]",
         opts.seed,
         opts.iterations,
         opts.steps,
@@ -159,7 +161,7 @@ pub fn run(opts: &RunOptions, session: &mut ObsSession) -> Result<(), CoreError>
         jobs.len()
     ));
 
-    // Each cell runs the bisection single-threaded (the scheduler is
+    // Each cell runs its campaigns single-threaded (the scheduler is
     // the fan-out; nesting engine threads would only oversubscribe).
     session.span_enter("critical-scaling/sweep");
     let run = scheduler.run(&jobs, checkpoint.clone().into_results(), |_, job| {

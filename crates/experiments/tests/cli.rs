@@ -543,18 +543,24 @@ fn trace_artifacts_byte_identical_across_skin_settings() {
     }
 }
 
-/// Satellite gate: `--skin` and `--step-threads` reach the
-/// critical-scaling probe construction, and the located thresholds
-/// (the CSV) are byte-identical across both knobs. The JSON embeds
-/// kernel counters, which legitimately differ across skin settings,
-/// so only the CSV is compared.
+/// `--skin` and `--step-threads` shape only the step kernel, and the
+/// located thresholds (the CSV) are byte-identical across both knobs.
+/// The giant fraction's exact passes are positions-only and never
+/// build a graph, so the knobs cannot reach them; `--k-target 2` keeps
+/// the bisection path, whose probes do run the step kernel, under the
+/// same pin. The JSON embeds kernel counters, which legitimately differ
+/// across skin settings, so only the CSV is compared.
 #[test]
 fn critical_scaling_csv_identical_across_skin_and_step_threads() {
-    let mut outputs = Vec::new();
-    for (skin, step_threads) in [("0", "1"), ("auto", "2"), ("15", "4")] {
-        let dir = temp_out(&format!("critical_skin{skin}_st{step_threads}"));
-        let out = repro()
-            .args([
+    for k_target in [None, Some("2")] {
+        let mut outputs = Vec::new();
+        for (skin, step_threads) in [("0", "1"), ("auto", "2"), ("15", "4")] {
+            let dir = temp_out(&format!(
+                "critical_skin{skin}_st{step_threads}_k{}",
+                k_target.unwrap_or("giant")
+            ));
+            let mut cmd = repro();
+            cmd.args([
                 "critical-scaling",
                 "--iterations",
                 "2",
@@ -568,26 +574,28 @@ fn critical_scaling_csv_identical_across_skin_and_step_threads() {
                 skin,
                 "--step-threads",
                 step_threads,
-                "--out",
-            ])
-            .arg(&dir)
-            .output()
-            .unwrap();
-        assert!(
-            out.status.success(),
-            "stderr: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let csv = std::fs::read_to_string(dir.join("critical_scaling.csv")).unwrap();
-        outputs.push(((skin, step_threads), csv));
-        std::fs::remove_dir_all(dir).ok();
-    }
-    let (_, ref want) = outputs[0];
-    for (cfg, csv) in &outputs[1..] {
-        assert_eq!(
-            csv, want,
-            "critical_scaling.csv must not depend on --skin/--step-threads (at {cfg:?})"
-        );
+            ]);
+            if let Some(k) = k_target {
+                cmd.args(["--k-target", k]);
+            }
+            let out = cmd.arg("--out").arg(&dir).output().unwrap();
+            assert!(
+                out.status.success(),
+                "stderr: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            let csv = std::fs::read_to_string(dir.join("critical_scaling.csv")).unwrap();
+            outputs.push(((skin, step_threads), csv));
+            std::fs::remove_dir_all(dir).ok();
+        }
+        let (_, ref want) = outputs[0];
+        for (cfg, csv) in &outputs[1..] {
+            assert_eq!(
+                csv, want,
+                "critical_scaling.csv must not depend on --skin/--step-threads \
+                 (at {cfg:?}, --k-target {k_target:?})"
+            );
+        }
     }
 }
 
@@ -792,10 +800,72 @@ fn critical_scaling_matches_golden_across_thread_counts() {
     }
 }
 
-/// n = 256 puts probe construction on the grid branch of
-/// `AdjacencyList::from_points`, and the bisection's first probe sits
-/// at `r = 1e-9`: a grid sized `(side/r)^D` used to overflow there.
-/// The lattice rule keeps it at ~n cells.
+/// The exact finder replaced 13 bisection probes per cell. Bisection
+/// answers the smallest range its bracket proves, at most one
+/// tolerance (`1e-3 · side`) above the true threshold, so every cell of
+/// the regenerated golden must sit at or below the bisected one, and
+/// within that tolerance of it. The rows are the golden as bisection
+/// wrote it.
+#[test]
+fn critical_scaling_golden_moved_down_within_the_bisection_tolerance() {
+    const BISECTED: [&str; 6] = [
+        "waypoint,16,256.000,105.005,0.4102,13",
+        "drunkard,16,256.000,118.617,0.4633,13",
+        "waypoint,32,362.039,103.750,0.2866,13",
+        "drunkard,32,362.039,100.500,0.2776,13",
+        "waypoint,64,512.000,97.227,0.1899,13",
+        "drunkard,64,512.000,113.137,0.2210,13",
+    ];
+    let dir = temp_out("critical_golden_move");
+    let out = repro()
+        .args([
+            "critical-scaling",
+            "--iterations",
+            "3",
+            "--steps",
+            "120",
+            "--n-sweep",
+            "16,32,64",
+            "--seed",
+            "20020623",
+            "--models",
+            "waypoint,drunkard",
+            "--out",
+        ])
+        .arg(&dir)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let csv = std::fs::read_to_string(dir.join("critical_scaling.csv")).unwrap();
+    let rows: Vec<&str> = csv.lines().skip(1).collect();
+    assert_eq!(rows.len(), BISECTED.len(), "{csv}");
+    let field = |row: &str, i: usize| row.split(',').nth(i).unwrap().to_string();
+    for (new, old) in rows.iter().zip(BISECTED) {
+        assert_eq!(field(new, 0), field(old, 0));
+        assert_eq!(field(new, 1), field(old, 1));
+        let side: f64 = field(old, 2).parse().unwrap();
+        let (new_r, old_r): (f64, f64) = (
+            field(new, 3).parse().unwrap(),
+            field(old, 3).parse().unwrap(),
+        );
+        assert!(
+            new_r <= old_r && old_r - new_r <= 1e-3 * side,
+            "exact {new} vs bisected {old}"
+        );
+        assert_eq!(field(new, 5), "2", "two merge-profile passes: {new}");
+    }
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// A 256-node cell runs end to end. Its giant-fraction passes build
+/// no graph; the grid branch of `AdjacencyList::from_points` at the
+/// bracket's `r = 1e-9` floor, where a grid sized `(side/r)^D` used to
+/// overflow, is reached only by `--k-target` >= 2 probes and is pinned
+/// by `tiny_range_in_huge_region_matches_brute_force` in `manet-graph`.
 #[test]
 fn critical_scaling_runs_on_the_grid_branch_at_tiny_first_probe() {
     let dir = temp_out("critical_grid_branch");

@@ -94,8 +94,8 @@ pub use manet_graph::Skin;
 pub use profile::{simulate_profiles, ProfileResults, RangeSizeProfile};
 pub use quantity::{measure_mobility_quantity, MobilityQuantity};
 pub use scaling::{
-    find_critical_range, fit_scaling_exponent, ConnectivityMetric, CriticalPoint,
-    CriticalRangeSearch, ScalingExponent,
+    bisect_critical_range, find_critical_range, fit_scaling_exponent, ConnectivityMetric,
+    CriticalPoint, CriticalRangeSearch, ScalingExponent,
 };
 pub use stationary::StationaryAnalysis;
 pub use stream::{

@@ -7,18 +7,42 @@
 //! metric reaches a target — and fits the exponent across a
 //! density-preserving `n` sweep.
 //!
-//! # Monotone stochastic bisection
+//! # Three paths over fixed trajectories
 //!
 //! The engine's trajectories depend only on `(config, model)`, never
-//! on the probed range, so one seed fixes every placement and step.
-//! Over those fixed trajectories both supported metrics are monotone
-//! non-decreasing in `r` (adding edges can only grow the largest
-//! component, and can only raise vertex connectivity), which makes the
-//! threshold question exactly the shape [`bisect_monotone`] answers:
-//! each probe is a fresh seeded multi-iteration campaign through
-//! [`run_connectivity_stream`], and the bisection converges to the
-//! true threshold of the *fixed* trajectory ensemble within
-//! tolerance. Determinism is inherited, so critical points are
+//! on the range, so one seed fixes every placement and step, and over
+//! those fixed trajectories both metrics are monotone non-decreasing
+//! in `r` (adding edges can only grow the largest component, and can
+//! only raise vertex connectivity). [`find_critical_range`] picks the
+//! cheapest path that answers the threshold question for its metric:
+//!
+//! * **Giant fraction: two positions-only merge-profile passes.** A
+//!   step's largest component at `r` is the step function
+//!   [`MergeProfile::largest_component_at`]: 1 plus the size growth of
+//!   every profile event at a range `<= r`. The pooled mean is the sum
+//!   of those over every step, divided by `iterations · steps · n`.
+//!   Pass 1 bins each event's integer size
+//!   growth into a histogram of width `rel_tol · side` and picks the
+//!   first bin whose cumulative total reaches the target; pass 2
+//!   re-runs the same trajectories, keeps only that bin's events, and
+//!   applies them in range order. The answer is exact in the profile's
+//!   convention, and memory is one histogram per iteration plus the
+//!   events of one bin, whatever the step count.
+//! * **1-connectivity: the pooled quantile.** Connected at `r` ⟺
+//!   `c_t <= r`, so the threshold is an order statistic of the
+//!   per-step critical ranges ([`simulate_critical_ranges`]): one
+//!   campaign on the warm-start tracker, exact.
+//! * **k-connectivity, k ≥ 2: monotone stochastic bisection**
+//!   ([`bisect_critical_range`]). Each probe is a fresh seeded campaign
+//!   through [`run_connectivity_stream`] at a fixed range, and
+//!   [`bisect_monotone`] converges to the threshold of the fixed
+//!   trajectory ensemble within `rel_tol · side`. It also serves as
+//!   the test oracle for the two exact paths.
+//!
+//! Every path answers inside the bisection's bracket
+//! `[1e-9, diameter]`, so a cell that meets its target at `r = 0`
+//! reports `1e-9` rather than a zero the log-log fit cannot take.
+//! Determinism is inherited from the engine, so critical points are
 //! bit-identical across thread counts.
 //!
 //! # Normalization
@@ -34,11 +58,13 @@
 
 use crate::{
     config::SimConfig,
+    critical::simulate_critical_ranges,
     search::bisect_monotone,
     stream::{run_connectivity_stream, ConnectivityObserver, StepView},
     SimError,
 };
 use manet_graph::kconn::is_k_connected;
+use manet_graph::MergeProfile;
 use manet_mobility::Mobility;
 use manet_obs::KernelMetrics;
 use manet_stats::{ConfidenceInterval, LinearFit};
@@ -92,8 +118,9 @@ impl CriticalRangeSearch {
         self
     }
 
-    /// Sets the bisection tolerance as a fraction of the region side
-    /// (chainable).
+    /// Sets the tolerance as a fraction of the region side
+    /// (chainable): the bisection's bracket width, and the histogram
+    /// bin width of the giant fraction's exact search.
     pub fn with_rel_tol(mut self, rel_tol: f64) -> Self {
         self.rel_tol = rel_tol;
         self
@@ -144,15 +171,21 @@ impl CriticalRangeSearch {
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CriticalPoint {
-    /// The smallest range (within tolerance) whose mean metric reaches
-    /// the target.
+    /// The smallest range whose mean metric reaches the target: exact
+    /// for the giant fraction and 1-connectivity, within tolerance for
+    /// `k >= 2`.
     pub range: f64,
     /// `range / side` — the scale-free quantity the power law fits.
     pub normalized: f64,
-    /// Bisection probes run (each one full seeded campaign).
+    /// Seeded campaigns run over the cell's trajectories: 2 for the
+    /// giant fraction's merge-profile passes, 1 for the
+    /// 1-connectivity quantile, and one per bisection probe for
+    /// `k >= 2`.
     pub probes: usize,
-    /// Deterministic kernel counters merged over every probe's
-    /// iterations — the telemetry the CLI forwards to `ObsSession`.
+    /// Deterministic step-kernel counters merged over every bisection
+    /// probe's iterations — the telemetry the CLI forwards to
+    /// `ObsSession`. The two exact paths run no step kernel and leave
+    /// it at its default.
     pub kernel: KernelMetrics,
 }
 
@@ -222,15 +255,65 @@ where
     Ok((sum / outputs.len() as f64, kernel))
 }
 
-/// Locates the critical range of one `(config, model)` cell by
-/// deterministic stochastic bisection over `[0, diameter]`.
+/// Lower end of the search bracket `[BRACKET_LO, diameter]` every path
+/// answers in.
+const BRACKET_LO: f64 = 1e-9;
+
+/// Upper bound on the giant-fraction histogram's bin count. The bin
+/// width only trades pass 1's histogram against pass 2's kept events;
+/// the answer does not depend on it, so a tiny `rel_tol` widens the
+/// bins instead of allocating billions of them.
+const MAX_BINS: usize = 1 << 16;
+
+/// Locates the critical range of one `(config, model)` cell: the
+/// smallest range in `[1e-9, diameter]` whose mean metric over the
+/// cell's fixed trajectories reaches the target (see the module docs
+/// for the three paths).
 ///
 /// # Errors
 ///
 /// Returns [`SimError::InvalidConfig`] for an invalid search
 /// (target outside `(0, 1]`, non-positive tolerance, infeasible `k`)
-/// and propagates engine errors from the probes.
+/// and propagates engine errors from the campaigns.
 pub fn find_critical_range<const D: usize, M>(
+    config: &SimConfig<D>,
+    model: &M,
+    search: &CriticalRangeSearch,
+) -> Result<CriticalPoint, SimError>
+where
+    M: Mobility<D> + Clone + Send + Sync,
+{
+    search.validate(config)?;
+    let (range, probes) = match search.metric {
+        ConnectivityMetric::GiantFraction => (giant_fraction_threshold(config, model, search)?, 2),
+        ConnectivityMetric::KConnectivity(1) => {
+            let pooled = simulate_critical_ranges(config, model)?.pooled()?;
+            (pooled.smallest_covering(search.target)?, 1)
+        }
+        ConnectivityMetric::KConnectivity(_) => {
+            return bisect_critical_range(config, model, search);
+        }
+    };
+    let range = range.clamp(BRACKET_LO, config.region().diameter());
+    Ok(CriticalPoint {
+        range,
+        normalized: range / config.side(),
+        probes,
+        kernel: KernelMetrics::default(),
+    })
+}
+
+/// Locates the critical range of one `(config, model)` cell by
+/// deterministic stochastic bisection over `[1e-9, diameter]`, one
+/// fixed-range campaign per probe. [`find_critical_range`] uses it for
+/// `k >= 2`; for the other metrics it is the oracle the exact paths
+/// are tested against.
+///
+/// # Errors
+///
+/// Returns [`SimError::InvalidConfig`] for an invalid search and
+/// propagates engine errors from the probes.
+pub fn bisect_critical_range<const D: usize, M>(
     config: &SimConfig<D>,
     model: &M,
     search: &CriticalRangeSearch,
@@ -244,7 +327,7 @@ where
     let mut probes = 0usize;
     let mut kernel = KernelMetrics::default();
     let mut error = None;
-    let range = bisect_monotone(1e-9, hi, tol, |r| {
+    let range = bisect_monotone(BRACKET_LO, hi, tol, |r| {
         match evaluate_metric(config, model, search.metric, r) {
             Ok((mean, k)) => {
                 probes += 1;
@@ -266,6 +349,140 @@ where
         probes,
         kernel,
     })
+}
+
+/// Histogram bins of width `width` over `[0, diameter]`: bin `j` holds
+/// the ranges in `((j − 1)·width, j·width]`, bin 0 the range 0. The
+/// index is monotone in the range, so every event of a lower bin has a
+/// strictly smaller range than every event of a higher one.
+#[derive(Clone, Copy)]
+struct Bins {
+    width: f64,
+    last: usize,
+}
+
+impl Bins {
+    fn of(&self, range: f64) -> usize {
+        ((range / self.width).ceil() as usize).min(self.last)
+    }
+}
+
+/// Calls `f(range, growth)` for every event of the merge profile of
+/// `view`'s positions, `growth` being how much the largest component
+/// grows at `range`.
+fn for_each_growth<const D: usize>(view: &StepView<'_, D>, mut f: impl FnMut(f64, u64)) {
+    let mut size = 1;
+    for &(range, s) in MergeProfile::of(view.positions()).events() {
+        f(range, u64::from(s - size));
+        size = s;
+    }
+}
+
+/// Pass 1: one iteration's total growth per bin.
+struct GrowthHistogram {
+    bins: Bins,
+    totals: Vec<u64>,
+}
+
+impl<const D: usize> ConnectivityObserver<D> for GrowthHistogram {
+    type Output = Vec<u64>;
+
+    fn observe(&mut self, view: &StepView<'_, D>) {
+        for_each_growth(view, |range, growth| {
+            self.totals[self.bins.of(range)] += growth;
+        });
+    }
+
+    fn finish(self) -> Vec<u64> {
+        self.totals
+    }
+}
+
+/// Pass 2: one iteration's `(range, growth)` events inside one bin.
+struct GrowthInBin {
+    bins: Bins,
+    bin: usize,
+    events: Vec<(f64, u64)>,
+}
+
+impl<const D: usize> ConnectivityObserver<D> for GrowthInBin {
+    type Output = Vec<(f64, u64)>;
+
+    fn observe(&mut self, view: &StepView<'_, D>) {
+        for_each_growth(view, |range, growth| {
+            if self.bins.of(range) == self.bin {
+                self.events.push((range, growth));
+            }
+        });
+    }
+
+    fn finish(self) -> Vec<(f64, u64)> {
+        self.events
+    }
+}
+
+/// The exact giant-fraction threshold in the merge profile's
+/// convention: the smallest `r` with
+/// `Σ_steps largest_component_at(r) / (iterations · steps · n) >= target`,
+/// from two positions-only passes over the cell's trajectories.
+fn giant_fraction_threshold<const D: usize, M>(
+    config: &SimConfig<D>,
+    model: &M,
+    search: &CriticalRangeSearch,
+) -> Result<f64, SimError>
+where
+    M: Mobility<D> + Clone + Send + Sync,
+{
+    let hi = config.region().diameter();
+    let width = (search.rel_tol * config.side()).max(hi / MAX_BINS as f64);
+    let bins = Bins {
+        width,
+        last: (hi / width).ceil() as usize,
+    };
+    let step_count = (config.iterations() * config.steps()) as u64;
+    let denominator = (step_count * config.nodes() as u64) as f64;
+    let reaches = |total: u64| total as f64 / denominator >= search.target;
+
+    let mut pooled = vec![0u64; bins.last + 1];
+    for totals in run_connectivity_stream(config, model, None, |_| GrowthHistogram {
+        bins,
+        totals: vec![0; bins.last + 1],
+    })? {
+        for (p, t) in pooled.iter_mut().zip(totals) {
+            *p += t;
+        }
+    }
+    // Every step starts from singletons: a largest component of 1.
+    let mut below = step_count;
+    let Some(bin) = pooled.iter().position(|&t| {
+        below += t;
+        reaches(below)
+    }) else {
+        // Unreachable for n >= 1: the last bin brings every step to n.
+        return Ok(hi);
+    };
+    below -= pooled[bin];
+    if reaches(below) {
+        return Ok(0.0);
+    }
+
+    let mut events: Vec<(f64, u64)> =
+        run_connectivity_stream(config, model, None, |_| GrowthInBin {
+            bins,
+            bin,
+            events: Vec::new(),
+        })?
+        .into_iter()
+        .flatten()
+        .collect();
+    events.sort_by(|a, b| a.0.total_cmp(&b.0));
+    Ok(events
+        .chunk_by(|a, b| a.0 == b.0)
+        .find_map(|run| {
+            below += run.iter().map(|e| e.1).sum::<u64>();
+            reaches(below).then_some(run[0].0)
+        })
+        .unwrap_or(hi))
 }
 
 /// A fitted finite-size scaling exponent `rho_c ~ n^(-beta)` with its
@@ -378,14 +595,62 @@ mod tests {
         let point = find_critical_range(&cfg, &model, &search).unwrap();
         assert!(point.range > 0.0 && point.range < cfg.region().diameter());
         assert!((point.normalized - point.range / 120.0).abs() < 1e-15);
-        assert!(point.probes > 5, "bisection should take several probes");
-        assert!(point.kernel.components.applies > 0, "kernel counters empty");
+        assert_eq!(point.probes, 2, "two merge-profile passes");
+        assert_eq!(
+            point.kernel,
+            KernelMetrics::default(),
+            "no step kernel runs"
+        );
+        let bisected = bisect_critical_range(&cfg, &model, &search).unwrap();
+        assert!(bisected.probes > 5, "bisection should take several probes");
+        assert!(
+            bisected.kernel.components.applies > 0,
+            "kernel counters empty"
+        );
         // Oracle: the independent fixed-range path confirms the metric
         // crosses the target at the found range and not below it.
         let at = simulate_fixed_range(&cfg, &model, point.range).unwrap();
         assert!(at.avg_largest_fraction() >= 0.95);
         let below = simulate_fixed_range(&cfg, &model, point.range - 2.0 * 1e-4 * 120.0).unwrap();
         assert!(below.avg_largest_fraction() < 0.95);
+    }
+
+    #[test]
+    fn exact_giant_fraction_does_not_depend_on_the_bin_width() {
+        // The width only splits the work between the two passes; a tiny
+        // tolerance must not allocate `diameter / width` bins either.
+        let cfg = config(12, 120.0, 2, 15);
+        let model = RandomWaypoint::new(0.5, 2.0, 1, 0.0).unwrap();
+        let find = |rel_tol: f64| {
+            let search = CriticalRangeSearch::new()
+                .with_target(0.9)
+                .with_rel_tol(rel_tol);
+            find_critical_range(&cfg, &model, &search)
+                .unwrap()
+                .range
+                .to_bits()
+        };
+        let reference = find(1e-3);
+        for rel_tol in [1e-12, 1e-5, 0.05, 10.0] {
+            assert_eq!(find(rel_tol), reference, "rel_tol {rel_tol}");
+        }
+    }
+
+    #[test]
+    fn target_met_at_zero_reports_the_bracket_floor() {
+        // Two nodes start as two singletons: a giant fraction of 1/2
+        // at r = 0, so target 0.5 holds before any edge. The answer
+        // stays in the bisection's bracket, keeping rho_c > 0 for the
+        // log-log fit.
+        let cfg = config(2, 100.0, 2, 10);
+        let model = RandomWaypoint::new(0.5, 2.0, 1, 0.0).unwrap();
+        let search = CriticalRangeSearch::new().with_target(0.5);
+        let point = find_critical_range(&cfg, &model, &search).unwrap();
+        assert_eq!(point.range, 1e-9);
+        assert_eq!(
+            point.range,
+            bisect_critical_range(&cfg, &model, &search).unwrap().range
+        );
     }
 
     #[test]

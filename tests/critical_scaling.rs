@@ -1,22 +1,128 @@
 //! Registry-wide pins for the critical-range finder and the batched
-//! sweep scheduler: the stochastic bisection must agree with a
-//! brute-force dense grid scan (an independent oracle through the
-//! fixed-range simulator), and sweep results must be byte-identical
-//! across scheduler thread counts {1, 2, 4, 7} and across
+//! sweep scheduler. The finder must agree with a brute-force dense grid
+//! scan (an independent oracle through the fixed-range simulator) and
+//! with graph-based bisection; its giant-fraction answer must be exact
+//! in the merge profile's convention; at target 1 both exact paths
+//! must return `r100` bit for bit; and results must be byte-identical
+//! across engine, step-kernel and scheduler thread counts and across
 //! budget/resume splits.
 
+use manet::graph::MergeProfile;
 use manet::sim::{
-    find_critical_range, simulate_fixed_range, CriticalRangeSearch, SimConfig, SweepScheduler,
+    bisect_critical_range, find_critical_range, run_connectivity_stream, simulate_critical_ranges,
+    simulate_fixed_range, ConnectivityMetric, ConnectivityObserver, CriticalRangeSearch, SimConfig,
+    StepView, SweepScheduler,
 };
 use manet::{AnyModel, ModelRegistry, PaperScale};
 use proptest::prelude::*;
 
 const SIDE: f64 = 100.0;
 
+/// The two metrics with an exact finder path.
+const EXACT_METRICS: [ConnectivityMetric; 2] = [
+    ConnectivityMetric::GiantFraction,
+    ConnectivityMetric::KConnectivity(1),
+];
+
 fn config(seed: u64) -> SimConfig<2> {
+    sized_config(10, 2, 12, seed)
+}
+
+fn sized_config(nodes: usize, iterations: usize, steps: usize, seed: u64) -> SimConfig<2> {
     let mut b = SimConfig::<2>::builder();
-    b.nodes(10).side(SIDE).iterations(2).steps(12).seed(seed);
+    b.nodes(nodes)
+        .side(SIDE)
+        .iterations(iterations)
+        .steps(steps)
+        .seed(seed);
     b.build().unwrap()
+}
+
+/// Collects the merge profile of every step of one iteration.
+struct ProfileObserver(Vec<MergeProfile>);
+
+impl ConnectivityObserver<2> for ProfileObserver {
+    type Output = Vec<MergeProfile>;
+
+    fn observe(&mut self, view: &StepView<'_, 2>) {
+        self.0.push(MergeProfile::of(view.positions()));
+    }
+
+    fn finish(self) -> Vec<MergeProfile> {
+        self.0
+    }
+}
+
+/// Whether the mean of `largest_component_at(r) / n` over every step of
+/// every iteration reaches `target`, summed in integers.
+fn profile_mean_reaches(
+    cfg: &SimConfig<2>,
+    profiles: &[MergeProfile],
+    r: f64,
+    target: f64,
+) -> bool {
+    let total: usize = profiles.iter().map(|p| p.largest_component_at(r)).sum();
+    total as f64 / (profiles.len() * cfg.nodes()) as f64 >= target
+}
+
+/// Checks one cell against the oracles: (a) each exact path lands
+/// within `tol` of graph-based bisection, never above it by more than
+/// the one-ulp gap between `sqrt(d²)` and `d² <= r·r`; (b) the giant
+/// fraction's answer is exact in the merge profile's convention; (c)
+/// at target 1 both paths return the campaign's `r100` bit for bit.
+fn check_exact_paths(cfg: &SimConfig<2>, name: &str, model: &AnyModel<2>, target: f64) {
+    let tol = 1e-3 * SIDE;
+    let mut found = Vec::new();
+    for metric in EXACT_METRICS {
+        let search = CriticalRangeSearch::new()
+            .with_metric(metric)
+            .with_target(target);
+        let point = find_critical_range(cfg, model, &search).unwrap();
+        let bisected = bisect_critical_range(cfg, model, &search).unwrap().range;
+        assert!(
+            point.range <= bisected * (1.0 + f64::EPSILON) && bisected - point.range <= tol,
+            "{name} {metric:?} target {target}: finder {} vs bisection {bisected}",
+            point.range
+        );
+        assert_eq!(point.kernel, Default::default(), "{name} {metric:?}");
+        found.push(point.range);
+    }
+
+    let profiles: Vec<MergeProfile> =
+        run_connectivity_stream(cfg, model, None, |_| ProfileObserver(Vec::new()))
+            .unwrap()
+            .into_iter()
+            .flatten()
+            .collect();
+    let r = found[0];
+    assert!(
+        profile_mean_reaches(cfg, &profiles, r, target),
+        "{name} target {target}: the profile mean misses the target at {r}"
+    );
+    if r > 1e-9 {
+        assert!(
+            !profile_mean_reaches(cfg, &profiles, r.next_down(), target),
+            "{name} target {target}: the profile mean already reaches the target below {r}"
+        );
+    }
+
+    let r100 = simulate_critical_ranges(cfg, model)
+        .unwrap()
+        .pooled()
+        .unwrap()
+        .max();
+    for metric in EXACT_METRICS {
+        let search = CriticalRangeSearch::new()
+            .with_metric(metric)
+            .with_target(1.0);
+        let point = find_critical_range(cfg, model, &search).unwrap();
+        assert_eq!(
+            point.range.to_bits(),
+            r100.to_bits(),
+            "{name} {metric:?}: target 1 gave {} for r100 {r100}",
+            point.range
+        );
+    }
 }
 
 /// Every builtin model, resolved at the test scale.
@@ -90,6 +196,17 @@ proptest! {
     }
 
     #[test]
+    fn exact_finder_matches_bisection_profile_and_r100_for_every_model(
+        seed in any::<u64>(),
+        target in 0.5..1.0f64,
+    ) {
+        let cfg = config(seed);
+        for (name, model) in registry_models() {
+            check_exact_paths(&cfg, &name, &model, target);
+        }
+    }
+
+    #[test]
     fn sweep_results_are_byte_identical_across_thread_counts(
         seed in any::<u64>(),
         target in 0.7..1.0f64,
@@ -135,15 +252,11 @@ fn budgeted_resume_matches_uninterrupted_sweep_bit_for_bit() {
     assert_eq!(resumed, uninterrupted);
 }
 
+/// Every path, on every registry model, returns the same bits at any
+/// engine and step-kernel thread count.
 #[test]
 fn finder_is_engine_and_step_thread_invariant() {
-    let model = registry_models()
-        .into_iter()
-        .find(|(name, _)| name == "waypoint")
-        .unwrap()
-        .1;
-    let search = CriticalRangeSearch::new();
-    let run = |threads: usize, step_threads: usize| {
+    let run = |model: &AnyModel<2>, metric, threads: usize, step_threads: usize| {
         let mut b = SimConfig::<2>::builder();
         b.nodes(10)
             .side(SIDE)
@@ -152,13 +265,41 @@ fn finder_is_engine_and_step_thread_invariant() {
             .seed(5)
             .threads(threads)
             .step_threads(step_threads);
-        find_critical_range(&b.build().unwrap(), &model, &search)
+        let search = CriticalRangeSearch::new().with_metric(metric);
+        find_critical_range(&b.build().unwrap(), model, &search)
             .unwrap()
             .range
             .to_bits()
     };
-    let reference = run(1, 1);
-    assert_eq!(run(4, 1), reference);
-    assert_eq!(run(1, 3), reference);
-    assert_eq!(run(2, 2), reference);
+    let metrics = [
+        ConnectivityMetric::GiantFraction,
+        ConnectivityMetric::KConnectivity(1),
+        ConnectivityMetric::KConnectivity(2),
+    ];
+    for (name, model) in registry_models() {
+        for metric in metrics {
+            let reference = run(&model, metric, 1, 1);
+            for (threads, step_threads) in [(4, 1), (1, 3), (2, 2)] {
+                assert_eq!(
+                    run(&model, metric, threads, step_threads),
+                    reference,
+                    "{name} {metric:?} at threads {threads}, step threads {step_threads}"
+                );
+            }
+        }
+    }
+}
+
+/// The exact paths at the sizes they are built for, against the same
+/// oracles as the tier-1 proptest. Release-only: the bisection oracle
+/// re-simulates 13 campaigns per cell and metric.
+#[test]
+#[ignore = "release-only oracle; run by CI"]
+fn exact_finder_matches_oracles_at_scale() {
+    for (nodes, target) in [(128, 0.97), (256, 0.995)] {
+        let cfg = sized_config(nodes, 2, 30, 0x5CA1E);
+        for (name, model) in registry_models() {
+            check_exact_paths(&cfg, &name, &model, target);
+        }
+    }
 }
