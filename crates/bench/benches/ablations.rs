@@ -71,7 +71,9 @@ fn profile_resolutions(c: &mut Criterion) {
                 .model(bench_waypoint())
                 .build()
                 .unwrap();
-            bch.iter(|| black_box(p.component_profiles().unwrap()))
+            bch.iter(|| {
+                black_box(manet_core::sim::simulate_profiles(p.config(), p.model()).unwrap())
+            })
         });
     }
     group.finish();

@@ -23,7 +23,10 @@
 //!   component-size targets `rl90/rl75/rl50`, and availability
 //!   estimates, over any mobility model from the scenario zoo — a
 //!   concrete type or a name resolved through the
-//!   [`ModelRegistry`]/[`AnyModel`] pair. Every per-step
+//!   [`ModelRegistry`]/[`AnyModel`] pair. `solve()` runs one
+//!   critical-range pass and `campaign()` one fused pass that adds the
+//!   component profiles ([`MtrmCampaign`]); every metric is an accessor
+//!   on their results, so no query re-simulates. Every per-step
 //!   query runs on the incremental connectivity spine
 //!   (`DynamicGraph → DynamicComponents → ConnectivityStream`, see
 //!   [`graph`] and [`sim::stream`]): snapshots are rebuilt
@@ -68,7 +71,7 @@ pub mod theorems;
 
 pub use manet_mobility::{AnyModel, ModelRegistry, PaperScale};
 pub use mtr::MtrProblem;
-pub use mtrm::{MtrmProblem, MtrmSolution};
+pub use mtrm::{MtrmCampaign, MtrmProblem, MtrmSolution};
 pub use range_assignment::RangeAssignment;
 pub use theorems::ConnectivityRegime;
 

@@ -10,6 +10,13 @@
 //! `r100/r90/r10/r0`, the component-size targets `rl90/rl75/rl50`, and
 //! availability estimates at arbitrary ranges.
 //!
+//! Every simulating `MtrmProblem` method runs exactly one campaign, and every
+//! range-free metric is an accessor on its result: [`MtrmProblem::solve`]
+//! runs the critical-range pass behind [`MtrmSolution`], and
+//! [`MtrmProblem::campaign`] runs one fused pass that also records the
+//! component-size profiles behind [`MtrmCampaign`]. Query the result as
+//! often as needed; nothing re-simulates behind an accessor.
+//!
 //! Models are supplied as [`AnyModel`] handles — either built directly
 //! from a concrete type (`RandomWaypoint::new(...)?.into()`) or
 //! resolved by name through the
@@ -19,7 +26,7 @@
 use crate::CoreError;
 use manet_mobility::AnyModel;
 use manet_sim::{
-    simulate_component_ranges, simulate_critical_ranges, simulate_fixed_range, simulate_profiles,
+    simulate_campaign, simulate_component_ranges, simulate_critical_ranges, simulate_fixed_range,
     CriticalRangeResults, FixedRangeReport, MobileRangeSummary, ProfileResults, SimConfig,
 };
 
@@ -39,6 +46,68 @@ pub struct MtrmSolution {
     pub critical: CriticalRangeResults,
 }
 
+impl MtrmSolution {
+    fn new(critical: CriticalRangeResults) -> Result<Self, CoreError> {
+        let ranges = critical.summary()?;
+        Ok(MtrmSolution { ranges, critical })
+    }
+
+    /// The minimum range keeping the network connected during
+    /// `fraction` of the time (mean across iterations) — MTRM for an
+    /// arbitrary `f`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Sim`] for `fraction` outside `[0, 1]`.
+    pub fn range_for_time_fraction(&self, fraction: f64) -> Result<f64, CoreError> {
+        Ok(self.critical.mean_range_for_fraction(fraction)?)
+    }
+
+    /// Availability estimate: fraction of time the whole network is
+    /// connected at range `r`.
+    pub fn availability_at(&self, r: f64) -> f64 {
+        self.critical.connectivity_fraction_at(r)
+    }
+}
+
+/// One fused campaign of an MTRM instance: the [`MtrmSolution`] plus
+/// the component-size profiles read off the same trajectories.
+#[derive(Debug, Clone)]
+pub struct MtrmCampaign {
+    solution: MtrmSolution,
+    profiles: ProfileResults,
+}
+
+impl MtrmCampaign {
+    /// The range metrics (`r100/r90/r10/r0`) and critical-range series.
+    pub fn solution(&self) -> &MtrmSolution {
+        &self.solution
+    }
+
+    /// The raw component-size profiles (Figures 4–5 material).
+    pub fn component_profiles(&self) -> &ProfileResults {
+        &self.profiles
+    }
+
+    /// The ranges at which the **average largest component** reaches
+    /// each `fraction·n` (the paper's `rl90/rl75/rl50` for fractions
+    /// 0.9/0.75/0.5), as `(fraction, mean range)` pairs.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Sim`] when no iteration reaches a target
+    /// on its grid (e.g. `fraction > 1`).
+    pub fn ranges_for_component_fractions(
+        &self,
+        fractions: &[f64],
+    ) -> Result<Vec<(f64, f64)>, CoreError> {
+        fractions
+            .iter()
+            .map(|&f| Ok((f, self.profiles.mean_range_for_average_fraction(f)?)))
+            .collect()
+    }
+}
+
 impl<const D: usize> MtrmProblem<D> {
     /// Starts building an instance.
     pub fn builder() -> MtrmProblemBuilder<D> {
@@ -55,66 +124,30 @@ impl<const D: usize> MtrmProblem<D> {
         &self.model
     }
 
-    /// Solves for the connectivity ranges (`r100/r90/r10/r0`).
+    /// Solves for the connectivity ranges (`r100/r90/r10/r0`): one
+    /// critical-range pass.
     ///
     /// # Errors
     ///
     /// Propagates [`CoreError::Sim`].
     pub fn solve(&self) -> Result<MtrmSolution, CoreError> {
-        let critical = simulate_critical_ranges(&self.config, &self.model)?;
-        let ranges = critical.summary()?;
-        Ok(MtrmSolution { ranges, critical })
+        MtrmSolution::new(simulate_critical_ranges(&self.config, &self.model)?)
     }
 
-    /// The minimum range keeping the network connected during
-    /// `fraction` of the time (mean across iterations) — MTRM for an
-    /// arbitrary `f`.
+    /// Runs one fused pass recording both the critical range of every
+    /// step and the component-size profile of every
+    /// `profile_stride`-th step. Its solution is bit-identical to
+    /// [`MtrmProblem::solve`]'s.
     ///
     /// # Errors
     ///
     /// Propagates [`CoreError::Sim`].
-    pub fn range_for_time_fraction(&self, fraction: f64) -> Result<f64, CoreError> {
-        let critical = simulate_critical_ranges(&self.config, &self.model)?;
-        Ok(critical.mean_range_for_fraction(fraction)?)
-    }
-
-    /// The ranges at which the **average largest component** reaches
-    /// each `fraction·n` (the paper's `rl90/rl75/rl50` for fractions
-    /// 0.9/0.75/0.5), as `(fraction, mean range)` pairs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CoreError::Sim`].
-    pub fn ranges_for_component_fractions(
-        &self,
-        fractions: &[f64],
-    ) -> Result<Vec<(f64, f64)>, CoreError> {
-        let profiles = self.component_profiles()?;
-        let mut out = Vec::with_capacity(fractions.len());
-        for &f in fractions {
-            out.push((f, profiles.mean_range_for_average_fraction(f)?));
-        }
-        Ok(out)
-    }
-
-    /// The raw component-size profiles (Figures 4–5 material).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CoreError::Sim`].
-    pub fn component_profiles(&self) -> Result<ProfileResults, CoreError> {
-        Ok(simulate_profiles(&self.config, &self.model)?)
-    }
-
-    /// Availability estimate: fraction of time the whole network is
-    /// connected at range `r`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CoreError::Sim`].
-    pub fn availability_at(&self, r: f64) -> Result<f64, CoreError> {
-        let critical = simulate_critical_ranges(&self.config, &self.model)?;
-        Ok(critical.connectivity_fraction_at(r))
+    pub fn campaign(&self) -> Result<MtrmCampaign, CoreError> {
+        let (critical, profiles) = simulate_campaign(&self.config, &self.model)?;
+        Ok(MtrmCampaign {
+            solution: MtrmSolution::new(critical)?,
+            profiles,
+        })
     }
 
     /// Partial-connectivity availability: fraction of time the largest
@@ -363,7 +396,11 @@ mod tests {
     #[test]
     fn component_fractions_are_ordered() {
         let p = small_problem(Drunkard::new(0.0, 0.2, 2.0).unwrap().into());
-        let rl = p.ranges_for_component_fractions(&[0.5, 0.75, 0.9]).unwrap();
+        let rl = p
+            .campaign()
+            .unwrap()
+            .ranges_for_component_fractions(&[0.5, 0.75, 0.9])
+            .unwrap();
         assert!(rl[0].1 <= rl[1].1 + 1e-12);
         assert!(rl[1].1 <= rl[2].1 + 1e-12);
     }
@@ -373,13 +410,26 @@ mod tests {
         let p = small_problem(waypoint(0, 0.0));
         let sol = p.solve().unwrap();
         let r = sol.ranges.r90.mean();
-        let avail = p.availability_at(r).unwrap();
+        let avail = sol.availability_at(r);
         assert!((0.0..=1.0).contains(&avail));
         // r90 keeps the network up about 90% of the time.
         assert!(avail >= 0.8, "availability at r90 was {avail}");
         // Partial connectivity is easier than full connectivity.
         let partial = p.partial_availability_at(r, 0.5).unwrap();
         assert!(partial >= avail - 1e-12);
+    }
+
+    #[test]
+    fn campaign_solution_matches_solve() {
+        let p = small_problem(waypoint(2, 0.0));
+        let sol = p.solve().unwrap();
+        let campaign = p.campaign().unwrap();
+        assert_eq!(
+            campaign.solution().critical.per_iteration(),
+            sol.critical.per_iteration()
+        );
+        assert_eq!(campaign.component_profiles().per_iteration().len(), 3);
+        assert!(campaign.ranges_for_component_fractions(&[1.5]).is_err());
     }
 
     #[test]
@@ -402,7 +452,7 @@ mod tests {
     fn range_for_time_fraction_between_extremes() {
         let p = small_problem(waypoint(0, 0.0));
         let sol = p.solve().unwrap();
-        let r50 = p.range_for_time_fraction(0.5).unwrap();
+        let r50 = sol.range_for_time_fraction(0.5).unwrap();
         assert!(r50 <= sol.ranges.r100.mean() + 1e-9);
         assert!(r50 >= sol.ranges.r0.mean() - 1e-9);
     }

@@ -278,17 +278,6 @@ impl RunOptions {
             })
             .collect()
     }
-
-    /// The paper's random waypoint model for side `l` (§4.2 defaults),
-    /// pause time scaled to the run horizon.
-    pub fn paper_waypoint(&self, l: f64) -> Result<AnyModel<2>, CoreError> {
-        self.model("waypoint", l)
-    }
-
-    /// The paper's drunkard model for side `l` (§4.2 defaults).
-    pub fn paper_drunkard(&self, l: f64) -> Result<AnyModel<2>, CoreError> {
-        self.model("drunkard", l)
-    }
 }
 
 fn take_usize(args: &[String], i: &mut usize) -> Result<usize, String> {
@@ -569,10 +558,10 @@ mod tests {
     #[test]
     fn paper_models_match_section_4_2() {
         let o = RunOptions::default();
-        assert!(o.paper_waypoint(4096.0).is_ok());
-        assert!(o.paper_drunkard(4096.0).is_ok());
+        assert!(o.model("waypoint", 4096.0).is_ok());
+        assert!(o.model("drunkard", 4096.0).is_ok());
         // Tiny region: waypoint speed range is empty.
-        assert!(o.paper_waypoint(5.0).is_err());
+        assert!(o.model("waypoint", 5.0).is_err());
     }
 
     #[test]

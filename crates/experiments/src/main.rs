@@ -94,8 +94,8 @@ fn main() {
     let result = match command.as_str() {
         "fig2" => figures::fig2(&opts, s, &mut Default::default()),
         "fig3" => figures::fig3(&opts, s, &mut Default::default()),
-        "fig4" => figures::fig4(&opts, s),
-        "fig5" => figures::fig5(&opts, s),
+        "fig4" => figures::fig4(&opts, s, &mut Default::default()),
+        "fig5" => figures::fig5(&opts, s, &mut Default::default()),
         "fig6" => figures::fig6(&opts, s, &mut Default::default()),
         "fig7" => figures::fig7(&opts, s, &mut Default::default()),
         "fig8" => figures::fig8(&opts, s, &mut Default::default()),

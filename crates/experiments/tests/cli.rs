@@ -331,6 +331,48 @@ fn figs_match_goldens_across_thread_counts() {
     }
 }
 
+/// A figure run alone gets a fresh campaign memo; `figs` shares one
+/// across Figures 2–9 and fuses the side-sweep campaigns. The profile
+/// readers (figs 4–6) and the sweeps sharing Figure 2's base point
+/// (figs 8–9) must reproduce `tests/goldens/figs/` byte-for-byte
+/// either way.
+#[test]
+fn lone_figures_match_the_shared_memo_goldens() {
+    let golden_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/goldens/figs");
+    let dir = temp_out("figs_lone");
+    for fig in ["fig4", "fig5", "fig6", "fig8", "fig9"] {
+        let out = repro()
+            .args([
+                fig,
+                "--iterations",
+                "2",
+                "--steps",
+                "60",
+                "--placements",
+                "40",
+                "--seed",
+                "20020623",
+                "--out",
+            ])
+            .arg(&dir)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{fig} stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let artifact = format!("{fig}.csv");
+        let got = std::fs::read_to_string(dir.join(&artifact)).unwrap();
+        let want = std::fs::read_to_string(golden_dir.join(&artifact)).unwrap();
+        assert_eq!(
+            got, want,
+            "{artifact} run alone diverged from tests/goldens/figs"
+        );
+    }
+    std::fs::remove_dir_all(dir).ok();
+}
+
 /// Blanks the value following `start_pat` (up to `end`) so manifest
 /// fields that legitimately vary between runs — the recorded worker
 /// thread count and the build-profile `features` provenance — don't

@@ -31,9 +31,19 @@ use manet_stats::{FrozenSeries, RunningMoments};
 /// [`manet_graph::critical_range`]. Every iteration builds its own
 /// observer, so no tracker state crosses iterations and the series do
 /// not depend on the thread count.
-struct CriticalRangeObserver {
+pub(crate) struct CriticalRangeObserver {
     series: Vec<f64>,
     tracker: CriticalRangeTracker,
+}
+
+impl CriticalRangeObserver {
+    /// A fresh observer for one iteration of `steps` steps.
+    pub(crate) fn new(steps: usize) -> Self {
+        CriticalRangeObserver {
+            series: Vec::with_capacity(steps),
+            tracker: CriticalRangeTracker::new(),
+        }
+    }
 }
 
 impl<const D: usize> ConnectivityObserver<D> for CriticalRangeObserver {
@@ -63,9 +73,8 @@ pub fn simulate_raw_critical_series<const D: usize, M>(
 where
     M: Mobility<D> + Clone + Send + Sync,
 {
-    run_connectivity_stream(config, model, None, |_| CriticalRangeObserver {
-        series: Vec::with_capacity(config.steps()),
-        tracker: CriticalRangeTracker::new(),
+    run_connectivity_stream(config, model, None, |_| {
+        CriticalRangeObserver::new(config.steps())
     })
 }
 
@@ -84,11 +93,7 @@ pub fn simulate_critical_ranges<const D: usize, M>(
 where
     M: Mobility<D> + Clone + Send + Sync,
 {
-    let per_iteration = simulate_raw_critical_series(config, model)?
-        .into_iter()
-        .map(FrozenSeries::new)
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(CriticalRangeResults { per_iteration })
+    CriticalRangeResults::freeze(simulate_raw_critical_series(config, model)?)
 }
 
 /// Critical-range series of a whole campaign, one frozen series per
@@ -104,6 +109,15 @@ impl CriticalRangeResults {
     /// entry point).
     pub fn from_series(per_iteration: Vec<FrozenSeries>) -> Self {
         CriticalRangeResults { per_iteration }
+    }
+
+    /// Freezes each iteration's time-ordered series.
+    pub(crate) fn freeze(raw: Vec<Vec<f64>>) -> Result<Self, SimError> {
+        let per_iteration = raw
+            .into_iter()
+            .map(FrozenSeries::new)
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(CriticalRangeResults { per_iteration })
     }
 
     /// Per-iteration sorted critical-range series.

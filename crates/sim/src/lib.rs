@@ -23,6 +23,8 @@
 //!   `rl90/rl75/rl50` — Figures 4–6 ([`profile::RangeSizeProfile`]);
 //! * the availability (fraction of connected steps) at any fixed `r`.
 //!
+//! [`simulate_campaign`] records the first two from one pass.
+//!
 //! A bisection-based [`search`] path recomputes the same quantities the
 //! slow way (fresh simulation per candidate range); tests hold the two
 //! paths equal.
@@ -68,6 +70,7 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
+pub mod campaign;
 pub mod component;
 pub mod config;
 pub mod critical;
@@ -83,6 +86,7 @@ pub mod sweep;
 pub mod trace;
 pub mod uptime;
 
+pub use campaign::simulate_campaign;
 pub use component::{simulate_component_ranges, ComponentRangeResults};
 pub use config::SimConfig;
 pub use critical::{

@@ -185,9 +185,28 @@ impl RangeSizeProfile {
 
 /// Observer accumulating merge profiles every `stride`-th step
 /// (positions-only stream lane).
-struct ProfileObserver {
+#[derive(Clone)]
+pub(crate) struct ProfileObserver {
     stride: usize,
     profile: RangeSizeProfile,
+}
+
+impl ProfileObserver {
+    /// An empty observer on `config`'s stride and range grid.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`RangeSizeProfile::new`]'s grid validation.
+    pub(crate) fn for_config<const D: usize>(config: &SimConfig<D>) -> Result<Self, SimError> {
+        Ok(ProfileObserver {
+            stride: config.profile_stride(),
+            profile: RangeSizeProfile::new(
+                config.nodes(),
+                config.profile_max_range(),
+                config.profile_bins(),
+            )?,
+        })
+    }
 }
 
 impl<const D: usize> ConnectivityObserver<D> for ProfileObserver {
@@ -286,22 +305,8 @@ pub fn simulate_profiles<const D: usize, M>(
 where
     M: Mobility<D> + Clone + Send + Sync,
 {
-    // Validate grid construction once up front.
-    RangeSizeProfile::new(
-        config.nodes(),
-        config.profile_max_range(),
-        config.profile_bins(),
-    )?;
-    let per_iteration = run_connectivity_stream(config, model, None, |_| ProfileObserver {
-        stride: config.profile_stride(),
-        #[expect(clippy::expect_used, reason = "grid parameters validated just above")]
-        profile: RangeSizeProfile::new(
-            config.nodes(),
-            config.profile_max_range(),
-            config.profile_bins(),
-        )
-        .expect("grid validated above"),
-    })?;
+    let empty = ProfileObserver::for_config(config)?;
+    let per_iteration = run_connectivity_stream(config, model, None, |_| empty.clone())?;
     Ok(ProfileResults { per_iteration })
 }
 

@@ -169,6 +169,25 @@ pub trait ConnectivityObserver<const D: usize> {
     fn finish(self) -> Self::Output;
 }
 
+/// Two observers fed the same steps: one pass over a trajectory yields
+/// both per-iteration outputs (see [`crate::simulate_campaign`]).
+impl<const D: usize, A, B> ConnectivityObserver<D> for (A, B)
+where
+    A: ConnectivityObserver<D>,
+    B: ConnectivityObserver<D>,
+{
+    type Output = (A::Output, B::Output);
+
+    fn observe(&mut self, view: &StepView<'_, D>) {
+        self.0.observe(view);
+        self.1.observe(view);
+    }
+
+    fn finish(self) -> Self::Output {
+        (self.0.finish(), self.1.finish())
+    }
+}
+
 /// Adapter owning the per-step `DynamicGraph::step` +
 /// `DynamicComponents::apply` loop for one iteration, delegating each
 /// assembled [`StepView`] to an inner [`ConnectivityObserver`].

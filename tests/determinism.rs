@@ -109,13 +109,13 @@ fn step_thread_count_is_invisible() {
 
 #[test]
 fn profiles_and_component_ranges_deterministic() {
-    let p1 = build(9, 1);
-    let p2 = build(9, 3);
-    let a = p1.component_profiles().unwrap().pooled().unwrap();
-    let b = p2.component_profiles().unwrap().pooled().unwrap();
+    let c1 = build(9, 1).campaign().unwrap();
+    let c2 = build(9, 3).campaign().unwrap();
+    let a = c1.component_profiles().pooled().unwrap();
+    let b = c2.component_profiles().pooled().unwrap();
     assert_eq!(a, b);
-    let ra = p1.ranges_for_component_fractions(&[0.75]).unwrap();
-    let rb = p2.ranges_for_component_fractions(&[0.75]).unwrap();
+    let ra = c1.ranges_for_component_fractions(&[0.75]).unwrap();
+    let rb = c2.ranges_for_component_fractions(&[0.75]).unwrap();
     assert_eq!(ra, rb);
 }
 

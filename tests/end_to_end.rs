@@ -52,12 +52,13 @@ fn figure6_pipeline_miniature() {
         .model(RandomWaypoint::new(0.1, 2.56, 40, 0.0).unwrap())
         .build()
         .unwrap();
-    let rl = problem
+    let campaign = problem.campaign().unwrap();
+    let rl = campaign
         .ranges_for_component_fractions(&[0.9, 0.75, 0.5])
         .unwrap();
     // rl50 <= rl75 <= rl90 < r100.
     assert!(rl[2].1 <= rl[1].1 && rl[1].1 <= rl[0].1);
-    let r100 = problem.solve().unwrap().ranges.r100.mean();
+    let r100 = campaign.solution().ranges.r100.mean();
     assert!(rl[0].1 < r100);
 }
 

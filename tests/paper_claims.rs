@@ -112,8 +112,9 @@ fn disconnection_near_r90_leaves_giant_component() {
         .model(RandomWaypoint::new(0.1, 10.24, 200, 0.0).unwrap())
         .build()
         .unwrap();
-    let sol = problem.solve().unwrap();
-    let profiles = problem.component_profiles().unwrap();
+    let campaign = problem.campaign().unwrap();
+    let sol = campaign.solution();
+    let profiles = campaign.component_profiles();
     let frac_at_r90 = profiles.mean_average_fraction_at(sol.ranges.r90.mean());
     assert!(
         frac_at_r90 > 0.85,
@@ -137,10 +138,11 @@ fn component_targets_cost_less_than_full_connectivity() {
         .model(RandomWaypoint::new(0.1, 10.24, 160, 0.0).unwrap())
         .build()
         .unwrap();
-    let rl = problem
+    let campaign = problem.campaign().unwrap();
+    let rl = campaign
         .ranges_for_component_fractions(&[0.5, 0.75, 0.9])
         .unwrap();
-    let r100 = problem.solve().unwrap().ranges.r100.mean();
+    let r100 = campaign.solution().ranges.r100.mean();
     assert!(rl[0].1 < rl[1].1 && rl[1].1 < rl[2].1);
     assert!(
         rl[2].1 < r100,
