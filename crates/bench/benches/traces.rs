@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use manet_bench::placement;
 use manet_core::geom::{Point, Region};
-use manet_core::graph::{AdjacencyList, DynamicGraph};
+use manet_core::graph::{AdjacencyList, DynamicComponents, DynamicGraph};
 use manet_core::mobility::{Mobility, RandomWaypoint};
 use manet_core::sim::{simulate_trace, SimConfig};
 use manet_core::trace::TraceRecorder;
@@ -84,6 +84,36 @@ fn bench_recorder_fold(c: &mut Criterion) {
     });
 }
 
+/// The recorder alone: `observe_with` + `finish` over a waypoint delta
+/// stream at n = 2000 recorded beforehand, so neither the step kernel
+/// nor the component update is timed.
+fn bench_recorder_observe(c: &mut Criterion) {
+    let n = 2000;
+    let traj = trajectory(n, TRAJ_STEPS, 14);
+    let mut dg = DynamicGraph::new(&traj[0], SIDE, RANGE);
+    let mut components = DynamicComponents::new(n);
+    let mut stream = Vec::with_capacity(traj.len());
+    for (t, pts) in traj.iter().enumerate() {
+        let diff = if t == 0 {
+            dg.initial_diff()
+        } else {
+            dg.step(pts);
+            dg.last_diff().clone()
+        };
+        components.apply(&diff, dg.graph());
+        stream.push((diff, dg.graph().clone(), components.clone()));
+    }
+    c.bench_function(format!("trace_recorder_observe_n={n}"), |b| {
+        b.iter(|| {
+            let mut rec = TraceRecorder::new(n, stream.len());
+            for (diff, graph, components) in &stream {
+                rec.observe_with(black_box(diff), graph, components);
+            }
+            black_box(rec.finish())
+        })
+    });
+}
+
 fn bench_trace_pipeline(c: &mut Criterion) {
     let mut b = SimConfig::<2>::builder();
     b.nodes(16)
@@ -103,6 +133,7 @@ criterion_group!(
     traces,
     bench_delta_stream_vs_rebuild,
     bench_recorder_fold,
+    bench_recorder_observe,
     bench_trace_pipeline
 );
 criterion_main!(traces);

@@ -11,12 +11,101 @@
 use crate::intervals::IntervalAccumulator;
 use manet_graph::{AdjacencyList, DynamicComponents, EdgeDiff};
 use manet_obs::KernelMetrics;
-use std::collections::BTreeMap;
 
-/// Packs an undirected edge `(a, b)`, `a < b`, into one map key.
-fn pair_key(a: u32, b: u32) -> u64 {
-    debug_assert!(a < b, "edge endpoints must be ordered");
-    ((a as u64) << 32) | b as u64
+/// Bit 31 of a link entry: set while the pair is linked.
+const UP: u64 = 1 << 31;
+
+/// Largest step a link entry can stamp (31 bits).
+const MAX_STAMP: usize = (UP - 1) as usize;
+
+/// Packs a link entry: partner `b`, the up bit and step `since`.
+fn pack(b: u32, up: bool, since: usize) -> u64 {
+    (u64::from(b) << 32) | if up { UP } else { 0 } | since as u64
+}
+
+/// The partner (upper endpoint) of a link entry.
+fn partner(entry: u64) -> u32 {
+    (entry >> 32) as u32
+}
+
+/// The step of a link entry's last transition.
+fn stamp(entry: u64) -> usize {
+    (entry & (UP - 1)) as usize
+}
+
+/// Every node pair that has ever linked, with its current state.
+///
+/// Row `a` holds the pairs `(a, b)`, `a < b`, sorted by `b`; each
+/// entry is [`pack`]ed from the partner, an up/down bit and the step
+/// of the pair's last transition, so one binary search finds both the
+/// open interval a delta closes and the state it must be in. Two
+/// counters keep the open up-intervals and open down-gaps, which
+/// [`TraceRecorder::finish`] censors.
+#[derive(Debug, Clone)]
+struct LinkTable {
+    rows: Vec<Vec<u64>>,
+    open_up: u64,
+    open_down: u64,
+}
+
+impl LinkTable {
+    fn new(nodes: usize) -> Self {
+        LinkTable {
+            rows: vec![Vec::new(); nodes],
+            open_up: 0,
+            open_down: 0,
+        }
+    }
+
+    /// Marks `(a, b)` down at step `t` and returns the step it came up.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the pair is not up: the delta stream is broken.
+    fn take_down(&mut self, a: u32, b: u32, t: usize) -> usize {
+        debug_assert!(a < b, "edge endpoints must be ordered");
+        let row = &mut self.rows[a as usize];
+        let i = row
+            .binary_search_by_key(&b, |&e| partner(e))
+            .unwrap_or_else(|i| i);
+        assert!(
+            row.get(i).is_some_and(|&e| partner(e) == b && e & UP != 0),
+            "link ({a}, {b}) removed at step {t} but not up: broken delta stream"
+        );
+        let up_at = stamp(row[i]);
+        row[i] = pack(b, false, t);
+        self.open_up -= 1;
+        self.open_down += 1;
+        up_at
+    }
+
+    /// Marks `(a, b)` up at step `t` and returns the step it went down,
+    /// or `None` on the pair's first contact.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the pair is already up: the delta stream is broken.
+    fn bring_up(&mut self, a: u32, b: u32, t: usize) -> Option<usize> {
+        debug_assert!(a < b, "edge endpoints must be ordered");
+        let row = &mut self.rows[a as usize];
+        self.open_up += 1;
+        match row.binary_search_by_key(&b, |&e| partner(e)) {
+            Ok(i) => {
+                assert!(
+                    row[i] & UP == 0,
+                    "link ({a}, {b}) added at step {t} but already up: broken delta stream"
+                );
+                let down_at = stamp(row[i]);
+                row[i] = pack(b, true, t);
+                self.open_down -= 1;
+                Some(down_at)
+            }
+            Err(i) => {
+                row.insert(i, pack(b, true, t));
+                None
+            }
+        }
+    }
 }
 
 /// Fraction of ordered node pairs connected by some path: the paper's
@@ -66,10 +155,8 @@ fn pair_connectivity(components: &DynamicComponents, n: usize) -> f64 {
 pub struct TraceRecorder {
     nodes: usize,
     steps_seen: usize,
-    /// Open link intervals: pair key -> step the link came up.
-    up_since: BTreeMap<u64, usize>,
-    /// Open contact gaps: pair key -> step the link went down.
-    down_since: BTreeMap<u64, usize>,
+    /// Every pair ever linked: open link intervals and contact gaps.
+    links: LinkTable,
     /// Open isolation spells, per node.
     isolated_since: Vec<Option<usize>>,
     lifetimes: IntervalAccumulator,
@@ -105,8 +192,7 @@ impl TraceRecorder {
         TraceRecorder {
             nodes,
             steps_seen: 0,
-            up_since: BTreeMap::new(),
-            down_since: BTreeMap::new(),
+            links: LinkTable::new(nodes),
             isolated_since: vec![None; nodes],
             lifetimes: IntervalAccumulator::new(steps),
             intercontacts: IntervalAccumulator::new(steps),
@@ -150,7 +236,8 @@ impl TraceRecorder {
     /// recorder was created with, or when the recorder was previously
     /// driven through [`TraceRecorder::observe_with`] — the internal
     /// component state would have missed those deltas, so the two
-    /// entry points must not be mixed on one recorder.
+    /// entry points must not be mixed on one recorder. Panics on a
+    /// broken delta stream, as [`TraceRecorder::observe_with`] does.
     pub fn observe(&mut self, diff: &EdgeDiff, graph: &AdjacencyList) {
         assert!(
             self.steps_seen == 0 || self.components.is_some(),
@@ -171,7 +258,14 @@ impl TraceRecorder {
     /// # Panics
     ///
     /// Panics when `graph` or `components` has a different node count
-    /// than the recorder was created with.
+    /// than the recorder was created with. Panics on a broken delta
+    /// stream, naming the pair and the step:
+    ///
+    /// - a removed pair that is not up;
+    /// - an added pair that is already up.
+    ///
+    /// Panics when the step index exceeds 2³¹ − 1, the largest step a
+    /// link entry can stamp.
     pub fn observe_with(
         &mut self,
         diff: &EdgeDiff,
@@ -187,21 +281,21 @@ impl TraceRecorder {
         assert_eq!(components.len(), self.nodes, "component summary mismatch");
         let t = self.steps_seen;
 
+        assert!(
+            t <= MAX_STAMP,
+            "step {t} exceeds the link table's 31-bit step stamp"
+        );
+
         // Link events — work proportional to the changed edges.
         for &(a, b) in &diff.removed {
-            let key = pair_key(a, b);
-            if let Some(up) = self.up_since.remove(&key) {
-                self.lifetimes.record(t - up);
-            }
-            self.down_since.insert(key, t);
+            let up = self.links.take_down(a, b, t);
+            self.lifetimes.record(t - up);
             self.link_down_events += 1;
         }
         for &(a, b) in &diff.added {
-            let key = pair_key(a, b);
-            if let Some(down) = self.down_since.remove(&key) {
+            if let Some(down) = self.links.bring_up(a, b, t) {
                 self.intercontacts.record(t - down);
             }
-            self.up_since.insert(key, t);
             self.link_up_events += 1;
         }
         // Peak link-dynamics intensity. Step 0's delta is the whole
@@ -257,10 +351,10 @@ impl TraceRecorder {
     /// Closes the trajectory: intervals still open are censored, and
     /// the accumulated metrics become a [`TemporalRecord`].
     pub fn finish(mut self) -> TemporalRecord {
-        for _ in 0..self.up_since.len() {
+        for _ in 0..self.links.open_up {
             self.lifetimes.record_censored();
         }
-        for _ in 0..self.down_since.len() {
+        for _ in 0..self.links.open_down {
             self.intercontacts.record_censored();
         }
         let open_isolation = self.isolated_since.iter().filter(|s| s.is_some()).count();
@@ -448,6 +542,51 @@ mod tests {
     fn observe_rejects_wrong_node_count() {
         let mut rec = TraceRecorder::new(3, 5);
         rec.observe(&EdgeDiff::default(), &AdjacencyList::empty(2));
+    }
+
+    /// Folds `diffs` through `observe_with` over a two-node graph,
+    /// bypassing the components so only the link table sees them.
+    fn fold_two_node_diffs(diffs: &[EdgeDiff]) {
+        let graph = AdjacencyList::empty(2);
+        let components = DynamicComponents::new(2);
+        let mut rec = TraceRecorder::new(2, diffs.len());
+        for diff in diffs {
+            rec.observe_with(diff, &graph, &components);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "link (0, 1) removed at step 2 but not up")]
+    fn removing_a_pair_that_is_not_up_panics() {
+        let up = EdgeDiff {
+            added: vec![(0, 1)],
+            removed: vec![],
+        };
+        let down = EdgeDiff {
+            added: vec![],
+            removed: vec![(0, 1)],
+        };
+        // Up at 0, down at 1, then removed again while down.
+        fold_two_node_diffs(&[up, down.clone(), down]);
+    }
+
+    #[test]
+    #[should_panic(expected = "link (0, 1) removed at step 0 but not up")]
+    fn removing_a_pair_never_seen_panics() {
+        fold_two_node_diffs(&[EdgeDiff {
+            added: vec![],
+            removed: vec![(0, 1)],
+        }]);
+    }
+
+    #[test]
+    #[should_panic(expected = "link (0, 1) added at step 1 but already up")]
+    fn adding_a_pair_that_is_already_up_panics() {
+        let up = EdgeDiff {
+            added: vec![(0, 1)],
+            removed: vec![],
+        };
+        fold_two_node_diffs(&[up.clone(), up]);
     }
 
     #[test]

@@ -23,6 +23,8 @@ struct Oracle {
     lifetimes: Vec<usize>,
     lifetimes_censored: usize,
     intercontacts: Vec<usize>,
+    /// Pairs that have linked and are apart at the horizon.
+    intercontacts_censored: usize,
     outages: Vec<usize>,
     connected_steps: usize,
     isolation_spells: Vec<usize>,
@@ -42,6 +44,7 @@ fn oracle(steps: &[Vec<Point<2>>], r: f64) -> Oracle {
     let mut lifetimes = Vec::new();
     let mut lifetimes_censored = 0;
     let mut intercontacts = Vec::new();
+    let mut intercontacts_censored = 0;
     // Per-pair up/down scan.
     for a in 0..n {
         for b in (a + 1)..n {
@@ -56,9 +59,14 @@ fn oracle(steps: &[Vec<Point<2>>], r: f64) -> Oracle {
                         } else {
                             lifetimes.push(len);
                         }
-                    } else if run_start > 0 && t < series.len() {
-                        // A completed gap between two contacts.
-                        intercontacts.push(len);
+                    } else if run_start > 0 {
+                        // A gap after a contact: completed by the next
+                        // contact, or still open at the horizon.
+                        if t < series.len() {
+                            intercontacts.push(len);
+                        } else {
+                            intercontacts_censored += 1;
+                        }
                     }
                     run_start = t;
                 }
@@ -110,6 +118,7 @@ fn oracle(steps: &[Vec<Point<2>>], r: f64) -> Oracle {
         lifetimes,
         lifetimes_censored,
         intercontacts,
+        intercontacts_censored,
         outages,
         connected_steps: connected.iter().filter(|&&c| c).count(),
         isolation_spells,
@@ -154,6 +163,10 @@ proptest! {
         prop_assert_eq!(got.lifetimes.count() as usize, want.lifetimes.len());
         prop_assert_eq!(got.lifetimes.censored() as usize, want.lifetimes_censored);
         prop_assert_eq!(got.intercontacts.count() as usize, want.intercontacts.len());
+        prop_assert_eq!(
+            got.intercontacts.censored() as usize,
+            want.intercontacts_censored
+        );
         prop_assert_eq!(got.outages.count() as usize, want.outages.len());
         prop_assert_eq!(got.isolation.count() as usize, want.isolation_spells.len());
         prop_assert_eq!(got.isolation.censored() as usize, want.isolation_censored);
