@@ -60,17 +60,19 @@ fn profile_resolutions(c: &mut Criterion) {
     let mut group = c.benchmark_group("profile_bins");
     for &bins in &[128usize, 1024, 4096] {
         group.bench_function(format!("bins={bins}"), |bch| {
-            let p = manet_core::MtrmProblem::<2>::builder()
-                .nodes(16)
-                .side(256.0)
-                .iterations(2)
-                .steps(30)
-                .seed(5)
-                .threads(1)
-                .profile_bins(bins)
-                .model(bench_waypoint())
-                .build()
-                .unwrap();
+            let p = manet_core::MtrmProblem::new(
+                SimConfig::<2>::builder()
+                    .nodes(16)
+                    .side(256.0)
+                    .iterations(2)
+                    .steps(30)
+                    .seed(5)
+                    .threads(1)
+                    .profile_bins(bins)
+                    .build()
+                    .unwrap(),
+                bench_waypoint(),
+            );
             bch.iter(|| {
                 black_box(manet_core::sim::simulate_profiles(p.config(), p.model()).unwrap())
             })

@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use manet_bench::{bench_drunkard, bench_waypoint, small_problem};
 use manet_core::mobility::RandomWaypoint;
 use manet_core::sim::{simulate_profiles, StationaryAnalysis};
-use manet_core::MtrmProblem;
+use manet_core::{MtrmProblem, SimConfig};
 use std::hint::black_box;
 
 /// Figure 2 pipeline: waypoint critical-range quantiles.
@@ -63,17 +63,19 @@ fn fig6(c: &mut Criterion) {
 /// plus a separate profile pass over the same trajectories.
 fn campaign(c: &mut Criterion) {
     let l = 4096.0;
-    let p = MtrmProblem::<2>::builder()
-        .nodes(64)
-        .side(l)
-        .iterations(5)
-        .steps(500)
-        .seed(404)
-        .profile_stride(5)
-        .threads(1)
-        .model(RandomWaypoint::new(0.1, 0.01 * l, 100, 0.0).unwrap())
-        .build()
-        .unwrap();
+    let p = MtrmProblem::new(
+        SimConfig::<2>::builder()
+            .nodes(64)
+            .side(l)
+            .iterations(5)
+            .steps(500)
+            .seed(404)
+            .profile_stride(5)
+            .threads(1)
+            .build()
+            .unwrap(),
+        RandomWaypoint::new(0.1, 0.01 * l, 100, 0.0).unwrap(),
+    );
     let mut group = c.benchmark_group("campaign");
     group.bench_function("fused", |b| b.iter(|| black_box(p.campaign().unwrap())));
     group.bench_function("solve_then_profiles", |b| {

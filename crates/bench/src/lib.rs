@@ -5,7 +5,7 @@
 
 use manet_core::geom::{Point, Region};
 use manet_core::mobility::{Drunkard, RandomWaypoint};
-use manet_core::{AnyModel, ModelRegistry, MtrmProblem, PaperScale};
+use manet_core::{AnyModel, ModelRegistry, MtrmProblem, PaperScale, SimConfig};
 use rand::SeedableRng;
 
 pub mod step_kernel;
@@ -20,17 +20,19 @@ pub fn placement(n: usize, side: f64, seed: u64) -> Vec<Point<2>> {
 /// A scaled-down paper cell (`l = 256`, `n = 16`) for pipeline benches:
 /// small enough for Criterion's sampling, same code path as Figure 2.
 pub fn small_problem(model: impl Into<AnyModel<2>>) -> MtrmProblem<2> {
-    MtrmProblem::<2>::builder()
-        .nodes(16)
-        .side(256.0)
-        .iterations(2)
-        .steps(50)
-        .seed(404)
-        .profile_stride(5)
-        .threads(1)
-        .model(model)
-        .build()
-        .expect("valid bench configuration")
+    MtrmProblem::new(
+        SimConfig::<2>::builder()
+            .nodes(16)
+            .side(256.0)
+            .iterations(2)
+            .steps(50)
+            .seed(404)
+            .profile_stride(5)
+            .threads(1)
+            .build()
+            .expect("valid bench configuration"),
+        model,
+    )
 }
 
 /// The paper's random waypoint model at bench scale (pause scaled to

@@ -19,7 +19,8 @@
 //!   classification;
 //! * [`one_dim`] — fast 1-D specializations (max-gap critical range)
 //!   and the occupancy/Lemma-1 machinery;
-//! * [`MtrmProblem`] — the mobile problem: `r100/r90/r10/r0`,
+//! * [`MtrmProblem`] — the mobile problem, one validated [`SimConfig`]
+//!   plus one mobility model: `r100/r90/r10/r0`,
 //!   component-size targets `rl90/rl75/rl50`, and availability
 //!   estimates, over any mobility model from the scenario zoo — a
 //!   concrete type or a name resolved through the
@@ -28,7 +29,7 @@
 //!   component profiles ([`MtrmCampaign`]); every metric is an accessor
 //!   on their results, so no query re-simulates. Every per-step
 //!   query runs on the incremental connectivity spine
-//!   (`DynamicGraph → DynamicComponents → ConnectivityStream`, see
+//!   (`DynamicGraph → DynamicComponents → run_connectivity_stream`, see
 //!   [`graph`] and [`sim::stream`]): snapshots are rebuilt
 //!   grid-accelerated in `O(n + E)`, and the component summary is
 //!   maintained under their edge deltas instead of relabeled from
@@ -42,17 +43,17 @@
 //!
 //! ```
 //! use manet_core::mobility::RandomWaypoint;
-//! use manet_core::MtrmProblem;
+//! use manet_core::{MtrmProblem, SimConfig};
 //!
 //! // 16 nodes in a 256x256 region, random waypoint mobility.
-//! let problem = MtrmProblem::<2>::builder()
+//! let config = SimConfig::<2>::builder()
 //!     .nodes(16)
 //!     .side(256.0)
 //!     .iterations(5)
 //!     .steps(100)
 //!     .seed(42)
-//!     .model(RandomWaypoint::new(0.1, 2.56, 20, 0.0)?)
 //!     .build()?;
+//! let problem = MtrmProblem::new(config, RandomWaypoint::new(0.1, 2.56, 20, 0.0)?);
 //! let solution = problem.solve()?;
 //! // Always-connected needs at least as much range as 90%-connected.
 //! assert!(solution.ranges.r100.mean() >= solution.ranges.r90.mean());
@@ -70,6 +71,7 @@ pub mod range_assignment;
 pub mod theorems;
 
 pub use manet_mobility::{AnyModel, ModelRegistry, PaperScale};
+pub use manet_sim::SimConfig;
 pub use mtr::MtrProblem;
 pub use mtrm::{MtrmCampaign, MtrmProblem, MtrmSolution};
 pub use range_assignment::RangeAssignment;

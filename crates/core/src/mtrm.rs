@@ -109,9 +109,16 @@ impl MtrmCampaign {
 }
 
 impl<const D: usize> MtrmProblem<D> {
-    /// Starts building an instance.
-    pub fn builder() -> MtrmProblemBuilder<D> {
-        MtrmProblemBuilder::default()
+    /// An instance running `model` under `config`: any concrete model
+    /// type (via its `Into<AnyModel>` conversion) or an [`AnyModel`]
+    /// built by the registry. `config` was validated when it was
+    /// built, so every knob — including the profile grid — reaches
+    /// the campaigns exactly as set.
+    pub fn new(config: SimConfig<D>, model: impl Into<AnyModel<D>>) -> Self {
+        MtrmProblem {
+            config,
+            model: model.into(),
+        }
     }
 
     /// The simulation configuration.
@@ -205,133 +212,6 @@ impl<const D: usize> MtrmProblem<D> {
     }
 }
 
-/// Builder for [`MtrmProblem`].
-#[derive(Debug, Clone, Default)]
-pub struct MtrmProblemBuilder<const D: usize> {
-    nodes: usize,
-    side: f64,
-    iterations: usize,
-    steps: usize,
-    seed: u64,
-    threads: Option<usize>,
-    step_threads: Option<usize>,
-    skin: Option<manet_sim::Skin>,
-    profile_stride: Option<usize>,
-    profile_bins: Option<usize>,
-    model: Option<AnyModel<D>>,
-}
-
-impl<const D: usize> MtrmProblemBuilder<D> {
-    /// Sets the number of nodes (required).
-    pub fn nodes(&mut self, n: usize) -> &mut Self {
-        self.nodes = n;
-        self
-    }
-
-    /// Sets the region side (required).
-    pub fn side(&mut self, l: f64) -> &mut Self {
-        self.side = l;
-        self
-    }
-
-    /// Sets the iteration count (required, >= 1).
-    pub fn iterations(&mut self, it: usize) -> &mut Self {
-        self.iterations = it;
-        self
-    }
-
-    /// Sets the mobility steps per iteration (required, >= 1).
-    pub fn steps(&mut self, steps: usize) -> &mut Self {
-        self.steps = steps;
-        self
-    }
-
-    /// Sets the master seed (default 0).
-    pub fn seed(&mut self, seed: u64) -> &mut Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Pins the worker thread count.
-    pub fn threads(&mut self, threads: usize) -> &mut Self {
-        self.threads = Some(threads);
-        self
-    }
-
-    /// Pins the intra-step worker-thread count of the step kernel's
-    /// sharded bulk rescan (default serial; results are byte-identical
-    /// across values).
-    pub fn step_threads(&mut self, threads: usize) -> &mut Self {
-        self.step_threads = Some(threads);
-        self
-    }
-
-    /// Sets the step kernel's Verlet skin policy (default
-    /// [`Skin::Auto`](manet_sim::Skin::Auto); results are
-    /// byte-identical across settings).
-    pub fn skin(&mut self, skin: manet_sim::Skin) -> &mut Self {
-        self.skin = Some(skin);
-        self
-    }
-
-    /// Collect component profiles every `stride` steps.
-    pub fn profile_stride(&mut self, stride: usize) -> &mut Self {
-        self.profile_stride = Some(stride);
-        self
-    }
-
-    /// Range-grid resolution for component profiles.
-    pub fn profile_bins(&mut self, bins: usize) -> &mut Self {
-        self.profile_bins = Some(bins);
-        self
-    }
-
-    /// Sets the mobility model (required): any concrete model type
-    /// (via its `Into<AnyModel>` conversion) or an [`AnyModel`] built
-    /// by the registry.
-    pub fn model(&mut self, model: impl Into<AnyModel<D>>) -> &mut Self {
-        self.model = Some(model.into());
-        self
-    }
-
-    /// Validates and builds the problem.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Invalid`] when the model is missing and
-    /// propagates [`CoreError::Sim`] for configuration failures.
-    pub fn build(&self) -> Result<MtrmProblem<D>, CoreError> {
-        let model = self.model.clone().ok_or_else(|| CoreError::Invalid {
-            reason: "a mobility model is required (builder.model(...))".into(),
-        })?;
-        let mut b = SimConfig::<D>::builder();
-        b.nodes(self.nodes)
-            .side(self.side)
-            .iterations(self.iterations.max(1))
-            .steps(self.steps.max(1))
-            .seed(self.seed);
-        if let Some(t) = self.threads {
-            b.threads(t);
-        }
-        if let Some(t) = self.step_threads {
-            b.step_threads(t);
-        }
-        if let Some(s) = self.skin {
-            b.skin(s);
-        }
-        if let Some(s) = self.profile_stride {
-            b.profile_stride(s);
-        }
-        if let Some(bins) = self.profile_bins {
-            b.profile_bins(bins);
-        }
-        Ok(MtrmProblem {
-            config: b.build()?,
-            model,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,16 +219,23 @@ mod tests {
         Drunkard, Mobility, ModelRegistry, PaperScale, RandomWaypoint, StationaryModel,
     };
 
-    fn small_problem(model: AnyModel<2>) -> MtrmProblem<2> {
-        MtrmProblem::<2>::builder()
+    fn problem(
+        iterations: usize,
+        steps: usize,
+        model: AnyModel<2>,
+    ) -> Result<MtrmProblem<2>, CoreError> {
+        let config = SimConfig::<2>::builder()
             .nodes(10)
             .side(100.0)
-            .iterations(3)
-            .steps(25)
+            .iterations(iterations)
+            .steps(steps)
             .seed(99)
-            .model(model)
-            .build()
-            .unwrap()
+            .build()?;
+        Ok(MtrmProblem::new(config, model))
+    }
+
+    fn small_problem(model: AnyModel<2>) -> MtrmProblem<2> {
+        problem(3, 25, model).unwrap()
     }
 
     fn waypoint(pause: u32, p_stationary: f64) -> AnyModel<2> {
@@ -357,15 +244,44 @@ mod tests {
             .into()
     }
 
+    /// An empty campaign cannot be set up: `SimConfig` rejects zero
+    /// iterations and zero steps, and nothing between it and the
+    /// problem clamps them to 1.
     #[test]
-    fn builder_requires_model() {
-        let err = MtrmProblem::<2>::builder()
-            .nodes(5)
-            .side(10.0)
-            .iterations(1)
-            .steps(1)
-            .build();
-        assert!(matches!(err, Err(CoreError::Invalid { .. })));
+    fn empty_campaigns_are_rejected_by_sim_config() {
+        for (iterations, steps) in [(0, 25), (3, 0)] {
+            let err = problem(iterations, steps, waypoint(0, 0.0));
+            assert!(
+                matches!(
+                    err,
+                    Err(CoreError::Sim(manet_sim::SimError::InvalidConfig { .. }))
+                ),
+                "{iterations} iterations x {steps} steps"
+            );
+        }
+    }
+
+    /// Every profile knob on the config reaches `campaign()`'s
+    /// profiles, `profile_max_range` included.
+    #[test]
+    fn campaign_profiles_use_the_configured_grid() {
+        let config = SimConfig::<2>::builder()
+            .nodes(10)
+            .side(100.0)
+            .iterations(2)
+            .steps(10)
+            .profile_bins(60)
+            .profile_max_range(30.0)
+            .build()
+            .unwrap();
+        let campaign = MtrmProblem::new(config, waypoint(0, 0.0))
+            .campaign()
+            .unwrap();
+        let profiles = campaign.component_profiles().per_iteration();
+        assert_eq!(profiles.len(), 2);
+        for profile in profiles {
+            assert_eq!(profile.bin_width(), 0.5);
+        }
     }
 
     #[test]

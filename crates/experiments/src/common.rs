@@ -1,7 +1,8 @@
 //! Shared experiment plumbing: options, parameter sets, table/CSV
 //! output, and the `r_stationary` calibration used by every figure.
 
-use manet_core::{AnyModel, CoreError, ModelRegistry, MtrProblem, PaperScale};
+use manet_core::sim::config::SimConfigBuilder;
+use manet_core::{AnyModel, CoreError, ModelRegistry, MtrProblem, PaperScale, SimConfig};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -227,6 +228,30 @@ impl RunOptions {
             }
         }
         Ok(opts)
+    }
+
+    /// The campaign configuration of `nodes` nodes in `[0, side]²` at
+    /// this run's iterations, steps, seed and thread/kernel knobs — the
+    /// one place a command-line option reaches a [`SimConfig`]. Callers
+    /// add what only they set (a profile stride, a pinned thread
+    /// count) before building.
+    pub fn sim_config(&self, nodes: usize, side: f64) -> SimConfigBuilder<2> {
+        let mut b = SimConfig::<2>::builder();
+        b.nodes(nodes)
+            .side(side)
+            .iterations(self.iterations)
+            .steps(self.steps)
+            .seed(self.seed);
+        if let Some(t) = self.threads {
+            b.threads(t);
+        }
+        if let Some(t) = self.step_threads {
+            b.step_threads(t);
+        }
+        if let Some(s) = self.skin {
+            b.skin(s);
+        }
+        b
     }
 
     /// Pause times the paper anchors to its 10000-step horizon, scaled
@@ -469,6 +494,58 @@ mod tests {
         assert!(parse(&["--skin", "-3"]).is_err());
         assert!(parse(&["--skin", "nan"]).is_err());
         assert!(parse(&["--skin", "warm"]).is_err());
+    }
+
+    #[test]
+    fn sim_config_carries_every_run_option() {
+        use manet_core::graph::Skin;
+        let o = parse(&[
+            "--threads",
+            "3",
+            "--step-threads",
+            "4",
+            "--skin",
+            "7.5",
+            "--seed",
+            "9",
+            "--iterations",
+            "2",
+            "--steps",
+            "5",
+        ])
+        .unwrap();
+        let c = o.sim_config(16, 256.0).build().unwrap();
+        assert_eq!((c.nodes(), c.side()), (16, 256.0));
+        assert_eq!((c.iterations(), c.steps(), c.seed()), (2, 5, 9));
+        assert_eq!(c.threads(), Some(3));
+        assert_eq!(c.step_threads(), Some(4));
+        assert_eq!(c.skin(), Skin::Fixed(7.5));
+        // Unset knobs keep the SimConfig defaults.
+        let c = parse(&[]).unwrap().sim_config(16, 256.0).build().unwrap();
+        assert_eq!((c.threads(), c.step_threads()), (None, None));
+        assert_eq!(c.skin(), Skin::Auto);
+    }
+
+    /// The step kernel's knobs reach a `SimConfig` only through
+    /// `RunOptions::sim_config`: no other experiment source names them
+    /// except the run manifest in obs.rs.
+    #[test]
+    fn kernel_knobs_are_read_only_by_sim_config() {
+        let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+        for entry in std::fs::read_dir(src).unwrap() {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            if name == "common.rs" || name == "obs.rs" {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).unwrap();
+            for knob in ["step_threads", ".skin"] {
+                assert!(
+                    !text.contains(knob),
+                    "{name} names `{knob}`; set it through RunOptions::sim_config"
+                );
+            }
+        }
     }
 
     #[test]

@@ -93,18 +93,11 @@ impl CampaignKey {
 
     /// The MTRM problem for this key at the run's scale.
     fn problem(&self, opts: &RunOptions) -> Result<MtrmProblem<2>, CoreError> {
-        let mut b = MtrmProblem::<2>::builder();
-        b.nodes(self.n)
-            .side(self.side())
-            .iterations(opts.iterations)
-            .steps(opts.steps)
-            .seed(opts.seed)
+        let config = opts
+            .sim_config(self.n, self.side())
             .profile_stride(5)
-            .model(self.model()?);
-        if let Some(t) = opts.threads {
-            b.threads(t);
-        }
-        b.build()
+            .build()?;
+        Ok(MtrmProblem::new(config, self.model()?))
     }
 }
 

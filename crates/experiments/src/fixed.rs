@@ -52,24 +52,7 @@ pub fn run(opts: &RunOptions, session: &mut ObsSession) -> Result<(), CoreError>
     ]);
     for (name, model) in models {
         session.note_model(&name);
-        let mut builder = MtrmProblem::<2>::builder();
-        builder
-            .nodes(n)
-            .side(l)
-            .iterations(opts.iterations)
-            .steps(opts.steps)
-            .seed(opts.seed)
-            .model(model);
-        if let Some(t) = opts.threads {
-            builder.threads(t);
-        }
-        if let Some(t) = opts.step_threads {
-            builder.step_threads(t);
-        }
-        if let Some(s) = opts.skin {
-            builder.skin(s);
-        }
-        let problem = builder.build()?;
+        let problem = MtrmProblem::new(opts.sim_config(n, l).build()?, model);
         for mult in MULTIPLIERS {
             let r = rs * mult;
             cell += 1;

@@ -76,24 +76,7 @@ pub fn run(opts: &RunOptions, session: &mut ObsSession) -> Result<(), CoreError>
         session.note_model(&name);
         session.progress(&format!("quantity: {name} ({}/{total})", i + 1));
         session.span_enter("quantity/case");
-        let mut builder = MtrmProblem::<2>::builder();
-        builder
-            .nodes(n)
-            .side(l)
-            .iterations(opts.iterations)
-            .steps(opts.steps)
-            .seed(opts.seed)
-            .model(model);
-        if let Some(t) = opts.threads {
-            builder.threads(t);
-        }
-        if let Some(t) = opts.step_threads {
-            builder.step_threads(t);
-        }
-        if let Some(s) = opts.skin {
-            builder.skin(s);
-        }
-        let problem = builder.build()?;
+        let problem = MtrmProblem::new(opts.sim_config(n, l).build()?, model);
         let quantity = mean_quantity(&measure_mobility_quantity(
             problem.config(),
             problem.model(),

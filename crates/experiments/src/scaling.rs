@@ -21,7 +21,7 @@ use manet_core::graph::parallel::default_threads;
 use manet_core::obs::KernelMetrics;
 use manet_core::sim::{
     find_critical_range, fit_scaling_exponent, ConnectivityMetric, CriticalRangeSearch,
-    ScalingExponent, SimConfig, SweepCheckpoint, SweepScheduler,
+    ScalingExponent, SweepCheckpoint, SweepScheduler,
 };
 use manet_core::{AnyModel, CoreError};
 
@@ -165,21 +165,7 @@ pub fn run(opts: &RunOptions, session: &mut ObsSession) -> Result<(), CoreError>
     // the fan-out; nesting engine threads would only oversubscribe).
     session.span_enter("critical-scaling/sweep");
     let run = scheduler.run(&jobs, checkpoint.clone().into_results(), |_, job| {
-        let mut builder = SimConfig::<2>::builder();
-        builder
-            .nodes(job.n)
-            .side(job.side)
-            .iterations(opts.iterations)
-            .steps(opts.steps)
-            .seed(opts.seed)
-            .threads(1);
-        if let Some(t) = opts.step_threads {
-            builder.step_threads(t);
-        }
-        if let Some(s) = opts.skin {
-            builder.skin(s);
-        }
-        let config = builder.build()?;
+        let config = opts.sim_config(job.n, job.side).threads(1).build()?;
         let point = find_critical_range(&config, &job.model, &search)?;
         Ok(CellResult {
             model: job.model_name.clone(),

@@ -74,24 +74,7 @@ pub fn run(opts: &RunOptions, session: &mut ObsSession) -> Result<(), CoreError>
     let mut rows = Vec::new();
     for (m_idx, (name, model)) in models.into_iter().enumerate() {
         session.note_model(&name);
-        let mut builder = MtrmProblem::<2>::builder();
-        builder
-            .nodes(n)
-            .side(l)
-            .iterations(opts.iterations)
-            .steps(opts.steps)
-            .seed(opts.seed)
-            .model(model);
-        if let Some(t) = opts.threads {
-            builder.threads(t);
-        }
-        if let Some(t) = opts.step_threads {
-            builder.step_threads(t);
-        }
-        if let Some(s) = opts.skin {
-            builder.skin(s);
-        }
-        let problem = builder.build()?;
+        let problem = MtrmProblem::new(opts.sim_config(n, l).build()?, model);
         for (r_idx, mult) in MULTIPLIERS.into_iter().enumerate() {
             let r = rs * mult;
             session.note_range(r);

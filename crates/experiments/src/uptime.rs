@@ -46,24 +46,7 @@ pub fn run(opts: &RunOptions, session: &mut ObsSession) -> Result<(), CoreError>
         session.note_model(&name);
         session.progress(&format!("uptime: {name} ({}/{total})", i + 1));
         session.span_enter("uptime/model");
-        let mut builder = MtrmProblem::<2>::builder();
-        builder
-            .nodes(n)
-            .side(l)
-            .iterations(opts.iterations)
-            .steps(opts.steps)
-            .seed(opts.seed)
-            .model(model);
-        if let Some(t) = opts.threads {
-            builder.threads(t);
-        }
-        if let Some(t) = opts.step_threads {
-            builder.step_threads(t);
-        }
-        if let Some(s) = opts.skin {
-            builder.skin(s);
-        }
-        let problem = builder.build()?;
+        let problem = MtrmProblem::new(opts.sim_config(n, l).build()?, model);
         let sol = problem.solve()?;
         let pooled = sol.critical.pooled().map_err(CoreError::Sim)?;
         let q = RangeQuantiles::from_series(&pooled).map_err(CoreError::Sim)?;

@@ -12,6 +12,7 @@
 
 use crate::{
     config::SimConfig,
+    critical::{mean_covering_range, mean_fraction_at_most},
     stream::{run_connectivity_stream, ConnectivityObserver, StepView},
     SimError,
 };
@@ -70,14 +71,7 @@ impl ComponentRangeResults {
     /// largest component reaches the target at range `r` — the
     /// introduction's partial-connectivity availability estimate.
     pub fn availability_at(&self, r: f64) -> f64 {
-        if self.per_iteration.is_empty() {
-            return f64::NAN;
-        }
-        self.per_iteration
-            .iter()
-            .map(|s| s.fraction_at_most(r))
-            .sum::<f64>()
-            / self.per_iteration.len() as f64
+        mean_fraction_at_most(&self.per_iteration, r)
     }
 
     /// Mean (across iterations) of the smallest range achieving the
@@ -88,14 +82,7 @@ impl ComponentRangeResults {
     /// Propagates [`SimError::Stats`] for an invalid fraction or an
     /// empty campaign.
     pub fn mean_range_for_time_fraction(&self, time_fraction: f64) -> Result<f64, SimError> {
-        if self.per_iteration.is_empty() {
-            return Err(SimError::Stats(manet_stats::StatsError::EmptySample));
-        }
-        let mut sum = 0.0;
-        for s in &self.per_iteration {
-            sum += s.smallest_covering(time_fraction)?;
-        }
-        Ok(sum / self.per_iteration.len() as f64)
+        mean_covering_range(&self.per_iteration, time_fraction)
     }
 }
 

@@ -168,27 +168,13 @@ impl CriticalRangeResults {
     /// Returns [`SimError::Stats`] for `fraction` outside `[0, 1]` or
     /// an empty campaign.
     pub fn mean_range_for_fraction(&self, fraction: f64) -> Result<f64, SimError> {
-        if self.per_iteration.is_empty() {
-            return Err(SimError::Stats(manet_stats::StatsError::EmptySample));
-        }
-        let mut acc = RunningMoments::new();
-        for s in &self.per_iteration {
-            acc.push(s.smallest_covering(fraction)?);
-        }
-        Ok(acc.mean())
+        mean_covering_range(&self.per_iteration, fraction)
     }
 
     /// Fraction of steps connected at range `r`, averaged across
     /// iterations (the availability estimate of the introduction).
     pub fn connectivity_fraction_at(&self, r: f64) -> f64 {
-        if self.per_iteration.is_empty() {
-            return f64::NAN;
-        }
-        self.per_iteration
-            .iter()
-            .map(|s| s.fraction_at_most(r))
-            .sum::<f64>()
-            / self.per_iteration.len() as f64
+        mean_fraction_at_most(&self.per_iteration, r)
     }
 
     /// All steps of all iterations pooled into one series (the
@@ -204,6 +190,35 @@ impl CriticalRangeResults {
         }
         Ok(FrozenSeries::new(all)?)
     }
+}
+
+/// Mean across iterations of the smallest value covering `fraction` of
+/// each iteration's steps.
+pub(crate) fn mean_covering_range(
+    per_iteration: &[FrozenSeries],
+    fraction: f64,
+) -> Result<f64, SimError> {
+    if per_iteration.is_empty() {
+        return Err(SimError::Stats(manet_stats::StatsError::EmptySample));
+    }
+    let mut acc = RunningMoments::new();
+    for s in per_iteration {
+        acc.push(s.smallest_covering(fraction)?);
+    }
+    Ok(acc.mean())
+}
+
+/// Mean across iterations of the fraction of steps at most `r` (NaN for
+/// an empty campaign).
+pub(crate) fn mean_fraction_at_most(per_iteration: &[FrozenSeries], r: f64) -> f64 {
+    if per_iteration.is_empty() {
+        return f64::NAN;
+    }
+    per_iteration
+        .iter()
+        .map(|s| s.fraction_at_most(r))
+        .sum::<f64>()
+        / per_iteration.len() as f64
 }
 
 /// The paper's four range metrics for one iteration.

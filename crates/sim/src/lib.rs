@@ -36,8 +36,8 @@
 //! isolation and outage/repair distributions.
 //!
 //! Every pipeline above runs through one step-driver, the [`stream`]
-//! module's [`ConnectivityStream`]: it owns the per-step
-//! `DynamicGraph::advance` + `DynamicComponents::apply` loop and hands
+//! module's [`run_connectivity_stream`]: it owns the per-step
+//! `DynamicGraph::step` + `DynamicComponents::apply` loop and hands
 //! each [`ConnectivityObserver`] a [`StepView`] with positions plus
 //! (for range-bound pipelines) the snapshot, the incremental
 //! components, and the edge delta — the hot loop is delta-apply, never
@@ -74,7 +74,6 @@ pub mod campaign;
 pub mod component;
 pub mod config;
 pub mod critical;
-pub mod engine;
 pub mod fixed;
 pub mod profile;
 pub mod quantity;
@@ -90,9 +89,9 @@ pub use campaign::simulate_campaign;
 pub use component::{simulate_component_ranges, ComponentRangeResults};
 pub use config::SimConfig;
 pub use critical::{
-    simulate_critical_ranges, CriticalRangeResults, MobileRangeSummary, RangeQuantiles,
+    simulate_critical_ranges, simulate_raw_critical_series, CriticalRangeResults,
+    MobileRangeSummary, RangeQuantiles,
 };
-pub use engine::{run_simulation, StepObserver};
 pub use fixed::{simulate_fixed_range, FixedRangeReport, IterationStats};
 pub use manet_graph::Skin;
 pub use profile::{simulate_profiles, ProfileResults, RangeSizeProfile};
@@ -102,9 +101,7 @@ pub use scaling::{
     CriticalPoint, CriticalRangeSearch, ScalingExponent,
 };
 pub use stationary::StationaryAnalysis;
-pub use stream::{
-    run_connectivity_stream, ConnectivityObserver, ConnectivityStream, LinkView, StepView,
-};
+pub use stream::{run_connectivity_stream, ConnectivityObserver, LinkView, StepView};
 pub use sweep::{SweepCheckpoint, SweepRun, SweepScheduler};
 pub use trace::{simulate_trace, TraceObserver};
 pub use uptime::{simulate_uptime, UptimeReport, UptimeSummary};

@@ -5,11 +5,11 @@
 //! per step — the fixed-range pipeline rebuilt an adjacency list and
 //! re-ran full component labeling, the trace pipeline maintained its
 //! own [`DynamicGraph`], and the rest worked from raw positions — six
-//! copies of the per-step setup code. [`ConnectivityStream`] owns that
-//! loop once: it drives [`DynamicGraph::step`] and
-//! [`DynamicComponents::apply`] per step and hands each
+//! copies of the per-step setup code. [`run_connectivity_stream`] owns
+//! that loop once: it moves the nodes, drives [`DynamicGraph::step`]
+//! and [`DynamicComponents::apply`] per step and hands each
 //! [`ConnectivityObserver`] a [`StepView`] with the positions plus (when
-//! a transmitting range is configured) the snapshot graph, the
+//! a transmitting range is given) the snapshot graph, the
 //! incrementally-maintained components, and the step's [`EdgeDiff`] —
 //! so the hot loop is delta-apply, never rebuild-and-relabel. Since
 //! the zero-rebuild step kernel landed, the graph side is incremental
@@ -21,26 +21,25 @@
 //!
 //! # Determinism contract
 //!
-//! The stream adds no randomness and no cross-iteration state: it is a
-//! per-iteration adapter over [`run_simulation`], so results remain
-//! bit-identical across thread counts for a fixed master seed. The
-//! incremental components are property-tested bit-identical to the
-//! [`manet_graph::ComponentSummary::of`] oracle at every step, which is
-//! what licenses the byte-identical experiment goldens in
+//! Each iteration draws from its own seed
+//! ([`SeedSequence::seed_for`]) and keeps no cross-iteration state, so
+//! results are bit-identical across thread counts for a fixed master
+//! seed. The incremental components are property-tested bit-identical
+//! to the [`manet_graph::ComponentSummary::of`] oracle at every step,
+//! which is what licenses the byte-identical experiment goldens in
 //! `tests/goldens/`.
 
-use crate::{
-    config::SimConfig,
-    engine::{run_simulation, StepObserver},
-    SimError,
-};
+use crate::{config::SimConfig, SimError};
 use manet_geom::Point;
-use manet_graph::{AdjacencyList, DynamicComponents, DynamicGraph, EdgeDiff, Skin};
+use manet_graph::parallel::{default_threads, run_indexed};
+use manet_graph::{AdjacencyList, DynamicComponents, DynamicGraph, EdgeDiff};
 use manet_mobility::Mobility;
 use manet_obs::KernelMetrics;
+use manet_stats::SeedSequence;
+use rand::{rngs::StdRng, SeedableRng};
 
-/// Per-step link-layer state maintained by the stream when a
-/// transmitting range is configured.
+/// Per-step link-layer state maintained by the stream when it runs at
+/// a transmitting range.
 pub struct LinkView<'a> {
     range: f64,
     graph: &'a AdjacencyList,
@@ -101,8 +100,8 @@ impl<const D: usize> StepView<'_, D> {
         self.positions
     }
 
-    /// The link-layer state, when the stream was configured with a
-    /// transmitting range; `None` for positions-only pipelines.
+    /// The link-layer state, when the stream runs at a transmitting
+    /// range; `None` for positions-only pipelines.
     pub fn link(&self) -> Option<&LinkView<'_>> {
         self.link.as_ref()
     }
@@ -114,14 +113,14 @@ impl<const D: usize> StepView<'_, D> {
     fn link_expected(&self) -> &LinkView<'_> {
         self.link
             .as_ref()
-            .expect("observer requires a ConnectivityStream built with a transmitting range")
+            .expect("observer requires a stream run with a transmitting range")
     }
 
     /// The step's graph snapshot.
     ///
     /// # Panics
     ///
-    /// Panics when the stream was built without a range.
+    /// Panics when the stream runs without a range.
     pub fn graph(&self) -> &AdjacencyList {
         self.link_expected().graph()
     }
@@ -130,7 +129,7 @@ impl<const D: usize> StepView<'_, D> {
     ///
     /// # Panics
     ///
-    /// Panics when the stream was built without a range.
+    /// Panics when the stream runs without a range.
     pub fn components(&self) -> &DynamicComponents {
         self.link_expected().components()
     }
@@ -139,7 +138,7 @@ impl<const D: usize> StepView<'_, D> {
     ///
     /// # Panics
     ///
-    /// Panics when the stream was built without a range.
+    /// Panics when the stream runs without a range.
     pub fn diff(&self) -> &EdgeDiff {
         self.link_expected().diff()
     }
@@ -149,15 +148,18 @@ impl<const D: usize> StepView<'_, D> {
     ///
     /// # Panics
     ///
-    /// Panics when the stream was built without a range.
+    /// Panics when the stream runs without a range.
     pub fn kernel_metrics(&self) -> &KernelMetrics {
         self.link_expected().kernel_metrics()
     }
 }
 
 /// Consumes the per-step [`StepView`]s of one trajectory and produces
-/// a per-iteration output — the connectivity-spine counterpart of the
-/// engine's raw [`StepObserver`].
+/// a per-iteration output.
+///
+/// [`run_connectivity_stream`] builds one observer per iteration and
+/// feeds it steps `0..steps` in order (step 0 is the initial
+/// placement).
 pub trait ConnectivityObserver<const D: usize> {
     /// The per-iteration result this observer produces.
     type Output: Send;
@@ -188,201 +190,38 @@ where
     }
 }
 
-/// Adapter owning the per-step `DynamicGraph::step` +
-/// `DynamicComponents::apply` loop for one iteration, delegating each
-/// assembled [`StepView`] to an inner [`ConnectivityObserver`].
-///
-/// All per-step scratch (the moving grid, the diff buffers, the
-/// component bookkeeping) lives inside the held kernel state, so after
-/// the first step of an iteration the stream performs no allocation.
-///
-/// Built per iteration by [`run_connectivity_stream`]; constructable
-/// directly for replaying hand-rolled trajectories in tests.
-pub struct ConnectivityStream<O, const D: usize> {
-    side: f64,
-    range: Option<f64>,
-    /// The mobility model's declared per-step displacement bound,
-    /// handed to the kernel's contract check.
-    displacement_bound: Option<f64>,
-    /// Intra-step worker threads handed to the kernel's sharded bulk
-    /// rescan (`>= 1`; a performance knob, never a semantic one).
-    step_threads: usize,
-    /// Verlet skin policy handed to the kernel's candidate cache
-    /// (default [`Skin::Auto`]; a performance knob, never a semantic
-    /// one).
-    skin: Skin,
-    state: Option<(DynamicGraph<D>, DynamicComponents)>,
-    inner: O,
-}
-
-impl<O, const D: usize> ConnectivityStream<O, D> {
-    /// Creates a stream over `[0, side]^D`; `range = None` runs the
-    /// positions-only fast path (no graph maintenance at all).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `range` is `Some` but not positive and finite —
-    /// the same inputs [`run_connectivity_stream`] rejects with
-    /// [`SimError::InvalidConfig`]; a NaN range would otherwise build
-    /// silently-edgeless snapshots.
-    pub fn new(side: f64, range: Option<f64>, inner: O) -> Self {
-        Self::with_displacement_bound(side, range, None, inner)
-    }
-
-    /// [`ConnectivityStream::new`] plus the mobility model's declared
-    /// per-step displacement bound (see
-    /// [`Mobility::max_step_displacement`]): the incremental kernel
-    /// polices it every step and falls back to the full
-    /// rebuild-and-diff path on violation.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid range (as [`ConnectivityStream::new`]) or
-    /// a NaN/infinite/negative bound.
-    pub fn with_displacement_bound(
-        side: f64,
-        range: Option<f64>,
-        displacement_bound: Option<f64>,
-        inner: O,
-    ) -> Self {
-        if let Some(r) = range {
-            assert!(
-                r.is_finite() && r > 0.0,
-                "transmitting range must be positive and finite, got {r}"
-            );
-        }
-        if let Some(b) = displacement_bound {
-            assert!(
-                b.is_finite() && b >= 0.0,
-                "displacement bound must be finite and non-negative, got {b}"
-            );
-        }
-        ConnectivityStream {
-            side,
-            range,
-            displacement_bound,
-            step_threads: 1,
-            skin: Skin::default(),
-            state: None,
-            inner,
-        }
-    }
-
-    /// Sets the intra-step worker-thread count for the kernel's
-    /// sharded bulk rescan (chainable; default 1 = serial). Every
-    /// observable — snapshots, diffs, counters, artifacts — is
-    /// bit-identical across values (see
-    /// [`DynamicGraph::set_step_threads`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `threads` is zero.
-    pub fn with_step_threads(mut self, threads: usize) -> Self {
-        assert!(threads >= 1, "step_threads must be at least 1");
-        self.step_threads = threads;
-        self
-    }
-
-    /// Sets the kernel's Verlet skin policy (chainable; default
-    /// [`Skin::Auto`]). Like the thread knob, purely a performance
-    /// setting: every observable is bit-identical across values (see
-    /// [`DynamicGraph::with_skin`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `skin` is [`Skin::Fixed`] with a non-finite or
-    /// non-positive radius.
-    pub fn with_skin(mut self, skin: Skin) -> Self {
-        if let Skin::Fixed(s) = skin {
-            assert!(
-                s.is_finite() && s > 0.0,
-                "fixed skin must be positive and finite, got {s}"
-            );
-        }
-        self.skin = skin;
-        self
-    }
-}
-
-impl<const D: usize, O: ConnectivityObserver<D>> StepObserver<D> for ConnectivityStream<O, D> {
-    type Output = O::Output;
-
-    fn observe(&mut self, step: usize, positions: &[Point<D>]) {
-        let Some(range) = self.range else {
-            self.inner.observe(&StepView {
-                step,
-                positions,
-                link: None,
-            });
-            return;
-        };
-        match self.state.as_mut() {
-            None => {
-                let dg = DynamicGraph::new(positions, self.side, range)
-                    .with_displacement_bound(self.displacement_bound)
-                    .with_step_threads(self.step_threads)
-                    .with_skin(self.skin);
-                self.state = Some((dg, DynamicComponents::new(positions.len())));
-            }
-            Some((dg, _)) => dg.step(positions),
-        }
-        #[expect(clippy::expect_used, reason = "state initialized earlier in this call")]
-        let (dg, dc) = self.state.as_mut().expect("state initialized above");
-        dc.apply(dg.last_diff(), dg.graph());
-        // End-to-end oracle check: the incrementally-maintained
-        // components must match a from-scratch labeling of the
-        // snapshot at every step (the module-level determinism
-        // contract), not just stay self-consistent.
-        #[cfg(feature = "strict-invariants")]
-        {
-            let oracle = manet_graph::ComponentSummary::of(dg.graph());
-            debug_assert_eq!(
-                dc.count(),
-                oracle.count(),
-                "strict-invariants: incremental component count diverged from the oracle"
-            );
-            debug_assert_eq!(
-                dc.largest_size(),
-                oracle.largest_size(),
-                "strict-invariants: incremental largest component diverged from the oracle"
-            );
-        }
-        self.inner.observe(&StepView {
-            step,
-            positions,
-            link: Some(LinkView {
-                range,
-                graph: dg.graph(),
-                components: dc,
-                diff: dg.last_diff(),
-                kernel: KernelMetrics {
-                    grid: dg.grid_metrics().copied().unwrap_or_default(),
-                    step: *dg.metrics(),
-                    components: *dc.metrics(),
-                },
-            }),
-        });
-    }
-
-    fn finish(self) -> O::Output {
-        self.inner.finish()
-    }
-}
-
 /// Runs a campaign through the connectivity spine: every iteration's
-/// steps flow `DynamicGraph::advance → DynamicComponents::apply →
-/// observer`, in parallel over iterations with the engine's
-/// deterministic seeding.
+/// steps flow `DynamicGraph::step → DynamicComponents::apply →
+/// observer`, in parallel over iterations.
 ///
 /// `range = Some(r)` maintains the graph/components at transmitting
 /// range `r` for the observers; `None` skips graph maintenance for
 /// positions-only pipelines (critical range, merge profiles,
-/// displacement statistics).
+/// displacement statistics). `make_observer(iteration)` must be cheap
+/// and thread-safe; the model is cloned per iteration and
+/// re-initialized on the fresh placement. Each iteration's kernel is
+/// built from `config` (side, step threads, skin) and the model's
+/// declared per-step displacement bound
+/// ([`Mobility::max_step_displacement`]), which the kernel polices on
+/// every step. All per-step scratch lives inside the kernel state, so
+/// after the first step of an iteration the loop performs no
+/// allocation.
+///
+/// Returns the per-iteration observer outputs **ordered by iteration
+/// index**.
+///
+/// # Determinism
+///
+/// Iteration `i` draws all randomness from
+/// `StdRng::seed_from_u64(SeedSequence::new(config.seed()).seed_for(i))`
+/// — placement, then model init, then one model step per step after
+/// step 0 — independent of which worker thread executes it; iterations
+/// fan out through [`run_indexed`], which returns them in index order.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::InvalidConfig`] when `range` is `Some` but not
-/// positive and finite, and propagates engine errors.
+/// positive and finite.
 pub fn run_connectivity_stream<const D: usize, M, O, F>(
     config: &SimConfig<D>,
     model: &M,
@@ -401,17 +240,87 @@ where
             });
         }
     }
-    let side = config.side();
-    // The model's declared per-step displacement bound arms the step
-    // kernel's contract check in every iteration's stream.
+    let region = config.region();
+    let seq = SeedSequence::new(config.seed());
+    let threads = config.threads().unwrap_or_else(default_threads);
     let bound = model.max_step_displacement();
-    let step_threads = config.step_threads().unwrap_or(1);
-    let skin = config.skin();
-    run_simulation(config, model, move |iteration| {
-        ConnectivityStream::with_displacement_bound(side, range, bound, make_observer(iteration))
-            .with_step_threads(step_threads)
-            .with_skin(skin)
-    })
+    let iterations = vec![(); config.iterations()];
+    Ok(run_indexed(threads, iterations, |iteration, ()| {
+        let mut rng = StdRng::seed_from_u64(seq.seed_for(iteration as u64));
+        let mut positions = region.place_uniform(config.nodes(), &mut rng);
+        let mut model = model.clone();
+        model.init(&positions, &region, &mut rng);
+        let mut observer = make_observer(iteration);
+        let mut kernel = range.map(|r| {
+            let dg = DynamicGraph::new(&positions, config.side(), r)
+                .with_displacement_bound(bound)
+                .with_step_threads(config.step_threads().unwrap_or(1))
+                .with_skin(config.skin());
+            (dg, DynamicComponents::new(positions.len()))
+        });
+        for step in 0..config.steps() {
+            if step > 0 {
+                model.step(&mut positions, &region, &mut rng);
+            }
+            let link = kernel
+                .as_mut()
+                .map(|(dg, dc)| advance_link(step, &positions, dg, dc));
+            observer.observe(&StepView {
+                step,
+                positions: &positions,
+                link,
+            });
+        }
+        observer.finish()
+    }))
+}
+
+/// Advances one iteration's kernel to `positions` (step 0 keeps the
+/// initial snapshot) and assembles the step's [`LinkView`].
+///
+/// Kept out of line: inlined into [`run_connectivity_stream`], it
+/// slowed the positions-only lane, which never calls it, by about 5%
+/// of `critical-scaling --quick` CPU time on a 2-vCPU Xeon host.
+#[inline(never)]
+fn advance_link<'a, const D: usize>(
+    step: usize,
+    positions: &[Point<D>],
+    dg: &'a mut DynamicGraph<D>,
+    dc: &'a mut DynamicComponents,
+) -> LinkView<'a> {
+    if step > 0 {
+        dg.step(positions);
+    }
+    dc.apply(dg.last_diff(), dg.graph());
+    // End-to-end oracle check: the incrementally-maintained
+    // components must match a from-scratch labeling of the
+    // snapshot at every step (the module-level determinism
+    // contract), not just stay self-consistent.
+    #[cfg(feature = "strict-invariants")]
+    {
+        let oracle = manet_graph::ComponentSummary::of(dg.graph());
+        debug_assert_eq!(
+            dc.count(),
+            oracle.count(),
+            "strict-invariants: incremental component count diverged from the oracle"
+        );
+        debug_assert_eq!(
+            dc.largest_size(),
+            oracle.largest_size(),
+            "strict-invariants: incremental largest component diverged from the oracle"
+        );
+    }
+    LinkView {
+        range: dg.range(),
+        graph: dg.graph(),
+        components: dc,
+        diff: dg.last_diff(),
+        kernel: KernelMetrics {
+            grid: dg.grid_metrics().copied().unwrap_or_default(),
+            step: *dg.metrics(),
+            components: *dc.metrics(),
+        },
+    }
 }
 
 #[cfg(test)]
@@ -609,7 +518,100 @@ mod tests {
             }
             fn finish(self) {}
         }
-        let mut stream = ConnectivityStream::new(10.0, None, Touch);
-        StepObserver::<2>::observe(&mut stream, 0, &[]);
+        let _ = run_connectivity_stream(
+            &config(2, 1, Some(2)),
+            &StationaryModel::new(),
+            None,
+            |_| Touch,
+        );
+    }
+
+    /// Positions-only observer recording the first node's trajectory.
+    struct FirstNodeTrace(Vec<Point<2>>);
+
+    impl ConnectivityObserver<2> for FirstNodeTrace {
+        type Output = Vec<Point<2>>;
+
+        fn observe(&mut self, view: &StepView<'_, 2>) {
+            self.0.push(view.positions()[0]);
+        }
+
+        fn finish(self) -> Vec<Point<2>> {
+            self.0
+        }
+    }
+
+    fn first_node_traces<M>(config: &SimConfig<2>, model: &M) -> Vec<Vec<Point<2>>>
+    where
+        M: Mobility<2> + Clone + Send + Sync,
+    {
+        run_connectivity_stream(config, model, None, |_| FirstNodeTrace(Vec::new())).unwrap()
+    }
+
+    #[test]
+    fn observer_sees_every_step() {
+        let outs = first_node_traces(&config(3, 17, Some(1)), &StationaryModel::new());
+        assert_eq!(outs.len(), 3);
+        for trace in outs {
+            assert_eq!(trace.len(), 17);
+        }
+    }
+
+    #[test]
+    fn stationary_model_yields_constant_trajectories() {
+        let outs = first_node_traces(&config(2, 10, None), &StationaryModel::new());
+        for trace in outs {
+            assert!(trace.windows(2).all(|w| w[0] == w[1]));
+        }
+    }
+
+    #[test]
+    fn results_identical_across_thread_counts() {
+        let model = RandomWaypoint::new(0.5, 3.0, 2, 0.25).unwrap();
+        let single = first_node_traces(&config(6, 40, Some(1)), &model);
+        let multi = first_node_traces(&config(6, 40, Some(4)), &model);
+        assert_eq!(single, multi);
+    }
+
+    #[test]
+    fn iterations_have_distinct_placements() {
+        let outs = first_node_traces(&config(4, 1, None), &StationaryModel::new());
+        // First node's position should differ across iterations.
+        let firsts: Vec<_> = outs.iter().map(|t| t[0]).collect();
+        for i in 0..firsts.len() {
+            for j in (i + 1)..firsts.len() {
+                assert_ne!(firsts[i], firsts[j]);
+            }
+        }
+    }
+
+    #[test]
+    fn different_seeds_differ_same_seed_repeats() {
+        let model = StationaryModel::new();
+        let a = first_node_traces(&config(2, 1, None), &model);
+        let b = first_node_traces(&config(2, 1, None), &model);
+        assert_eq!(a, b);
+        let c = first_node_traces(&config(2, 1, None).with_seed(777), &model);
+        assert_ne!(a, c);
+    }
+
+    #[test]
+    fn observer_factory_receives_iteration_index() {
+        struct IndexObserver(usize);
+        impl ConnectivityObserver<2> for IndexObserver {
+            type Output = usize;
+            fn observe(&mut self, _: &StepView<'_, 2>) {}
+            fn finish(self) -> usize {
+                self.0
+            }
+        }
+        let outs = run_connectivity_stream(
+            &config(5, 1, Some(3)),
+            &StationaryModel::new(),
+            None,
+            IndexObserver,
+        )
+        .unwrap();
+        assert_eq!(outs, vec![0, 1, 2, 3, 4]);
     }
 }

@@ -28,8 +28,7 @@ pub struct TraceObserver {
 impl TraceObserver {
     /// Creates an observer for a campaign over `nodes` nodes observed
     /// for `steps` mobility steps. Graph maintenance (side, range) is
-    /// owned by the [`ConnectivityStream`](crate::ConnectivityStream)
-    /// driving it.
+    /// owned by the [`run_connectivity_stream`] loop driving it.
     pub fn new(nodes: usize, steps: usize) -> Self {
         TraceObserver {
             recorder: TraceRecorder::new(nodes, steps),

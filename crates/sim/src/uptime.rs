@@ -10,8 +10,7 @@
 //! quantities engineers actually provision against: mean time between
 //! failures, mean time to repair, and the longest outage.
 
-pub use crate::critical::simulate_raw_critical_series;
-use crate::{config::SimConfig, SimError};
+use crate::{config::SimConfig, critical::simulate_raw_critical_series, SimError};
 use manet_mobility::Mobility;
 
 /// Up/down run statistics of one iteration at a fixed range.

@@ -241,16 +241,16 @@ proptest! {
 mod trace_identity {
     use manet_geom::Point;
     use manet_graph::AdjacencyList;
-    use manet_sim::{SimConfig, StepObserver};
+    use manet_sim::{ConnectivityObserver, SimConfig, StepView};
     use manet_trace::{TemporalRecord, TraceRecorder};
 
     /// Records every step's positions of one iteration.
     pub struct PositionCollector(pub Vec<Vec<Point<2>>>);
 
-    impl StepObserver<2> for PositionCollector {
+    impl ConnectivityObserver<2> for PositionCollector {
         type Output = Vec<Vec<Point<2>>>;
-        fn observe(&mut self, _step: usize, positions: &[Point<2>]) {
-            self.0.push(positions.to_vec());
+        fn observe(&mut self, view: &StepView<'_, 2>) {
+            self.0.push(view.positions().to_vec());
         }
         fn finish(self) -> Self::Output {
             self.0
@@ -278,7 +278,7 @@ mod trace_identity {
 #[test]
 fn trace_summary_identical_to_oracle_replay_for_every_registry_model() {
     use manet_mobility::{ModelRegistry, PaperScale};
-    use manet_sim::{run_simulation, simulate_trace};
+    use manet_sim::{run_connectivity_stream, simulate_trace};
     use manet_trace::TraceSummary;
 
     let side = 150.0;
@@ -289,9 +289,9 @@ fn trace_summary_identical_to_oracle_replay_for_every_registry_model() {
         let model = registry.build(name, &scale).unwrap();
         let cfg = config(14, side, 2, 25, 20020623);
         let incremental = simulate_trace(&cfg, &model, range).unwrap();
-        // Same config + model + master seed => the engine reproduces
-        // identical trajectories for the collector run.
-        let trajectories = run_simulation(&cfg, &model, |_| {
+        // Same config + model + master seed => the stream reproduces
+        // identical trajectories for the positions-only collector run.
+        let trajectories = run_connectivity_stream(&cfg, &model, None, |_| {
             trace_identity::PositionCollector(Vec::new())
         })
         .unwrap();

@@ -31,7 +31,7 @@
 //!   [`TraceSummary::aggregate`] pools them across iterations.
 //!
 //! `manet-sim` drives this from its connectivity stream
-//! (`ConnectivityStream` → `TraceObserver` / `simulate_trace`, sharing
+//! (`run_connectivity_stream` → `TraceObserver` / `simulate_trace`, sharing
 //! one incrementally-maintained component summary per iteration), and
 //! `manet-repro trace` sweeps range × mobility model into JSON/CSV
 //! artifacts.

@@ -10,17 +10,19 @@
 
 use manet::availability::Availability;
 use manet::mobility::{Drunkard, RandomDirection, RandomWalk, RandomWaypoint};
-use manet::{energy, AnyModel, MtrmProblem};
+use manet::{energy, AnyModel, MtrmProblem, SimConfig};
 
 fn solve(model: AnyModel<2>, l: f64, n: usize) -> Result<(f64, f64, f64), manet::CoreError> {
-    let problem = MtrmProblem::<2>::builder()
-        .nodes(n)
-        .side(l)
-        .iterations(10)
-        .steps(1000)
-        .seed(31)
-        .model(model)
-        .build()?;
+    let problem = MtrmProblem::new(
+        SimConfig::<2>::builder()
+            .nodes(n)
+            .side(l)
+            .iterations(10)
+            .steps(1000)
+            .seed(31)
+            .build()?,
+        model,
+    );
     let sol = problem.solve()?;
     Ok((
         sol.ranges.r100.mean(),
@@ -64,14 +66,16 @@ fn main() -> Result<(), manet::CoreError> {
     println!("-> the *pattern* of motion moves the answer far less than its *quantity*\n");
 
     // Price the dependability tiers in energy.
-    let problem = MtrmProblem::<2>::builder()
-        .nodes(n)
-        .side(l)
-        .iterations(10)
-        .steps(1000)
-        .seed(31)
-        .model(RandomWaypoint::new(0.1, step, 200, 0.0)?)
-        .build()?;
+    let problem = MtrmProblem::new(
+        SimConfig::<2>::builder()
+            .nodes(n)
+            .side(l)
+            .iterations(10)
+            .steps(1000)
+            .seed(31)
+            .build()?,
+        RandomWaypoint::new(0.1, step, 200, 0.0)?,
+    );
     // One fused campaign answers every query below.
     let campaign = problem.campaign()?;
     let sol = campaign.solution();

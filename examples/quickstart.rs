@@ -8,7 +8,7 @@
 //! Run with `cargo run --release --example quickstart`.
 
 use manet::mobility::RandomWaypoint;
-use manet::{energy, MtrProblem, MtrmProblem};
+use manet::{energy, MtrProblem, MtrmProblem, SimConfig};
 
 fn main() -> Result<(), manet::CoreError> {
     // --- Stationary: 64 sensors scattered over a 4096 x 4096 field.
@@ -24,14 +24,16 @@ fn main() -> Result<(), manet::CoreError> {
     );
 
     // --- Mobile: the same network under random waypoint mobility.
-    let problem = MtrmProblem::<2>::builder()
-        .nodes(n)
-        .side(l)
-        .iterations(10)
-        .steps(1000)
-        .seed(7)
-        .model(RandomWaypoint::new(0.1, 0.01 * l, 200, 0.0)?)
-        .build()?;
+    let problem = MtrmProblem::new(
+        SimConfig::<2>::builder()
+            .nodes(n)
+            .side(l)
+            .iterations(10)
+            .steps(1000)
+            .seed(7)
+            .build()?,
+        RandomWaypoint::new(0.1, 0.01 * l, 200, 0.0)?,
+    );
     let solution = problem.solve()?;
     let r100 = solution.ranges.r100.mean();
     let r90 = solution.ranges.r90.mean();

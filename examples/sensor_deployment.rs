@@ -15,7 +15,7 @@
 use manet::graph::kconn;
 use manet::graph::AdjacencyList;
 use manet::mobility::RandomWaypoint;
-use manet::{MtrProblem, MtrmProblem};
+use manet::{MtrProblem, MtrmProblem, SimConfig};
 use rand::SeedableRng;
 
 fn main() -> Result<(), manet::CoreError> {
@@ -47,14 +47,16 @@ fn main() -> Result<(), manet::CoreError> {
     println!("\n64 sensors, drifting unless entangled (random waypoint):");
     let mut r100_all_mobile = None;
     for p_stationary in [0.0, 0.25, 0.5, 0.75] {
-        let problem = MtrmProblem::<2>::builder()
-            .nodes(n)
-            .side(l)
-            .iterations(8)
-            .steps(800)
-            .seed(23)
-            .model(RandomWaypoint::new(0.1, 0.01 * l, 160, p_stationary)?)
-            .build()?;
+        let problem = MtrmProblem::new(
+            SimConfig::<2>::builder()
+                .nodes(n)
+                .side(l)
+                .iterations(8)
+                .steps(800)
+                .seed(23)
+                .build()?,
+            RandomWaypoint::new(0.1, 0.01 * l, 160, p_stationary)?,
+        );
         let r100 = problem.solve()?.ranges.r100.mean();
         if p_stationary == 0.0 {
             r100_all_mobile = Some(r100);

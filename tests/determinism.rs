@@ -3,7 +3,7 @@
 //! invariant to the worker thread count.
 
 use manet::mobility::RandomWaypoint;
-use manet::{AnyModel, ModelRegistry, MtrmProblem, PaperScale};
+use manet::{AnyModel, ModelRegistry, MtrmProblem, PaperScale, SimConfig};
 
 fn build(seed: u64, threads: usize) -> MtrmProblem<2> {
     build_with(
@@ -14,16 +14,18 @@ fn build(seed: u64, threads: usize) -> MtrmProblem<2> {
 }
 
 fn build_with(model: AnyModel<2>, seed: u64, threads: usize) -> MtrmProblem<2> {
-    MtrmProblem::<2>::builder()
-        .nodes(14)
-        .side(200.0)
-        .iterations(6)
-        .steps(60)
-        .seed(seed)
-        .threads(threads)
-        .model(model)
-        .build()
-        .unwrap()
+    MtrmProblem::new(
+        SimConfig::<2>::builder()
+            .nodes(14)
+            .side(200.0)
+            .iterations(6)
+            .steps(60)
+            .seed(seed)
+            .threads(threads)
+            .build()
+            .unwrap(),
+        model,
+    )
 }
 
 #[test]
@@ -72,19 +74,19 @@ fn thread_count_is_invisible() {
 #[test]
 fn step_thread_count_is_invisible() {
     let run = |threads: usize, step_threads: usize| {
-        MtrmProblem::<2>::builder()
-            .nodes(14)
-            .side(200.0)
-            .iterations(6)
-            .steps(60)
-            .seed(20020623)
-            .threads(threads)
-            .step_threads(step_threads)
-            .model(AnyModel::from(
-                RandomWaypoint::<2>::new(0.1, 4.0, 10, 0.25).unwrap(),
-            ))
-            .build()
-            .unwrap()
+        MtrmProblem::new(
+            SimConfig::<2>::builder()
+                .nodes(14)
+                .side(200.0)
+                .iterations(6)
+                .steps(60)
+                .seed(20020623)
+                .threads(threads)
+                .step_threads(step_threads)
+                .build()
+                .unwrap(),
+            AnyModel::from(RandomWaypoint::<2>::new(0.1, 4.0, 10, 0.25).unwrap()),
+        )
     };
     let reference = run(1, 1).fixed_range_report(45.0).unwrap();
     for (threads, step_threads) in [(1, 2), (1, 7), (3, 4)] {

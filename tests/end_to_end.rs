@@ -19,15 +19,17 @@ fn figure2_pipeline_miniature() {
     let r_stat = mtr.r_stationary(0.99, 300, 1).unwrap();
     assert!(r_stat > 0.0 && r_stat < mtr.worst_case_range());
 
-    let problem = MtrmProblem::<2>::builder()
-        .nodes(n)
-        .side(l)
-        .iterations(8)
-        .steps(400)
-        .seed(2)
-        .model(RandomWaypoint::new(0.1, 2.56, 80, 0.0).unwrap())
-        .build()
-        .unwrap();
+    let problem = MtrmProblem::new(
+        SimConfig::<2>::builder()
+            .nodes(n)
+            .side(l)
+            .iterations(8)
+            .steps(400)
+            .seed(2)
+            .build()
+            .unwrap(),
+        RandomWaypoint::new(0.1, 2.56, 80, 0.0).unwrap(),
+    );
     let sol = problem.solve().unwrap();
     let (r100, r90, r10, r0) = (
         sol.ranges.r100.mean(),
@@ -43,15 +45,17 @@ fn figure2_pipeline_miniature() {
 
 #[test]
 fn figure6_pipeline_miniature() {
-    let problem = MtrmProblem::<2>::builder()
-        .nodes(16)
-        .side(256.0)
-        .iterations(5)
-        .steps(200)
-        .seed(3)
-        .model(RandomWaypoint::new(0.1, 2.56, 40, 0.0).unwrap())
-        .build()
-        .unwrap();
+    let problem = MtrmProblem::new(
+        SimConfig::<2>::builder()
+            .nodes(16)
+            .side(256.0)
+            .iterations(5)
+            .steps(200)
+            .seed(3)
+            .build()
+            .unwrap(),
+        RandomWaypoint::new(0.1, 2.56, 40, 0.0).unwrap(),
+    );
     let campaign = problem.campaign().unwrap();
     let rl = campaign
         .ranges_for_component_fractions(&[0.9, 0.75, 0.5])

@@ -4,20 +4,22 @@
 //! scale.
 
 use manet::mobility::RandomWaypoint;
-use manet::{AnyModel, MtrmProblem};
+use manet::{AnyModel, MtrmProblem, SimConfig};
 
 fn solve(model: impl Into<AnyModel<2>>, steps: usize, seed: u64) -> manet::MtrmSolution {
-    MtrmProblem::<2>::builder()
-        .nodes(32)
-        .side(1024.0)
-        .iterations(8)
-        .steps(steps)
-        .seed(seed)
-        .model(model)
-        .build()
-        .unwrap()
-        .solve()
-        .unwrap()
+    MtrmProblem::new(
+        SimConfig::<2>::builder()
+            .nodes(32)
+            .side(1024.0)
+            .iterations(8)
+            .steps(steps)
+            .seed(seed)
+            .build()
+            .unwrap(),
+        model,
+    )
+    .solve()
+    .unwrap()
 }
 
 /// §4.2: "r90 is far smaller than r100 (about 35-40% smaller) in both
@@ -103,15 +105,17 @@ fn stationary_fraction_threshold() {
 /// to n.
 #[test]
 fn disconnection_near_r90_leaves_giant_component() {
-    let problem = MtrmProblem::<2>::builder()
-        .nodes(32)
-        .side(1024.0)
-        .iterations(8)
-        .steps(1000)
-        .seed(14)
-        .model(RandomWaypoint::new(0.1, 10.24, 200, 0.0).unwrap())
-        .build()
-        .unwrap();
+    let problem = MtrmProblem::new(
+        SimConfig::<2>::builder()
+            .nodes(32)
+            .side(1024.0)
+            .iterations(8)
+            .steps(1000)
+            .seed(14)
+            .build()
+            .unwrap(),
+        RandomWaypoint::new(0.1, 10.24, 200, 0.0).unwrap(),
+    );
     let campaign = problem.campaign().unwrap();
     let sol = campaign.solution();
     let profiles = campaign.component_profiles();
@@ -129,15 +133,17 @@ fn disconnection_near_r90_leaves_giant_component() {
 /// rl50 < rl75 < rl90 and all sit below r100.
 #[test]
 fn component_targets_cost_less_than_full_connectivity() {
-    let problem = MtrmProblem::<2>::builder()
-        .nodes(32)
-        .side(1024.0)
-        .iterations(6)
-        .steps(800)
-        .seed(15)
-        .model(RandomWaypoint::new(0.1, 10.24, 160, 0.0).unwrap())
-        .build()
-        .unwrap();
+    let problem = MtrmProblem::new(
+        SimConfig::<2>::builder()
+            .nodes(32)
+            .side(1024.0)
+            .iterations(6)
+            .steps(800)
+            .seed(15)
+            .build()
+            .unwrap(),
+        RandomWaypoint::new(0.1, 10.24, 160, 0.0).unwrap(),
+    );
     let campaign = problem.campaign().unwrap();
     let rl = campaign
         .ranges_for_component_fractions(&[0.5, 0.75, 0.9])
