@@ -3,6 +3,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use manet_bench::placement;
 use manet_core::geom::{Point, Region};
+use manet_core::graph::mst::{minimum_spanning_tree_grid, minimum_spanning_tree_prim};
 use manet_core::graph::{
     components, critical_range, AdjacencyList, CriticalRangeTracker, MergeProfile, UnionFind,
 };
@@ -21,6 +22,45 @@ fn bench_mst(c: &mut Criterion) {
             b.iter(|| black_box(critical_range(black_box(&pts))))
         });
     }
+    group.finish();
+
+    // The dispatch crossover of `minimum_spanning_tree`
+    // (`GRID_MST_MIN_NODES`, recorded in DESIGN.md): dense Prim against
+    // grid-Kruskal as the dispatch would run it (Prim on a decline),
+    // each over the same 8 uniform placements on side 1024, so the
+    // rows average over how many passes a placement needs.
+    let mut group = c.benchmark_group("mst");
+    let placements = |n: usize| -> Vec<Vec<Point<2>>> {
+        (0..8).map(|seed| placement(n, 1024.0, 40 + seed)).collect()
+    };
+    let grid = |pts: &[Point<2>]| {
+        minimum_spanning_tree_grid(pts).map_or_else(|| minimum_spanning_tree_prim(pts), |t| t.0)
+    };
+    for &n in &[128usize, 256, 384, 512, 1000] {
+        let sets = placements(n);
+        group.bench_function(format!("prim_n={n}"), |b| {
+            b.iter(|| {
+                for pts in &sets {
+                    black_box(minimum_spanning_tree_prim(black_box(pts)));
+                }
+            })
+        });
+        group.bench_function(format!("grid_n={n}"), |b| {
+            b.iter(|| {
+                for pts in &sets {
+                    black_box(grid(black_box(pts)));
+                }
+            })
+        });
+    }
+    let sets = placements(20_000);
+    group.bench_function("grid_n=20000", |b| {
+        b.iter(|| {
+            for pts in &sets {
+                black_box(grid(black_box(pts)));
+            }
+        })
+    });
     group.finish();
 }
 

@@ -603,6 +603,32 @@ impl<const D: usize> MovingCellGrid<D> {
         }
         examined
     }
+
+    /// The number of candidate pairs a full-lattice
+    /// [`MovingCellGrid::scan_forward_pairs`] examines, from the bucket
+    /// sizes alone: `O(cells · 3^D)`, no distance evaluated. Callers
+    /// use it to price a scan before running it.
+    pub fn forward_pair_count(&self) -> u64 {
+        let cps = self.layout.cells_per_side;
+        let mut total = 0u64;
+        for (lin, bucket) in self.buckets.iter().enumerate() {
+            let k = bucket.len() as u64;
+            if k == 0 {
+                continue;
+            }
+            total += k * (k - 1) / 2;
+            let mut base = [0usize; D];
+            let mut rest = lin;
+            for c in base.iter_mut().rev() {
+                *c = rest % cps;
+                rest /= cps;
+            }
+            self.layout.for_each_forward_neighbor_cell(&base, |other| {
+                total += k * self.buckets[other].len() as u64;
+            });
+        }
+        total
+    }
 }
 
 #[cfg(test)]
@@ -789,6 +815,27 @@ mod tests {
             .collect();
         let grid3 = MovingCellGrid::build(&pts3, 20.0, 4.0).unwrap();
         assert_eq!(scanned_pairs(&grid3, 4.0), brute_force_pairs(&pts3, 4.0));
+    }
+
+    /// The scan's price, read off the bucket sizes, is exactly what the
+    /// scan then examines, in 1, 2 and 3 dimensions.
+    #[test]
+    fn forward_pair_count_prices_the_full_scan() {
+        fn check<const D: usize>(rng: &mut rand::rngs::StdRng, n: usize, side: f64, cell: f64) {
+            let pts: Vec<Point<D>> = (0..n)
+                .map(|_| Point::new(std::array::from_fn(|_| rng.random_range(0.0..side))))
+                .collect();
+            let grid = MovingCellGrid::build(&pts, side, cell).unwrap();
+            let examined =
+                grid.scan_forward_pairs(0, grid.cells_per_side(), cell * cell, |_, _| {});
+            assert_eq!(grid.forward_pair_count(), examined, "D = {D}, cell {cell}");
+        }
+        let mut rng = rand::rngs::StdRng::seed_from_u64(12);
+        for cell in [0.7, 3.0, 9.5, 60.0] {
+            check::<1>(&mut rng, 150, 50.0, cell);
+            check::<2>(&mut rng, 150, 50.0, cell);
+            check::<3>(&mut rng, 150, 50.0, cell);
+        }
     }
 
     /// The lattice floor caps a tiny radius at about `n` cells, yet the

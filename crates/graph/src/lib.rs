@@ -11,7 +11,8 @@
 //! * [`AdjacencyList`] — point-graph construction (grid-accelerated or
 //!   brute force) and degree/isolation queries;
 //! * [`components`] — connected components, largest component size;
-//! * [`mst`] — dense Prim Euclidean MST and the **critical
+//! * [`mst`] — the Euclidean MST (dense Prim at small `n`, exact
+//!   grid-Kruskal at large `n`) and the **critical
 //!   transmitting range** (the bottleneck = longest MST edge), the
 //!   single quantity from which all of the paper's `r_f` metrics are
 //!   derived, plus [`CriticalRangeTracker`], which certifies it along

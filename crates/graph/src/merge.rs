@@ -8,8 +8,8 @@
 //! (the cut property), so [`MergeProfile`] materializes that step
 //! function from the `n − 1` edges of [`minimum_spanning_tree`] alone:
 //! Kruskal's union order over the MST, recording every range at which
-//! the maximum component size grows. The same dense Prim that yields
-//! the critical range therefore answers every range query.
+//! the maximum component size grows. The same MST that yields the
+//! critical range therefore answers every range query.
 //!
 //! This is the device behind the paper's Figures 4–6: the average size
 //! of the largest component at an arbitrary range — and the ranges
@@ -18,7 +18,7 @@
 //! instead of re-simulating for every candidate range.
 
 use crate::dsu::UnionFind;
-use crate::mst::minimum_spanning_tree;
+use crate::mst::{minimum_spanning_tree, MstEdge};
 use manet_geom::Point;
 
 /// Step function `r -> size of largest connected component`.
@@ -49,18 +49,26 @@ pub struct MergeProfile {
 
 impl MergeProfile {
     /// Builds the profile of `points` by union-find over the `n − 1`
-    /// edges of their minimum spanning tree sorted by length: `O(n²)`
-    /// for the dense Prim, `O(n)` memory. Equal-length edges form one
-    /// event, so the profile does not depend on which tied MST Prim
-    /// returns.
+    /// edges of their minimum spanning tree sorted by length: the cost
+    /// of one [`minimum_spanning_tree`] (`O(n²)` dense Prim below its
+    /// crossover, about `O(n log n)` grid-Kruskal on spread-out
+    /// placements above it), `O(n)` memory. Equal-length edges form
+    /// one event, so the profile does not depend on which tied MST the
+    /// builder returns.
     ///
     /// # Panics
     ///
     /// Panics naming the first node with a non-finite coordinate (see
     /// [`minimum_spanning_tree`]).
     pub fn of<const D: usize>(points: &[Point<D>]) -> Self {
-        let n = points.len();
-        let mut edges = minimum_spanning_tree(points);
+        Self::from_spanning_tree(points.len(), minimum_spanning_tree(points))
+    }
+
+    /// The profile of `n` nodes from any of their minimum spanning
+    /// trees; exposed so the oracle tests can compare the profiles of
+    /// two MST builders.
+    #[doc(hidden)]
+    pub fn from_spanning_tree(n: usize, mut edges: Vec<MstEdge>) -> Self {
         edges.sort_by(|a, b| a.length.total_cmp(&b.length));
 
         let mut uf = UnionFind::new(n);

@@ -12,8 +12,8 @@
 //!
 //! Two entry points compute it:
 //!
-//! * [`critical_range`] — stateless dense Prim, `n(n−1)/2` pair
-//!   distances per call. The answer for independent placements.
+//! * [`critical_range`] — stateless, one [`minimum_spanning_tree`] per
+//!   call. The answer for independent placements.
 //! * [`CriticalRangeTracker`] — the same value, bit for bit, for a
 //!   *sequence* of placements that each moved a little since the last
 //!   (one mobility trajectory). It keeps the previous step's spanning
@@ -42,12 +42,47 @@
 //! loop terminates; its cost is bounded explicitly instead: before each
 //! cut scan the tracker checks that the step's scans stay within
 //! Prim's own `n(n−1)/2` pairs and otherwise *reseeds* from
-//! [`minimum_spanning_tree`]. Any step therefore costs at most about
-//! twice a cold Prim (one budget of scans plus one Prim). A typical
+//! [`minimum_spanning_tree`]. Any step therefore costs at most one
+//! budget of scans plus one MST build, which is at most about 1.5
+//! Prims (see below) and far less at large `n`. A typical
 //! mobility step needs one or two rounds, and its longest edge usually
 //! cuts off one node or a few, so each round costs `O(n)`.
+//!
+//! # One dispatch rule
+//!
+//! [`minimum_spanning_tree`] runs dense Prim (`n(n−1)/2` pair
+//! distances, `O(n)` memory) below [`GRID_MST_MIN_NODES`] nodes, and on
+//! any input with a negative coordinate or zero extent. Otherwise it
+//! runs an exact incremental grid-Kruskal over a [`MovingCellGrid`] on
+//! `[0, side]^D`, `side` the largest coordinate. Pass `k` buckets the
+//! points at radius `R_k = 1.3·(A·ln n / (V_D·n))^{1/D}·1.5^k` (`A =
+//! side^D`, `V_D` the unit ball's volume, so `R_0` is 1.3 times the
+//! connectivity radius of a uniform placement) and collects the pairs
+//! with `R_{k−1}² < d² <= R_k²` whose endpoints lie in different
+//! components so far. Each pair's `d²` is [`Point::distance_sq`], the
+//! value Prim compares. A pass sorts its pairs by `d²` and unions them
+//! in that order, until the forest has `n − 1` edges.
+//!
+//! The result is an exact MST. A pass ends with every pair of length
+//! `<= R_k` considered in nondecreasing order after every shorter one,
+//! which is Kruskal's order on the complete graph with the pairs it
+//! would reject left out. Every MST edge is at most the bottleneck,
+//! and the bottleneck is at most the last pass's `R_k`, so no pair the
+//! passes never reached can belong to the tree. Every MST has the same
+//! sorted edge lengths, so the bottleneck, [`critical_range`] and
+//! [`MergeProfile`](crate::MergeProfile) are bit-identical to Prim's.
+//! The tree is re-emitted breadth-first from node 0, so each edge's `a`
+//! is in the tree before `b`, as in Prim's order.
+//!
+//! Song, Goeckel and Towsley (cs/0509085) are why the candidate set at
+//! `R_0` is `O(n log n)` for a uniform placement; `R_0` does not affect
+//! exactness, only the number of passes. A pass is priced from the
+//! bucket sizes before it runs: when the passes would examine more
+//! than half of Prim's pairs (clustered or coincident points), the grid
+//! gives way to Prim, so no input costs more than about 1.5 Prims.
 
-use manet_geom::Point;
+use crate::dsu::UnionFind;
+use manet_geom::{MovingCellGrid, Point};
 
 /// One edge of a minimum spanning tree.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -80,6 +115,32 @@ fn pair_count(n: usize) -> u64 {
     n * n.saturating_sub(1) / 2
 }
 
+/// Node count from which [`minimum_spanning_tree`] runs grid-Kruskal
+/// instead of dense Prim (see the [module docs](self)). Measured by
+/// the `kernels` bench's `mst` rows; DESIGN.md records the table.
+pub const GRID_MST_MIN_NODES: usize = 512;
+
+/// `R_0` over the connectivity radius of a uniform placement.
+const GRID_MST_FIRST_RADIUS: f64 = 1.3;
+
+/// Growth of the radius from one grid-Kruskal pass to the next.
+const GRID_MST_RADIUS_GROWTH: f64 = 1.5;
+
+/// The MST of `points` and the number of pair distances evaluated
+/// to build it: the one dispatch rule of the [module docs](self).
+fn spanning_tree<const D: usize>(points: &[Point<D>]) -> (Vec<MstEdge>, u64) {
+    let n = points.len();
+    let mut examined = 0;
+    if n >= GRID_MST_MIN_NODES {
+        assert_finite(points);
+        match grid_kruskal(points) {
+            Ok(tree) => return tree,
+            Err(spent) => examined = spent,
+        }
+    }
+    (minimum_spanning_tree_prim(points), examined + pair_count(n))
+}
+
 /// A vertex outside Prim's tree: its position, its best known squared
 /// distance to the tree and the tree vertex achieving it.
 #[derive(Clone, Copy)]
@@ -90,17 +151,17 @@ struct Candidate<const D: usize> {
     index: u32,
 }
 
-/// Computes the Euclidean MST with dense Prim in `O(n²)` time and
-/// `O(n)` memory — optimal for the complete geometric graph, where
-/// just enumerating candidate edges already costs `n²/2` distance
-/// evaluations.
+/// Computes the Euclidean MST: dense Prim below
+/// [`GRID_MST_MIN_NODES`] nodes, exact grid-Kruskal at and above it
+/// (see the [module docs](self) for the dispatch rule and the
+/// exactness argument).
 ///
 /// Returns `n - 1` edges for `n >= 1` points (empty for `n <= 1`).
-/// Edges are returned in the order Prim adds them, growing one tree
-/// from node 0: each edge's `a` is already in the tree when `b` joins.
-/// Lengths are exact Euclidean distances. Among equal-length candidates the choice is
-/// unspecified, so with ties the edge set may be any of the tied MSTs
-/// (the bottleneck and the sorted length sequence are the same for all).
+/// Edges grow one tree from node 0: each edge's `a` is already in the
+/// tree when `b` joins. Lengths are exact Euclidean distances. Among
+/// equal-length candidates the choice is unspecified, so with ties the
+/// edge set may be any of the tied MSTs (the bottleneck and the sorted
+/// length sequence are the same for all).
 ///
 /// # Panics
 ///
@@ -120,6 +181,37 @@ struct Candidate<const D: usize> {
 /// assert!((total - 3.0).abs() < 1e-12);
 /// ```
 pub fn minimum_spanning_tree<const D: usize>(points: &[Point<D>]) -> Vec<MstEdge> {
+    spanning_tree(points).0
+}
+
+/// Grid-Kruskal at any `n`, with the pair distances it evaluated, or
+/// `None` where [`minimum_spanning_tree`] would fall back to Prim
+/// (a negative coordinate, zero extent, or more than half of Prim's
+/// pairs); exposed for the oracle tests and benches.
+///
+/// # Panics
+///
+/// As [`minimum_spanning_tree`].
+#[doc(hidden)]
+pub fn minimum_spanning_tree_grid<const D: usize>(
+    points: &[Point<D>],
+) -> Option<(Vec<MstEdge>, u64)> {
+    assert_finite(points);
+    grid_kruskal(points).ok()
+}
+
+/// Dense Prim at any `n`, [`minimum_spanning_tree`]'s path below
+/// [`GRID_MST_MIN_NODES`]; exposed for the oracle tests and benches.
+/// `O(n²)` time and `O(n)` memory — optimal for the complete geometric
+/// graph, where just enumerating candidate edges already costs `n²/2`
+/// distance evaluations. Edges come in the order Prim adds them,
+/// growing one tree from node 0.
+///
+/// # Panics
+///
+/// As [`minimum_spanning_tree`].
+#[doc(hidden)]
+pub fn minimum_spanning_tree_prim<const D: usize>(points: &[Point<D>]) -> Vec<MstEdge> {
     assert_finite(points);
     let n = points.len();
     if n <= 1 {
@@ -165,6 +257,131 @@ pub fn minimum_spanning_tree<const D: usize>(points: &[Point<D>]) -> Vec<MstEdge
             length: added.d2.sqrt(),
         });
         (current, p) = (added.index, added.point);
+    }
+    edges
+}
+
+/// Volume of the unit ball in `d` dimensions (`2`, `π`, `4π/3`, …).
+fn unit_ball_volume(d: usize) -> f64 {
+    match d {
+        0 => 1.0,
+        1 => 2.0,
+        _ => unit_ball_volume(d - 2) * 2.0 * std::f64::consts::PI / d as f64,
+    }
+}
+
+/// Exact incremental grid-Kruskal (see the [module docs](self)):
+/// `Ok((tree, pairs examined))`, or `Err(pairs examined)` when the
+/// input is outside the grid's domain (a negative coordinate, zero
+/// extent) or the next pass would take the examined pairs past half
+/// of Prim's. Expects finite points.
+fn grid_kruskal<const D: usize>(points: &[Point<D>]) -> Result<(Vec<MstEdge>, u64), u64> {
+    let n = points.len();
+    if n <= 1 {
+        return Ok((Vec::new(), 0));
+    }
+    let mut side = 0.0f64;
+    for p in points {
+        for c in p.coords() {
+            if c < 0.0 {
+                return Err(0);
+            }
+            side = side.max(c);
+        }
+    }
+    if side == 0.0 {
+        return Err(0);
+    }
+    let budget = pair_count(n) / 2;
+    let nf = n as f64;
+    let mut radius = GRID_MST_FIRST_RADIUS
+        * (side.powi(D as i32) * nf.ln() / (unit_ball_volume(D) * nf)).powf(1.0 / D as f64);
+    // Cells a hair above the radius, so that rounding in the cell
+    // arithmetic cannot push an in-range pair two cells apart.
+    let cell_for =
+        |radius: f64| MovingCellGrid::<D>::lattice_cell_size(n, side, radius * (1.0 + 1e-9));
+    let mut grid = cell_for(radius)
+        .and_then(|cell| MovingCellGrid::build(points, side, cell))
+        .map_err(|_| 0u64)?;
+    let mut components = UnionFind::new(n);
+    let mut tree: Vec<(u32, u32, f64)> = Vec::with_capacity(n - 1);
+    let mut pass: Vec<(u64, u32, u32)> = Vec::new();
+    let mut examined = 0u64;
+    let mut done_r2 = f64::NEG_INFINITY;
+    loop {
+        if examined + grid.forward_pair_count() > budget {
+            return Err(examined);
+        }
+        let r2 = radius * radius;
+        pass.clear();
+        examined += grid.scan_forward_pairs(0, grid.cells_per_side(), r2, |a, b| {
+            let d2 = points[a as usize].distance_sq(&points[b as usize]);
+            // A pair within the last pass's radius already shares a
+            // component: skip it before the two finds.
+            if d2 > done_r2 && components.find(a as usize) != components.find(b as usize) {
+                pass.push((d2.to_bits(), a, b));
+            }
+        });
+        // Non-negative f64s order as their bit patterns; ties may union
+        // in any order, every one of them yields an MST.
+        pass.sort_unstable_by_key(|&(bits, _, _)| bits);
+        for &(bits, a, b) in &pass {
+            if components.union(a as usize, b as usize) {
+                tree.push((a, b, f64::from_bits(bits)));
+                if tree.len() == n - 1 {
+                    return Ok((breadth_first(n, &tree), examined));
+                }
+            }
+        }
+        done_r2 = r2;
+        radius *= GRID_MST_RADIUS_GROWTH;
+        cell_for(radius)
+            .and_then(|cell| grid.rebuild_with_cell_size(points, side, cell))
+            .map_err(|_| examined)?;
+    }
+}
+
+/// Re-emits a spanning tree, given as `(a, b, d²)` edges, breadth-first
+/// from node 0, oriented so each edge's `a` is already in the tree.
+fn breadth_first(n: usize, tree: &[(u32, u32, f64)]) -> Vec<MstEdge> {
+    // Compressed adjacency: node v's neighbors are
+    // `adj[start[v]..start[v + 1]]`.
+    let mut start = vec![0u32; n + 1];
+    for &(a, b, _) in tree {
+        start[a as usize + 1] += 1;
+        start[b as usize + 1] += 1;
+    }
+    for v in 0..n {
+        start[v + 1] += start[v];
+    }
+    let mut fill = start.clone();
+    let mut adj = vec![(0u32, 0.0f64); 2 * tree.len()];
+    for &(a, b, d2) in tree {
+        for (from, to) in [(a, b), (b, a)] {
+            adj[fill[from as usize] as usize] = (to, d2);
+            fill[from as usize] += 1;
+        }
+    }
+    let mut seen = vec![false; n];
+    seen[0] = true;
+    let mut order = Vec::with_capacity(n);
+    order.push(0u32);
+    let mut edges = Vec::with_capacity(n - 1);
+    let mut k = 0;
+    while k < order.len() {
+        let v = order[k];
+        k += 1;
+        for &(w, d2) in &adj[start[v as usize] as usize..start[v as usize + 1] as usize] {
+            if !seen[w as usize] {
+                seen[w as usize] = true;
+                order.push(w);
+                edges.push(MstEdge {
+                    a: v,
+                    b: w,
+                    length: d2.sqrt(),
+                });
+            }
+        }
     }
     edges
 }
@@ -215,7 +432,8 @@ pub struct TrackerCounts {
     /// budget.
     pub reseeds: u64,
     /// Candidate pair distances evaluated: every cut scan's `|A|·|B|`
-    /// plus `n(n−1)/2` per reseed.
+    /// plus each reseed's own count (`n(n−1)/2` for dense Prim, the
+    /// pairs its passes examined for grid-Kruskal).
     pub pairs: u64,
 }
 
@@ -226,7 +444,7 @@ pub struct TrackerCounts {
 /// [`critical_range`](Self::critical_range) returns exactly
 /// [`critical_range`](fn@critical_range)'s value, bit for bit, for any
 /// sequence of placements. It is fast when consecutive placements are
-/// close (one mobility step apart) and never costs more than about two
+/// close (one mobility step apart) and never costs more than about 2.5
 /// cold Prims, because each query's cut scans are capped at Prim's
 /// `n(n−1)/2` pairs before it falls back to a reseed. It holds `O(n)`
 /// memory and no state but the last tree, so one tracker per
@@ -314,9 +532,9 @@ impl CriticalRangeTracker {
     /// Replaces the tree with a fresh MST and returns its bottleneck.
     fn reseed<const D: usize>(&mut self, points: &[Point<D>]) -> f64 {
         let n = points.len();
-        let mst = minimum_spanning_tree(points);
+        let (mst, pairs) = spanning_tree(points);
         self.counts.reseeds += 1;
-        self.counts.pairs += pair_count(n);
+        self.counts.pairs += pairs;
         for list in [
             &mut self.parent,
             &mut self.first_child,
@@ -326,8 +544,8 @@ impl CriticalRangeTracker {
             list.clear();
             list.resize(n, NONE);
         }
-        // Prim grows one tree from node 0, and each edge's `a` is already
-        // in it when `b` joins, so `a` is `b`'s parent.
+        // The tree grows from node 0, and each edge's `a` is already in
+        // it when `b` joins, so `a` is `b`'s parent.
         for e in &mst {
             self.link(e.b, e.a);
         }
@@ -749,6 +967,22 @@ mod tests {
             assert_eq!(c.certified + c.reseeds, c.calls);
             assert!(c.pairs <= (c.calls + c.reseeds) * pair_count(n), "{c:?}");
         }
+    }
+
+    #[test]
+    fn tracker_counts_the_pairs_a_grid_reseed_examined() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        let n = GRID_MST_MIN_NODES + 100;
+        let pts: Vec<Point<2>> = (0..n)
+            .map(|_| Point::new([rng.random_range(0.0..1000.0), rng.random_range(0.0..1000.0)]))
+            .collect();
+        let Ok((_, examined)) = grid_kruskal(&pts) else {
+            panic!("a uniform placement stays on the grid path");
+        };
+        let mut t = CriticalRangeTracker::new();
+        assert_same(&mut t, &pts, "reseed");
+        assert_eq!((t.counts().reseeds, t.counts().pairs), (1, examined));
+        assert!(examined * 4 < pair_count(n), "{examined} pairs");
     }
 
     #[test]

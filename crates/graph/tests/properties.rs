@@ -322,7 +322,11 @@ const SKIN_SWEEP: [Skin; 3] = [Skin::Off, Skin::Auto, Skin::Fixed(25.0)];
 /// recomputation: edge-event totals against summed oracle diff sizes,
 /// the moved-node total against a bitwise position comparison, and the
 /// step count against the path partition (including the Verlet cache
-/// buckets). Returns the kernel's final counter block.
+/// buckets). Only every `moving_stride`-th node follows the model; the
+/// rest stay where they were placed, so a stride above 2 keeps every
+/// step on the moved-node path. Returns the kernel's final counter
+/// block.
+#[expect(clippy::too_many_arguments, reason = "one replay, many knobs")]
 fn replay_kernel_against_oracle(
     model_name: &str,
     n: usize,
@@ -330,6 +334,7 @@ fn replay_kernel_against_oracle(
     range: f64,
     steps: usize,
     seed: u64,
+    moving_stride: usize,
     (step_threads, skin): (usize, Skin),
 ) -> Result<manet_obs::StepKernelMetrics, TestCaseError> {
     let registry = ModelRegistry::<2>::with_builtins();
@@ -352,17 +357,17 @@ fn replay_kernel_against_oracle(
     let mut brute_added = 0u64;
     let mut brute_removed = 0u64;
     let mut brute_moved = 0u64;
-    let mut previous = positions.clone();
+    let mut fed = positions.clone();
     for step in 0..steps {
         model.step(&mut positions, &region, &mut rng);
-        brute_moved += positions
-            .iter()
-            .zip(&previous)
-            .filter(|(a, b)| a != b)
-            .count() as u64;
-        previous.copy_from_slice(&positions);
-        dg.step(&positions);
-        let next = AdjacencyList::from_points(&positions, side, range);
+        for (i, (f, p)) in fed.iter_mut().zip(&positions).enumerate() {
+            if i % moving_stride == 0 && f != p {
+                *f = *p;
+                brute_moved += 1;
+            }
+        }
+        dg.step(&fed);
+        let next = AdjacencyList::from_points(&fed, side, range);
         oracle.diff_into(&next, &mut expected);
         brute_added += expected.added.len() as u64;
         brute_removed += expected.removed.len() as u64;
@@ -460,6 +465,7 @@ proptest! {
             range_frac * side,
             steps,
             seed,
+            1,
             (STEP_THREAD_SWEEP[threads_idx], SKIN_SWEEP[skin_idx]),
         )?;
     }
@@ -484,9 +490,17 @@ fn step_kernel_paths_cover_every_registry_model_with_bounded_fallback() {
         // Skin stays off here — this test pins the legacy two-path
         // split; the armed cache has its own coverage test below.
         let step_threads = STEP_THREAD_SWEEP[i % STEP_THREAD_SWEEP.len()];
-        let m =
-            replay_kernel_against_oracle(name, 40, 100.0, 18.0, 80, 99, (step_threads, Skin::Off))
-                .unwrap();
+        let m = replay_kernel_against_oracle(
+            name,
+            40,
+            100.0,
+            18.0,
+            80,
+            99,
+            1,
+            (step_threads, Skin::Off),
+        )
+        .unwrap();
         let (incremental, bulk, fallback) =
             (m.incremental_steps, m.bulk_rescan_steps, m.fallback_steps);
         assert!(
@@ -527,8 +541,8 @@ fn verlet_cache_arms_across_registry_models_under_auto_skin() {
             .expect("registry model")
             .max_step_displacement()
             .is_some();
-        let m =
-            replay_kernel_against_oracle(name, 40, 100.0, 18.0, 80, 99, (1, Skin::Auto)).unwrap();
+        let m = replay_kernel_against_oracle(name, 40, 100.0, 18.0, 80, 99, 1, (1, Skin::Auto))
+            .unwrap();
         if !bounded {
             assert_eq!(
                 m.cache_verify_steps + m.cache_rebuilds,
@@ -664,6 +678,209 @@ fn sharded_step_observables_bit_identical_across_thread_counts_for_every_model()
                     serial.2, sharded.2,
                     "{name} skin {skin}: counters diverged at {threads} threads"
                 );
+            }
+        }
+    }
+}
+
+/// The step kernel at the sizes it is built for: over a few steps of
+/// waypoint (declares a displacement bound) and gauss-markov (does
+/// not) at n = 2000 and 5000, each path is forced in turn and every
+/// step's added and removed lists and edge set must equal
+/// `from_points` + `diff`. The moved-node path runs with one node in
+/// four moving, the bulk path with the cache off and every node moving,
+/// and the cache-verify path with a fixed skin (waypoint only: a model
+/// without a bound never arms the cache).
+#[test]
+#[ignore = "release-only oracle; run by CI"]
+fn step_kernel_paths_match_oracle_at_scale() {
+    for n in [2000usize, 5000] {
+        // Trace-large's density: n = 2000 on side 1024, range 60.
+        let side = 1024.0 * (n as f64 / 2000.0).sqrt();
+        for model in ["waypoint", "gauss-markov"] {
+            let replay = |stride, skin| {
+                replay_kernel_against_oracle(model, n, side, 60.0, 6, 7, stride, (1, skin)).unwrap()
+            };
+            let m = replay(4, Skin::Off);
+            assert_eq!(m.incremental_steps, 6, "{model} n={n}: {m:?}");
+            let m = replay(1, Skin::Off);
+            assert_eq!(m.bulk_rescan_steps, 6, "{model} n={n}: {m:?}");
+            if model == "waypoint" {
+                // Eight top speeds of skin: the arena outlasts several
+                // steps of drift before it rebuilds.
+                let m = replay(1, Skin::Fixed(0.08 * side));
+                assert!(m.cache_verify_steps >= 3, "{model} n={n}: {m:?}");
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The grid-Kruskal MST against dense Prim, at the sizes the grid path
+// is built for.
+// ---------------------------------------------------------------------------
+
+use manet_graph::mst::{
+    minimum_spanning_tree_grid, minimum_spanning_tree_prim, GRID_MST_MIN_NODES,
+};
+use manet_graph::MstEdge;
+
+/// Asserts `tree` is a minimum spanning tree of `pts` interchangeable
+/// with dense Prim's: the same bottleneck and sorted edge lengths, bit
+/// for bit, the same merge profile, and each edge's `a` already in the
+/// tree grown from node 0 when `b` joins.
+fn assert_matches_prim<const D: usize>(
+    pts: &[Point<D>],
+    tree: &[MstEdge],
+) -> Result<(), TestCaseError> {
+    let n = pts.len();
+    let prim = minimum_spanning_tree_prim(pts);
+    let bits = |t: &[MstEdge]| {
+        let mut v: Vec<u64> = t.iter().map(|e| e.length.to_bits()).collect();
+        v.sort_unstable();
+        v
+    };
+    let (ours, theirs) = (bits(tree), bits(&prim));
+    prop_assert_eq!(ours.last(), theirs.last(), "bottleneck");
+    prop_assert_eq!(&ours, &theirs, "sorted edge lengths");
+    let mut joined = vec![false; n];
+    if n > 0 {
+        joined[0] = true;
+    }
+    for e in tree {
+        prop_assert!(
+            joined[e.a as usize] && !joined[e.b as usize],
+            "orientation at {:?}",
+            e
+        );
+        prop_assert_eq!(
+            e.length.to_bits(),
+            pts[e.a as usize].distance(&pts[e.b as usize]).to_bits()
+        );
+        joined[e.b as usize] = true;
+    }
+    prop_assert_eq!(
+        MergeProfile::from_spanning_tree(n, tree.to_vec()),
+        MergeProfile::from_spanning_tree(n, prim)
+    );
+    Ok(())
+}
+
+/// Runs the grid path on `pts`, requires it to take the input, checks
+/// it against Prim, and checks that the dispatch returns the same tree.
+fn assert_grid_matches_prim<const D: usize>(pts: &[Point<D>]) -> Result<(), TestCaseError> {
+    let Some((tree, pairs)) = minimum_spanning_tree_grid(pts) else {
+        return Err(TestCaseError::fail(
+            "the grid path declined a spread-out placement",
+        ));
+    };
+    let n = pts.len() as u64;
+    prop_assert!(pairs < n * (n - 1) / 2, "{} pairs for n = {}", pairs, n);
+    assert_matches_prim(pts, &tree)?;
+    prop_assert_eq!(minimum_spanning_tree(pts), tree);
+    Ok(())
+}
+
+fn uniform<const D: usize>(n: usize, side: f64, seed: u64) -> Vec<Point<D>> {
+    use rand::RngExt;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|_| Point::new(std::array::from_fn(|_| rng.random_range(0.0..side))))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn grid_mst_matches_prim_above_the_crossover(
+        extra in 0usize..=200,
+        dim in 1usize..=3,
+        side in 1.0..2000.0f64,
+        seed in 0u64..1_000_000,
+    ) {
+        let n = GRID_MST_MIN_NODES + extra;
+        match dim {
+            1 => assert_grid_matches_prim(&uniform::<1>(n, side, seed))?,
+            2 => assert_grid_matches_prim(&uniform::<2>(n, side, seed))?,
+            _ => assert_grid_matches_prim(&uniform::<3>(n, side, seed))?,
+        }
+    }
+}
+
+/// A 24 × 24 integer lattice: every MST edge ties at exactly 1.0, and
+/// so do many longer candidates, so the grid must pick a tree of unit
+/// edges like Prim's.
+#[test]
+fn grid_mst_on_an_integer_lattice_ties_at_one() {
+    let pts: Vec<Point<2>> = (0..24u32)
+        .flat_map(|x| (0..24u32).map(move |y| Point::new([f64::from(x), f64::from(y)])))
+        .collect();
+    assert!(
+        pts.len() >= GRID_MST_MIN_NODES,
+        "the fixture sits above the crossover"
+    );
+    assert_grid_matches_prim(&pts).unwrap();
+    assert!(minimum_spanning_tree(&pts).iter().all(|e| e.length == 1.0));
+}
+
+/// Collinear points in the plane: the lattice is one row deep, and the
+/// chain they form must still come out exact.
+#[test]
+fn grid_mst_on_collinear_points() {
+    let pts: Vec<Point<2>> = uniform::<1>(GRID_MST_MIN_NODES + 50, 500.0, 3)
+        .into_iter()
+        .map(|p| Point::new([p.coord(0), 0.5 * p.coord(0) + 7.0]))
+        .collect();
+    assert_grid_matches_prim(&pts).unwrap();
+}
+
+/// Inputs outside the grid's domain take Prim, edge for edge: a
+/// negative coordinate, zero extent (all points at the origin) and
+/// coincident points, whose one cell would price the grid pass at every
+/// pair.
+#[test]
+fn grid_mst_falls_back_to_prim_outside_its_domain() {
+    let n = GRID_MST_MIN_NODES + 10;
+    let negative: Vec<Point<2>> = uniform::<2>(n, 100.0, 5)
+        .into_iter()
+        .map(|p| Point::new([p.coord(0) - 50.0, p.coord(1)]))
+        .collect();
+    let cases = [
+        ("negative coordinates", negative),
+        ("zero extent", vec![Point::new([0.0, 0.0]); n]),
+        ("coincident", vec![Point::new([3.0, 4.0]); n]),
+    ];
+    for (what, pts) in cases {
+        assert!(minimum_spanning_tree_grid(&pts).is_none(), "{what}");
+        let tree = minimum_spanning_tree(&pts);
+        assert_eq!(tree, minimum_spanning_tree_prim(&pts), "{what}");
+        assert_matches_prim(&pts, &tree).unwrap();
+    }
+}
+
+/// Every registry model's placements at n = 2000 and 5000 over a few
+/// steps: the grid path takes every one, and matches Prim.
+#[test]
+#[ignore = "release-only oracle; run by CI"]
+fn grid_mst_matches_prim_on_every_registry_model_at_scale() {
+    let registry = ModelRegistry::<2>::with_builtins();
+    let names = registry.names();
+    assert_eq!(names.len(), 13, "every registry model is covered");
+    for n in [2000usize, 5000] {
+        let side = 1024.0 * (n as f64 / 2000.0).sqrt();
+        let scale = PaperScale::new(side).with_pause(3);
+        let region: Region<2> = Region::new(side).expect("positive side");
+        for name in &names {
+            let mut model = registry.build(name, &scale).expect("registry model");
+            let mut rng = rand::rngs::StdRng::seed_from_u64(20020623);
+            let mut positions = region.place_uniform(n, &mut rng);
+            model.init(&positions, &region, &mut rng);
+            for step in 0..4 {
+                if let Err(e) = assert_grid_matches_prim(&positions) {
+                    panic!("{name} n={n} step {step}: {e:?}");
+                }
+                model.step(&mut positions, &region, &mut rng);
             }
         }
     }

@@ -27,7 +27,7 @@ use manet_stats::{FrozenSeries, RunningMoments};
 /// Consecutive steps of one trajectory differ by one mobility step, so
 /// the observer keeps a [`CriticalRangeTracker`] that certifies each
 /// step's bottleneck against the previous step's spanning tree instead
-/// of running a cold Prim; its values are bit-identical to
+/// of building a cold MST; its values are bit-identical to
 /// [`manet_graph::critical_range`]. Every iteration builds its own
 /// observer, so no tracker state crosses iterations and the series do
 /// not depend on the thread count.

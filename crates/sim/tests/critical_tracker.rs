@@ -117,4 +117,6 @@ fn tracker_matches_prim_bit_for_bit_at_scale() {
     let w = waypoint(&counts);
     assert!(w.reseeds * 20 <= w.calls, "n = 128: {w:?}");
     oracle(500, 200, 1);
+    // Above `GRID_MST_MIN_NODES`: reseeds build grid-Kruskal trees.
+    oracle(1000, 100, 1);
 }
