@@ -7,8 +7,10 @@ use manet_bench::{bench_waypoint, small_problem};
 use manet_core::geom::BoundaryPolicy;
 use manet_core::mobility::Drunkard;
 use manet_core::occupancy::Occupancy;
-use manet_core::sim::search::find_range_for_connectivity_fraction;
-use manet_core::sim::{simulate_critical_ranges, SimConfig};
+use manet_core::sim::{
+    bisect_critical_range, simulate_critical_ranges, ConnectivityMetric, CriticalRangeSearch,
+    SimConfig,
+};
 use std::hint::black_box;
 
 /// CTR-quantile method vs bisection search for `r90` (identical
@@ -30,10 +32,12 @@ fn quantile_vs_bisection(c: &mut Criterion) {
             black_box(res.mean_range_for_fraction(0.9).unwrap())
         })
     });
+    let search = CriticalRangeSearch::new()
+        .with_metric(ConnectivityMetric::KConnectivity(1))
+        .with_target(0.9)
+        .with_rel_tol(1.0 / 256.0);
     group.bench_function("slow_bisection", |bch| {
-        bch.iter(|| {
-            black_box(find_range_for_connectivity_fraction(&cfg, &model, 0.9, 1.0).unwrap())
-        })
+        bch.iter(|| black_box(bisect_critical_range(&cfg, &model, &search).unwrap().range))
     });
     group.finish();
 }

@@ -73,11 +73,14 @@ fn bench_recorder_fold(c: &mut Criterion) {
     c.bench_function("trace_recorder_fold_n=128", |b| {
         b.iter(|| {
             let mut dg = DynamicGraph::new(&traj[0], SIDE, RANGE);
+            let mut dc = DynamicComponents::new(128);
             let mut rec = TraceRecorder::new(128, traj.len());
-            rec.observe(dg.last_diff(), dg.graph());
+            dc.apply(dg.last_diff(), dg.graph());
+            rec.observe_with(dg.last_diff(), dg.graph(), &dc);
             for pts in &traj[1..] {
                 dg.step(pts);
-                rec.observe(dg.last_diff(), dg.graph());
+                dc.apply(dg.last_diff(), dg.graph());
+                rec.observe_with(dg.last_diff(), dg.graph(), &dc);
             }
             black_box(rec.finish())
         })

@@ -214,7 +214,7 @@ pub fn measure_kernel_counters(traj: &[Vec<Point<2>>], side: f64, range: f64) ->
 
 /// The pre-kernel path: rebuild the snapshot from scratch each step
 /// and diff the two full snapshots (`from_points` + `diff`), exactly
-/// what `DynamicGraph::advance` did before the incremental kernel.
+/// what `DynamicGraph` did before the incremental kernel.
 pub fn run_rebuild_diff(traj: &[Vec<Point<2>>], side: f64, range: f64) -> usize {
     let mut graph = AdjacencyList::from_points(&traj[0], side, range);
     let mut acc = graph.edge_count();

@@ -7,16 +7,18 @@
 //! [`MovingCellGrid::scan_forward_pairs`] enumerates each in-range
 //! pair once by visiting every adjacent cell pair once. The static
 //! graph build (`AdjacencyList::from_points_grid` in `manet-graph`)
-//! is one build plus one full scan.
+//! is one build plus one full scan. Each cell holds its occupants as
+//! one array of `(id, position)` entries, so a scan reads ids and
+//! coordinates from the same contiguous run.
 //!
-//! The step kernels build the index once and then
-//! [`MovingCellGrid::update`] it per step: only the nodes whose
-//! position changed are examined, and only those that crossed a cell
-//! boundary are relocated between buckets. The update also *measures*
-//! the step — it reports which nodes moved and the maximum squared
-//! displacement — which is exactly the information an incremental
-//! neighbor kernel needs to scan only moved nodes and to police a
-//! mobility model's declared displacement bound.
+//! The step kernels build the index once and commit each step in two
+//! calls. [`MovingCellGrid::measure`] reports which nodes moved and the
+//! maximum squared displacement without touching the buckets — exactly
+//! the information an incremental neighbor kernel needs to scan only
+//! moved nodes and to police a mobility model's declared displacement
+//! bound. [`MovingCellGrid::relocate`] then commits only the moved
+//! nodes (only those that crossed a cell boundary change bucket), or
+//! [`MovingCellGrid::reset`] re-buckets every node in one pass.
 //!
 //! # The lattice rule
 //!
@@ -29,7 +31,7 @@
 //! Bucket membership lists preserve a stable order (relocation removes
 //! in place instead of swap-removing), so iteration order — and
 //! therefore any downstream tie-breaking — is a deterministic function
-//! of the update history. A node with a non-finite coordinate has no
+//! of the commit history. A node with a non-finite coordinate has no
 //! cell: bucketing it panics, naming the node.
 
 use crate::cells::CellLayout;
@@ -49,11 +51,12 @@ use manet_obs::GridMetrics;
 ///
 /// pts[1] = Point::new([1.2, 0.5]); // node 1 walks next to node 0
 /// let mut moved = Vec::new();
-/// grid.update(&pts, &mut moved);
+/// grid.measure(&pts, &mut moved);
+/// grid.relocate(&pts, &moved);
 /// assert_eq!(moved, vec![1]);
 ///
 /// let mut near0 = Vec::new();
-/// grid.for_each_candidate(&pts[0], |j| near0.push(j));
+/// grid.for_each_candidate(&pts[0], |j, _| near0.push(j));
 /// near0.sort_unstable();
 /// assert_eq!(near0, vec![0, 1]);
 ///
@@ -66,21 +69,16 @@ use manet_obs::GridMetrics;
 #[derive(Debug, Clone)]
 pub struct MovingCellGrid<const D: usize> {
     layout: CellLayout,
-    /// Occupant node ids per cell, in stable (insertion) order.
-    buckets: Vec<Vec<u32>>,
-    /// Struct-of-arrays mirror of `buckets`: per cell, one coordinate
-    /// column per axis, in bucket (slot) order — the hot distance
-    /// loops read contiguous `f64` runs instead of chasing `Point`s
-    /// through `points`, so the per-candidate `d² ≤ r²` checks
-    /// vectorize.
-    coords: Vec<[Vec<f64>; D]>,
+    /// Occupants per cell as `(node id, position)`, in stable
+    /// (insertion) order.
+    buckets: Vec<Vec<(u32, Point<D>)>>,
     /// Current cell of each node.
     node_cell: Vec<u32>,
-    /// Index of each node within its cell's bucket (and coordinate
-    /// columns) — O(1) in-cell coordinate updates and O(shifted)
-    /// order-preserving removals, no bucket scans.
+    /// Index of each node within its cell's bucket — O(1) in-cell
+    /// position updates and O(shifted) order-preserving removals, no
+    /// bucket scans.
     node_slot: Vec<u32>,
-    /// Current positions (the *new* positions after an `update`).
+    /// Current positions (the *new* positions after a commit).
     points: Vec<Point<D>>,
     /// Deterministic commit counters (see [`GridMetrics`]); the build
     /// itself is not counted, only subsequent commits.
@@ -103,13 +101,9 @@ impl<const D: usize> MovingCellGrid<D> {
     /// Panics when a point has a non-finite coordinate.
     pub fn build(points: &[Point<D>], side: f64, cell_size: f64) -> Result<Self, GeomError> {
         let layout = CellLayout::new(side, cell_size)?;
-        let n_cells = layout.n_cells::<D>();
         let mut grid = MovingCellGrid {
             layout,
-            buckets: vec![Vec::new(); n_cells],
-            coords: (0..n_cells)
-                .map(|_| std::array::from_fn(|_| Vec::new()))
-                .collect(),
+            buckets: vec![Vec::new(); layout.n_cells::<D>()],
             node_cell: vec![0; points.len()],
             node_slot: vec![0; points.len()],
             points: points.to_vec(),
@@ -164,9 +158,6 @@ impl<const D: usize> MovingCellGrid<D> {
             if !self.buckets[c].is_empty() {
                 self.metrics.cells_touched += 1;
                 self.buckets[c].clear();
-                for col in &mut self.coords[c] {
-                    col.clear();
-                }
             }
         }
     }
@@ -177,10 +168,7 @@ impl<const D: usize> MovingCellGrid<D> {
         for (i, p) in points.iter().enumerate() {
             let c = self.cell_of_node(i, p);
             self.node_slot[i] = self.buckets[c].len() as u32;
-            self.buckets[c].push(i as u32);
-            for (k, col) in self.coords[c].iter_mut().enumerate() {
-                col.push(p.coord(k));
-            }
+            self.buckets[c].push((i as u32, *p));
             self.node_cell[i] = c as u32;
             self.points[i] = *p;
         }
@@ -206,7 +194,7 @@ impl<const D: usize> MovingCellGrid<D> {
         self.layout.cell_width
     }
 
-    /// The current positions (after the most recent update).
+    /// The current positions (after the most recent commit).
     pub fn points(&self) -> &[Point<D>] {
         &self.points
     }
@@ -214,7 +202,7 @@ impl<const D: usize> MovingCellGrid<D> {
     /// Deterministic counters accumulated over every commit since the
     /// build ([`MovingCellGrid::relocate`] and
     /// [`MovingCellGrid::reset`] calls; the build itself counts as
-    /// zero). Pure event counts — identical for identical update
+    /// zero). Pure event counts — identical for identical commit
     /// histories regardless of timing or thread placement.
     pub fn metrics(&self) -> &GridMetrics {
         &self.metrics
@@ -283,31 +271,23 @@ impl<const D: usize> MovingCellGrid<D> {
             let old_c = self.node_cell[i] as usize;
             let slot = self.node_slot[i] as usize;
             if c != old_c {
+                // Source and destination buckets.
                 self.metrics.boundary_crossings += 1;
-                self.metrics.cells_touched += 2; // source and destination buckets
-                                                 // Order-preserving removal at the recorded slot keeps
-                                                 // bucket iteration stable (see module docs); every
-                                                 // occupant behind the gap shifts one slot down.
+                self.metrics.cells_touched += 2;
+                // Order-preserving removal at the recorded slot keeps
+                // bucket iteration stable (see module docs); every
+                // occupant behind the gap shifts one slot down.
                 let bucket = &mut self.buckets[old_c];
-                debug_assert_eq!(bucket[slot], iu, "node slot desynced from its bucket");
+                debug_assert_eq!(bucket[slot].0, iu, "node slot desynced from its bucket");
                 bucket.remove(slot);
-                for &shifted in &bucket[slot..] {
+                for &(shifted, _) in &bucket[slot..] {
                     self.node_slot[shifted as usize] -= 1;
                 }
-                for col in &mut self.coords[old_c] {
-                    col.remove(slot);
-                }
                 self.node_slot[i] = self.buckets[c].len() as u32;
-                self.buckets[c].push(iu);
-                for (k, col) in self.coords[c].iter_mut().enumerate() {
-                    col.push(new_p.coord(k));
-                }
+                self.buckets[c].push((iu, new_p));
                 self.node_cell[i] = c as u32;
             } else {
-                // In-cell move: O(1) coordinate-column update.
-                for (k, col) in self.coords[c].iter_mut().enumerate() {
-                    col[slot] = new_p.coord(k);
-                }
+                self.buckets[c][slot].1 = new_p;
             }
             self.points[i] = new_p;
         }
@@ -315,25 +295,9 @@ impl<const D: usize> MovingCellGrid<D> {
         self.debug_validate();
     }
 
-    /// Moves the index to the next step's positions in one call:
-    /// [`MovingCellGrid::measure`] followed by
-    /// [`MovingCellGrid::relocate`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `new_points.len()` differs from the indexed node
-    /// count (a driver logic error) or a moved node has a non-finite
-    /// coordinate.
-    pub fn update(&mut self, new_points: &[Point<D>], moved: &mut Vec<u32>) -> f64 {
-        let max_d2 = self.measure(new_points, moved);
-        self.relocate(new_points, moved);
-        max_d2
-    }
-
     /// Re-buckets every node from scratch at `new_points`, reusing the
     /// bucket allocations. Restores the canonical ascending-id order
-    /// inside each bucket; useful to resynchronize after a caller
-    /// bypassed [`MovingCellGrid::update`].
+    /// inside each bucket.
     ///
     /// # Panics
     ///
@@ -389,8 +353,6 @@ impl<const D: usize> MovingCellGrid<D> {
         self.clear_occupied();
         self.layout = layout;
         self.buckets.resize_with(n_cells, Vec::new);
-        self.coords
-            .resize_with(n_cells, || std::array::from_fn(|_| Vec::new()));
         self.bucket_all(new_points);
         #[cfg(feature = "strict-invariants")]
         self.debug_validate();
@@ -398,11 +360,10 @@ impl<const D: usize> MovingCellGrid<D> {
     }
 
     /// Occupancy-vs-position consistency: the buckets partition the
-    /// node set, every node's recorded cell matches its position,
-    /// every node is listed in (exactly) its own bucket at its
-    /// recorded slot, and the coordinate columns mirror the buckets
-    /// bitwise. `O(n)` — run after every commit under
-    /// `strict-invariants`.
+    /// node set, every node's recorded cell matches its position, and
+    /// every node is listed in (exactly) its own bucket at its recorded
+    /// slot, with its position stored there bitwise. `O(n)` — run after
+    /// every commit under `strict-invariants`.
     #[cfg(feature = "strict-invariants")]
     fn debug_validate(&self) {
         let occupancy: usize = self.buckets.iter().map(Vec::len).sum();
@@ -413,15 +374,6 @@ impl<const D: usize> MovingCellGrid<D> {
         );
         debug_assert_eq!(self.node_cell.len(), self.points.len());
         debug_assert_eq!(self.node_slot.len(), self.points.len());
-        for (c, (bucket, cols)) in self.buckets.iter().zip(&self.coords).enumerate() {
-            for col in cols {
-                debug_assert_eq!(
-                    col.len(),
-                    bucket.len(),
-                    "strict-invariants: coordinate column of cell {c} desynced from its bucket"
-                );
-            }
-        }
         for (i, p) in self.points.iter().enumerate() {
             let c = self.layout.cell_of(p);
             debug_assert_eq!(
@@ -429,54 +381,33 @@ impl<const D: usize> MovingCellGrid<D> {
                 "strict-invariants: node {i} recorded in the wrong cell"
             );
             debug_assert!(
-                self.buckets[c].iter().filter(|&&x| x == i as u32).count() == 1,
+                self.buckets[c].iter().filter(|e| e.0 == i as u32).count() == 1,
                 "strict-invariants: node {i} not listed exactly once in its bucket"
             );
             let slot = self.node_slot[i] as usize;
+            let entry = self.buckets[c].get(slot);
             debug_assert!(
-                self.buckets[c].get(slot) == Some(&(i as u32)),
+                entry.is_some_and(|e| e.0 == i as u32),
                 "strict-invariants: node {i} slot record points at the wrong occupant"
             );
-            for (k, col) in self.coords[c].iter().enumerate() {
-                debug_assert!(
-                    col[slot].to_bits() == p.coord(k).to_bits(),
-                    "strict-invariants: coordinate column of node {i} axis {k} desynced"
-                );
-            }
+            debug_assert!(
+                entry.is_some_and(|e| e.1.coords().map(f64::to_bits) == p.coords().map(f64::to_bits)),
+                "strict-invariants: stored position of node {i} desynced"
+            );
         }
     }
 
-    /// Visits the id of every node in the `3^D` cells adjacent to (or
-    /// containing) `p` — a superset of all nodes within
+    /// Visits every node in the `3^D` cells adjacent to (or containing)
+    /// `p`, with its stored position — a superset of all nodes within
     /// [`MovingCellGrid::cell_width`] of `p`, including any node at `p`
-    /// itself. Callers filter by exact distance.
-    pub fn for_each_candidate<F: FnMut(u32)>(&self, p: &Point<D>, mut f: F) {
+    /// itself. Callers filter by exact distance; `p.distance_sq(q)` on
+    /// the visited `q` is bitwise the distance to the node's current
+    /// position.
+    pub fn for_each_candidate<F: FnMut(u32, &Point<D>)>(&self, p: &Point<D>, mut f: F) {
         let base = self.layout.cell_coords(p);
         self.layout.for_each_neighbor_cell(&base, |cell| {
-            for &j in &self.buckets[cell] {
-                f(j);
-            }
-        });
-    }
-
-    /// [`MovingCellGrid::for_each_candidate`] fused with the distance
-    /// computation: visits every candidate id together with its exact
-    /// squared distance from `p`, read from the contiguous
-    /// struct-of-arrays coordinate columns. The accumulation runs in
-    /// ascending axis order — bitwise the same result as
-    /// [`Point::distance_sq`] against the stored position.
-    pub fn for_each_candidate_dist2<F: FnMut(u32, f64)>(&self, p: &Point<D>, mut f: F) {
-        let base = self.layout.cell_coords(p);
-        self.layout.for_each_neighbor_cell(&base, |cell| {
-            let bucket = &self.buckets[cell];
-            let cols = &self.coords[cell];
-            for (slot, &j) in bucket.iter().enumerate() {
-                let mut acc = 0.0f64;
-                for (k, col) in cols.iter().enumerate() {
-                    let d = p.coord(k) - col[slot];
-                    acc += d * d;
-                }
-                f(j, acc);
+            for (j, q) in &self.buckets[cell] {
+                f(*j, q);
             }
         });
     }
@@ -495,9 +426,7 @@ impl<const D: usize> MovingCellGrid<D> {
     /// range, and disjoint strips examine disjoint pair sets: summed
     /// over a partition of `[0, cells_per_side)`, the emitted pairs and
     /// the examined count are exactly those of the full scan,
-    /// independent of how the strip boundaries fall. Distances
-    /// accumulate per axis in ascending order over the
-    /// struct-of-arrays columns — bitwise equal to
+    /// independent of how the strip boundaries fall. Distances are
     /// [`Point::distance_sq`] on the stored positions.
     ///
     /// # Panics
@@ -551,36 +480,24 @@ impl<const D: usize> MovingCellGrid<D> {
         base[0] = x_lo;
         for lin in (x_lo * col_cells)..(x_hi * col_cells) {
             let bucket = &self.buckets[lin];
-            let cols = &self.coords[lin];
             if !bucket.is_empty() {
                 // Intra-cell pairs, each once (ascending slot order).
-                for (sa, &a) in bucket.iter().enumerate() {
-                    for (sb, &b) in bucket.iter().enumerate().skip(sa + 1) {
+                for (sa, (a, pa)) in bucket.iter().enumerate() {
+                    for (b, pb) in &bucket[sa + 1..] {
                         examined += 1;
-                        let mut acc = 0.0f64;
-                        for col in cols {
-                            let d = col[sa] - col[sb];
-                            acc += d * d;
-                        }
-                        if acc <= r2 {
-                            emit(a.min(b), a.max(b));
+                        if pa.distance_sq(pb) <= r2 {
+                            emit(*a.min(b), *a.max(b));
                         }
                     }
                 }
                 // Cross pairs against each forward-adjacent cell.
                 self.layout.for_each_forward_neighbor_cell(&base, |other| {
                     let obucket = &self.buckets[other];
-                    let ocols = &self.coords[other];
-                    for (sa, &a) in bucket.iter().enumerate() {
-                        for (sb, &b) in obucket.iter().enumerate() {
+                    for (a, pa) in bucket {
+                        for (b, pb) in obucket {
                             examined += 1;
-                            let mut acc = 0.0f64;
-                            for (col, ocol) in cols.iter().zip(ocols) {
-                                let d = col[sa] - ocol[sb];
-                                acc += d * d;
-                            }
-                            if acc <= r2 {
-                                emit(a.min(b), a.max(b));
+                            if pa.distance_sq(pb) <= r2 {
+                                emit(*a.min(b), *a.max(b));
                             }
                         }
                     }
@@ -638,9 +555,21 @@ mod tests {
 
     fn candidates(grid: &MovingCellGrid<2>, p: &Point<2>) -> Vec<u32> {
         let mut out = Vec::new();
-        grid.for_each_candidate(p, |j| out.push(j));
+        grid.for_each_candidate(p, |j, _| out.push(j));
         out.sort_unstable();
         out
+    }
+
+    /// Commits one step the way the step kernel does: measure, then
+    /// relocate the moved set. Returns the maximum squared displacement.
+    fn commit<const D: usize>(
+        grid: &mut MovingCellGrid<D>,
+        pts: &[Point<D>],
+        moved: &mut Vec<u32>,
+    ) -> f64 {
+        let max_d2 = grid.measure(pts, moved);
+        grid.relocate(pts, moved);
+        max_d2
     }
 
     #[test]
@@ -663,7 +592,7 @@ mod tests {
         let grid: MovingCellGrid<2> = MovingCellGrid::build(&[], 10.0, 1.0).unwrap();
         assert!(grid.is_empty());
         let mut moved = vec![7u32]; // must be cleared
-        assert_eq!(grid.clone().update(&[], &mut moved), 0.0);
+        assert_eq!(commit(&mut grid.clone(), &[], &mut moved), 0.0);
         assert!(moved.is_empty());
     }
 
@@ -737,7 +666,7 @@ mod tests {
         let pts = vec![Point::new([0.0]), Point::new([0.6])];
         let grid = MovingCellGrid::build(&pts, 10.0, 1.0).unwrap();
         let mut seen = Vec::new();
-        grid.for_each_candidate_dist2(&pts[0], |j, d2| seen.push((j, d2)));
+        grid.for_each_candidate(&pts[0], |j, q| seen.push((j, pts[0].distance_sq(q))));
         assert_eq!(seen.len(), 2);
         assert_eq!(seen[0], (0, 0.0));
         assert_eq!(seen[1].0, 1);
@@ -765,8 +694,8 @@ mod tests {
         let grid = MovingCellGrid::build(&pts, 10.0, 1.0).unwrap();
         let mut queried = Vec::new();
         for (i, p) in pts.iter().enumerate() {
-            grid.for_each_candidate_dist2(p, |j, d2| {
-                if (j as usize) > i && d2 <= 1.0 {
+            grid.for_each_candidate(p, |j, q| {
+                if (j as usize) > i && p.distance_sq(q) <= 1.0 {
                     queried.push((i as u32, j));
                 }
             });
@@ -892,7 +821,7 @@ mod tests {
                     Point::new([q.coord(0).clamp(0.0, side), q.coord(1).clamp(0.0, side)])
                 };
             }
-            grid.update(&pts, &mut moved);
+            commit(&mut grid, &pts, &mut moved);
             assert_eq!(grid.points(), &pts[..]);
             for i in 0..pts.len() {
                 let cand = candidates(&grid, &pts[i]);
@@ -918,11 +847,11 @@ mod tests {
         let mut grid = MovingCellGrid::build(&pts, 10.0, 1.0).unwrap();
         let mut moved = Vec::new();
         // Nothing moved.
-        assert_eq!(grid.update(&pts.clone(), &mut moved), 0.0);
+        assert_eq!(commit(&mut grid, &pts.clone(), &mut moved), 0.0);
         assert!(moved.is_empty());
         // Node 1 moves by (3, 4): squared displacement 25.
         pts[1] = Point::new([8.0, 9.0]);
-        let d2 = grid.update(&pts, &mut moved);
+        let d2 = commit(&mut grid, &pts, &mut moved);
         assert_eq!(moved, vec![1]);
         assert!((d2 - 25.0).abs() < 1e-12);
     }
@@ -939,12 +868,12 @@ mod tests {
         let mut grid = MovingCellGrid::build(&pts, side, 3.0).unwrap();
         let mut moved = Vec::new();
         pts[1] = Point::new([20.0, 20.0]);
-        grid.update(&pts, &mut moved);
+        commit(&mut grid, &pts, &mut moved);
         pts[1] = Point::new([1.2, 1.2]);
-        grid.update(&pts, &mut moved);
+        commit(&mut grid, &pts, &mut moved);
         // 0 and 2 kept their relative order; 1 re-enters at the back.
         let mut seen = Vec::new();
-        grid.for_each_candidate(&pts[0], |j| seen.push(j));
+        grid.for_each_candidate(&pts[0], |j, _| seen.push(j));
         assert_eq!(seen, vec![0, 2, 1]);
     }
 
@@ -962,7 +891,7 @@ mod tests {
                 let q = *p + Point::new([rng.random_range(-2.0..2.0), rng.random_range(-2.0..2.0)]);
                 *p = Point::new([q.coord(0).clamp(0.0, side), q.coord(1).clamp(0.0, side)]);
             }
-            grid.update(&pts, &mut moved);
+            commit(&mut grid, &pts, &mut moved);
         }
         grid.reset(&pts);
         let fresh = MovingCellGrid::build(&pts, side, 3.0).unwrap();
@@ -1056,7 +985,7 @@ mod tests {
         pts[0] = Point::new([0.7, 0.7]);
         pts[2] = Point::new([5.5, 5.5]);
         let mut moved = Vec::new();
-        grid.update(&pts, &mut moved);
+        commit(&mut grid, &pts, &mut moved);
         let m = *grid.metrics();
         assert_eq!(m.relocations, 1);
         assert_eq!(m.nodes_moved, 2);
@@ -1078,7 +1007,7 @@ mod tests {
     fn update_rejects_resized_point_set() {
         let pts = [Point::new([1.0, 1.0])];
         let mut grid = MovingCellGrid::build(&pts, 10.0, 1.0).unwrap();
-        grid.update(&[], &mut Vec::new());
+        grid.relocate(&[], &[]);
     }
 
     fn random_walk_grid(
@@ -1098,30 +1027,25 @@ mod tests {
                 let q = *p + Point::new([rng.random_range(-2.0..2.0), rng.random_range(-2.0..2.0)]);
                 *p = Point::new([q.coord(0).clamp(0.0, side), q.coord(1).clamp(0.0, side)]);
             }
-            grid.update(&pts, &mut moved);
+            commit(&mut grid, &pts, &mut moved);
         }
         (grid, pts)
     }
 
-    /// The fused candidate+distance scan visits the same id multiset
-    /// as `for_each_candidate`, with squared distances bitwise equal
-    /// to `Point::distance_sq` on the stored positions.
+    /// The candidate query hands out each node's current position
+    /// bitwise, so squared distances taken from it equal
+    /// `Point::distance_sq` against the caller's positions bitwise.
     #[test]
     fn candidate_dist2_matches_point_distance_sq_bitwise() {
         let (grid, pts) = random_walk_grid(11, 50, 40.0, 3.0);
         for p in &pts {
-            let mut plain = Vec::new();
-            grid.for_each_candidate(p, |j| plain.push(j));
-            let mut fused = Vec::new();
-            grid.for_each_candidate_dist2(p, |j, d2| {
+            grid.for_each_candidate(p, |j, q| {
                 assert_eq!(
-                    d2.to_bits(),
+                    p.distance_sq(q).to_bits(),
                     p.distance_sq(&pts[j as usize]).to_bits(),
-                    "fused distance differs bitwise for candidate {j}"
+                    "stored position of candidate {j} differs bitwise"
                 );
-                fused.push(j);
             });
-            assert_eq!(plain, fused, "fused scan changed the visit order");
         }
     }
 
@@ -1148,7 +1072,7 @@ mod tests {
         // which visits each such pair twice plus every node once.
         let mut visits = 0u64;
         for p in &pts {
-            grid.for_each_candidate(p, |_| visits += 1);
+            grid.for_each_candidate(p, |_, _| visits += 1);
         }
         assert_eq!(2 * examined + pts.len() as u64, visits);
     }
@@ -1192,16 +1116,16 @@ mod tests {
         }
     }
 
-    /// A desynced coordinate column (SoA mirror out of step with the
-    /// authoritative `points`) must be caught on the next commit.
+    /// A stored position out of step with the authoritative `points`
+    /// must be caught on the next commit.
     #[cfg(feature = "strict-invariants")]
     #[test]
     #[should_panic(expected = "strict-invariants")]
-    fn strict_invariants_detects_corrupt_coordinate_column() {
+    fn strict_invariants_detects_corrupt_stored_position() {
         let pts = [Point::new([0.5, 0.5]), Point::new([9.5, 9.5])];
         let mut grid = MovingCellGrid::build(&pts, 10.0, 1.0).unwrap();
         let c = grid.node_cell[0] as usize;
-        grid.coords[c][0][0] += 0.25; // silent SoA drift
+        grid.buckets[c][0].1 = Point::new([0.75, 0.5]); // silent drift
         grid.relocate(&pts, &[]);
     }
 

@@ -2,10 +2,167 @@
 
 use manet_geom::{sampling, MovingCellGrid, Point, Region};
 use proptest::prelude::*;
-use rand::SeedableRng;
+use proptest::test_runner::TestCaseError;
+use rand::{RngExt, SeedableRng};
 
 fn coord() -> impl Strategy<Value = f64> {
     -1.0e3..1.0e3
+}
+
+/// One step of a moving grid's history: each node moves with
+/// probability `move_prob` (a jitter of up to `jitter` per axis, or a
+/// teleport one time in ten), then the step is committed by `reset`
+/// or by `relocate` of the measured moved set.
+#[derive(Debug, Clone)]
+struct Commit {
+    move_prob: f64,
+    jitter: f64,
+    reset: bool,
+}
+
+fn commit() -> impl Strategy<Value = Commit> {
+    (0.0..=1.0, 0.1..30.0, any::<bool>()).prop_map(|(move_prob, jitter, reset)| Commit {
+        move_prob,
+        jitter,
+        reset,
+    })
+}
+
+/// Every pair with `distance_sq <= r2`, as `(min, max)`, sorted.
+fn brute_force_pairs<const D: usize>(pts: &[Point<D>], r2: f64) -> Vec<(u32, u32)> {
+    let mut out = Vec::new();
+    for i in 0..pts.len() {
+        for j in (i + 1)..pts.len() {
+            if pts[i].distance_sq(&pts[j]) <= r2 {
+                out.push((i as u32, j as u32));
+            }
+        }
+    }
+    out
+}
+
+/// Checks every query of `grid` against brute force over `pts`: the
+/// full forward scan, a strip-sharded scan, the scan's price and the
+/// per-node candidate query.
+fn check_grid_queries<const D: usize>(
+    grid: &MovingCellGrid<D>,
+    pts: &[Point<D>],
+    r2: f64,
+    at: usize,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(grid.points(), pts, "commit {}: positions", at);
+    let want = brute_force_pairs(pts, r2);
+    let cols = grid.cells_per_side();
+    let mut full = Vec::new();
+    let examined = grid.scan_forward_pairs(0, cols, r2, |a, b| full.push((a, b)));
+    full.sort_unstable();
+    prop_assert_eq!(&full, &want, "commit {}: full scan", at);
+    prop_assert_eq!(grid.forward_pair_count(), examined, "commit {}: price", at);
+
+    let shards = 3.min(cols);
+    let mut sharded = Vec::new();
+    let mut sharded_examined = 0;
+    for w in 0..shards {
+        let (lo, hi) = (w * cols / shards, (w + 1) * cols / shards);
+        sharded_examined += grid.scan_forward_pairs(lo, hi, r2, |a, b| sharded.push((a, b)));
+    }
+    sharded.sort_unstable();
+    prop_assert_eq!(&sharded, &want, "commit {}: sharded scan", at);
+    prop_assert_eq!(
+        sharded_examined,
+        examined,
+        "commit {}: sharded examined",
+        at
+    );
+
+    let mut queried = Vec::new();
+    for (i, p) in pts.iter().enumerate() {
+        let mut seen = Vec::new();
+        grid.for_each_candidate(p, |j, q| {
+            seen.push(j);
+            let stored = pts[j as usize].coords().map(f64::to_bits);
+            assert_eq!(
+                q.coords().map(f64::to_bits),
+                stored,
+                "stored position of {j}"
+            );
+            if j as usize > i && p.distance_sq(q) <= r2 {
+                queried.push((i as u32, j));
+            }
+        });
+        seen.sort_unstable();
+        prop_assert!(
+            seen.windows(2).all(|w| w[0] < w[1]),
+            "commit {}: duplicate candidate",
+            at
+        );
+        prop_assert!(
+            seen.binary_search(&(i as u32)).is_ok(),
+            "commit {}: {} not its own candidate",
+            at,
+            i
+        );
+    }
+    queried.sort_unstable();
+    prop_assert_eq!(&queried, &want, "commit {}: candidate query", at);
+    Ok(())
+}
+
+/// Builds a grid over a uniform placement in `[0, 100]^D`, replays
+/// `history` on it and checks every query after the build and after
+/// every commit.
+fn check_grid_history<const D: usize>(
+    seed: u64,
+    n: usize,
+    r: f64,
+    history: &[Commit],
+) -> Result<(), TestCaseError> {
+    let side = 100.0;
+    let region: Region<D> = Region::new(side).unwrap();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut pts = region.place_uniform(n, &mut rng);
+    let cell = MovingCellGrid::<D>::lattice_cell_size(n, side, r).unwrap();
+    let mut grid = MovingCellGrid::build(&pts, side, cell).unwrap();
+    check_grid_queries(&grid, &pts, r * r, 0)?;
+    let mut moved = Vec::new();
+    for (k, step) in history.iter().enumerate() {
+        let old = pts.clone();
+        for p in &mut pts {
+            if rng.random_range(0.0..1.0) >= step.move_prob {
+                continue;
+            }
+            *p = if rng.random_range(0.0..1.0) < 0.1 {
+                region.sample_uniform(&mut rng)
+            } else {
+                Point::new(std::array::from_fn(|axis| {
+                    let c = p.coord(axis) + rng.random_range(-step.jitter..step.jitter);
+                    c.clamp(0.0, side)
+                }))
+            };
+        }
+        let max_d2 = grid.measure(&pts, &mut moved);
+        let want_moved: Vec<u32> = (0..n as u32)
+            .filter(|&i| pts[i as usize] != old[i as usize])
+            .collect();
+        prop_assert_eq!(&moved, &want_moved, "commit {}: moved set", k + 1);
+        let want_d2 = want_moved
+            .iter()
+            .map(|&i| old[i as usize].distance_sq(&pts[i as usize]))
+            .fold(0.0, f64::max);
+        prop_assert_eq!(
+            max_d2.to_bits(),
+            want_d2.to_bits(),
+            "commit {}: max displacement",
+            k + 1
+        );
+        if step.reset {
+            grid.reset(&pts);
+        } else {
+            grid.relocate(&pts, &moved);
+        }
+        check_grid_queries(&grid, &pts, r * r, k + 1)?;
+    }
+    Ok(())
 }
 
 proptest! {
@@ -103,27 +260,14 @@ proptest! {
         seed in any::<u64>(),
         n in 2usize..60,
         r in 0.5..20.0,
+        dim in 1usize..=3,
+        history in prop::collection::vec(commit(), 0..8),
     ) {
-        let side = 100.0;
-        let region: Region<2> = Region::new(side).unwrap();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let pts = region.place_uniform(n, &mut rng);
-        let cell = MovingCellGrid::<2>::lattice_cell_size(n, side, r).unwrap();
-        let grid = MovingCellGrid::build(&pts, side, cell).unwrap();
-        let mut got = Vec::new();
-        grid.scan_forward_pairs(0, grid.cells_per_side(), r * r, |i, j| {
-            got.push((i as usize, j as usize));
-        });
-        got.sort_unstable();
-        let mut want = Vec::new();
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if pts[i].distance_sq(&pts[j]) <= r * r {
-                    want.push((i, j));
-                }
-            }
+        match dim {
+            1 => check_grid_history::<1>(seed, n, r, &history)?,
+            2 => check_grid_history::<2>(seed, n, r, &history)?,
+            _ => check_grid_history::<3>(seed, n, r, &history)?,
         }
-        prop_assert_eq!(got, want);
     }
 
     #[test]

@@ -41,7 +41,7 @@
 //! which property tests enforce for every mobility model in the
 //! registry. The bulk-rescan path may additionally fan a single step
 //! out over scoped worker threads
-//! ([`DynamicGraph::set_step_threads`]): the grid splits into axis-0
+//! ([`DynamicGraph::with_step_threads`]): the grid splits into axis-0
 //! cell strips that examine disjoint pair sets, and fragments merge in
 //! shard order, so the result is also bit-identical across thread
 //! counts — the same invariance, one level deeper.
@@ -64,7 +64,7 @@
 //! moment the budget is exceeded; steps that violate the declared
 //! bound route through the rebuild oracle and mark the arena stale —
 //! exactly the fallback contract of the legacy paths. See
-//! [`DynamicGraph::set_skin`] for how `skin` is chosen.
+//! [`DynamicGraph::with_skin`] for how `skin` is chosen.
 
 use crate::adjacency::{fill_sorted_rows, pack_pair, unpack_pair, AdjacencyList};
 use crate::parallel;
@@ -195,7 +195,7 @@ const BOUND_SLACK: f64 = 1.0 + 1e-9;
 
 /// How the step kernel chooses the Verlet-cache skin radius (the
 /// margin added to the transmitting range when building the candidate
-/// arena); see [`DynamicGraph::set_skin`].
+/// arena); see [`DynamicGraph::with_skin`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Skin {
@@ -418,7 +418,7 @@ pub struct DynamicGraph<const D: usize> {
     next_rows: Vec<Vec<u32>>,
     /// Worker threads for the sharded bulk rescan (`>= 1`); the output
     /// is invariant across this setting by construction (see
-    /// [`DynamicGraph::set_step_threads`]).
+    /// [`DynamicGraph::with_step_threads`]).
     step_threads: usize,
     /// Scratch: per-shard packed-pair fragments for the sharded bulk
     /// rescan, cache rebuild and verify paths, persisted so worker
@@ -433,7 +433,7 @@ pub struct DynamicGraph<const D: usize> {
     /// Scratch: the next snapshot's packed edge list.
     new_pairs: Vec<u64>,
     /// How the Verlet-cache skin is chosen (see
-    /// [`DynamicGraph::set_skin`]).
+    /// [`DynamicGraph::with_skin`]).
     skin_cfg: Skin,
     /// Resolved skin radius once the cache armed; `0.0` while unarmed.
     skin: f64,
@@ -515,19 +515,8 @@ impl<const D: usize> DynamicGraph<D> {
         }
     }
 
-    /// Sets the worker-thread count for the sharded bulk rescan
-    /// (chainable); see [`DynamicGraph::set_step_threads`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `threads` is zero.
-    pub fn with_step_threads(mut self, threads: usize) -> Self {
-        self.set_step_threads(threads);
-        self
-    }
-
     /// Sets how many scoped worker threads the bulk-rescan path may
-    /// fan a single step out over (default 1: fully serial).
+    /// fan a single step out over (chainable; default 1: fully serial).
     ///
     /// This is a *performance* knob, never a semantic one: the bulk
     /// rescan splits the grid into axis-0 cell strips, each worker
@@ -541,9 +530,10 @@ impl<const D: usize> DynamicGraph<D> {
     /// # Panics
     ///
     /// Panics when `threads` is zero.
-    pub fn set_step_threads(&mut self, threads: usize) {
+    pub fn with_step_threads(mut self, threads: usize) -> Self {
         assert!(threads >= 1, "step_threads must be at least 1");
         self.step_threads = threads;
+        self
     }
 
     /// The configured bulk-rescan worker-thread count.
@@ -559,16 +549,6 @@ impl<const D: usize> DynamicGraph<D> {
     ///
     /// Panics on a NaN, infinite or negative bound.
     pub fn with_displacement_bound(mut self, bound: Option<f64>) -> Self {
-        self.set_displacement_bound(bound);
-        self
-    }
-
-    /// Sets or clears the declared per-step displacement bound.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a NaN, infinite or negative bound.
-    pub fn set_displacement_bound(&mut self, bound: Option<f64>) {
         self.bound_sq = bound.map(|b| {
             assert!(
                 b.is_finite() && b >= 0.0,
@@ -577,24 +557,14 @@ impl<const D: usize> DynamicGraph<D> {
             let slacked = b * BOUND_SLACK;
             slacked * slacked
         });
-    }
-
-    /// Sets the Verlet-cache skin policy (chainable); see
-    /// [`DynamicGraph::set_skin`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on a NaN, infinite or non-positive fixed skin.
-    pub fn with_skin(mut self, skin: Skin) -> Self {
-        self.set_skin(skin);
         self
     }
 
-    /// Configures the Verlet candidate cache's skin radius.
+    /// Sets the Verlet candidate cache's skin policy (chainable).
     ///
     /// The cache arms lazily, on the first step where (a) a
     /// displacement bound is declared
-    /// ([`DynamicGraph::set_displacement_bound`]) — the drift tracking
+    /// ([`DynamicGraph::with_displacement_bound`]) — the drift tracking
     /// that keeps the arena sound is only meaningful under the
     /// `max_step_displacement` contract — (b) the step is in bound,
     /// (c) at least [`BULK_RESCAN_FRACTION`] of the nodes moved (the
@@ -617,7 +587,7 @@ impl<const D: usize> DynamicGraph<D> {
     ///
     /// Panics on a NaN, infinite or non-positive fixed skin (use
     /// [`Skin::Off`] to disable).
-    pub fn set_skin(&mut self, skin: Skin) {
+    pub fn with_skin(mut self, skin: Skin) -> Self {
         if let Skin::Fixed(s) = skin {
             assert!(
                 s.is_finite() && s > 0.0,
@@ -626,6 +596,7 @@ impl<const D: usize> DynamicGraph<D> {
         }
         self.skin_cfg = skin;
         self.skin = 0.0;
+        self
     }
 
     /// The configured skin policy.
@@ -767,7 +738,7 @@ impl<const D: usize> DynamicGraph<D> {
     /// in-bound step where at least [`BULK_RESCAN_FRACTION`] of the
     /// nodes moved; returns `true` when the cache armed (the arming
     /// rebuild also serves the current step). See
-    /// [`DynamicGraph::set_skin`] for the eligibility conditions.
+    /// [`DynamicGraph::with_skin`] for the eligibility conditions.
     fn try_arm(&mut self, points: &[Point<D>], max_disp_sq: f64) -> bool {
         // partial_cmp: a NaN displacement must read as "didn't move",
         // never as an armable drift observation.
@@ -1031,19 +1002,6 @@ impl<const D: usize> DynamicGraph<D> {
         self.edge_pairs_valid = true;
     }
 
-    /// Advances and returns a fresh copy of the delta — the
-    /// allocation-per-step convenience wrapper around
-    /// [`DynamicGraph::step`] kept for non-hot callers.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `points.len()` differs from the node count the
-    /// graph was built with.
-    pub fn advance(&mut self, points: &[Point<D>]) -> EdgeDiff {
-        self.step(points);
-        self.diff.clone()
-    }
-
     /// Structural coherence of the snapshot and the last delta:
     /// neighbor rows strictly ascending (sorted, deduped, no
     /// self-loops) and symmetric; diff halves strictly ascending,
@@ -1203,16 +1161,13 @@ impl<const D: usize> DynamicGraph<D> {
             }
             // Candidate pass: every in-range partner is either a
             // surviving old neighbor (mark it matched) or a new edge.
-            // The fused scan reads distances off the grid's SoA
-            // coordinate columns — bitwise equal to `distance_sq`
-            // against `pts`.
-            grid.for_each_candidate_dist2(&pa, |b_u, d2| {
+            grid.for_each_candidate(&pa, |b_u, pb| {
                 candidates += 1;
                 let b = b_u as usize;
                 if b_u == a_u || (moved_stamp[b] == epoch && b_u < a_u) {
                     return;
                 }
-                if d2 <= r2 {
+                if pa.distance_sq(pb) <= r2 {
                     if old_stamp[b] == sid {
                         matched_stamp[b] = sid;
                     } else {
@@ -1256,10 +1211,9 @@ impl<const D: usize> DynamicGraph<D> {
     /// per-row sorts or merges.
     ///
     /// The rescan is a forward half-neighborhood sweep (each unordered
-    /// same-or-adjacent-cell pair examined exactly once, distances off
-    /// the grid's SoA columns), sharded into axis-0 cell strips when
-    /// [`DynamicGraph::set_step_threads`] asks for more than one
-    /// worker. Disjoint strips examine disjoint pair sets, every
+    /// same-or-adjacent-cell pair examined exactly once), sharded into
+    /// axis-0 cell strips when [`DynamicGraph::with_step_threads`] asks
+    /// for more than one worker. Disjoint strips examine disjoint pair sets, every
     /// worker fills a private fragment buffer, and fragments
     /// concatenate in shard order; packed pairs are unique, so the one
     /// global unstable sort is a function of the pair *set* alone —
@@ -1378,7 +1332,7 @@ mod tests {
             for p in &mut pts {
                 *p = Point::new([rng.random_range(0.0..side), rng.random_range(0.0..side)]);
             }
-            dg.advance(&pts);
+            dg.step(&pts);
             assert_eq!(
                 dg.graph(),
                 &AdjacencyList::from_points_brute_force(&pts, r),
@@ -1667,7 +1621,7 @@ mod tests {
     fn advance_rejects_resized_point_set() {
         let pts = pts1(&[0.0, 1.0]);
         let mut dg = DynamicGraph::new(&pts, 10.0, 1.0);
-        dg.advance(&pts1(&[0.0]));
+        dg.step(&pts1(&[0.0]));
     }
 
     /// The sharded bulk rescan must be bit-identical to the serial

@@ -82,8 +82,8 @@ pub const FULL_REBUILD_CHURN_FRACTION: f64 = 0.25;
 /// assert_eq!(dc.largest_size(), 2);
 ///
 /// pts[2] = Point::new([2.0]); // node 2 walks into range of node 1
-/// let diff = dg.advance(&pts);
-/// dc.apply(&diff, dg.graph());
+/// dg.step(&pts);
+/// dc.apply(dg.last_diff(), dg.graph());
 /// assert!(dc.is_connected());
 /// assert_eq!(dc.largest_size(), 3);
 /// ```
@@ -246,7 +246,7 @@ impl DynamicComponents {
 
     /// Applies one step's edge delta. `graph` must be the snapshot the
     /// delta produces (i.e. [`DynamicGraph::graph`](crate::DynamicGraph::graph)
-    /// *after* the corresponding `advance`), and deltas must be applied
+    /// *after* the corresponding `step`), and deltas must be applied
     /// in stream order.
     ///
     /// # Panics
@@ -673,8 +673,8 @@ mod tests {
                     ])
                 };
             }
-            let diff = dg.advance(&pts);
-            dc.apply(&diff, dg.graph());
+            dg.step(&pts);
+            dc.apply(dg.last_diff(), dg.graph());
             assert_matches_oracle(&dc, dg.graph());
         }
         assert!(dc.partial_rebuilds() > 0, "deletion path never exercised");

@@ -147,12 +147,13 @@ proptest! {
         }
         for pts in &steps {
             // (First iteration: empty diff against itself is exercised
-            // implicitly since advance(step 0 positions) is a no-op.)
-            let diff = dg.advance(pts);
-            for e in diff.removed {
-                prop_assert!(replayed.remove(&e), "removed edge that was not live");
+            // implicitly since stepping to the step-0 positions is a
+            // no-op.)
+            dg.step(pts);
+            for e in &dg.last_diff().removed {
+                prop_assert!(replayed.remove(e), "removed edge that was not live");
             }
-            for e in diff.added {
+            for &e in &dg.last_diff().added {
                 prop_assert!(replayed.insert(e), "added edge that was already live");
             }
             let brute = AdjacencyList::from_points_brute_force(pts, r);
@@ -230,8 +231,8 @@ fn replay_against_oracle(
     for step in 0..steps {
         if step > 0 {
             model.step(&mut positions, &region, &mut rng);
-            let diff = dg.advance(&positions);
-            dc.apply(&diff, dg.graph());
+            dg.step(&positions);
+            dc.apply(dg.last_diff(), dg.graph());
         }
         let oracle = ComponentSummary::of(dg.graph());
         prop_assert_eq!(

@@ -552,7 +552,6 @@ pub fn fit_scaling_exponent(
 mod tests {
     use super::*;
     use crate::fixed::simulate_fixed_range;
-    use crate::search::find_range_for_connectivity_fraction;
     use manet_mobility::{RandomWaypoint, StationaryModel};
 
     fn config(nodes: usize, side: f64, iterations: usize, steps: usize) -> SimConfig<2> {
@@ -655,8 +654,8 @@ mod tests {
 
     #[test]
     fn k1_connectivity_metric_matches_the_search_module() {
-        // k = 1 thresholds the fraction of connected steps — the same
-        // question `find_range_for_connectivity_fraction` answers.
+        // k = 1 thresholds the fraction of connected steps: the pooled
+        // quantile must land where the bisection oracle does.
         let cfg = config(10, 100.0, 3, 15);
         let model = RandomWaypoint::new(0.5, 2.0, 1, 0.0).unwrap();
         let tol = 1e-4 * 100.0;
@@ -665,7 +664,7 @@ mod tests {
             .with_target(0.9)
             .with_rel_tol(1e-4);
         let point = find_critical_range(&cfg, &model, &search).unwrap();
-        let reference = find_range_for_connectivity_fraction(&cfg, &model, 0.9, tol).unwrap();
+        let reference = bisect_critical_range(&cfg, &model, &search).unwrap().range;
         assert!(
             (point.range - reference).abs() <= 2.0 * tol,
             "k=1 finder {} vs connectivity-fraction bisection {reference}",

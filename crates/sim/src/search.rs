@@ -1,16 +1,11 @@
-//! Bisection searches over the transmitting range.
+//! Bisection over the transmitting range.
 //!
 //! The paper found its `r_f` values by re-running the simulator at
-//! candidate ranges. This module reproduces that slow path — a
-//! monotone bisection driven by full re-simulation with the *same*
-//! seed — so the fast quantile path of [`crate::critical`] can be
-//! validated against it (they must agree, because both answer the same
-//! monotone threshold question about the same trajectories).
-
-use crate::{
-    config::SimConfig, critical::simulate_critical_ranges, fixed::simulate_fixed_range, SimError,
-};
-use manet_mobility::Mobility;
+//! candidate ranges. [`crate::bisect_critical_range`] reproduces that
+//! slow path — [`bisect_monotone`] driven by full re-simulation with
+//! the *same* seed — so the fast quantile path of [`crate::critical`]
+//! can be validated against it (they must agree, because both answer
+//! the same monotone threshold question about the same trajectories).
 
 /// Finds the smallest `r` in `[lo, hi]` with `predicate(r) == true`,
 /// assuming the predicate is monotone (false below the threshold, true
@@ -42,76 +37,40 @@ pub fn bisect_monotone<F: FnMut(f64) -> bool>(lo: f64, hi: f64, tol: f64, mut pr
     hi
 }
 
-/// The slow-path `r_f`: the smallest range (within `tol`) at which the
-/// fraction of connected steps reaches `fraction`, found by bisection
-/// with a fresh fixed-range simulation per probe.
-///
-/// Deterministic for a given config seed, so it is exactly comparable
-/// to [`crate::CriticalRangeResults::mean_range_for_fraction`] — and
-/// the test suite holds them together.
-///
-/// # Errors
-///
-/// Returns [`SimError::InvalidConfig`] for `fraction` outside `[0, 1]`
-/// and propagates engine errors.
-pub fn find_range_for_connectivity_fraction<const D: usize, M>(
-    config: &SimConfig<D>,
-    model: &M,
-    fraction: f64,
-    tol: f64,
-) -> Result<f64, SimError>
-where
-    M: Mobility<D> + Clone + Send + Sync,
-{
-    if !(0.0..=1.0).contains(&fraction) || fraction.is_nan() {
-        return Err(SimError::InvalidConfig {
-            reason: format!("fraction must be in [0, 1], got {fraction}"),
-        });
-    }
-    let hi = config.region().diameter();
-    let mut error = None;
-    let result = bisect_monotone(1e-9, hi, tol, |r| {
-        match simulate_fixed_range(config, model, r) {
-            Ok(report) => report.connectivity_fraction() >= fraction,
-            Err(e) => {
-                error = Some(e);
-                true // terminate quickly; error reported below
-            }
-        }
-    });
-    if let Some(e) = error {
-        return Err(e);
-    }
-    Ok(result)
-}
-
-/// Convenience cross-check: computes `r_f` by both the fast
-/// (critical-range quantile, pooled over iterations) and slow
-/// (bisection) paths, returning `(fast, slow)`.
-///
-/// # Errors
-///
-/// Propagates errors from either path.
-pub fn range_for_fraction_both_paths<const D: usize, M>(
-    config: &SimConfig<D>,
-    model: &M,
-    fraction: f64,
-    tol: f64,
-) -> Result<(f64, f64), SimError>
-where
-    M: Mobility<D> + Clone + Send + Sync,
-{
-    let crit = simulate_critical_ranges(config, model)?;
-    let pooled = crit.pooled()?;
-    let fast = pooled.smallest_covering(fraction)?;
-    let slow = find_range_for_connectivity_fraction(config, model, fraction, tol)?;
-    Ok((fast, slow))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use manet_mobility::{RandomWaypoint, StationaryModel};
+    use crate::{
+        bisect_critical_range, simulate_critical_ranges, ConnectivityMetric, CriticalRangeSearch,
+        SimConfig,
+    };
+    use manet_mobility::{Mobility, RandomWaypoint, StationaryModel};
+
+    /// The slow-path `r_f`: bisection on the fraction of connected
+    /// steps, `tol` wide.
+    fn bisected_range_for_fraction<M>(cfg: &SimConfig<2>, model: &M, fraction: f64, tol: f64) -> f64
+    where
+        M: Mobility<2> + Clone + Send + Sync,
+    {
+        let search = CriticalRangeSearch::new()
+            .with_metric(ConnectivityMetric::KConnectivity(1))
+            .with_target(fraction)
+            .with_rel_tol(tol / cfg.side());
+        bisect_critical_range(cfg, model, &search).unwrap().range
+    }
+
+    /// The fast-path `r_f`: the pooled quantile of per-step critical
+    /// ranges.
+    fn quantile_range_for_fraction<M>(cfg: &SimConfig<2>, model: &M, fraction: f64) -> f64
+    where
+        M: Mobility<2> + Clone + Send + Sync,
+    {
+        let pooled = simulate_critical_ranges(cfg, model)
+            .unwrap()
+            .pooled()
+            .unwrap();
+        pooled.smallest_covering(fraction).unwrap()
+    }
 
     #[test]
     fn bisection_finds_known_threshold() {
@@ -138,7 +97,8 @@ mod tests {
         let cfg = b.build().unwrap();
         let model = RandomWaypoint::new(0.5, 2.0, 1, 0.0).unwrap();
         for fraction in [0.1, 0.5, 0.9, 1.0] {
-            let (fast, slow) = range_for_fraction_both_paths(&cfg, &model, fraction, 1e-6).unwrap();
+            let fast = quantile_range_for_fraction(&cfg, &model, fraction);
+            let slow = bisected_range_for_fraction(&cfg, &model, fraction, 1e-6);
             // The slow path bisects to within tol of the exact
             // threshold, which IS the fast path's order statistic.
             assert!(
@@ -154,7 +114,8 @@ mod tests {
         b.nodes(8).side(80.0).iterations(1).steps(1).seed(13);
         let cfg = b.build().unwrap();
         let model = StationaryModel::new();
-        let (fast, slow) = range_for_fraction_both_paths(&cfg, &model, 1.0, 1e-7).unwrap();
+        let fast = quantile_range_for_fraction(&cfg, &model, 1.0);
+        let slow = bisected_range_for_fraction(&cfg, &model, 1.0, 1e-7);
         assert!((fast - slow).abs() < 1e-5);
     }
 
@@ -164,7 +125,11 @@ mod tests {
         b.nodes(5).side(50.0);
         let cfg = b.build().unwrap();
         let model = StationaryModel::new();
-        assert!(find_range_for_connectivity_fraction(&cfg, &model, -0.1, 1e-3).is_err());
-        assert!(find_range_for_connectivity_fraction(&cfg, &model, 1.1, 1e-3).is_err());
+        for fraction in [-0.1, 1.1] {
+            let search = CriticalRangeSearch::new()
+                .with_metric(ConnectivityMetric::KConnectivity(1))
+                .with_target(fraction);
+            assert!(bisect_critical_range(&cfg, &model, &search).is_err());
+        }
     }
 }

@@ -1,19 +1,13 @@
 //! The incremental connectivity spine: one step-driver for every
 //! pipeline.
 //!
-//! Before this module, each observer re-derived its own graph state
-//! per step — the fixed-range pipeline rebuilt an adjacency list and
-//! re-ran full component labeling, the trace pipeline maintained its
-//! own [`DynamicGraph`], and the rest worked from raw positions — six
-//! copies of the per-step setup code. [`run_connectivity_stream`] owns
-//! that loop once: it moves the nodes, drives [`DynamicGraph::step`]
-//! and [`DynamicComponents::apply`] per step and hands each
-//! [`ConnectivityObserver`] a [`StepView`] with the positions plus (when
-//! a transmitting range is given) the snapshot graph, the
-//! incrementally-maintained components, and the step's [`EdgeDiff`] —
-//! so the hot loop is delta-apply, never rebuild-and-relabel. Since
-//! the zero-rebuild step kernel landed, the graph side is incremental
-//! too: the kernel rescans only moved nodes over a
+//! [`run_connectivity_stream`] owns the per-step loop: it moves the
+//! nodes, drives [`DynamicGraph::step`] and [`DynamicComponents::apply`]
+//! per step and hands each [`ConnectivityObserver`] a [`StepView`] with
+//! the positions plus (when a transmitting range is given) the snapshot
+//! graph, the incrementally-maintained components, and the step's
+//! [`EdgeDiff`] — so the hot loop is delta-apply, never
+//! rebuild-and-relabel. The kernel rescans only moved nodes over a
 //! [`MovingCellGrid`](manet_geom::MovingCellGrid) and reuses every
 //! buffer, so a whole iteration runs allocation-free after its first
 //! step, with the model's declared displacement bound

@@ -240,7 +240,7 @@ proptest! {
 
 mod trace_identity {
     use manet_geom::Point;
-    use manet_graph::AdjacencyList;
+    use manet_graph::{AdjacencyList, DynamicComponents};
     use manet_sim::{ConnectivityObserver, SimConfig, StepView};
     use manet_trace::{TemporalRecord, TraceRecorder};
 
@@ -265,10 +265,13 @@ mod trace_identity {
         range: f64,
     ) -> TemporalRecord {
         let mut rec = TraceRecorder::new(cfg.nodes(), cfg.steps());
+        let mut components = DynamicComponents::new(cfg.nodes());
         let mut prev = AdjacencyList::empty(cfg.nodes());
         for pts in steps {
             let next = AdjacencyList::from_points(pts, cfg.side(), range);
-            rec.observe(&prev.diff(&next), &next);
+            let diff = prev.diff(&next);
+            components.apply(&diff, &next);
+            rec.observe_with(&diff, &next, &components);
             prev = next;
         }
         rec.finish()

@@ -40,7 +40,7 @@
 //!
 //! ```
 //! use manet_geom::Point;
-//! use manet_graph::DynamicGraph;
+//! use manet_graph::{DynamicComponents, DynamicGraph};
 //! use manet_trace::{TraceRecorder, TraceSummary};
 //!
 //! // A two-node network that flaps: up, down, up.
@@ -50,11 +50,14 @@
 //!     vec![Point::new([0.0]), Point::new([1.0])],
 //! ];
 //! let mut dg = DynamicGraph::new(&steps[0], 10.0, 2.0);
+//! let mut dc = DynamicComponents::new(2);
 //! let mut rec = TraceRecorder::new(2, steps.len());
-//! rec.observe(&dg.initial_diff(), dg.graph());
+//! dc.apply(dg.last_diff(), dg.graph());
+//! rec.observe_with(dg.last_diff(), dg.graph(), &dc);
 //! for pts in &steps[1..] {
-//!     let diff = dg.advance(pts);
-//!     rec.observe(&diff, dg.graph());
+//!     dg.step(pts);
+//!     dc.apply(dg.last_diff(), dg.graph());
+//!     rec.observe_with(dg.last_diff(), dg.graph(), &dc);
 //! }
 //! let summary = TraceSummary::aggregate(&[rec.finish()])?;
 //! assert_eq!(summary.link_lifetime.count, 1);

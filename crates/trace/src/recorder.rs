@@ -122,16 +122,17 @@ fn pair_connectivity(components: &DynamicComponents, n: usize) -> f64 {
 /// Folds one trajectory's link events and connectivity episodes into
 /// temporal metrics.
 ///
-/// Drive it with [`TraceRecorder::observe`] once per step — the step-0
-/// delta is the initial snapshot's edges reported as added (see
-/// [`manet_graph::DynamicGraph::initial_diff`]) — then call
-/// [`TraceRecorder::finish`].
+/// Drive it with [`TraceRecorder::observe_with`] once per step,
+/// passing the driver's own [`DynamicComponents`] after it applied the
+/// step's delta — the step-0 delta is the initial snapshot's edges
+/// reported as added (see [`manet_graph::DynamicGraph::initial_diff`])
+/// — then call [`TraceRecorder::finish`].
 ///
 /// # Example
 ///
 /// ```
 /// use manet_geom::Point;
-/// use manet_graph::DynamicGraph;
+/// use manet_graph::{DynamicComponents, DynamicGraph};
 /// use manet_trace::TraceRecorder;
 ///
 /// let steps = vec![
@@ -140,11 +141,14 @@ fn pair_connectivity(components: &DynamicComponents, n: usize) -> f64 {
 ///     vec![Point::new([0.0]), Point::new([1.0])], // linked again
 /// ];
 /// let mut dg = DynamicGraph::new(&steps[0], 10.0, 2.0);
+/// let mut dc = DynamicComponents::new(2);
 /// let mut rec = TraceRecorder::new(2, steps.len());
-/// rec.observe(&dg.initial_diff(), dg.graph());
+/// dc.apply(dg.last_diff(), dg.graph());
+/// rec.observe_with(dg.last_diff(), dg.graph(), &dc);
 /// for pts in &steps[1..] {
-///     let diff = dg.advance(pts);
-///     rec.observe(&diff, dg.graph());
+///     dg.step(pts);
+///     dc.apply(dg.last_diff(), dg.graph());
+///     rec.observe_with(dg.last_diff(), dg.graph(), &dc);
 /// }
 /// let record = rec.finish();
 /// assert_eq!(record.lifetimes.count(), 1);      // one completed lifetime
@@ -173,11 +177,6 @@ pub struct TraceRecorder {
     down_run_start: Option<usize>,
     first_disconnect_at: Option<usize>,
     time_to_repair: Option<usize>,
-    /// Incremental component summary maintained by [`TraceRecorder::observe`]
-    /// for standalone (non-stream) drivers; `None` until first use.
-    /// [`TraceRecorder::observe_with`] clears it, so `observe` can
-    /// detect (and refuse) resuming from state that missed a delta.
-    components: Option<DynamicComponents>,
     /// The driving kernel's cumulative counters, overwritten per step
     /// via [`TraceRecorder::set_kernel_metrics`]; zero when the driver
     /// reports none (standalone recorder use).
@@ -206,7 +205,6 @@ impl TraceRecorder {
             down_run_start: None,
             first_disconnect_at: None,
             time_to_repair: None,
-            components: None,
             kernel: KernelMetrics::default(),
         }
     }
@@ -223,37 +221,9 @@ impl TraceRecorder {
     }
 
     /// Folds in one step: the edge delta that produced `graph` from
-    /// the previous snapshot, plus the snapshot itself (for degrees
-    /// and components). Maintains an internal [`DynamicComponents`]
-    /// under the delta stream — no per-step relabeling. Drivers that
-    /// already maintain components (the `manet-sim` connectivity
-    /// stream) should call [`TraceRecorder::observe_with`] instead to
-    /// avoid the duplicate apply.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `graph` has a different node count than the
-    /// recorder was created with, or when the recorder was previously
-    /// driven through [`TraceRecorder::observe_with`] — the internal
-    /// component state would have missed those deltas, so the two
-    /// entry points must not be mixed on one recorder. Panics on a
-    /// broken delta stream, as [`TraceRecorder::observe_with`] does.
-    pub fn observe(&mut self, diff: &EdgeDiff, graph: &AdjacencyList) {
-        assert!(
-            self.steps_seen == 0 || self.components.is_some(),
-            "observe() cannot follow observe_with(): internal components missed earlier deltas"
-        );
-        let mut components = self
-            .components
-            .take()
-            .unwrap_or_else(|| DynamicComponents::new(self.nodes));
-        components.apply(diff, graph);
-        self.observe_with(diff, graph, &components);
-        self.components = Some(components);
-    }
-
-    /// Folds in one step using a caller-maintained component summary
-    /// (which must already reflect `diff` applied onto `graph`).
+    /// the previous snapshot, the snapshot itself (for degrees) and the
+    /// caller's component summary, which must already reflect `diff`
+    /// applied onto `graph` (for connectivity episodes).
     ///
     /// # Panics
     ///
@@ -272,11 +242,6 @@ impl TraceRecorder {
         graph: &AdjacencyList,
         components: &DynamicComponents,
     ) {
-        // Drop any internal component state: it has not seen this
-        // delta, so a later `observe` must not resume from it (its
-        // guard refuses once this is None past step 0). `observe`
-        // itself restores its state right after delegating here.
-        self.components = None;
         assert_eq!(graph.len(), self.nodes, "node count changed mid-trace");
         assert_eq!(components.len(), self.nodes, "component summary mismatch");
         let t = self.steps_seen;
@@ -434,17 +399,21 @@ mod tests {
     use manet_geom::Point;
     use manet_graph::DynamicGraph;
 
-    /// Replays a 1-D trajectory through DynamicGraph into a recorder.
+    /// Replays a 1-D trajectory through DynamicGraph and
+    /// DynamicComponents into a recorder.
     fn record_trajectory(steps: &[Vec<f64>], range: f64) -> TemporalRecord {
         let pts =
             |xs: &Vec<f64>| -> Vec<Point<1>> { xs.iter().map(|&x| Point::new([x])).collect() };
         let first = pts(&steps[0]);
         let mut dg = DynamicGraph::new(&first, 100.0, range);
+        let mut dc = DynamicComponents::new(first.len());
         let mut rec = TraceRecorder::new(first.len(), steps.len());
-        rec.observe(&dg.initial_diff(), dg.graph());
+        dc.apply(dg.last_diff(), dg.graph());
+        rec.observe_with(dg.last_diff(), dg.graph(), &dc);
         for xs in &steps[1..] {
-            let diff = dg.advance(&pts(xs));
-            rec.observe(&diff, dg.graph());
+            dg.step(&pts(xs));
+            dc.apply(dg.last_diff(), dg.graph());
+            rec.observe_with(dg.last_diff(), dg.graph(), &dc);
         }
         rec.finish()
     }
@@ -541,7 +510,11 @@ mod tests {
     #[should_panic(expected = "node count changed")]
     fn observe_rejects_wrong_node_count() {
         let mut rec = TraceRecorder::new(3, 5);
-        rec.observe(&EdgeDiff::default(), &AdjacencyList::empty(2));
+        rec.observe_with(
+            &EdgeDiff::default(),
+            &AdjacencyList::empty(2),
+            &DynamicComponents::new(3),
+        );
     }
 
     /// Folds `diffs` through `observe_with` over a two-node graph,
@@ -631,34 +604,5 @@ mod tests {
         // A static network has zero peak churn however dense it is.
         let still = record_trajectory(&[vec![0.0, 1.0, 2.0], vec![0.0, 1.0, 2.0]], 1.5);
         assert_eq!(still.peak_churn, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot follow observe_with")]
-    fn mixing_observe_with_then_observe_panics() {
-        let pts: Vec<Point<1>> = vec![Point::new([0.0]), Point::new([1.0])];
-        let dg = DynamicGraph::new(&pts, 10.0, 2.0);
-        let mut external = manet_graph::DynamicComponents::new(2);
-        external.apply(&dg.initial_diff(), dg.graph());
-        let mut rec = TraceRecorder::new(2, 5);
-        rec.observe_with(&dg.initial_diff(), dg.graph(), &external);
-        // The internal component state missed the first delta; folding
-        // through `observe` now must be refused, not silently wrong.
-        rec.observe(&EdgeDiff::default(), dg.graph());
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot follow observe_with")]
-    fn interleaving_observe_with_between_observes_panics() {
-        let pts: Vec<Point<1>> = vec![Point::new([0.0]), Point::new([1.0])];
-        let dg = DynamicGraph::new(&pts, 10.0, 2.0);
-        let mut external = manet_graph::DynamicComponents::new(2);
-        external.apply(&dg.initial_diff(), dg.graph());
-        let mut rec = TraceRecorder::new(2, 5);
-        rec.observe(&dg.initial_diff(), dg.graph());
-        // An interleaved external step invalidates the internal state…
-        rec.observe_with(&EdgeDiff::default(), dg.graph(), &external);
-        // …so resuming the internal path must panic, not drift.
-        rec.observe(&EdgeDiff::default(), dg.graph());
     }
 }

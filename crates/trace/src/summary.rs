@@ -150,18 +150,21 @@ mod tests {
     use super::*;
     use crate::TraceRecorder;
     use manet_geom::Point;
-    use manet_graph::DynamicGraph;
+    use manet_graph::{DynamicComponents, DynamicGraph};
 
     fn record(xs_steps: &[Vec<f64>], range: f64) -> TemporalRecord {
         let pts =
             |xs: &Vec<f64>| -> Vec<Point<1>> { xs.iter().map(|&x| Point::new([x])).collect() };
         let first = pts(&xs_steps[0]);
         let mut dg = DynamicGraph::new(&first, 100.0, range);
+        let mut dc = DynamicComponents::new(first.len());
         let mut rec = TraceRecorder::new(first.len(), xs_steps.len());
-        rec.observe(&dg.initial_diff(), dg.graph());
+        dc.apply(dg.last_diff(), dg.graph());
+        rec.observe_with(dg.last_diff(), dg.graph(), &dc);
         for xs in &xs_steps[1..] {
-            let diff = dg.advance(&pts(xs));
-            rec.observe(&diff, dg.graph());
+            dg.step(&pts(xs));
+            dc.apply(dg.last_diff(), dg.graph());
+            rec.observe_with(dg.last_diff(), dg.graph(), &dc);
         }
         rec.finish()
     }

@@ -3,7 +3,7 @@
 //! full per-step edge sets.
 
 use manet_geom::Point;
-use manet_graph::{AdjacencyList, ComponentSummary, DynamicGraph};
+use manet_graph::{AdjacencyList, ComponentSummary, DynamicComponents, DynamicGraph};
 use manet_trace::{TraceRecorder, TraceSummary};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -129,11 +129,14 @@ fn oracle(steps: &[Vec<Point<2>>], r: f64) -> Oracle {
 
 fn record(steps: &[Vec<Point<2>>], r: f64) -> manet_trace::TemporalRecord {
     let mut dg = DynamicGraph::new(&steps[0], SIDE, r);
+    let mut dc = DynamicComponents::new(steps[0].len());
     let mut rec = TraceRecorder::new(steps[0].len(), steps.len());
-    rec.observe(&dg.initial_diff(), dg.graph());
+    dc.apply(dg.last_diff(), dg.graph());
+    rec.observe_with(dg.last_diff(), dg.graph(), &dc);
     for pts in &steps[1..] {
-        let diff = dg.advance(pts);
-        rec.observe(&diff, dg.graph());
+        dg.step(pts);
+        dc.apply(dg.last_diff(), dg.graph());
+        rec.observe_with(dg.last_diff(), dg.graph(), &dc);
     }
     rec.finish()
 }

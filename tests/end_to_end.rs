@@ -5,8 +5,10 @@ use manet::geom::{Point, Region};
 use manet::graph::{components, critical_range, AdjacencyList};
 use manet::mobility::{Drunkard, RandomWaypoint};
 use manet::occupancy::{patterns, Occupancy};
-use manet::sim::search::range_for_fraction_both_paths;
-use manet::sim::{simulate_fixed_range, SimConfig, StationaryAnalysis};
+use manet::sim::{
+    bisect_critical_range, simulate_critical_ranges, simulate_fixed_range, ConnectivityMetric,
+    CriticalRangeSearch, SimConfig, StationaryAnalysis,
+};
 use manet::{one_dim, theorems, MtrProblem, MtrmProblem};
 use rand::SeedableRng;
 
@@ -72,7 +74,17 @@ fn fast_and_slow_paths_agree_through_facade() {
     b.nodes(12).side(128.0).iterations(2).steps(20).seed(4);
     let cfg = b.build().unwrap();
     let model = RandomWaypoint::new(0.1, 1.28, 4, 0.0).unwrap();
-    let (fast, slow) = range_for_fraction_both_paths(&cfg, &model, 0.9, 1e-5).unwrap();
+    let fast = simulate_critical_ranges(&cfg, &model)
+        .unwrap()
+        .pooled()
+        .unwrap()
+        .smallest_covering(0.9)
+        .unwrap();
+    let search = CriticalRangeSearch::new()
+        .with_metric(ConnectivityMetric::KConnectivity(1))
+        .with_target(0.9)
+        .with_rel_tol(1e-5 / 128.0);
+    let slow = bisect_critical_range(&cfg, &model, &search).unwrap().range;
     assert!((fast - slow).abs() < 1e-3, "fast {fast} vs slow {slow}");
 }
 
