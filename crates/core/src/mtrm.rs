@@ -8,14 +8,21 @@
 //! [`MtrmProblem`] bundles a simulation configuration with a mobility
 //! model and exposes the paper's metrics: the connectivity ranges
 //! `r100/r90/r10/r0`, the component-size targets `rl90/rl75/rl50`, and
-//! availability estimates at arbitrary ranges.
+//! availability and up/down run structure (MTBF, MTTR, longest outage)
+//! at arbitrary ranges.
 //!
 //! Every simulating `MtrmProblem` method runs exactly one campaign, and every
 //! range-free metric is an accessor on its result: [`MtrmProblem::solve`]
 //! runs the critical-range pass behind [`MtrmSolution`], and
 //! [`MtrmProblem::campaign`] runs one fused pass that also records the
-//! component-size profiles behind [`MtrmCampaign`]. Query the result as
-//! often as needed; nothing re-simulates behind an accessor.
+//! component-size profiles behind [`MtrmCampaign`]. A solution keeps the
+//! time-ordered per-step critical-range series `c_t`, so
+//! [`MtrmSolution::uptime_at`] reads outage runs off the same campaign
+//! as the quantiles. Query the result as often as needed; nothing
+//! re-simulates behind an accessor. Only the two lanes that need the
+//! graph at a fixed range, [`MtrmProblem::fixed_range_report`] and
+//! [`MtrmProblem::temporal_trace`], take a range and run their own
+//! campaign.
 //!
 //! Models are supplied as [`AnyModel`] handles — either built directly
 //! from a concrete type (`RandomWaypoint::new(...)?.into()`) or
@@ -26,8 +33,8 @@
 use crate::CoreError;
 use manet_mobility::AnyModel;
 use manet_sim::{
-    simulate_campaign, simulate_component_ranges, simulate_critical_ranges, simulate_fixed_range,
-    CriticalRangeResults, FixedRangeReport, MobileRangeSummary, ProfileResults, SimConfig,
+    simulate_campaign, simulate_fixed_range, simulate_raw_critical_series, CriticalRangeResults,
+    FixedRangeReport, MobileRangeSummary, ProfileResults, RangeQuantiles, SimConfig, UptimeSummary,
 };
 
 /// An MTRM problem instance: configuration plus mobility model.
@@ -44,29 +51,49 @@ pub struct MtrmSolution {
     pub ranges: MobileRangeSummary,
     /// The underlying critical-range results (for further queries).
     pub critical: CriticalRangeResults,
+    /// Each iteration's critical-range series in time order, the input
+    /// `critical` was frozen from.
+    series: Vec<Vec<f64>>,
 }
 
 impl MtrmSolution {
-    fn new(critical: CriticalRangeResults) -> Result<Self, CoreError> {
+    fn new(series: Vec<Vec<f64>>) -> Result<Self, CoreError> {
+        let critical = CriticalRangeResults::freeze(series.clone())?;
         let ranges = critical.summary()?;
-        Ok(MtrmSolution { ranges, critical })
+        Ok(MtrmSolution {
+            ranges,
+            critical,
+            series,
+        })
     }
 
-    /// The minimum range keeping the network connected during
-    /// `fraction` of the time (mean across iterations) — MTRM for an
-    /// arbitrary `f`.
+    /// The paper's range metrics over every step of every iteration
+    /// pooled into one series (`r100` is the pooled maximum).
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Sim`] for `fraction` outside `[0, 1]`.
-    pub fn range_for_time_fraction(&self, fraction: f64) -> Result<f64, CoreError> {
-        Ok(self.critical.mean_range_for_fraction(fraction)?)
+    /// Propagates [`CoreError::Sim`] (defensive; a solution holds at
+    /// least one step).
+    pub fn pooled_quantiles(&self) -> Result<RangeQuantiles, CoreError> {
+        Ok(RangeQuantiles::from_series(&self.critical.pooled()?)?)
     }
 
     /// Availability estimate: fraction of time the whole network is
     /// connected at range `r`.
     pub fn availability_at(&self, r: f64) -> f64 {
         self.critical.connectivity_fraction_at(r)
+    }
+
+    /// Up/down run structure at range `r`: availability, MTBF/MTTR (in
+    /// steps), failures per iteration and the worst outage — the
+    /// dependability reading of the introduction's availability
+    /// framing, read off the time-ordered series.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Sim`] for a non-positive or non-finite `r`.
+    pub fn uptime_at(&self, r: f64) -> Result<UptimeSummary, CoreError> {
+        Ok(UptimeSummary::from_series(&self.series, r)?)
     }
 }
 
@@ -138,7 +165,7 @@ impl<const D: usize> MtrmProblem<D> {
     ///
     /// Propagates [`CoreError::Sim`].
     pub fn solve(&self) -> Result<MtrmSolution, CoreError> {
-        MtrmSolution::new(simulate_critical_ranges(&self.config, &self.model)?)
+        MtrmSolution::new(simulate_raw_critical_series(&self.config, &self.model)?)
     }
 
     /// Runs one fused pass recording both the critical range of every
@@ -150,27 +177,11 @@ impl<const D: usize> MtrmProblem<D> {
     ///
     /// Propagates [`CoreError::Sim`].
     pub fn campaign(&self) -> Result<MtrmCampaign, CoreError> {
-        let (critical, profiles) = simulate_campaign(&self.config, &self.model)?;
+        let (series, profiles) = simulate_campaign(&self.config, &self.model)?;
         Ok(MtrmCampaign {
-            solution: MtrmSolution::new(critical)?,
+            solution: MtrmSolution::new(series)?,
             profiles,
         })
-    }
-
-    /// Partial-connectivity availability: fraction of time the largest
-    /// component holds at least `component_fraction·n` nodes at range
-    /// `r`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CoreError::Sim`].
-    pub fn partial_availability_at(
-        &self,
-        r: f64,
-        component_fraction: f64,
-    ) -> Result<f64, CoreError> {
-        let res = simulate_component_ranges(&self.config, &self.model, component_fraction)?;
-        Ok(res.availability_at(r))
     }
 
     /// The paper's literal simulator at a fixed range, driven by the
@@ -184,18 +195,6 @@ impl<const D: usize> MtrmProblem<D> {
     /// Propagates [`CoreError::Sim`].
     pub fn fixed_range_report(&self, r: f64) -> Result<FixedRangeReport, CoreError> {
         Ok(simulate_fixed_range(&self.config, &self.model, r)?)
-    }
-
-    /// Up/down run structure at range `r`: availability, MTBF/MTTR (in
-    /// steps), failures per iteration and the worst outage — the
-    /// dependability reading of the introduction's availability
-    /// framing.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CoreError::Sim`].
-    pub fn uptime_at(&self, r: f64) -> Result<manet_sim::UptimeSummary, CoreError> {
-        Ok(manet_sim::simulate_uptime(&self.config, &self.model, r)?)
     }
 
     /// Temporal-connectivity trace at range `r`: link-lifetime,
@@ -218,6 +217,7 @@ mod tests {
     use manet_mobility::{
         Drunkard, Mobility, ModelRegistry, PaperScale, RandomWaypoint, StationaryModel,
     };
+    use manet_sim::UptimeReport;
 
     fn problem(
         iterations: usize,
@@ -330,9 +330,6 @@ mod tests {
         assert!((0.0..=1.0).contains(&avail));
         // r90 keeps the network up about 90% of the time.
         assert!(avail >= 0.8, "availability at r90 was {avail}");
-        // Partial connectivity is easier than full connectivity.
-        let partial = p.partial_availability_at(r, 0.5).unwrap();
-        assert!(partial >= avail - 1e-12);
     }
 
     #[test]
@@ -365,15 +362,6 @@ mod tests {
     }
 
     #[test]
-    fn range_for_time_fraction_between_extremes() {
-        let p = small_problem(waypoint(0, 0.0));
-        let sol = p.solve().unwrap();
-        let r50 = sol.range_for_time_fraction(0.5).unwrap();
-        assert!(r50 <= sol.ranges.r100.mean() + 1e-9);
-        assert!(r50 >= sol.ranges.r0.mean() - 1e-9);
-    }
-
-    #[test]
     fn zoo_models_run_every_metric() {
         let registry = ModelRegistry::<2>::with_builtins();
         let scale = PaperScale::new(100.0).with_pause(3);
@@ -383,6 +371,133 @@ mod tests {
             assert!(sol.ranges.r100.mean() >= sol.ranges.r0.mean());
             let report = p.fixed_range_report(sol.ranges.r100.max() * 1.01).unwrap();
             assert_eq!(report.connectivity_fraction(), 1.0, "model {name}");
+        }
+    }
+
+    /// The campaign the uptime tests below share: 4 iterations of 60
+    /// steps, 10 nodes in a 150-unit square.
+    fn uptime_problem(model: impl Into<AnyModel<2>>) -> MtrmProblem<2> {
+        let config = SimConfig::<2>::builder()
+            .nodes(10)
+            .side(150.0)
+            .iterations(4)
+            .steps(60)
+            .seed(33)
+            .build()
+            .unwrap();
+        MtrmProblem::new(config, model)
+    }
+
+    #[test]
+    fn stationary_model_never_transitions() {
+        let sol = uptime_problem(StationaryModel::new()).solve().unwrap();
+        let summary = sol.uptime_at(60.0).unwrap();
+        assert_eq!(summary.failures_per_iteration, 0.0);
+        // Each iteration is entirely up or entirely down.
+        assert!(
+            summary.availability == 0.0
+                || summary.availability == 1.0
+                || (summary.availability * 4.0).fract().abs() < 1e-12
+        );
+    }
+
+    #[test]
+    fn availability_matches_quantile_path() {
+        let sol = uptime_problem(RandomWaypoint::new(0.5, 3.0, 2, 0.0).unwrap())
+            .solve()
+            .unwrap();
+        let r = 55.0;
+        let summary = sol.uptime_at(r).unwrap();
+        assert!(
+            (summary.availability - sol.availability_at(r)).abs() < 1e-12,
+            "uptime {} vs quantile {}",
+            summary.availability,
+            sol.availability_at(r)
+        );
+    }
+
+    #[test]
+    fn larger_range_fewer_failures() {
+        let sol = uptime_problem(RandomWaypoint::new(0.5, 3.0, 0, 0.0).unwrap())
+            .solve()
+            .unwrap();
+        let pooled = sol.critical.pooled().unwrap();
+        let r_small = pooled.smallest_covering(0.5).unwrap();
+        let r_large = pooled.smallest_covering(0.98).unwrap();
+        let small = sol.uptime_at(r_small).unwrap();
+        let large = sol.uptime_at(r_large).unwrap();
+        assert!(large.availability > small.availability);
+        assert!(large.longest_outage <= small.longest_outage);
+    }
+
+    /// A sorted series is up for one run and then down for one run, so
+    /// it fails at most once per iteration; motion makes the
+    /// time-ordered series wander across the median several times.
+    #[test]
+    fn raw_series_is_time_ordered_not_sorted() {
+        let sol = uptime_problem(RandomWaypoint::new(0.5, 3.0, 0, 0.0).unwrap())
+            .solve()
+            .unwrap();
+        assert_eq!(sol.critical.per_iteration().len(), 4);
+        for s in sol.critical.per_iteration() {
+            assert_eq!(s.len(), 60);
+        }
+        let median = sol
+            .critical
+            .pooled()
+            .unwrap()
+            .smallest_covering(0.5)
+            .unwrap();
+        let summary = sol.uptime_at(median).unwrap();
+        assert!(
+            summary.failures_per_iteration > 1.0,
+            "series suspiciously sorted: {summary:?}"
+        );
+        // The premise: a sorted copy of a series fails at most once.
+        for s in sol.critical.per_iteration() {
+            let sorted = UptimeReport::from_series(s.as_sorted(), median).unwrap();
+            assert!(sorted.failures <= 1);
+        }
+    }
+
+    /// `solve()` and `campaign()` keep each iteration's series in time
+    /// order: on every registry model and at any thread count, their
+    /// `uptime_at` equals `UptimeSummary::from_series` on an independent
+    /// raw campaign. A solution that kept the sorted series would still
+    /// match on availability but not on the run counts.
+    #[test]
+    fn uptime_reads_the_time_ordered_series_on_every_registry_model() {
+        let registry = ModelRegistry::<2>::with_builtins();
+        let scale = PaperScale::new(256.0).with_pause(8);
+        assert_eq!(registry.names().len(), 13);
+        for threads in [1, 3] {
+            let config = SimConfig::<2>::builder()
+                .nodes(16)
+                .side(256.0)
+                .iterations(3)
+                .steps(40)
+                .seed(0x5EED)
+                .threads(threads)
+                .build()
+                .unwrap();
+            for name in registry.names() {
+                let model = registry.build(name, &scale).unwrap();
+                let raw = manet_sim::simulate_raw_critical_series(&config, &model).unwrap();
+                let p = MtrmProblem::new(config.clone(), model);
+                let sol = p.solve().unwrap();
+                let campaign = p.campaign().unwrap();
+                let q = sol.pooled_quantiles().unwrap();
+                for r in [q.r100, q.r90, q.r10] {
+                    let want = UptimeSummary::from_series(&raw, r).unwrap();
+                    let at = format!("{name} threads={threads} r={r}");
+                    assert_eq!(sol.uptime_at(r).unwrap(), want, "solve: {at}");
+                    assert_eq!(
+                        campaign.solution().uptime_at(r).unwrap(),
+                        want,
+                        "campaign: {at}"
+                    );
+                }
+            }
         }
     }
 }

@@ -51,6 +51,7 @@ pub struct RunOptions {
     /// `uptime` and `quantity` experiments — the large-`n` lever for
     /// exercising the sharded step kernel at scale from every
     /// pipeline; `None` keeps each experiment's paper-tied default.
+    /// At least 2: one node has no critical range.
     pub nodes: Option<usize>,
     /// `--metrics PATH`: write a `metrics.json` artifact (run manifest,
     /// deterministic kernel counters, spans when profiling) on success.
@@ -207,8 +208,8 @@ impl RunOptions {
         if opts.iterations == 0 || opts.steps == 0 || opts.placements == 0 {
             return Err("iterations, steps and placements must be positive".into());
         }
-        if opts.nodes == Some(0) {
-            return Err("--nodes must be positive".into());
+        if opts.nodes.is_some_and(|n| n < 2) {
+            return Err("--nodes must be at least 2".into());
         }
         if opts.threads == Some(0) {
             return Err("--threads must be positive".into());
@@ -459,6 +460,11 @@ mod tests {
         assert!(parse(&["--bogus"]).is_err());
         assert!(parse(&["--iterations", "0"]).is_err());
         assert!(parse(&["--threads", "0"]).is_err());
+        for n in ["0", "1"] {
+            let err = parse(&["--nodes", n]).unwrap_err();
+            assert!(err.contains("--nodes"), "{err}");
+        }
+        assert_eq!(parse(&["--nodes", "2"]).unwrap().nodes, Some(2));
     }
 
     #[test]

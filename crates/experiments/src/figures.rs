@@ -130,9 +130,8 @@ impl CampaignRows {
     }
 
     fn of(solution: &MtrmSolution, profiles: Option<ProfileResults>) -> Result<Self, CoreError> {
-        let pooled = solution.critical.pooled().map_err(CoreError::Sim)?;
         Ok(CampaignRows {
-            pooled: RangeQuantiles::from_series(&pooled).map_err(CoreError::Sim)?,
+            pooled: solution.pooled_quantiles()?,
             ranges: solution.ranges,
             profiles,
         })

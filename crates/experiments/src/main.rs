@@ -29,7 +29,7 @@
 //!                    (registry names, e.g. gauss-markov,rpgm)
 //!   --nodes N        node-count override for trace/fixed/uptime/
 //!                    quantity (large-n runs on the incremental step
-//!                    kernel; defaults n = 32, 32, 64, 32)
+//!                    kernel; defaults n = 32, 32, 64, 32; N >= 2)
 //!   --step-threads N intra-step worker threads for the sharded step
 //!                    kernel (default 1 = serial); artifacts are
 //!                    byte-identical across values

@@ -15,7 +15,6 @@ use crate::common::{banner, fmt, r_stationary_for, RunOptions, Table};
 use crate::obs::ObsSession;
 use manet_core::mobility::{Drunkard, RandomWaypoint};
 use manet_core::sim::quantity::{mean_quantity, measure_mobility_quantity};
-use manet_core::sim::RangeQuantiles;
 use manet_core::{AnyModel, CoreError, MtrmProblem};
 
 /// Runs the quantity-of-mobility comparison at `l = 1024`, `n = 32`.
@@ -82,9 +81,7 @@ pub fn run(opts: &RunOptions, session: &mut ObsSession) -> Result<(), CoreError>
             problem.model(),
         )?)
         .expect("at least one iteration");
-        let sol = problem.solve()?;
-        let pooled = sol.critical.pooled().map_err(CoreError::Sim)?;
-        let q = RangeQuantiles::from_series(&pooled).map_err(CoreError::Sim)?;
+        let q = problem.solve()?.pooled_quantiles()?;
         table.row(vec![
             name,
             fmt(quantity.mean_displacement),

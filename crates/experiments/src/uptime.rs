@@ -11,7 +11,6 @@
 
 use crate::common::{banner, fmt, r_stationary_for, RunOptions, Table};
 use crate::obs::ObsSession;
-use manet_core::sim::RangeQuantiles;
 use manet_core::{CoreError, MtrmProblem};
 
 /// Models swept when `--models` is not given. Kept at the paper's two
@@ -45,14 +44,16 @@ pub fn run(opts: &RunOptions, session: &mut ObsSession) -> Result<(), CoreError>
     for (i, (name, model)) in models.into_iter().enumerate() {
         session.note_model(&name);
         session.progress(&format!("uptime: {name} ({}/{total})", i + 1));
-        session.span_enter("uptime/model");
+        // One campaign per model: every tier reads the same solution.
         let problem = MtrmProblem::new(opts.sim_config(n, l).build()?, model);
-        let sol = problem.solve()?;
-        let pooled = sol.critical.pooled().map_err(CoreError::Sim)?;
-        let q = RangeQuantiles::from_series(&pooled).map_err(CoreError::Sim)?;
+        session.span_enter("campaign");
+        let sol = problem.solve();
+        session.span_exit();
+        let sol = sol?;
+        let q = sol.pooled_quantiles()?;
         for (tier, r) in [("r100", q.r100), ("r90", q.r90), ("r10", q.r10)] {
             session.note_range(r);
-            let up = problem.uptime_at(r)?;
+            let up = sol.uptime_at(r)?;
             table.row(vec![
                 name.clone(),
                 tier.to_string(),
@@ -64,7 +65,6 @@ pub fn run(opts: &RunOptions, session: &mut ObsSession) -> Result<(), CoreError>
                 fmt(up.failures_per_iteration),
             ]);
         }
-        session.span_exit();
     }
     table.print();
     println!(

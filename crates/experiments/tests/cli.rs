@@ -286,6 +286,48 @@ fn fixed_and_uptime_match_goldens_across_thread_counts() {
     }
 }
 
+/// `quantity`, the one remaining `solve()` reader besides `figs` and
+/// `uptime`, reproduces `tests/goldens/quantity_x1.csv` byte-for-byte
+/// at any thread count.
+#[test]
+fn quantity_matches_golden_across_thread_counts() {
+    let golden =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/goldens/quantity_x1.csv");
+    for threads in ["1", "3"] {
+        let dir = temp_out(&format!("quantity_golden_t{threads}"));
+        let out = repro()
+            .args([
+                "quantity",
+                "--iterations",
+                "3",
+                "--steps",
+                "120",
+                "--placements",
+                "200",
+                "--seed",
+                "20020623",
+                "--threads",
+                threads,
+                "--out",
+            ])
+            .arg(&dir)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let got = std::fs::read_to_string(dir.join("quantity_x1.csv")).unwrap();
+        let want = std::fs::read_to_string(&golden).unwrap();
+        assert_eq!(
+            got, want,
+            "quantity_x1.csv diverged from tests/goldens at --threads {threads}"
+        );
+        std::fs::remove_dir_all(dir).ok();
+    }
+}
+
 /// The paper's figures — fig2/fig3 from the per-step MST bottleneck,
 /// fig4–fig6 from the per-step merge profile, fig7–fig9 from the
 /// stationary and theory paths — reproduce `tests/goldens/figs/`
@@ -1090,6 +1132,35 @@ fn zero_threads_is_a_clean_usage_error() {
         assert!(err.contains("--threads must be positive"), "{cmd}: {err}");
         assert!(!err.contains("panicked"), "{cmd} panicked: {err}");
     }
+}
+
+/// One node has no critical range (its `r_stationary` is 0), so
+/// `--nodes 1` is a usage error before any campaign runs or any
+/// artifact is written.
+#[test]
+fn single_node_is_a_clean_usage_error() {
+    let dir = temp_out("nodes_one");
+    let out = repro()
+        .args([
+            "uptime",
+            "--nodes",
+            "1",
+            "--iterations",
+            "2",
+            "--steps",
+            "10",
+            "--placements",
+            "5",
+            "--out",
+        ])
+        .arg(&dir)
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {err}");
+    assert!(err.contains("--nodes must be at least 2"), "{err}");
+    assert!(!dir.join("uptime_x2.csv").exists());
+    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]

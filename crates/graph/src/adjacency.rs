@@ -295,14 +295,6 @@ impl AdjacencyList {
         self.neighbors.iter().map(|l| l.len()).min()
     }
 
-    /// Average degree (`NaN` for the empty graph).
-    pub fn mean_degree(&self) -> f64 {
-        if self.is_empty() {
-            return f64::NAN;
-        }
-        2.0 * self.edge_count as f64 / self.len() as f64
-    }
-
     /// Iterates over all undirected edges as `(a, b)` with `a < b`.
     pub fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         self.neighbors.iter().enumerate().flat_map(|(a, list)| {
@@ -332,7 +324,6 @@ mod tests {
         let g = AdjacencyList::empty(0);
         assert!(g.is_empty());
         assert_eq!(g.min_degree(), None);
-        assert!(g.mean_degree().is_nan());
     }
 
     #[test]
@@ -463,14 +454,6 @@ mod tests {
         assert_eq!(listed.len(), g.edge_count());
         assert!(listed.contains(&(0, 1)));
         assert!(listed.contains(&(0, 2)));
-    }
-
-    #[test]
-    fn mean_degree_matches_handshake() {
-        let pts = vec![Point::new([0.0]), Point::new([0.5]), Point::new([1.0])];
-        let g = AdjacencyList::from_points_brute_force(&pts, 0.6);
-        // Edges: (0,1), (1,2) -> mean degree = 4/3
-        assert!((g.mean_degree() - 4.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Breadth-first search: hop distances, eccentricity, diameter.
+//! Breadth-first search: hop distances.
 //!
 //! Wireless ad hoc networks are *multi-hop*: a message travels through
 //! intermediate nodes. Hop distances quantify relay depth — e.g. how
@@ -47,43 +47,6 @@ pub fn hop_distances(graph: &AdjacencyList, src: usize) -> Vec<Option<u32>> {
     dist
 }
 
-/// Eccentricity of `src`: the largest hop distance to any reachable
-/// node (0 for a graph with a single node).
-///
-/// # Panics
-///
-/// Panics if `src` is out of range.
-pub fn eccentricity(graph: &AdjacencyList, src: usize) -> u32 {
-    hop_distances(graph, src)
-        .into_iter()
-        .flatten()
-        .max()
-        .unwrap_or(0)
-}
-
-/// Hop diameter of the graph: `None` when the graph is disconnected
-/// (the diameter is then infinite), `Some(0)` for graphs with at most
-/// one node.
-pub fn hop_diameter(graph: &AdjacencyList) -> Option<u32> {
-    let n = graph.len();
-    if n <= 1 {
-        return Some(0);
-    }
-    let mut diameter = 0;
-    for v in 0..n {
-        let d = hop_distances(graph, v);
-        let mut local_max = 0;
-        for dv in d {
-            match dv {
-                Some(x) => local_max = local_max.max(x),
-                None => return None,
-            }
-        }
-        diameter = diameter.max(local_max);
-    }
-    Some(diameter)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,36 +74,5 @@ mod tests {
         let d = hop_distances(&g, 0);
         assert_eq!(d[2], None);
         assert_eq!(d[3], None);
-    }
-
-    #[test]
-    fn eccentricity_on_path() {
-        let g = path(5);
-        assert_eq!(eccentricity(&g, 0), 4);
-        assert_eq!(eccentricity(&g, 2), 2);
-    }
-
-    #[test]
-    fn diameter_of_path_and_disconnected() {
-        assert_eq!(hop_diameter(&path(6)), Some(5));
-        let mut g = AdjacencyList::empty(3);
-        g.add_edge(0, 1);
-        assert_eq!(hop_diameter(&g), None);
-    }
-
-    #[test]
-    fn diameter_edge_cases() {
-        assert_eq!(hop_diameter(&AdjacencyList::empty(0)), Some(0));
-        assert_eq!(hop_diameter(&AdjacencyList::empty(1)), Some(0));
-    }
-
-    #[test]
-    fn star_has_diameter_two() {
-        let mut g = AdjacencyList::empty(5);
-        for leaf in 1..5 {
-            g.add_edge(0, leaf);
-        }
-        assert_eq!(hop_diameter(&g), Some(2));
-        assert_eq!(eccentricity(&g, 0), 1);
     }
 }

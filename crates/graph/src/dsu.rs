@@ -104,12 +104,6 @@ impl UnionFind {
         self.find(a) == self.find(b)
     }
 
-    /// Size of the set containing `x`.
-    pub fn component_size(&mut self, x: usize) -> usize {
-        let r = self.find(x);
-        self.size[r] as usize
-    }
-
     /// Current number of disjoint sets.
     pub fn component_count(&self) -> usize {
         self.components
@@ -138,7 +132,6 @@ mod tests {
         assert_eq!(uf.largest_component(), 1);
         for i in 0..5 {
             assert_eq!(uf.find(i), i);
-            assert_eq!(uf.component_size(i), 1);
         }
     }
 
@@ -158,7 +151,7 @@ mod tests {
         uf.union(0, 1);
         uf.union(2, 3);
         uf.union(0, 2);
-        assert_eq!(uf.component_size(3), 4);
+        assert!(uf.connected(3, 1));
         assert_eq!(uf.largest_component(), 4);
         assert_eq!(uf.component_count(), 3); // {0,1,2,3}, {4}, {5}
     }

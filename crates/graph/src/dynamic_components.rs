@@ -216,15 +216,6 @@ impl DynamicComponents {
             .sum()
     }
 
-    /// Whether `a` and `b` are currently in the same component.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` or `b` is out of range.
-    pub fn same_component(&mut self, a: usize, b: usize) -> bool {
-        self.find(a) == self.find(b)
-    }
-
     /// Partial (epoch) rebuilds performed so far — the deletion path.
     pub fn partial_rebuilds(&self) -> u64 {
         self.metrics.partial_rebuilds
@@ -569,8 +560,6 @@ mod tests {
         assert_eq!(dc.singleton_count(), 1);
         assert_eq!(dc.ordered_reachable_pairs(), 6);
         assert_eq!(dc.partial_rebuilds(), 0);
-        assert!(dc.same_component(0, 2));
-        assert!(!dc.same_component(0, 3));
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //!   component summary maintained under that delta stream (DSU
 //!   insertions, epoch-based partial rebuilds for deletions), the
 //!   engine behind every per-step connectivity query in `manet-sim`;
-//! * [`bfs`] — hop distances and diameter (multi-hop relay depth);
+//! * [`bfs`] — hop distances (multi-hop relay depth);
 //! * [`kconn`] — vertex connectivity (an extension beyond the paper's
 //!   1-connectivity, useful for dependability margins).
 //! * [`parallel`] — [`parallel::run_indexed`], the workspace's one

@@ -5,24 +5,25 @@
 //! merge profile of every `profile_stride`-th step gives the
 //! largest-component curves and `rl90/rl75/rl50`.
 //! [`simulate_campaign`] records both from a single pass, feeding each
-//! step to the same observers [`simulate_critical_ranges`] and
+//! step to the same observers [`simulate_raw_critical_series`] and
 //! [`simulate_profiles`] run alone, so its results are bit-identical to
 //! running those two campaigns.
 //!
-//! [`simulate_critical_ranges`]: crate::simulate_critical_ranges
+//! [`simulate_raw_critical_series`]: crate::simulate_raw_critical_series
 //! [`simulate_profiles`]: crate::simulate_profiles
 
 use crate::{
     config::SimConfig,
-    critical::{CriticalRangeObserver, CriticalRangeResults},
+    critical::CriticalRangeObserver,
     profile::{ProfileObserver, ProfileResults},
     stream::run_connectivity_stream,
     SimError,
 };
 use manet_mobility::Mobility;
 
-/// Runs the campaign once and returns its critical-range results and
-/// its component-size profiles.
+/// Runs the campaign once and returns each iteration's critical-range
+/// series **in time order** together with the component-size
+/// profiles.
 ///
 /// # Errors
 ///
@@ -30,7 +31,7 @@ use manet_mobility::Mobility;
 pub fn simulate_campaign<const D: usize, M>(
     config: &SimConfig<D>,
     model: &M,
-) -> Result<(CriticalRangeResults, ProfileResults), SimError>
+) -> Result<(Vec<Vec<f64>>, ProfileResults), SimError>
 where
     M: Mobility<D> + Clone + Send + Sync,
 {
@@ -39,8 +40,5 @@ where
         (CriticalRangeObserver::new(config.steps()), empty.clone())
     })?;
     let (series, profiles) = per_iteration.into_iter().unzip();
-    Ok((
-        CriticalRangeResults::freeze(series)?,
-        ProfileResults::from_profiles(profiles),
-    ))
+    Ok((series, ProfileResults::from_profiles(profiles)))
 }

@@ -60,7 +60,8 @@ impl<const D: usize> ConnectivityObserver<D> for CriticalRangeObserver {
 }
 
 /// Runs the campaign and returns each iteration's critical-range
-/// series **in time order** (the input of [`crate::simulate_uptime`]'s
+/// series **in time order** (the input of
+/// [`UptimeSummary::from_series`](crate::UptimeSummary::from_series)'s
 /// up/down run analysis).
 ///
 /// # Errors
@@ -111,8 +112,14 @@ impl CriticalRangeResults {
         CriticalRangeResults { per_iteration }
     }
 
-    /// Freezes each iteration's time-ordered series.
-    pub(crate) fn freeze(raw: Vec<Vec<f64>>) -> Result<Self, SimError> {
+    /// Freezes each iteration's time-ordered series (as returned by
+    /// [`simulate_raw_critical_series`]) into sorted series.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::Stats`] for an empty series or one holding
+    /// a non-finite value.
+    pub fn freeze(raw: Vec<Vec<f64>>) -> Result<Self, SimError> {
         let per_iteration = raw
             .into_iter()
             .map(FrozenSeries::new)
@@ -168,13 +175,28 @@ impl CriticalRangeResults {
     /// Returns [`SimError::Stats`] for `fraction` outside `[0, 1]` or
     /// an empty campaign.
     pub fn mean_range_for_fraction(&self, fraction: f64) -> Result<f64, SimError> {
-        mean_covering_range(&self.per_iteration, fraction)
+        if self.per_iteration.is_empty() {
+            return Err(SimError::Stats(manet_stats::StatsError::EmptySample));
+        }
+        let mut acc = RunningMoments::new();
+        for s in &self.per_iteration {
+            acc.push(s.smallest_covering(fraction)?);
+        }
+        Ok(acc.mean())
     }
 
     /// Fraction of steps connected at range `r`, averaged across
-    /// iterations (the availability estimate of the introduction).
+    /// iterations (the availability estimate of the introduction; NaN
+    /// for an empty campaign).
     pub fn connectivity_fraction_at(&self, r: f64) -> f64 {
-        mean_fraction_at_most(&self.per_iteration, r)
+        if self.per_iteration.is_empty() {
+            return f64::NAN;
+        }
+        self.per_iteration
+            .iter()
+            .map(|s| s.fraction_at_most(r))
+            .sum::<f64>()
+            / self.per_iteration.len() as f64
     }
 
     /// All steps of all iterations pooled into one series (the
@@ -190,35 +212,6 @@ impl CriticalRangeResults {
         }
         Ok(FrozenSeries::new(all)?)
     }
-}
-
-/// Mean across iterations of the smallest value covering `fraction` of
-/// each iteration's steps.
-pub(crate) fn mean_covering_range(
-    per_iteration: &[FrozenSeries],
-    fraction: f64,
-) -> Result<f64, SimError> {
-    if per_iteration.is_empty() {
-        return Err(SimError::Stats(manet_stats::StatsError::EmptySample));
-    }
-    let mut acc = RunningMoments::new();
-    for s in per_iteration {
-        acc.push(s.smallest_covering(fraction)?);
-    }
-    Ok(acc.mean())
-}
-
-/// Mean across iterations of the fraction of steps at most `r` (NaN for
-/// an empty campaign).
-pub(crate) fn mean_fraction_at_most(per_iteration: &[FrozenSeries], r: f64) -> f64 {
-    if per_iteration.is_empty() {
-        return f64::NAN;
-    }
-    per_iteration
-        .iter()
-        .map(|s| s.fraction_at_most(r))
-        .sum::<f64>()
-        / per_iteration.len() as f64
 }
 
 /// The paper's four range metrics for one iteration.

@@ -21,9 +21,14 @@
 //!   `r0 = min_t c_t` — the paper's Figures 2–3 ([`RangeQuantiles`]);
 //! * the average largest-component size at any range, and its inverses
 //!   `rl90/rl75/rl50` — Figures 4–6 ([`profile::RangeSizeProfile`]);
-//! * the availability (fraction of connected steps) at any fixed `r`.
+//! * the availability (fraction of connected steps) at any fixed `r`,
+//!   and, read off the series *in time order*, its up/down run
+//!   structure (MTBF, MTTR, longest outage; [`UptimeSummary`]).
 //!
-//! [`simulate_campaign`] records the first two from one pass.
+//! [`simulate_campaign`] records the time-ordered series and the
+//! profiles from one pass; [`simulate_raw_critical_series`] records the
+//! series alone. Every range-free metric above is a pure function of
+//! those outputs, so no metric re-simulates.
 //!
 //! A bisection-based [`search`] path recomputes the same quantities the
 //! slow way (fresh simulation per candidate range); tests hold the two
@@ -71,7 +76,6 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod campaign;
-pub mod component;
 pub mod config;
 pub mod critical;
 pub mod fixed;
@@ -86,7 +90,6 @@ pub mod trace;
 pub mod uptime;
 
 pub use campaign::simulate_campaign;
-pub use component::{simulate_component_ranges, ComponentRangeResults};
 pub use config::SimConfig;
 pub use critical::{
     simulate_critical_ranges, simulate_raw_critical_series, CriticalRangeResults,
@@ -104,7 +107,7 @@ pub use stationary::StationaryAnalysis;
 pub use stream::{run_connectivity_stream, ConnectivityObserver, LinkView, StepView};
 pub use sweep::{SweepCheckpoint, SweepRun, SweepScheduler};
 pub use trace::{simulate_trace, TraceObserver};
-pub use uptime::{simulate_uptime, UptimeReport, UptimeSummary};
+pub use uptime::{UptimeReport, UptimeSummary};
 
 use manet_geom::GeomError;
 use manet_stats::StatsError;

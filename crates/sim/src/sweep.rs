@@ -205,14 +205,6 @@ impl<R> SweepCheckpoint<R> {
         }
     }
 
-    /// Rebuilds a checkpoint from persisted parts.
-    pub fn from_parts(fingerprint: impl Into<String>, results: Vec<Option<R>>) -> Self {
-        SweepCheckpoint {
-            fingerprint: fingerprint.into(),
-            results,
-        }
-    }
-
     /// The grid fingerprint this checkpoint belongs to.
     pub fn fingerprint(&self) -> &str {
         &self.fingerprint
@@ -476,7 +468,10 @@ mod tests {
     #[cfg(feature = "serde")]
     #[test]
     fn checkpoint_serde_round_trips() {
-        let cp = SweepCheckpoint::from_parts("grid-v1", vec![Some(7usize), None, Some(9)]);
+        let cp = SweepCheckpoint {
+            fingerprint: "grid-v1".to_string(),
+            results: vec![Some(7usize), None, Some(9)],
+        };
         let json = serde_json::to_string(&cp).unwrap();
         assert_eq!(
             json, "{\"fingerprint\":\"grid-v1\",\"results\":[7,null,9]}",

@@ -10,8 +10,7 @@
 //! quantities engineers actually provision against: mean time between
 //! failures, mean time to repair, and the longest outage.
 
-use crate::{config::SimConfig, critical::simulate_raw_critical_series, SimError};
-use manet_mobility::Mobility;
+use crate::SimError;
 
 /// Up/down run statistics of one iteration at a fixed range.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -115,47 +114,48 @@ pub struct UptimeSummary {
     pub failures_per_iteration: f64,
 }
 
-/// Runs the campaign and summarizes up/down structure at range `r`.
-///
-/// # Errors
-///
-/// Propagates engine and validation errors.
-pub fn simulate_uptime<const D: usize, M>(
-    config: &SimConfig<D>,
-    model: &M,
-    r: f64,
-) -> Result<UptimeSummary, SimError>
-where
-    M: Mobility<D> + Clone + Send + Sync,
-{
-    let series = simulate_raw_critical_series(config, model)?;
-    let reports = series
-        .iter()
-        .map(|s| UptimeReport::from_series(s, r))
-        .collect::<Result<Vec<_>, _>>()?;
-    let n = reports.len() as f64;
-    let availability = reports.iter().map(|x| x.availability).sum::<f64>() / n;
-    let mean_over = |get: fn(&UptimeReport) -> Option<f64>| {
-        let vals: Vec<f64> = reports.iter().filter_map(get).collect();
-        if vals.is_empty() {
-            None
-        } else {
-            Some(vals.iter().sum::<f64>() / vals.len() as f64)
+impl UptimeSummary {
+    /// Summarizes the up/down structure of a campaign's time-ordered
+    /// critical-range series (one per iteration, as returned by
+    /// [`crate::simulate_raw_critical_series`]) at range `r`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidConfig`] for an empty campaign, an
+    /// empty series or a non-positive/non-finite range.
+    pub fn from_series(series: &[Vec<f64>], r: f64) -> Result<Self, SimError> {
+        if series.is_empty() {
+            return Err(SimError::InvalidConfig {
+                reason: "uptime analysis requires at least one iteration".into(),
+            });
         }
-    };
-    Ok(UptimeSummary {
-        availability,
-        mtbf_steps: mean_over(|x| x.mean_up_run),
-        mttr_steps: mean_over(|x| x.mean_down_run),
-        longest_outage: reports.iter().map(|x| x.longest_outage).max().unwrap_or(0),
-        failures_per_iteration: reports.iter().map(|x| x.failures).sum::<usize>() as f64 / n,
-    })
+        let reports = series
+            .iter()
+            .map(|s| UptimeReport::from_series(s, r))
+            .collect::<Result<Vec<_>, _>>()?;
+        let n = reports.len() as f64;
+        let availability = reports.iter().map(|x| x.availability).sum::<f64>() / n;
+        let mean_over = |get: fn(&UptimeReport) -> Option<f64>| {
+            let vals: Vec<f64> = reports.iter().filter_map(get).collect();
+            if vals.is_empty() {
+                None
+            } else {
+                Some(vals.iter().sum::<f64>() / vals.len() as f64)
+            }
+        };
+        Ok(UptimeSummary {
+            availability,
+            mtbf_steps: mean_over(|x| x.mean_up_run),
+            mttr_steps: mean_over(|x| x.mean_down_run),
+            longest_outage: reports.iter().map(|x| x.longest_outage).max().unwrap_or(0),
+            failures_per_iteration: reports.iter().map(|x| x.failures).sum::<usize>() as f64 / n,
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use manet_mobility::{RandomWaypoint, StationaryModel};
 
     #[test]
     fn from_series_validates() {
@@ -203,64 +203,18 @@ mod tests {
         assert_eq!(r.availability, 1.0);
     }
 
-    fn config() -> SimConfig<2> {
-        let mut b = SimConfig::<2>::builder();
-        b.nodes(10).side(150.0).iterations(4).steps(60).seed(33);
-        b.build().unwrap()
-    }
-
     #[test]
-    fn stationary_model_never_transitions() {
-        let summary = simulate_uptime(&config(), &StationaryModel::new(), 60.0).unwrap();
-        assert_eq!(summary.failures_per_iteration, 0.0);
-        // Each iteration is entirely up or entirely down.
-        assert!(
-            summary.availability == 0.0
-                || summary.availability == 1.0
-                || (summary.availability * 4.0).fract().abs() < 1e-12
-        );
-    }
-
-    #[test]
-    fn availability_matches_quantile_path() {
-        let model = RandomWaypoint::new(0.5, 3.0, 2, 0.0).unwrap();
-        let cfg = config();
-        let r = 55.0;
-        let summary = simulate_uptime(&cfg, &model, r).unwrap();
-        let crit = crate::critical::simulate_critical_ranges(&cfg, &model).unwrap();
-        assert!(
-            (summary.availability - crit.connectivity_fraction_at(r)).abs() < 1e-12,
-            "uptime {} vs quantile {}",
-            summary.availability,
-            crit.connectivity_fraction_at(r)
-        );
-    }
-
-    #[test]
-    fn larger_range_fewer_failures() {
-        let model = RandomWaypoint::new(0.5, 3.0, 0, 0.0).unwrap();
-        let cfg = config();
-        let crit = crate::critical::simulate_critical_ranges(&cfg, &model).unwrap();
-        let pooled = crit.pooled().unwrap();
-        let r_small = pooled.smallest_covering(0.5).unwrap();
-        let r_large = pooled.smallest_covering(0.98).unwrap();
-        let small = simulate_uptime(&cfg, &model, r_small).unwrap();
-        let large = simulate_uptime(&cfg, &model, r_large).unwrap();
-        assert!(large.availability > small.availability);
-        assert!(large.longest_outage <= small.longest_outage);
-    }
-
-    #[test]
-    fn raw_series_is_time_ordered_not_sorted() {
-        let model = RandomWaypoint::new(0.5, 3.0, 0, 0.0).unwrap();
-        let raw = simulate_raw_critical_series(&config(), &model).unwrap();
-        assert_eq!(raw.len(), 4);
-        // At least one iteration should NOT be sorted (motion makes the
-        // series wander); a sorted result would mean we lost time order.
-        let any_unsorted = raw.iter().any(|s| s.windows(2).any(|w| w[0] > w[1]));
-        assert!(any_unsorted, "raw series suspiciously sorted");
-        for s in &raw {
-            assert_eq!(s.len(), 60);
-        }
+    fn summary_aggregates_iterations() {
+        // Iteration 0: up, down, down, up (one failure, outage 2);
+        // iteration 1: always up.
+        let series = vec![vec![1.0, 9.0, 9.0, 1.0], vec![1.0; 4]];
+        let s = UptimeSummary::from_series(&series, 5.0).unwrap();
+        assert!((s.availability - 0.75).abs() < 1e-12);
+        assert_eq!(s.mtbf_steps, Some(2.5)); // means 1 and 4
+        assert_eq!(s.mttr_steps, Some(2.0)); // only iteration 0 was down
+        assert_eq!(s.longest_outage, 2);
+        assert_eq!(s.failures_per_iteration, 0.5);
+        assert!(UptimeSummary::from_series(&[], 5.0).is_err());
+        assert!(UptimeSummary::from_series(&series, 0.0).is_err());
     }
 }

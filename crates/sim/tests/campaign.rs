@@ -1,11 +1,11 @@
 //! Differential oracle for the fused campaign: along every registry
 //! model's trajectories, [`simulate_campaign`] must return exactly the
-//! critical-range series of [`simulate_critical_ranges`] and exactly
-//! the component-size profiles of [`simulate_profiles`], at any thread
-//! count.
+//! time-ordered critical-range series of [`simulate_raw_critical_series`]
+//! and exactly the component-size profiles of [`simulate_profiles`], at
+//! any thread count.
 
 use manet_mobility::{ModelRegistry, PaperScale};
-use manet_sim::{simulate_campaign, simulate_critical_ranges, simulate_profiles, SimConfig};
+use manet_sim::{simulate_campaign, simulate_profiles, simulate_raw_critical_series, SimConfig};
 
 /// Runs all three campaigns for every registry model at `n` nodes on
 /// the paper's side `l = n²` and asserts the fused pass is bit-identical
@@ -29,19 +29,14 @@ fn fused_matches_separate(n: usize, threads: usize) {
     for name in names {
         let model = registry.build(name, &scale).unwrap();
         let (critical, profiles) = simulate_campaign(&config, &model).unwrap();
-        let critical_alone = simulate_critical_ranges(&config, &model).unwrap();
+        let critical_alone = simulate_raw_critical_series(&config, &model).unwrap();
         let profiles_alone = simulate_profiles(&config, &model).unwrap();
 
-        assert_eq!(critical.per_iteration().len(), 3, "{name}");
-        for (it, (fused, alone)) in critical
-            .per_iteration()
-            .iter()
-            .zip(critical_alone.per_iteration())
-            .enumerate()
-        {
+        assert_eq!(critical.len(), 3, "{name}");
+        for (it, (fused, alone)) in critical.iter().zip(&critical_alone).enumerate() {
             assert_eq!(fused.len(), steps, "{name} iteration {it}");
-            let fused: Vec<u64> = fused.as_sorted().iter().map(|v| v.to_bits()).collect();
-            let alone: Vec<u64> = alone.as_sorted().iter().map(|v| v.to_bits()).collect();
+            let fused: Vec<u64> = fused.iter().map(|v| v.to_bits()).collect();
+            let alone: Vec<u64> = alone.iter().map(|v| v.to_bits()).collect();
             assert_eq!(
                 fused, alone,
                 "{name} n={n} threads={threads} iteration {it}"

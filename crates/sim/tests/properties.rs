@@ -4,8 +4,8 @@
 
 use manet_mobility::{Drunkard, RandomWaypoint, StationaryModel};
 use manet_sim::{
-    run_connectivity_stream, simulate_component_ranges, simulate_critical_ranges,
-    simulate_fixed_range, simulate_profiles, SimConfig,
+    run_connectivity_stream, simulate_critical_ranges, simulate_fixed_range, simulate_profiles,
+    SimConfig,
 };
 use proptest::prelude::*;
 
@@ -107,13 +107,21 @@ proptest! {
         side in 50.0..200.0f64,
         seed in any::<u64>(),
     ) {
-        let cfg = config(nodes, side, 2, 10, seed);
+        // A profile grid past the region's diagonal reaches every target.
+        let mut b = SimConfig::<2>::builder();
+        b.nodes(nodes)
+            .side(side)
+            .iterations(2)
+            .steps(10)
+            .seed(seed)
+            .profile_bins(256)
+            .profile_max_range(side * 1.5);
+        let cfg = b.build().unwrap();
         let model = RandomWaypoint::new(0.1, 2.0, 0, 0.0).unwrap();
-        let half = simulate_component_ranges(&cfg, &model, 0.5).unwrap();
-        let full = simulate_component_ranges(&cfg, &model, 1.0).unwrap();
-        let r_half = half.mean_range_for_time_fraction(0.9).unwrap();
-        let r_full = full.mean_range_for_time_fraction(0.9).unwrap();
-        prop_assert!(r_half <= r_full + 1e-9);
+        let profiles = simulate_profiles(&cfg, &model).unwrap();
+        let r_half = profiles.mean_range_for_average_fraction(0.5).unwrap();
+        let r_full = profiles.mean_range_for_average_fraction(1.0).unwrap();
+        prop_assert!(r_half <= r_full);
     }
 
     #[test]

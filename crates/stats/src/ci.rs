@@ -1,18 +1,14 @@
-//! Confidence intervals for sample means and proportions.
+//! Two-sided confidence intervals.
 //!
-//! Every number quoted in `EXPERIMENTS.md` carries a normal-theory
-//! confidence interval so paper-vs-measured comparisons are honest
-//! about Monte-Carlo noise.
-
-use crate::distributions::{Normal, StudentT};
-use crate::moments::RunningMoments;
-use crate::StatsError;
+//! The regression slope ([`crate::SlopeInference`]) and the
+//! critical-range scaling exponent carry one, so paper-vs-measured
+//! comparisons are honest about Monte-Carlo noise.
 
 /// A two-sided confidence interval `[lo, hi]` around a point estimate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ConfidenceInterval {
-    /// Point estimate (sample mean or proportion).
+    /// Point estimate.
     pub estimate: f64,
     /// Lower bound of the interval.
     pub lo: f64,
@@ -23,94 +19,6 @@ pub struct ConfidenceInterval {
 }
 
 impl ConfidenceInterval {
-    /// Normal-approximation CI for the mean of the accumulated sample.
-    ///
-    /// Uses `mean ± z * s / sqrt(n)`. For the sample sizes in this
-    /// workspace (tens of iterations and up) the normal approximation
-    /// to the t-distribution is within a few percent of exact.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::EmptySample`] when fewer than two
-    /// observations were accumulated and
-    /// [`StatsError::InvalidProbability`] unless `0 < level < 1`.
-    pub fn for_mean(moments: &RunningMoments, level: f64) -> Result<Self, StatsError> {
-        if moments.count() < 2 {
-            return Err(StatsError::EmptySample);
-        }
-        let z = z_value(level)?;
-        let half = z * moments.standard_error();
-        Ok(ConfidenceInterval {
-            estimate: moments.mean(),
-            lo: moments.mean() - half,
-            hi: moments.mean() + half,
-            level,
-        })
-    }
-
-    /// Student-t confidence interval for the mean — exact for normal
-    /// data at any sample size, and the better default below ~50
-    /// observations (simulation campaigns typically have 20–50
-    /// iterations, where the z-interval is ~5% anti-conservative).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::EmptySample`] when fewer than two
-    /// observations were accumulated and
-    /// [`StatsError::InvalidProbability`] unless `0 < level < 1`.
-    pub fn for_mean_t(moments: &RunningMoments, level: f64) -> Result<Self, StatsError> {
-        if moments.count() < 2 {
-            return Err(StatsError::EmptySample);
-        }
-        if !(level > 0.0 && level < 1.0) {
-            return Err(StatsError::InvalidProbability(level));
-        }
-        let t = StudentT::new((moments.count() - 1) as f64)?;
-        let crit = t.quantile(0.5 + level / 2.0)?;
-        let half = crit * moments.standard_error();
-        Ok(ConfidenceInterval {
-            estimate: moments.mean(),
-            lo: moments.mean() - half,
-            hi: moments.mean() + half,
-            level,
-        })
-    }
-
-    /// Wilson score interval for a binomial proportion.
-    ///
-    /// Preferred over the Wald interval because it behaves sensibly for
-    /// proportions near 0 or 1 — exactly the regime of "fraction of
-    /// connected graphs" when the range nears `r100` or `r0`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::EmptySample`] when `trials == 0`,
-    /// [`StatsError::InvalidProbability`] unless `0 < level < 1`, and
-    /// [`StatsError::InvalidProbability`] when `successes > trials`.
-    pub fn for_proportion(successes: u64, trials: u64, level: f64) -> Result<Self, StatsError> {
-        if trials == 0 {
-            return Err(StatsError::EmptySample);
-        }
-        if successes > trials {
-            return Err(StatsError::InvalidProbability(
-                successes as f64 / trials as f64,
-            ));
-        }
-        let z = z_value(level)?;
-        let n = trials as f64;
-        let p = successes as f64 / n;
-        let z2 = z * z;
-        let denom = 1.0 + z2 / n;
-        let center = (p + z2 / (2.0 * n)) / denom;
-        let half = z * ((p * (1.0 - p) + z2 / (4.0 * n)) / n).sqrt() / denom;
-        Ok(ConfidenceInterval {
-            estimate: p,
-            lo: (center - half).max(0.0),
-            hi: (center + half).min(1.0),
-            level,
-        })
-    }
-
     /// Width of the interval, `hi - lo`.
     pub fn width(&self) -> f64 {
         self.hi - self.lo
@@ -135,104 +43,21 @@ impl core::fmt::Display for ConfidenceInterval {
     }
 }
 
-/// Two-sided critical value of the standard normal for a confidence
-/// `level`, e.g. `z(0.95) ≈ 1.96`.
-fn z_value(level: f64) -> Result<f64, StatsError> {
-    if !(level > 0.0 && level < 1.0) {
-        return Err(StatsError::InvalidProbability(level));
-    }
-    Normal::standard().quantile(0.5 + level / 2.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn mean_ci_is_symmetric_and_covers_estimate() {
-        let m: RunningMoments = (0..100).map(|i| (i % 10) as f64).collect();
-        let ci = ConfidenceInterval::for_mean(&m, 0.95).unwrap();
-        assert!(ci.contains(ci.estimate));
-        assert!((ci.estimate - ci.lo - (ci.hi - ci.estimate)).abs() < 1e-12);
-        assert!(ci.width() > 0.0);
-    }
-
-    #[test]
-    fn mean_ci_uses_z_1_96_at_95() {
-        let m: RunningMoments = (0..1000).map(|i| (i % 2) as f64).collect();
-        let ci = ConfidenceInterval::for_mean(&m, 0.95).unwrap();
-        let expect_half = 1.959964 * m.standard_error();
-        assert!(((ci.hi - ci.estimate) - expect_half).abs() < 1e-6);
-    }
-
-    #[test]
-    fn mean_ci_requires_two_observations() {
-        let mut m = RunningMoments::new();
-        assert!(ConfidenceInterval::for_mean(&m, 0.95).is_err());
-        m.push(1.0);
-        assert!(ConfidenceInterval::for_mean(&m, 0.95).is_err());
-    }
-
-    #[test]
-    fn proportion_ci_stays_in_unit_interval() {
-        let ci = ConfidenceInterval::for_proportion(0, 50, 0.95).unwrap();
-        assert!(ci.lo >= 0.0);
-        assert_eq!(ci.estimate, 0.0);
-        let ci = ConfidenceInterval::for_proportion(50, 50, 0.95).unwrap();
-        assert!(ci.hi <= 1.0);
-        assert_eq!(ci.estimate, 1.0);
-    }
-
-    #[test]
-    fn proportion_ci_narrows_with_more_trials() {
-        let small = ConfidenceInterval::for_proportion(5, 10, 0.95).unwrap();
-        let large = ConfidenceInterval::for_proportion(500, 1000, 0.95).unwrap();
-        assert!(large.width() < small.width());
-    }
-
-    #[test]
-    fn proportion_ci_validates() {
-        assert!(ConfidenceInterval::for_proportion(1, 0, 0.95).is_err());
-        assert!(ConfidenceInterval::for_proportion(5, 3, 0.95).is_err());
-        assert!(ConfidenceInterval::for_proportion(1, 2, 1.5).is_err());
-    }
-
-    #[test]
     fn display_is_readable() {
-        let ci = ConfidenceInterval::for_proportion(30, 100, 0.95).unwrap();
+        let ci = ConfidenceInterval {
+            estimate: 0.3,
+            lo: 0.22,
+            hi: 0.39,
+            level: 0.95,
+        };
         let s = ci.to_string();
         assert!(s.contains("95%"), "got {s}");
-    }
-}
-
-#[cfg(test)]
-mod t_interval_tests {
-    use super::*;
-
-    #[test]
-    fn t_interval_wider_than_z_for_small_samples() {
-        let m: RunningMoments = (0..8).map(|i| i as f64).collect();
-        let z = ConfidenceInterval::for_mean(&m, 0.95).unwrap();
-        let t = ConfidenceInterval::for_mean_t(&m, 0.95).unwrap();
-        assert!(t.width() > z.width(), "t {} vs z {}", t.width(), z.width());
-        assert_eq!(t.estimate, z.estimate);
-    }
-
-    #[test]
-    fn t_interval_approaches_z_for_large_samples() {
-        let m: RunningMoments = (0..5000).map(|i| (i % 13) as f64).collect();
-        let z = ConfidenceInterval::for_mean(&m, 0.95).unwrap();
-        let t = ConfidenceInterval::for_mean_t(&m, 0.95).unwrap();
-        assert!((t.width() / z.width() - 1.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn t_interval_validates() {
-        let mut m = RunningMoments::new();
-        m.push(1.0);
-        assert!(ConfidenceInterval::for_mean_t(&m, 0.95).is_err());
-        m.push(2.0);
-        assert!(ConfidenceInterval::for_mean_t(&m, 1.5).is_err());
-        assert!(ConfidenceInterval::for_mean_t(&m, 0.95).is_ok());
+        assert!(ci.contains(ci.estimate));
+        assert!((ci.width() - 0.17).abs() < 1e-12);
     }
 }

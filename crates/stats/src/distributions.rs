@@ -378,10 +378,9 @@ mod tests {
 
 /// Student's t distribution with `dof` degrees of freedom.
 ///
-/// Used by [`crate::ConfidenceInterval`] for honest small-sample
-/// intervals over per-iteration simulation results (tens of
-/// iterations), where the normal approximation is a few percent
-/// anti-conservative.
+/// Used by [`crate::LinearFit::fit_with_slope_ci`] for honest
+/// small-sample intervals (a handful of sweep points), where the
+/// normal approximation is anti-conservative.
 ///
 /// # Example
 ///

@@ -126,21 +126,6 @@ impl Histogram {
         self.total += 1;
     }
 
-    /// Records an observation `count` times (weighted accumulation).
-    pub fn record_n(&mut self, x: f64, count: u64) {
-        if count == 0 {
-            return;
-        }
-        if x < self.lo {
-            self.underflow += count;
-        } else if x >= self.hi {
-            self.overflow += count;
-        }
-        let idx = self.bin_index(x);
-        self.counts[idx] += count;
-        self.total += count;
-    }
-
     /// Count in bin `i`.
     ///
     /// # Panics
@@ -336,19 +321,6 @@ mod tests {
         let mut h2 = h.clone();
         h2.record(0.5);
         assert!(h2.quantile(1.5).is_err());
-    }
-
-    #[test]
-    fn record_n_equals_repeated_record() {
-        let mut a = Histogram::new(0.0, 1.0, 4).unwrap();
-        let mut b = a.clone();
-        a.record_n(0.3, 5);
-        for _ in 0..5 {
-            b.record(0.3);
-        }
-        assert_eq!(a, b);
-        a.record_n(0.3, 0);
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -17,9 +17,7 @@
 //! * [`distributions`] — Normal and Poisson laws (the two limit laws
 //!   of occupancy theory, Theorem 2) plus Student's t for small-sample
 //!   intervals.
-//! * [`tests`][crate::gof] — goodness-of-fit: Kolmogorov–Smirnov and
-//!   chi-squared, used to verify the occupancy limit laws empirically.
-//! * [`ci`] — normal, Student-t and Wilson confidence intervals.
+//! * [`ci`] — the two-sided confidence interval of fitted slopes.
 //! * [`regression`] — least-squares lines, used to fit the `r·n` vs
 //!   `l log l` scaling law of Theorem 5.
 //! * [`seeds`] — SplitMix64 seed derivation so that parallel simulation
@@ -43,7 +41,6 @@
 
 pub mod ci;
 pub mod distributions;
-pub mod gof;
 pub mod histogram;
 pub mod moments;
 pub mod quantiles;

@@ -112,15 +112,6 @@ impl RunningMoments {
         }
     }
 
-    /// Population variance (dividing by `n`). `NaN` when empty.
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
     /// Sample variance (dividing by `n - 1`). `NaN` when `n < 2`.
     pub fn sample_variance(&self) -> f64 {
         if self.count < 2 {
@@ -197,7 +188,6 @@ mod tests {
         assert_eq!(m.min(), 7.5);
         assert_eq!(m.max(), 7.5);
         assert!(m.sample_variance().is_nan());
-        assert_eq!(m.population_variance(), 0.0);
     }
 
     #[test]

@@ -47,14 +47,6 @@ impl SeedSequence {
                 .wrapping_add(index.wrapping_add(1).wrapping_mul(GOLDEN_GAMMA)),
         )
     }
-
-    /// A derived sub-sequence, for nested parallelism (e.g. one
-    /// sub-sequence per experiment, then one seed per iteration).
-    pub fn subsequence(&self, index: u64) -> SeedSequence {
-        SeedSequence {
-            master: self.seed_for(index),
-        }
-    }
 }
 
 /// 2^64 / φ, the Weyl increment used by SplitMix64.
@@ -94,15 +86,6 @@ mod tests {
         let a = SeedSequence::new(1).seed_for(0);
         let b = SeedSequence::new(2).seed_for(0);
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn subsequences_do_not_collide_with_children() {
-        let seq = SeedSequence::new(99);
-        let sub = seq.subsequence(0);
-        let direct: BTreeSet<u64> = (0..100).map(|i| seq.seed_for(i)).collect();
-        let nested: BTreeSet<u64> = (0..100).map(|i| sub.seed_for(i)).collect();
-        assert!(direct.is_disjoint(&nested));
     }
 
     #[test]

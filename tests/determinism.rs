@@ -110,7 +110,7 @@ fn step_thread_count_is_invisible() {
 }
 
 #[test]
-fn profiles_and_component_ranges_deterministic() {
+fn campaign_profiles_and_component_fraction_ranges_deterministic() {
     let c1 = build(9, 1).campaign().unwrap();
     let c2 = build(9, 3).campaign().unwrap();
     let a = c1.component_profiles().pooled().unwrap();
