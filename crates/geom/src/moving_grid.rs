@@ -426,8 +426,15 @@ impl<const D: usize> MovingCellGrid<D> {
     /// range, and disjoint strips examine disjoint pair sets: summed
     /// over a partition of `[0, cells_per_side)`, the emitted pairs and
     /// the examined count are exactly those of the full scan,
-    /// independent of how the strip boundaries fall. Distances are
-    /// [`Point::distance_sq`] on the stored positions.
+    /// independent of how the strip boundaries fall; scanned in strip
+    /// order, the strips emit the full scan's exact sequence. Distances
+    /// are [`Point::distance_sq`] on the stored positions.
+    ///
+    /// Emission order is fixed: base cells in linear order; in each,
+    /// intra-cell pairs by slot, then each forward cell's pairs by the
+    /// base occupant's slot, then the partner's. Range tests run in
+    /// branch-free batches of 32 pairs, and the survivors keep that
+    /// order.
     ///
     /// # Panics
     ///
@@ -474,6 +481,7 @@ impl<const D: usize> MovingCellGrid<D> {
             1
         };
         let mut examined = 0u64;
+        let mut batch = [(0u32, 0u32); EMIT_BATCH];
         // Odometer over the strip's per-axis coordinates, kept in sync
         // with the contiguous linear range the strip occupies.
         let mut base = [0usize; D];
@@ -482,24 +490,17 @@ impl<const D: usize> MovingCellGrid<D> {
             let bucket = &self.buckets[lin];
             if !bucket.is_empty() {
                 // Intra-cell pairs, each once (ascending slot order).
+                let k = bucket.len() as u64;
+                examined += k * (k - 1) / 2;
                 for (sa, (a, pa)) in bucket.iter().enumerate() {
-                    for (b, pb) in &bucket[sa + 1..] {
-                        examined += 1;
-                        if pa.distance_sq(pb) <= r2 {
-                            emit(*a.min(b), *a.max(b));
-                        }
-                    }
+                    emit_in_range(*a, pa, &bucket[sa + 1..], r2, &mut batch, &mut emit);
                 }
                 // Cross pairs against each forward-adjacent cell.
                 self.layout.for_each_forward_neighbor_cell(&base, |other| {
                     let obucket = &self.buckets[other];
+                    examined += k * obucket.len() as u64;
                     for (a, pa) in bucket {
-                        for (b, pb) in obucket {
-                            examined += 1;
-                            if pa.distance_sq(pb) <= r2 {
-                                emit(*a.min(b), *a.max(b));
-                            }
-                        }
+                        emit_in_range(*a, pa, obucket, r2, &mut batch, &mut emit);
                     }
                 });
             }
@@ -548,9 +549,40 @@ impl<const D: usize> MovingCellGrid<D> {
     }
 }
 
+/// Pairs one batch of [`emit_in_range`] collects before emitting.
+const EMIT_BATCH: usize = 32;
+
+/// Emits `(min(a, j), max(a, j))` for every occupant `(j, q)` of
+/// `others` with `pa.distance_sq(q) <= r2`, in `others`' order. Each
+/// chunk of [`EMIT_BATCH`] occupants writes every pair into `batch`
+/// (the caller's stack buffer, zeroed once per scan) and advances its
+/// end by the range test's outcome, so the distance loop carries no
+/// data-dependent branch; the survivors are emitted after the chunk.
+fn emit_in_range<const D: usize, F: FnMut(u32, u32)>(
+    a: u32,
+    pa: &Point<D>,
+    others: &[(u32, Point<D>)],
+    r2: f64,
+    batch: &mut [(u32, u32); EMIT_BATCH],
+    emit: &mut F,
+) {
+    for chunk in others.chunks(EMIT_BATCH) {
+        let mut kept = 0;
+        for (b, pb) in chunk {
+            batch[kept] = (a.min(*b), a.max(*b));
+            kept += usize::from(pa.distance_sq(pb) <= r2);
+        }
+        for &(lo, hi) in &batch[..kept] {
+            emit(lo, hi);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
     use rand::{RngExt, SeedableRng};
 
     fn candidates(grid: &MovingCellGrid<2>, p: &Point<2>) -> Vec<u32> {
@@ -1077,9 +1109,162 @@ mod tests {
         assert_eq!(2 * examined + pts.len() as u64, visits);
     }
 
+    /// Reference scan: one range test and one emitted pair per examined
+    /// pair, in bucket order — the specification of the batched scan's
+    /// emitted *sequence*, not only its set.
+    fn scan_forward_pairs_per_pair<const D: usize>(
+        grid: &MovingCellGrid<D>,
+        x_lo: usize,
+        x_hi: usize,
+        r2: f64,
+        out: &mut Vec<(u32, u32)>,
+    ) -> u64 {
+        let cps = grid.layout.cells_per_side;
+        let col_cells = cps.pow(D as u32 - 1);
+        let mut examined = 0u64;
+        for lin in (x_lo * col_cells)..(x_hi * col_cells) {
+            let bucket = &grid.buckets[lin];
+            for (sa, (a, pa)) in bucket.iter().enumerate() {
+                for (b, pb) in &bucket[sa + 1..] {
+                    examined += 1;
+                    if pa.distance_sq(pb) <= r2 {
+                        out.push((*a.min(b), *a.max(b)));
+                    }
+                }
+            }
+            let mut base = [0usize; D];
+            let mut rest = lin;
+            for c in base.iter_mut().rev() {
+                *c = rest % cps;
+                rest /= cps;
+            }
+            grid.layout.for_each_forward_neighbor_cell(&base, |other| {
+                for (a, pa) in bucket {
+                    for (b, pb) in &grid.buckets[other] {
+                        examined += 1;
+                        if pa.distance_sq(pb) <= r2 {
+                            out.push((*a.min(b), *a.max(b)));
+                        }
+                    }
+                }
+            });
+        }
+        examined
+    }
+
+    /// The batched scan emits exactly the per-pair reference's
+    /// sequence with the same examined count, and three strips scanned
+    /// in strip order concatenate to that same sequence.
+    fn check_scan_sequence<const D: usize>(
+        grid: &MovingCellGrid<D>,
+        r2: f64,
+        at: usize,
+    ) -> Result<(), TestCaseError> {
+        let cols = grid.cells_per_side();
+        let mut want = Vec::new();
+        let want_examined = scan_forward_pairs_per_pair(grid, 0, cols, r2, &mut want);
+        let mut full = Vec::new();
+        let examined = grid.scan_forward_pairs(0, cols, r2, |a, b| full.push((a, b)));
+        prop_assert_eq!(&full, &want, "commit {}: emitted sequence", at);
+        prop_assert_eq!(examined, want_examined, "commit {}: examined", at);
+        let shards = 3.min(cols);
+        let mut sharded = Vec::new();
+        for w in 0..shards {
+            let (lo, hi) = (w * cols / shards, (w + 1) * cols / shards);
+            grid.scan_forward_pairs(lo, hi, r2, |a, b| sharded.push((a, b)));
+        }
+        prop_assert_eq!(&sharded, &full, "commit {}: strip concatenation", at);
+        Ok(())
+    }
+
+    /// Builds a grid over a uniform placement in `[0, 100]^D` and
+    /// checks the scan's sequence after the build and after each of
+    /// `commits` random steps: every node moves with probability
+    /// `move_prob` (a jitter, or a teleport one time in ten), and the
+    /// step commits by `measure` + `relocate` or by `reset`.
+    fn check_scan_sequence_history<const D: usize>(
+        seed: u64,
+        n: usize,
+        r: f64,
+        move_prob: f64,
+        commits: usize,
+    ) -> Result<(), TestCaseError> {
+        let side = 100.0;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut pts: Vec<Point<D>> = (0..n)
+            .map(|_| Point::new(std::array::from_fn(|_| rng.random_range(0.0..side))))
+            .collect();
+        let cell = MovingCellGrid::<D>::lattice_cell_size(n, side, r).unwrap();
+        let mut grid = MovingCellGrid::build(&pts, side, cell).unwrap();
+        check_scan_sequence(&grid, r * r, 0)?;
+        let mut moved = Vec::new();
+        for k in 1..=commits {
+            for p in &mut pts {
+                if rng.random_range(0.0..1.0) >= move_prob {
+                    continue;
+                }
+                *p = if rng.random_range(0.0..1.0) < 0.1 {
+                    Point::new(std::array::from_fn(|_| rng.random_range(0.0..side)))
+                } else {
+                    Point::new(std::array::from_fn(|axis| {
+                        (p.coord(axis) + rng.random_range(-5.0..5.0)).clamp(0.0, side)
+                    }))
+                };
+            }
+            if rng.random_range(0.0..1.0) < 0.5 {
+                grid.reset(&pts);
+            } else {
+                commit(&mut grid, &pts, &mut moved);
+            }
+            check_scan_sequence(&grid, r * r, k)?;
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Ranges up to 60 in a side of 100 put up to all `n` nodes in
+        /// one cell, so buckets routinely span several emission
+        /// batches.
+        #[test]
+        fn batched_scan_emits_the_per_pair_sequence(
+            seed in any::<u64>(),
+            n in 1usize..300,
+            r in 0.5..60.0,
+            dim in 1usize..=3,
+            move_prob in 0.0..=1.0,
+            commits in 0usize..5,
+        ) {
+            match dim {
+                1 => check_scan_sequence_history::<1>(seed, n, r, move_prob, commits)?,
+                2 => check_scan_sequence_history::<2>(seed, n, r, move_prob, commits)?,
+                _ => check_scan_sequence_history::<3>(seed, n, r, move_prob, commits)?,
+            }
+        }
+    }
+
+    /// One crowded cell pins every chunk boundary: 100 occupants span
+    /// emission batches of 32, 32, 32 and 4, and each batch mixes
+    /// in-range and out-of-range partners.
+    #[test]
+    fn batched_scan_crosses_chunk_boundaries() {
+        let pts: Vec<Point<2>> = (0..100)
+            .map(|i| Point::new([0.01 * i as f64, 0.5 + 0.25 * (i % 3) as f64]))
+            .collect();
+        let grid = MovingCellGrid::build(&pts, 10.0, 2.0).unwrap();
+        assert_eq!(grid.buckets[0].len(), 100, "every node shares one cell");
+        for r in [0.1, 0.3, 1.5] {
+            check_scan_sequence(&grid, r * r, 0).unwrap();
+        }
+        let mut want = Vec::new();
+        scan_forward_pairs_per_pair(&grid, 0, grid.cells_per_side(), 0.3 * 0.3, &mut want);
+        assert!(want.len() > 32 && want.len() < 100 * 99 / 2);
+    }
+
     /// Splitting the strip range over any shard partition yields the
-    /// same pair set and the same examined total as one full scan —
-    /// the determinism contract of the sharded bulk step.
+    /// same pair sequence and the same examined total as one full scan
+    /// — the determinism contract of the sharded bulk step.
     #[test]
     fn forward_scan_is_invariant_under_strip_sharding() {
         let side = 40.0;
@@ -1100,14 +1285,10 @@ mod tests {
                 lo = hi;
             }
             assert_eq!(lo, cols);
-            // Shard-order concatenation, then canonical sort: the
-            // sharded and full scans agree as sets *and* totals.
-            let mut full_sorted = full.clone();
-            full_sorted.sort_unstable();
-            sharded.sort_unstable();
+            // Shard-order concatenation is the full scan's sequence.
             assert_eq!(
-                sharded, full_sorted,
-                "shard split {n_shards} changed the pair set"
+                sharded, full,
+                "shard split {n_shards} changed the pair sequence"
             );
             assert_eq!(
                 examined, full_examined,

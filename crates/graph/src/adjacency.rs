@@ -2,8 +2,8 @@
 //!
 //! The grid-accelerated build runs on the workspace's one spatial
 //! index, [`MovingCellGrid`]: one build at the lattice rule's cell
-//! size, one forward half-neighborhood scan into sorted packed pairs,
-//! and the same row fill the step kernel's bulk rescan uses.
+//! size, one forward half-neighborhood scan into packed pairs, and the
+//! same counting sort and row fill the step kernel's bulk rescan uses.
 
 use manet_geom::{GeomError, MovingCellGrid, Point};
 
@@ -19,6 +19,57 @@ pub(crate) fn pack_pair(a: u32, b: u32) -> u64 {
 #[inline]
 pub(crate) fn unpack_pair(p: u64) -> (u32, u32) {
     ((p >> 32) as u32, p as u32)
+}
+
+/// Reusable buffers for [`sort_packed_pairs`] — the scatter target
+/// and the two per-node bucket arrays — kept across calls so the step
+/// kernel's per-step sorts allocate nothing after warm-up.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PairSortScratch {
+    buf: Vec<u64>,
+    counts: Vec<usize>,
+}
+
+/// Sorts packed pairs over nodes `0..n` into lex `(a, b)` order in
+/// `O(len + n)`: two stable counting passes, by the low word `b`, then
+/// by the high word `a`, each over an `n + 1` bucket array. Packed
+/// pairs are unique, so the result equals `sort_unstable`'s — a
+/// function of the pair *set* alone, whatever order it arrived in.
+///
+/// # Panics
+///
+/// Panics when an endpoint is `>= n`.
+pub(crate) fn sort_packed_pairs(pairs: &mut [u64], n: usize, scratch: &mut PairSortScratch) {
+    if pairs.len() < 2 {
+        return;
+    }
+    let PairSortScratch { buf, counts } = scratch;
+    counts.clear();
+    counts.resize(2 * (n + 1), 0);
+    let (by_b, by_a) = counts.split_at_mut(n + 1);
+    // One read fills both histograms, shifted one slot up so the
+    // prefix sums below leave each bucket's start at its own index.
+    for &p in pairs.iter() {
+        let (a, b) = unpack_pair(p);
+        by_b[b as usize + 1] += 1;
+        by_a[a as usize + 1] += 1;
+    }
+    for i in 0..n {
+        by_b[i + 1] += by_b[i];
+        by_a[i + 1] += by_a[i];
+    }
+    buf.clear();
+    buf.resize(pairs.len(), 0);
+    for &p in pairs.iter() {
+        let slot = &mut by_b[p as u32 as usize];
+        buf[*slot] = p;
+        *slot += 1;
+    }
+    for &p in buf.iter() {
+        let slot = &mut by_a[(p >> 32) as usize];
+        pairs[*slot] = p;
+        *slot += 1;
+    }
 }
 
 /// Refills `rows` with `n` neighbor rows holding the lex-sorted packed
@@ -117,11 +168,11 @@ impl AdjacencyList {
     /// 14·range`.
     ///
     /// The `kernels` bench's `graph_build` rows at `side = 1024`,
-    /// `r = 54` (`side/r ≈ 19`), two runs on a 2-vCPU Intel Xeon:
-    /// brute force wins by 1.4× at `n = 192`, the grid is level to
-    /// 1.3× ahead at `n = 400`, and 2.5–2.6× ahead at `n = 2000`. The
-    /// measured crossover therefore lies between `n = 192` and
-    /// `n = 400`, at or just above [`Self::GRID_CROSSOVER`].
+    /// `r = 54` (`side/r ≈ 19`), medians of 8 runs on a 2-vCPU Intel
+    /// Xeon: the grid is level with brute force at `n = 192`, 1.9×
+    /// ahead at `n = 400` and 3.4× ahead at `n = 2000`. The measured
+    /// crossover therefore lies at or just below
+    /// [`Self::GRID_CROSSOVER`].
     ///
     /// Degenerate inputs (non-positive or non-finite `side`/`range`)
     /// never error: they fall back to brute force, which treats the
@@ -168,7 +219,7 @@ impl AdjacencyList {
         grid.scan_forward_pairs(0, grid.cells_per_side(), range * range, |a, b| {
             pairs.push(pack_pair(a, b));
         });
-        pairs.sort_unstable();
+        sort_packed_pairs(&mut pairs, points.len(), &mut PairSortScratch::default());
         let mut neighbors = Vec::new();
         fill_sorted_rows(&mut neighbors, points.len(), &pairs);
         Ok(AdjacencyList {
@@ -308,7 +359,79 @@ impl AdjacencyList {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::{RngExt, SeedableRng};
+
+    /// Up to `count` distinct random pairs `a < b < n`, plus (for
+    /// `n >= 2`) a few that touch the top node `n − 1`, shuffled.
+    fn shuffled_unique_pairs(n: usize, count: usize, seed: u64) -> Vec<u64> {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut set = std::collections::BTreeSet::new();
+        if n >= 2 {
+            let top = n as u32 - 1;
+            for _ in 0..count {
+                let a = rng.random_range(0..top);
+                let b = rng.random_range(a + 1..=top);
+                set.insert(pack_pair(a, b));
+            }
+            set.insert(pack_pair(0, top));
+            set.insert(pack_pair(top - 1, top));
+            set.insert(pack_pair(rng.random_range(0..top), top));
+        }
+        let mut pairs: Vec<u64> = set.into_iter().collect();
+        for i in (1..pairs.len()).rev() {
+            pairs.swap(i, rng.random_range(0..=i));
+        }
+        pairs
+    }
+
+    proptest! {
+        #[test]
+        fn counting_sort_equals_sort_unstable(
+            n in 1usize..=5000,
+            count in 0usize..3000,
+            seed in any::<u64>(),
+        ) {
+            let mut pairs = shuffled_unique_pairs(n, count, seed);
+            let mut want = pairs.clone();
+            want.sort_unstable();
+            let mut scratch = PairSortScratch::default();
+            sort_packed_pairs(&mut pairs, n, &mut scratch);
+            prop_assert_eq!(&pairs, &want);
+            // Reused scratch from a larger sort leaves no residue.
+            let mut again = shuffled_unique_pairs(n, count / 2, seed ^ 1);
+            let mut want = again.clone();
+            want.sort_unstable();
+            sort_packed_pairs(&mut again, n, &mut scratch);
+            prop_assert_eq!(again, want);
+        }
+    }
+
+    #[test]
+    fn counting_sort_edge_cases() {
+        let mut scratch = PairSortScratch::default();
+        let mut empty: Vec<u64> = Vec::new();
+        sort_packed_pairs(&mut empty, 0, &mut scratch);
+        assert!(empty.is_empty());
+        let mut one = vec![pack_pair(3, 4)];
+        sort_packed_pairs(&mut one, 5, &mut scratch);
+        assert_eq!(one, vec![pack_pair(3, 4)]);
+        let mut desc: Vec<u64> = (0..4u32)
+            .flat_map(|a| (a + 1..5).map(move |b| pack_pair(a, b)))
+            .rev()
+            .collect();
+        let mut want = desc.clone();
+        want.sort_unstable();
+        sort_packed_pairs(&mut desc, 5, &mut scratch);
+        assert_eq!(desc, want);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn counting_sort_rejects_an_endpoint_beyond_n() {
+        let mut pairs = vec![pack_pair(0, 1), pack_pair(1, 5)];
+        sort_packed_pairs(&mut pairs, 5, &mut PairSortScratch::default());
+    }
 
     #[test]
     fn empty_graph() {

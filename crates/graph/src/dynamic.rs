@@ -66,7 +66,9 @@
 //! exactly the fallback contract of the legacy paths. See
 //! [`DynamicGraph::with_skin`] for how `skin` is chosen.
 
-use crate::adjacency::{fill_sorted_rows, pack_pair, unpack_pair, AdjacencyList};
+use crate::adjacency::{
+    fill_sorted_rows, pack_pair, sort_packed_pairs, unpack_pair, AdjacencyList, PairSortScratch,
+};
 use crate::parallel;
 use manet_geom::{MovingCellGrid, Point};
 use manet_obs::{GridMetrics, ShardScan, StepKernelMetrics};
@@ -245,7 +247,7 @@ impl std::fmt::Display for Skin {
 }
 
 /// Cost-model ratio between one candidate's share of an arena rebuild
-/// (cell scan at `r + skin`, global pair sort, arena fill) and one
+/// (cell scan at `r + skin`, counting sort, arena fill) and one
 /// candidate's share of a verify pass (a single streamed distance
 /// check). Measured on the `step_kernel` bench host; only the arming
 /// decision and the auto skin depend on it, never correctness.
@@ -275,8 +277,10 @@ fn balanced_range(len: usize, shards: usize, w: usize) -> std::ops::Range<usize>
 /// lattice splits into balanced axis-0 column strips — contiguous
 /// linear cell ranges — each filling one recycled `frags` buffer on
 /// the fan-out; fragments concatenate in strip order. Disjoint strips
-/// examine disjoint pair sets, so `out` holds the serial sweep's pair
-/// set at any shard count.
+/// examine disjoint pair sets, and each strip emits its slice of the
+/// serial sweep's sequence, so `out` holds the serial sweep's pairs in
+/// the serial sweep's order at any shard count. Callers sort `out`
+/// with [`sort_packed_pairs`].
 fn scan_pairs_sharded<const D: usize>(
     grid: &MovingCellGrid<D>,
     r2: f64,
@@ -432,6 +436,9 @@ pub struct DynamicGraph<const D: usize> {
     edge_pairs_valid: bool,
     /// Scratch: the next snapshot's packed edge list.
     new_pairs: Vec<u64>,
+    /// Scratch: the counting sort's buffers for the bulk-rescan and
+    /// cache-rebuild pair lists.
+    pair_sort: PairSortScratch,
     /// How the Verlet-cache skin is chosen (see
     /// [`DynamicGraph::with_skin`]).
     skin_cfg: Skin,
@@ -505,6 +512,7 @@ impl<const D: usize> DynamicGraph<D> {
             edge_pairs: Vec::new(),
             edge_pairs_valid: false,
             new_pairs: Vec::new(),
+            pair_sort: PairSortScratch::default(),
             skin_cfg: Skin::default(),
             skin: 0.0,
             drift_limit_sq: 0.0,
@@ -751,7 +759,7 @@ impl<const D: usize> DynamicGraph<D> {
             Skin::Fixed(s) => s,
             Skin::Auto => {
                 // Per step the cache streams ~(r+s)² density-units of
-                // candidates, plus a rebuild (cell scan, global sort,
+                // candidates, plus a rebuild (cell scan, counting sort,
                 // arena fill — ~K·(r+s)²) amortized over the s/(2d)
                 // steps the drift budget buys at observed per-step
                 // displacement d. Minimizing (r+s)²·(1 + 2Kd/s) over s
@@ -865,9 +873,10 @@ impl<const D: usize> DynamicGraph<D> {
     /// the step through a verify pass over the fresh arena. Counted as
     /// a bulk rescan *and* a cache rebuild: it is one, at the inflated
     /// radius. Sharded over axis-0 strips exactly like
-    /// [`DynamicGraph::step_bulk`]; packed pairs are unique, so the
-    /// one global unstable sort is a function of the pair *set* alone
-    /// — shard-count (and thread-count) invariance for free.
+    /// [`DynamicGraph::step_bulk`], and sorted by the same `O(len + n)`
+    /// counting sort; packed pairs are unique, so the sorted arena is a
+    /// function of the pair *set* alone — shard-count (and
+    /// thread-count) invariance for free.
     fn step_cache_rebuild(&mut self, points: &[Point<D>]) {
         #[expect(
             clippy::expect_used,
@@ -884,7 +893,7 @@ impl<const D: usize> DynamicGraph<D> {
             &mut self.shard_pairs,
             &mut self.cache.pairs,
         );
-        self.cache.pairs.sort_unstable();
+        sort_packed_pairs(&mut self.cache.pairs, n, &mut self.pair_sort);
         let offsets = &mut self.cache.offsets;
         offsets.clear();
         offsets.resize(n + 1, 0);
@@ -1215,8 +1224,10 @@ impl<const D: usize> DynamicGraph<D> {
     /// axis-0 cell strips when [`DynamicGraph::with_step_threads`] asks
     /// for more than one worker. Disjoint strips examine disjoint pair sets, every
     /// worker fills a private fragment buffer, and fragments
-    /// concatenate in shard order; packed pairs are unique, so the one
-    /// global unstable sort is a function of the pair *set* alone —
+    /// concatenate in shard order. One counting sort over node ids
+    /// ([`sort_packed_pairs`]: two stable `O(len + n)` passes, by `b`
+    /// then by `a`) puts the list in lex order; packed pairs are
+    /// unique, so the result is a function of the pair *set* alone —
     /// the rows, the diff, and all counters are bit-identical to the
     /// serial sweep at any thread count.
     fn step_bulk(&mut self) {
@@ -1235,7 +1246,7 @@ impl<const D: usize> DynamicGraph<D> {
             &mut self.shard_pairs,
             &mut self.new_pairs,
         );
-        self.new_pairs.sort_unstable();
+        sort_packed_pairs(&mut self.new_pairs, n, &mut self.pair_sort);
         fill_sorted_rows(&mut self.next_rows, n, &self.new_pairs);
         merge_packed_diff(&self.edge_pairs, &self.new_pairs, &mut self.diff);
         let pairs = self.new_pairs.len();

@@ -886,3 +886,57 @@ fn grid_mst_matches_prim_on_every_registry_model_at_scale() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// The grid graph build against brute force, at the sizes the grid path
+// (counting-sorted pairs from the batched forward scan) is built for.
+
+use manet_geom::MovingCellGrid;
+use std::collections::BTreeMap;
+
+/// Every registry model's placements at n = 2000 and 20000, at
+/// trace-large's density (side 1024 at n = 2000), after the model's
+/// init and after a few steps: `from_points_grid` must equal
+/// `from_points_brute_force`. At trace-large's r = 54 cells hold a few
+/// nodes; the ×3 range crowds cells past one emission batch (32).
+#[test]
+#[ignore = "release-only oracle; run by CI"]
+fn grid_build_matches_brute_force_on_every_registry_model_at_scale() {
+    let registry = ModelRegistry::<2>::with_builtins();
+    let names = registry.names();
+    assert_eq!(names.len(), 13, "every registry model is covered");
+    let mut max_occupancy = 0usize;
+    for n in [2000usize, 20000] {
+        let side = 1024.0 * (n as f64 / 2000.0).sqrt();
+        let scale = PaperScale::new(side).with_pause(3);
+        let region: Region<2> = Region::new(side).expect("positive side");
+        for name in &names {
+            let mut model = registry.build(name, &scale).expect("registry model");
+            let mut rng = rand::rngs::StdRng::seed_from_u64(20020623);
+            let mut positions = region.place_uniform(n, &mut rng);
+            model.init(&positions, &region, &mut rng);
+            for step in 0..4 {
+                if step % 3 == 0 {
+                    for r in [54.0, 162.0] {
+                        let grid = AdjacencyList::from_points_grid(&positions, side, r)
+                            .expect("valid grid parameters");
+                        let brute = AdjacencyList::from_points_brute_force(&positions, r);
+                        assert!(grid == brute, "{name} n={n} r={r} step {step}");
+                        let w = MovingCellGrid::<2>::lattice_cell_size(n, side, r)
+                            .expect("valid grid parameters");
+                        let mut occupancy = BTreeMap::new();
+                        for p in &positions {
+                            let cell =
+                                (p.coord(0) / w) as u64 * 1_000_000 + (p.coord(1) / w) as u64;
+                            *occupancy.entry(cell).or_insert(0usize) += 1;
+                        }
+                        max_occupancy =
+                            max_occupancy.max(occupancy.into_values().max().unwrap_or(0));
+                    }
+                }
+                model.step(&mut positions, &region, &mut rng);
+            }
+        }
+    }
+    assert!(max_occupancy > 32, "no cell spans two emission batches");
+}
