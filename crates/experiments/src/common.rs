@@ -171,6 +171,9 @@ impl RunOptions {
                     if ns.is_empty() {
                         return Err("--n-sweep requires at least one node count".into());
                     }
+                    if let Some(n) = first_repeat(&ns) {
+                        return Err(format!("--n-sweep repeats node count {n}"));
+                    }
                     opts.n_sweep = Some(ns);
                 }
                 "--models" => {
@@ -187,6 +190,9 @@ impl RunOptions {
                         .collect();
                     if names.is_empty() {
                         return Err("--models requires at least one model name".into());
+                    }
+                    if let Some(name) = first_repeat(&names) {
+                        return Err(format!("--models repeats model `{name}`"));
                     }
                     for name in &names {
                         if !registry.contains(name) {
@@ -222,6 +228,9 @@ impl RunOptions {
         }
         if opts.k_target == Some(0) {
             return Err("--k-target must be at least 1".into());
+        }
+        if opts.max_cells == Some(0) {
+            return Err("--max-cells must be positive".into());
         }
         if let Some(ns) = &opts.n_sweep {
             if ns.iter().any(|&n| n < 2) {
@@ -304,6 +313,15 @@ impl RunOptions {
             })
             .collect()
     }
+}
+
+/// The first entry of a list that an earlier entry already holds: a
+/// repeated sweep entry would rerun identical cells.
+fn first_repeat<T: PartialEq>(items: &[T]) -> Option<&T> {
+    items
+        .iter()
+        .enumerate()
+        .find_map(|(i, x)| items[..i].contains(x).then_some(x))
 }
 
 fn take_usize(args: &[String], i: &mut usize) -> Result<usize, String> {
@@ -606,6 +624,17 @@ mod tests {
         assert!(parse(&["--n-sweep", "16,1"]).is_err());
         assert!(parse(&["--checkpoint"]).is_err());
         assert!(parse(&["--max-cells"]).is_err());
+        // A budget of zero cells can never make progress.
+        assert_eq!(
+            parse(&["--max-cells", "0"]).unwrap_err(),
+            "--max-cells must be positive"
+        );
+        // A repeated node count would rerun identical cells and feed
+        // duplicate points to the exponent fit.
+        assert_eq!(
+            parse(&["--n-sweep", "16,32,16"]).unwrap_err(),
+            "--n-sweep repeats node count 16"
+        );
     }
 
     #[test]
@@ -659,6 +688,10 @@ mod tests {
         assert!(parse(&["--models"]).is_err());
         assert!(parse(&["--models", "bogus"]).is_err());
         assert!(parse(&["--models", ""]).is_err());
+        assert_eq!(
+            parse(&["--models", "waypoint, rpgm,waypoint"]).unwrap_err(),
+            "--models repeats model `waypoint`"
+        );
     }
 
     #[test]

@@ -1134,6 +1134,35 @@ fn zero_threads_is_a_clean_usage_error() {
     }
 }
 
+/// A repeated sweep entry would rerun identical cells and feed
+/// duplicate points to the exponent fit (three copies of two points
+/// gave a "fit" with a zero-width CI), so it is a usage error naming
+/// the repeat, before any cell runs or any artifact is written.
+#[test]
+fn repeated_sweep_entries_are_clean_usage_errors() {
+    let dir = temp_out("repeated_entries");
+    for (flag, value, message) in [
+        ("--n-sweep", "16,16,32", "--n-sweep repeats node count 16"),
+        (
+            "--models",
+            "waypoint,waypoint",
+            "--models repeats model `waypoint`",
+        ),
+    ] {
+        let out = repro()
+            .args(["critical-scaling", "--iterations", "2", "--steps", "50"])
+            .args([flag, value, "--out"])
+            .arg(&dir)
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}: stderr: {err}");
+        assert!(err.contains(message), "{flag} {value}: {err}");
+        assert!(!dir.join("critical_scaling.csv").exists(), "{flag} {value}");
+    }
+    std::fs::remove_dir_all(dir).ok();
+}
+
 /// One node has no critical range (its `r_stationary` is 0), so
 /// `--nodes 1` is a usage error before any campaign runs or any
 /// artifact is written.

@@ -25,9 +25,13 @@
 //!   growth into a histogram of width `rel_tol · side` and picks the
 //!   first bin whose cumulative total reaches the target; pass 2
 //!   re-runs the same trajectories, keeps only that bin's events, and
-//!   applies them in range order. The answer is exact in the profile's
-//!   convention, and memory is one histogram per iteration plus the
-//!   events of one bin, whatever the step count.
+//!   applies them in range order. Pass 1 also records the bin of each
+//!   step's critical range (its last event), and pass 2 profiles only
+//!   the steps whose recorded bin reaches the answer bin: every event
+//!   of a step lies at or below its critical range, so the skipped
+//!   steps hold no event of that bin. The answer is exact in the
+//!   profile's convention, and memory is one histogram per iteration
+//!   plus 4 B per step, plus the events of one bin.
 //! * **1-connectivity: the pooled quantile.** Connected at `r` ⟺
 //!   `c_t <= r`, so the threshold is an order statistic of the
 //!   per-step critical ranges ([`simulate_critical_ranges`]): one
@@ -178,8 +182,9 @@ pub struct CriticalPoint {
     /// `range / side` — the scale-free quantity the power law fits.
     pub normalized: f64,
     /// Seeded campaigns run over the cell's trajectories: 2 for the
-    /// giant fraction's merge-profile passes, 1 for the
-    /// 1-connectivity quantile, and one per bisection probe for
+    /// giant fraction's merge-profile passes (the second replays every
+    /// step but profiles only those reaching the answer bin), 1 for
+    /// the 1-connectivity quantile, and one per bisection probe for
     /// `k >= 2`.
     pub probes: usize,
     /// Deterministic step-kernel counters merged over every bisection
@@ -285,7 +290,9 @@ where
 {
     search.validate(config)?;
     let (range, probes) = match search.metric {
-        ConnectivityMetric::GiantFraction => (giant_fraction_threshold(config, model, search)?, 2),
+        ConnectivityMetric::GiantFraction => {
+            (giant_fraction_threshold(config, model, search)?.0, 2)
+        }
         ConnectivityMetric::KConnectivity(1) => {
             let pooled = simulate_critical_ranges(config, model)?.pooled()?;
             (pooled.smallest_covering(search.target)?, 1)
@@ -378,37 +385,51 @@ fn for_each_growth<const D: usize>(view: &StepView<'_, D>, mut f: impl FnMut(f64
     }
 }
 
-/// Pass 1: one iteration's total growth per bin.
+/// Pass 1: one iteration's total growth per bin, and the bin of each
+/// step's critical range (its last event; bin 0 when it has none).
 struct GrowthHistogram {
     bins: Bins,
     totals: Vec<u64>,
+    top_bins: Vec<u32>,
 }
 
 impl<const D: usize> ConnectivityObserver<D> for GrowthHistogram {
-    type Output = Vec<u64>;
+    type Output = (Vec<u64>, Vec<u32>);
 
     fn observe(&mut self, view: &StepView<'_, D>) {
+        let mut top = 0;
         for_each_growth(view, |range, growth| {
-            self.totals[self.bins.of(range)] += growth;
+            top = self.bins.of(range);
+            self.totals[top] += growth;
         });
+        self.top_bins.push(top as u32);
     }
 
-    fn finish(self) -> Vec<u64> {
-        self.totals
+    fn finish(self) -> Self::Output {
+        (self.totals, self.top_bins)
     }
 }
 
-/// Pass 2: one iteration's `(range, growth)` events inside one bin.
-struct GrowthInBin {
+/// Pass 2: one iteration's `(range, growth)` events inside one bin,
+/// and how many steps it profiled to find them. Every event of a step
+/// lies at or below its critical range, so a step whose critical range
+/// falls in a lower bin has none in `bin` and is skipped.
+struct GrowthInBin<'a> {
     bins: Bins,
     bin: usize,
+    top_bins: &'a [u32],
     events: Vec<(f64, u64)>,
+    profiled: u64,
 }
 
-impl<const D: usize> ConnectivityObserver<D> for GrowthInBin {
-    type Output = Vec<(f64, u64)>;
+impl<const D: usize> ConnectivityObserver<D> for GrowthInBin<'_> {
+    type Output = (Vec<(f64, u64)>, u64);
 
     fn observe(&mut self, view: &StepView<'_, D>) {
+        if (self.top_bins[view.step()] as usize) < self.bin {
+            return;
+        }
+        self.profiled += 1;
         for_each_growth(view, |range, growth| {
             if self.bins.of(range) == self.bin {
                 self.events.push((range, growth));
@@ -416,20 +437,21 @@ impl<const D: usize> ConnectivityObserver<D> for GrowthInBin {
         });
     }
 
-    fn finish(self) -> Vec<(f64, u64)> {
-        self.events
+    fn finish(self) -> Self::Output {
+        (self.events, self.profiled)
     }
 }
 
 /// The exact giant-fraction threshold in the merge profile's
 /// convention: the smallest `r` with
 /// `Σ_steps largest_component_at(r) / (iterations · steps · n) >= target`,
-/// from two positions-only passes over the cell's trajectories.
+/// from two positions-only passes over the cell's trajectories, and
+/// the number of steps pass 2 profiled.
 fn giant_fraction_threshold<const D: usize, M>(
     config: &SimConfig<D>,
     model: &M,
     search: &CriticalRangeSearch,
-) -> Result<f64, SimError>
+) -> Result<(f64, u64), SimError>
 where
     M: Mobility<D> + Clone + Send + Sync,
 {
@@ -443,14 +465,19 @@ where
     let denominator = (step_count * config.nodes() as u64) as f64;
     let reaches = |total: u64| total as f64 / denominator >= search.target;
 
+    // Pool each iteration's histogram as it arrives; only the per-step
+    // bins outlive pass 1.
     let mut pooled = vec![0u64; bins.last + 1];
-    for totals in run_connectivity_stream(config, model, None, |_| GrowthHistogram {
+    let mut top_bins = Vec::with_capacity(config.iterations());
+    for (totals, tops) in run_connectivity_stream(config, model, None, |_| GrowthHistogram {
         bins,
         totals: vec![0; bins.last + 1],
+        top_bins: Vec::with_capacity(config.steps()),
     })? {
         for (p, t) in pooled.iter_mut().zip(totals) {
             *p += t;
         }
+        top_bins.push(tops);
     }
     // Every step starts from singletons: a largest component of 1.
     let mut below = step_count;
@@ -459,30 +486,34 @@ where
         reaches(below)
     }) else {
         // Unreachable for n >= 1: the last bin brings every step to n.
-        return Ok(hi);
+        return Ok((hi, 0));
     };
     below -= pooled[bin];
     if reaches(below) {
-        return Ok(0.0);
+        return Ok((0.0, 0));
     }
 
-    let mut events: Vec<(f64, u64)> =
-        run_connectivity_stream(config, model, None, |_| GrowthInBin {
-            bins,
-            bin,
-            events: Vec::new(),
-        })?
-        .into_iter()
-        .flatten()
-        .collect();
+    let mut events = Vec::new();
+    let mut profiled = 0;
+    for (e, p) in run_connectivity_stream(config, model, None, |iteration| GrowthInBin {
+        bins,
+        bin,
+        top_bins: &top_bins[iteration],
+        events: Vec::new(),
+        profiled: 0,
+    })? {
+        events.extend(e);
+        profiled += p;
+    }
     events.sort_by(|a, b| a.0.total_cmp(&b.0));
-    Ok(events
+    let range = events
         .chunk_by(|a, b| a.0 == b.0)
         .find_map(|run| {
             below += run.iter().map(|e| e.1).sum::<u64>();
             reaches(below).then_some(run[0].0)
         })
-        .unwrap_or(hi))
+        .unwrap_or(hi);
+    Ok((range, profiled))
 }
 
 /// A fitted finite-size scaling exponent `rho_c ~ n^(-beta)` with its
@@ -552,7 +583,9 @@ pub fn fit_scaling_exponent(
 mod tests {
     use super::*;
     use crate::fixed::simulate_fixed_range;
+    use manet_geom::{Point, Region};
     use manet_mobility::{RandomWaypoint, StationaryModel};
+    use rand::Rng;
 
     fn config(nodes: usize, side: f64, iterations: usize, steps: usize) -> SimConfig<2> {
         let mut b = SimConfig::<2>::builder();
@@ -562,6 +595,184 @@ mod tests {
             .steps(steps)
             .seed(42);
         b.build().unwrap()
+    }
+
+    /// Replays fixed layouts in turn from step 1 on; step 0 keeps the
+    /// seeded uniform placement.
+    #[derive(Clone)]
+    struct Script {
+        layouts: Vec<Vec<Point<2>>>,
+        next: usize,
+    }
+
+    impl Script {
+        fn new(layouts: Vec<Vec<Point<2>>>) -> Self {
+            Script { layouts, next: 0 }
+        }
+    }
+
+    impl Mobility<2> for Script {
+        fn init(&mut self, _: &[Point<2>], _: &Region<2>, _: &mut dyn Rng) {}
+
+        fn step(&mut self, positions: &mut [Point<2>], _: &Region<2>, _: &mut dyn Rng) {
+            positions.copy_from_slice(&self.layouts[self.next % self.layouts.len()]);
+            self.next += 1;
+        }
+
+        fn name(&self) -> &'static str {
+            "script"
+        }
+    }
+
+    /// `n` nodes on a horizontal row at `spacing`: every profile event,
+    /// and so the critical range, sits at exactly `spacing`.
+    fn row(n: usize, spacing: f64) -> Vec<Point<2>> {
+        (0..n)
+            .map(|i| Point::new([10.0 + spacing * i as f64, 10.0]))
+            .collect()
+    }
+
+    /// The single-pass answer the two passes must reproduce bit for
+    /// bit: every event of every step, sorted by range.
+    fn all_events_threshold<M>(cfg: &SimConfig<2>, model: &M, target: f64) -> f64
+    where
+        M: Mobility<2> + Clone + Send + Sync,
+    {
+        struct AllEvents(Vec<(f64, u64)>);
+        impl ConnectivityObserver<2> for AllEvents {
+            type Output = Vec<(f64, u64)>;
+            fn observe(&mut self, view: &StepView<'_, 2>) {
+                for_each_growth(view, |range, growth| self.0.push((range, growth)));
+            }
+            fn finish(self) -> Vec<(f64, u64)> {
+                self.0
+            }
+        }
+        let mut events: Vec<(f64, u64)> =
+            run_connectivity_stream(cfg, model, None, |_| AllEvents(Vec::new()))
+                .unwrap()
+                .into_iter()
+                .flatten()
+                .collect();
+        events.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let steps = (cfg.iterations() * cfg.steps()) as u64;
+        let reaches = |total: u64| total as f64 / (steps * cfg.nodes() as u64) as f64 >= target;
+        let mut total = steps;
+        if reaches(total) {
+            return 0.0;
+        }
+        events
+            .into_iter()
+            .find_map(|(range, growth)| {
+                total += growth;
+                reaches(total).then_some(range)
+            })
+            .unwrap()
+    }
+
+    #[test]
+    fn pass_two_skips_a_step_whose_critical_range_closes_the_bin_below() {
+        // Side 1024 at rel_tol 2^-10 makes the bin width exactly 1.
+        // Rows at spacing 3.5 reach the target at r = 3.5, so the
+        // answer bin is b* = 4; rows at spacing 3 have a critical range
+        // of exactly (b* − 1)·w = 3, every event in bin 3, and must be
+        // skipped by pass 2 without moving the answer.
+        let cfg = config(4, 1024.0, 1, 21);
+        let model = Script::new(vec![row(4, 3.0), row(4, 3.5)]);
+        let search = CriticalRangeSearch::new()
+            .with_target(0.95)
+            .with_rel_tol(1.0 / 1024.0);
+        let (range, profiled) = giant_fraction_threshold(&cfg, &model, &search).unwrap();
+        assert_eq!(range, 3.5);
+        assert_eq!(range, all_events_threshold(&cfg, &model, 0.95));
+        // Step 0's uniform placement and the ten 3.5-rows; not the
+        // ten 3-rows.
+        assert_eq!(profiled, 11);
+    }
+
+    #[test]
+    fn pass_two_compares_bins_not_raw_ranges() {
+        // At side 100 the default bin width is w = 0.1, and 3·w rounds
+        // up to 0.30000000000000004, whose bin is ⌈c / w⌉ = 4. Pairs
+        // at that distance put b* = 4 although their critical range
+        // equals (b* − 1)·w as floats: a raw-range test would skip
+        // every step holding the answer's events.
+        let cfg = config(2, 100.0, 1, 11);
+        let w: f64 = 1e-3 * 100.0;
+        let c = 3.0 * w;
+        assert_eq!((c / w).ceil(), 4.0);
+        let model = Script::new(vec![vec![Point::new([0.0, 50.0]), Point::new([c, 50.0])]]);
+        let search = CriticalRangeSearch::new().with_target(0.95);
+        let (range, profiled) = giant_fraction_threshold(&cfg, &model, &search).unwrap();
+        assert_eq!(range, c);
+        assert_eq!(range, all_events_threshold(&cfg, &model, 0.95));
+        assert_eq!(profiled, 11, "step 0 and the ten pairs all reach bin 4");
+    }
+
+    #[test]
+    fn target_one_profiles_only_the_steps_in_the_top_bin() {
+        let cfg = config(12, 120.0, 3, 40);
+        let model = RandomWaypoint::new(0.5, 2.0, 1, 0.0).unwrap();
+        let search = CriticalRangeSearch::new().with_target(1.0);
+        let (range, profiled) = giant_fraction_threshold(&cfg, &model, &search).unwrap();
+        let r100 = simulate_critical_ranges(&cfg, &model)
+            .unwrap()
+            .pooled()
+            .unwrap()
+            .max();
+        assert_eq!(range.to_bits(), r100.to_bits());
+        assert_eq!(range, all_events_threshold(&cfg, &model, 1.0));
+        assert!(0 < profiled && profiled < 120, "profiled {profiled}");
+
+        // Two nodes in opposite corners are a diameter apart: their
+        // critical range lands in the clamped last bin.
+        let cfg = config(2, 1024.0, 1, 5);
+        let corners = Script::new(vec![vec![
+            Point::new([0.0, 0.0]),
+            Point::new([1024.0, 1024.0]),
+        ]]);
+        let search = search.with_rel_tol(1.0 / 1024.0);
+        let (range, profiled) = giant_fraction_threshold(&cfg, &corners, &search).unwrap();
+        assert_eq!(range, cfg.region().diameter());
+        assert_eq!(profiled, 4, "the four corner steps, not step 0");
+    }
+
+    #[test]
+    fn coincident_pairs_answer_in_bin_zero_and_profile_every_step() {
+        // Two iterations of step 0 (two singletons) and ten coincident
+        // steps (one pair at r = 0): 42 of 44 nodes at r = 0 reach 0.95.
+        let cfg = config(2, 100.0, 2, 11);
+        let model = Script::new(vec![vec![Point::new([5.0, 5.0]); 2]]);
+        let search = CriticalRangeSearch::new().with_target(0.95);
+        let (range, profiled) = giant_fraction_threshold(&cfg, &model, &search).unwrap();
+        assert_eq!(range, 0.0);
+        assert_eq!(range, all_events_threshold(&cfg, &model, 0.95));
+        assert_eq!(profiled, 22, "every step reaches bin 0");
+        let point = find_critical_range(&cfg, &model, &search).unwrap();
+        assert_eq!(point.range, 1e-9);
+    }
+
+    #[test]
+    fn pass_two_profiles_a_fraction_of_a_quick_cell_and_all_of_a_frozen_one() {
+        // The `critical-scaling --quick` shape at n = 16: side 64·√16,
+        // paper waypoint with its pause scaled to 500 steps, 5 × 500
+        // steps, target 0.99.
+        let cfg = config(16, 256.0, 5, 500);
+        let model = RandomWaypoint::new(0.1, 2.56, 100, 0.0).unwrap();
+        let search = CriticalRangeSearch::new();
+        let (range, profiled) = giant_fraction_threshold(&cfg, &model, &search).unwrap();
+        assert_eq!(range, all_events_threshold(&cfg, &model, 0.99));
+        assert!(0 < profiled && profiled < 2500, "profiled {profiled}");
+
+        // Nothing moves: every step of the one placement shares its
+        // critical range, so at target 1 every step reaches the answer
+        // bin.
+        let cfg = config(16, 256.0, 1, 80);
+        let model = StationaryModel::new();
+        let search = search.with_target(1.0);
+        let (range, profiled) = giant_fraction_threshold(&cfg, &model, &search).unwrap();
+        assert_eq!(range, all_events_threshold(&cfg, &model, 1.0));
+        assert_eq!(profiled, 80);
     }
 
     #[test]

@@ -53,6 +53,15 @@ impl ConnectivityObserver<2> for ProfileObserver {
     }
 }
 
+/// The merge profile of every step of every iteration.
+fn step_profiles(cfg: &SimConfig<2>, model: &AnyModel<2>) -> Vec<MergeProfile> {
+    run_connectivity_stream(cfg, model, None, |_| ProfileObserver(Vec::new()))
+        .unwrap()
+        .into_iter()
+        .flatten()
+        .collect()
+}
+
 /// Whether the mean of `largest_component_at(r) / n` over every step of
 /// every iteration reaches `target`, summed in integers.
 fn profile_mean_reaches(
@@ -88,12 +97,7 @@ fn check_exact_paths(cfg: &SimConfig<2>, name: &str, model: &AnyModel<2>, target
         found.push(point.range);
     }
 
-    let profiles: Vec<MergeProfile> =
-        run_connectivity_stream(cfg, model, None, |_| ProfileObserver(Vec::new()))
-            .unwrap()
-            .into_iter()
-            .flatten()
-            .collect();
+    let profiles = step_profiles(cfg, model);
     let r = found[0];
     assert!(
         profile_mean_reaches(cfg, &profiles, r, target),
@@ -300,6 +304,43 @@ fn exact_finder_matches_oracles_at_scale() {
         let cfg = sized_config(nodes, 2, 30, 0x5CA1E);
         for (name, model) in registry_models() {
             check_exact_paths(&cfg, &name, &model, target);
+        }
+    }
+}
+
+/// The giant-fraction finder in the `critical-scaling --quick` shape
+/// (side 64·√n, pauses scaled to 500 steps, 5 × 500 steps, the four
+/// default models, target 0.99), where pass 2 profiles only the few
+/// steps whose critical range reaches the answer bin: the answer must
+/// still be the profile mean's exact crossing. Release-only.
+#[test]
+#[ignore = "release-only oracle; run by CI"]
+fn giant_fraction_finder_is_exact_in_the_quick_shape() {
+    let registry = ModelRegistry::<2>::with_builtins();
+    let target = 0.99;
+    for nodes in [16, 64] {
+        let side = 64.0 * (nodes as f64).sqrt();
+        let mut b = SimConfig::<2>::builder();
+        b.nodes(nodes)
+            .side(side)
+            .iterations(5)
+            .steps(500)
+            .seed(20020623);
+        let cfg = b.build().unwrap();
+        let scale = PaperScale::new(side).with_pause(100);
+        for name in ["waypoint", "drunkard", "gauss-markov", "rpgm"] {
+            let model = registry.build(name, &scale).unwrap();
+            let search = CriticalRangeSearch::new().with_target(target);
+            let r = find_critical_range(&cfg, &model, &search).unwrap().range;
+            let profiles = step_profiles(&cfg, &model);
+            assert!(
+                profile_mean_reaches(&cfg, &profiles, r, target),
+                "{name} n = {nodes}: the profile mean misses the target at {r}"
+            );
+            assert!(
+                !profile_mean_reaches(&cfg, &profiles, r.next_down(), target),
+                "{name} n = {nodes}: the profile mean already reaches the target below {r}"
+            );
         }
     }
 }
