@@ -27,13 +27,13 @@
 //!   [`ModelRegistry`]/[`AnyModel`] pair. `solve()` runs one
 //!   critical-range pass and `campaign()` one fused pass that adds the
 //!   component profiles ([`MtrmCampaign`]); every metric is an accessor
-//!   on their results, so no query re-simulates. Every per-step
-//!   query runs on the incremental connectivity spine
-//!   (`DynamicGraph → DynamicComponents → run_connectivity_stream`, see
-//!   [`graph`] and [`sim::stream`]): snapshots are rebuilt
-//!   grid-accelerated in `O(n + E)`, and the component summary is
-//!   maintained under their edge deltas instead of relabeled from
-//!   scratch;
+//!   on their results, so no query re-simulates. Every campaign runs
+//!   on one positions-only step driver (`run_connectivity_stream`,
+//!   see [`sim::stream`]): range queries read one spanning tree per
+//!   step, and only the temporal trace runs the incremental step
+//!   kernel (`DynamicGraph → DynamicComponents`, see [`graph`]),
+//!   whose component summary is maintained under edge deltas instead
+//!   of relabeled from scratch;
 //! * [`energy`] — the transmit-power model that turns range reductions
 //!   into the paper's energy-savings headline numbers;
 //! * sub-crates re-exported as modules: [`geom`], [`graph`], [`stats`],

@@ -19,10 +19,11 @@
 //! time-ordered per-step critical-range series `c_t`, so
 //! [`MtrmSolution::uptime_at`] reads outage runs off the same campaign
 //! as the quantiles. Query the result as often as needed; nothing
-//! re-simulates behind an accessor. Only the two lanes that need the
-//! graph at a fixed range, [`MtrmProblem::fixed_range_report`] and
-//! [`MtrmProblem::temporal_trace`], take a range and run their own
-//! campaign.
+//! re-simulates behind an accessor. Only the two lanes that report at
+//! fixed ranges take ranges and run their own campaign:
+//! [`MtrmProblem::fixed_range_reports`] (one spanning tree per step,
+//! every range at once) and [`MtrmProblem::temporal_trace`] (the step
+//! kernel's edge deltas at one range).
 //!
 //! Models are supplied as [`AnyModel`] handles — either built directly
 //! from a concrete type (`RandomWaypoint::new(...)?.into()`) or
@@ -33,7 +34,7 @@
 use crate::CoreError;
 use manet_mobility::AnyModel;
 use manet_sim::{
-    simulate_campaign, simulate_fixed_range, simulate_raw_critical_series, CriticalRangeResults,
+    simulate_campaign, simulate_fixed_ranges, simulate_raw_critical_series, CriticalRangeResults,
     FixedRangeReport, MobileRangeSummary, ProfileResults, RangeQuantiles, SimConfig, UptimeSummary,
 };
 
@@ -165,7 +166,7 @@ impl<const D: usize> MtrmProblem<D> {
     ///
     /// Propagates [`CoreError::Sim`].
     pub fn solve(&self) -> Result<MtrmSolution, CoreError> {
-        MtrmSolution::new(simulate_raw_critical_series(&self.config, &self.model)?)
+        MtrmSolution::new(simulate_raw_critical_series(&self.config, &self.model))
     }
 
     /// Runs one fused pass recording both the critical range of every
@@ -184,17 +185,16 @@ impl<const D: usize> MtrmProblem<D> {
         })
     }
 
-    /// The paper's literal simulator at a fixed range, driven by the
-    /// incremental connectivity stream: per-step connectivity and
-    /// largest-component statistics are maintained under edge deltas
-    /// ([`manet_graph::DynamicComponents`]), not recomputed from
-    /// scratch.
+    /// The paper's literal simulator at each of `ranges`, one report
+    /// per range in the given order: one positions-only pass whose
+    /// steps each build one spanning tree and threshold it at every
+    /// range ([`manet_sim::simulate_fixed_ranges`]).
     ///
     /// # Errors
     ///
     /// Propagates [`CoreError::Sim`].
-    pub fn fixed_range_report(&self, r: f64) -> Result<FixedRangeReport, CoreError> {
-        Ok(simulate_fixed_range(&self.config, &self.model, r)?)
+    pub fn fixed_range_reports(&self, ranges: &[f64]) -> Result<Vec<FixedRangeReport>, CoreError> {
+        Ok(simulate_fixed_ranges(&self.config, &self.model, ranges)?)
     }
 
     /// Temporal-connectivity trace at range `r`: link-lifetime,
@@ -350,8 +350,9 @@ mod tests {
         let p = small_problem(waypoint(0, 0.0));
         let sol = p.solve().unwrap();
         let r = sol.ranges.r100.max() * 1.01;
-        let report = p.fixed_range_report(r).unwrap();
-        assert_eq!(report.connectivity_fraction(), 1.0);
+        let reports = p.fixed_range_reports(&[r, 0.5 * r]).unwrap();
+        assert_eq!(reports[0].connectivity_fraction(), 1.0);
+        assert_eq!(reports[1].range, 0.5 * r);
     }
 
     #[test]
@@ -369,8 +370,10 @@ mod tests {
             let p = small_problem(registry.build(name, &scale).unwrap());
             let sol = p.solve().unwrap();
             assert!(sol.ranges.r100.mean() >= sol.ranges.r0.mean());
-            let report = p.fixed_range_report(sol.ranges.r100.max() * 1.01).unwrap();
-            assert_eq!(report.connectivity_fraction(), 1.0, "model {name}");
+            let reports = p
+                .fixed_range_reports(&[sol.ranges.r100.max() * 1.01])
+                .unwrap();
+            assert_eq!(reports[0].connectivity_fraction(), 1.0, "model {name}");
         }
     }
 
@@ -482,7 +485,7 @@ mod tests {
                 .unwrap();
             for name in registry.names() {
                 let model = registry.build(name, &scale).unwrap();
-                let raw = manet_sim::simulate_raw_critical_series(&config, &model).unwrap();
+                let raw = manet_sim::simulate_raw_critical_series(&config, &model);
                 let p = MtrmProblem::new(config.clone(), model);
                 let sol = p.solve().unwrap();
                 let campaign = p.campaign().unwrap();

@@ -36,11 +36,13 @@ pub struct RunOptions {
     /// `--step-threads N`: intra-step worker threads for the sharded
     /// step kernel's bulk rescan (None = serial). A performance knob:
     /// every artifact is byte-identical across values, which CI pins.
+    /// Only `trace` runs the step kernel; every command accepts the
+    /// flag so one argv shape serves all of them.
     pub step_threads: Option<usize>,
     /// `--skin auto|off|RADIUS`: the step kernel's Verlet-cache skin
     /// policy (None = the kernel default, auto). Like `--step-threads`
-    /// a performance knob only: artifacts are byte-identical across
-    /// settings, which CI pins.
+    /// a performance knob only, reaching only `trace`: artifacts are
+    /// byte-identical across settings, which CI pins.
     pub skin: Option<manet_core::graph::Skin>,
     /// CSV output directory.
     pub out_dir: PathBuf,
@@ -48,10 +50,11 @@ pub struct RunOptions {
     /// experiment's default list.
     pub models: Option<Vec<String>>,
     /// Node-count override (`--nodes N`) for the `trace`, `fixed`,
-    /// `uptime` and `quantity` experiments — the large-`n` lever for
-    /// exercising the sharded step kernel at scale from every
-    /// pipeline; `None` keeps each experiment's paper-tied default.
-    /// At least 2: one node has no critical range.
+    /// `uptime` and `quantity` experiments — the large-`n` lever: the
+    /// step kernel at scale in `trace`, the spanning-tree kernels in
+    /// `fixed` and `uptime`, mobility alone in `quantity`; `None` keeps
+    /// each experiment's paper-tied default. At least 2: one node has
+    /// no critical range.
     pub nodes: Option<usize>,
     /// `--metrics PATH`: write a `metrics.json` artifact (run manifest,
     /// deterministic kernel counters, spans when profiling) on success.

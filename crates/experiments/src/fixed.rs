@@ -7,9 +7,11 @@
 //! multiples of `r_stationary` for both mobility models at `l = 1024`,
 //! `n = 32` — the same cells the temporal-trace experiment (X3) uses —
 //! so the snapshot and temporal views of one configuration line up.
-//! The CSV doubles as the golden artifact of the incremental
-//! connectivity spine: its bytes must not change when the per-step
-//! engine swaps from rebuild-and-relabel to delta-apply.
+//! Each model is one positions-only campaign: every step builds one
+//! spanning tree and thresholds it at all four ranges. The CSV is a
+//! golden artifact: its bytes did not change when the per-step engine
+//! moved from rebuild-and-relabel to delta-apply, nor when it moved to
+//! spanning-tree thresholds.
 
 use crate::common::{banner, fmt, r_stationary_for, RunOptions, Table};
 use crate::obs::ObsSession;
@@ -36,8 +38,8 @@ pub fn run(opts: &RunOptions, session: &mut ObsSession) -> Result<(), CoreError>
     let rs = r_stationary_for(opts, l, n)?;
     session.span_exit();
     let models = opts.resolve_models(&DEFAULT_MODELS, l)?;
-    let cells = models.len() * MULTIPLIERS.len();
-    let mut cell = 0usize;
+    let count = models.len();
+    let ranges = MULTIPLIERS.map(|mult| rs * mult);
 
     let mut table = Table::new(&[
         "model",
@@ -50,21 +52,21 @@ pub fn run(opts: &RunOptions, session: &mut ObsSession) -> Result<(), CoreError>
         "avg_isolated",
         "avg_components",
     ]);
-    for (name, model) in models {
+    for (i, (name, model)) in models.into_iter().enumerate() {
         session.note_model(&name);
-        let problem = MtrmProblem::new(opts.sim_config(n, l).build()?, model);
-        for mult in MULTIPLIERS {
-            let r = rs * mult;
-            cell += 1;
+        for r in ranges {
             session.note_range(r);
-            session.progress(&format!("fixed: {name} x{mult} ({cell}/{cells})"));
-            session.span_enter("fixed/cell");
-            let report = problem.fixed_range_report(r)?;
-            session.span_exit();
+        }
+        session.progress(&format!("fixed: {name} ({}/{count})", i + 1));
+        let problem = MtrmProblem::new(opts.sim_config(n, l).build()?, model);
+        session.span_enter("fixed/model");
+        let reports = problem.fixed_range_reports(&ranges)?;
+        session.span_exit();
+        for (mult, report) in MULTIPLIERS.into_iter().zip(reports) {
             table.row(vec![
                 name.clone(),
                 fmt(mult),
-                fmt(r),
+                fmt(report.range),
                 fmt(report.connectivity_fraction()),
                 fmt(report.avg_largest()),
                 report

@@ -28,13 +28,13 @@
 //!   --models A,B,..  mobility models for quantity/uptime/fixed/trace
 //!                    (registry names, e.g. gauss-markov,rpgm)
 //!   --nodes N        node-count override for trace/fixed/uptime/
-//!                    quantity (large-n runs on the incremental step
-//!                    kernel; defaults n = 32, 32, 64, 32; N >= 2)
+//!                    quantity (defaults n = 32, 32, 64, 32; N >= 2)
 //!   --step-threads N intra-step worker threads for the sharded step
-//!                    kernel (default 1 = serial); artifacts are
-//!                    byte-identical across values
-//!   --skin S         Verlet-cache skin policy for the step kernel:
-//!                    auto (default), off, or a fixed radius;
+//!                    kernel, which only trace runs (default 1 =
+//!                    serial); artifacts are byte-identical across
+//!                    values; every command accepts it
+//!   --skin S         Verlet-cache skin policy for trace's step
+//!                    kernel: auto (default), off, or a fixed radius;
 //!                    artifacts are byte-identical across settings
 //!   --metrics PATH   write metrics.json (run manifest + deterministic
 //!                    kernel counters + spans) to PATH

@@ -286,6 +286,75 @@ fn fixed_and_uptime_match_goldens_across_thread_counts() {
     }
 }
 
+/// Two goldens captured before `fixed` and the `--k-target` bisection
+/// probes left the step kernel: `fixed` at n = 600, where grid-Kruskal
+/// builds the spanning tree, and a small `--k-target 2` sweep, whose
+/// probes now build each step's graph from positions. Both must hold
+/// byte for byte at any thread count.
+#[test]
+fn fixed_large_and_k2_critical_scaling_match_goldens_across_thread_counts() {
+    let golden_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/goldens");
+    let cases: [(&[&str], &str, &str); 2] = [
+        (
+            &[
+                "fixed",
+                "--nodes",
+                "600",
+                "--iterations",
+                "2",
+                "--steps",
+                "20",
+                "--placements",
+                "20",
+                "--models",
+                "waypoint,rpgm,gauss-markov",
+            ],
+            "fixed.csv",
+            "fixed_large.csv",
+        ),
+        (
+            &[
+                "critical-scaling",
+                "--k-target",
+                "2",
+                "--n-sweep",
+                "8,12,16",
+                "--iterations",
+                "2",
+                "--steps",
+                "30",
+                "--models",
+                "waypoint,drunkard",
+            ],
+            "critical_scaling.csv",
+            "critical_scaling_k2.csv",
+        ),
+    ];
+    for (args, artifact, golden) in cases {
+        let want = std::fs::read_to_string(golden_dir.join(golden)).unwrap();
+        for threads in ["1", "3"] {
+            let dir = temp_out(&format!("{golden}_t{threads}"));
+            let out = repro()
+                .args(args)
+                .args(["--seed", "20020623", "--threads", threads, "--out"])
+                .arg(&dir)
+                .output()
+                .unwrap();
+            assert!(
+                out.status.success(),
+                "stderr: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            let got = std::fs::read_to_string(dir.join(artifact)).unwrap();
+            assert_eq!(
+                got, want,
+                "{artifact} diverged from tests/goldens/{golden} at --threads {threads}"
+            );
+            std::fs::remove_dir_all(dir).ok();
+        }
+    }
+}
+
 /// `quantity`, the one remaining `solve()` reader besides `figs` and
 /// `uptime`, reproduces `tests/goldens/quantity_x1.csv` byte-for-byte
 /// at any thread count.
@@ -627,13 +696,12 @@ fn trace_artifacts_byte_identical_across_skin_settings() {
     }
 }
 
-/// `--skin` and `--step-threads` shape only the step kernel, and the
-/// located thresholds (the CSV) are byte-identical across both knobs.
-/// The giant fraction's exact passes are positions-only and never
-/// build a graph, so the knobs cannot reach them; `--k-target 2` keeps
-/// the bisection path, whose probes do run the step kernel, under the
-/// same pin. The JSON embeds kernel counters, which legitimately differ
-/// across skin settings, so only the CSV is compared.
+/// `--skin` and `--step-threads` shape only the step kernel, which
+/// `critical-scaling` never runs: the giant fraction's exact passes
+/// are positions-only, and the `--k-target 2` bisection probes build
+/// each step's graph from positions. The located thresholds (the CSV)
+/// must therefore be byte-identical across both knobs, which perfbench
+/// and scripts still pass to every command.
 #[test]
 fn critical_scaling_csv_identical_across_skin_and_step_threads() {
     for k_target in [None, Some("2")] {
@@ -685,7 +753,7 @@ fn critical_scaling_csv_identical_across_skin_and_step_threads() {
 
 /// `--nodes` reaches every pipeline (PR 5 wired it into `trace` only):
 /// `fixed`, `uptime`, and `quantity` all honor the override, so large-n
-/// runs on the sharded step kernel are reachable from each.
+/// runs are reachable from each.
 #[test]
 fn nodes_override_reaches_every_pipeline() {
     for (cmd, artifact) in [

@@ -182,13 +182,6 @@ impl DynamicComponents {
         self.count <= 1
     }
 
-    /// Number of singleton components — equivalently, of isolated
-    /// (degree-0) nodes. An O(log n) lookup, versus the O(n) degree
-    /// scan of [`AdjacencyList::isolated_nodes`].
-    pub fn singleton_count(&self) -> usize {
-        self.size_counts.get(&1).copied().unwrap_or(0) as usize
-    }
-
     /// The component sizes as `(size, multiplicity)` pairs in
     /// ascending size order.
     pub fn size_counts(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
@@ -535,7 +528,6 @@ mod tests {
     fn new_matches_edgeless_oracle() {
         let dc = DynamicComponents::new(4);
         assert_matches_oracle(&dc, &AdjacencyList::empty(4));
-        assert_eq!(dc.singleton_count(), 4);
         assert_eq!(dc.ordered_reachable_pairs(), 0);
     }
 
@@ -557,7 +549,6 @@ mod tests {
         assert_matches_oracle(&dc, &g);
         assert_eq!(dc.count(), 2);
         assert_eq!(dc.largest_size(), 3);
-        assert_eq!(dc.singleton_count(), 1);
         assert_eq!(dc.ordered_reachable_pairs(), 6);
         assert_eq!(dc.partial_rebuilds(), 0);
     }

@@ -27,7 +27,7 @@ use manet_mobility::Mobility;
 ///
 /// # Errors
 ///
-/// Propagates the profile grid's validation and engine errors.
+/// Propagates the profile grid's validation.
 pub fn simulate_campaign<const D: usize, M>(
     config: &SimConfig<D>,
     model: &M,
@@ -36,9 +36,9 @@ where
     M: Mobility<D> + Clone + Send + Sync,
 {
     let empty = ProfileObserver::for_config(config)?;
-    let per_iteration = run_connectivity_stream(config, model, None, |_| {
+    let per_iteration = run_connectivity_stream(config, model, |_| {
         (CriticalRangeObserver::new(config.steps()), empty.clone())
-    })?;
+    });
     let (series, profiles) = per_iteration.into_iter().unzip();
     Ok((series, ProfileResults::from_profiles(profiles)))
 }

@@ -21,8 +21,7 @@ use manet_mobility::Mobility;
 use manet_stats::{FrozenSeries, RunningMoments};
 
 /// Observer recording the critical transmitting range of every step in
-/// time order (positions-only lane of the connectivity stream: the MST
-/// bottleneck needs no fixed-range snapshot).
+/// time order (the MST bottleneck needs no fixed-range snapshot).
 ///
 /// Consecutive steps of one trajectory differ by one mobility step, so
 /// the observer keeps a [`CriticalRangeTracker`] that certifies each
@@ -63,18 +62,14 @@ impl<const D: usize> ConnectivityObserver<D> for CriticalRangeObserver {
 /// series **in time order** (the input of
 /// [`UptimeSummary::from_series`](crate::UptimeSummary::from_series)'s
 /// up/down run analysis).
-///
-/// # Errors
-///
-/// Propagates engine errors.
 pub fn simulate_raw_critical_series<const D: usize, M>(
     config: &SimConfig<D>,
     model: &M,
-) -> Result<Vec<Vec<f64>>, SimError>
+) -> Vec<Vec<f64>>
 where
     M: Mobility<D> + Clone + Send + Sync,
 {
-    run_connectivity_stream(config, model, None, |_| {
+    run_connectivity_stream(config, model, |_| {
         CriticalRangeObserver::new(config.steps())
     })
 }
@@ -84,9 +79,8 @@ where
 ///
 /// # Errors
 ///
-/// Propagates [`SimError`] from the engine and from series
-/// construction (a critical range is always finite, so the latter is
-/// defensive).
+/// Propagates [`SimError`] from series construction (a critical range
+/// is always finite, so this is defensive).
 pub fn simulate_critical_ranges<const D: usize, M>(
     config: &SimConfig<D>,
     model: &M,
@@ -94,7 +88,7 @@ pub fn simulate_critical_ranges<const D: usize, M>(
 where
     M: Mobility<D> + Clone + Send + Sync,
 {
-    CriticalRangeResults::freeze(simulate_raw_critical_series(config, model)?)
+    CriticalRangeResults::freeze(simulate_raw_critical_series(config, model))
 }
 
 /// Critical-range series of a whole campaign, one frozen series per

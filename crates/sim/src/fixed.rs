@@ -10,9 +10,11 @@
 
 use crate::{
     config::SimConfig,
-    stream::{run_connectivity_stream, ConnectivityObserver, StepView},
+    stream::{run_connectivity_stream, validate_range, ConnectivityObserver, StepView},
     SimError,
 };
+use manet_geom::Point;
+use manet_graph::{minimum_spanning_tree, UnionFind};
 use manet_mobility::Mobility;
 use manet_stats::RunningMoments;
 
@@ -145,90 +147,168 @@ impl core::fmt::Display for FixedRangeReport {
     }
 }
 
-/// Observer computing connectivity and largest-component size at one
-/// fixed range, reading every quantity off the stream's incremental
-/// component summary — no per-step rebuild or relabeling.
-struct FixedRangeObserver {
-    connected_steps: usize,
-    steps: usize,
-    largest_all: RunningMoments,
+/// One step's connectivity at one range.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct StepStats {
+    connected: bool,
+    largest: usize,
+    isolated: usize,
+    components: usize,
+}
+
+/// Step `points`' statistics at each of `ranges`, all read off one
+/// minimum spanning tree. Each tree edge's `d²` is
+/// [`Point::distance_sq`], compared with `r·r` exactly as the graph
+/// builders do:
+///
+/// - components = n − #{edges with `d² <= r·r`}: the tree holds a
+///   minimax path between every pair, so its edges up to `r` span the
+///   components of the graph at `r`;
+/// - largest = the union-find maximum after merging those edges;
+/// - isolated = the nodes whose shortest incident tree edge exceeds
+///   `r`: the lightest edge leaving `{v}`, which is `v`'s
+///   nearest-neighbour distance, lies in every MST (cut property);
+/// - connected ⟺ all `n − 1` edges are within `r`.
+fn range_stats<'a, const D: usize>(
+    points: &[Point<D>],
+    ranges: &'a [f64],
+) -> impl Iterator<Item = StepStats> + 'a {
+    let n = points.len();
+    let mut edges: Vec<(f64, u32, u32)> = minimum_spanning_tree(points)
+        .into_iter()
+        .map(|e| {
+            (
+                points[e.a as usize].distance_sq(&points[e.b as usize]),
+                e.a,
+                e.b,
+            )
+        })
+        .collect();
+    edges.sort_by(|x, y| x.0.total_cmp(&y.0));
+    let mut nearest = vec![f64::INFINITY; n];
+    // `largest[k]`: the largest component once the `k` shortest edges
+    // have merged.
+    let mut uf = UnionFind::new(n);
+    let mut largest = vec![uf.largest_component()];
+    for &(d2, a, b) in &edges {
+        for v in [a as usize, b as usize] {
+            nearest[v] = nearest[v].min(d2);
+        }
+        uf.union(a as usize, b as usize);
+        largest.push(uf.largest_component());
+    }
+    ranges.iter().map(move |&r| {
+        let r2 = r * r;
+        let merged = edges.partition_point(|e| e.0 <= r2);
+        StepStats {
+            connected: merged == edges.len(),
+            largest: largest[merged],
+            isolated: nearest.iter().filter(|&&d2| d2 > r2).count(),
+            components: n - merged,
+        }
+    })
+}
+
+/// One range's per-step moments; the step count, connected steps and
+/// minimum largest component are read off them.
+#[derive(Default)]
+struct RangeAccumulator {
+    largest: RunningMoments,
     largest_disconnected: RunningMoments,
-    min_largest: usize,
     isolated: RunningMoments,
     components: RunningMoments,
 }
 
-impl<const D: usize> ConnectivityObserver<D> for FixedRangeObserver {
-    type Output = IterationStats;
-
-    fn observe(&mut self, view: &StepView<'_, D>) {
-        let comps = view.components();
-        let largest = comps.largest_size();
-        self.steps += 1;
-        self.largest_all.push(largest as f64);
-        if comps.is_connected() {
-            self.connected_steps += 1;
-        } else {
-            self.largest_disconnected.push(largest as f64);
+impl RangeAccumulator {
+    fn push(&mut self, step: StepStats) {
+        let largest = step.largest as f64;
+        self.largest.push(largest);
+        if !step.connected {
+            self.largest_disconnected.push(largest);
         }
-        self.min_largest = self.min_largest.min(largest);
-        // Isolated (degree-0) nodes are exactly the singleton
-        // components.
-        self.isolated.push(comps.singleton_count() as f64);
-        self.components.push(comps.count() as f64);
+        self.isolated.push(step.isolated as f64);
+        self.components.push(step.components as f64);
     }
 
-    fn finish(self) -> IterationStats {
+    fn finish(&self) -> IterationStats {
+        let steps = self.largest.count() as usize;
         IterationStats {
-            steps: self.steps,
-            connected_steps: self.connected_steps,
-            avg_largest_when_disconnected: if self.largest_disconnected.is_empty() {
-                None
-            } else {
-                Some(self.largest_disconnected.mean())
-            },
-            avg_largest: self.largest_all.mean(),
-            min_largest: self.min_largest,
+            steps,
+            connected_steps: steps - self.largest_disconnected.count() as usize,
+            avg_largest_when_disconnected: (!self.largest_disconnected.is_empty())
+                .then(|| self.largest_disconnected.mean()),
+            avg_largest: self.largest.mean(),
+            min_largest: self.largest.min() as usize,
             avg_isolated: self.isolated.mean(),
             avg_components: self.components.mean(),
         }
     }
 }
 
-/// Runs the paper's simulator at a fixed transmitting range.
+/// Observer accumulating every range's statistics from one spanning
+/// tree per step.
+struct FixedRangeObserver<'a> {
+    ranges: &'a [f64],
+    accumulators: Vec<RangeAccumulator>,
+}
+
+impl<const D: usize> ConnectivityObserver<D> for FixedRangeObserver<'_> {
+    type Output = Vec<IterationStats>;
+
+    fn observe(&mut self, view: &StepView<'_, D>) {
+        let stats = range_stats(view.positions(), self.ranges);
+        for (acc, step) in self.accumulators.iter_mut().zip(stats) {
+            acc.push(step);
+        }
+    }
+
+    fn finish(self) -> Vec<IterationStats> {
+        self.accumulators
+            .iter()
+            .map(RangeAccumulator::finish)
+            .collect()
+    }
+}
+
+/// Runs the paper's simulator at each of `ranges`: one positions-only
+/// campaign whose steps each build one spanning tree and threshold it
+/// at every range. Returns one report per range, in the given order.
 ///
 /// # Errors
 ///
-/// Returns [`SimError::InvalidConfig`] when `range` is not positive
-/// and finite, and propagates engine errors.
-pub fn simulate_fixed_range<const D: usize, M>(
+/// Returns [`SimError::InvalidConfig`] when a range is not positive
+/// and finite.
+pub fn simulate_fixed_ranges<const D: usize, M>(
     config: &SimConfig<D>,
     model: &M,
-    range: f64,
-) -> Result<FixedRangeReport, SimError>
+    ranges: &[f64],
+) -> Result<Vec<FixedRangeReport>, SimError>
 where
     M: Mobility<D> + Clone + Send + Sync,
 {
-    let iterations = run_connectivity_stream(config, model, Some(range), |_| FixedRangeObserver {
-        connected_steps: 0,
-        steps: 0,
-        largest_all: RunningMoments::new(),
-        largest_disconnected: RunningMoments::new(),
-        min_largest: usize::MAX,
-        isolated: RunningMoments::new(),
-        components: RunningMoments::new(),
-    })?;
-    Ok(FixedRangeReport {
-        range,
-        nodes: config.nodes(),
-        iterations,
-    })
+    for &r in ranges {
+        validate_range(r)?;
+    }
+    let per_iteration = run_connectivity_stream(config, model, |_| FixedRangeObserver {
+        ranges,
+        accumulators: ranges.iter().map(|_| RangeAccumulator::default()).collect(),
+    });
+    Ok(ranges
+        .iter()
+        .enumerate()
+        .map(|(i, &range)| FixedRangeReport {
+            range,
+            nodes: config.nodes(),
+            iterations: per_iteration.iter().map(|stats| stats[i]).collect(),
+        })
+        .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use manet_mobility::{RandomWaypoint, StationaryModel};
+    use manet_graph::{AdjacencyList, ComponentSummary};
+    use manet_mobility::{ModelRegistry, PaperScale, RandomWaypoint, StationaryModel};
 
     fn config(nodes: usize, side: f64, iterations: usize, steps: usize) -> SimConfig<2> {
         let mut b = SimConfig::<2>::builder();
@@ -244,16 +324,22 @@ mod tests {
     fn range_is_validated() {
         let cfg = config(5, 50.0, 1, 1);
         let m = StationaryModel::new();
-        assert!(simulate_fixed_range(&cfg, &m, 0.0).is_err());
-        assert!(simulate_fixed_range(&cfg, &m, -1.0).is_err());
-        assert!(simulate_fixed_range(&cfg, &m, f64::NAN).is_err());
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(
+                simulate_fixed_ranges(&cfg, &m, &[10.0, bad]).is_err(),
+                "{bad}"
+            );
+        }
+        assert_eq!(simulate_fixed_ranges(&cfg, &m, &[]).unwrap(), vec![]);
     }
 
     #[test]
     fn huge_range_always_connected() {
         let cfg = config(10, 50.0, 3, 5);
         let model = RandomWaypoint::new(0.5, 2.0, 0, 0.0).unwrap();
-        let report = simulate_fixed_range(&cfg, &model, 1000.0).unwrap();
+        let report = simulate_fixed_ranges(&cfg, &model, &[1000.0])
+            .unwrap()
+            .remove(0);
         assert_eq!(report.connectivity_fraction(), 1.0);
         assert_eq!(report.avg_largest(), 10.0);
         assert_eq!(report.min_largest(), 10);
@@ -267,7 +353,9 @@ mod tests {
     #[test]
     fn tiny_range_never_connected() {
         let cfg = config(10, 1000.0, 2, 5);
-        let report = simulate_fixed_range(&cfg, &StationaryModel::new(), 1e-6).unwrap();
+        let report = simulate_fixed_ranges(&cfg, &StationaryModel::new(), &[1e-6])
+            .unwrap()
+            .remove(0);
         assert_eq!(report.connectivity_fraction(), 0.0);
         // Nodes essentially isolated: largest component is 1.
         assert_eq!(report.min_largest(), 1);
@@ -280,8 +368,9 @@ mod tests {
         let cfg = config(10, 120.0, 4, 30);
         let model = RandomWaypoint::new(0.5, 3.0, 1, 0.0).unwrap();
         let crit = crate::critical::simulate_critical_ranges(&cfg, &model).unwrap();
-        for r in [10.0, 25.0, 40.0, 70.0] {
-            let report = simulate_fixed_range(&cfg, &model, r).unwrap();
+        let ranges = [10.0, 25.0, 40.0, 70.0];
+        let reports = simulate_fixed_ranges(&cfg, &model, &ranges).unwrap();
+        for (r, report) in ranges.into_iter().zip(reports) {
             let from_crit = crit.connectivity_fraction_at(r);
             assert!(
                 (report.connectivity_fraction() - from_crit).abs() < 1e-12,
@@ -295,7 +384,9 @@ mod tests {
     #[test]
     fn stationary_iterations_are_all_or_nothing() {
         let cfg = config(8, 100.0, 6, 10);
-        let report = simulate_fixed_range(&cfg, &StationaryModel::new(), 40.0).unwrap();
+        let report = simulate_fixed_ranges(&cfg, &StationaryModel::new(), &[40.0])
+            .unwrap()
+            .remove(0);
         for it in &report.iterations {
             // A stationary iteration's graph never changes.
             assert!(
@@ -308,7 +399,9 @@ mod tests {
     #[test]
     fn display_is_informative() {
         let cfg = config(5, 50.0, 1, 2);
-        let report = simulate_fixed_range(&cfg, &StationaryModel::new(), 100.0).unwrap();
+        let report = simulate_fixed_ranges(&cfg, &StationaryModel::new(), &[100.0])
+            .unwrap()
+            .remove(0);
         let text = report.to_string();
         assert!(text.contains("connected"));
         assert!(text.contains("n=5"));
@@ -318,7 +411,9 @@ mod tests {
     fn avg_largest_weighted_over_iterations() {
         let cfg = config(6, 80.0, 3, 7);
         let model = RandomWaypoint::new(0.5, 2.0, 0, 0.0).unwrap();
-        let report = simulate_fixed_range(&cfg, &model, 30.0).unwrap();
+        let report = simulate_fixed_ranges(&cfg, &model, &[30.0])
+            .unwrap()
+            .remove(0);
         let manual: f64 = report
             .iterations
             .iter()
@@ -326,6 +421,134 @@ mod tests {
             .sum::<f64>()
             / report.iterations.iter().map(|i| i.steps).sum::<usize>() as f64;
         assert!((report.avg_largest() - manual).abs() < 1e-12);
+    }
+
+    /// The graph oracle for one step at one range: the brute-force
+    /// graph at `r` and its from-scratch component labelling.
+    fn brute_force_stats<const D: usize>(points: &[Point<D>], r: f64) -> StepStats {
+        let graph = AdjacencyList::from_points_brute_force(points, r);
+        let components = ComponentSummary::of(&graph);
+        StepStats {
+            connected: components.is_connected(),
+            largest: components.largest_size(),
+            isolated: graph.isolated_nodes().len(),
+            components: components.count(),
+        }
+    }
+
+    /// Checks the spanning-tree statistics of `points` at every range
+    /// of `ranges` against [`brute_force_stats`].
+    fn assert_thresholds_match_graphs<const D: usize>(
+        points: &[Point<D>],
+        ranges: &[f64],
+        context: &str,
+    ) {
+        let stats: Vec<StepStats> = range_stats(points, ranges).collect();
+        assert_eq!(stats.len(), ranges.len());
+        for (&r, step) in ranges.iter().zip(stats) {
+            assert_eq!(step, brute_force_stats(points, r), "{context} at r = {r:e}");
+        }
+    }
+
+    /// Observer checking every step's thresholds against the graph
+    /// oracle at fixed ranges, at the tree's own edge lengths (where
+    /// `sqrt(d²)·sqrt(d²)` may round either side of `d²`) and just
+    /// below them.
+    struct ThresholdOracle<'a> {
+        name: &'a str,
+        ranges: &'a [f64],
+    }
+
+    impl<const D: usize> ConnectivityObserver<D> for ThresholdOracle<'_> {
+        type Output = usize;
+
+        fn observe(&mut self, view: &StepView<'_, D>) {
+            let points = view.positions();
+            let mut lengths: Vec<f64> = minimum_spanning_tree(points)
+                .iter()
+                .map(|e| e.length)
+                .collect();
+            lengths.sort_by(f64::total_cmp);
+            let mut ranges = self.ranges.to_vec();
+            for q in [0, lengths.len() / 2, lengths.len() - 1] {
+                ranges.extend([lengths[q], lengths[q].next_down()]);
+            }
+            let context = format!("{} n = {} step {}", self.name, points.len(), view.step());
+            assert_thresholds_match_graphs(points, &ranges, &context);
+        }
+
+        fn finish(self) -> usize {
+            0
+        }
+    }
+
+    /// Runs [`ThresholdOracle`] over every registry model's
+    /// trajectories at `n` nodes, with ranges around the connectivity
+    /// radius.
+    fn check_registry_thresholds(n: usize, steps: usize) {
+        let side = 1000.0;
+        let registry = ModelRegistry::<2>::with_builtins();
+        let scale = PaperScale::new(side).with_pause(3);
+        let base = side * ((n as f64).ln() / (core::f64::consts::PI * n as f64)).sqrt();
+        let ranges = [0.5 * base, 0.8 * base, base, 1.3 * base, 2.0 * base];
+        for name in registry.names() {
+            let model = registry.build(name, &scale).unwrap();
+            let mut b = SimConfig::<2>::builder();
+            b.nodes(n).side(side).iterations(1).steps(steps).seed(31);
+            let cfg = b.build().unwrap();
+            run_connectivity_stream(&cfg, &model, |_| ThresholdOracle {
+                name,
+                ranges: &ranges,
+            });
+        }
+    }
+
+    #[test]
+    fn spanning_tree_thresholds_match_graph_oracle_on_every_registry_model() {
+        check_registry_thresholds(64, 6);
+        check_registry_thresholds(256, 3);
+    }
+
+    /// The n = 2000 half, where the spanning tree is grid-Kruskal's
+    /// (release-only: the brute-force oracle is O(n²) per range).
+    #[test]
+    #[ignore = "release-only: brute-force oracle at n = 2000"]
+    fn spanning_tree_thresholds_match_graph_oracle_at_scale() {
+        check_registry_thresholds(2000, 3);
+    }
+
+    /// Ties on the range boundary: a pair at `d² = 13`, where
+    /// `sqrt(13)²` rounds below 13, and a lattice whose every tree edge
+    /// is exactly 5, each at `r` and `r.next_down()`.
+    #[test]
+    fn thresholds_compare_squared_lengths_at_ties() {
+        let pair = [Point::new([0.0, 0.0]), Point::new([2.0, 3.0])];
+        let r = 13f64.sqrt();
+        assert!(r * r < 13.0, "the fixture needs sqrt(13)² to round down");
+        assert_thresholds_match_graphs(&pair, &[r.next_down(), r], "pair");
+        let lattice: Vec<Point<2>> = (0..16)
+            .map(|i| Point::new([5.0 * (i % 4) as f64, 5.0 * (i / 4) as f64]))
+            .collect();
+        assert_thresholds_match_graphs(&lattice, &[5f64.next_down(), 5.0], "lattice");
+        let connected: Vec<bool> = range_stats(&lattice, &[5f64.next_down(), 5.0])
+            .map(|s| s.connected)
+            .collect();
+        assert_eq!(connected, [false, true]);
+    }
+
+    #[test]
+    fn reports_follow_the_callers_range_order() {
+        let cfg = config(12, 200.0, 2, 15);
+        let model = RandomWaypoint::new(0.5, 3.0, 1, 0.0).unwrap();
+        let ranges = [60.0, 20.0, 45.0, 20.0];
+        let reports = simulate_fixed_ranges(&cfg, &model, &ranges).unwrap();
+        for (r, report) in ranges.into_iter().zip(&reports) {
+            assert_eq!(report.range, r);
+            assert_eq!(
+                report,
+                &simulate_fixed_ranges(&cfg, &model, &[r]).unwrap()[0]
+            );
+        }
     }
 }
 
@@ -348,7 +571,9 @@ mod straggler_tests {
         // Locate r90 from the critical series, then inspect structure.
         let crit = crate::critical::simulate_critical_ranges(&cfg, &model).unwrap();
         let r90 = crit.pooled().unwrap().smallest_covering(0.9).unwrap();
-        let report = simulate_fixed_range(&cfg, &model, r90).unwrap();
+        let report = simulate_fixed_ranges(&cfg, &model, &[r90])
+            .unwrap()
+            .remove(0);
         let stragglers = 32.0 - report.avg_largest();
         let isolated: f64 = report
             .iterations
@@ -382,7 +607,9 @@ mod straggler_tests {
         b.nodes(12).side(400.0).iterations(3).steps(30).seed(72);
         let cfg = b.build().unwrap();
         let model = RandomWaypoint::new(0.5, 4.0, 0, 0.0).unwrap();
-        let report = simulate_fixed_range(&cfg, &model, 60.0).unwrap();
+        let report = simulate_fixed_ranges(&cfg, &model, &[60.0])
+            .unwrap()
+            .remove(0);
         for it in &report.iterations {
             // Components at least 1; isolated nodes each form their own
             // component, so components >= isolated (when n > isolated).

@@ -7,7 +7,8 @@
 //! and a number of mobility steps, and reports the percentage of
 //! connected communication graphs plus the average and minimum size of
 //! the largest connected component. That literal interface is
-//! [`simulate_fixed_range`].
+//! [`simulate_fixed_ranges`]: one spanning tree per step, thresholded
+//! at every requested range.
 //!
 //! The accelerated interface exploits a monotonicity observation (see
 //! DESIGN.md): for fixed node positions, connectivity is monotone in
@@ -41,12 +42,11 @@
 //! isolation and outage/repair distributions.
 //!
 //! Every pipeline above runs through one step-driver, the [`stream`]
-//! module's [`run_connectivity_stream`]: it owns the per-step
-//! `DynamicGraph::step` + `DynamicComponents::apply` loop and hands
-//! each [`ConnectivityObserver`] a [`StepView`] with positions plus
-//! (for range-bound pipelines) the snapshot, the incremental
-//! components, and the edge delta — the hot loop is delta-apply, never
-//! rebuild-and-relabel.
+//! module's [`run_connectivity_stream`]: it moves the nodes and hands
+//! each [`ConnectivityObserver`] a [`StepView`] of the positions. The
+//! trace observer is the one consumer of edge deltas, so it owns the
+//! step kernel (`DynamicGraph::step` + `DynamicComponents::apply`);
+//! every other observer reads positions only.
 //!
 //! Iterations run in parallel with deterministic per-iteration seeds
 //! ([`manet_stats::SeedSequence`]), so results are bit-identical for a
@@ -95,7 +95,7 @@ pub use critical::{
     simulate_critical_ranges, simulate_raw_critical_series, CriticalRangeResults,
     MobileRangeSummary, RangeQuantiles,
 };
-pub use fixed::{simulate_fixed_range, FixedRangeReport, IterationStats};
+pub use fixed::{simulate_fixed_ranges, FixedRangeReport, IterationStats};
 pub use manet_graph::Skin;
 pub use profile::{simulate_profiles, ProfileResults, RangeSizeProfile};
 pub use quantity::{measure_mobility_quantity, MobilityQuantity};
@@ -104,9 +104,9 @@ pub use scaling::{
     CriticalPoint, CriticalRangeSearch, ScalingExponent,
 };
 pub use stationary::StationaryAnalysis;
-pub use stream::{run_connectivity_stream, ConnectivityObserver, LinkView, StepView};
+pub use stream::{run_connectivity_stream, ConnectivityObserver, StepView};
 pub use sweep::{SweepCheckpoint, SweepRun, SweepScheduler};
-pub use trace::{simulate_trace, TraceObserver};
+pub use trace::simulate_trace;
 pub use uptime::{UptimeReport, UptimeSummary};
 
 use manet_geom::GeomError;

@@ -297,7 +297,7 @@ impl ProfileResults {
 ///
 /// # Errors
 ///
-/// Propagates configuration and engine errors.
+/// Propagates the profile grid's validation.
 pub fn simulate_profiles<const D: usize, M>(
     config: &SimConfig<D>,
     model: &M,
@@ -306,7 +306,7 @@ where
     M: Mobility<D> + Clone + Send + Sync,
 {
     let empty = ProfileObserver::for_config(config)?;
-    let per_iteration = run_connectivity_stream(config, model, None, |_| empty.clone())?;
+    let per_iteration = run_connectivity_stream(config, model, |_| empty.clone());
     Ok(ProfileResults { per_iteration })
 }
 

@@ -104,13 +104,15 @@ where
             reason: "measuring mobility quantity requires at least 2 steps".into(),
         });
     }
-    run_connectivity_stream(config, model, None, |_| QuantityObserver {
-        prev: Vec::new(),
-        displacement: RunningMoments::new(),
-        moved_pairs: 0,
-        total_pairs: 0,
-        ever_moved: Vec::new(),
-    })
+    Ok(run_connectivity_stream(config, model, |_| {
+        QuantityObserver {
+            prev: Vec::new(),
+            displacement: RunningMoments::new(),
+            moved_pairs: 0,
+            total_pairs: 0,
+            ever_moved: Vec::new(),
+        }
+    }))
 }
 
 /// Mean of each quantity across iterations.

@@ -37,8 +37,9 @@
 //!   per-step critical ranges ([`simulate_critical_ranges`]): one
 //!   campaign on the warm-start tracker, exact.
 //! * **k-connectivity, k ≥ 2: monotone stochastic bisection**
-//!   ([`bisect_critical_range`]). Each probe is a fresh seeded campaign
-//!   through [`run_connectivity_stream`] at a fixed range, and
+//!   ([`bisect_critical_range`]). Each probe is a fresh seeded
+//!   positions-only campaign through [`run_connectivity_stream`] that
+//!   builds every step's graph at the probed range, and
 //!   [`bisect_monotone`] converges to the threshold of the fixed
 //!   trajectory ensemble within `rel_tol · side`. It also serves as
 //!   the test oracle for the two exact paths.
@@ -68,7 +69,7 @@ use crate::{
     SimError,
 };
 use manet_graph::kconn::is_k_connected;
-use manet_graph::MergeProfile;
+use manet_graph::{AdjacencyList, ComponentSummary, MergeProfile};
 use manet_mobility::Mobility;
 use manet_obs::KernelMetrics;
 use manet_stats::{ConfidenceInterval, LinearFit};
@@ -187,33 +188,37 @@ pub struct CriticalPoint {
     /// the 1-connectivity quantile, and one per bisection probe for
     /// `k >= 2`.
     pub probes: usize,
-    /// Deterministic step-kernel counters merged over every bisection
-    /// probe's iterations — the telemetry the CLI forwards to
-    /// `ObsSession`. The two exact paths run no step kernel and leave
-    /// it at its default.
+    /// Step-kernel counters, always zero: no path runs the step kernel.
+    /// The exact paths read positions only, and each bisection probe
+    /// builds its graphs from positions. The field stays because the
+    /// CLI forwards it to `ObsSession` and the benchmark harness reads
+    /// it.
     pub kernel: KernelMetrics,
 }
 
-/// Observer computing one iteration's mean metric off the stream's
-/// incremental components, carrying the final step's cumulative kernel
-/// counters out of the iteration.
+/// Observer computing one iteration's mean metric at one range: each
+/// step's graph is built from its positions
+/// ([`AdjacencyList::from_points`]).
 struct MetricObserver {
     metric: ConnectivityMetric,
+    side: f64,
+    range: f64,
     sum: f64,
     steps: usize,
-    kernel: KernelMetrics,
 }
 
 impl<const D: usize> ConnectivityObserver<D> for MetricObserver {
-    type Output = (f64, KernelMetrics);
+    type Output = f64;
 
     fn observe(&mut self, view: &StepView<'_, D>) {
+        let positions = view.positions();
+        let graph = AdjacencyList::from_points(positions, self.side, self.range);
         let value = match self.metric {
             ConnectivityMetric::GiantFraction => {
-                view.components().largest_size() as f64 / view.positions().len() as f64
+                ComponentSummary::of(&graph).largest_size() as f64 / positions.len() as f64
             }
             ConnectivityMetric::KConnectivity(k) => {
-                if is_k_connected(view.graph(), k) {
+                if is_k_connected(&graph, k) {
                     1.0
                 } else {
                     0.0
@@ -222,42 +227,33 @@ impl<const D: usize> ConnectivityObserver<D> for MetricObserver {
         };
         self.sum += value;
         self.steps += 1;
-        // Cumulative since step 0: the last view holds the iteration
-        // total (see `LinkView::kernel_metrics`).
-        self.kernel = *view.kernel_metrics();
     }
 
-    fn finish(self) -> (f64, KernelMetrics) {
-        (self.sum / self.steps as f64, self.kernel)
+    fn finish(self) -> f64 {
+        self.sum / self.steps as f64
     }
 }
 
-/// The mean metric at range `r`, pooled over iterations, plus the
-/// merged kernel counters of the campaign.
+/// The mean metric at range `r`, pooled over iterations.
 fn evaluate_metric<const D: usize, M>(
     config: &SimConfig<D>,
     model: &M,
     metric: ConnectivityMetric,
     r: f64,
-) -> Result<(f64, KernelMetrics), SimError>
+) -> f64
 where
     M: Mobility<D> + Clone + Send + Sync,
 {
-    let outputs = run_connectivity_stream(config, model, Some(r), |_| MetricObserver {
+    let outputs = run_connectivity_stream(config, model, |_| MetricObserver {
         metric,
+        side: config.side(),
+        range: r,
         sum: 0.0,
         steps: 0,
-        kernel: KernelMetrics::default(),
-    })?;
-    let mut kernel = KernelMetrics::default();
-    let mut sum = 0.0;
-    for (mean, k) in &outputs {
-        sum += mean;
-        kernel.merge(k);
-    }
+    });
     // Iterations share one step count, so the mean of per-iteration
     // means is the pooled per-step mean.
-    Ok((sum / outputs.len() as f64, kernel))
+    outputs.iter().sum::<f64>() / outputs.len() as f64
 }
 
 /// Lower end of the search bracket `[BRACKET_LO, diameter]` every path
@@ -332,29 +328,15 @@ where
     let hi = config.region().diameter();
     let tol = search.rel_tol * config.side();
     let mut probes = 0usize;
-    let mut kernel = KernelMetrics::default();
-    let mut error = None;
     let range = bisect_monotone(BRACKET_LO, hi, tol, |r| {
-        match evaluate_metric(config, model, search.metric, r) {
-            Ok((mean, k)) => {
-                probes += 1;
-                kernel.merge(&k);
-                mean >= search.target
-            }
-            Err(e) => {
-                error = Some(e);
-                true // terminate quickly; error reported below
-            }
-        }
+        probes += 1;
+        evaluate_metric(config, model, search.metric, r) >= search.target
     });
-    if let Some(e) = error {
-        return Err(e);
-    }
     Ok(CriticalPoint {
         range,
         normalized: range / config.side(),
         probes,
-        kernel,
+        kernel: KernelMetrics::default(),
     })
 }
 
@@ -469,11 +451,11 @@ where
     // bins outlive pass 1.
     let mut pooled = vec![0u64; bins.last + 1];
     let mut top_bins = Vec::with_capacity(config.iterations());
-    for (totals, tops) in run_connectivity_stream(config, model, None, |_| GrowthHistogram {
+    for (totals, tops) in run_connectivity_stream(config, model, |_| GrowthHistogram {
         bins,
         totals: vec![0; bins.last + 1],
         top_bins: Vec::with_capacity(config.steps()),
-    })? {
+    }) {
         for (p, t) in pooled.iter_mut().zip(totals) {
             *p += t;
         }
@@ -495,13 +477,13 @@ where
 
     let mut events = Vec::new();
     let mut profiled = 0;
-    for (e, p) in run_connectivity_stream(config, model, None, |iteration| GrowthInBin {
+    for (e, p) in run_connectivity_stream(config, model, |iteration| GrowthInBin {
         bins,
         bin,
         top_bins: &top_bins[iteration],
         events: Vec::new(),
         profiled: 0,
-    })? {
+    }) {
         events.extend(e);
         profiled += p;
     }
@@ -582,7 +564,7 @@ pub fn fit_scaling_exponent(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixed::simulate_fixed_range;
+    use crate::fixed::simulate_fixed_ranges;
     use manet_geom::{Point, Region};
     use manet_mobility::{RandomWaypoint, StationaryModel};
     use rand::Rng;
@@ -649,8 +631,7 @@ mod tests {
             }
         }
         let mut events: Vec<(f64, u64)> =
-            run_connectivity_stream(cfg, model, None, |_| AllEvents(Vec::new()))
-                .unwrap()
+            run_connectivity_stream(cfg, model, |_| AllEvents(Vec::new()))
                 .into_iter()
                 .flatten()
                 .collect();
@@ -813,16 +794,17 @@ mod tests {
         );
         let bisected = bisect_critical_range(&cfg, &model, &search).unwrap();
         assert!(bisected.probes > 5, "bisection should take several probes");
-        assert!(
-            bisected.kernel.components.applies > 0,
-            "kernel counters empty"
+        assert_eq!(
+            bisected.kernel,
+            KernelMetrics::default(),
+            "bisection probes build graphs from positions"
         );
         // Oracle: the independent fixed-range path confirms the metric
         // crosses the target at the found range and not below it.
-        let at = simulate_fixed_range(&cfg, &model, point.range).unwrap();
-        assert!(at.avg_largest_fraction() >= 0.95);
-        let below = simulate_fixed_range(&cfg, &model, point.range - 2.0 * 1e-4 * 120.0).unwrap();
-        assert!(below.avg_largest_fraction() < 0.95);
+        let below = point.range - 2.0 * 1e-4 * 120.0;
+        let reports = simulate_fixed_ranges(&cfg, &model, &[point.range, below]).unwrap();
+        assert!(reports[0].avg_largest_fraction() >= 0.95);
+        assert!(reports[1].avg_largest_fraction() < 0.95);
     }
 
     #[test]

@@ -29,7 +29,7 @@ fn fused_matches_separate(n: usize, threads: usize) {
     for name in names {
         let model = registry.build(name, &scale).unwrap();
         let (critical, profiles) = simulate_campaign(&config, &model).unwrap();
-        let critical_alone = simulate_raw_critical_series(&config, &model).unwrap();
+        let critical_alone = simulate_raw_critical_series(&config, &model);
         let profiles_alone = simulate_profiles(&config, &model).unwrap();
 
         assert_eq!(critical.len(), 3, "{name}");

@@ -52,12 +52,11 @@ fn oracle(n: usize, steps: usize, iterations: usize) -> Vec<(String, TrackerCoun
     let mut per_model = Vec::new();
     for name in registry.names() {
         let model = registry.build(name, &scale).unwrap();
-        let outs = run_connectivity_stream(&config, &model, None, |_| OracleObserver {
+        let outs = run_connectivity_stream(&config, &model, |_| OracleObserver {
             tracker: CriticalRangeTracker::new(),
             steps: 0,
             mismatches: Vec::new(),
-        })
-        .unwrap();
+        });
         let mut total = TrackerCounts::default();
         for (it, (c, mismatches)) in outs.into_iter().enumerate() {
             assert!(

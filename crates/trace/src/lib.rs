@@ -30,11 +30,12 @@
 //! * [`TemporalRecord`] is one trajectory's folded metrics;
 //!   [`TraceSummary::aggregate`] pools them across iterations.
 //!
-//! `manet-sim` drives this from its connectivity stream
-//! (`run_connectivity_stream` → `TraceObserver` / `simulate_trace`, sharing
-//! one incrementally-maintained component summary per iteration), and
-//! `manet-repro trace` sweeps range × mobility model into JSON/CSV
-//! artifacts.
+//! `manet-sim`'s `simulate_trace` drives this from its positions-only
+//! connectivity stream: its trace observer owns one `DynamicGraph` +
+//! `DynamicComponents` kernel per iteration, built from the step-0
+//! positions and stepped on every later step, and feeds the recorder
+//! from it. `manet-repro trace` sweeps range × mobility model into
+//! JSON/CSV artifacts.
 //!
 //! # Example
 //!

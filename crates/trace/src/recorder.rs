@@ -177,8 +177,8 @@ pub struct TraceRecorder {
     down_run_start: Option<usize>,
     first_disconnect_at: Option<usize>,
     time_to_repair: Option<usize>,
-    /// The driving kernel's cumulative counters, overwritten per step
-    /// via [`TraceRecorder::set_kernel_metrics`]; zero when the driver
+    /// The driving kernel's counters, set via
+    /// [`TraceRecorder::set_kernel_metrics`]; zero when the driver
     /// reports none (standalone recorder use).
     kernel: KernelMetrics,
 }
@@ -210,12 +210,11 @@ impl TraceRecorder {
     }
 
     /// Records the driving kernel's *cumulative* deterministic
-    /// counters as of the step just observed. Call once per step with
-    /// the stream's latest roll-up (see `LinkView::kernel_metrics` in
-    /// `manet-sim`) — each call overwrites the previous one, so
-    /// [`TraceRecorder::finish`] carries the trajectory's totals into
-    /// the [`TemporalRecord`]. Never calling it leaves the record's
-    /// counters zero (standalone recorder use).
+    /// counters. Each call overwrites the previous one, so call it
+    /// with the trajectory's totals before [`TraceRecorder::finish`],
+    /// which carries them into the [`TemporalRecord`] (`manet-sim`'s
+    /// trace observer calls it once, as it finishes). Never calling it
+    /// leaves the record's counters zero (standalone recorder use).
     pub fn set_kernel_metrics(&mut self, kernel: &KernelMetrics) {
         self.kernel = *kernel;
     }

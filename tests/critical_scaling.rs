@@ -10,8 +10,8 @@
 use manet::graph::MergeProfile;
 use manet::sim::{
     bisect_critical_range, find_critical_range, run_connectivity_stream, simulate_critical_ranges,
-    simulate_fixed_range, ConnectivityMetric, ConnectivityObserver, CriticalRangeSearch, SimConfig,
-    StepView, SweepScheduler,
+    simulate_fixed_ranges, ConnectivityMetric, ConnectivityObserver, CriticalRangeSearch,
+    SimConfig, StepView, SweepScheduler,
 };
 use manet::{AnyModel, ModelRegistry, PaperScale};
 use proptest::prelude::*;
@@ -55,8 +55,7 @@ impl ConnectivityObserver<2> for ProfileObserver {
 
 /// The merge profile of every step of every iteration.
 fn step_profiles(cfg: &SimConfig<2>, model: &AnyModel<2>) -> Vec<MergeProfile> {
-    run_connectivity_stream(cfg, model, None, |_| ProfileObserver(Vec::new()))
-        .unwrap()
+    run_connectivity_stream(cfg, model, |_| ProfileObserver(Vec::new()))
         .into_iter()
         .flatten()
         .collect()
@@ -141,18 +140,18 @@ fn registry_models() -> Vec<(String, AnyModel<2>)> {
 }
 
 /// Independent oracle: the smallest range on a dense grid whose mean
-/// giant-component fraction (via the literal fixed-range simulator)
-/// reaches `target`.
+/// giant-component fraction (via the literal fixed-range simulator,
+/// one campaign for the whole grid) reaches `target`.
 fn grid_scan(cfg: &SimConfig<2>, model: &AnyModel<2>, target: f64, points: usize) -> f64 {
     let hi = cfg.region().diameter();
-    for i in 1..=points {
-        let r = hi * i as f64 / points as f64;
-        let report = simulate_fixed_range(cfg, model, r).unwrap();
-        if report.avg_largest_fraction() >= target {
-            return r;
-        }
-    }
-    hi
+    let ranges: Vec<f64> = (1..=points)
+        .map(|i| hi * i as f64 / points as f64)
+        .collect();
+    simulate_fixed_ranges(cfg, model, &ranges)
+        .unwrap()
+        .into_iter()
+        .find(|report| report.avg_largest_fraction() >= target)
+        .map_or(hi, |report| report.range)
 }
 
 /// Critical ranges (as exact bit patterns) for every registry model,

@@ -88,11 +88,13 @@ fn step_thread_count_is_invisible() {
             AnyModel::from(RandomWaypoint::<2>::new(0.1, 4.0, 10, 0.25).unwrap()),
         )
     };
-    let reference = run(1, 1).fixed_range_report(45.0).unwrap();
+    let reference = run(1, 1).fixed_range_reports(&[45.0]).unwrap();
     for (threads, step_threads) in [(1, 2), (1, 7), (3, 4)] {
         assert_eq!(
             reference,
-            run(threads, step_threads).fixed_range_report(45.0).unwrap(),
+            run(threads, step_threads)
+                .fixed_range_reports(&[45.0])
+                .unwrap(),
             "report depends on (threads={threads}, step_threads={step_threads})"
         );
     }
@@ -123,8 +125,8 @@ fn campaign_profiles_and_component_fraction_ranges_deterministic() {
 
 #[test]
 fn fixed_range_reports_deterministic() {
-    let a = build(11, 1).fixed_range_report(50.0).unwrap();
-    let b = build(11, 4).fixed_range_report(50.0).unwrap();
+    let a = build(11, 1).fixed_range_reports(&[50.0]).unwrap();
+    let b = build(11, 4).fixed_range_reports(&[50.0]).unwrap();
     assert_eq!(a, b);
 }
 
@@ -204,7 +206,7 @@ fn registry_zoo_is_thread_invariant() {
             let model = registry.build(name, &scale).unwrap();
             let p = build_with(model, 20020623, threads);
             let sol = p.solve().unwrap();
-            let report = p.fixed_range_report(45.0).unwrap();
+            let report = p.fixed_range_reports(&[45.0]).unwrap();
             (sol, report)
         };
         let (sol_1, rep_1) = run(1);
@@ -237,7 +239,7 @@ fn registry_zoo_is_thread_invariant() {
 fn workspace_smoke_identical_seeds_identical_artifacts() {
     let run = |seed: u64| {
         let solution = build(seed, 2).solve().unwrap();
-        let report = build(seed, 2).fixed_range_report(45.0).unwrap();
+        let report = build(seed, 2).fixed_range_reports(&[45.0]).unwrap();
         (solution, report)
     };
     let (sol_a, rep_a) = run(20020623);

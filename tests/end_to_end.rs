@@ -6,7 +6,7 @@ use manet::graph::{components, critical_range, AdjacencyList};
 use manet::mobility::{Drunkard, RandomWaypoint};
 use manet::occupancy::{patterns, Occupancy};
 use manet::sim::{
-    bisect_critical_range, simulate_critical_ranges, simulate_fixed_range, ConnectivityMetric,
+    bisect_critical_range, simulate_critical_ranges, simulate_fixed_ranges, ConnectivityMetric,
     CriticalRangeSearch, SimConfig, StationaryAnalysis,
 };
 use manet::{one_dim, theorems, MtrProblem, MtrmProblem};
@@ -180,7 +180,9 @@ fn paper_simulator_interface_reports_all_fields() {
     b.nodes(10).side(100.0).iterations(4).steps(25).seed(8);
     let cfg = b.build().unwrap();
     let model = Drunkard::new(0.1, 0.3, 1.0).unwrap();
-    let report = simulate_fixed_range(&cfg, &model, 35.0).unwrap();
+    let report = simulate_fixed_ranges(&cfg, &model, &[35.0])
+        .unwrap()
+        .remove(0);
     assert_eq!(report.iterations.len(), 4);
     for it in &report.iterations {
         assert_eq!(it.steps, 25);

@@ -6,7 +6,7 @@
 
 use manet::geom::{BoundaryPolicy, Point, Region};
 use manet::mobility::Drunkard;
-use manet::sim::{simulate_fixed_range, SimConfig};
+use manet::sim::{simulate_fixed_ranges, SimConfig};
 
 fn roundtrip<T>(value: &T) -> T
 where
@@ -57,7 +57,7 @@ fn fixed_range_report_roundtrips() {
     b.nodes(6).side(50.0).iterations(2).steps(5).seed(9);
     let cfg = b.build().unwrap();
     let model = Drunkard::new(0.1, 0.2, 1.0).unwrap();
-    let report = simulate_fixed_range(&cfg, &model, 20.0).unwrap();
+    let report = simulate_fixed_ranges(&cfg, &model, &[20.0]).unwrap();
     let back = roundtrip(&report);
     assert_eq!(back, report);
 }
