@@ -145,6 +145,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use manet_graph::{AdjacencyList, ComponentSummary};
     use manet_mobility::{RandomWaypoint, StationaryModel};
 
     fn config(iterations: usize, steps: usize, threads: Option<usize>) -> SimConfig<2> {
@@ -215,6 +216,55 @@ mod tests {
         let model = RandomWaypoint::new(0.5, 3.0, 2, 0.25).unwrap();
         let single = first_node_traces(&config(6, 40, Some(1)), &model);
         let multi = first_node_traces(&config(6, 40, Some(4)), &model);
+        assert_eq!(single, multi);
+    }
+
+    #[test]
+    fn positions_only_stream_has_no_link_state() {
+        /// Checks that each view holds every node's position, inside the
+        /// deployment region, with no range-bound state to consult.
+        struct PositionsOnly(usize);
+        impl ConnectivityObserver<2> for PositionsOnly {
+            type Output = usize;
+            fn observe(&mut self, view: &StepView<'_, 2>) {
+                assert_eq!(view.step(), self.0);
+                assert_eq!(view.positions().len(), 10);
+                for p in view.positions() {
+                    assert!(p.coords().iter().all(|&c| (0.0..=120.0).contains(&c)));
+                }
+                self.0 += 1;
+            }
+            fn finish(self) -> usize {
+                self.0
+            }
+        }
+        let model = RandomWaypoint::new(1.0, 8.0, 0, 0.0).unwrap();
+        let outs = run_connectivity_stream(&config(2, 10, None), &model, |_| PositionsOnly(0));
+        assert_eq!(outs, vec![10, 10]);
+    }
+
+    #[test]
+    fn outputs_identical_across_thread_counts() {
+        /// Records (count, largest) per step at range 35 — a full
+        /// connectivity fingerprint built by the observer from positions.
+        struct Fingerprint(Vec<(usize, usize)>);
+        impl ConnectivityObserver<2> for Fingerprint {
+            type Output = Vec<(usize, usize)>;
+            fn observe(&mut self, view: &StepView<'_, 2>) {
+                let graph = AdjacencyList::from_points(view.positions(), 120.0, 35.0);
+                let c = ComponentSummary::of(&graph);
+                self.0.push((c.count(), c.largest_size()));
+            }
+            fn finish(self) -> Self::Output {
+                self.0
+            }
+        }
+        let model = RandomWaypoint::new(0.5, 5.0, 1, 0.25).unwrap();
+        let single =
+            run_connectivity_stream(&config(6, 30, Some(1)), &model, |_| Fingerprint(Vec::new()));
+        let multi =
+            run_connectivity_stream(&config(6, 30, Some(4)), &model, |_| Fingerprint(Vec::new()));
+        assert_eq!(single.len(), 6);
         assert_eq!(single, multi);
     }
 
