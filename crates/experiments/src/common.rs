@@ -69,7 +69,8 @@ pub struct RunOptions {
     /// must reach (critical-scaling; default 0.99).
     pub target: f64,
     /// `--k-target K`: threshold on `k`-vertex-connectivity instead of
-    /// the giant-component fraction (critical-scaling).
+    /// the giant-component fraction (critical-scaling), from each
+    /// step's exact k-connectivity threshold.
     pub k_target: Option<usize>,
     /// `--n-sweep a,b,c`: node counts of the finite-size scaling sweep
     /// (critical-scaling); `None` keeps the default sweep.

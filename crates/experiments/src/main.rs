@@ -45,7 +45,10 @@
 //!   --target F       connectivity level the critical-scaling
 //!                    critical range must reach (default 0.99)
 //!   --k-target K     critical-scaling: threshold k-vertex-
-//!                    connectivity instead of giant-component fraction
+//!                    connectivity instead of giant-component fraction,
+//!                    exactly, from each step's k-connectivity
+//!                    threshold (k >= 3 runs max-flows: slow past
+//!                    n = 32)
 //!   --n-sweep A,B,.. critical-scaling node counts (default 16,32,64);
 //!                    the region side scales as side_for(n) so node
 //!                    density stays at the paper's base density

@@ -6,8 +6,9 @@
 //! (mobility model × `n`) cell of a density-preserving sweep
 //! (`side_for(n)` keeps `n / l²` at the paper's base density) with
 //! [`find_critical_range`] (exact merge-profile passes for the giant
-//! fraction, the critical-range quantile for `k = 1`, deterministic
-//! stochastic bisection for `k >= 2`), then fits
+//! fraction, and for `k`-connectivity the pooled quantile of each
+//! step's exact threshold: the MST bottleneck for `k = 1`,
+//! `critical_range_k` for `k >= 2`), then fits
 //! `log rho_c = a - beta · log n` per model and reports `beta` with a
 //! Student-t confidence interval. Cells run on the batched sweep
 //! scheduler (`manet_sim::sweep`): `--threads` drives the worker pool,

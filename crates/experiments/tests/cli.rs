@@ -286,11 +286,11 @@ fn fixed_and_uptime_match_goldens_across_thread_counts() {
     }
 }
 
-/// Two goldens captured before `fixed` and the `--k-target` bisection
-/// probes left the step kernel: `fixed` at n = 600, where grid-Kruskal
-/// builds the spanning tree, and a small `--k-target 2` sweep, whose
-/// probes now build each step's graph from positions. Both must hold
-/// byte for byte at any thread count.
+/// Two small goldens: `fixed` at n = 600, where grid-Kruskal builds
+/// the spanning tree, and a `--k-target 2` sweep, whose cells pool
+/// each step's exact 2-connectivity threshold (one positions-only
+/// campaign per cell). Both must hold byte for byte at any thread
+/// count.
 #[test]
 fn fixed_large_and_k2_critical_scaling_match_goldens_across_thread_counts() {
     let golden_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/goldens");
@@ -698,8 +698,8 @@ fn trace_artifacts_byte_identical_across_skin_settings() {
 
 /// `--skin` and `--step-threads` shape only the step kernel, which
 /// `critical-scaling` never runs: the giant fraction's exact passes
-/// are positions-only, and the `--k-target 2` bisection probes build
-/// each step's graph from positions. The located thresholds (the CSV)
+/// and the `--k-target 2` per-step thresholds read positions only.
+/// The located thresholds (the CSV)
 /// must therefore be byte-identical across both knobs, which perfbench
 /// and scripts still pass to every command.
 #[test]
@@ -993,12 +993,22 @@ fn critical_scaling_golden_moved_down_within_the_bisection_tolerance() {
         String::from_utf8_lossy(&out.stderr)
     );
     let csv = std::fs::read_to_string(dir.join("critical_scaling.csv")).unwrap();
+    assert_moved_down_from_bisection(&csv, &BISECTED, "2");
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// Checks a `critical_scaling.csv` against the rows bisection wrote
+/// for the same cells: the same model, `n` and side, an `r_c` at or
+/// below the bisected one by at most `1e-3 · side`, and `probes`
+/// campaigns per cell.
+fn assert_moved_down_from_bisection(csv: &str, bisected: &[&str], probes: &str) {
     let rows: Vec<&str> = csv.lines().skip(1).collect();
-    assert_eq!(rows.len(), BISECTED.len(), "{csv}");
+    assert_eq!(rows.len(), bisected.len(), "{csv}");
     let field = |row: &str, i: usize| row.split(',').nth(i).unwrap().to_string();
-    for (new, old) in rows.iter().zip(BISECTED) {
-        assert_eq!(field(new, 0), field(old, 0));
-        assert_eq!(field(new, 1), field(old, 1));
+    for (new, old) in rows.iter().zip(bisected) {
+        for i in 0..3 {
+            assert_eq!(field(new, i), field(old, i), "{new} vs {old}");
+        }
         let side: f64 = field(old, 2).parse().unwrap();
         let (new_r, old_r): (f64, f64) = (
             field(new, 3).parse().unwrap(),
@@ -1008,16 +1018,38 @@ fn critical_scaling_golden_moved_down_within_the_bisection_tolerance() {
             new_r <= old_r && old_r - new_r <= 1e-3 * side,
             "exact {new} vs bisected {old}"
         );
-        assert_eq!(field(new, 5), "2", "two merge-profile passes: {new}");
+        assert_eq!(field(new, 5), probes, "{new}");
     }
-    std::fs::remove_dir_all(dir).ok();
 }
 
-/// A 256-node cell runs end to end. Its giant-fraction passes build
-/// no graph; the grid branch of `AdjacencyList::from_points` at the
-/// bracket's `r = 1e-9` floor, where a grid sized `(side/r)^D` used to
-/// overflow, is reached only by `--k-target` >= 2 probes and is pinned
-/// by `tiny_range_in_huge_region_matches_brute_force` in `manet-graph`.
+/// The exact k-connectivity finder replaced 13 bisection probes per
+/// `--k-target 2` cell, so `critical_scaling_k2.csv` moved the same way
+/// (its CLI run is pinned by
+/// `fixed_large_and_k2_critical_scaling_match_goldens_across_thread_counts`).
+/// The rows are the golden as bisection wrote it.
+#[test]
+fn k2_golden_moved_down_within_the_bisection_tolerance() {
+    const BISECTED: [&str; 6] = [
+        "waypoint,8,181.019,125.125,0.6912,13",
+        "drunkard,8,181.019,131.375,0.7258,13",
+        "waypoint,12,221.703,124.924,0.5635,13",
+        "drunkard,12,221.703,121.097,0.5462,13",
+        "waypoint,16,256.000,142.305,0.5559,13",
+        "drunkard,16,256.000,145.841,0.5697,13",
+    ];
+    let golden = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/goldens/critical_scaling_k2.csv");
+    let csv = std::fs::read_to_string(golden).unwrap();
+    assert_moved_down_from_bisection(&csv, &BISECTED, "1");
+}
+
+/// A 256-node cell runs end to end. No finder rule builds a graph at a
+/// probed range any more: the giant fraction reads merge profiles, and
+/// `--k-target` >= 2 builds its graphs from sorted pair distances. The
+/// grid branch of `AdjacencyList::from_points` at the bisection
+/// oracle's `r = 1e-9` floor, where a grid sized `(side/r)^D` used to
+/// overflow, is pinned by `tiny_range_in_huge_region_matches_brute_force`
+/// in `manet-graph`.
 #[test]
 fn critical_scaling_runs_on_the_grid_branch_at_tiny_first_probe() {
     let dir = temp_out("critical_grid_branch");

@@ -40,7 +40,7 @@ pub mod region;
 pub mod sampling;
 
 pub use moving_grid::MovingCellGrid;
-pub use point::Point;
+pub use point::{covering_range, Point};
 pub use region::{BoundaryPolicy, Region};
 
 /// Errors produced by geometry routines.

@@ -222,9 +222,66 @@ impl<const D: usize> core::fmt::Display for Point<D> {
     }
 }
 
+/// The smallest range `r` whose range test `d2 <= r * r` admits a pair
+/// at squared distance `d2`: `r.next_down()² < d2 <= r²` in floating
+/// point. `d2.sqrt()` alone is not enough, because its square often
+/// rounds just below `d2`. `d2 = 0` gives 0, and a NaN gives NaN.
+///
+/// # Example
+///
+/// ```
+/// use manet_geom::covering_range;
+///
+/// let r = covering_range(3.0);
+/// assert!(3.0_f64.sqrt() * 3.0_f64.sqrt() < 3.0);
+/// assert_eq!(r, 3.0_f64.sqrt().next_up());
+/// assert!(r.next_down() * r.next_down() < 3.0 && 3.0 <= r * r);
+/// ```
+pub fn covering_range(d2: f64) -> f64 {
+    let mut r = d2.sqrt();
+    // `sqrt` is correctly rounded, so each loop runs at most once or
+    // twice; rounding `r * r` is monotone in `r`.
+    while r * r < d2 {
+        r = r.next_up();
+    }
+    while r > 0.0 && r.next_down() * r.next_down() >= d2 {
+        r = r.next_down();
+    }
+    r
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn covering_range_steps_past_squares_that_round_below() {
+        // sqrt(3)² = 2.9999999999999996, and the squares of sqrt(0.2),
+        // sqrt(1.5) and sqrt(5e12 + 1) round below too; sqrt(2)²
+        // rounds above 2 and stays.
+        for d2 in [3.0, 0.2, 1.5, 5.0e12 + 1.0, 2.0, 1.0, 0.0, 1e-300] {
+            let r = covering_range(d2);
+            assert!(d2 <= r * r, "{d2}: {r}");
+            if d2 > 0.0 {
+                assert!(r.next_down() * r.next_down() < d2, "{d2}: {r}");
+            }
+        }
+        assert_eq!(covering_range(3.0), 3.0_f64.sqrt().next_up());
+        assert_eq!(covering_range(2.0), 2.0_f64.sqrt());
+        assert_eq!(covering_range(0.0), 0.0);
+        assert!(covering_range(f64::NAN).is_nan());
+    }
+
+    #[test]
+    fn covering_range_differs_from_sqrt_on_real_pair_distances() {
+        // The pair (0, 0)–(0.1, 0.6) has d² = 0.37, whose square root
+        // squares to 0.36999999999999994.
+        let d2 = Point::new([0.0, 0.0]).distance_sq(&Point::new([0.1, 0.6]));
+        assert!(d2.sqrt() * d2.sqrt() < d2);
+        let r = covering_range(d2);
+        assert_eq!(r, d2.sqrt().next_up());
+        assert!(r.next_down() * r.next_down() < d2 && d2 <= r * r);
+    }
 
     #[test]
     fn distance_is_symmetric() {

@@ -1,6 +1,6 @@
 //! Property-based tests for the geometry substrate.
 
-use manet_geom::{sampling, MovingCellGrid, Point, Region};
+use manet_geom::{covering_range, sampling, MovingCellGrid, Point, Region};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use rand::{RngExt, SeedableRng};
@@ -275,5 +275,26 @@ proptest! {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let v: Point<3> = sampling::sample_unit_vector(&mut rng);
         prop_assert!((v.norm() - 1.0).abs() < 1e-9);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn covering_range_is_the_smallest_admitting_range(
+        mantissa in 1.0..2.0f64,
+        exponent in -300..300i32,
+        ax in coord(), ay in coord(), bx in coord(), by in coord(),
+    ) {
+        let d2 = mantissa * 2f64.powi(exponent);
+        let pair = Point::new([ax, ay]).distance_sq(&Point::new([bx, by]));
+        for d2 in [d2, pair] {
+            prop_assume!(d2 > 0.0);
+            let r = covering_range(d2);
+            prop_assert!(d2 <= r * r, "{} admits no pair at {}", r, d2);
+            let below = r.next_down();
+            prop_assert!(below * below < d2, "{} already admits {}", below, d2);
+        }
     }
 }

@@ -245,6 +245,12 @@ impl AdjacencyList {
         self.edge_count += 1;
     }
 
+    /// Removes every edge, keeping each row's capacity for a rebuild.
+    pub(crate) fn clear_edges(&mut self) {
+        self.neighbors.iter_mut().for_each(Vec::clear);
+        self.edge_count = 0;
+    }
+
     /// Inserts the undirected edge `(a, b)` keeping both neighbor
     /// lists sorted — the in-place maintenance path of the incremental
     /// step kernel. Reuses list capacity; `O(deg)` per endpoint.

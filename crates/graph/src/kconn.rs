@@ -12,9 +12,16 @@
 //! each undirected edge becomes two directed unit edges, and the
 //! number of vertex-disjoint `s`–`t` paths equals the max flow.
 //! Designed for the modest `n` of ad hoc simulations (hundreds), not
-//! for massive graphs.
+//! for massive graphs. `k = 2` skips the flows: a graph on at least
+//! three nodes is 2-connected exactly when it is connected and has no
+//! articulation point, one `O(n + E)` depth-first search.
+//!
+//! [`critical_range_k`] turns the threshold test into one placement's
+//! exact k-connectivity threshold, the `k >= 2` analogue of
+//! [`crate::critical_range`].
 
 use crate::adjacency::AdjacencyList;
+use manet_geom::{covering_range, Point};
 
 /// Maximum number of internally vertex-disjoint paths between two
 /// distinct, **non-adjacent** vertices, computed by augmenting BFS
@@ -114,7 +121,8 @@ pub fn vertex_connectivity(graph: &AdjacencyList) -> usize {
 }
 
 /// Whether `κ(G) >= k`. `k = 0` is always true; `k = 1` is
-/// connectivity.
+/// connectivity; `k = 2` is one articulation-point search; `k >= 3`
+/// runs up to one max-flow per non-adjacent pair.
 pub fn is_k_connected(graph: &AdjacencyList, k: usize) -> bool {
     if k == 0 {
         return true;
@@ -134,6 +142,9 @@ pub fn is_k_connected(graph: &AdjacencyList, k: usize) -> bool {
     if graph.min_degree().unwrap_or(0) < k {
         return false;
     }
+    if k == 2 {
+        return is_biconnected(graph);
+    }
     for s in 0..n {
         for t in (s + 1)..n {
             if graph.neighbors(s).contains(&(t as u32)) {
@@ -145,6 +156,136 @@ pub fn is_k_connected(graph: &AdjacencyList, k: usize) -> bool {
         }
     }
     true
+}
+
+/// Whether a graph on at least three nodes is connected and free of
+/// articulation points: one iterative depth-first search with Tarjan's
+/// lowlink values. A non-root vertex `v` is an articulation point when
+/// some DFS child `u` reaches nothing above `v` (`low[u] >= disc[v]`),
+/// and the root when it has two DFS children.
+fn is_biconnected(graph: &AdjacencyList) -> bool {
+    const UNSEEN: u32 = u32::MAX;
+    let n = graph.len();
+    let mut disc = vec![UNSEEN; n];
+    let mut low = vec![0; n];
+    // (vertex, index of its next neighbour to visit)
+    let mut stack = vec![(0usize, 0usize)];
+    disc[0] = 0;
+    let mut visited = 1;
+    let mut root_children = 0;
+    while let Some(top) = stack.last_mut() {
+        let v = top.0;
+        if let Some(&u) = graph.neighbors(v).get(top.1) {
+            top.1 += 1;
+            let u = u as usize;
+            if disc[u] == UNSEEN {
+                disc[u] = visited;
+                low[u] = visited;
+                visited += 1;
+                root_children += usize::from(v == 0);
+                stack.push((u, 0));
+            } else {
+                low[v] = low[v].min(disc[u]);
+            }
+        } else {
+            stack.pop();
+            if let Some(&(parent, _)) = stack.last() {
+                low[parent] = low[parent].min(low[v]);
+                if parent != 0 && low[v] >= disc[parent] {
+                    return false;
+                }
+            }
+        }
+    }
+    visited as usize == n && root_children == 1
+}
+
+/// The exact k-connectivity threshold of one placement: the smallest
+/// range `r` whose communication graph (pairs with `d² <= r·r`) is
+/// k-vertex-connected, so [`is_k_connected`] holds at `r` and fails at
+/// `r.next_down()`. `k = 1` is the MST bottleneck in this convention.
+///
+/// k-connectivity needs minimum degree `k`, so the threshold is at
+/// least `L = max_i` (the distance from `i` to its k-th nearest
+/// neighbour), and it is one of the pair distances. The search starts
+/// at `L` and gallops, then bisects, over the ranks of the pair
+/// distances at or above it; each probe builds the graph of the pairs
+/// up to one rank.
+///
+/// # Example
+///
+/// ```
+/// use manet_geom::Point;
+/// use manet_graph::kconn::critical_range_k;
+///
+/// // A unit square: its sides make a 4-cycle (2-connected), and
+/// // 3-connectivity needs the diagonals as well.
+/// let square = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]].map(Point::new);
+/// assert_eq!(critical_range_k(&square, 2), 1.0);
+/// assert_eq!(critical_range_k(&square, 3), 2f64.sqrt());
+/// ```
+///
+/// # Panics
+///
+/// Panics unless `1 <= k < points.len()`: no range makes `k + 1` or
+/// fewer nodes k-connected.
+pub fn critical_range_k<const D: usize>(points: &[Point<D>], k: usize) -> f64 {
+    let n = points.len();
+    assert!(
+        0 < k && k < n,
+        "k-connectivity needs 1 <= k < n, got k = {k}, n = {n}"
+    );
+    let mut pairs = Vec::with_capacity(n * (n - 1) / 2);
+    let mut row = Vec::with_capacity(n);
+    let mut bound = 0.0_f64;
+    for (i, p) in points.iter().enumerate() {
+        row.clear();
+        row.extend(points.iter().map(|q| p.distance_sq(q)));
+        pairs.extend((i + 1..n).map(|j| (row[j], i as u32, j as u32)));
+        // Index 0 holds a zero (`i` itself), so index k is the k-th
+        // nearest neighbour.
+        let (_, kth, _) = row.select_nth_unstable_by(k, f64::total_cmp);
+        bound = bound.max(*kth);
+    }
+
+    // Every pair up to rank `last` is the complete graph, k-connected
+    // as `n > k`, and the pair of rank `lo` is the first at `L`.
+    let by_d2 = |a: &(f64, u32, u32), b: &(f64, u32, u32)| a.0.total_cmp(&b.0);
+    let last = pairs.len() - 1;
+    let mut lo = pairs.iter().filter(|p| p.0 < bound).count();
+    pairs.select_nth_unstable_by(lo, by_d2);
+    // `pairs[..lo]` holds the `lo` shortest pairs, and their graph is
+    // not k-connected. A probe at `m >= lo` selects the pair of rank
+    // `m` into place, tests the graph of the `m + 1` shortest, and
+    // returns its distance if that graph is k-connected: a quickselect
+    // per probe instead of one sort of every pair.
+    let mut graph = AdjacencyList::empty(n);
+    let mut probe = |lo: usize, m: usize| {
+        pairs[lo..].select_nth_unstable_by(m - lo, by_d2);
+        graph.clear_edges();
+        for &(_, a, b) in &pairs[..=m] {
+            graph.add_edge(a as usize, b as usize);
+        }
+        is_k_connected(&graph, k).then_some(pairs[m].0)
+    };
+    // Gallop from the first pair at `L`, then bisect.
+    let (mut hi, mut width) = (lo, 1);
+    let mut d2 = loop {
+        if let Some(d2) = probe(lo, hi) {
+            break d2;
+        }
+        lo = hi + 1;
+        hi = (hi + width).min(last);
+        width *= 2;
+    };
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        match probe(lo, mid) {
+            Some(found) => (hi, d2) = (mid, found),
+            None => lo = mid + 1,
+        }
+    }
+    covering_range(d2)
 }
 
 /// Minimal adjacency-list max-flow network with unit-ish capacities.
@@ -309,6 +450,66 @@ mod tests {
     fn disjoint_paths_rejects_adjacent() {
         let g = complete(3);
         disjoint_paths(&g, 0, 1, None);
+    }
+
+    fn graph(n: usize, edges: &[(usize, usize)]) -> AdjacencyList {
+        let mut g = AdjacencyList::empty(n);
+        for &(a, b) in edges {
+            g.add_edge(a, b);
+        }
+        g
+    }
+
+    #[test]
+    fn articulation_check_on_fixtures() {
+        let path = graph(4, &[(0, 1), (1, 2), (2, 3)]);
+        let star = graph(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]);
+        // Two triangles sharing vertex 2, and two disjoint triangles.
+        let bowtie = graph(5, &[(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)]);
+        let triangles = graph(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]);
+        // Articulation point at the DFS root (0), and a cycle whose
+        // neighbour lists are out of order.
+        let root_cut = graph(5, &[(1, 0), (2, 1), (0, 2), (0, 3), (4, 0), (3, 4)]);
+        let shuffled = graph(5, &[(3, 1), (0, 4), (2, 4), (1, 0), (3, 2)]);
+        for (name, g, biconnected) in [
+            ("K3", complete(3), true),
+            ("K5", complete(5), true),
+            ("path", path, false),
+            ("cycle", cycle(6), true),
+            ("star", star, false),
+            ("bowtie", bowtie, false),
+            ("two triangles", triangles, false),
+            ("root cut", root_cut, false),
+            ("shuffled cycle", shuffled, true),
+        ] {
+            assert_eq!(is_biconnected(&g), biconnected, "{name}");
+            assert_eq!(is_k_connected(&g, 2), biconnected, "{name}");
+            assert_eq!(vertex_connectivity(&g) >= 2, biconnected, "{name}");
+        }
+        // K2 has κ = 1: two nodes are never 2-connected.
+        assert!(!is_k_connected(&complete(2), 2));
+        assert_eq!(vertex_connectivity(&complete(2)), 1);
+    }
+
+    #[test]
+    fn critical_range_k_on_a_row_and_coincident_points() {
+        // A row at spacing 1: 2-connectivity closes the row into a
+        // cycle through the two ends' second neighbours, at 2.
+        let row: Vec<Point<1>> = (0..5).map(|i| Point::new([i as f64])).collect();
+        assert_eq!(critical_range_k(&row, 1), 1.0);
+        assert_eq!(critical_range_k(&row, 2), 2.0);
+        assert_eq!(critical_range_k(&row, 4), 4.0);
+        // Coincident points form a complete graph at range 0.
+        let stack = vec![Point::new([3.0, 3.0]); 6];
+        for k in 1..6 {
+            assert_eq!(critical_range_k(&stack, k), 0.0, "k = {k}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "1 <= k < n")]
+    fn critical_range_k_rejects_k_at_least_n() {
+        critical_range_k(&[Point::new([0.0]), Point::new([1.0])], 2);
     }
 
     #[test]

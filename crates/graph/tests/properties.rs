@@ -940,3 +940,127 @@ fn grid_build_matches_brute_force_on_every_registry_model_at_scale() {
     }
     assert!(max_occupancy > 32, "no cell spans two emission batches");
 }
+
+// ---------------------------------------------------------------------------
+// k-connectivity: the articulation-point check for k = 2 against
+// all-pairs max-flow, and the exact per-placement threshold
+// `critical_range_k` against vertex connectivity just above and below it.
+
+/// A random graph on `1..=14` nodes: pair `i` is an edge when its draw
+/// falls below the graph's density.
+fn random_graph() -> impl Strategy<Value = AdjacencyList> {
+    (
+        1usize..=14,
+        0.0..1.0f64,
+        prop::collection::vec(0.0..1.0f64, 91..92),
+    )
+        .prop_map(|(n, density, draws)| {
+            let mut g = AdjacencyList::empty(n);
+            let pairs = (0..n).flat_map(|a| (a + 1..n).map(move |b| (a, b)));
+            for ((a, b), draw) in pairs.zip(draws) {
+                if draw < density {
+                    g.add_edge(a, b);
+                }
+            }
+            g
+        })
+}
+
+/// `c` is the exact k-connectivity threshold of `pts`: the graph at `c`
+/// has vertex connectivity at least `k`, the graph at `c.next_down()`
+/// less.
+fn assert_exact_k_threshold<const D: usize>(pts: &[Point<D>], k: usize, what: &str) {
+    let c = kconn::critical_range_k(pts, k);
+    let at = AdjacencyList::from_points_brute_force(pts, c);
+    assert!(
+        kconn::vertex_connectivity(&at) >= k,
+        "{what} k={k}: not k-connected at {c}"
+    );
+    if c > 0.0 {
+        let below = AdjacencyList::from_points_brute_force(pts, c.next_down());
+        assert!(
+            kconn::vertex_connectivity(&below) < k,
+            "{what} k={k}: already k-connected below {c}"
+        );
+    }
+}
+
+/// Two placements of every registry model at `n` nodes (side `64·√n`,
+/// the `critical-scaling` density): right after the model's init, and
+/// six steps later.
+fn registry_placements(n: usize) -> Vec<(String, Vec<Point<2>>)> {
+    let registry = ModelRegistry::<2>::with_builtins();
+    let names = registry.names();
+    assert_eq!(names.len(), 13, "every registry model is covered");
+    let side = 64.0 * (n as f64).sqrt();
+    let scale = PaperScale::new(side).with_pause(3);
+    let region: Region<2> = Region::new(side).expect("positive side");
+    let mut out = Vec::new();
+    for name in names {
+        let mut model = registry.build(name, &scale).expect("registry model");
+        let mut rng = rand::rngs::StdRng::seed_from_u64(20020623);
+        let mut positions = region.place_uniform(n, &mut rng);
+        model.init(&positions, &region, &mut rng);
+        for step in 0..12 {
+            if step % 6 == 0 {
+                out.push((format!("{name} n={n} step {step}"), positions.clone()));
+            }
+            model.step(&mut positions, &region, &mut rng);
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn articulation_check_matches_max_flow(g in random_graph()) {
+        prop_assert_eq!(
+            kconn::is_k_connected(&g, 2),
+            kconn::vertex_connectivity(&g) >= 2
+        );
+    }
+
+    #[test]
+    fn critical_range_k_is_the_exact_threshold(pts in points_strategy(14), k in 1usize..4) {
+        prop_assume!(k < pts.len());
+        assert_exact_k_threshold(&pts, k, "uniform");
+        if k == 1 {
+            // The MST bottleneck is `sqrt(d²)`, within one ulp of the
+            // range test's threshold.
+            let (c, ctr) = (kconn::critical_range_k(&pts, 1), critical_range(&pts));
+            prop_assert!(c.next_down() <= ctr && ctr <= c.next_up(), "{} vs {}", c, ctr);
+        }
+    }
+}
+
+/// Every registry model at n = 16, and coincident points.
+#[test]
+fn critical_range_k_is_exact_on_every_registry_model() {
+    for (what, pts) in registry_placements(16) {
+        for k in [2, 3] {
+            assert_exact_k_threshold(&pts, k, &what);
+        }
+    }
+    // Coincident points: a stack of four and two single nodes, then
+    // one stack of seven.
+    let mut pts = vec![Point::new([5.0, 5.0]); 4];
+    pts.extend([Point::new([9.0, 5.0]), Point::new([9.0, 8.0])]);
+    for k in [1, 2, 3] {
+        assert_exact_k_threshold(&pts, k, "coincident");
+    }
+    assert_exact_k_threshold(&[Point::new([1.0, 2.0]); 7], 3, "one stack");
+}
+
+/// Every registry model at n = 64, where the all-pairs max-flow oracle
+/// takes about a minute unoptimised. Release-only.
+#[test]
+#[ignore = "release-only oracle; run by CI"]
+fn critical_range_k_is_exact_on_every_registry_model_at_n64() {
+    for (what, pts) in registry_placements(64) {
+        for k in [2, 3] {
+            assert_exact_k_threshold(&pts, k, &what);
+        }
+    }
+}

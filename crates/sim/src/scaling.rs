@@ -7,14 +7,14 @@
 //! metric reaches a target — and fits the exponent across a
 //! density-preserving `n` sweep.
 //!
-//! # Three paths over fixed trajectories
+//! # Two exact rules over fixed trajectories
 //!
 //! The engine's trajectories depend only on `(config, model)`, never
 //! on the range, so one seed fixes every placement and step, and over
 //! those fixed trajectories both metrics are monotone non-decreasing
 //! in `r` (adding edges can only grow the largest component, and can
-//! only raise vertex connectivity). [`find_critical_range`] picks the
-//! cheapest path that answers the threshold question for its metric:
+//! only raise vertex connectivity). [`find_critical_range`] answers
+//! each metric exactly, from positions only:
 //!
 //! * **Giant fraction: two positions-only merge-profile passes.** A
 //!   step's largest component at `r` is the step function
@@ -32,19 +32,20 @@
 //!   steps hold no event of that bin. The answer is exact in the
 //!   profile's convention, and memory is one histogram per iteration
 //!   plus 4 B per step, plus the events of one bin.
-//! * **1-connectivity: the pooled quantile.** Connected at `r` ⟺
-//!   `c_t <= r`, so the threshold is an order statistic of the
-//!   per-step critical ranges ([`simulate_critical_ranges`]): one
-//!   campaign on the warm-start tracker, exact.
-//! * **k-connectivity, k ≥ 2: monotone stochastic bisection**
-//!   ([`bisect_critical_range`]). Each probe is a fresh seeded
-//!   positions-only campaign through [`run_connectivity_stream`] that
-//!   builds every step's graph at the probed range, and
-//!   [`bisect_monotone`] converges to the threshold of the fixed
-//!   trajectory ensemble within `rel_tol · side`. It also serves as
-//!   the test oracle for the two exact paths.
+//! * **k-connectivity: the pooled quantile.** Step `t` is k-connected
+//!   at `r` ⟺ `c_t^(k) <= r`, so the threshold is an order statistic
+//!   of the per-step thresholds, from one campaign. For `k = 1`,
+//!   `c_t` is the MST bottleneck on the warm-start tracker
+//!   ([`simulate_raw_critical_series`]); for `k >= 2` it is
+//!   [`critical_range_k`], exact in the graph builders' `d² <= r·r`
+//!   convention.
 //!
-//! Every path answers inside the bisection's bracket
+//! [`bisect_critical_range`] — monotone stochastic bisection, one
+//! positions-only campaign per probe, converging within
+//! `rel_tol · side` — is the test oracle for both rules; the finder
+//! never calls it.
+//!
+//! Every rule answers inside the bisection's bracket
 //! `[1e-9, diameter]`, so a cell that meets its target at `r = 0`
 //! reports `1e-9` rather than a zero the log-log fit cannot take.
 //! Determinism is inherited from the engine, so critical points are
@@ -63,16 +64,16 @@
 
 use crate::{
     config::SimConfig,
-    critical::simulate_critical_ranges,
+    critical::simulate_raw_critical_series,
     search::bisect_monotone,
     stream::{run_connectivity_stream, ConnectivityObserver, StepView},
     SimError,
 };
-use manet_graph::kconn::is_k_connected;
+use manet_graph::kconn::{critical_range_k, is_k_connected};
 use manet_graph::{AdjacencyList, ComponentSummary, MergeProfile};
 use manet_mobility::Mobility;
 use manet_obs::KernelMetrics;
-use manet_stats::{ConfidenceInterval, LinearFit};
+use manet_stats::{ConfidenceInterval, FrozenSeries, LinearFit};
 
 /// The per-step connectivity metric a critical-range search thresholds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -176,28 +177,45 @@ impl CriticalRangeSearch {
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CriticalPoint {
-    /// The smallest range whose mean metric reaches the target: exact
-    /// for the giant fraction and 1-connectivity, within tolerance for
-    /// `k >= 2`.
+    /// The smallest range whose mean metric reaches the target, exact
+    /// for every metric.
     pub range: f64,
     /// `range / side` — the scale-free quantity the power law fits.
     pub normalized: f64,
     /// Seeded campaigns run over the cell's trajectories: 2 for the
     /// giant fraction's merge-profile passes (the second replays every
     /// step but profiles only those reaching the answer bin), 1 for
-    /// the 1-connectivity quantile, and one per bisection probe for
-    /// `k >= 2`.
+    /// the k-connectivity quantile, and one per probe from
+    /// [`bisect_critical_range`].
     pub probes: usize,
     /// Step-kernel counters, always zero: no path runs the step kernel.
-    /// The exact paths read positions only, and each bisection probe
-    /// builds its graphs from positions. The field stays because the
-    /// CLI forwards it to `ObsSession` and the benchmark harness reads
-    /// it.
+    /// The finder reads positions only, and each bisection probe builds
+    /// its graphs from positions. The field stays because the CLI
+    /// forwards it to `ObsSession` and the benchmark harness reads it.
     pub kernel: KernelMetrics,
 }
 
-/// Observer computing one iteration's mean metric at one range: each
-/// step's graph is built from its positions
+/// Observer recording each step's exact k-connectivity threshold
+/// ([`critical_range_k`]) in time order.
+struct KThresholds {
+    k: usize,
+    series: Vec<f64>,
+}
+
+impl<const D: usize> ConnectivityObserver<D> for KThresholds {
+    type Output = Vec<f64>;
+
+    fn observe(&mut self, view: &StepView<'_, D>) {
+        self.series.push(critical_range_k(view.positions(), self.k));
+    }
+
+    fn finish(self) -> Vec<f64> {
+        self.series
+    }
+}
+
+/// Observer computing one iteration's mean metric at one range for
+/// the bisection oracle: each step's graph is built from its positions
 /// ([`AdjacencyList::from_points`]).
 struct MetricObserver {
     metric: ConnectivityMetric,
@@ -269,7 +287,7 @@ const MAX_BINS: usize = 1 << 16;
 /// Locates the critical range of one `(config, model)` cell: the
 /// smallest range in `[1e-9, diameter]` whose mean metric over the
 /// cell's fixed trajectories reaches the target (see the module docs
-/// for the three paths).
+/// for the two rules).
 ///
 /// # Errors
 ///
@@ -289,12 +307,17 @@ where
         ConnectivityMetric::GiantFraction => {
             (giant_fraction_threshold(config, model, search)?.0, 2)
         }
-        ConnectivityMetric::KConnectivity(1) => {
-            let pooled = simulate_critical_ranges(config, model)?.pooled()?;
+        ConnectivityMetric::KConnectivity(k) => {
+            let series = if k == 1 {
+                simulate_raw_critical_series(config, model)
+            } else {
+                run_connectivity_stream(config, model, |_| KThresholds {
+                    k,
+                    series: Vec::with_capacity(config.steps()),
+                })
+            };
+            let pooled = FrozenSeries::new(series.concat())?;
             (pooled.smallest_covering(search.target)?, 1)
-        }
-        ConnectivityMetric::KConnectivity(_) => {
-            return bisect_critical_range(config, model, search);
         }
     };
     let range = range.clamp(BRACKET_LO, config.region().diameter());
@@ -308,8 +331,8 @@ where
 
 /// Locates the critical range of one `(config, model)` cell by
 /// deterministic stochastic bisection over `[1e-9, diameter]`, one
-/// fixed-range campaign per probe. [`find_critical_range`] uses it for
-/// `k >= 2`; for the other metrics it is the oracle the exact paths
+/// fixed-range campaign per probe, within `rel_tol · side` above the
+/// threshold. It is the oracle [`find_critical_range`]'s exact rules
 /// are tested against.
 ///
 /// # Errors
@@ -564,6 +587,7 @@ pub fn fit_scaling_exponent(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::critical::simulate_critical_ranges;
     use crate::fixed::simulate_fixed_ranges;
     use manet_geom::{Point, Region};
     use manet_mobility::{RandomWaypoint, StationaryModel};
@@ -863,6 +887,27 @@ mod tests {
             "k=1 finder {} vs connectivity-fraction bisection {reference}",
             point.range
         );
+    }
+
+    #[test]
+    fn k_connectivity_is_one_exact_campaign() {
+        // The mean of the k-connected indicator reaches the target at
+        // the answer and misses it one ulp below, and bisection's
+        // bracket holds the answer at its bottom.
+        let cfg = config(10, 80.0, 2, 10);
+        let model = RandomWaypoint::new(0.5, 2.0, 1, 0.0).unwrap();
+        for k in [2, 3] {
+            let metric = ConnectivityMetric::KConnectivity(k);
+            let search = CriticalRangeSearch::new()
+                .with_metric(metric)
+                .with_target(0.8);
+            let point = find_critical_range(&cfg, &model, &search).unwrap();
+            assert_eq!(point.probes, 1);
+            assert!(evaluate_metric(&cfg, &model, metric, point.range) >= 0.8);
+            assert!(evaluate_metric(&cfg, &model, metric, point.range.next_down()) < 0.8);
+            let bisected = bisect_critical_range(&cfg, &model, &search).unwrap().range;
+            assert!(point.range <= bisected && bisected - point.range <= 1e-3 * 80.0);
+        }
     }
 
     #[test]

@@ -2,12 +2,12 @@
 //! sweep scheduler. The finder must agree with a brute-force dense grid
 //! scan (an independent oracle through the fixed-range simulator) and
 //! with graph-based bisection; its giant-fraction answer must be exact
-//! in the merge profile's convention; at target 1 both exact paths
-//! must return `r100` bit for bit; and results must be byte-identical
-//! across engine, step-kernel and scheduler thread counts and across
-//! budget/resume splits.
+//! in the merge profile's convention; at target 1 every metric must
+//! return the maximum of its own per-step thresholds bit for bit; and
+//! results must be byte-identical across engine, step-kernel and
+//! scheduler thread counts and across budget/resume splits.
 
-use manet::graph::MergeProfile;
+use manet::graph::{kconn::critical_range_k, MergeProfile};
 use manet::sim::{
     bisect_critical_range, find_critical_range, run_connectivity_stream, simulate_critical_ranges,
     simulate_fixed_ranges, ConnectivityMetric, ConnectivityObserver, CriticalRangeSearch,
@@ -18,10 +18,12 @@ use proptest::prelude::*;
 
 const SIDE: f64 = 100.0;
 
-/// The two metrics with an exact finder path.
-const EXACT_METRICS: [ConnectivityMetric; 2] = [
+/// Every metric the finder answers, each exactly.
+const EXACT_METRICS: [ConnectivityMetric; 4] = [
     ConnectivityMetric::GiantFraction,
     ConnectivityMetric::KConnectivity(1),
+    ConnectivityMetric::KConnectivity(2),
+    ConnectivityMetric::KConnectivity(3),
 ];
 
 fn config(seed: u64) -> SimConfig<2> {
@@ -53,6 +55,40 @@ impl ConnectivityObserver<2> for ProfileObserver {
     }
 }
 
+/// Collects each step's exact k-connectivity threshold.
+struct KThresholdObserver(usize, Vec<f64>);
+
+impl ConnectivityObserver<2> for KThresholdObserver {
+    type Output = Vec<f64>;
+
+    fn observe(&mut self, view: &StepView<'_, 2>) {
+        self.1.push(critical_range_k(view.positions(), self.0));
+    }
+
+    fn finish(self) -> Vec<f64> {
+        self.1
+    }
+}
+
+/// The largest per-step threshold of `metric` over the campaign: the
+/// MST bottleneck (`r100`) for the giant fraction and `k = 1`, the
+/// k-connectivity threshold for `k >= 2`.
+fn max_step_threshold(cfg: &SimConfig<2>, model: &AnyModel<2>, metric: ConnectivityMetric) -> f64 {
+    match metric {
+        ConnectivityMetric::KConnectivity(k) if k >= 2 => {
+            run_connectivity_stream(cfg, model, |_| KThresholdObserver(k, Vec::new()))
+                .into_iter()
+                .flatten()
+                .fold(0.0, f64::max)
+        }
+        _ => simulate_critical_ranges(cfg, model)
+            .unwrap()
+            .pooled()
+            .unwrap()
+            .max(),
+    }
+}
+
 /// The merge profile of every step of every iteration.
 fn step_profiles(cfg: &SimConfig<2>, model: &AnyModel<2>) -> Vec<MergeProfile> {
     run_connectivity_stream(cfg, model, |_| ProfileObserver(Vec::new()))
@@ -73,15 +109,21 @@ fn profile_mean_reaches(
     total as f64 / (profiles.len() * cfg.nodes()) as f64 >= target
 }
 
-/// Checks one cell against the oracles: (a) each exact path lands
-/// within `tol` of graph-based bisection, never above it by more than
-/// the one-ulp gap between `sqrt(d²)` and `d² <= r·r`; (b) the giant
-/// fraction's answer is exact in the merge profile's convention; (c)
-/// at target 1 both paths return the campaign's `r100` bit for bit.
-fn check_exact_paths(cfg: &SimConfig<2>, name: &str, model: &AnyModel<2>, target: f64) {
+/// Checks one cell against the oracles for each of `metrics`: (a) the
+/// finder lands within `tol` of graph-based bisection, never above it
+/// by more than the one-ulp gap between `sqrt(d²)` and `d² <= r·r`;
+/// (b) the giant fraction's answer is exact in the merge profile's
+/// convention; (c) at target 1 each metric returns the maximum of its
+/// own per-step thresholds bit for bit.
+fn check_exact_paths(
+    cfg: &SimConfig<2>,
+    name: &str,
+    model: &AnyModel<2>,
+    target: f64,
+    metrics: &[ConnectivityMetric],
+) {
     let tol = 1e-3 * SIDE;
-    let mut found = Vec::new();
-    for metric in EXACT_METRICS {
+    for &metric in metrics {
         let search = CriticalRangeSearch::new()
             .with_metric(metric)
             .with_target(target);
@@ -93,36 +135,29 @@ fn check_exact_paths(cfg: &SimConfig<2>, name: &str, model: &AnyModel<2>, target
             point.range
         );
         assert_eq!(point.kernel, Default::default(), "{name} {metric:?}");
-        found.push(point.range);
-    }
 
-    let profiles = step_profiles(cfg, model);
-    let r = found[0];
-    assert!(
-        profile_mean_reaches(cfg, &profiles, r, target),
-        "{name} target {target}: the profile mean misses the target at {r}"
-    );
-    if r > 1e-9 {
-        assert!(
-            !profile_mean_reaches(cfg, &profiles, r.next_down(), target),
-            "{name} target {target}: the profile mean already reaches the target below {r}"
-        );
-    }
+        if metric == ConnectivityMetric::GiantFraction {
+            let profiles = step_profiles(cfg, model);
+            let r = point.range;
+            assert!(
+                profile_mean_reaches(cfg, &profiles, r, target),
+                "{name} target {target}: the profile mean misses the target at {r}"
+            );
+            if r > 1e-9 {
+                assert!(
+                    !profile_mean_reaches(cfg, &profiles, r.next_down(), target),
+                    "{name} target {target}: the profile mean already reaches the target below {r}"
+                );
+            }
+        }
 
-    let r100 = simulate_critical_ranges(cfg, model)
-        .unwrap()
-        .pooled()
-        .unwrap()
-        .max();
-    for metric in EXACT_METRICS {
-        let search = CriticalRangeSearch::new()
-            .with_metric(metric)
-            .with_target(1.0);
+        let search = search.with_target(1.0);
         let point = find_critical_range(cfg, model, &search).unwrap();
+        let max = max_step_threshold(cfg, model, metric);
         assert_eq!(
             point.range.to_bits(),
-            r100.to_bits(),
-            "{name} {metric:?}: target 1 gave {} for r100 {r100}",
+            max.to_bits(),
+            "{name} {metric:?}: target 1 gave {} for the per-step maximum {max}",
             point.range
         );
     }
@@ -205,7 +240,7 @@ proptest! {
     ) {
         let cfg = config(seed);
         for (name, model) in registry_models() {
-            check_exact_paths(&cfg, &name, &model, target);
+            check_exact_paths(&cfg, &name, &model, target, &EXACT_METRICS);
         }
     }
 
@@ -293,16 +328,18 @@ fn finder_is_engine_and_step_thread_invariant() {
     }
 }
 
-/// The exact paths at the sizes they are built for, against the same
+/// The exact rules at the sizes they are built for, against the same
 /// oracles as the tier-1 proptest. Release-only: the bisection oracle
-/// re-simulates 13 campaigns per cell and metric.
+/// re-simulates 13 campaigns per cell and metric. `k = 3` stays at
+/// tier-1's n = 10: its all-pairs max-flow test takes seconds per step
+/// at these sizes.
 #[test]
 #[ignore = "release-only oracle; run by CI"]
 fn exact_finder_matches_oracles_at_scale() {
     for (nodes, target) in [(128, 0.97), (256, 0.995)] {
         let cfg = sized_config(nodes, 2, 30, 0x5CA1E);
         for (name, model) in registry_models() {
-            check_exact_paths(&cfg, &name, &model, target);
+            check_exact_paths(&cfg, &name, &model, target, &EXACT_METRICS[..3]);
         }
     }
 }
