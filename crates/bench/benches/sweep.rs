@@ -32,7 +32,7 @@ fn scheduler_overhead(c: &mut Criterion) {
                         |_, &x| Ok(x.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
                     )
                     .expect("pure jobs cannot fail");
-                black_box(run.into_complete().expect("no budget"))
+                black_box(run.into_complete().expect("every job ran"))
             });
         });
     }
@@ -69,7 +69,7 @@ fn critical_cells(c: &mut Criterion) {
                         },
                     )
                     .expect("cells cannot fail");
-                black_box(run.into_complete().expect("no budget"))
+                black_box(run.into_complete().expect("every job ran"))
             });
         });
     }

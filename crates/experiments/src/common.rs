@@ -75,13 +75,6 @@ pub struct RunOptions {
     /// `--n-sweep a,b,c`: node counts of the finite-size scaling sweep
     /// (critical-scaling); `None` keeps the default sweep.
     pub n_sweep: Option<Vec<usize>>,
-    /// `--checkpoint PATH`: persist completed sweep cells to `PATH` and
-    /// resume from it when present (critical-scaling).
-    pub checkpoint: Option<PathBuf>,
-    /// `--max-cells N`: execute at most `N` pending sweep cells this
-    /// invocation, then checkpoint and exit without final artifacts —
-    /// the budget knob the resume test interrupts a grid with.
-    pub max_cells: Option<usize>,
 }
 
 impl Default for RunOptions {
@@ -103,8 +96,6 @@ impl Default for RunOptions {
             target: 0.99,
             k_target: None,
             n_sweep: None,
-            checkpoint: None,
-            max_cells: None,
         }
     }
 }
@@ -152,12 +143,6 @@ impl RunOptions {
                 "--progress" => opts.progress = true,
                 "--target" => opts.target = take_f64(args, &mut i)?,
                 "--k-target" => opts.k_target = Some(take_usize(args, &mut i)?),
-                "--max-cells" => opts.max_cells = Some(take_usize(args, &mut i)?),
-                "--checkpoint" => {
-                    i += 1;
-                    let v = args.get(i).ok_or("--checkpoint requires a file path")?;
-                    opts.checkpoint = Some(PathBuf::from(v));
-                }
                 "--n-sweep" => {
                     i += 1;
                     let v = args
@@ -232,9 +217,6 @@ impl RunOptions {
         }
         if opts.k_target == Some(0) {
             return Err("--k-target must be at least 1".into());
-        }
-        if opts.max_cells == Some(0) {
-            return Err("--max-cells must be positive".into());
         }
         if let Some(ns) = &opts.n_sweep {
             if ns.iter().any(|&n| n < 2) {
@@ -595,8 +577,6 @@ mod tests {
         assert_eq!(o.target, 0.99);
         assert_eq!(o.k_target, None);
         assert_eq!(o.n_sweep, None);
-        assert_eq!(o.checkpoint, None);
-        assert_eq!(o.max_cells, None);
 
         let o = parse(&[
             "--target",
@@ -605,17 +585,11 @@ mod tests {
             "2",
             "--n-sweep",
             " 16, 32 ,64 ",
-            "--checkpoint",
-            "out/ck.json",
-            "--max-cells",
-            "3",
         ])
         .unwrap();
         assert_eq!(o.target, 0.9);
         assert_eq!(o.k_target, Some(2));
         assert_eq!(o.n_sweep.as_deref().unwrap(), [16, 32, 64]);
-        assert_eq!(o.checkpoint, Some(PathBuf::from("out/ck.json")));
-        assert_eq!(o.max_cells, Some(3));
 
         assert!(parse(&["--target"]).is_err());
         assert!(parse(&["--target", "0"]).is_err());
@@ -626,13 +600,6 @@ mod tests {
         assert!(parse(&["--n-sweep", ""]).is_err());
         assert!(parse(&["--n-sweep", "16,x"]).is_err());
         assert!(parse(&["--n-sweep", "16,1"]).is_err());
-        assert!(parse(&["--checkpoint"]).is_err());
-        assert!(parse(&["--max-cells"]).is_err());
-        // A budget of zero cells can never make progress.
-        assert_eq!(
-            parse(&["--max-cells", "0"]).unwrap_err(),
-            "--max-cells must be positive"
-        );
         // A repeated node count would rerun identical cells and feed
         // duplicate points to the exponent fit.
         assert_eq!(

@@ -47,15 +47,11 @@
 //!   --k-target K     critical-scaling: threshold k-vertex-
 //!                    connectivity instead of giant-component fraction,
 //!                    exactly, from each step's k-connectivity
-//!                    threshold (k >= 3 runs max-flows: slow past
+//!                    threshold (k >= 4 runs max-flows: slow past
 //!                    n = 32)
 //!   --n-sweep A,B,.. critical-scaling node counts (default 16,32,64);
 //!                    the region side scales as side_for(n) so node
 //!                    density stays at the paper's base density
-//!   --checkpoint P   critical-scaling: persist completed sweep cells
-//!                    to P and resume from it when present
-//!   --max-cells N    critical-scaling: run at most N pending cells,
-//!                    checkpoint, and exit without final artifacts
 //! ```
 //!
 //! Without `--paper`, pause times and sweep axes that the paper ties to
@@ -148,7 +144,6 @@ fn print_usage() {
          \x20        --seed N | --threads N | --step-threads N | --skin S | --out DIR\n\
          \x20        --models A,B,.. | --nodes N (trace/fixed/uptime/quantity)\n\
          \x20        --metrics PATH | --profile | --progress\n\
-         \x20        --target F | --k-target K | --n-sweep A,B,.. | --checkpoint P\n\
-         \x20        --max-cells N (critical-scaling)"
+         \x20        --target F | --k-target K | --n-sweep A,B,.. (critical-scaling)"
     );
 }

@@ -10,11 +10,9 @@
 //! step's exact threshold: the MST bottleneck for `k = 1`,
 //! `critical_range_k` for `k >= 2`), then fits
 //! `log rho_c = a - beta · log n` per model and reports `beta` with a
-//! Student-t confidence interval. Cells run on the batched sweep
-//! scheduler (`manet_sim::sweep`): `--threads` drives the worker pool,
-//! `--checkpoint` persists completed cells for resume, and
-//! `--max-cells` bounds one invocation's work — an interrupted grid
-//! resumes to byte-identical artifacts.
+//! Student-t confidence interval. Every cell is one exact campaign on
+//! the sweep scheduler (`manet_sim::sweep`): `--threads` sizes its
+//! worker pool, and the artifacts are byte-identical at every count.
 
 use crate::common::{banner, fmt, side_for, RunOptions, Table};
 use crate::obs::ObsSession;
@@ -22,7 +20,7 @@ use manet_core::graph::parallel::default_threads;
 use manet_core::obs::KernelMetrics;
 use manet_core::sim::{
     find_critical_range, fit_scaling_exponent, ConnectivityMetric, CriticalRangeSearch,
-    ScalingExponent, SweepCheckpoint, SweepScheduler,
+    ScalingExponent, SweepScheduler,
 };
 use manet_core::{AnyModel, CoreError};
 
@@ -44,9 +42,8 @@ struct CellJob {
     side: f64,
 }
 
-/// One located critical point, as checkpointed and serialized to
-/// `critical_scaling.json`.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+/// One located critical point, as serialized to `critical_scaling.json`.
+#[derive(Clone, serde::Serialize)]
 struct CellResult {
     model: String,
     n: usize,
@@ -112,106 +109,32 @@ pub fn run(opts: &RunOptions, session: &mut ObsSession) -> Result<(), CoreError>
         }
     }
 
-    // Everything that shapes a cell's result goes into the fingerprint,
-    // so a checkpoint refuses to resume against a different grid.
-    let fingerprint = format!(
-        "critical-scaling-v2 seed={} iterations={} steps={} target={} metric={} cells=[{}]",
-        opts.seed,
-        opts.iterations,
-        opts.steps,
-        opts.target,
-        metric_name,
-        jobs.iter()
-            .map(|j| format!("{}:{}", j.model_name, j.n))
-            .collect::<Vec<_>>()
-            .join(","),
-    );
-
-    let mut checkpoint = match &opts.checkpoint {
-        Some(path) if path.exists() => {
-            let text = std::fs::read_to_string(path).map_err(|e| CoreError::Invalid {
-                reason: format!("cannot read checkpoint {}: {e}", path.display()),
-            })?;
-            let ck: SweepCheckpoint<CellResult> =
-                serde_json::from_str(&text).map_err(|e| CoreError::Invalid {
-                    reason: format!("cannot parse checkpoint {}: {e}", path.display()),
-                })?;
-            ck.validate(&fingerprint, jobs.len())
-                .map_err(|e| CoreError::Invalid {
-                    reason: format!("cannot resume from checkpoint {}: {e}", path.display()),
-                })?;
-            println!(
-                "resuming from {} ({} of {} cells done)",
-                path.display(),
-                ck.completed(),
-                jobs.len()
-            );
-            ck
-        }
-        _ => SweepCheckpoint::new(fingerprint.clone(), jobs.len()),
-    };
-
     let threads = opts.threads.unwrap_or_else(default_threads);
-    let mut scheduler = SweepScheduler::new(threads);
-    if let Some(budget) = opts.max_cells {
-        scheduler = scheduler.with_budget(budget);
-    }
     session.progress(&format!(
-        "critical-scaling: {} pending of {} cells on {threads} threads",
-        jobs.len() - checkpoint.completed(),
+        "critical-scaling: {} cells on {threads} threads",
         jobs.len()
     ));
 
     // Each cell runs its campaigns single-threaded (the scheduler is
     // the fan-out; nesting engine threads would only oversubscribe).
     session.span_enter("critical-scaling/sweep");
-    let run = scheduler.run(&jobs, checkpoint.clone().into_results(), |_, job| {
-        let config = opts.sim_config(job.n, job.side).threads(1).build()?;
-        let point = find_critical_range(&config, &job.model, &search)?;
-        Ok(CellResult {
-            model: job.model_name.clone(),
-            n: job.n,
-            side: job.side,
-            r_c: point.range,
-            rho_c: point.normalized,
-            probes: point.probes,
-            kernel: point.kernel,
-        })
-    })?;
+    let cells = SweepScheduler::new(threads)
+        .run(&jobs, vec![None; jobs.len()], |_, job| {
+            let config = opts.sim_config(job.n, job.side).threads(1).build()?;
+            let point = find_critical_range(&config, &job.model, &search)?;
+            Ok(CellResult {
+                model: job.model_name.clone(),
+                n: job.n,
+                side: job.side,
+                r_c: point.range,
+                rho_c: point.normalized,
+                probes: point.probes,
+                kernel: point.kernel,
+            })
+        })?
+        .into_complete()?;
     session.span_exit();
 
-    let executed = run.executed();
-    checkpoint.absorb(run);
-    if let Some(path) = &opts.checkpoint {
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            std::fs::create_dir_all(dir).map_err(|e| CoreError::Invalid {
-                reason: format!("cannot create checkpoint directory: {e}"),
-            })?;
-        }
-        let json = serde_json::to_string(&checkpoint).map_err(|e| CoreError::Invalid {
-            reason: format!("cannot serialize checkpoint: {e}"),
-        })?;
-        std::fs::write(path, json).map_err(|e| CoreError::Invalid {
-            reason: format!("cannot write checkpoint: {e}"),
-        })?;
-        println!("wrote {}", path.display());
-    }
-    if !checkpoint.is_complete() {
-        println!(
-            "sweep paused: {} of {} cells done ({executed} executed this run); \
-             rerun with the same flags{} to finish",
-            checkpoint.completed(),
-            jobs.len(),
-            if opts.checkpoint.is_some() {
-                " and --checkpoint"
-            } else {
-                " (pass --checkpoint to persist progress)"
-            }
-        );
-        return Ok(());
-    }
-
-    let cells: Vec<CellResult> = checkpoint.into_results().into_iter().flatten().collect();
     let mut table = Table::new(&["model", "n", "side", "r_c", "rho_c", "probes"]);
     for cell in &cells {
         session.note_model(&cell.model);

@@ -12,9 +12,12 @@
 //! each undirected edge becomes two directed unit edges, and the
 //! number of vertex-disjoint `s`–`t` paths equals the max flow.
 //! Designed for the modest `n` of ad hoc simulations (hundreds), not
-//! for massive graphs. `k = 2` skips the flows: a graph on at least
-//! three nodes is 2-connected exactly when it is connected and has no
-//! articulation point, one `O(n + E)` depth-first search.
+//! for massive graphs. `k = 2` and `k = 3` skip the flows: a graph on
+//! at least three nodes is 2-connected exactly when it is connected
+//! and has no articulation point, one `O(n + E)` depth-first search,
+//! and a graph on at least four nodes is 3-connected exactly when
+//! deleting any one node leaves it 2-connected, `n` such searches.
+//! `k >= 4` runs the flows.
 //!
 //! [`critical_range_k`] turns the threshold test into one placement's
 //! exact k-connectivity threshold, the `k >= 2` analogue of
@@ -121,8 +124,10 @@ pub fn vertex_connectivity(graph: &AdjacencyList) -> usize {
 }
 
 /// Whether `κ(G) >= k`. `k = 0` is always true; `k = 1` is
-/// connectivity; `k = 2` is one articulation-point search; `k >= 3`
-/// runs up to one max-flow per non-adjacent pair.
+/// connectivity; `k = 2` is one articulation-point search; `k = 3` is
+/// one such search per deleted node (`κ(G) >= 3` exactly when every
+/// `G - v` is 2-connected); `k >= 4` runs up to one max-flow per
+/// non-adjacent pair.
 pub fn is_k_connected(graph: &AdjacencyList, k: usize) -> bool {
     if k == 0 {
         return true;
@@ -142,8 +147,11 @@ pub fn is_k_connected(graph: &AdjacencyList, k: usize) -> bool {
     if graph.min_degree().unwrap_or(0) < k {
         return false;
     }
-    if k == 2 {
-        return is_biconnected(graph);
+    match k {
+        2 => return is_biconnected(graph, None),
+        // `n >= 4` here, so each `G - v` has at least three nodes.
+        3 => return (0..n).all(|v| is_biconnected(graph, Some(v))),
+        _ => {}
     }
     for s in 0..n {
         for t in (s + 1)..n {
@@ -158,19 +166,22 @@ pub fn is_k_connected(graph: &AdjacencyList, k: usize) -> bool {
     true
 }
 
-/// Whether a graph on at least three nodes is connected and free of
-/// articulation points: one iterative depth-first search with Tarjan's
-/// lowlink values. A non-root vertex `v` is an articulation point when
-/// some DFS child `u` reaches nothing above `v` (`low[u] >= disc[v]`),
-/// and the root when it has two DFS children.
-fn is_biconnected(graph: &AdjacencyList) -> bool {
+/// Whether a graph on at least three nodes, less the `removed` node if
+/// any, is connected and free of articulation points: one iterative
+/// depth-first search with Tarjan's lowlink values, which never enters
+/// `removed`. A non-root vertex `v` is an articulation point when some
+/// DFS child `u` reaches nothing above `v` (`low[u] >= disc[v]`), and
+/// the root when it has two DFS children. The root is node 0, or node 1
+/// when node 0 is the one removed.
+fn is_biconnected(graph: &AdjacencyList, removed: Option<usize>) -> bool {
     const UNSEEN: u32 = u32::MAX;
     let n = graph.len();
+    let root = usize::from(removed == Some(0));
     let mut disc = vec![UNSEEN; n];
     let mut low = vec![0; n];
     // (vertex, index of its next neighbour to visit)
-    let mut stack = vec![(0usize, 0usize)];
-    disc[0] = 0;
+    let mut stack = vec![(root, 0usize)];
+    disc[root] = 0;
     let mut visited = 1;
     let mut root_children = 0;
     while let Some(top) = stack.last_mut() {
@@ -178,11 +189,14 @@ fn is_biconnected(graph: &AdjacencyList) -> bool {
         if let Some(&u) = graph.neighbors(v).get(top.1) {
             top.1 += 1;
             let u = u as usize;
+            if Some(u) == removed {
+                continue;
+            }
             if disc[u] == UNSEEN {
                 disc[u] = visited;
                 low[u] = visited;
                 visited += 1;
-                root_children += usize::from(v == 0);
+                root_children += usize::from(v == root);
                 stack.push((u, 0));
             } else {
                 low[v] = low[v].min(disc[u]);
@@ -191,13 +205,13 @@ fn is_biconnected(graph: &AdjacencyList) -> bool {
             stack.pop();
             if let Some(&(parent, _)) = stack.last() {
                 low[parent] = low[parent].min(low[v]);
-                if parent != 0 && low[v] >= disc[parent] {
+                if parent != root && low[v] >= disc[parent] {
                     return false;
                 }
             }
         }
     }
-    visited as usize == n && root_children == 1
+    visited as usize == n - usize::from(removed.is_some()) && root_children == 1
 }
 
 /// The exact k-connectivity threshold of one placement: the smallest
@@ -482,13 +496,47 @@ mod tests {
             ("root cut", root_cut, false),
             ("shuffled cycle", shuffled, true),
         ] {
-            assert_eq!(is_biconnected(&g), biconnected, "{name}");
+            assert_eq!(is_biconnected(&g, None), biconnected, "{name}");
             assert_eq!(is_k_connected(&g, 2), biconnected, "{name}");
             assert_eq!(vertex_connectivity(&g) >= 2, biconnected, "{name}");
         }
         // K2 has κ = 1: two nodes are never 2-connected.
         assert!(!is_k_connected(&complete(2), 2));
         assert_eq!(vertex_connectivity(&complete(2)), 1);
+
+        // 3-connectivity: every `G - v` biconnected. The cube Q3 joins
+        // nodes one bit apart, the prism two triangles by rungs, and the
+        // wheel hubs node 0 on a 5-cycle.
+        let cube: Vec<_> = (0..8)
+            .flat_map(|i| [1, 2, 4].map(|bit| (i, i ^ bit)))
+            .filter(|&(a, b)| a < b)
+            .collect();
+        let prism: Vec<_> = (0..3)
+            .flat_map(|i| [(i, (i + 1) % 3), (i + 3, (i + 1) % 3 + 3), (i, i + 3)])
+            .collect();
+        let k33: Vec<_> = (0..3).flat_map(|a| (3..6).map(move |b| (a, b))).collect();
+        let wheel: Vec<_> = (1..6).flat_map(|i| [(0, i), (i, i % 5 + 1)]).collect();
+        // Two K4s glued on a pair: minimum degree 3 but κ = 2. Glued on
+        // {0, 1}, deleting the DFS root 0 leaves node 1, the new root,
+        // as an articulation point; glued on {2, 3}, the cut avoids 0.
+        let k4 = |v: [usize; 4]| (0..4).flat_map(move |i| (i + 1..4).map(move |j| (v[i], v[j])));
+        let glued_at_root: Vec<_> = k4([0, 1, 2, 3]).chain(k4([0, 1, 4, 5])).collect();
+        let glued_away: Vec<_> = k4([0, 1, 2, 3]).chain(k4([2, 3, 4, 5])).collect();
+        assert!(!is_biconnected(&graph(6, &glued_at_root), Some(0)));
+        assert!(is_biconnected(&graph(6, &glued_at_root), Some(2)));
+        for (name, g, three_connected) in [
+            ("K4", complete(4), true),
+            ("cube", graph(8, &cube), true),
+            ("prism", graph(6, &prism), true),
+            ("K3,3", graph(6, &k33), true),
+            ("wheel", graph(6, &wheel), true),
+            ("glued at root", graph(6, &glued_at_root), false),
+            ("glued away", graph(6, &glued_away), false),
+            ("cycle", cycle(6), false),
+        ] {
+            assert_eq!(is_k_connected(&g, 3), three_connected, "{name}");
+            assert_eq!(vertex_connectivity(&g) >= 3, three_connected, "{name}");
+        }
     }
 
     #[test]

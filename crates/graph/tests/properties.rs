@@ -1016,10 +1016,9 @@ proptest! {
 
     #[test]
     fn articulation_check_matches_max_flow(g in random_graph()) {
-        prop_assert_eq!(
-            kconn::is_k_connected(&g, 2),
-            kconn::vertex_connectivity(&g) >= 2
-        );
+        let kappa = kconn::vertex_connectivity(&g);
+        prop_assert_eq!(kconn::is_k_connected(&g, 2), kappa >= 2);
+        prop_assert_eq!(kconn::is_k_connected(&g, 3), kappa >= 3);
     }
 
     #[test]

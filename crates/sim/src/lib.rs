@@ -105,7 +105,7 @@ pub use scaling::{
 };
 pub use stationary::StationaryAnalysis;
 pub use stream::{run_connectivity_stream, ConnectivityObserver, StepView};
-pub use sweep::{SweepCheckpoint, SweepRun, SweepScheduler};
+pub use sweep::{SweepRun, SweepScheduler};
 pub use trace::simulate_trace;
 pub use uptime::{UptimeReport, UptimeSummary};
 
