@@ -76,12 +76,36 @@ impl<const D: usize> MtrProblem<D> {
         self.side
     }
 
-    /// Exact MTR for a known placement: the Euclidean-MST bottleneck.
+    /// Exact MTR for a known placement: the Euclidean-MST bottleneck,
+    /// [`manet_graph::critical_range`]. The communication graph is
+    /// connected at the returned range `c` and disconnected at
+    /// `c.next_down()`, exactly.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Invalid`] when the placement size differs
     /// from the instance's `n` or contains non-finite coordinates.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use manet_core::MtrProblem;
+    /// use manet_geom::Point;
+    /// use manet_graph::{AdjacencyList, ComponentSummary};
+    ///
+    /// let problem = MtrProblem::<2>::new(3, 10.0)?;
+    /// let placement = vec![
+    ///     Point::new([0.0, 0.0]),
+    ///     Point::new([2.0, 3.0]),
+    ///     Point::new([4.0, 0.0]),
+    /// ];
+    /// let c = problem.critical_range_of(&placement)?;
+    /// let connected = |r: f64| {
+    ///     ComponentSummary::of(&AdjacencyList::from_points(&placement, 10.0, r)).is_connected()
+    /// };
+    /// assert!(connected(c) && !connected(c.next_down()));
+    /// # Ok::<(), manet_core::CoreError>(())
+    /// ```
     pub fn critical_range_of(&self, placement: &[Point<D>]) -> Result<f64, CoreError> {
         if placement.len() != self.nodes {
             return Err(CoreError::Invalid {

@@ -108,8 +108,8 @@ impl RangeAssignment {
     }
 
     /// Builds the symmetric communication graph induced by this
-    /// assignment over `points`: edge iff
-    /// `dist(u, v) <= min(r_u, r_v)`.
+    /// assignment over `points`: edge iff `d² <= reach·reach` for
+    /// `reach = min(r_u, r_v)`, the graph builders' range test.
     ///
     /// # Panics
     ///
@@ -126,11 +126,7 @@ impl RangeAssignment {
         for i in 0..n {
             for j in (i + 1)..n {
                 let reach = self.ranges[i].min(self.ranges[j]);
-                // Compare unsquared distances: MST-based ranges are
-                // themselves square roots of the same squared
-                // distances, so this comparison is exact where the
-                // squared form can round one ulp astray.
-                if points[i].distance(&points[j]) <= reach {
+                if points[i].distance_sq(&points[j]) <= reach * reach {
                     g.add_edge(i, j);
                 }
             }
@@ -210,19 +206,14 @@ mod tests {
         let pts = random_points(20, 60.0, 3);
         let mst = RangeAssignment::mst_based(&pts);
         let ctr = manet_graph::critical_range(&pts);
-        assert!((mst.max_range() - ctr).abs() < 1e-12);
+        assert_eq!(mst.max_range(), ctr);
     }
 
     #[test]
     fn uniform_assignment_connects_at_ctr() {
         let pts = random_points(15, 50.0, 4);
         let uniform = RangeAssignment::uniform(&pts);
-        // Allow one ulp of slack on the squared comparison.
-        let mut padded = uniform.clone();
-        for r in &mut padded.ranges {
-            *r *= 1.0 + 1e-12;
-        }
-        assert!(padded.connects(&pts));
+        assert!(uniform.connects(&pts));
     }
 
     #[test]

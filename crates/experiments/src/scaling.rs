@@ -140,7 +140,6 @@ pub fn run(opts: &RunOptions, session: &mut ObsSession) -> Result<(), CoreError>
         session.note_model(&cell.model);
         session.note_nodes(cell.n);
         session.note_range(cell.r_c);
-        session.record_counters(&format!("{}@n={}", cell.model, cell.n), &cell.kernel);
         table.row(vec![
             cell.model.clone(),
             cell.n.to_string(),

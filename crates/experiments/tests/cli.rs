@@ -716,7 +716,8 @@ fn trace_artifacts_byte_identical_across_skin_settings() {
 /// and the `--k-target 2` per-step thresholds read positions only.
 /// The located thresholds (the CSV)
 /// must therefore be byte-identical across both knobs, which perfbench
-/// and scripts still pass to every command.
+/// and scripts still pass to every command, and `metrics.json` records
+/// no kernel counters.
 #[test]
 fn critical_scaling_csv_identical_across_skin_and_step_threads() {
     for k_target in [None, Some("2")] {
@@ -745,12 +746,16 @@ fn critical_scaling_csv_identical_across_skin_and_step_threads() {
             if let Some(k) = k_target {
                 cmd.args(["--k-target", k]);
             }
+            let metrics_path = dir.join("metrics.json");
+            cmd.arg("--metrics").arg(&metrics_path);
             let out = cmd.arg("--out").arg(&dir).output().unwrap();
             assert!(
                 out.status.success(),
                 "stderr: {}",
                 String::from_utf8_lossy(&out.stderr)
             );
+            let metrics = std::fs::read_to_string(&metrics_path).unwrap();
+            assert!(metrics.contains("\"counters\":[]"), "{metrics}");
             let csv = std::fs::read_to_string(dir.join("critical_scaling.csv")).unwrap();
             outputs.push(((skin, step_threads), csv));
             std::fs::remove_dir_all(dir).ok();

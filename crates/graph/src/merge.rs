@@ -155,10 +155,12 @@ mod tests {
     use crate::adjacency::AdjacencyList;
     use crate::components::largest_component_size;
     use crate::mst::critical_range;
+    use manet_geom::covering_range;
     use rand::{RngExt, SeedableRng};
 
     /// The all-pairs oracle: Kruskal over every `i < j` pair sorted by
-    /// squared distance, one raw event per growing union.
+    /// squared distance, one raw event per growing union at the
+    /// smallest range admitting the pair.
     fn all_pairs_events<const D: usize>(points: &[Point<D>]) -> Vec<(f64, u32)> {
         let n = points.len();
         let mut pairs = Vec::new();
@@ -176,7 +178,7 @@ mod tests {
             let m = uf.largest_component() as u32;
             if m > current_max {
                 current_max = m;
-                events.push((d2.sqrt(), m));
+                events.push((covering_range(d2), m));
             }
         }
         events
@@ -224,8 +226,7 @@ mod tests {
     #[test]
     fn lattice_ties_match_the_all_pairs_oracle() {
         let mut tied_events = 0;
-        let mut exact_ties = 0;
-        let mut ulp_gaps = 0;
+        let mut sqrt_rounds_below = 0;
         for seed in 0..6 {
             let pts = lattice_with_holes(seed, 14, 0.3);
             let n = pts.len();
@@ -248,8 +249,10 @@ mod tests {
             assert_eq!(prof.critical_range(), Some(critical_range(&pts)));
             assert_eq!(prof.critical_range(), oracle.last().map(|e| e.0));
 
-            // Probe at every distinct pair distance `d = sqrt(d2)` of
-            // the lattice, each shared by many pairs.
+            // Probe at every distinct pair distance of the lattice, each
+            // shared by many pairs: at `covering_range(d2)`, where the
+            // graph's `d2 <= r * r` test first admits them, and one ulp
+            // below it.
             let mut d2s: Vec<f64> = (0..n)
                 .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
                 .map(|(i, j)| pts[i].distance_sq(&pts[j]))
@@ -257,36 +260,25 @@ mod tests {
             d2s.sort_by(f64::total_cmp);
             d2s.dedup();
             for d2 in d2s {
-                let d = d2.sqrt();
-                let at = prof.largest_component_at(d);
-                if d * d >= d2 {
-                    // The graph's `d2 <= r * r` test admits every pair
-                    // at `d`, as the profile's `length <= r` does.
-                    exact_ties += 1;
-                    let g = AdjacencyList::from_points_brute_force(&pts, d);
-                    assert_eq!(at, largest_component_size(&g), "seed {seed}, d2 {d2}");
-                } else {
-                    // `d * d` rounds one ulp below `d2`, so the graph at
-                    // `d` drops the pairs at `d2` while the profile
-                    // counts them; the graph agrees one ulp higher.
-                    ulp_gaps += 1;
-                    let g = AdjacencyList::from_points_brute_force(&pts, d.next_up());
-                    assert_eq!(at, largest_component_size(&g), "seed {seed}, d2 {d2}");
+                if d2.sqrt() * d2.sqrt() < d2 {
+                    sqrt_rounds_below += 1;
                 }
-                if d2 > 0.0 {
-                    let below = AdjacencyList::from_points_brute_force(&pts, d.next_down());
+                let r = covering_range(d2);
+                // `d2 = 0` has no range below it.
+                for r in [r, r.next_down()].into_iter().filter(|&r| r >= 0.0) {
+                    let g = AdjacencyList::from_points_brute_force(&pts, r);
                     assert_eq!(
-                        prof.largest_component_at(d.next_down()),
-                        largest_component_size(&below),
-                        "seed {seed}, below d2 {d2}"
+                        prof.largest_component_at(r),
+                        largest_component_size(&g),
+                        "seed {seed}, d2 {d2}, r {r:e}"
                     );
                 }
             }
         }
-        // The fixtures exercise same-range merging and both sides of
-        // the one-ulp gap.
+        // The fixtures exercise same-range merging and squared
+        // distances whose square root squares below them.
         assert!(tied_events > 0);
-        assert!(exact_ties > 0 && ulp_gaps > 0, "{exact_ties} / {ulp_gaps}");
+        assert!(sqrt_rounds_below > 0);
     }
 
     #[test]
@@ -355,8 +347,7 @@ mod tests {
                 .map(|_| Point::new([rng.random_range(0.0..25.0), rng.random_range(0.0..25.0)]))
                 .collect();
             let from_profile = MergeProfile::of(&pts).critical_range().unwrap();
-            let from_mst = critical_range(&pts);
-            assert!((from_profile - from_mst).abs() < 1e-9);
+            assert_eq!(from_profile, critical_range(&pts));
         }
     }
 
@@ -370,7 +361,7 @@ mod tests {
         for target in 2..=pts.len() {
             let r = prof.range_for_size(target).unwrap();
             assert!(prof.largest_component_at(r) >= target);
-            assert!(prof.largest_component_at(r * (1.0 - 1e-9)) < target);
+            assert!(prof.largest_component_at(r.next_down()) < target);
         }
         assert_eq!(prof.range_for_size(pts.len() + 1), None);
     }

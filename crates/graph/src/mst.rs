@@ -33,8 +33,8 @@
 //! exactly (bottleneck min–max duality). `L` is one pair's
 //! `distance_sq`, the same value Prim compares (the function is
 //! symmetric bit for bit, since `a − b` and `b − a` round to negatives
-//! of each other), so `sqrt(L)` is bit-identical to [`critical_range`]
-//! whichever tied MST Prim picks.
+//! of each other), so `covering_range(L)` is bit-identical to
+//! [`critical_range`] whichever tied MST Prim picks.
 //!
 //! When `m < L`, swapping `e` for the shortest cross pair yields a
 //! spanning tree of strictly smaller total weight, and the tracker
@@ -82,7 +82,7 @@
 //! gives way to Prim, so no input costs more than about 1.5 Prims.
 
 use crate::dsu::UnionFind;
-use manet_geom::{MovingCellGrid, Point};
+use manet_geom::{covering_range, MovingCellGrid, Point};
 
 /// One edge of a minimum spanning tree.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -92,7 +92,9 @@ pub struct MstEdge {
     pub a: u32,
     /// Second endpoint.
     pub b: u32,
-    /// Euclidean length of the edge.
+    /// The smallest range that admits the edge: [`covering_range`] of
+    /// its squared length, so the edge is present at range `r` exactly
+    /// when `length <= r`.
     pub length: f64,
 }
 
@@ -158,7 +160,8 @@ struct Candidate<const D: usize> {
 ///
 /// Returns `n - 1` edges for `n >= 1` points (empty for `n <= 1`).
 /// Edges grow one tree from node 0: each edge's `a` is already in the
-/// tree when `b` joins. Lengths are exact Euclidean distances. Among
+/// tree when `b` joins. Each length is the exact range at which its
+/// edge appears (see [`MstEdge::length`]). Among
 /// equal-length candidates the choice is unspecified, so with ties the
 /// edge set may be any of the tied MSTs (the bottleneck and the sorted
 /// length sequence are the same for all).
@@ -254,7 +257,7 @@ pub fn minimum_spanning_tree_prim<const D: usize>(points: &[Point<D>]) -> Vec<Ms
         edges.push(MstEdge {
             a: added.parent,
             b: added.index,
-            length: added.d2.sqrt(),
+            length: covering_range(added.d2),
         });
         (current, p) = (added.index, added.point);
     }
@@ -378,7 +381,7 @@ fn breadth_first(n: usize, tree: &[(u32, u32, f64)]) -> Vec<MstEdge> {
                 edges.push(MstEdge {
                     a: v,
                     b: w,
-                    length: d2.sqrt(),
+                    length: covering_range(d2),
                 });
             }
         }
@@ -388,7 +391,9 @@ fn breadth_first(n: usize, tree: &[(u32, u32, f64)]) -> Vec<MstEdge> {
 
 /// The critical transmitting range of a placement: the longest MST
 /// edge, i.e. the minimum common range `r` making the communication
-/// graph connected.
+/// graph connected. The answer is exact in floating point: the graph
+/// builders' `d² <= r·r` test connects the graph at the returned `c`
+/// and disconnects it at `c.next_down()`.
 ///
 /// Returns `0.0` for fewer than two points (a single node is trivially
 /// connected).
@@ -402,11 +407,19 @@ fn breadth_first(n: usize, tree: &[(u32, u32, f64)]) -> Vec<MstEdge> {
 ///
 /// ```
 /// use manet_geom::Point;
-/// use manet_graph::critical_range;
+/// use manet_graph::{critical_range, AdjacencyList, ComponentSummary};
 ///
 /// // Nodes at 0, 1 and 4: the MST edges are 1 and 3, so r = 3 connects.
 /// let pts = vec![Point::new([0.0]), Point::new([1.0]), Point::new([4.0])];
 /// assert_eq!(critical_range(&pts), 3.0);
+///
+/// // d² = 13, and sqrt(13)² rounds below 13: the answer is one ulp up.
+/// let pair = vec![Point::new([0.0, 0.0]), Point::new([2.0, 3.0])];
+/// let c = critical_range(&pair);
+/// let connected = |r: f64| {
+///     ComponentSummary::of(&AdjacencyList::from_points(&pair, 4.0, r)).is_connected()
+/// };
+/// assert!(connected(c) && !connected(c.next_down()));
 /// ```
 pub fn critical_range<const D: usize>(points: &[Point<D>]) -> f64 {
     longest(&minimum_spanning_tree(points))
@@ -583,7 +596,7 @@ impl CriticalRangeTracker {
             let (m, [inside, outside]) = self.shortest_cut_pair(points, cut, l2);
             if m == l2 {
                 self.counts.certified += 1;
-                return l2.sqrt();
+                return covering_range(l2);
             }
             self.rehang(cut as u32, inside, outside, m);
         }
@@ -808,11 +821,8 @@ mod tests {
                 .map(|_| Point::new([rng.random_range(0.0..30.0), rng.random_range(0.0..30.0)]))
                 .collect();
             let ctr = critical_range(&pts);
-            // `ctr` is a square root; squaring it back inside the range
-            // test can round one ulp below the original squared
-            // distance, so probe a hair above and below.
-            let at = AdjacencyList::from_points_brute_force(&pts, ctr * (1.0 + 1e-12));
-            let below = AdjacencyList::from_points_brute_force(&pts, ctr * (1.0 - 1e-9));
+            let at = AdjacencyList::from_points_brute_force(&pts, ctr);
+            let below = AdjacencyList::from_points_brute_force(&pts, ctr.next_down());
             assert!(is_connected(&at), "graph at CTR must be connected");
             assert!(
                 !is_connected(&below),

@@ -2,10 +2,10 @@
 //! invariant the whole reproduction rests on: the MST bottleneck is the
 //! exact connectivity threshold of the point graph.
 
-use manet_geom::Point;
+use manet_geom::{covering_range, Point};
 use manet_graph::{
-    components, critical_range, kconn, minimum_spanning_tree, AdjacencyList, DynamicGraph,
-    MergeProfile, UnionFind,
+    components, critical_range, kconn, minimum_spanning_tree, AdjacencyList, CriticalRangeTracker,
+    DynamicGraph, MergeProfile, UnionFind,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -21,10 +21,10 @@ proptest! {
     #[test]
     fn critical_range_is_the_exact_threshold(pts in points_strategy(40)) {
         let ctr = critical_range(&pts);
-        let at = AdjacencyList::from_points_brute_force(&pts, ctr * (1.0 + 1e-12));
+        let at = AdjacencyList::from_points_brute_force(&pts, ctr);
         prop_assert!(components::is_connected(&at));
         if ctr > 0.0 {
-            let below = AdjacencyList::from_points_brute_force(&pts, ctr * (1.0 - 1e-9));
+            let below = AdjacencyList::from_points_brute_force(&pts, ctr.next_down());
             prop_assert!(!components::is_connected(&below));
         }
     }
@@ -756,7 +756,7 @@ fn assert_matches_prim<const D: usize>(
         );
         prop_assert_eq!(
             e.length.to_bits(),
-            pts[e.a as usize].distance(&pts[e.b as usize]).to_bits()
+            covering_range(pts[e.a as usize].distance_sq(&pts[e.b as usize])).to_bits()
         );
         joined[e.b as usize] = true;
     }
@@ -861,7 +861,8 @@ fn grid_mst_falls_back_to_prim_outside_its_domain() {
 }
 
 /// Every registry model's placements at n = 2000 and 5000 over a few
-/// steps: the grid path takes every one, and matches Prim.
+/// steps: the grid path takes every one, matches Prim, and its
+/// bottleneck is the exact connectivity threshold of `from_points`.
 #[test]
 #[ignore = "release-only oracle; run by CI"]
 fn grid_mst_matches_prim_on_every_registry_model_at_scale() {
@@ -878,9 +879,14 @@ fn grid_mst_matches_prim_on_every_registry_model_at_scale() {
             let mut positions = region.place_uniform(n, &mut rng);
             model.init(&positions, &region, &mut rng);
             for step in 0..4 {
+                let what = format!("{name} n={n} step {step}");
                 if let Err(e) = assert_grid_matches_prim(&positions) {
-                    panic!("{name} n={n} step {step}: {e:?}");
+                    panic!("{what}: {e:?}");
                 }
+                let (tree, _) = minimum_spanning_tree_grid(&positions).expect("grid path");
+                let c = tree.iter().map(|e| e.length).fold(0.0, f64::max);
+                let graph = |r| AdjacencyList::from_points(&positions, side, r);
+                assert_exact_connectivity_threshold(c, graph, &what);
                 model.step(&mut positions, &region, &mut rng);
             }
         }
@@ -985,6 +991,41 @@ fn assert_exact_k_threshold<const D: usize>(pts: &[Point<D>], k: usize, what: &s
     }
 }
 
+/// `c` is the exact connectivity threshold of a placement whose graph
+/// at range `r` is `graph(r)`: connected at `c`, disconnected at
+/// `c.next_down()`.
+fn assert_exact_connectivity_threshold(c: f64, graph: impl Fn(f64) -> AdjacencyList, what: &str) {
+    assert!(
+        components::is_connected(&graph(c)),
+        "{what}: disconnected at {c:e}"
+    );
+    assert!(
+        !components::is_connected(&graph(c.next_down())),
+        "{what}: already connected below {c:e}"
+    );
+}
+
+/// Every threshold kernel on each placement: `critical_range_k` for
+/// `k = 2, 3`, and for `k = 1` `critical_range`, the merge profile's
+/// critical range and a tracker fed the placements in order.
+fn assert_exact_on_placements(placements: &[(String, Vec<Point<2>>)]) {
+    let mut tracker = CriticalRangeTracker::new();
+    for (what, pts) in placements {
+        for k in [2, 3] {
+            assert_exact_k_threshold(pts, k, what);
+        }
+        let graph = |r| AdjacencyList::from_points_brute_force(pts, r);
+        let profile = MergeProfile::of(pts).critical_range().expect("n >= 1");
+        for (kernel, c) in [
+            ("critical_range", critical_range(pts)),
+            ("merge profile", profile),
+            ("tracker", tracker.critical_range(pts)),
+        ] {
+            assert_exact_connectivity_threshold(c, graph, &format!("{what} {kernel}"));
+        }
+    }
+}
+
 /// Two placements of every registry model at `n` nodes (side `64·√n`,
 /// the `critical-scaling` density): right after the model's init, and
 /// six steps later.
@@ -1026,10 +1067,10 @@ proptest! {
         prop_assume!(k < pts.len());
         assert_exact_k_threshold(&pts, k, "uniform");
         if k == 1 {
-            // The MST bottleneck is `sqrt(d²)`, within one ulp of the
-            // range test's threshold.
-            let (c, ctr) = (kconn::critical_range_k(&pts, 1), critical_range(&pts));
-            prop_assert!(c.next_down() <= ctr && ctr <= c.next_up(), "{} vs {}", c, ctr);
+            prop_assert_eq!(
+                critical_range(&pts).to_bits(),
+                kconn::critical_range_k(&pts, 1).to_bits()
+            );
         }
     }
 }
@@ -1037,11 +1078,7 @@ proptest! {
 /// Every registry model at n = 16, and coincident points.
 #[test]
 fn critical_range_k_is_exact_on_every_registry_model() {
-    for (what, pts) in registry_placements(16) {
-        for k in [2, 3] {
-            assert_exact_k_threshold(&pts, k, &what);
-        }
-    }
+    assert_exact_on_placements(&registry_placements(16));
     // Coincident points: a stack of four and two single nodes, then
     // one stack of seven.
     let mut pts = vec![Point::new([5.0, 5.0]); 4];
@@ -1057,9 +1094,5 @@ fn critical_range_k_is_exact_on_every_registry_model() {
 #[test]
 #[ignore = "release-only oracle; run by CI"]
 fn critical_range_k_is_exact_on_every_registry_model_at_n64() {
-    for (what, pts) in registry_placements(64) {
-        for k in [2, 3] {
-            assert_exact_k_threshold(&pts, k, &what);
-        }
-    }
+    assert_exact_on_placements(&registry_placements(64));
 }

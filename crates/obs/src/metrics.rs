@@ -219,73 +219,6 @@ impl KernelMetrics {
         self.step.merge(&other.step);
         self.components.merge(&other.components);
     }
-
-    /// Column names for [`KernelMetrics::csv_row`], in matching order.
-    pub fn csv_header() -> String {
-        [
-            "grid_relocations",
-            "grid_nodes_moved",
-            "grid_boundary_crossings",
-            "grid_cells_touched",
-            "grid_resets",
-            "step_steps",
-            "step_incremental",
-            "step_bulk_rescan",
-            "step_fallback",
-            "step_moved_nodes",
-            "step_moved_rescan_candidates",
-            "step_bulk_rescan_candidates",
-            "step_edges_added",
-            "step_edges_removed",
-            "step_cache_verify",
-            "step_cache_rebuilds",
-            "step_cached_pairs",
-            "step_verify_candidates",
-            "comp_applies",
-            "comp_dsu_merges",
-            "comp_partial_rebuilds",
-            "comp_full_rebuilds",
-            "comp_partial_nodes_relabeled",
-            "comp_full_nodes_relabeled",
-        ]
-        .join(",")
-    }
-
-    /// The counters as one comma-separated row (column order matches
-    /// [`KernelMetrics::csv_header`]).
-    pub fn csv_row(&self) -> String {
-        let g = &self.grid;
-        let s = &self.step;
-        let c = &self.components;
-        [
-            g.relocations,
-            g.nodes_moved,
-            g.boundary_crossings,
-            g.cells_touched,
-            g.resets,
-            s.steps,
-            s.incremental_steps,
-            s.bulk_rescan_steps,
-            s.fallback_steps,
-            s.moved_nodes,
-            s.moved_rescan_candidates,
-            s.bulk_rescan_candidates,
-            s.edges_added,
-            s.edges_removed,
-            s.cache_verify_steps,
-            s.cache_rebuilds,
-            s.cached_pairs,
-            s.verify_candidates,
-            c.applies,
-            c.dsu_merges,
-            c.partial_rebuilds,
-            c.full_rebuilds,
-            c.partial_nodes_relabeled,
-            c.full_nodes_relabeled,
-        ]
-        .map(|v| v.to_string())
-        .join(",")
-    }
 }
 
 #[cfg(test)]
@@ -362,18 +295,6 @@ mod tests {
         assert!(s.cache_rebuilds <= s.bulk_rescan_steps);
         assert_eq!(StepKernelMetrics::default().fallback_fraction(), 0.0);
         assert_eq!(StepKernelMetrics::default().cache_verify_fraction(), 0.0);
-    }
-
-    #[test]
-    fn csv_row_matches_header_arity() {
-        let header = KernelMetrics::csv_header();
-        let row = sample(1).csv_row();
-        assert_eq!(
-            header.split(',').count(),
-            row.split(',').count(),
-            "header and row column counts must match"
-        );
-        assert!(row.split(',').all(|f| f.parse::<u64>().is_ok()));
     }
 
     #[test]

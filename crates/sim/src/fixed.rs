@@ -157,11 +157,11 @@ struct StepStats {
 }
 
 /// Step `points`' statistics at each of `ranges`, all read off one
-/// minimum spanning tree. Each tree edge's `d²` is
-/// [`Point::distance_sq`], compared with `r·r` exactly as the graph
-/// builders do:
+/// minimum spanning tree. Each tree edge's
+/// [`length`](manet_graph::MstEdge::length) is the smallest range that
+/// admits it, so `length <= r` is the graph builders' `d² <= r·r`:
 ///
-/// - components = n − #{edges with `d² <= r·r`}: the tree holds a
+/// - components = n − #{edges with `length <= r`}: the tree holds a
 ///   minimax path between every pair, so its edges up to `r` span the
 ///   components of the graph at `r`;
 /// - largest = the union-find maximum after merging those edges;
@@ -174,36 +174,26 @@ fn range_stats<'a, const D: usize>(
     ranges: &'a [f64],
 ) -> impl Iterator<Item = StepStats> + 'a {
     let n = points.len();
-    let mut edges: Vec<(f64, u32, u32)> = minimum_spanning_tree(points)
-        .into_iter()
-        .map(|e| {
-            (
-                points[e.a as usize].distance_sq(&points[e.b as usize]),
-                e.a,
-                e.b,
-            )
-        })
-        .collect();
-    edges.sort_by(|x, y| x.0.total_cmp(&y.0));
+    let mut edges = minimum_spanning_tree(points);
+    edges.sort_by(|x, y| x.length.total_cmp(&y.length));
     let mut nearest = vec![f64::INFINITY; n];
     // `largest[k]`: the largest component once the `k` shortest edges
     // have merged.
     let mut uf = UnionFind::new(n);
     let mut largest = vec![uf.largest_component()];
-    for &(d2, a, b) in &edges {
-        for v in [a as usize, b as usize] {
-            nearest[v] = nearest[v].min(d2);
+    for e in &edges {
+        for v in [e.a as usize, e.b as usize] {
+            nearest[v] = nearest[v].min(e.length);
         }
-        uf.union(a as usize, b as usize);
+        uf.union(e.a as usize, e.b as usize);
         largest.push(uf.largest_component());
     }
     ranges.iter().map(move |&r| {
-        let r2 = r * r;
-        let merged = edges.partition_point(|e| e.0 <= r2);
+        let merged = edges.partition_point(|e| e.length <= r);
         StepStats {
             connected: merged == edges.len(),
             largest: largest[merged],
-            isolated: nearest.iter().filter(|&&d2| d2 > r2).count(),
+            isolated: nearest.iter().filter(|&&length| length > r).count(),
             components: n - merged,
         }
     })
@@ -451,9 +441,8 @@ mod tests {
     }
 
     /// Observer checking every step's thresholds against the graph
-    /// oracle at fixed ranges, at the tree's own edge lengths (where
-    /// `sqrt(d²)·sqrt(d²)` may round either side of `d²`) and just
-    /// below them.
+    /// oracle at fixed ranges, at the tree's own edge lengths (each the
+    /// exact range at which its edge appears) and just below them.
     struct ThresholdOracle<'a> {
         name: &'a str,
         ranges: &'a [f64],
@@ -518,14 +507,15 @@ mod tests {
     }
 
     /// Ties on the range boundary: a pair at `d² = 13`, where
-    /// `sqrt(13)²` rounds below 13, and a lattice whose every tree edge
-    /// is exactly 5, each at `r` and `r.next_down()`.
+    /// `sqrt(13)²` rounds below 13 so the pair joins one ulp above
+    /// `sqrt(13)`, and a lattice whose every tree edge is exactly 5,
+    /// each around `r`.
     #[test]
     fn thresholds_compare_squared_lengths_at_ties() {
         let pair = [Point::new([0.0, 0.0]), Point::new([2.0, 3.0])];
         let r = 13f64.sqrt();
         assert!(r * r < 13.0, "the fixture needs sqrt(13)² to round down");
-        assert_thresholds_match_graphs(&pair, &[r.next_down(), r], "pair");
+        assert_thresholds_match_graphs(&pair, &[r.next_down(), r, r.next_up()], "pair");
         let lattice: Vec<Point<2>> = (0..16)
             .map(|i| Point::new([5.0 * (i % 4) as f64, 5.0 * (i / 4) as f64]))
             .collect();

@@ -30,15 +30,16 @@
 //!   the steps whose recorded bin reaches the answer bin: every event
 //!   of a step lies at or below its critical range, so the skipped
 //!   steps hold no event of that bin. The answer is exact in the
-//!   profile's convention, and memory is one histogram per iteration
-//!   plus 4 B per step, plus the events of one bin.
+//!   graph builders' `d² <= r·r` convention, and memory is one
+//!   histogram per iteration plus 4 B per step, plus the events of one
+//!   bin.
 //! * **k-connectivity: the pooled quantile.** Step `t` is k-connected
 //!   at `r` ⟺ `c_t^(k) <= r`, so the threshold is an order statistic
 //!   of the per-step thresholds, from one campaign. For `k = 1`,
 //!   `c_t` is the MST bottleneck on the warm-start tracker
 //!   ([`simulate_raw_critical_series`]); for `k >= 2` it is
-//!   [`critical_range_k`], exact in the graph builders' `d² <= r·r`
-//!   convention.
+//!   [`critical_range_k`]. Both are exact in the graph builders'
+//!   `d² <= r·r` convention.
 //!
 //! [`bisect_critical_range`] — monotone stochastic bisection, one
 //! positions-only campaign per probe, converging within
@@ -447,8 +448,8 @@ impl<const D: usize> ConnectivityObserver<D> for GrowthInBin<'_> {
     }
 }
 
-/// The exact giant-fraction threshold in the merge profile's
-/// convention: the smallest `r` with
+/// The exact giant-fraction threshold in the graph builders'
+/// `d² <= r·r` convention: the smallest `r` with
 /// `Σ_steps largest_component_at(r) / (iterations · steps · n) >= target`,
 /// from two positions-only passes over the cell's trajectories, and
 /// the number of steps pass 2 profiled.

@@ -22,7 +22,6 @@
 //!   `l log l` scaling law of Theorem 5.
 //! * [`seeds`] — SplitMix64 seed derivation so that parallel simulation
 //!   iterations are deterministic functions of one master seed.
-//! * [`summary`] — one-stop descriptive summary of a sample.
 //!
 //! # Example
 //!
@@ -47,7 +46,6 @@ pub mod quantiles;
 pub mod regression;
 pub mod seeds;
 pub mod special;
-pub mod summary;
 
 pub use ci::ConfidenceInterval;
 pub use distributions::{Normal, Poisson, StudentT};
@@ -56,7 +54,6 @@ pub use moments::RunningMoments;
 pub use quantiles::{quantile, FrozenSeries};
 pub use regression::{LinearFit, SlopeInference};
 pub use seeds::SeedSequence;
-pub use summary::Summary;
 
 /// Errors produced by statistics routines.
 ///
