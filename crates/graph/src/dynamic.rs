@@ -253,9 +253,11 @@ impl std::fmt::Display for Skin {
 /// decision and the auto skin depend on it, never correctness.
 const SKIN_REBUILD_COST_RATIO: f64 = 3.0;
 
-/// Minimum worthwhile drift budget, in units of the observed per-step
-/// displacement: below this many steps per rebuild the cache would
-/// thrash (rebuild almost every step) and auto-tuning declines to arm.
+/// Minimum auto skin, in units of the observed per-step displacement
+/// `d`: below it auto-tuning declines to arm. The drift budget `s/2`
+/// lasts `s/(2d)` steps, so this rules out only rebuilds more often
+/// than every 1.5 steps; a cache that rebuilds every other step still
+/// arms.
 const SKIN_MIN_REBUILD_STEPS: f64 = 3.0;
 
 /// Verify passes shorter than this stay serial: sharding a tiny arena
@@ -345,18 +347,35 @@ fn merge_packed_diff(old: &[u64], new: &[u64], diff: &mut EdgeDiff) {
     diff.added.extend(new[j..].iter().map(|&p| unpack_pair(p)));
 }
 
+/// Replaces `out` with the packed pairs of `cand` whose endpoints lie
+/// within squared distance `r2` of each other, in `cand`'s order.
+/// Every candidate is written and the write cursor advances by the
+/// range test's outcome, so the distance loop carries no
+/// data-dependent branch (the same shape as the grid scan's batched
+/// emission). `out` only grows to the candidate count: no pass
+/// zero-fills the whole arena.
+fn filter_in_range<const D: usize>(cand: &[u64], points: &[Point<D>], r2: f64, out: &mut Vec<u64>) {
+    if out.len() < cand.len() {
+        out.resize(cand.len(), 0);
+    }
+    let mut kept = 0;
+    for &packed in cand {
+        let (a, b) = unpack_pair(packed);
+        out[kept] = packed;
+        kept += usize::from(points[a as usize].distance_sq(&points[b as usize]) <= r2);
+    }
+    out.truncate(kept);
+}
+
 /// The displacement-tracked Verlet candidate arena: every pair within
 /// `r + skin` at the last build, packed (`a < b`) and lex-sorted in
-/// one contiguous buffer, with a CSR offset table over the lower
-/// endpoint so the serial verify pass can hoist that node's position
-/// out of its inner loop. Rebuilt in stable node order; both buffers
-/// keep their capacity across rebuilds.
+/// one flat buffer that keeps its capacity across rebuilds. A verify
+/// pass filters it in arena order, so the survivors come out already
+/// in the lex order the bulk path's row fill and diff merge take.
 #[derive(Debug, Clone, Default)]
 struct VerletCache {
     /// Lex-sorted packed candidate pairs.
     pairs: Vec<u64>,
-    /// CSR row offsets into `pairs` by lower endpoint (`n + 1` entries).
-    offsets: Vec<usize>,
     /// The arena no longer covers the trajectory (a fallback step
     /// rebuilt the snapshot behind it); forces a rebuild next step.
     stale: bool,
@@ -894,15 +913,6 @@ impl<const D: usize> DynamicGraph<D> {
             &mut self.cache.pairs,
         );
         sort_packed_pairs(&mut self.cache.pairs, n, &mut self.pair_sort);
-        let offsets = &mut self.cache.offsets;
-        offsets.clear();
-        offsets.resize(n + 1, 0);
-        for &p in &self.cache.pairs {
-            offsets[(p >> 32) as usize + 1] += 1;
-        }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
-        }
         self.cache.stale = false;
         self.max_drift_sq = 0.0;
         self.metrics.bulk_rescan_candidates += 2 * shard_scan.pairs_examined + n as u64;
@@ -914,27 +924,17 @@ impl<const D: usize> DynamicGraph<D> {
         self.cache_verify_pass(points);
     }
 
-    /// Streams every cached candidate pair against the current
-    /// positions, refilling the snapshot rows and the packed edge list
-    /// and emitting the diff — the armed replacement for any cell
-    /// neighborhood traversal. Sharded over contiguous arena slices
-    /// when the arena is large enough: filtering a sorted list slice
-    /// by slice and concatenating survivors in slice order preserves
-    /// the lex order, so rows, edge list and diff are bit-identical at
-    /// any thread count (and to the serial hoisted-row loop).
+    /// Filters the cached candidate arena against the current
+    /// positions into the next packed edge list, then commits it
+    /// through the bulk path's tail ([`DynamicGraph::commit_new_pairs`])
+    /// — the armed replacement for any cell neighborhood traversal.
+    /// Sharded over contiguous arena slices when the arena is large
+    /// enough: filtering a sorted list slice by slice and concatenating
+    /// the survivors in slice order preserves the lex order, so rows,
+    /// edge list and diff are bit-identical at any thread count.
     fn cache_verify_pass(&mut self, points: &[Point<D>]) {
         self.ensure_edge_pairs();
-        let n = points.len();
         let r2 = self.range * self.range;
-        self.new_pairs.clear();
-        if self.next_rows.len() != n {
-            self.next_rows.resize_with(n, Vec::new);
-        }
-        for row in &mut self.next_rows {
-            row.clear();
-        }
-        let next = &mut self.next_rows;
-        let new_pairs = &mut self.new_pairs;
         let cand = &self.cache.pairs;
         let n_shards = if cand.len() >= VERIFY_SHARD_MIN_PAIRS {
             self.step_threads.min(cand.len()).max(1)
@@ -942,53 +942,22 @@ impl<const D: usize> DynamicGraph<D> {
             1
         };
         if n_shards == 1 {
-            let offsets = &self.cache.offsets;
-            for (a, pa) in points.iter().enumerate() {
-                let (lo, hi) = (offsets[a], offsets[a + 1]);
-                if lo == hi {
-                    continue;
-                }
-                for &packed in &cand[lo..hi] {
-                    let b = packed as u32;
-                    if pa.distance_sq(&points[b as usize]) <= r2 {
-                        new_pairs.push(packed);
-                        next[a].push(b);
-                        next[b as usize].push(a as u32);
-                    }
-                }
-            }
+            filter_in_range(cand, points, r2, &mut self.new_pairs);
         } else {
             let frags = &mut self.shard_pairs;
             frags.resize_with(n_shards, Vec::new);
             let kept = parallel::run_indexed(n_shards, std::mem::take(frags), |w, mut buf| {
-                buf.clear();
-                for &packed in &cand[balanced_range(cand.len(), n_shards, w)] {
-                    let (a, b) = unpack_pair(packed);
-                    if points[a as usize].distance_sq(&points[b as usize]) <= r2 {
-                        buf.push(packed);
-                    }
-                }
+                let slice = &cand[balanced_range(cand.len(), n_shards, w)];
+                filter_in_range(slice, points, r2, &mut buf);
                 buf
             });
+            self.new_pairs.clear();
             for buf in kept {
-                for &packed in &buf {
-                    let (a, b) = unpack_pair(packed);
-                    new_pairs.push(packed);
-                    next[a as usize].push(b);
-                    next[b as usize].push(a);
-                }
+                self.new_pairs.extend_from_slice(&buf);
                 frags.push(buf);
             }
         }
-        // Rows filled from a lex-sorted pair list are already sorted:
-        // for row x, every lower partner a (from pairs (a, x), keys
-        // a·2³² + x) is pushed before — and ascending among — every
-        // higher partner b (from pairs (x, b), keys x·2³² + b).
-        merge_packed_diff(&self.edge_pairs, &self.new_pairs, &mut self.diff);
-        let pair_count = self.new_pairs.len();
-        self.graph
-            .swap_neighbor_rows(&mut self.next_rows, pair_count);
-        std::mem::swap(&mut self.edge_pairs, &mut self.new_pairs);
+        self.commit_new_pairs(points.len());
     }
 
     /// Re-derives the packed current-edge list from the snapshot after
@@ -1247,17 +1216,26 @@ impl<const D: usize> DynamicGraph<D> {
             &mut self.new_pairs,
         );
         sort_packed_pairs(&mut self.new_pairs, n, &mut self.pair_sort);
-        fill_sorted_rows(&mut self.next_rows, n, &self.new_pairs);
-        merge_packed_diff(&self.edge_pairs, &self.new_pairs, &mut self.diff);
-        let pairs = self.new_pairs.len();
-        self.graph.swap_neighbor_rows(&mut self.next_rows, pairs);
-        std::mem::swap(&mut self.edge_pairs, &mut self.new_pairs);
+        self.commit_new_pairs(n);
         // Counter compatibility: the historical bulk counter tallied
         // every occupant visit of every node's 3^D-cell neighborhood,
         // which is one self-visit per node plus both directions of
         // each examined unordered pair: `2·examined + n`.
         self.metrics.bulk_rescan_candidates += 2 * shard_scan.pairs_examined + n as u64;
         self.metrics.bulk_rescan_steps += 1;
+    }
+
+    /// The bulk and verify paths' shared tail: `new_pairs` holds the
+    /// next snapshot's lex-sorted packed edge list and `edge_pairs` the
+    /// current one. Fills the next rows, merges the two lists into the
+    /// diff, and swaps rows and lists in, so both sides' capacity is
+    /// reused on the following step.
+    fn commit_new_pairs(&mut self, n: usize) {
+        fill_sorted_rows(&mut self.next_rows, n, &self.new_pairs);
+        merge_packed_diff(&self.edge_pairs, &self.new_pairs, &mut self.diff);
+        let pairs = self.new_pairs.len();
+        self.graph.swap_neighbor_rows(&mut self.next_rows, pairs);
+        std::mem::swap(&mut self.edge_pairs, &mut self.new_pairs);
     }
 }
 
@@ -1509,6 +1487,54 @@ mod tests {
         }
         assert_eq!(dg.metrics().incremental_steps, 3);
         assert_eq!(dg.metrics().bulk_rescan_steps, 3);
+    }
+
+    /// Exact ties through the armed cache: the same 3-4-5 lattice under
+    /// a declared bound and a fixed skin. Every node shifts by 3 along
+    /// x each step (all moving, so the cache arms) and a third of them,
+    /// rotating every two steps, also sits 4 up, so pairs keep landing
+    /// at exactly `d == r`. Drift from the arena's reference is 3, 4 or
+    /// 5 — within or beyond the `skin/2 = 4` budget — so verify steps
+    /// and rebuilds alternate. Both must keep the brute-force
+    /// `d² <= r·r` edge set.
+    #[test]
+    fn exact_ties_survive_armed_cache_steps() {
+        let (side, r) = (80.0, 5.0);
+        let at = |step: usize| -> Vec<Point<2>> {
+            (0..14)
+                .flat_map(|x| (0..14).map(move |y| (x, y)))
+                .enumerate()
+                .map(|(i, (x, y))| {
+                    let dx = if step % 2 == 1 { 3.0 } else { 0.0 };
+                    let dy = if (i + step / 2).is_multiple_of(3) {
+                        4.0
+                    } else {
+                        0.0
+                    };
+                    Point::new([3.0 * x as f64 + dx, 4.0 * y as f64 + dy])
+                })
+                .collect()
+        };
+        let mut dg = DynamicGraph::new(&at(0), side, r)
+            .with_displacement_bound(Some(5.0))
+            .with_skin(Skin::Fixed(8.0));
+        let mut oracle = AdjacencyList::from_points_brute_force(&at(0), r);
+        assert_eq!(dg.graph(), &oracle);
+        assert!(oracle.edge_count() >= 500, "ties present");
+        for step in 1..=12 {
+            let pts = at(step);
+            dg.step(&pts);
+            let next = AdjacencyList::from_points_brute_force(&pts, r);
+            assert_eq!(dg.last_diff(), &oracle.diff(&next), "diff at step {step}");
+            assert_eq!(dg.graph(), &next, "snapshot at step {step}");
+            oracle = next;
+        }
+        let m = *dg.metrics();
+        assert_eq!(dg.armed_skin(), Some(8.0));
+        assert_eq!(m.fallback_steps, 0);
+        assert!(m.cache_verify_steps >= 1, "{m:?}");
+        assert!(m.cache_rebuilds >= 1, "{m:?}");
+        assert_eq!(m.cache_verify_steps + m.cache_rebuilds, 12, "{m:?}");
     }
 
     #[test]
@@ -1984,14 +2010,10 @@ mod tests {
         shift(&mut pts, 0.3);
         dg.step(&pts);
         assert!(dg.armed_skin().is_some(), "cache must arm first");
-        // Remove the arena entry covering true edge (0, 1) and patch
-        // the CSR offsets so the arena stays structurally consistent —
-        // only the coverage invariant is broken.
+        // Remove the arena entry covering true edge (0, 1): the arena
+        // stays sorted, only the coverage invariant is broken.
         let idx = dg.cache.pairs.binary_search(&pack_pair(0, 1)).unwrap();
         dg.cache.pairs.remove(idx);
-        for off in dg.cache.offsets.iter_mut().skip(1) {
-            *off -= 1;
-        }
         // An in-bound verify step must now trip the coverage check.
         shift(&mut pts, 0.3);
         dg.step(&pts);

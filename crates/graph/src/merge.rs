@@ -69,7 +69,10 @@ impl MergeProfile {
     /// two MST builders.
     #[doc(hidden)]
     pub fn from_spanning_tree(n: usize, mut edges: Vec<MstEdge>) -> Self {
-        edges.sort_by(|a, b| a.length.total_cmp(&b.length));
+        // Unstable is enough: a tie group collapses into one event, and
+        // the components after the whole group do not depend on the
+        // order its edges merge in.
+        edges.sort_unstable_by(|a, b| a.length.total_cmp(&b.length));
 
         let mut uf = UnionFind::new(n);
         let mut events: Vec<(f64, u32)> = Vec::new();
@@ -214,6 +217,50 @@ mod tests {
             }
         }
         pts
+    }
+
+    /// The profile must not depend on the order of the edges inside a
+    /// group of equal length: on lattice placements, where most tree
+    /// edges tie, every permutation of each tie group (and of the whole
+    /// input) yields the profile of the length-sorted tree.
+    #[test]
+    fn tie_group_order_does_not_change_the_profile() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+        let mut shuffle = |edges: &mut [MstEdge]| {
+            for i in (1..edges.len()).rev() {
+                edges.swap(i, rng.random_range(0..=i));
+            }
+        };
+        let mut widest_tie = 0;
+        for seed in 0..4 {
+            let pts = lattice_with_holes(seed, 14, 0.5);
+            let mut tree = minimum_spanning_tree(&pts);
+            tree.sort_by(|a, b| a.length.total_cmp(&b.length));
+            let want = MergeProfile::from_spanning_tree(pts.len(), tree.clone());
+            for round in 0..6 {
+                let mut edges = tree.clone();
+                for group in edges.chunk_by_mut(|a, b| a.length == b.length) {
+                    widest_tie = widest_tie.max(group.len());
+                    match round {
+                        0 => group.reverse(),
+                        1 => group.rotate_left(1),
+                        _ => shuffle(group),
+                    }
+                }
+                if round == 5 {
+                    shuffle(&mut edges);
+                }
+                assert_eq!(
+                    MergeProfile::from_spanning_tree(pts.len(), edges),
+                    want,
+                    "seed {seed} round {round}"
+                );
+            }
+        }
+        assert!(
+            widest_tie >= 50,
+            "the lattice must tie: widest group {widest_tie}"
+        );
     }
 
     #[test]

@@ -691,7 +691,9 @@ fn sharded_step_observables_bit_identical_across_thread_counts_for_every_model()
 /// `from_points` + `diff`. The moved-node path runs with one node in
 /// four moving, the bulk path with the cache off and every node moving,
 /// and the cache-verify path with a fixed skin (waypoint only: a model
-/// without a bound never arms the cache).
+/// without a bound never arms the cache), serial and on two step
+/// threads: these arenas are long enough for the verify pass to take
+/// its sharded branch, and both branches must keep every counter.
 #[test]
 #[ignore = "release-only oracle; run by CI"]
 fn step_kernel_paths_match_oracle_at_scale() {
@@ -699,18 +701,26 @@ fn step_kernel_paths_match_oracle_at_scale() {
         // Trace-large's density: n = 2000 on side 1024, range 60.
         let side = 1024.0 * (n as f64 / 2000.0).sqrt();
         for model in ["waypoint", "gauss-markov"] {
-            let replay = |stride, skin| {
-                replay_kernel_against_oracle(model, n, side, 60.0, 6, 7, stride, (1, skin)).unwrap()
+            let replay = |stride, threads, skin| {
+                replay_kernel_against_oracle(model, n, side, 60.0, 6, 7, stride, (threads, skin))
+                    .unwrap()
             };
-            let m = replay(4, Skin::Off);
+            let m = replay(4, 1, Skin::Off);
             assert_eq!(m.incremental_steps, 6, "{model} n={n}: {m:?}");
-            let m = replay(1, Skin::Off);
+            let m = replay(1, 1, Skin::Off);
             assert_eq!(m.bulk_rescan_steps, 6, "{model} n={n}: {m:?}");
             if model == "waypoint" {
                 // Eight top speeds of skin: the arena outlasts several
                 // steps of drift before it rebuilds.
-                let m = replay(1, Skin::Fixed(0.08 * side));
+                let skin = Skin::Fixed(0.08 * side);
+                let m = replay(1, 1, skin);
                 assert!(m.cache_verify_steps >= 3, "{model} n={n}: {m:?}");
+                // The verify pass shards arenas of 4096 pairs and up.
+                assert!(
+                    m.cached_pairs >= 4096 * m.cache_rebuilds,
+                    "{model} n={n}: arenas too short to shard: {m:?}"
+                );
+                assert_eq!(replay(1, 2, skin), m, "{model} n={n}: 2 step threads");
             }
         }
     }
