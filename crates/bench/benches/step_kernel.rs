@@ -15,8 +15,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use manet_bench::step_kernel::{
-    churn_per_node, run_cached_threads, run_incremental, run_incremental_threads, run_rebuild_diff,
-    trajectory, RANGE, SCENARIOS, SIDE,
+    churn_per_node, run_cached, run_incremental, run_rebuild_diff, trajectory, RANGE, SCENARIOS,
+    SIDE,
 };
 use manet_core::graph::Skin;
 use std::hint::black_box;
@@ -42,25 +42,6 @@ fn bench_step_kernel(c: &mut Criterion) {
     group.finish();
 }
 
-/// Self-speedup of the sharded bulk rescan: the all-moving `mid`
-/// regime at `n = 4000`, intra-step threads 1/2/4. Checksums (hence
-/// every observable) are identical across the sweep; only wall clock
-/// moves.
-fn bench_step_kernel_threads(c: &mut Criterion) {
-    let mut group = c.benchmark_group("step_kernel_threads");
-    let scenario = SCENARIOS
-        .iter()
-        .find(|s| s.label == "mid")
-        .expect("mid scenario");
-    let traj = trajectory(4000, scenario, 30, 31);
-    for &threads in &[1usize, 2, 4] {
-        group.bench_function(format!("incremental_n=4000_mid_threads={threads}"), |b| {
-            b.iter(|| run_incremental_threads(black_box(&traj), SIDE, RANGE, threads))
-        });
-    }
-    group.finish();
-}
-
 /// The Verlet cache's win on its target regime: `mid` (all-moving,
 /// bounded per-step displacement) at `n ∈ {1000, 4000}`, the skin
 /// pinned off vs auto-tuned vs a fixed radius near the optimum. The
@@ -81,19 +62,12 @@ fn bench_step_kernel_cache(c: &mut Criterion) {
             ("fixed12", Skin::Fixed(12.0)),
         ] {
             group.bench_function(format!("cached_n={n}_mid_skin={label}"), |b| {
-                b.iter(|| {
-                    run_cached_threads(black_box(&traj), SIDE, RANGE, scenario.v_max, skin, 1)
-                })
+                b.iter(|| run_cached(black_box(&traj), SIDE, RANGE, scenario.v_max, skin))
             });
         }
     }
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_step_kernel,
-    bench_step_kernel_threads,
-    bench_step_kernel_cache
-);
+criterion_group!(benches, bench_step_kernel, bench_step_kernel_cache);
 criterion_main!(benches);

@@ -8,18 +8,19 @@
 //! the results as JSON (committed as `BENCH_step_kernel.json` at the
 //! repository root; see `scripts/capture_step_kernel.sh`).
 //!
-//! Three row families beyond the base grid:
+//! Row families beyond the base grid (every row runs the serial
+//! kernel):
 //!
-//! * a **thread sweep** at `n = 4000` (`--step-threads`-style intra-step
-//!   sharding at 2/4/8 workers, `mid`/`high` all-moving regimes), the
-//!   self-speedup series of the sharded bulk rescan;
 //! * **scaling rows** at `n = 20000` and `n = 100000` over a
-//!   density-preserving region (`side_for(n)`), threads 1 and 4 — the
-//!   push toward 10⁵ nodes;
+//!   density-preserving region (`side_for(n)`) — the push toward 10⁵
+//!   nodes;
 //! * `--large-smoke` replaces the grid with one cheap `n = 20000` pair
-//!   of rows (threads 1 vs 4, checksum-asserted equal) for CI;
+//!   of rows (skin auto vs off) for CI;
 //! * `--skin-sweep` replaces the grid with the Verlet-skin cost curve:
-//!   `n = 4000` `mid`/`high` serial, skin ∈ {off, auto, fixed radii}.
+//!   `n = 4000` `mid`/`high`, skin ∈ {off, auto, fixed radii}.
+//!
+//! Rows that share a trajectory must fold the same checksum whatever
+//! their skin; every mode asserts that.
 //!
 //! Every row runs with the scenario's declared displacement bound and
 //! a Verlet skin policy (the base grid pins `auto`, the kernel
@@ -39,10 +40,10 @@
 //! counters (incremental vs bulk-rescan vs fallback step fractions,
 //! rescan candidate volumes, grid cells touched, edge events) captured
 //! by one untimed pass — the diagnostic data for *why* the speedup
-//! moves with churn, byte-identical across machines and thread counts.
+//! moves with churn, byte-identical across machines.
 
 use manet_bench::step_kernel::{
-    churn_per_node, measure_cached_kernel_counters, run_cached_threads, run_rebuild_diff, side_for,
+    churn_per_node, measure_cached_kernel_counters, run_cached, run_rebuild_diff, side_for,
     trajectory_in, Scenario, RANGE, SCENARIOS, SIDE,
 };
 use manet_core::geom::Point;
@@ -58,7 +59,6 @@ struct Spec {
     scenario: &'static Scenario,
     steps: usize,
     repeats: usize,
-    threads: usize,
     skin: Skin,
 }
 
@@ -66,21 +66,22 @@ struct Cell {
     n: usize,
     side: f64,
     scenario: &'static str,
-    threads: usize,
     skin: Skin,
     moved_fraction: f64,
     steps: usize,
     churn_per_node: f64,
     incremental_ns_per_step: f64,
     rebuild_ns_per_step: f64,
+    /// The cached path's fold checksum over the trajectory.
+    checksum: usize,
     kernel: KernelMetrics,
 }
 
 /// Median wall time of `repeats` timed passes over the trajectory,
-/// in nanoseconds per mobility step.
-fn time_ns_per_step<F: FnMut() -> usize>(mut f: F, steps: usize, repeats: usize) -> f64 {
+/// in nanoseconds per mobility step, and the untimed pass's result.
+fn time_ns_per_step<F: FnMut() -> usize>(mut f: F, steps: usize, repeats: usize) -> (f64, usize) {
     // One untimed pass warms caches and the allocator.
-    black_box(f());
+    let result = black_box(f());
     let mut samples: Vec<f64> = (0..repeats)
         .map(|_| {
             let t0 = Instant::now();
@@ -89,7 +90,7 @@ fn time_ns_per_step<F: FnMut() -> usize>(mut f: F, steps: usize, repeats: usize)
         })
         .collect();
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    samples[samples.len() / 2]
+    (samples[samples.len() / 2], result)
 }
 
 fn measure(spec: &Spec, timer: &mut SpanTimer) -> Cell {
@@ -99,7 +100,6 @@ fn measure(spec: &Spec, timer: &mut SpanTimer) -> Cell {
         scenario,
         steps,
         repeats,
-        threads,
         skin,
     } = spec;
     timer.enter("cell");
@@ -119,27 +119,27 @@ fn measure(spec: &Spec, timer: &mut SpanTimer) -> Cell {
     }
     let moved_fraction = moved as f64 / ((traj.len() - 1) as f64 * n as f64);
     timer.enter("time_incremental");
-    let inc = time_ns_per_step(
-        || run_cached_threads(&traj, side, RANGE, bound, skin, threads),
+    let (inc, checksum) = time_ns_per_step(
+        || run_cached(&traj, side, RANGE, bound, skin),
         steps - 1,
         repeats,
     );
     timer.exit();
     timer.enter("time_rebuild");
-    let reb = time_ns_per_step(|| run_rebuild_diff(&traj, side, RANGE), steps - 1, repeats);
+    let (reb, _) = time_ns_per_step(|| run_rebuild_diff(&traj, side, RANGE), steps - 1, repeats);
     timer.exit();
     timer.exit();
     Cell {
         n,
         side,
         scenario: scenario.label,
-        threads,
         skin,
         moved_fraction,
         steps,
         churn_per_node: churn,
         incremental_ns_per_step: inc,
         rebuild_ns_per_step: reb,
+        checksum,
         kernel,
     }
 }
@@ -166,21 +166,20 @@ fn main() {
 
     let mut specs: Vec<Spec> = Vec::new();
     if large_smoke {
-        // CI's large-n smoke: one n = 20000 step-kernel pass at 1 and
-        // 4 intra-step threads, checksum-asserted identical below.
-        for threads in [1usize, 4] {
+        // CI's large-n smoke: one n = 20000 step-kernel pass with the
+        // skin auto and off, checksum-asserted identical below.
+        for skin in [Skin::Auto, Skin::Off] {
             specs.push(Spec {
                 n: 20_000,
                 side: side_for(20_000),
                 scenario: scenario("mid"),
                 steps: 6,
                 repeats: 1,
-                threads,
-                skin: Skin::Auto,
+                skin,
             });
         }
     } else if skin_sweep {
-        // The skin cost curve: n = 4000 all-moving serial, the Verlet
+        // The skin cost curve: n = 4000 all-moving, the Verlet
         // skin swept from off through auto to fixed radii around the
         // auto-tuned optimum. Reads as a U-shape: small skins rebuild
         // too often, large skins verify too many candidate pairs.
@@ -200,7 +199,6 @@ fn main() {
                     scenario: scenario(label),
                     steps: 30,
                     repeats: 3,
-                    threads: 1,
                     skin,
                 });
             }
@@ -214,21 +212,10 @@ fn main() {
                     scenario,
                     steps: 16,
                     repeats: 1,
-                    threads: 1,
                     skin: Skin::Auto,
                 });
             }
         }
-        // One sharded row proves the parallel bulk path in CI.
-        specs.push(Spec {
-            n: 1000,
-            side: SIDE,
-            scenario: scenario("mid"),
-            steps: 16,
-            repeats: 1,
-            threads: 3,
-            skin: Skin::Auto,
-        });
     } else {
         for &n in &[256usize, 1000, 4000] {
             for scenario in &SCENARIOS {
@@ -238,7 +225,6 @@ fn main() {
                     scenario,
                     steps: if n >= 4000 { 30 } else { 60 },
                     repeats: 5,
-                    threads: 1,
                     skin: Skin::Auto,
                 });
             }
@@ -252,39 +238,20 @@ fn main() {
             scenario: scenario("mid"),
             steps: 30,
             repeats: 5,
-            threads: 1,
             skin: Skin::Off,
         });
-        // Thread sweep: self-speedup of the sharded bulk rescan in the
-        // all-moving regimes (threads = 1 is the base grid above).
-        for label in ["mid", "high"] {
-            for threads in [2usize, 4, 8] {
-                specs.push(Spec {
-                    n: 4000,
-                    side: SIDE,
-                    scenario: scenario(label),
-                    steps: 30,
-                    repeats: 5,
-                    threads,
-                    skin: Skin::Auto,
-                });
-            }
-        }
         // Scaling rows: density-preserving push toward n = 10^5.
         // Step counts amortize the one-time constructor (a full build)
         // the incremental pass pays before its first step.
         for (n, steps) in [(20_000usize, 20usize), (100_000, 10)] {
-            for threads in [1usize, 4] {
-                specs.push(Spec {
-                    n,
-                    side: side_for(n),
-                    scenario: scenario("mid"),
-                    steps,
-                    repeats: 2,
-                    threads,
-                    skin: Skin::Auto,
-                });
-            }
+            specs.push(Spec {
+                n,
+                side: side_for(n),
+                scenario: scenario("mid"),
+                steps,
+                repeats: 2,
+                skin: Skin::Auto,
+            });
         }
     }
 
@@ -297,10 +264,9 @@ fn main() {
     for spec in &specs {
         let cell = measure(spec, &mut timer);
         eprintln!(
-            "n={:<6} scenario={:<4} threads={} skin={:<4} moved={:.2}n churn={:.3}n  incremental {:>12.0} ns/step  rebuild {:>12.0} ns/step  speedup {:.2}x  paths {}i/{}b/{}v/{}f ({}rb)",
+            "n={:<6} scenario={:<4} skin={:<4} moved={:.2}n churn={:.3}n  incremental {:>12.0} ns/step  rebuild {:>12.0} ns/step  speedup {:.2}x  paths {}i/{}b/{}v/{}f ({}rb)",
             cell.n,
             cell.scenario,
-            cell.threads,
             cell.skin.to_string(),
             cell.moved_fraction,
             cell.churn_per_node,
@@ -338,7 +304,7 @@ fn main() {
     for (i, c) in cells.iter().enumerate() {
         let k = &c.kernel;
         json.push_str(&format!(
-            "    {{\"n\": {}, \"scenario\": \"{}\", \"threads\": {}, \"skin\": \"{}\", \
+            "    {{\"n\": {}, \"scenario\": \"{}\", \"skin\": \"{}\", \
              \"side\": {:.1}, \"steps\": {}, \
              \"moved_fraction\": {:.4}, \"churn_per_node\": {:.4}, \
              \"incremental_ns_per_step\": {:.1}, \
@@ -352,7 +318,6 @@ fn main() {
              \"edges_added\": {}, \"edges_removed\": {}}}{}\n",
             c.n,
             c.scenario,
-            c.threads,
             c.skin,
             c.side,
             c.steps,
@@ -386,20 +351,18 @@ fn main() {
         None => print!("{json}"),
     }
 
-    // Any mode that runs the sharded path doubles as a determinism
-    // check: the fold checksum must not move with the thread count
-    // (cache armed and all — the arena and verify path are sharded
-    // over the same `run_indexed` fan-out as the bulk rescan).
-    for c in cells.iter().filter(|c| c.threads > 1) {
-        let traj = trajectory_in(c.n, c.side, scenario(c.scenario), c.steps, 31);
-        let bound = scenario(c.scenario).v_max;
-        let serial = run_cached_threads(&traj, c.side, RANGE, bound, c.skin, 1);
-        let sharded = run_cached_threads(&traj, c.side, RANGE, bound, c.skin, c.threads);
-        assert_eq!(
-            serial, sharded,
-            "sharded checksum diverged at n={} threads={}",
-            c.n, c.threads
-        );
+    // Every mode doubles as a determinism check: rows over the same
+    // trajectory fold the same checksum whatever their skin.
+    for (i, a) in cells.iter().enumerate() {
+        for b in &cells[i + 1..] {
+            if (a.n, a.scenario, a.steps) == (b.n, b.scenario, b.steps) {
+                assert_eq!(
+                    a.checksum, b.checksum,
+                    "checksum diverged at n={} {} between skin {} and {}",
+                    a.n, a.scenario, a.skin, b.skin
+                );
+            }
+        }
     }
 
     // The capture doubles as a loud regression check: the kernel's
@@ -409,7 +372,7 @@ fn main() {
     if !quick && !large_smoke && !skin_sweep {
         let worst = cells
             .iter()
-            .filter(|c| c.n == 4000 && c.threads == 1 && c.scenario == "low")
+            .filter(|c| c.n == 4000 && c.scenario == "low")
             .map(|c| c.rebuild_ns_per_step / c.incremental_ns_per_step)
             .fold(f64::INFINITY, f64::min);
         assert!(
@@ -418,7 +381,7 @@ fn main() {
         );
         // The SoA + forward-half-neighborhood scan must keep the serial
         // kernel well ahead of rebuild in the all-moving regimes too
-        // (up from ~1.0-1.35x before the sharded/SoA kernel; typical
+        // (up from ~1.0-1.35x before the SoA/forward-scan kernel; typical
         // captures land 1.8-2.2x on `mid`). The floors leave headroom
         // for run-to-run noise on shared machines; `high` shares its
         // dominant cost (edge-churn diffing) with the rebuild path, so
@@ -426,7 +389,7 @@ fn main() {
         for (label, floor) in [("mid", 1.6), ("high", 1.3)] {
             let worst_bulk = cells
                 .iter()
-                .filter(|c| c.n == 4000 && c.threads == 1 && c.scenario == label)
+                .filter(|c| c.n == 4000 && c.scenario == label)
                 .map(|c| c.rebuild_ns_per_step / c.incremental_ns_per_step)
                 .fold(f64::INFINITY, f64::min);
             assert!(
@@ -440,12 +403,7 @@ fn main() {
         let cell = |scenario: &str, n: usize, skin_off: bool| {
             cells
                 .iter()
-                .find(|c| {
-                    c.n == n
-                        && c.threads == 1
-                        && c.scenario == scenario
-                        && (c.skin == Skin::Off) == skin_off
-                })
+                .find(|c| c.n == n && c.scenario == scenario && (c.skin == Skin::Off) == skin_off)
                 .expect("full grid carries the gated cells")
         };
         let mid_auto = cell("mid", 4000, false);

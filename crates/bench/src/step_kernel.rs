@@ -125,19 +125,7 @@ pub fn churn_per_node(traj: &[Vec<Point<2>>], side: f64, range: f64) -> f64 {
 /// trajectory, folding a checksum over the held diff. Allocation-free
 /// after the constructor.
 pub fn run_incremental(traj: &[Vec<Point<2>>], side: f64, range: f64) -> usize {
-    run_incremental_threads(traj, side, range, 1)
-}
-
-/// [`run_incremental`] with the sharded bulk rescan pinned to
-/// `threads` intra-step workers. The checksum is identical across
-/// thread counts — only the wall clock moves.
-pub fn run_incremental_threads(
-    traj: &[Vec<Point<2>>],
-    side: f64,
-    range: f64,
-    threads: usize,
-) -> usize {
-    let mut dg = DynamicGraph::new(&traj[0], side, range).with_step_threads(threads);
+    let mut dg = DynamicGraph::new(&traj[0], side, range);
     let mut acc = dg.last_diff().churn();
     for pts in &traj[1..] {
         dg.step(pts);
@@ -146,23 +134,15 @@ pub fn run_incremental_threads(
     acc
 }
 
-/// The cached path: [`run_incremental_threads`] with the scenario's
+/// The cached path: [`run_incremental`] with the scenario's
 /// per-step displacement bound declared (waypoint moves at most
 /// `v_max` per step) and a Verlet skin policy. With `Skin::Off` this
 /// is byte-identical to the legacy kernel; with `Skin::Auto`/`Fixed`
 /// the all-moving regimes commit most steps through the cache-verify
 /// path instead of bulk rescans. The checksum is invariant across
-/// every `(skin, threads)` combination — only the wall clock moves.
-pub fn run_cached_threads(
-    traj: &[Vec<Point<2>>],
-    side: f64,
-    range: f64,
-    bound: f64,
-    skin: Skin,
-    threads: usize,
-) -> usize {
+/// skin policies — only the wall clock moves.
+pub fn run_cached(traj: &[Vec<Point<2>>], side: f64, range: f64, bound: f64, skin: Skin) -> usize {
     let mut dg = DynamicGraph::new(&traj[0], side, range)
-        .with_step_threads(threads)
         .with_displacement_bound(Some(bound))
         .with_skin(skin);
     let mut acc = dg.last_diff().churn();
@@ -246,43 +226,22 @@ mod tests {
         }
     }
 
-    /// The sharded path folds the same checksum at every thread count
-    /// (byte-identity of the underlying graph stream, seen through the
-    /// bench's own lens).
-    #[test]
-    fn incremental_checksums_are_thread_invariant() {
-        for scenario in &SCENARIOS {
-            let traj = trajectory(96, scenario, 20, 5);
-            let serial = run_incremental(&traj, SIDE, RANGE);
-            for threads in [2, 4, 7] {
-                assert_eq!(
-                    serial,
-                    run_incremental_threads(&traj, SIDE, RANGE, threads),
-                    "scenario {} threads {threads}",
-                    scenario.label
-                );
-            }
-        }
-    }
-
     /// The cached path folds the same checksum as the rebuild oracle
-    /// at every skin policy and thread count, and `mid` (all-moving,
+    /// at every skin policy, and `mid` (all-moving,
     /// bounded steps) actually arms under `Skin::Auto` — the workload
     /// the capture's cache gates time.
     #[test]
-    fn cached_checksums_match_rebuild_across_skins_and_threads() {
+    fn cached_checksums_match_rebuild_across_skins() {
         for scenario in &SCENARIOS {
             let traj = trajectory(96, scenario, 20, 5);
             let want = run_rebuild_diff(&traj, SIDE, RANGE);
             for skin in [Skin::Off, Skin::Auto, Skin::Fixed(12.0)] {
-                for threads in [1usize, 4] {
-                    assert_eq!(
-                        want,
-                        run_cached_threads(&traj, SIDE, RANGE, scenario.v_max, skin, threads),
-                        "scenario {} skin {skin:?} threads {threads}",
-                        scenario.label
-                    );
-                }
+                assert_eq!(
+                    want,
+                    run_cached(&traj, SIDE, RANGE, scenario.v_max, skin),
+                    "scenario {} skin {skin:?}",
+                    scenario.label
+                );
             }
         }
         let mid = SCENARIOS.iter().find(|s| s.label == "mid").unwrap();

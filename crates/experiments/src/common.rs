@@ -33,16 +33,11 @@ pub struct RunOptions {
     pub seed: u64,
     /// Pinned thread count (None = auto).
     pub threads: Option<usize>,
-    /// `--step-threads N`: intra-step worker threads for the sharded
-    /// step kernel's bulk rescan (None = serial). A performance knob:
-    /// every artifact is byte-identical across values, which CI pins.
-    /// Only `trace` runs the step kernel; every command accepts the
-    /// flag so one argv shape serves all of them.
-    pub step_threads: Option<usize>,
     /// `--skin auto|off|RADIUS`: the step kernel's Verlet-cache skin
-    /// policy (None = the kernel default, auto). Like `--step-threads`
-    /// a performance knob only, reaching only `trace`: artifacts are
-    /// byte-identical across settings, which CI pins.
+    /// policy (None = the kernel default, auto). A performance knob
+    /// only: artifacts are byte-identical across settings, which CI
+    /// pins. Only `trace` (alone or in `all`) runs the step kernel;
+    /// [`RunOptions::check_command`] rejects the flag elsewhere.
     pub skin: Option<manet_core::graph::Skin>,
     /// CSV output directory.
     pub out_dir: PathBuf,
@@ -85,7 +80,6 @@ impl Default for RunOptions {
             placements: 1_000,
             seed: 20_020_623, // DSN 2002 conference date
             threads: None,
-            step_threads: None,
             skin: None,
             out_dir: PathBuf::from("results"),
             models: None,
@@ -123,7 +117,16 @@ impl RunOptions {
                 "--nodes" => opts.nodes = Some(take_usize(args, &mut i)?),
                 "--seed" => opts.seed = take_usize(args, &mut i)? as u64,
                 "--threads" => opts.threads = Some(take_usize(args, &mut i)?),
-                "--step-threads" => opts.step_threads = Some(take_usize(args, &mut i)?),
+                // The step kernel is serial. The flag stays only until
+                // ROADMAP item 1(d) stops perfbench from passing it.
+                "--step-threads" => {
+                    let t = take_usize(args, &mut i)?;
+                    if t != 1 {
+                        return Err(format!(
+                            "--step-threads must be 1 (intra-step sharding was removed), got {t}"
+                        ));
+                    }
+                }
                 "--skin" => {
                     i += 1;
                     let v = args.get(i).ok_or("--skin requires auto, off or a radius")?;
@@ -209,9 +212,6 @@ impl RunOptions {
         if opts.threads == Some(0) {
             return Err("--threads must be positive".into());
         }
-        if opts.step_threads == Some(0) {
-            return Err("--step-threads must be positive".into());
-        }
         if !(opts.target.is_finite() && opts.target > 0.0 && opts.target <= 1.0) {
             return Err(format!("--target must be in (0, 1], got {}", opts.target));
         }
@@ -224,6 +224,18 @@ impl RunOptions {
             }
         }
         Ok(opts)
+    }
+
+    /// Rejects options that `command` would ignore: `--skin` reaches
+    /// only the step kernel, which only `trace` (alone or in `all`)
+    /// runs.
+    pub fn check_command(self, command: &str) -> Result<Self, String> {
+        if self.skin.is_some() && !matches!(command, "trace" | "all") {
+            return Err(format!(
+                "--skin applies only to trace and all; `{command}` runs no step kernel"
+            ));
+        }
+        Ok(self)
     }
 
     /// The campaign configuration of `nodes` nodes in `[0, side]²` at
@@ -240,9 +252,6 @@ impl RunOptions {
             .seed(self.seed);
         if let Some(t) = self.threads {
             b.threads(t);
-        }
-        if let Some(t) = self.step_threads {
-            b.step_threads(t);
         }
         if let Some(s) = self.skin {
             b.skin(s);
@@ -479,13 +488,31 @@ mod tests {
 
     #[test]
     fn step_threads_flag_parses_and_validates() {
-        let o = parse(&[]).unwrap();
-        assert_eq!(o.step_threads, None);
-        let o = parse(&["--step-threads", "4"]).unwrap();
-        assert_eq!(o.step_threads, Some(4));
+        assert!(parse(&["--step-threads", "1"]).is_ok());
+        let err = parse(&["--step-threads", "2"]).unwrap_err();
+        assert!(err.contains("intra-step sharding was removed"), "{err}");
         assert!(parse(&["--step-threads"]).is_err());
         assert!(parse(&["--step-threads", "0"]).is_err());
         assert!(parse(&["--step-threads", "x"]).is_err());
+    }
+
+    #[test]
+    fn skin_is_rejected_without_a_step_kernel() {
+        let o = parse(&["--skin", "off"]).unwrap();
+        assert!(o.clone().check_command("trace").is_ok());
+        assert!(o.clone().check_command("all").is_ok());
+        for command in [
+            "figs",
+            "fig2",
+            "fixed",
+            "uptime",
+            "quantity",
+            "critical-scaling",
+        ] {
+            let err = o.clone().check_command(command).unwrap_err();
+            assert!(err.contains("--skin"), "{command}: {err}");
+        }
+        assert!(parse(&[]).unwrap().check_command("figs").is_ok());
     }
 
     #[test]
@@ -512,8 +539,6 @@ mod tests {
         let o = parse(&[
             "--threads",
             "3",
-            "--step-threads",
-            "4",
             "--skin",
             "7.5",
             "--seed",
@@ -528,16 +553,15 @@ mod tests {
         assert_eq!((c.nodes(), c.side()), (16, 256.0));
         assert_eq!((c.iterations(), c.steps(), c.seed()), (2, 5, 9));
         assert_eq!(c.threads(), Some(3));
-        assert_eq!(c.step_threads(), Some(4));
         assert_eq!(c.skin(), Skin::Fixed(7.5));
         // Unset knobs keep the SimConfig defaults.
         let c = parse(&[]).unwrap().sim_config(16, 256.0).build().unwrap();
-        assert_eq!((c.threads(), c.step_threads()), (None, None));
+        assert_eq!(c.threads(), None);
         assert_eq!(c.skin(), Skin::Auto);
     }
 
-    /// The step kernel's knobs reach a `SimConfig` only through
-    /// `RunOptions::sim_config`: no other experiment source names them
+    /// The step kernel's knob reaches a `SimConfig` only through
+    /// `RunOptions::sim_config`: no other experiment source names it
     /// except the run manifest in obs.rs.
     #[test]
     fn kernel_knobs_are_read_only_by_sim_config() {

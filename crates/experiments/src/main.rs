@@ -29,13 +29,12 @@
 //!                    (registry names, e.g. gauss-markov,rpgm)
 //!   --nodes N        node-count override for trace/fixed/uptime/
 //!                    quantity (defaults n = 32, 32, 64, 32; N >= 2)
-//!   --step-threads N intra-step worker threads for the sharded step
-//!                    kernel, which only trace runs (default 1 =
-//!                    serial); artifacts are byte-identical across
-//!                    values; every command accepts it
+//!   --step-threads 1 accepted for compatibility; the step kernel is
+//!                    serial and any other value is an error
 //!   --skin S         Verlet-cache skin policy for trace's step
-//!                    kernel: auto (default), off, or a fixed radius;
-//!                    artifacts are byte-identical across settings
+//!                    kernel (trace and all only): auto (default),
+//!                    off, or a fixed radius; artifacts are
+//!                    byte-identical across settings
 //!   --metrics PATH   write metrics.json (run manifest + deterministic
 //!                    kernel counters + spans) to PATH
 //!   --profile        arm wall-clock span profiling; span table goes
@@ -79,7 +78,7 @@ fn main() {
         return;
     }
     let command = args[0].clone();
-    let opts = match RunOptions::parse(&args[1..]) {
+    let opts = match RunOptions::parse(&args[1..]).and_then(|o| o.check_command(&command)) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}");
@@ -141,8 +140,9 @@ fn print_usage() {
         "manet-repro: reproduce Santi & Blough (DSN 2002)\n\n\
          usage: manet-repro <fig2|...|fig9|figs|stationary|theory [tN]|quantity|uptime|fixed|trace|critical-scaling|all> [options]\n\
          options: --quick | --paper | --iterations N | --steps N | --placements N\n\
-         \x20        --seed N | --threads N | --step-threads N | --skin S | --out DIR\n\
+         \x20        --seed N | --threads N | --step-threads 1 | --out DIR\n\
          \x20        --models A,B,.. | --nodes N (trace/fixed/uptime/quantity)\n\
+         \x20        --skin S (trace/all)\n\
          \x20        --metrics PATH | --profile | --progress\n\
          \x20        --target F | --k-target K | --n-sweep A,B,.. (critical-scaling)"
     );

@@ -16,8 +16,8 @@
 
 use crate::common::{banner, fmt, side_for, RunOptions, Table};
 use crate::obs::ObsSession;
-use manet_core::graph::parallel::default_threads;
 use manet_core::obs::KernelMetrics;
+use manet_core::sim::parallel::default_threads;
 use manet_core::sim::{
     find_critical_range, fit_scaling_exponent, ConnectivityMetric, CriticalRangeSearch,
     ScalingExponent, SweepScheduler,

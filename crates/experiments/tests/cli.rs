@@ -576,46 +576,53 @@ fn metrics_artifact_matches_golden_across_thread_counts() {
     }
 }
 
-/// The sharded step kernel is a performance knob, not a semantics one:
-/// `--step-threads` must not move a byte of the trace artifacts. This
-/// is the end-to-end gate on intra-step parallelism (the unit layers
-/// pin graph/diff/metrics equality; this pins the shipped files).
+/// Runs `trace` at a small shape with `extra` options into a fresh
+/// directory and returns its exit code with `(trace.json, trace.csv)`
+/// when it succeeded.
+fn run_small_trace(tag: &str, extra: &[&str]) -> (Option<i32>, Option<(String, String)>) {
+    let dir = temp_out(tag);
+    let out = repro()
+        .args([
+            "trace",
+            "--iterations",
+            "2",
+            "--steps",
+            "30",
+            "--placements",
+            "30",
+            "--models",
+            "waypoint,drunkard",
+        ])
+        .args(extra)
+        .arg("--out")
+        .arg(&dir)
+        .output()
+        .unwrap();
+    let artifacts = out.status.success().then(|| {
+        (
+            std::fs::read_to_string(dir.join("trace.json")).unwrap(),
+            std::fs::read_to_string(dir.join("trace.csv")).unwrap(),
+        )
+    });
+    std::fs::remove_dir_all(dir).ok();
+    (out.status.code(), artifacts)
+}
+
+/// The step kernel is serial: `--step-threads 1` is accepted (and
+/// moves no byte of the trace artifacts) and any other count is a
+/// usage error.
 #[test]
-fn trace_artifacts_byte_identical_across_step_thread_counts() {
-    let mut outputs = Vec::new();
-    for step_threads in ["1", "4"] {
-        let dir = temp_out(&format!("trace_st{step_threads}"));
-        let out = repro()
-            .args([
-                "trace",
-                "--iterations",
-                "2",
-                "--steps",
-                "30",
-                "--placements",
-                "30",
-                "--models",
-                "waypoint,drunkard",
-                "--step-threads",
-                step_threads,
-                "--out",
-            ])
-            .arg(&dir)
-            .output()
-            .unwrap();
-        assert!(
-            out.status.success(),
-            "stderr: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let json = std::fs::read_to_string(dir.join("trace.json")).unwrap();
-        let csv = std::fs::read_to_string(dir.join("trace.csv")).unwrap();
-        outputs.push((json, csv));
-        std::fs::remove_dir_all(dir).ok();
-    }
+fn trace_step_threads_accepts_only_one() {
+    let (code, default) = run_small_trace("trace_st_default", &[]);
+    assert_eq!(code, Some(0));
+    let (code, one) = run_small_trace("trace_st1", &["--step-threads", "1"]);
+    assert_eq!(code, Some(0));
+    assert_eq!(one, default, "--step-threads 1 changed the trace artifacts");
+    let (code, four) = run_small_trace("trace_st4", &["--step-threads", "4"]);
     assert_eq!(
-        outputs[0], outputs[1],
-        "trace artifacts must not depend on --step-threads"
+        (code, four),
+        (Some(2), None),
+        "--step-threads 4 must be a usage error"
     );
 }
 
@@ -659,76 +666,37 @@ fn strip_kernel_counters(json: &str) -> String {
 /// The Verlet cache is a performance knob, not a semantics one: the
 /// cached verify/rebuild path (`--skin auto`, the default) must
 /// produce the same observables as the legacy kernel with the cache
-/// off (`--skin 0`), crossed with the shard count. The CSV is
+/// off (`--skin 0`). The CSV is
 /// compared byte-for-byte; trace.json embeds kernel path counters
 /// (which record *how* each step committed and so legitimately vary),
 /// so those blocks are stripped first. This is the end-to-end
 /// cache-path identity gate the CI smoke mirrors at larger n.
 #[test]
 fn trace_artifacts_byte_identical_across_skin_settings() {
-    let mut outputs = Vec::new();
-    for (skin, step_threads) in [("0", "1"), ("auto", "1"), ("0", "4"), ("auto", "4")] {
-        let dir = temp_out(&format!("trace_skin{skin}_st{step_threads}"));
-        let out = repro()
-            .args([
-                "trace",
-                "--iterations",
-                "2",
-                "--steps",
-                "30",
-                "--placements",
-                "30",
-                "--models",
-                "waypoint,drunkard",
-                "--nodes",
-                "48",
-                "--skin",
-                skin,
-                "--step-threads",
-                step_threads,
-                "--out",
-            ])
-            .arg(&dir)
-            .output()
-            .unwrap();
-        assert!(
-            out.status.success(),
-            "stderr: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let json = std::fs::read_to_string(dir.join("trace.json")).unwrap();
-        let csv = std::fs::read_to_string(dir.join("trace.csv")).unwrap();
-        outputs.push(((skin, step_threads), strip_kernel_counters(&json), csv));
-        std::fs::remove_dir_all(dir).ok();
-    }
-    let (_, ref want_json, ref want_csv) = outputs[0];
-    for (cfg, json, csv) in &outputs[1..] {
-        assert_eq!(
-            (json, csv),
-            (want_json, want_csv),
-            "trace observables must not depend on --skin/--step-threads (at {cfg:?})"
-        );
-    }
+    let run = |skin: &str| {
+        let tag = format!("trace_skin{skin}");
+        let (code, artifacts) = run_small_trace(&tag, &["--nodes", "48", "--skin", skin]);
+        assert_eq!(code, Some(0), "--skin {skin} failed");
+        let (json, csv) = artifacts.unwrap();
+        (strip_kernel_counters(&json), csv)
+    };
+    assert_eq!(
+        run("0"),
+        run("auto"),
+        "trace observables must not depend on --skin"
+    );
 }
 
-/// `--skin` and `--step-threads` shape only the step kernel, which
-/// `critical-scaling` never runs: the giant fraction's exact passes
-/// and the `--k-target 2` per-step thresholds read positions only.
-/// The located thresholds (the CSV)
-/// must therefore be byte-identical across both knobs, which perfbench
-/// and scripts still pass to every command, and `metrics.json` records
-/// no kernel counters.
+/// `critical-scaling` runs no step kernel, so `--skin` and any
+/// `--step-threads` but 1 are usage errors there. perfbench's argv
+/// passes `--step-threads 1`, which still runs, and `metrics.json`
+/// records no kernel counters.
 #[test]
-fn critical_scaling_csv_identical_across_skin_and_step_threads() {
-    for k_target in [None, Some("2")] {
-        let mut outputs = Vec::new();
-        for (skin, step_threads) in [("0", "1"), ("auto", "2"), ("15", "4")] {
-            let dir = temp_out(&format!(
-                "critical_skin{skin}_st{step_threads}_k{}",
-                k_target.unwrap_or("giant")
-            ));
-            let mut cmd = repro();
-            cmd.args([
+fn critical_scaling_rejects_skin_and_step_threads() {
+    let run = |tag: &str, extra: &[&str]| {
+        let dir = temp_out(tag);
+        let out = repro()
+            .args([
                 "critical-scaling",
                 "--iterations",
                 "2",
@@ -738,36 +706,34 @@ fn critical_scaling_csv_identical_across_skin_and_step_threads() {
                 "8,12",
                 "--models",
                 "waypoint,drunkard",
-                "--skin",
-                skin,
-                "--step-threads",
-                step_threads,
-            ]);
-            if let Some(k) = k_target {
-                cmd.args(["--k-target", k]);
-            }
-            let metrics_path = dir.join("metrics.json");
-            cmd.arg("--metrics").arg(&metrics_path);
-            let out = cmd.arg("--out").arg(&dir).output().unwrap();
-            assert!(
-                out.status.success(),
-                "stderr: {}",
-                String::from_utf8_lossy(&out.stderr)
-            );
-            let metrics = std::fs::read_to_string(&metrics_path).unwrap();
-            assert!(metrics.contains("\"counters\":[]"), "{metrics}");
-            let csv = std::fs::read_to_string(dir.join("critical_scaling.csv")).unwrap();
-            outputs.push(((skin, step_threads), csv));
-            std::fs::remove_dir_all(dir).ok();
-        }
-        let (_, ref want) = outputs[0];
-        for (cfg, csv) in &outputs[1..] {
-            assert_eq!(
-                csv, want,
-                "critical_scaling.csv must not depend on --skin/--step-threads \
-                 (at {cfg:?}, --k-target {k_target:?})"
-            );
-        }
+            ])
+            .args(extra)
+            .arg("--metrics")
+            .arg(dir.join("metrics.json"))
+            .arg("--out")
+            .arg(&dir)
+            .output()
+            .unwrap();
+        let metrics = std::fs::read_to_string(dir.join("metrics.json")).ok();
+        std::fs::remove_dir_all(dir).ok();
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+            metrics,
+        )
+    };
+    let (code, stderr, metrics) = run("critical_st1", &["--step-threads", "1"]);
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    assert!(metrics.unwrap().contains("\"counters\":[]"));
+    for (tag, extra, flag) in [
+        ("critical_skin0", ["--skin", "0"], "--skin"),
+        ("critical_skin_auto", ["--skin", "auto"], "--skin"),
+        ("critical_st2", ["--step-threads", "2"], "--step-threads"),
+    ] {
+        let (code, stderr, metrics) = run(tag, &extra);
+        assert_eq!(code, Some(2), "{extra:?} must be a usage error");
+        assert!(stderr.contains(flag), "{extra:?}: {stderr}");
+        assert_eq!(metrics, None, "{extra:?} wrote metrics");
     }
 }
 
@@ -796,7 +762,7 @@ fn nodes_override_reaches_every_pipeline() {
                 "--nodes",
                 "12",
                 "--step-threads",
-                "2",
+                "1",
                 "--out",
             ])
             .arg(&dir)

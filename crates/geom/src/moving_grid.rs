@@ -62,7 +62,7 @@ use manet_obs::GridMetrics;
 ///
 /// // Every pair within range 1, each once, over the whole lattice.
 /// let mut pairs = Vec::new();
-/// grid.scan_forward_pairs(0, grid.cells_per_side(), 1.0, |a, b| pairs.push((a, b)));
+/// grid.scan_forward_pairs(1.0, |a, b| pairs.push((a, b)));
 /// assert_eq!(pairs, vec![(0, 1)]);
 /// # Ok::<(), manet_geom::GeomError>(())
 /// ```
@@ -412,23 +412,14 @@ impl<const D: usize> MovingCellGrid<D> {
         });
     }
 
-    /// Forward half-neighborhood scan over an axis-0 strip of cells:
-    /// emits every unordered node pair `(min, max)` with squared
-    /// distance `<= r2` whose *lower-indexed cell edge* lives in a base
-    /// cell with axis-0 coordinate in `[x_lo, x_hi)` — intra-cell pairs
-    /// once (`slot_a < slot_b`), cross-cell pairs once via the forward
-    /// cell offsets (`CellLayout::for_each_forward_neighbor_cell`:
-    /// first nonzero component `+1`) — and returns the number of
-    /// candidate pairs *examined* (in range or not).
-    ///
-    /// Because axis 0 is the most significant digit of the row-major
-    /// linear index, the strip's base cells form one contiguous linear
-    /// range, and disjoint strips examine disjoint pair sets: summed
-    /// over a partition of `[0, cells_per_side)`, the emitted pairs and
-    /// the examined count are exactly those of the full scan,
-    /// independent of how the strip boundaries fall; scanned in strip
-    /// order, the strips emit the full scan's exact sequence. Distances
-    /// are [`Point::distance_sq`] on the stored positions.
+    /// Forward half-neighborhood scan over the whole lattice: emits
+    /// every unordered node pair `(min, max)` with squared distance
+    /// `<= r2` exactly once — intra-cell pairs once (`slot_a < slot_b`),
+    /// cross-cell pairs once via the forward cell offsets
+    /// (`CellLayout::for_each_forward_neighbor_cell`: first nonzero
+    /// component `+1`) — and returns the number of candidate pairs
+    /// *examined* (in range or not). Distances are
+    /// [`Point::distance_sq`] on the stored positions.
     ///
     /// Emission order is fixed: base cells in linear order; in each,
     /// intra-cell pairs by slot, then each forward cell's pairs by the
@@ -457,37 +448,23 @@ impl<const D: usize> MovingCellGrid<D> {
     /// ];
     /// let grid = MovingCellGrid::build(&pts, 10.0, 1.0)?;
     /// let mut pairs = Vec::new();
-    /// grid.scan_forward_pairs(0, grid.cells_per_side(), 1.0, |i, j| pairs.push((i, j)));
+    /// grid.scan_forward_pairs(1.0, |i, j| pairs.push((i, j)));
     /// assert_eq!(pairs, vec![(0, 1)]);
     /// # Ok::<(), manet_geom::GeomError>(())
     /// ```
-    pub fn scan_forward_pairs<F: FnMut(u32, u32)>(
-        &self,
-        x_lo: usize,
-        x_hi: usize,
-        r2: f64,
-        mut emit: F,
-    ) -> u64 {
-        debug_assert!(x_lo <= x_hi && x_hi <= self.layout.cells_per_side);
+    pub fn scan_forward_pairs<F: FnMut(u32, u32)>(&self, r2: f64, mut emit: F) -> u64 {
         let w = self.layout.cell_width;
         assert!(
             self.layout.cells_per_side == 1 || r2 <= w * w * (1.0 + 1e-9),
             "squared radius {r2} exceeds the squared cell width {}",
             w * w
         );
-        let col_cells = if D > 1 {
-            self.layout.cells_per_side.pow(D as u32 - 1)
-        } else {
-            1
-        };
         let mut examined = 0u64;
         let mut batch = [(0u32, 0u32); EMIT_BATCH];
-        // Odometer over the strip's per-axis coordinates, kept in sync
-        // with the contiguous linear range the strip occupies.
+        // Odometer over the per-axis cell coordinates, kept in sync
+        // with the row-major linear index.
         let mut base = [0usize; D];
-        base[0] = x_lo;
-        for lin in (x_lo * col_cells)..(x_hi * col_cells) {
-            let bucket = &self.buckets[lin];
+        for bucket in &self.buckets {
             if !bucket.is_empty() {
                 // Intra-cell pairs, each once (ascending slot order).
                 let k = bucket.len() as u64;
@@ -632,16 +609,14 @@ mod tests {
     fn empty_point_set_scans_no_pairs() {
         let grid: MovingCellGrid<2> = MovingCellGrid::build(&[], 10.0, 1.0).unwrap();
         assert!(grid.is_empty());
-        let examined = grid.scan_forward_pairs(0, grid.cells_per_side(), 1.0, |_, _| {
-            panic!("an empty grid has no pairs")
-        });
+        let examined = grid.scan_forward_pairs(1.0, |_, _| panic!("an empty grid has no pairs"));
         assert_eq!(examined, 0);
     }
 
     /// All in-range pairs, each once as `(min, max)`, sorted.
     fn scanned_pairs<const D: usize>(grid: &MovingCellGrid<D>, r: f64) -> Vec<(u32, u32)> {
         let mut out = Vec::new();
-        grid.scan_forward_pairs(0, grid.cells_per_side(), r * r, |a, b| out.push((a, b)));
+        grid.scan_forward_pairs(r * r, |a, b| out.push((a, b)));
         out.sort_unstable();
         out
     }
@@ -710,7 +685,7 @@ mod tests {
     fn radius_larger_than_cell_panics() {
         let pts = [Point::new([0.5, 0.5]), Point::new([3.0, 3.0])];
         let grid = MovingCellGrid::build(&pts, 10.0, 1.0).unwrap();
-        grid.scan_forward_pairs(0, grid.cells_per_side(), 25.0, |_, _| {});
+        grid.scan_forward_pairs(25.0, |_, _| {});
     }
 
     /// A per-node query (candidates filtered by exact distance) agrees
@@ -755,7 +730,7 @@ mod tests {
         }
     }
 
-    /// The strip odometer also walks 1-D and 3-D lattices completely.
+    /// The scan's odometer also walks 1-D and 3-D lattices completely.
     #[test]
     fn forward_scan_matches_brute_force_1d_and_3d() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
@@ -787,8 +762,7 @@ mod tests {
                 .map(|_| Point::new(std::array::from_fn(|_| rng.random_range(0.0..side))))
                 .collect();
             let grid = MovingCellGrid::build(&pts, side, cell).unwrap();
-            let examined =
-                grid.scan_forward_pairs(0, grid.cells_per_side(), cell * cell, |_, _| {});
+            let examined = grid.scan_forward_pairs(cell * cell, |_, _| {});
             assert_eq!(grid.forward_pair_count(), examined, "D = {D}, cell {cell}");
         }
         let mut rng = rand::rngs::StdRng::seed_from_u64(12);
@@ -945,7 +919,7 @@ mod tests {
         };
         let collect = |g: &MovingCellGrid<2>| {
             let mut v = Vec::new();
-            let examined = g.scan_forward_pairs(0, g.cells_per_side(), 25.0, |i, j| v.push((i, j)));
+            let examined = g.scan_forward_pairs(25.0, |i, j| v.push((i, j)));
             (v, examined)
         };
         let mut grid = MovingCellGrid::build(&place(&mut rng), 100.0, 5.0).unwrap();
@@ -1081,7 +1055,7 @@ mod tests {
         }
     }
 
-    /// The forward scan over the full strip range finds exactly the
+    /// The forward scan over the whole lattice finds exactly the
     /// brute-force in-range pairs, each once, and examines exactly the
     /// unordered same-or-adjacent-cell pairs.
     #[test]
@@ -1090,7 +1064,7 @@ mod tests {
         let r = 3.0;
         let (grid, pts) = random_walk_grid(23, 60, side, r);
         let mut scanned = Vec::new();
-        let examined = grid.scan_forward_pairs(0, grid.cells_per_side(), r * r, |a, b| {
+        let examined = grid.scan_forward_pairs(r * r, |a, b| {
             scanned.push((a, b));
         });
         scanned.sort_unstable();
@@ -1114,16 +1088,12 @@ mod tests {
     /// emitted *sequence*, not only its set.
     fn scan_forward_pairs_per_pair<const D: usize>(
         grid: &MovingCellGrid<D>,
-        x_lo: usize,
-        x_hi: usize,
         r2: f64,
         out: &mut Vec<(u32, u32)>,
     ) -> u64 {
         let cps = grid.layout.cells_per_side;
-        let col_cells = cps.pow(D as u32 - 1);
         let mut examined = 0u64;
-        for lin in (x_lo * col_cells)..(x_hi * col_cells) {
-            let bucket = &grid.buckets[lin];
+        for (lin, bucket) in grid.buckets.iter().enumerate() {
             for (sa, (a, pa)) in bucket.iter().enumerate() {
                 for (b, pb) in &bucket[sa + 1..] {
                     examined += 1;
@@ -1153,27 +1123,18 @@ mod tests {
     }
 
     /// The batched scan emits exactly the per-pair reference's
-    /// sequence with the same examined count, and three strips scanned
-    /// in strip order concatenate to that same sequence.
+    /// sequence with the same examined count.
     fn check_scan_sequence<const D: usize>(
         grid: &MovingCellGrid<D>,
         r2: f64,
         at: usize,
     ) -> Result<(), TestCaseError> {
-        let cols = grid.cells_per_side();
         let mut want = Vec::new();
-        let want_examined = scan_forward_pairs_per_pair(grid, 0, cols, r2, &mut want);
+        let want_examined = scan_forward_pairs_per_pair(grid, r2, &mut want);
         let mut full = Vec::new();
-        let examined = grid.scan_forward_pairs(0, cols, r2, |a, b| full.push((a, b)));
+        let examined = grid.scan_forward_pairs(r2, |a, b| full.push((a, b)));
         prop_assert_eq!(&full, &want, "commit {}: emitted sequence", at);
         prop_assert_eq!(examined, want_examined, "commit {}: examined", at);
-        let shards = 3.min(cols);
-        let mut sharded = Vec::new();
-        for w in 0..shards {
-            let (lo, hi) = (w * cols / shards, (w + 1) * cols / shards);
-            grid.scan_forward_pairs(lo, hi, r2, |a, b| sharded.push((a, b)));
-        }
-        prop_assert_eq!(&sharded, &full, "commit {}: strip concatenation", at);
         Ok(())
     }
 
@@ -1258,43 +1219,8 @@ mod tests {
             check_scan_sequence(&grid, r * r, 0).unwrap();
         }
         let mut want = Vec::new();
-        scan_forward_pairs_per_pair(&grid, 0, grid.cells_per_side(), 0.3 * 0.3, &mut want);
+        scan_forward_pairs_per_pair(&grid, 0.3 * 0.3, &mut want);
         assert!(want.len() > 32 && want.len() < 100 * 99 / 2);
-    }
-
-    /// Splitting the strip range over any shard partition yields the
-    /// same pair sequence and the same examined total as one full scan
-    /// — the determinism contract of the sharded bulk step.
-    #[test]
-    fn forward_scan_is_invariant_under_strip_sharding() {
-        let side = 40.0;
-        let r = 3.0;
-        let (grid, _) = random_walk_grid(31, 60, side, r);
-        let cols = grid.cells_per_side();
-        let mut full = Vec::new();
-        let full_examined = grid.scan_forward_pairs(0, cols, r * r, |a, b| full.push((a, b)));
-        for n_shards in [2usize, 3, 4, 7] {
-            let n_shards = n_shards.min(cols);
-            let (base, rem) = (cols / n_shards, cols % n_shards);
-            let mut sharded = Vec::new();
-            let mut examined = 0u64;
-            let mut lo = 0usize;
-            for w in 0..n_shards {
-                let hi = lo + base + usize::from(w < rem);
-                examined += grid.scan_forward_pairs(lo, hi, r * r, |a, b| sharded.push((a, b)));
-                lo = hi;
-            }
-            assert_eq!(lo, cols);
-            // Shard-order concatenation is the full scan's sequence.
-            assert_eq!(
-                sharded, full,
-                "shard split {n_shards} changed the pair sequence"
-            );
-            assert_eq!(
-                examined, full_examined,
-                "shard split {n_shards} changed examined"
-            );
-        }
     }
 
     /// A stored position out of step with the authoritative `points`

@@ -42,9 +42,7 @@ fn brute_force_pairs<const D: usize>(pts: &[Point<D>], r2: f64) -> Vec<(u32, u32
 }
 
 /// Checks every query of `grid` against brute force over `pts`: the
-/// full forward scan, a strip-sharded scan (which must emit the full
-/// scan's exact sequence, not only its set), the scan's price and the
-/// per-node candidate query.
+/// forward scan, the scan's price and the per-node candidate query.
 fn check_grid_queries<const D: usize>(
     grid: &MovingCellGrid<D>,
     pts: &[Point<D>],
@@ -53,25 +51,9 @@ fn check_grid_queries<const D: usize>(
 ) -> Result<(), TestCaseError> {
     prop_assert_eq!(grid.points(), pts, "commit {}: positions", at);
     let want = brute_force_pairs(pts, r2);
-    let cols = grid.cells_per_side();
     let mut full = Vec::new();
-    let examined = grid.scan_forward_pairs(0, cols, r2, |a, b| full.push((a, b)));
+    let examined = grid.scan_forward_pairs(r2, |a, b| full.push((a, b)));
     prop_assert_eq!(grid.forward_pair_count(), examined, "commit {}: price", at);
-
-    let shards = 3.min(cols);
-    let mut sharded = Vec::new();
-    let mut sharded_examined = 0;
-    for w in 0..shards {
-        let (lo, hi) = (w * cols / shards, (w + 1) * cols / shards);
-        sharded_examined += grid.scan_forward_pairs(lo, hi, r2, |a, b| sharded.push((a, b)));
-    }
-    prop_assert_eq!(&sharded, &full, "commit {}: sharded scan sequence", at);
-    prop_assert_eq!(
-        sharded_examined,
-        examined,
-        "commit {}: sharded examined",
-        at
-    );
     full.sort_unstable();
     prop_assert_eq!(&full, &want, "commit {}: full scan", at);
 

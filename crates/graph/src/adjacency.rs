@@ -216,7 +216,7 @@ impl AdjacencyList {
         let cell_size = MovingCellGrid::<D>::lattice_cell_size(points.len(), side, range)?;
         let grid = MovingCellGrid::build(points, side, cell_size)?;
         let mut pairs = Vec::new();
-        grid.scan_forward_pairs(0, grid.cells_per_side(), range * range, |a, b| {
+        grid.scan_forward_pairs(range * range, |a, b| {
             pairs.push(pack_pair(a, b));
         });
         sort_packed_pairs(&mut pairs, points.len(), &mut PairSortScratch::default());

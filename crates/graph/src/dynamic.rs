@@ -39,12 +39,7 @@
 //! sorted neighbor lists — bit-identical to
 //! [`AdjacencyList::from_points`] followed by [`AdjacencyList::diff`],
 //! which property tests enforce for every mobility model in the
-//! registry. The bulk-rescan path may additionally fan a single step
-//! out over scoped worker threads
-//! ([`DynamicGraph::with_step_threads`]): the grid splits into axis-0
-//! cell strips that examine disjoint pair sets, and fragments merge in
-//! shard order, so the result is also bit-identical across thread
-//! counts — the same invariance, one level deeper.
+//! registry. Every path runs serially on the calling thread.
 //!
 //! # The Verlet candidate cache
 //!
@@ -69,9 +64,8 @@
 use crate::adjacency::{
     fill_sorted_rows, pack_pair, sort_packed_pairs, unpack_pair, AdjacencyList, PairSortScratch,
 };
-use crate::parallel;
 use manet_geom::{MovingCellGrid, Point};
-use manet_obs::{GridMetrics, ShardScan, StepKernelMetrics};
+use manet_obs::{GridMetrics, StepKernelMetrics};
 
 /// The symmetric difference between two graph snapshots on the same
 /// node set.
@@ -260,61 +254,6 @@ const SKIN_REBUILD_COST_RATIO: f64 = 3.0;
 /// arms.
 const SKIN_MIN_REBUILD_STEPS: f64 = 3.0;
 
-/// Verify passes shorter than this stay serial: sharding a tiny arena
-/// over scoped threads costs more than streaming it. Deterministic —
-/// a pure function of the arena length, never of thread timing.
-const VERIFY_SHARD_MIN_PAIRS: usize = 4096;
-
-/// The `w`-th of `shards` balanced contiguous ranges over `0..len`:
-/// base-width ranges, the first `len % shards` one wider, so the
-/// ranges partition `0..len` in shard order.
-fn balanced_range(len: usize, shards: usize, w: usize) -> std::ops::Range<usize> {
-    let (base, rem) = (len / shards, len % shards);
-    let lo = w * base + w.min(rem);
-    lo..lo + base + usize::from(w < rem)
-}
-
-/// Appends every forward pair of `grid` within squared radius `r2` to
-/// the empty `out`, returning the scan counts. With `shards > 1` the
-/// lattice splits into balanced axis-0 column strips — contiguous
-/// linear cell ranges — each filling one recycled `frags` buffer on
-/// the fan-out; fragments concatenate in strip order. Disjoint strips
-/// examine disjoint pair sets, and each strip emits its slice of the
-/// serial sweep's sequence, so `out` holds the serial sweep's pairs in
-/// the serial sweep's order at any shard count. Callers sort `out`
-/// with [`sort_packed_pairs`].
-fn scan_pairs_sharded<const D: usize>(
-    grid: &MovingCellGrid<D>,
-    r2: f64,
-    shards: usize,
-    frags: &mut Vec<Vec<u64>>,
-    out: &mut Vec<u64>,
-) -> ShardScan {
-    let cols = grid.cells_per_side();
-    let shards = shards.min(cols).max(1);
-    let mut scan = ShardScan::default();
-    if shards == 1 {
-        let examined = grid.scan_forward_pairs(0, cols, r2, |a, b| out.push(pack_pair(a, b)));
-        scan.absorb(examined, out.len() as u64);
-        return scan;
-    }
-    frags.resize_with(shards, Vec::new);
-    let scanned = parallel::run_indexed(shards, std::mem::take(frags), |w, mut buf| {
-        buf.clear();
-        let xs = balanced_range(cols, shards, w);
-        let examined = grid.scan_forward_pairs(xs.start, xs.end, r2, |a, b| {
-            buf.push(pack_pair(a, b));
-        });
-        (buf, examined)
-    });
-    for (buf, examined) in scanned {
-        scan.absorb(examined, buf.len() as u64);
-        out.extend_from_slice(&buf);
-        frags.push(buf);
-    }
-    scan
-}
-
 /// Single linear merge of two lex-sorted packed edge lists into the
 /// diff. Packed order is lexicographic pair order, so `added` and
 /// `removed` come out exactly as the per-row oracle emits them.
@@ -439,14 +378,6 @@ pub struct DynamicGraph<const D: usize> {
     /// swapped wholesale with the live rows so both row sets' capacity
     /// is reused on alternating rescans.
     next_rows: Vec<Vec<u32>>,
-    /// Worker threads for the sharded bulk rescan (`>= 1`); the output
-    /// is invariant across this setting by construction (see
-    /// [`DynamicGraph::with_step_threads`]).
-    step_threads: usize,
-    /// Scratch: per-shard packed-pair fragments for the sharded bulk
-    /// rescan, cache rebuild and verify paths, persisted so worker
-    /// buffers keep their capacity across steps.
-    shard_pairs: Vec<Vec<u64>>,
     /// The snapshot's edge set as a lex-sorted packed list — the "old"
     /// side of the single-merge diff on the bulk/verify paths. Lazily
     /// re-derived from the snapshot after incremental/fallback steps
@@ -526,8 +457,6 @@ impl<const D: usize> DynamicGraph<D> {
             matched_stamp: vec![0; points.len()],
             scan_id: 0,
             next_rows: Vec::new(),
-            step_threads: 1,
-            shard_pairs: Vec::new(),
             edge_pairs: Vec::new(),
             edge_pairs_valid: false,
             new_pairs: Vec::new(),
@@ -542,30 +471,20 @@ impl<const D: usize> DynamicGraph<D> {
         }
     }
 
-    /// Sets how many scoped worker threads the bulk-rescan path may
-    /// fan a single step out over (chainable; default 1: fully serial).
-    ///
-    /// This is a *performance* knob, never a semantic one: the bulk
-    /// rescan splits the grid into axis-0 cell strips, each worker
-    /// emits its strip's in-range pairs into a private buffer, and the
-    /// merge consumes the buffers in shard order. The discovered pair
-    /// set — and therefore the snapshot, the diff, and every counter —
-    /// is a function of the positions alone, so results are
-    /// bit-identical across thread counts (pinned by the registry-wide
-    /// thread-invariance proptests).
+    /// Accepts the one intra-step thread count the serial kernel runs
+    /// (chainable; a no-op). It stays only until ROADMAP item 1(d)
+    /// stops perfbench from passing it.
     ///
     /// # Panics
     ///
-    /// Panics when `threads` is zero.
-    pub fn with_step_threads(mut self, threads: usize) -> Self {
-        assert!(threads >= 1, "step_threads must be at least 1");
-        self.step_threads = threads;
+    /// Panics when `threads` is not 1: intra-step sharding was
+    /// removed.
+    pub fn with_step_threads(self, threads: usize) -> Self {
+        assert!(
+            threads == 1,
+            "step_threads must be 1 (intra-step sharding was removed), got {threads}"
+        );
         self
-    }
-
-    /// The configured bulk-rescan worker-thread count.
-    pub fn step_threads(&self) -> usize {
-        self.step_threads
     }
 
     /// Declares the mobility model's per-step displacement bound
@@ -891,11 +810,8 @@ impl<const D: usize> DynamicGraph<D> {
     /// to `points` by the caller — at radius `r + skin`, then serves
     /// the step through a verify pass over the fresh arena. Counted as
     /// a bulk rescan *and* a cache rebuild: it is one, at the inflated
-    /// radius. Sharded over axis-0 strips exactly like
-    /// [`DynamicGraph::step_bulk`], and sorted by the same `O(len + n)`
-    /// counting sort; packed pairs are unique, so the sorted arena is a
-    /// function of the pair *set* alone — shard-count (and
-    /// thread-count) invariance for free.
+    /// radius. Scanned and sorted exactly like
+    /// [`DynamicGraph::step_bulk`].
     fn step_cache_rebuild(&mut self, points: &[Point<D>]) {
         #[expect(
             clippy::expect_used,
@@ -904,18 +820,13 @@ impl<const D: usize> DynamicGraph<D> {
         let grid = self.grid.as_ref().expect("caller checked the grid");
         let n = grid.len();
         let rs = self.range + self.skin;
-        self.cache.pairs.clear();
-        let shard_scan = scan_pairs_sharded(
-            grid,
-            rs * rs,
-            self.step_threads,
-            &mut self.shard_pairs,
-            &mut self.cache.pairs,
-        );
-        sort_packed_pairs(&mut self.cache.pairs, n, &mut self.pair_sort);
+        let pairs = &mut self.cache.pairs;
+        pairs.clear();
+        let examined = grid.scan_forward_pairs(rs * rs, |a, b| pairs.push(pack_pair(a, b)));
+        sort_packed_pairs(pairs, n, &mut self.pair_sort);
         self.cache.stale = false;
         self.max_drift_sq = 0.0;
-        self.metrics.bulk_rescan_candidates += 2 * shard_scan.pairs_examined + n as u64;
+        self.metrics.bulk_rescan_candidates += 2 * examined + n as u64;
         self.metrics.bulk_rescan_steps += 1;
         self.metrics.cache_rebuilds += 1;
         self.metrics.cached_pairs += self.cache.pairs.len() as u64;
@@ -928,35 +839,10 @@ impl<const D: usize> DynamicGraph<D> {
     /// positions into the next packed edge list, then commits it
     /// through the bulk path's tail ([`DynamicGraph::commit_new_pairs`])
     /// — the armed replacement for any cell neighborhood traversal.
-    /// Sharded over contiguous arena slices when the arena is large
-    /// enough: filtering a sorted list slice by slice and concatenating
-    /// the survivors in slice order preserves the lex order, so rows,
-    /// edge list and diff are bit-identical at any thread count.
     fn cache_verify_pass(&mut self, points: &[Point<D>]) {
         self.ensure_edge_pairs();
         let r2 = self.range * self.range;
-        let cand = &self.cache.pairs;
-        let n_shards = if cand.len() >= VERIFY_SHARD_MIN_PAIRS {
-            self.step_threads.min(cand.len()).max(1)
-        } else {
-            1
-        };
-        if n_shards == 1 {
-            filter_in_range(cand, points, r2, &mut self.new_pairs);
-        } else {
-            let frags = &mut self.shard_pairs;
-            frags.resize_with(n_shards, Vec::new);
-            let kept = parallel::run_indexed(n_shards, std::mem::take(frags), |w, mut buf| {
-                let slice = &cand[balanced_range(cand.len(), n_shards, w)];
-                filter_in_range(slice, points, r2, &mut buf);
-                buf
-            });
-            self.new_pairs.clear();
-            for buf in kept {
-                self.new_pairs.extend_from_slice(&buf);
-                frags.push(buf);
-            }
-        }
+        filter_in_range(&self.cache.pairs, points, r2, &mut self.new_pairs);
         self.commit_new_pairs(points.len());
     }
 
@@ -1189,16 +1075,11 @@ impl<const D: usize> DynamicGraph<D> {
     /// per-row sorts or merges.
     ///
     /// The rescan is a forward half-neighborhood sweep (each unordered
-    /// same-or-adjacent-cell pair examined exactly once), sharded into
-    /// axis-0 cell strips when [`DynamicGraph::with_step_threads`] asks
-    /// for more than one worker. Disjoint strips examine disjoint pair sets, every
-    /// worker fills a private fragment buffer, and fragments
-    /// concatenate in shard order. One counting sort over node ids
-    /// ([`sort_packed_pairs`]: two stable `O(len + n)` passes, by `b`
-    /// then by `a`) puts the list in lex order; packed pairs are
-    /// unique, so the result is a function of the pair *set* alone —
-    /// the rows, the diff, and all counters are bit-identical to the
-    /// serial sweep at any thread count.
+    /// same-or-adjacent-cell pair examined exactly once). One counting
+    /// sort over node ids ([`sort_packed_pairs`]: two stable
+    /// `O(len + n)` passes, by `b` then by `a`) puts the list in lex
+    /// order; packed pairs are unique, so the rows, the diff, and all
+    /// counters are a function of the pair *set* alone.
     fn step_bulk(&mut self) {
         self.ensure_edge_pairs();
         #[expect(
@@ -1207,21 +1088,17 @@ impl<const D: usize> DynamicGraph<D> {
         )]
         let grid = self.grid.as_ref().expect("caller checked the grid");
         let n = grid.len();
-        self.new_pairs.clear();
-        let shard_scan = scan_pairs_sharded(
-            grid,
-            self.range * self.range,
-            self.step_threads,
-            &mut self.shard_pairs,
-            &mut self.new_pairs,
-        );
-        sort_packed_pairs(&mut self.new_pairs, n, &mut self.pair_sort);
+        let pairs = &mut self.new_pairs;
+        pairs.clear();
+        let examined =
+            grid.scan_forward_pairs(self.range * self.range, |a, b| pairs.push(pack_pair(a, b)));
+        sort_packed_pairs(pairs, n, &mut self.pair_sort);
         self.commit_new_pairs(n);
         // Counter compatibility: the historical bulk counter tallied
         // every occupant visit of every node's 3^D-cell neighborhood,
         // which is one self-visit per node plus both directions of
         // each examined unordered pair: `2·examined + n`.
-        self.metrics.bulk_rescan_candidates += 2 * shard_scan.pairs_examined + n as u64;
+        self.metrics.bulk_rescan_candidates += 2 * examined + n as u64;
         self.metrics.bulk_rescan_steps += 1;
     }
 
@@ -1661,80 +1538,32 @@ mod tests {
         dg.step(&pts1(&[0.0]));
     }
 
-    /// The sharded bulk rescan must be bit-identical to the serial
-    /// kernel — snapshots, diffs, and every counter — at any thread
-    /// count, including counts above the strip count and an odd count
-    /// that misaligns with the lattice.
+    /// The one accepted intra-step thread count changes no observable.
     #[test]
     fn step_threads_do_not_change_any_observable() {
-        let side = 60.0;
-        let r = 6.0;
-        let n = 80;
-        let trajectory: Vec<Vec<Point<2>>> = {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(909);
-            let mut pts: Vec<Point<2>> = (0..n)
-                .map(|_| Point::new([rng.random_range(0.0..side), rng.random_range(0.0..side)]))
-                .collect();
-            (0..30)
-                .map(|step| {
-                    for p in &mut pts {
-                        // Mostly all-moving (bulk path), every 6th step
-                        // mostly paused (incremental path).
-                        if step % 6 == 5 && rng.random_range(0.0..1.0) < 0.8 {
-                            continue;
-                        }
-                        let q = *p
-                            + Point::new([
-                                rng.random_range(-2.0..2.0),
-                                rng.random_range(-2.0..2.0),
-                            ]);
-                        *p = Point::new([q.coord(0).clamp(0.0, side), q.coord(1).clamp(0.0, side)]);
-                    }
-                    pts.clone()
-                })
-                .collect()
-        };
-        let mut serial = DynamicGraph::new(&trajectory[0], side, r);
-        assert_eq!(serial.step_threads(), 1);
-        let mut replicas: Vec<_> = [2usize, 4, 7, 64]
-            .into_iter()
-            .map(|t| DynamicGraph::new(&trajectory[0], side, r).with_step_threads(t))
-            .collect();
-        for pts in &trajectory[1..] {
-            serial.step(pts);
-            for dg in &mut replicas {
-                dg.step(pts);
-                assert_eq!(
-                    dg.graph(),
-                    serial.graph(),
-                    "{}-thread snapshot diverged",
-                    dg.step_threads()
-                );
-                assert_eq!(dg.last_diff(), serial.last_diff());
-                assert_eq!(
-                    dg.metrics(),
-                    serial.metrics(),
-                    "{}-thread counters diverged",
-                    dg.step_threads()
-                );
-                assert_eq!(dg.grid_metrics(), serial.grid_metrics());
-            }
-        }
-        assert!(
-            serial.metrics().bulk_rescan_steps > 0,
-            "bulk path never exercised"
-        );
-        assert!(
-            serial.metrics().incremental_steps > 0,
-            "incremental path never exercised"
-        );
+        let mut pts = pts1(&[0.0, 1.0, 5.0]);
+        let mut serial = DynamicGraph::new(&pts, 10.0, 1.5);
+        let mut one = DynamicGraph::new(&pts, 10.0, 1.5).with_step_threads(1);
+        pts[2] = Point::new([2.0]);
+        serial.step(&pts);
+        one.step(&pts);
+        assert_eq!(one.graph(), serial.graph());
+        assert_eq!(one.last_diff(), serial.last_diff());
+        assert_eq!(one.metrics(), serial.metrics());
+    }
+
+    #[test]
+    #[should_panic(expected = "intra-step sharding was removed")]
+    fn with_step_threads_rejects_two() {
+        let pts = pts1(&[0.0, 1.0]);
+        let _ = DynamicGraph::new(&pts, 10.0, 1.5).with_step_threads(2);
     }
 
     /// The bulk path derives its packed edge list from the snapshot's
     /// sorted rows; the sortedness check in that derivation is the
     /// runtime guard against corrupted input: a row injected out of
-    /// order behind the kernel's back must be caught on the next
-    /// sharded bulk step.
+    /// order behind the kernel's back must be caught on the next bulk
+    /// step.
     #[cfg(feature = "strict-invariants")]
     #[test]
     #[should_panic(expected = "unsorted neighbors")]
@@ -1744,7 +1573,7 @@ mod tests {
         let pts: Vec<Point<2>> = (0..12)
             .map(|i| Point::new([2.5 * i as f64, 15.0]))
             .collect();
-        let mut dg = DynamicGraph::new(&pts, side, r).with_step_threads(3);
+        let mut dg = DynamicGraph::new(&pts, side, r);
         // Corrupt one snapshot row out of sorted order behind the
         // kernel's back.
         let mut rows: Vec<Vec<u32>> = (0..pts.len())
@@ -1753,8 +1582,8 @@ mod tests {
         rows[5].reverse();
         let edge_count = dg.graph().edge_count();
         dg.graph.swap_neighbor_rows(&mut rows, edge_count);
-        // All nodes move: the sharded bulk rescan must notice the
-        // unsorted old row while merging shard fragments against it.
+        // All nodes move: the bulk rescan must notice the unsorted old
+        // row while deriving the packed edge list it merges against.
         let moved: Vec<Point<2>> = pts.iter().map(|p| *p + Point::new([0.3, 0.3])).collect();
         dg.step(&moved);
     }
@@ -1926,65 +1755,6 @@ mod tests {
         dg.step(&pts.clone());
         assert!(dg.last_diff().is_empty());
         assert!(dg.metrics().cache_verify_steps >= 1);
-    }
-
-    /// Armed-mode byte-identity across step-thread counts: snapshots,
-    /// diffs, and every counter, with rebuilds and verifies sharded.
-    #[test]
-    fn step_threads_invariant_with_cache_armed() {
-        let side = 60.0;
-        let r = 7.0;
-        let n = 80;
-        let step_len = 0.35;
-        let bound = (2.0f64 * step_len * step_len).sqrt();
-        let trajectory: Vec<Vec<Point<2>>> = {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(1212);
-            let mut pts: Vec<Point<2>> = (0..n)
-                .map(|_| Point::new([rng.random_range(0.0..side), rng.random_range(0.0..side)]))
-                .collect();
-            (0..30)
-                .map(|_| {
-                    for p in &mut pts {
-                        let q = *p
-                            + Point::new([
-                                rng.random_range(-step_len..step_len),
-                                rng.random_range(-step_len..step_len),
-                            ]);
-                        *p = Point::new([q.coord(0).clamp(0.0, side), q.coord(1).clamp(0.0, side)]);
-                    }
-                    pts.clone()
-                })
-                .collect()
-        };
-        let build = |threads: usize| {
-            DynamicGraph::new(&trajectory[0], side, r)
-                .with_displacement_bound(Some(bound))
-                .with_skin(Skin::Fixed(3.0))
-                .with_step_threads(threads)
-        };
-        let mut serial = build(1);
-        let mut replicas: Vec<_> = [2usize, 4, 7].into_iter().map(build).collect();
-        for pts in &trajectory[1..] {
-            serial.step(pts);
-            for dg in &mut replicas {
-                dg.step(pts);
-                assert_eq!(
-                    dg.graph(),
-                    serial.graph(),
-                    "{}-thread armed snapshot diverged",
-                    dg.step_threads()
-                );
-                assert_eq!(dg.last_diff(), serial.last_diff());
-                assert_eq!(
-                    dg.metrics(),
-                    serial.metrics(),
-                    "{}-thread armed counters diverged",
-                    dg.step_threads()
-                );
-            }
-        }
-        assert!(serial.metrics().cache_verify_steps > 0);
-        assert!(serial.metrics().cache_rebuilds > 0);
     }
 
     /// Corrupting the candidate arena (dropping the pair that covers a

@@ -30,8 +30,6 @@
 //! * [`bfs`] — hop distances (multi-hop relay depth);
 //! * [`kconn`] — vertex connectivity (an extension beyond the paper's
 //!   1-connectivity, useful for dependability margins).
-//! * [`parallel`] — [`parallel::run_indexed`], the workspace's one
-//!   deterministic fan-out (index-ordered results at any thread count).
 //!
 //! # Example
 //!
@@ -63,7 +61,6 @@ pub mod dynamic_components;
 pub mod kconn;
 pub mod merge;
 pub mod mst;
-pub mod parallel;
 
 pub use adjacency::AdjacencyList;
 pub use components::ComponentSummary;

@@ -317,7 +317,7 @@ fn grid_kruskal<const D: usize>(points: &[Point<D>]) -> Result<(Vec<MstEdge>, u6
         }
         let r2 = radius * radius;
         pass.clear();
-        examined += grid.scan_forward_pairs(0, grid.cells_per_side(), r2, |a, b| {
+        examined += grid.scan_forward_pairs(r2, |a, b| {
             let d2 = points[a as usize].distance_sq(&points[b as usize]);
             // A pair within the last pass's radius already shares a
             // component: skip it before the two finds.

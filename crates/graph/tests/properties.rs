@@ -336,7 +336,7 @@ fn replay_kernel_against_oracle(
     steps: usize,
     seed: u64,
     moving_stride: usize,
-    (step_threads, skin): (usize, Skin),
+    skin: Skin,
 ) -> Result<manet_obs::StepKernelMetrics, TestCaseError> {
     let registry = ModelRegistry::<2>::with_builtins();
     let scale = PaperScale::new(side).with_pause(3);
@@ -349,7 +349,6 @@ fn replay_kernel_against_oracle(
 
     let mut dg = DynamicGraph::new(&positions, side, range)
         .with_displacement_bound(model.max_step_displacement())
-        .with_step_threads(step_threads)
         .with_skin(skin);
     let mut oracle = AdjacencyList::from_points(&positions, side, range);
     prop_assert_eq!(dg.graph(), &oracle, "{}: initial snapshot", model_name);
@@ -431,18 +430,12 @@ fn replay_kernel_against_oracle(
     Ok(m)
 }
 
-/// The thread counts the sharded bulk rescan is pinned at everywhere
-/// in the suite: serial, the even splits, and a prime that cannot
-/// divide the cell columns evenly (exercising ragged shard widths).
-const STEP_THREAD_SWEEP: [usize; 4] = [1, 2, 4, 7];
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     #[test]
     fn step_kernel_matches_oracle_for_every_registry_model(
         model_idx in 0usize..13,
-        threads_idx in 0usize..4,
         skin_idx in 0usize..3,
         n in 2usize..48,
         range_frac in 0.02..0.4f64,
@@ -454,11 +447,9 @@ proptest! {
             registry.names().iter().map(|s| s.to_string()).collect();
         prop_assert_eq!(names.len(), 13, "registry model count drifted");
         let side = 100.0;
-        // The oracle is single-threaded by construction, so every
-        // sharded case in the sweep proves byte-equality with the
-        // serial kernel transitively through the rebuild-and-diff
-        // stream; the skin sweep does the same for every cache
-        // configuration (off, auto-tuned, oversized).
+        // The skin sweep proves byte-equality with the rebuild-and-diff
+        // stream for every cache configuration (off, auto-tuned,
+        // oversized).
         replay_kernel_against_oracle(
             &names[model_idx % names.len()],
             n,
@@ -467,7 +458,7 @@ proptest! {
             steps,
             seed,
             1,
-            (STEP_THREAD_SWEEP[threads_idx], SKIN_SWEEP[skin_idx]),
+            SKIN_SWEEP[skin_idx],
         )?;
     }
 }
@@ -484,24 +475,10 @@ fn step_kernel_paths_cover_every_registry_model_with_bounded_fallback() {
     let registry = ModelRegistry::<2>::with_builtins();
     let mut incremental_total = 0;
     let mut bulk_total = 0;
-    for (i, name) in registry.names().into_iter().enumerate() {
-        // Rotate the thread sweep across the registry: the counters
-        // (asserted inside the replay helper against brute-force
-        // recomputation) are part of the thread-invariant surface.
+    for name in registry.names() {
         // Skin stays off here — this test pins the legacy two-path
         // split; the armed cache has its own coverage test below.
-        let step_threads = STEP_THREAD_SWEEP[i % STEP_THREAD_SWEEP.len()];
-        let m = replay_kernel_against_oracle(
-            name,
-            40,
-            100.0,
-            18.0,
-            80,
-            99,
-            1,
-            (step_threads, Skin::Off),
-        )
-        .unwrap();
+        let m = replay_kernel_against_oracle(name, 40, 100.0, 18.0, 80, 99, 1, Skin::Off).unwrap();
         let (incremental, bulk, fallback) =
             (m.incremental_steps, m.bulk_rescan_steps, m.fallback_steps);
         assert!(
@@ -542,8 +519,7 @@ fn verlet_cache_arms_across_registry_models_under_auto_skin() {
             .expect("registry model")
             .max_step_displacement()
             .is_some();
-        let m = replay_kernel_against_oracle(name, 40, 100.0, 18.0, 80, 99, 1, (1, Skin::Auto))
-            .unwrap();
+        let m = replay_kernel_against_oracle(name, 40, 100.0, 18.0, 80, 99, 1, Skin::Auto).unwrap();
         if !bounded {
             assert_eq!(
                 m.cache_verify_steps + m.cache_rebuilds,
@@ -614,76 +590,6 @@ fn step_kernel_dmax_violation_falls_back_not_corrupts() {
     );
 }
 
-/// Replays the named registry model and returns every observable the
-/// kernel emits: the full per-step `EdgeDiff` stream, the final
-/// snapshot, and the deterministic counters.
-fn kernel_observables(
-    model_name: &str,
-    n: usize,
-    side: f64,
-    range: f64,
-    steps: usize,
-    seed: u64,
-    (step_threads, skin): (usize, Skin),
-) -> (Vec<EdgeDiff>, AdjacencyList, manet_obs::StepKernelMetrics) {
-    let registry = ModelRegistry::<2>::with_builtins();
-    let scale = PaperScale::new(side).with_pause(3);
-    let mut model = registry.build(model_name, &scale).expect("registry model");
-
-    let region: Region<2> = Region::new(side).expect("positive side");
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut positions = region.place_uniform(n, &mut rng);
-    model.init(&positions, &region, &mut rng);
-
-    let mut dg = DynamicGraph::new(&positions, side, range)
-        .with_displacement_bound(model.max_step_displacement())
-        .with_step_threads(step_threads)
-        .with_skin(skin);
-    let mut diffs = Vec::with_capacity(steps);
-    for _ in 0..steps {
-        model.step(&mut positions, &region, &mut rng);
-        dg.step(&positions);
-        diffs.push(dg.last_diff().clone());
-    }
-    let metrics = *dg.metrics();
-    let graph = dg.graph().clone();
-    (diffs, graph, metrics)
-}
-
-/// Direct (oracle-free) statement of the sharding contract: for every
-/// registry model and every skin setting in the sweep, the sharded
-/// kernel's complete observable surface — diff stream, snapshot, and
-/// counters — is bit-identical at every thread count in the sweep. The
-/// oracle proptest above establishes correctness; this pins the
-/// stronger cross-thread equality the repo's byte-identical artifact
-/// gates rely on, deterministically for all 13 models, with the Verlet
-/// cache disabled, auto-armed, and oversized.
-#[test]
-fn sharded_step_observables_bit_identical_across_thread_counts_for_every_model() {
-    let registry = ModelRegistry::<2>::with_builtins();
-    for name in registry.names() {
-        for skin in SKIN_SWEEP {
-            let serial = kernel_observables(name, 36, 100.0, 17.0, 28, 20020623, (1, skin));
-            for threads in STEP_THREAD_SWEEP.into_iter().skip(1) {
-                let sharded =
-                    kernel_observables(name, 36, 100.0, 17.0, 28, 20020623, (threads, skin));
-                assert_eq!(
-                    serial.0, sharded.0,
-                    "{name} skin {skin}: diff stream diverged at {threads} threads"
-                );
-                assert_eq!(
-                    serial.1, sharded.1,
-                    "{name} skin {skin}: snapshot diverged at {threads} threads"
-                );
-                assert_eq!(
-                    serial.2, sharded.2,
-                    "{name} skin {skin}: counters diverged at {threads} threads"
-                );
-            }
-        }
-    }
-}
-
 /// The step kernel at the sizes it is built for: over a few steps of
 /// waypoint (declares a displacement bound) and gauss-markov (does
 /// not) at n = 2000 and 5000, each path is forced in turn and every
@@ -691,9 +597,7 @@ fn sharded_step_observables_bit_identical_across_thread_counts_for_every_model()
 /// `from_points` + `diff`. The moved-node path runs with one node in
 /// four moving, the bulk path with the cache off and every node moving,
 /// and the cache-verify path with a fixed skin (waypoint only: a model
-/// without a bound never arms the cache), serial and on two step
-/// threads: these arenas are long enough for the verify pass to take
-/// its sharded branch, and both branches must keep every counter.
+/// without a bound never arms the cache).
 #[test]
 #[ignore = "release-only oracle; run by CI"]
 fn step_kernel_paths_match_oracle_at_scale() {
@@ -701,26 +605,19 @@ fn step_kernel_paths_match_oracle_at_scale() {
         // Trace-large's density: n = 2000 on side 1024, range 60.
         let side = 1024.0 * (n as f64 / 2000.0).sqrt();
         for model in ["waypoint", "gauss-markov"] {
-            let replay = |stride, threads, skin| {
-                replay_kernel_against_oracle(model, n, side, 60.0, 6, 7, stride, (threads, skin))
-                    .unwrap()
+            let replay = |stride, skin| {
+                replay_kernel_against_oracle(model, n, side, 60.0, 6, 7, stride, skin).unwrap()
             };
-            let m = replay(4, 1, Skin::Off);
+            let m = replay(4, Skin::Off);
             assert_eq!(m.incremental_steps, 6, "{model} n={n}: {m:?}");
-            let m = replay(1, 1, Skin::Off);
+            let m = replay(1, Skin::Off);
             assert_eq!(m.bulk_rescan_steps, 6, "{model} n={n}: {m:?}");
             if model == "waypoint" {
                 // Eight top speeds of skin: the arena outlasts several
                 // steps of drift before it rebuilds.
                 let skin = Skin::Fixed(0.08 * side);
-                let m = replay(1, 1, skin);
+                let m = replay(1, skin);
                 assert!(m.cache_verify_steps >= 3, "{model} n={n}: {m:?}");
-                // The verify pass shards arenas of 4096 pairs and up.
-                assert!(
-                    m.cached_pairs >= 4096 * m.cache_rebuilds,
-                    "{model} n={n}: arenas too short to shard: {m:?}"
-                );
-                assert_eq!(replay(1, 2, skin), m, "{model} n={n}: 2 step threads");
             }
         }
     }

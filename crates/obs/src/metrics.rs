@@ -134,40 +134,6 @@ fn fraction(part: u64, whole: u64) -> f64 {
     }
 }
 
-/// Per-shard scan roll-up for the sharded bulk-rescan path: each worker
-/// counts the candidate pairs it examined and the in-range pairs it
-/// emitted, and the merge step folds the per-shard counts into one
-/// total in shard order. Addition over `u64` commutes, so the totals
-/// are invariant across shard counts (and therefore thread counts) —
-/// the same argument that makes [`StepKernelMetrics`] mergeable.
-///
-/// This is working state for a single step, not an artifact: it is
-/// deliberately *not* serialized (the `metrics.json` schema and the
-/// committed goldens stay byte-stable), and the kernel folds it into
-/// [`StepKernelMetrics::bulk_rescan_candidates`] at the end of the
-/// step.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardScan {
-    /// Candidate pairs examined (in range or not) across shards so far.
-    pub pairs_examined: u64,
-    /// In-range pairs emitted across shards so far.
-    pub pairs_emitted: u64,
-}
-
-impl ShardScan {
-    /// Folds one shard's scan counts into the roll-up.
-    pub fn absorb(&mut self, examined: u64, emitted: u64) {
-        self.pairs_examined += examined;
-        self.pairs_emitted += emitted;
-    }
-
-    /// Adds `other`'s counts into `self` (commutative, associative).
-    pub fn merge(&mut self, other: &ShardScan) {
-        self.pairs_examined += other.pairs_examined;
-        self.pairs_emitted += other.pairs_emitted;
-    }
-}
-
 /// Counters for the dynamic component tracker
 /// (`DynamicComponents::apply`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -295,25 +261,6 @@ mod tests {
         assert!(s.cache_rebuilds <= s.bulk_rescan_steps);
         assert_eq!(StepKernelMetrics::default().fallback_fraction(), 0.0);
         assert_eq!(StepKernelMetrics::default().cache_verify_fraction(), 0.0);
-    }
-
-    #[test]
-    fn shard_scan_totals_are_order_invariant() {
-        let shards = [(10u64, 3u64), (7, 2), (0, 0), (25, 9)];
-        let mut fwd = ShardScan::default();
-        for &(e, m) in &shards {
-            fwd.absorb(e, m);
-        }
-        let mut rev = ShardScan::default();
-        for &(e, m) in shards.iter().rev() {
-            rev.absorb(e, m);
-        }
-        assert_eq!(fwd, rev);
-        assert_eq!((fwd.pairs_examined, fwd.pairs_emitted), (42, 14));
-        let mut merged = ShardScan::default();
-        merged.merge(&fwd);
-        merged.merge(&ShardScan::default());
-        assert_eq!(merged, fwd);
     }
 
     #[cfg(feature = "serde")]

@@ -19,9 +19,6 @@ pub struct SimConfig<const D: usize> {
     steps: usize,
     seed: u64,
     threads: Option<usize>,
-    /// Intra-step worker threads for the sharded step kernel
-    /// (`None` = serial).
-    step_threads: Option<usize>,
     profile_stride: usize,
     profile_bins: usize,
     profile_max_range: Option<f64>,
@@ -75,13 +72,6 @@ impl<const D: usize> SimConfig<D> {
         self.threads
     }
 
-    /// Intra-step worker threads for the step kernel's sharded bulk
-    /// rescan (`None` = serial). A performance knob only: every
-    /// artifact is byte-identical across values.
-    pub fn step_threads(&self) -> Option<usize> {
-        self.step_threads
-    }
-
     /// Merge profiles are collected every `profile_stride`-th step.
     pub fn profile_stride(&self) -> usize {
         self.profile_stride
@@ -123,6 +113,8 @@ pub struct SimConfigBuilder<const D: usize> {
     steps: usize,
     seed: u64,
     threads: Option<usize>,
+    /// The last [`SimConfigBuilder::step_threads`] value, checked by
+    /// [`SimConfigBuilder::build`].
     step_threads: Option<usize>,
     profile_stride: usize,
     profile_bins: usize,
@@ -185,8 +177,10 @@ impl<const D: usize> SimConfigBuilder<D> {
         self
     }
 
-    /// Pins the intra-step worker-thread count of the step kernel's
-    /// sharded bulk rescan (default: serial).
+    /// Accepts the one intra-step thread count the serial step kernel
+    /// runs: [`SimConfigBuilder::build`] rejects any value but 1. It
+    /// stays only until ROADMAP item 1(d) stops perfbench from passing
+    /// it.
     pub fn step_threads(&mut self, threads: usize) -> &mut Self {
         self.step_threads = Some(threads);
         self
@@ -223,7 +217,8 @@ impl<const D: usize> SimConfigBuilder<D> {
     ///
     /// Returns [`SimError::InvalidConfig`] when any parameter fails
     /// validation (zero nodes/iterations/steps, non-positive side,
-    /// degenerate profile grid, zero thread count or stride).
+    /// degenerate profile grid, zero thread count or stride, a step
+    /// thread count other than 1).
     pub fn build(&self) -> Result<SimConfig<D>, SimError> {
         if D == 0 {
             return Err(SimError::InvalidConfig {
@@ -255,9 +250,11 @@ impl<const D: usize> SimConfigBuilder<D> {
                 reason: "threads must be at least 1 when set".into(),
             });
         }
-        if self.step_threads == Some(0) {
+        if let Some(t) = self.step_threads.filter(|&t| t != 1) {
             return Err(SimError::InvalidConfig {
-                reason: "step_threads must be at least 1 when set".into(),
+                reason: format!(
+                    "step_threads must be 1 (intra-step sharding was removed), got {t}"
+                ),
             });
         }
         if self.profile_stride == 0 {
@@ -291,7 +288,6 @@ impl<const D: usize> SimConfigBuilder<D> {
             steps: self.steps,
             seed: self.seed,
             threads: self.threads,
-            step_threads: self.step_threads,
             profile_stride: self.profile_stride,
             profile_bins: self.profile_bins,
             profile_max_range: self.profile_max_range,
@@ -319,7 +315,6 @@ mod tests {
         assert_eq!(c.steps(), 1);
         assert_eq!(c.seed(), 0);
         assert_eq!(c.threads(), None);
-        assert_eq!(c.step_threads(), None);
         assert_eq!(c.profile_stride(), 1);
         assert_eq!(c.profile_bins(), 1024);
         assert_eq!(c.profile_max_range(), 50.0);
@@ -334,6 +329,7 @@ mod tests {
         assert!(base().steps(0).build().is_err());
         assert!(base().threads(0).build().is_err());
         assert!(base().step_threads(0).build().is_err());
+        assert!(base().step_threads(1).build().is_ok());
         assert!(base().profile_stride(0).build().is_err());
         assert!(base().profile_bins(1).build().is_err());
         assert!(base().profile_max_range(-1.0).build().is_err());
@@ -352,14 +348,22 @@ mod tests {
             .steps(100)
             .seed(9)
             .threads(2)
-            .step_threads(4);
+            .step_threads(1);
         let c1 = b.build().unwrap();
         let c2 = b.build().unwrap();
         assert_eq!(c1, c2);
         assert_eq!(c1.iterations(), 5);
         assert_eq!(c1.steps(), 100);
         assert_eq!(c1.threads(), Some(2));
-        assert_eq!(c1.step_threads(), Some(4));
+    }
+
+    #[test]
+    fn step_threads_other_than_one_is_a_build_error() {
+        let err = base().step_threads(2).build().unwrap_err();
+        assert!(
+            err.to_string().contains("intra-step sharding was removed"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -48,7 +48,8 @@
 //! step kernel (`DynamicGraph::step` + `DynamicComponents::apply`);
 //! every other observer reads positions only.
 //!
-//! Iterations run in parallel with deterministic per-iteration seeds
+//! Iterations run in parallel ([`parallel::run_indexed`]) with
+//! deterministic per-iteration seeds
 //! ([`manet_stats::SeedSequence`]), so results are bit-identical for a
 //! given master seed regardless of thread count.
 //!
@@ -79,6 +80,7 @@ pub mod campaign;
 pub mod config;
 pub mod critical;
 pub mod fixed;
+pub mod parallel;
 pub mod profile;
 pub mod quantity;
 pub mod scaling;

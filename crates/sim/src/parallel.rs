@@ -2,9 +2,9 @@
 //!
 //! [`run_indexed`] runs a vector of owned jobs on a small scoped worker
 //! pool and returns their results **in job-index order**. Every
-//! parallel layer goes through it: the step kernel's spatial shards
-//! (`crate::dynamic`), the engine's per-iteration trajectories and the
-//! sweep scheduler's grid cells (`manet-sim`).
+//! parallel layer goes through it: the engine's per-iteration
+//! trajectories ([`crate::stream`]) and the sweep scheduler's grid
+//! cells ([`crate::sweep`]).
 //!
 //! # Determinism argument
 //!
@@ -18,11 +18,10 @@
 //! `(jobs, f)`; the thread count never appears. Callers keep that
 //! property by making `f(index, job)` itself a pure function — the
 //! engine derives each iteration's RNG seed from the master seed and
-//! the index, the step kernel's shards partition the cell lattice,
-//! the sweep's cells are seeded campaigns.
+//! the index, the sweep's cells are seeded campaigns.
 //!
-//! The contract is pinned by this module's unit tests, the step
-//! kernel's thread-invariance proptests, `tests/determinism.rs`,
+//! The contract is pinned by this module's unit tests,
+//! `tests/determinism.rs`,
 //! `tests/critical_scaling.rs` and the CLI byte-identity tests. This is
 //! the one waiver (an `#[expect(clippy::disallowed_methods)]`) of the
 //! root `clippy.toml` threading bans, rule R6 of the determinism
@@ -53,8 +52,8 @@ pub fn default_threads() -> usize {
     clippy::disallowed_methods,
     reason = "run_indexed, the workspace's one fan-out: workers claim owned jobs off one \
               shared cursor and results are sorted back into job-index order after the \
-              scope joins, so the step kernel's shards, the engine's iterations and the \
-              sweep's cells are byte-identical across thread counts"
+              scope joins, so the engine's iterations and the sweep's cells are \
+              byte-identical across thread counts"
 )]
 pub fn run_indexed<J, R, F>(threads: usize, jobs: Vec<J>, f: F) -> Vec<R>
 where

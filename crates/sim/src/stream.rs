@@ -17,9 +17,9 @@
 //! seed, which is what licenses the byte-identical experiment goldens
 //! in `tests/goldens/`.
 
+use crate::parallel::{default_threads, run_indexed};
 use crate::{config::SimConfig, SimError};
 use manet_geom::Point;
-use manet_graph::parallel::{default_threads, run_indexed};
 use manet_mobility::Mobility;
 use manet_stats::SeedSequence;
 use rand::{rngs::StdRng, SeedableRng};

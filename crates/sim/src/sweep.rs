@@ -9,7 +9,7 @@
 //!
 //! # Determinism
 //!
-//! Pending jobs fan out through `manet_graph::parallel::run_indexed`,
+//! Pending jobs fan out through [`crate::parallel::run_indexed`],
 //! the workspace's one thread site, whose results come back in
 //! pending (= job-id) order whatever the thread count. Every job owns
 //! its inputs and produces an owned result, so the merged slots are a
@@ -18,8 +18,8 @@
 //! byte-identity across scheduler thread counts {1, 2, 4, 7} on top of
 //! this module's unit tests.
 
+use crate::parallel::run_indexed;
 use crate::SimError;
-use manet_graph::parallel::run_indexed;
 
 /// A deterministic pool over independent sweep jobs.
 ///

@@ -54,7 +54,6 @@ impl<const D: usize> ConnectivityObserver<D> for TraceObserver<'_, D> {
         let (dg, dc) = self.kernel.get_or_insert_with(|| {
             let dg = DynamicGraph::new(positions, self.config.side(), self.range)
                 .with_displacement_bound(self.bound)
-                .with_step_threads(self.config.step_threads().unwrap_or(1))
                 .with_skin(self.config.skin());
             (dg, DynamicComponents::new(positions.len()))
         });
@@ -95,7 +94,7 @@ impl<const D: usize> ConnectivityObserver<D> for TraceObserver<'_, D> {
 }
 
 /// Runs a campaign and pools every iteration's temporal metrics. The
-/// step kernel takes its side, step threads and skin from `config`
+/// step kernel takes its side and skin from `config`
 /// and its displacement bound from `model`.
 ///
 /// # Errors
@@ -343,23 +342,17 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// The intra-step knob must be as invisible as the iteration-level
-    /// one: the whole summary, kernel counters included, is identical
-    /// at any `step_threads`.
+    /// Pinning the step kernel's thread count to 1, the only value it
+    /// accepts, leaves the whole summary, kernel counters included,
+    /// identical to leaving it unset.
     #[test]
     fn outputs_identical_across_step_thread_counts() {
         let model = RandomWaypoint::new(0.5, 5.0, 1, 0.25).unwrap();
         let serial = simulate_trace(&knob_config(|_| {}), &model, 35.0).unwrap();
-        for t in [1usize, 2, 4, 7] {
-            let cfg = knob_config(|b| {
-                b.step_threads(t);
-            });
-            assert_eq!(
-                simulate_trace(&cfg, &model, 35.0).unwrap(),
-                serial,
-                "step_threads={t} changed the trace"
-            );
-        }
+        let pinned = knob_config(|b| {
+            b.step_threads(1);
+        });
+        assert_eq!(simulate_trace(&pinned, &model, 35.0).unwrap(), serial);
     }
 
     /// The Verlet skin is a throughput knob, not a semantic one: every

@@ -2,14 +2,14 @@
 # Captures step-kernel benchmark numbers to BENCH_step_kernel.json at
 # the repository root — the machine-readable perf trajectory for the
 # zero-rebuild step kernel (incremental vs rebuild-and-diff, n in
-# {256, 1000, 4000} x {low, mid, high} mobility, plus the sharded
-# thread sweep at n=4000 and the density-preserving n=20000/n=100000
-# scaling rows).
+# {256, 1000, 4000} x {low, mid, high} mobility, plus the
+# density-preserving n=20000/n=100000 scaling rows). Every row runs
+# the serial kernel.
 #
 # Usage:
 #   scripts/capture_step_kernel.sh               # full capture (committed numbers)
 #   scripts/capture_step_kernel.sh --quick       # reduced grid, 1 repeat (CI smoke)
-#   scripts/capture_step_kernel.sh --large-smoke # one n=20000 pair at 1/4 threads (CI)
+#   scripts/capture_step_kernel.sh --large-smoke # one n=20000 pair, skin auto vs off (CI)
 #   scripts/capture_step_kernel.sh --skin-sweep  # Verlet skin cost curve at n=4000
 #   scripts/capture_step_kernel.sh --out PATH    # write elsewhere
 #   scripts/capture_step_kernel.sh --profile     # span-timer breakdown on stderr
@@ -18,7 +18,8 @@
 # counters (incremental/bulk/cache-verify/fallback fractions, rescan
 # and verify candidate volumes, cache rebuilds and arena sizes, grid
 # cells touched, edge events) — identical across machines for a given
-# grid, so only the timing columns move between captures.
+# grid, so only the timing columns move between captures. Rows over
+# the same trajectory must fold the same checksum at every skin.
 #
 # The full capture also acts as a regression gate: it fails loudly if
 # the kernel's speedup at n=4000 on the low-churn scenario drops below

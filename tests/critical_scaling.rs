@@ -263,18 +263,21 @@ proptest! {
 }
 
 /// Every path, on every registry model, returns the same bits at any
-/// engine and step-kernel thread count.
+/// engine thread count, with the step-kernel thread count (which
+/// accepts only 1) pinned or left unset.
 #[test]
 fn finder_is_engine_and_step_thread_invariant() {
-    let run = |model: &AnyModel<2>, metric, threads: usize, step_threads: usize| {
+    let run = |model: &AnyModel<2>, metric, threads: usize, pin_step_threads: bool| {
         let mut b = SimConfig::<2>::builder();
         b.nodes(10)
             .side(SIDE)
             .iterations(3)
             .steps(15)
             .seed(5)
-            .threads(threads)
-            .step_threads(step_threads);
+            .threads(threads);
+        if pin_step_threads {
+            b.step_threads(1);
+        }
         let search = CriticalRangeSearch::new().with_metric(metric);
         find_critical_range(&b.build().unwrap(), model, &search)
             .unwrap()
@@ -288,12 +291,12 @@ fn finder_is_engine_and_step_thread_invariant() {
     ];
     for (name, model) in registry_models() {
         for metric in metrics {
-            let reference = run(&model, metric, 1, 1);
-            for (threads, step_threads) in [(4, 1), (1, 3), (2, 2)] {
+            let reference = run(&model, metric, 1, false);
+            for (threads, pin) in [(4, false), (1, true), (2, true)] {
                 assert_eq!(
-                    run(&model, metric, threads, step_threads),
+                    run(&model, metric, threads, pin),
                     reference,
-                    "{name} {metric:?} at threads {threads}, step threads {step_threads}"
+                    "{name} {metric:?} at threads {threads}, step threads pinned {pin}"
                 );
             }
         }

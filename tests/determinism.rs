@@ -65,49 +65,50 @@ fn thread_count_is_invisible() {
     }
 }
 
-/// The second, orthogonal thread knob: `step_threads` pins the
-/// intra-step worker count of the sharded bulk rescan inside
-/// `DynamicGraph::step`, independently of the per-iteration `threads`
-/// fan-out. Both knobs, alone and combined, must be invisible in every
-/// artifact — the fixed-range report and (when serde is on) the
-/// temporal-trace JSON, byte for byte.
+/// `step_threads` accepts only 1, the serial step kernel's count, and
+/// setting it must be invisible next to leaving it unset, at any
+/// iteration `threads` — in the fixed-range report and (when serde is
+/// on) the temporal-trace JSON, byte for byte.
 #[test]
 fn step_thread_count_is_invisible() {
-    let run = |threads: usize, step_threads: usize| {
+    let run = |threads: usize, pin_step_threads: bool| {
+        let mut b = SimConfig::<2>::builder();
+        b.nodes(14)
+            .side(200.0)
+            .iterations(6)
+            .steps(60)
+            .seed(20020623)
+            .threads(threads);
+        if pin_step_threads {
+            b.step_threads(1);
+        }
         MtrmProblem::new(
-            SimConfig::<2>::builder()
-                .nodes(14)
-                .side(200.0)
-                .iterations(6)
-                .steps(60)
-                .seed(20020623)
-                .threads(threads)
-                .step_threads(step_threads)
-                .build()
-                .unwrap(),
+            b.build().unwrap(),
             AnyModel::from(RandomWaypoint::<2>::new(0.1, 4.0, 10, 0.25).unwrap()),
         )
     };
-    let reference = run(1, 1).fixed_range_reports(&[45.0]).unwrap();
-    for (threads, step_threads) in [(1, 2), (1, 7), (3, 4)] {
+    let reference = run(1, false).fixed_range_reports(&[45.0]).unwrap();
+    for (threads, pin) in [(1, true), (3, true), (3, false)] {
         assert_eq!(
             reference,
-            run(threads, step_threads)
-                .fixed_range_reports(&[45.0])
-                .unwrap(),
-            "report depends on (threads={threads}, step_threads={step_threads})"
+            run(threads, pin).fixed_range_reports(&[45.0]).unwrap(),
+            "report depends on (threads={threads}, step_threads pinned={pin})"
         );
     }
 
     #[cfg(feature = "serde")]
     {
-        let trace = |threads: usize, step_threads: usize| {
-            let summary = run(threads, step_threads).temporal_trace(45.0).unwrap();
+        let trace = |threads: usize, pin: bool| {
+            let summary = run(threads, pin).temporal_trace(45.0).unwrap();
             serde_json::to_string(&summary).unwrap()
         };
-        let reference = trace(1, 1);
-        assert_eq!(reference, trace(1, 4), "step_threads leaked into trace");
-        assert_eq!(reference, trace(2, 7), "combined knobs leaked into trace");
+        let reference = trace(1, false);
+        assert_eq!(reference, trace(1, true), "step_threads leaked into trace");
+        assert_eq!(
+            reference,
+            trace(2, true),
+            "combined knobs leaked into trace"
+        );
     }
 }
 
