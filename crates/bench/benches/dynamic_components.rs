@@ -5,10 +5,8 @@
 //! `DynamicComponents::apply`) beats rebuilding the adjacency list and
 //! relabeling from scratch (`AdjacencyList::from_points` +
 //! `ComponentSummary::of`) at every step. This target prices that bet
-//! across node counts and mobility speeds, and the `churn_crossover`
-//! group sweeps speed until the delta path loses — the measurement
-//! behind `manet_graph::FULL_REBUILD_CHURN_FRACTION` (update that
-//! constant's comment if these numbers move).
+//! across node counts and two mobility speeds; each bench id carries
+//! the trajectory's mean churn per node.
 //!
 //! Seeds are pinned (like every fixture in `manet-bench`) so perf
 //! series stay comparable across commits.
@@ -43,8 +41,7 @@ fn trajectory(n: usize, v_max: f64, seed: u64) -> Vec<Vec<Point<2>>> {
     out
 }
 
-/// Mean per-step churn as a fraction of `n` (printed into the bench id
-/// so the ns/iter numbers can be read against the crossover constant).
+/// Mean per-step churn as a fraction of `n` (printed into the bench id).
 fn churn_per_node(traj: &[Vec<Point<2>>]) -> f64 {
     manet_bench::step_kernel::churn_per_node(traj, SIDE, RANGE)
 }
@@ -95,62 +92,5 @@ fn bench_delta_vs_rebuild(c: &mut Criterion) {
     group.finish();
 }
 
-/// Precomputes one trajectory's `(diff, snapshot)` stream so the apply
-/// strategies can be timed without the (shared, dominant) cost of
-/// graph reconstruction.
-fn delta_stream(traj: &[Vec<Point<2>>]) -> Vec<(manet_core::graph::EdgeDiff, AdjacencyList)> {
-    let mut dg = DynamicGraph::new(&traj[0], SIDE, RANGE);
-    let mut out = vec![(dg.initial_diff(), dg.graph().clone())];
-    for pts in &traj[1..] {
-        dg.step(pts);
-        out.push((dg.last_diff().clone(), dg.graph().clone()));
-    }
-    out
-}
-
-/// Sweeps mobility speed at fixed n so per-step churn crosses the
-/// full-rebuild threshold, isolating exactly the decision
-/// `FULL_REBUILD_CHURN_FRACTION` encodes: incremental apply
-/// (DSU unions + epoch partial rebuilds) versus one full relabeling of
-/// the already-built snapshot. Graph construction is precomputed and
-/// excluded from both sides.
-fn bench_apply_strategy_crossover(c: &mut Criterion) {
-    let mut group = c.benchmark_group("apply_strategy_n=500");
-    for &v_max in &[1.0, 5.0, 10.0, 20.0, 40.0, 80.0] {
-        let traj = trajectory(500, v_max, 22);
-        let churn = churn_per_node(&traj);
-        let stream = delta_stream(&traj);
-        group.bench_function(
-            format!("incremental_apply_v={v_max}_churn={churn:.3}n"),
-            |b| {
-                b.iter(|| {
-                    let mut dc = DynamicComponents::new(500);
-                    let mut acc = 0usize;
-                    for (diff, graph) in &stream {
-                        dc.apply(black_box(diff), graph);
-                        acc ^= dc.count() ^ dc.largest_size();
-                    }
-                    acc
-                })
-            },
-        );
-        group.bench_function(format!("full_relabel_v={v_max}_churn={churn:.3}n"), |b| {
-            b.iter(|| {
-                let mut acc = 0usize;
-                for (_, graph) in &stream {
-                    let comps = ComponentSummary::of(black_box(graph));
-                    acc ^= comps.count() ^ comps.largest_size();
-                }
-                acc
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_delta_vs_rebuild,
-    bench_apply_strategy_crossover
-);
+criterion_group!(benches, bench_delta_vs_rebuild);
 criterion_main!(benches);

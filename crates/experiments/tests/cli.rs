@@ -530,6 +530,7 @@ fn metrics_artifact_matches_golden_across_thread_counts() {
     let golden_path =
         PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/goldens/trace_metrics.json");
     let golden = std::fs::read_to_string(&golden_path).unwrap();
+    assert_partial_counters_are_zero(&golden);
     for threads in ["1", "3"] {
         let dir = temp_out(&format!("metrics_t{threads}"));
         let metrics_path = dir.join("metrics.json");
@@ -574,6 +575,23 @@ fn metrics_artifact_matches_golden_across_thread_counts() {
         assert!(got.ends_with("\"spans\":[]}"));
         std::fs::remove_dir_all(dir).ok();
     }
+}
+
+/// Every cell's `partial_*` component counter reads 0: a removal step
+/// relabels the whole snapshot, so no removal-local relabel is counted.
+fn assert_partial_counters_are_zero(metrics_json: &str) {
+    let values: Vec<&str> = metrics_json
+        .split("\"partial_")
+        .skip(1)
+        .map(|rest| {
+            let value = &rest[rest.find(':').unwrap() + 1..];
+            &value[..value.find([',', '}']).unwrap()]
+        })
+        .collect();
+    let cells = metrics_json.matches("\"components\":").count();
+    assert!(cells > 0, "no component counters in {metrics_json}");
+    assert_eq!(values.len(), 2 * cells, "two partial_* counters per cell");
+    assert!(values.iter().all(|&v| v == "0"), "{values:?}");
 }
 
 /// Runs `trace` at a small shape with `extra` options into a fresh

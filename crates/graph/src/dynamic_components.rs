@@ -3,68 +3,48 @@
 //! [`ComponentSummary::of`](crate::ComponentSummary::of) answers the
 //! paper's two per-step questions — *connected?* and *how large is the
 //! largest component?* — by a full `O(n + E)` relabeling of the
-//! snapshot. Over a mobile trajectory the snapshot barely changes
-//! between steps, so the spine of every simulation pipeline is better
-//! served by maintaining the answer under the [`EdgeDiff`] stream that
-//! [`DynamicGraph`](crate::DynamicGraph) already produces:
+//! snapshot. [`DynamicComponents`] keeps the same answers under the
+//! [`EdgeDiff`] stream that [`DynamicGraph`](crate::DynamicGraph)
+//! produces, with one rule per step:
 //!
-//! * **insertions** are plain union-find merges (`O(α)` each);
-//! * **deletions** may split a component, which union-find cannot
-//!   undo, so they trigger an *epoch-based partial rebuild*: a BFS
-//!   over the new snapshot seeded at the removed edges' endpoints
-//!   relabels only the affected region (every old component that lost
-//!   an edge, plus any component a simultaneous insertion fused onto
-//!   it — provably a union of complete old components, see below);
-//! * when a step's churn exceeds [`FULL_REBUILD_CHURN_FRACTION`]`·n`,
-//!   the partial machinery is abandoned for one amortized full
-//!   rebuild, which is cheaper than chasing a mostly-new topology
-//!   delta by delta.
+//! * a step with **no removed edge** is a run of union-find merges
+//!   (`O(α)` each);
+//! * a step with **any removed edge** may split a component, which
+//!   union-find cannot undo, so it relabels the whole snapshot once
+//!   (`O(n + E)`).
 //!
-//! Correctness of the affected region: for any node `x` of an old
-//! component `C` that lost an edge, walk an old path from `x` to a
-//! removed edge inside `C`. Either the path survives into the new
-//! snapshot (then `x` reaches that edge's endpoint) or it dies at some
-//! removed edge `(p, q)` — and then `x` reaches `p`, also a seed. So a
-//! BFS from all removed-edge endpoints over the new snapshot visits
-//! every node of every edge-losing component; any *unaffected*
-//! component the BFS enters through a freshly added edge is connected
-//! in the new snapshot, hence fully visited too. The visited set is
-//! therefore a union of complete old components, which is what lets
-//! the accounting drop exactly those components and insert the BFS
-//! trees in their place.
+//! A removal-local relabel (a BFS over only the old components that
+//! lost an edge) was measured and deleted: around `r_stationary` the
+//! graph is one giant component plus a few stragglers, so nearly every
+//! removal lands in the giant component and the "local" relabel visits
+//! almost every node. `manet-repro … --metrics`, serial, seed
+//! 20020623, with the local path still in place:
+//!
+//! | argv | local relabels | mean nodes relabelled per local relabel |
+//! |---|---|---|
+//! | `trace --quick` | 22,547 | 31.64 of 32 |
+//! | `trace --paper --iterations 2` (4 models) | 130,269 | 31.78 of 32 |
+//! | `trace --quick --nodes 256` | 3,125 | 99.4% of n |
+//! | `trace --quick --nodes 1024` | 4 | 97.9% of n |
+//! | trace-large argv (`--nodes 2000`) | 0 (every removal step relabelled fully) | n/a |
 //!
 //! The replay contract — after applying each step's diff, `count`,
-//! `largest_size` and the full size multiset equal
-//! `ComponentSummary::of` on that step's snapshot — is enforced by
-//! unit tests here and property tests over every mobility model in
-//! `tests/properties.rs` (and again at the simulation layer).
+//! `largest_size`, the size multiset and `ordered_reachable_pairs`
+//! equal `ComponentSummary::of` on that step's snapshot — is enforced
+//! by unit tests here and property tests over every mobility model in
+//! `tests/properties.rs` (with an n = 2000 release half), and again at
+//! the simulation layer.
 
 use crate::adjacency::AdjacencyList;
 use crate::dynamic::EdgeDiff;
 use manet_obs::ComponentMetrics;
-use std::collections::BTreeMap;
-
-/// Churn fraction (relative to the node count) above which
-/// [`DynamicComponents::apply`] abandons the partial rebuild for one
-/// full relabeling of the snapshot.
-///
-/// Measured by the `apply_strategy` group of the `dynamic_components`
-/// Criterion bench (apply strategies timed on a precomputed
-/// diff/snapshot stream, n = 500, random waypoint, sparse regime):
-/// incremental apply beats one full relabel ~5.9× at churn 0.024·n
-/// per step and ~1.2× at 0.157·n, and loses (~1.2× slower) by
-/// 0.388·n, where BFS re-exploration of the affected region plus
-/// multiset bookkeeping overtakes one clean sweep — an interpolated
-/// crossover of ≈ 0.25·n. Teleport-like steps (churn ≈ E ≫ n/4) route
-/// straight to the rebuild.
-pub const FULL_REBUILD_CHURN_FRACTION: f64 = 0.25;
 
 /// Connected-component summary maintained incrementally under the
 /// [`EdgeDiff`] stream of a [`DynamicGraph`](crate::DynamicGraph).
 ///
-/// Tracks the component count, the size multiset, and the largest
-/// component size — the quantities every pipeline of `manet-sim`
-/// consumes — bit-identically to recomputing
+/// Tracks the component count, the largest component size and the
+/// ordered reachable-pair count — the quantities every pipeline of
+/// `manet-sim` consumes — bit-identically to recomputing
 /// [`ComponentSummary::of`](crate::ComponentSummary::of) from scratch
 /// at each step.
 ///
@@ -93,26 +73,18 @@ pub struct DynamicComponents {
     parent: Vec<u32>,
     /// Component size, valid at roots only.
     size: Vec<u32>,
-    /// Multiset of component sizes: size -> multiplicity. The BTreeMap
-    /// keeps `largest_size` an O(log n) last-key lookup and iteration
-    /// deterministic.
-    size_counts: BTreeMap<u32, u32>,
     /// Number of components.
     count: usize,
-    /// Epoch stamps replacing a per-step `visited` clear in the
-    /// partial-rebuild BFS.
-    visit_epoch: Vec<u32>,
-    /// Epoch stamps deduplicating old roots during a partial rebuild.
-    root_epoch: Vec<u32>,
-    epoch: u32,
-    /// Scratch: BFS stack (kept to avoid per-step allocation).
+    /// Largest component size: a running max under merges (a merge
+    /// never shrinks a component), recomputed by every relabel.
+    largest: u32,
+    /// `Σ s·(s−1)` over components, exact: merging sizes `a` and `b`
+    /// adds `2·a·b`; a relabel recomputes it.
+    reachable_pairs: u64,
+    /// Scratch: relabel DFS stack (kept to avoid per-step allocation).
     stack: Vec<u32>,
-    /// Scratch: visited nodes of the current partial rebuild, flat.
-    tree_nodes: Vec<u32>,
-    /// Scratch: offsets into `tree_nodes`, one past each tree's end.
-    tree_ends: Vec<u32>,
-    /// Deterministic path counters (see [`ComponentMetrics`]); only
-    /// [`DynamicComponents::apply`] counts, constructors do not.
+    /// Deterministic path counters (see [`ComponentMetrics`]), counted
+    /// by [`DynamicComponents::apply`] only.
     metrics: ComponentMetrics,
 }
 
@@ -126,30 +98,15 @@ impl DynamicComponents {
             n <= u32::MAX as usize,
             "DynamicComponents supports up to 2^32 - 1 nodes"
         );
-        let mut size_counts = BTreeMap::new();
-        if n > 0 {
-            size_counts.insert(1, n as u32);
-        }
         DynamicComponents {
             parent: (0..n as u32).collect(),
             size: vec![1; n],
-            size_counts,
             count: n,
-            visit_epoch: vec![0; n],
-            root_epoch: vec![0; n],
-            epoch: 0,
+            largest: u32::from(n > 0),
+            reachable_pairs: 0,
             stack: Vec::new(),
-            tree_nodes: Vec::new(),
-            tree_ends: Vec::new(),
             metrics: ComponentMetrics::default(),
         }
-    }
-
-    /// Builds the summary of an existing snapshot directly.
-    pub fn from_graph(graph: &AdjacencyList) -> Self {
-        let mut dc = DynamicComponents::new(graph.len());
-        dc.relabel(graph);
-        dc
     }
 
     /// Node count.
@@ -169,10 +126,7 @@ impl DynamicComponents {
 
     /// Size of the largest component (0 for the empty graph).
     pub fn largest_size(&self) -> usize {
-        self.size_counts
-            .last_key_value()
-            .map(|(&s, _)| s as usize)
-            .unwrap_or(0)
+        self.largest as usize
     }
 
     /// Whether the graph is connected (graphs with at most one node
@@ -182,19 +136,15 @@ impl DynamicComponents {
         self.count <= 1
     }
 
-    /// The component sizes as `(size, multiplicity)` pairs in
-    /// ascending size order.
-    pub fn size_counts(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.size_counts.iter().map(|(&s, &m)| (s, m))
-    }
-
     /// All component sizes, ascending (the oracle-comparison view:
-    /// equals `ComponentSummary::of(graph).sizes()` sorted).
+    /// equals `ComponentSummary::of(graph).sizes()` sorted). An `O(n)`
+    /// scan over the forest's roots plus a sort.
     pub fn sizes_sorted(&self) -> Vec<u32> {
-        let mut out = Vec::with_capacity(self.count);
-        for (&s, &m) in &self.size_counts {
-            out.extend(std::iter::repeat_n(s, m as usize));
-        }
+        let mut out: Vec<u32> = (0..self.parent.len())
+            .filter(|&x| self.parent[x] as usize == x)
+            .map(|root| self.size[root])
+            .collect();
+        out.sort_unstable();
         out
     }
 
@@ -203,27 +153,14 @@ impl DynamicComponents {
     /// derived path-availability is bit-identical to the label-order
     /// sum over [`ComponentSummary::sizes`](crate::ComponentSummary::sizes).
     pub fn ordered_reachable_pairs(&self) -> u64 {
-        self.size_counts
-            .iter()
-            .map(|(&s, &m)| m as u64 * (s as u64 * (s as u64 - 1)))
-            .sum()
+        self.reachable_pairs
     }
 
-    /// Partial (epoch) rebuilds performed so far — the deletion path.
-    pub fn partial_rebuilds(&self) -> u64 {
-        self.metrics.partial_rebuilds
-    }
-
-    /// Amortized full rebuilds performed so far — the high-churn path.
-    pub fn full_rebuilds(&self) -> u64 {
-        self.metrics.full_rebuilds
-    }
-
-    /// The full deterministic counter set accumulated over every
-    /// [`DynamicComponents::apply`]: per-path rebuild counts, actual
-    /// DSU merges, and affected-region sizes. Constructors (including
-    /// [`DynamicComponents::from_graph`]'s initial relabel) count as
-    /// zero.
+    /// The deterministic counter set accumulated over every
+    /// [`DynamicComponents::apply`]: applies, actual DSU merges, and
+    /// full relabels with the nodes they visited.
+    /// `partial_rebuilds` and `partial_nodes_relabeled` always read 0:
+    /// no removal-local relabel exists.
     pub fn metrics(&self) -> &ComponentMetrics {
         &self.metrics
     }
@@ -231,7 +168,8 @@ impl DynamicComponents {
     /// Applies one step's edge delta. `graph` must be the snapshot the
     /// delta produces (i.e. [`DynamicGraph::graph`](crate::DynamicGraph::graph)
     /// *after* the corresponding `step`), and deltas must be applied
-    /// in stream order.
+    /// in stream order. A delta without removed edges merges its added
+    /// edges; any removed edge relabels `graph` from scratch.
     ///
     /// # Panics
     ///
@@ -243,44 +181,32 @@ impl DynamicComponents {
             self.parent.len(),
             "node count changed between steps"
         );
-        self.apply_dispatch(diff, graph);
+        self.metrics.applies += 1;
+        if diff.removed.is_empty() {
+            for &(a, b) in &diff.added {
+                self.union(a as usize, b as usize);
+            }
+        } else {
+            self.relabel(graph);
+            self.metrics.full_rebuilds += 1;
+            self.metrics.full_nodes_relabeled += graph.len() as u64;
+        }
         #[cfg(feature = "strict-invariants")]
         self.debug_validate();
     }
 
-    /// [`DynamicComponents::apply`]'s path selection, factored out so
-    /// the strict-invariants checker runs once after whichever path
-    /// ran.
-    fn apply_dispatch(&mut self, diff: &EdgeDiff, graph: &AdjacencyList) {
-        self.metrics.applies += 1;
-        if !diff.removed.is_empty() {
-            let threshold = FULL_REBUILD_CHURN_FRACTION * self.parent.len() as f64;
-            if diff.churn() as f64 >= threshold {
-                self.relabel(graph);
-                self.metrics.full_rebuilds += 1;
-                self.metrics.full_nodes_relabeled += graph.len() as u64;
-                return;
-            }
-            self.partial_rebuild(&diff.removed, graph);
-        }
-        for &(a, b) in &diff.added {
-            self.union(a as usize, b as usize);
-        }
-    }
-
     /// DSU forest and accounting coherence: every parent pointer is in
     /// range and reaches a root without cycling, `size[]` at every root
-    /// equals the member tally of that root's tree, the component
-    /// count equals the number of distinct roots, and the size
-    /// multiset both matches the per-root tallies and conserves the
-    /// node count (`Σ size · multiplicity = n`). `O(n · height)` — run
-    /// after every [`DynamicComponents::apply`] under
-    /// `strict-invariants`. Read-only: roots are found without path
-    /// halving so the checker cannot mask a broken forest.
+    /// equals the member tally of that root's tree, and the component
+    /// count, largest size and reachable-pair count equal the ones the
+    /// tallies give. `O(n · height)` — run after every
+    /// [`DynamicComponents::apply`] under `strict-invariants`.
+    /// Read-only: roots are found without path halving so the checker
+    /// cannot mask a broken forest.
     #[cfg(feature = "strict-invariants")]
     fn debug_validate(&self) {
         let n = self.parent.len();
-        let mut members: BTreeMap<u32, u32> = BTreeMap::new();
+        let mut members = vec![0u32; n];
         for x in 0..n {
             let mut cur = x as u32;
             let mut hops = 0usize;
@@ -297,33 +223,29 @@ impl DynamicComponents {
                 hops += 1;
                 debug_assert!(hops <= n, "strict-invariants: parent chain of {x} cycles");
             }
-            *members.entry(cur).or_insert(0) += 1;
+            members[cur as usize] += 1;
         }
-        debug_assert_eq!(
-            members.len(),
-            self.count,
-            "strict-invariants: component count diverged from the forest"
-        );
-        let mut multiset: BTreeMap<u32, u32> = BTreeMap::new();
-        for (&root, &tally) in &members {
+        let (mut count, mut largest, mut pairs) = (0usize, 0u32, 0u64);
+        for (root, &tally) in members.iter().enumerate().filter(|&(_, &t)| t > 0) {
             debug_assert_eq!(
-                self.size[root as usize], tally,
+                self.size[root], tally,
                 "strict-invariants: size[] at root {root} diverged from its member tally"
             );
-            *multiset.entry(tally).or_insert(0) += 1;
+            count += 1;
+            largest = largest.max(tally);
+            pairs += pairs_within(tally);
         }
         debug_assert_eq!(
-            multiset, self.size_counts,
-            "strict-invariants: size multiset out of sync with the forest"
+            count, self.count,
+            "strict-invariants: component count diverged from the forest"
         );
-        let conserved: u64 = self
-            .size_counts
-            .iter()
-            .map(|(&s, &m)| s as u64 * m as u64)
-            .sum();
         debug_assert_eq!(
-            conserved, n as u64,
-            "strict-invariants: size multiset does not conserve the node count"
+            largest, self.largest,
+            "strict-invariants: largest size diverged from the forest"
+        );
+        debug_assert_eq!(
+            pairs, self.reachable_pairs,
+            "strict-invariants: reachable-pair count diverged from the forest"
         );
     }
 
@@ -341,22 +263,8 @@ impl DynamicComponents {
         }
     }
 
-    fn insert_size(&mut self, s: u32) {
-        *self.size_counts.entry(s).or_insert(0) += 1;
-    }
-
-    fn remove_size(&mut self, s: u32) {
-        match self.size_counts.get_mut(&s) {
-            Some(m) if *m > 1 => *m -= 1,
-            Some(_) => {
-                self.size_counts.remove(&s);
-            }
-            None => unreachable!("size multiset out of sync"),
-        }
-    }
-
     /// Union-by-size merge of the components of `a` and `b`, with
-    /// multiset/count maintenance.
+    /// count, largest and reachable-pair maintenance.
     fn union(&mut self, a: usize, b: usize) {
         let mut ra = self.find(a);
         let mut rb = self.find(b);
@@ -367,123 +275,52 @@ impl DynamicComponents {
         if self.size[ra] < self.size[rb] {
             core::mem::swap(&mut ra, &mut rb);
         }
-        self.remove_size(self.size[ra]);
-        self.remove_size(self.size[rb]);
+        let (sa, sb) = (self.size[ra], self.size[rb]);
         self.parent[rb] = ra as u32;
-        self.size[ra] += self.size[rb];
-        self.insert_size(self.size[ra]);
+        self.size[ra] = sa + sb;
+        self.largest = self.largest.max(sa + sb);
+        self.reachable_pairs += 2 * u64::from(sa) * u64::from(sb);
         self.count -= 1;
     }
 
-    /// Advances the visit/root epoch, resetting stamps on wraparound.
-    fn next_epoch(&mut self) -> u32 {
-        self.epoch = match self.epoch.checked_add(1) {
-            Some(e) => e,
-            None => {
-                self.visit_epoch.fill(0);
-                self.root_epoch.fill(0);
-                1
-            }
-        };
-        self.epoch
-    }
-
-    /// The deletion path: relabels exactly the affected region (the
-    /// union of complete old components touched by `removed` or fused
-    /// onto them by this step's insertions) via BFS over the new
-    /// snapshot, leaving every other component's forest untouched.
-    fn partial_rebuild(&mut self, removed: &[(u32, u32)], graph: &AdjacencyList) {
-        let epoch = self.next_epoch();
-        self.tree_nodes.clear();
-        self.tree_ends.clear();
-
-        // Phase A: collect the BFS trees and the distinct old roots of
-        // every visited node (before any re-parenting, so `find` still
-        // reports pre-step components).
-        let mut old_roots = 0usize;
-        let mut dropped_sizes: u64 = 0; // defensive balance check
-        for &(a, b) in removed {
-            for seed in [a, b] {
-                if self.visit_epoch[seed as usize] == epoch {
-                    continue;
-                }
-                self.visit_epoch[seed as usize] = epoch;
-                self.stack.push(seed);
-                while let Some(v) = self.stack.pop() {
-                    self.tree_nodes.push(v);
-                    let r = self.find(v as usize);
-                    if self.root_epoch[r] != epoch {
-                        self.root_epoch[r] = epoch;
-                        old_roots += 1;
-                        dropped_sizes += self.size[r] as u64;
-                        self.remove_size(self.size[r]);
-                    }
-                    for &w in graph.neighbors(v as usize) {
-                        if self.visit_epoch[w as usize] != epoch {
-                            self.visit_epoch[w as usize] = epoch;
-                            self.stack.push(w);
-                        }
-                    }
-                }
-                self.tree_ends.push(self.tree_nodes.len() as u32);
-            }
-        }
-        debug_assert_eq!(
-            dropped_sizes,
-            self.tree_nodes.len() as u64,
-            "partial rebuild visited a strict subset of some old component"
-        );
-        self.count -= old_roots;
-
-        // Phase B: install each tree as a fresh component rooted at its
-        // first-visited node.
-        let mut start = 0usize;
-        let tree_ends = std::mem::take(&mut self.tree_ends);
-        for &end in &tree_ends {
-            let end = end as usize;
-            let root = self.tree_nodes[start];
-            for i in start..end {
-                self.parent[self.tree_nodes[i] as usize] = root;
-            }
-            self.size[root as usize] = (end - start) as u32;
-            self.insert_size((end - start) as u32);
-            self.count += 1;
-            start = end;
-        }
-        self.tree_ends = tree_ends;
-        self.metrics.partial_rebuilds += 1;
-        self.metrics.partial_nodes_relabeled += self.tree_nodes.len() as u64;
-    }
-
-    /// Full relabeling of `graph` (the amortized high-churn path and
-    /// the [`DynamicComponents::from_graph`] constructor).
+    /// One full relabel of `graph`: a DFS from every node no earlier
+    /// DFS reached, in index order, roots each component at its
+    /// smallest node.
     fn relabel(&mut self, graph: &AdjacencyList) {
-        let n = graph.len();
-        let epoch = self.next_epoch();
-        self.size_counts.clear();
+        // `parent` marker for a node no DFS has reached yet: `new` caps
+        // `n` at `u32::MAX`, so no node id equals it.
+        let unlabelled = u32::MAX;
+        self.parent.fill(unlabelled);
         self.count = 0;
-        for start in 0..n {
-            if self.visit_epoch[start] == epoch {
+        self.largest = 0;
+        self.reachable_pairs = 0;
+        for root in 0..graph.len() {
+            if self.parent[root] != unlabelled {
                 continue;
             }
-            self.visit_epoch[start] = epoch;
-            self.stack.push(start as u32);
+            self.parent[root] = root as u32;
+            self.stack.push(root as u32);
             let mut members = 0u32;
             while let Some(v) = self.stack.pop() {
                 members += 1;
-                self.parent[v as usize] = start as u32;
                 for &w in graph.neighbors(v as usize) {
-                    if self.visit_epoch[w as usize] != epoch {
-                        self.visit_epoch[w as usize] = epoch;
+                    if self.parent[w as usize] == unlabelled {
+                        self.parent[w as usize] = root as u32;
                         self.stack.push(w);
                     }
                 }
             }
-            self.size[start] = members;
-            self.insert_size(members);
+            self.size[root] = members;
             self.count += 1;
+            self.largest = self.largest.max(members);
+            self.reachable_pairs += pairs_within(members);
         }
     }
+}
+
+/// Ordered pairs inside one component of `s` nodes: `s·(s−1)`.
+fn pairs_within(s: u32) -> u64 {
+    u64::from(s) * u64::from(s - 1)
 }
 
 #[cfg(test)]
@@ -497,8 +334,16 @@ mod tests {
         xs.iter().map(|&x| Point::new([x])).collect()
     }
 
-    /// Oracle check: count, largest, and the size multiset agree with
-    /// the from-scratch summary.
+    /// The summary of `graph` reached from the edgeless graph by one
+    /// insert-only apply (counted in `metrics`).
+    fn summary_of(graph: &AdjacencyList) -> DynamicComponents {
+        let mut dc = DynamicComponents::new(graph.len());
+        dc.apply(&AdjacencyList::empty(graph.len()).diff(graph), graph);
+        dc
+    }
+
+    /// Oracle check: count, largest, the size multiset and the ordered
+    /// reachable-pair count agree with the from-scratch summary.
     fn assert_matches_oracle(dc: &DynamicComponents, graph: &AdjacencyList) {
         let oracle = ComponentSummary::of(graph);
         assert_eq!(dc.count(), oracle.count(), "component count diverged");
@@ -506,6 +351,12 @@ mod tests {
         let mut oracle_sizes = oracle.sizes().to_vec();
         oracle_sizes.sort_unstable();
         assert_eq!(dc.sizes_sorted(), oracle_sizes, "size multiset diverged");
+        let oracle_pairs: u64 = oracle_sizes.iter().map(|&s| pairs_within(s)).sum();
+        assert_eq!(
+            dc.ordered_reachable_pairs(),
+            oracle_pairs,
+            "reachable pairs diverged"
+        );
         assert_eq!(dc.is_connected(), oracle.is_connected());
     }
 
@@ -544,20 +395,19 @@ mod tests {
     fn insertions_merge_components() {
         let pts = pts1(&[0.0, 1.0, 2.0, 9.0]);
         let g = AdjacencyList::from_points_brute_force(&pts, 1.2);
-        let mut dc = DynamicComponents::new(4);
-        dc.apply(&AdjacencyList::empty(4).diff(&g), &g);
+        let dc = summary_of(&g);
         assert_matches_oracle(&dc, &g);
         assert_eq!(dc.count(), 2);
         assert_eq!(dc.largest_size(), 3);
         assert_eq!(dc.ordered_reachable_pairs(), 6);
-        assert_eq!(dc.partial_rebuilds(), 0);
+        assert_eq!(dc.metrics().dsu_merges, 2);
+        assert_eq!(dc.metrics().full_rebuilds, 0);
     }
 
     #[test]
-    fn deletion_splits_via_partial_rebuild() {
-        // An 8-node path loses its middle edge: churn 1 stays below
-        // the full-rebuild threshold (0.25 * 8 = 2), so the epoch
-        // partial rebuild must handle the split.
+    fn deletion_splits_via_full_relabel() {
+        // An 8-node path loses its middle edge: churn 1, and the one
+        // removal relabels the whole snapshot.
         let xs: Vec<f64> = (0..8).map(|i| i as f64).collect();
         let mut moved = xs.clone();
         for x in &mut moved[4..] {
@@ -566,23 +416,52 @@ mod tests {
         let old = AdjacencyList::from_points_brute_force(&pts1(&xs), 1.1);
         let new = AdjacencyList::from_points_brute_force(&pts1(&moved), 1.1);
         assert_eq!(old.diff(&new).churn(), 1);
-        let mut dc = DynamicComponents::from_graph(&old);
+        let mut dc = summary_of(&old);
         assert!(dc.is_connected());
         dc.apply(&old.diff(&new), &new);
         assert_matches_oracle(&dc, &new);
         assert_eq!(dc.count(), 2);
         assert_eq!(dc.sizes_sorted(), vec![4, 4]);
-        assert_eq!(dc.partial_rebuilds(), 1);
-        assert_eq!(dc.full_rebuilds(), 0);
+        let m = dc.metrics();
+        assert_eq!((m.full_rebuilds, m.full_nodes_relabeled), (1, 8));
+        assert_eq!((m.partial_rebuilds, m.partial_nodes_relabeled), (0, 0));
+    }
+
+    #[test]
+    fn low_churn_removal_in_a_small_component_of_a_fragmented_graph() {
+        // A 10-node chain, two 3-node chains and two isolated nodes;
+        // the second 3-node chain loses one edge (churn 1) and nothing
+        // else moves. The relabel still visits all 18 nodes once.
+        let xs = [
+            0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, // giant chain
+            20.0, 21.0, 22.0, // untouched small chain
+            30.0, 31.0, 32.0, // small chain that splits
+            40.0, 50.0, // isolated
+        ];
+        let mut moved = xs;
+        moved[15] = 32.5; // widen only the 31-32 gap past the range
+        let old = AdjacencyList::from_points_brute_force(&pts1(&xs), 1.1);
+        let new = AdjacencyList::from_points_brute_force(&pts1(&moved), 1.1);
+        let diff = old.diff(&new);
+        assert_eq!((diff.removed.len(), diff.added.len()), (1, 0));
+        let mut dc = summary_of(&old);
+        assert_matches_oracle(&dc, &old);
+        let merges = dc.metrics().dsu_merges;
+        dc.apply(&diff, &new);
+        assert_matches_oracle(&dc, &new);
+        assert_eq!(dc.sizes_sorted(), vec![1, 1, 1, 2, 3, 10]);
+        assert_eq!(dc.ordered_reachable_pairs(), 2 + 6 + 90);
+        let m = dc.metrics();
+        assert_eq!((m.full_rebuilds, m.full_nodes_relabeled), (1, 18));
+        assert_eq!((m.partial_rebuilds, m.partial_nodes_relabeled), (0, 0));
+        assert_eq!(m.dsu_merges, merges, "a relabel step merges nothing");
     }
 
     #[test]
     fn simultaneous_deletion_and_insertion_fusing_unaffected_component() {
         // {0..5} loses edge 4-5 while node 5 walks over to the
-        // untouched {6..11}: the partial-rebuild BFS enters the
-        // unaffected component through the freshly added edge and must
-        // absorb it whole (churn 2 < 0.25 * 12 keeps this off the
-        // full-rebuild path).
+        // untouched {6..11}: the step's relabel must split the first
+        // component and fuse node 5 onto the second in one pass.
         let old_xs: Vec<f64> = (0..6)
             .map(|i| i as f64)
             .chain((0..6).map(|i| 20.0 + i as f64))
@@ -593,29 +472,35 @@ mod tests {
         let new = AdjacencyList::from_points_brute_force(&pts1(&new_xs), 1.1);
         let diff = old.diff(&new);
         assert_eq!((diff.removed.len(), diff.added.len()), (1, 1));
-        let mut dc = DynamicComponents::from_graph(&old);
+        let mut dc = summary_of(&old);
+        let merges = dc.metrics().dsu_merges;
         dc.apply(&diff, &new);
         assert_matches_oracle(&dc, &new);
         assert_eq!(dc.sizes_sorted(), vec![5, 7]);
-        assert_eq!(dc.partial_rebuilds(), 1);
-        assert_eq!(dc.full_rebuilds(), 0);
+        assert_eq!(dc.metrics().full_rebuilds, 1);
+        assert_eq!(
+            dc.metrics().dsu_merges,
+            merges,
+            "the added edge is relabelled, not merged"
+        );
     }
 
     #[test]
     fn high_churn_takes_the_full_rebuild_path() {
-        // Scatter a 6-node path entirely: churn 5 (all edges removed)
-        // >= 0.25 * 6 = 1.5, so apply must route to the full rebuild.
+        // Scatter a 6-node path entirely (churn 5): the same single
+        // relabel as a churn-1 removal.
         let old =
             AdjacencyList::from_points_brute_force(&pts1(&[0.0, 1.0, 2.0, 3.0, 4.0, 5.0]), 1.1);
         let new = AdjacencyList::from_points_brute_force(
             &pts1(&[0.0, 10.0, 20.0, 30.0, 40.0, 50.0]),
             1.1,
         );
-        let mut dc = DynamicComponents::from_graph(&old);
+        let mut dc = summary_of(&old);
         dc.apply(&old.diff(&new), &new);
         assert_matches_oracle(&dc, &new);
-        assert_eq!(dc.full_rebuilds(), 1);
-        assert_eq!(dc.partial_rebuilds(), 0);
+        let m = dc.metrics();
+        assert_eq!((m.full_rebuilds, m.full_nodes_relabeled), (1, 6));
+        assert_eq!(m.partial_rebuilds, 0);
     }
 
     #[test]
@@ -638,9 +523,9 @@ mod tests {
         let mut dc = DynamicComponents::new(n);
         dc.apply(&dg.initial_diff(), dg.graph());
         assert_matches_oracle(&dc, dg.graph());
+        let mut removal_steps = 0;
         for step in 0..60 {
-            // Mix small jitters (deletion/partial path) with full
-            // teleports every 10th step (high churn / rebuild path).
+            // Mix small jitters with full teleports every 10th step.
             for p in &mut pts {
                 *p = if step % 10 == 9 {
                     Point::new([rng.random_range(0.0..side), rng.random_range(0.0..side)])
@@ -656,15 +541,20 @@ mod tests {
             dg.step(&pts);
             dc.apply(dg.last_diff(), dg.graph());
             assert_matches_oracle(&dc, dg.graph());
+            removal_steps += u64::from(!dg.last_diff().removed.is_empty());
         }
-        assert!(dc.partial_rebuilds() > 0, "deletion path never exercised");
-        assert!(dc.full_rebuilds() > 0, "high-churn path never exercised");
+        let m = dc.metrics();
+        assert!(m.full_rebuilds > 0, "removal path never exercised");
+        assert_eq!(
+            m.full_rebuilds, removal_steps,
+            "one relabel per removal step"
+        );
+        assert_eq!(m.partial_rebuilds, 0);
     }
 
     #[test]
     fn metrics_count_merges_rebuilds_and_affected_regions() {
-        // Same 8-node path split as `deletion_splits_via_partial_rebuild`:
-        // the BFS from the removed edge's endpoints relabels all 8 nodes.
+        // Same 8-node path split as `deletion_splits_via_full_relabel`.
         let xs: Vec<f64> = (0..8).map(|i| i as f64).collect();
         let mut moved = xs.clone();
         for x in &mut moved[4..] {
@@ -672,26 +562,28 @@ mod tests {
         }
         let old = AdjacencyList::from_points_brute_force(&pts1(&xs), 1.1);
         let new = AdjacencyList::from_points_brute_force(&pts1(&moved), 1.1);
-        let mut dc = DynamicComponents::from_graph(&old);
+        let mut dc = DynamicComponents::new(8);
         assert_eq!(
             *dc.metrics(),
             ComponentMetrics::default(),
-            "constructors must not count"
+            "the constructor must not count"
         );
+        dc.apply(&AdjacencyList::empty(8).diff(&old), &old);
+        assert_eq!((dc.metrics().applies, dc.metrics().dsu_merges), (1, 7));
+
         dc.apply(&old.diff(&new), &new);
         let m = *dc.metrics();
-        assert_eq!(m.applies, 1);
-        assert_eq!(m.partial_rebuilds, 1);
-        assert_eq!(m.partial_nodes_relabeled, 8);
-        assert_eq!((m.full_rebuilds, m.full_nodes_relabeled), (0, 0));
-        assert_eq!(m.dsu_merges, 0);
+        assert_eq!(m.applies, 2);
+        assert_eq!((m.full_rebuilds, m.full_nodes_relabeled), (1, 8));
+        assert_eq!((m.partial_rebuilds, m.partial_nodes_relabeled), (0, 0));
+        assert_eq!(m.dsu_merges, 7);
 
-        // Rejoining the path is pure insertion: one merge, no rebuild.
+        // Rejoining the path is pure insertion: one merge, no relabel.
         dc.apply(&new.diff(&old), &old);
         let m = *dc.metrics();
-        assert_eq!(m.applies, 2);
-        assert_eq!(m.dsu_merges, 1);
-        assert_eq!(m.partial_rebuilds, 1);
+        assert_eq!(m.applies, 3);
+        assert_eq!(m.dsu_merges, 8);
+        assert_eq!(m.full_rebuilds, 1);
 
         // A redundant edge (both endpoints already joined) is not a merge.
         let extra = EdgeDiff {
@@ -701,28 +593,15 @@ mod tests {
         let mut with_extra = old.clone();
         with_extra.insert_edge_sorted(0, 2);
         dc.apply(&extra, &with_extra);
-        assert_eq!(dc.metrics().dsu_merges, 1, "same-root union is not a merge");
+        assert_eq!(dc.metrics().dsu_merges, 8, "same-root union is not a merge");
 
-        // High churn routes to the full relabel and counts every node.
+        // Scattering every node relabels once and counts every node.
         let scattered = AdjacencyList::from_points_brute_force(
             &pts1(&[0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0]),
             1.1,
         );
         dc.apply(&with_extra.diff(&scattered), &scattered);
         let m = *dc.metrics();
-        assert_eq!(m.full_rebuilds, 1);
-        assert_eq!(m.full_nodes_relabeled, 8);
-    }
-
-    #[test]
-    fn epoch_wraparound_resets_stamps() {
-        let old = AdjacencyList::from_points_brute_force(&pts1(&[0.0, 1.0, 2.0]), 1.1);
-        let new = AdjacencyList::from_points_brute_force(&pts1(&[0.0, 1.0, 5.0]), 1.1);
-        let mut dc = DynamicComponents::from_graph(&old);
-        dc.epoch = u32::MAX - 1; // force a wrap on the next two applies
-        dc.apply(&old.diff(&new), &new);
-        assert_matches_oracle(&dc, &new);
-        dc.apply(&new.diff(&old), &old);
-        assert_matches_oracle(&dc, &old);
+        assert_eq!((m.full_rebuilds, m.full_nodes_relabeled), (2, 16));
     }
 }

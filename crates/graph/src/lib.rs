@@ -24,9 +24,9 @@
 //!   (`manet-trace`) with per-step changed edges instead of `O(n²)`
 //!   rebuilds;
 //! * [`dynamic_components`] — [`DynamicComponents`], the incremental
-//!   component summary maintained under that delta stream (DSU
-//!   insertions, epoch-based partial rebuilds for deletions), the
-//!   engine behind every per-step connectivity query in `manet-sim`;
+//!   component summary maintained under that delta stream (union-find
+//!   merges on insert-only steps, one full relabel on any removal),
+//!   the engine behind `trace`'s per-step connectivity queries;
 //! * [`bfs`] — hop distances (multi-hop relay depth);
 //! * [`kconn`] — vertex connectivity (an extension beyond the paper's
 //!   1-connectivity, useful for dependability margins).
@@ -66,7 +66,7 @@ pub use adjacency::AdjacencyList;
 pub use components::ComponentSummary;
 pub use dsu::UnionFind;
 pub use dynamic::{DynamicGraph, EdgeDiff, Skin};
-pub use dynamic_components::{DynamicComponents, FULL_REBUILD_CHURN_FRACTION};
+pub use dynamic_components::DynamicComponents;
 pub use merge::MergeProfile;
 pub use mst::{
     critical_range, minimum_spanning_tree, CriticalRangeTracker, MstEdge, TrackerCounts,

@@ -194,6 +194,7 @@ use manet_graph::{ComponentSummary, DynamicComponents};
 use manet_mobility::{
     Drunkard, Mobility, RandomDirection, RandomWalk, RandomWaypoint, StationaryModel,
 };
+use manet_obs::ComponentMetrics;
 use rand::SeedableRng;
 
 /// The workspace's mobility models as boxed trait objects, so the
@@ -208,31 +209,41 @@ fn model_for(kind: u8, side: f64) -> Box<dyn Mobility<2>> {
     }
 }
 
-/// Drives one trajectory through `DynamicGraph` + `DynamicComponents`,
-/// asserting oracle equality at every step; returns the rebuild-path
-/// counters so callers can assert coverage of the deletion paths.
+/// Drives one trajectory of `model` through `DynamicGraph` +
+/// `DynamicComponents`, asserting oracle equality (count, largest,
+/// size multiset, ordered reachable pairs) at every step. Only every
+/// `moving_stride`-th node follows the model; the rest stay where they
+/// were placed. Returns the component counters and the number of steps
+/// that removed exactly one edge, so callers can assert which paths
+/// ran.
 fn replay_against_oracle(
-    kind: u8,
+    mut model: Box<dyn Mobility<2>>,
     n: usize,
     side: f64,
     range: f64,
     steps: usize,
     seed: u64,
-) -> Result<(u64, u64), TestCaseError> {
+    moving_stride: usize,
+) -> Result<(ComponentMetrics, usize), TestCaseError> {
     let region: Region<2> = Region::new(side).expect("positive side");
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut positions = region.place_uniform(n, &mut rng);
-    let mut model = model_for(kind, side);
     model.init(&positions, &region, &mut rng);
 
     let mut dg = DynamicGraph::new(&positions, side, range);
     let mut dc = DynamicComponents::new(n);
     dc.apply(&dg.initial_diff(), dg.graph());
+    let mut fed = positions.clone();
+    let mut single_removals = 0;
     for step in 0..steps {
         if step > 0 {
             model.step(&mut positions, &region, &mut rng);
-            dg.step(&positions);
+            for (f, p) in fed.iter_mut().zip(&positions).step_by(moving_stride) {
+                *f = *p;
+            }
+            dg.step(&fed);
             dc.apply(dg.last_diff(), dg.graph());
+            single_removals += usize::from(dg.last_diff().removed.len() == 1);
         }
         let oracle = ComponentSummary::of(dg.graph());
         prop_assert_eq!(
@@ -249,15 +260,22 @@ fn replay_against_oracle(
         );
         let mut sizes = oracle.sizes().to_vec();
         sizes.sort_unstable();
+        let pairs: u64 = sizes.iter().map(|&s| s as u64 * (s as u64 - 1)).sum();
         prop_assert_eq!(
             dc.sizes_sorted(),
             sizes,
             "size multiset diverged at step {}",
             step
         );
+        prop_assert_eq!(
+            dc.ordered_reachable_pairs(),
+            pairs,
+            "reachable pairs diverged at step {}",
+            step
+        );
         prop_assert_eq!(dc.is_connected(), oracle.is_connected());
     }
-    Ok((dc.partial_rebuilds(), dc.full_rebuilds()))
+    Ok((*dc.metrics(), single_removals))
 }
 
 proptest! {
@@ -272,30 +290,80 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         let side = 100.0;
-        replay_against_oracle(kind, n, side, range_frac * side, steps, seed)?;
+        replay_against_oracle(model_for(kind, side), n, side, range_frac * side, steps, seed, 1)?;
     }
 }
 
 #[test]
-fn replay_exercises_partial_and_full_rebuild_paths_for_every_mobile_model() {
+fn replay_exercises_the_removal_path_for_every_mobile_model() {
     // Deterministic coverage check: over fast, long trajectories every
-    // mobile model must hit the deletion (epoch partial-rebuild) path,
-    // and the teleport-heavy drunkard must also hit the amortized full
-    // rebuild. (The stationary model, kind 0, never churns.)
-    let mut partial_total = 0;
-    let mut full_total = 0;
+    // mobile model must take the removal path (one full relabel per
+    // step that loses an edge), and the removal-local counters stay 0.
+    // (The stationary model, kind 0, never churns.)
     for kind in 1u8..5 {
-        let (partial, full) =
-            replay_against_oracle(kind, 32, 100.0, 18.0, 120, 7 + kind as u64).unwrap();
+        let (m, _) = replay_against_oracle(
+            model_for(kind, 100.0),
+            32,
+            100.0,
+            18.0,
+            120,
+            7 + kind as u64,
+            1,
+        )
+        .unwrap();
         assert!(
-            partial > 0 || full > 0,
-            "model kind {kind} never exercised a deletion path"
+            m.full_rebuilds > 0,
+            "model kind {kind} never took the removal path"
         );
-        partial_total += partial;
-        full_total += full;
+        assert_eq!(m.full_nodes_relabeled, 32 * m.full_rebuilds);
+        assert_eq!((m.partial_rebuilds, m.partial_nodes_relabeled), (0, 0));
     }
-    assert!(partial_total > 0, "no model took the epoch partial rebuild");
-    assert!(full_total > 0, "no model took the amortized full rebuild");
+}
+
+/// The replay oracle at the size `trace`'s large runs use (n = 2000 on
+/// side 1024): waypoint and gauss-markov at 0.75× and 1.5× of the
+/// step-0 placement's connectivity radius with every node moving, and a
+/// fragmented case at 0.3× with one node in 500 moving, where many steps
+/// remove a single edge inside a small component.
+#[test]
+#[ignore = "release-only oracle; run by CI"]
+fn dynamic_components_replay_matches_oracle_at_scale() {
+    let (n, side, steps, seed) = (2000, 1024.0, 60, 11);
+    let registry = ModelRegistry::<2>::with_builtins();
+    let scale = PaperScale::new(side).with_pause(3);
+    // The placement `replay_against_oracle` draws first from `seed`.
+    let region: Region<2> = Region::new(side).expect("positive side");
+    let placement = region.place_uniform(n, &mut rand::rngs::StdRng::seed_from_u64(seed));
+    let radius = critical_range(&placement);
+    let fragmented =
+        ComponentSummary::of(&AdjacencyList::from_points(&placement, side, 0.3 * radius));
+    assert!(
+        fragmented.count() > n / 10,
+        "0.3x is not fragmented: {}",
+        fragmented.count()
+    );
+    for (model, factor, stride) in [
+        ("waypoint", 0.75, 1),
+        ("waypoint", 1.5, 1),
+        ("gauss-markov", 0.75, 1),
+        ("gauss-markov", 1.5, 1),
+        ("waypoint", 0.3, 500),
+    ] {
+        let mobility = Box::new(registry.build(model, &scale).expect("registry model"));
+        let (m, single_removals) =
+            replay_against_oracle(mobility, n, side, factor * radius, steps, seed, stride).unwrap();
+        assert!(
+            m.full_rebuilds > 0,
+            "{model} x{factor}: no removal step: {m:?}"
+        );
+        assert_eq!(m.applies, steps as u64, "{model} x{factor}");
+        if stride > 1 {
+            assert!(
+                single_removals > 0,
+                "{model} x{factor}: no single-edge removal"
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

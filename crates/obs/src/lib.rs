@@ -3,7 +3,7 @@
 //! The kernels of this workspace (the moving grid, the zero-rebuild
 //! step kernel, the dynamic component tracker) make per-step *path
 //! decisions* — moved-rescan vs bulk rescan vs oracle fallback, DSU
-//! union vs epoch partial rebuild vs full relabel — that determine
+//! union vs full relabel — that determine
 //! their cost but were invisible to every artifact the repo emitted.
 //! This crate provides the observability substrate in two strictly
 //! separated planes:

@@ -143,13 +143,14 @@ pub struct ComponentMetrics {
     pub applies: u64,
     /// DSU unions that actually merged two distinct components.
     pub dsu_merges: u64,
-    /// Epoch-based partial rebuilds triggered by edge removals.
+    /// Always 0: removal steps relabel the whole snapshot. Kept so the
+    /// serialized counter block keeps its shape.
     pub partial_rebuilds: u64,
-    /// Full relabels triggered by churn above the rebuild threshold.
+    /// Full relabels: one per step that removed an edge.
     pub full_rebuilds: u64,
-    /// Nodes relabeled by partial rebuilds (affected-region sizes).
+    /// Always 0, like `partial_rebuilds`.
     pub partial_nodes_relabeled: u64,
-    /// Nodes relabeled by full rebuilds.
+    /// Nodes relabeled by full rebuilds (`n` per relabel).
     pub full_nodes_relabeled: u64,
 }
 

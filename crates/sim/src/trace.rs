@@ -8,9 +8,10 @@
 //! nodes over a grid-accelerated `O(n + E)` snapshot (never the
 //! brute-force `O(n²)`), reuses every buffer, and polices the model's
 //! declared displacement bound ([`Mobility::max_step_displacement`])
-//! on every step. Everything downstream of it — link bookkeeping and
-//! the component summary — is delta-proportional, with no full
-//! relabeling. [`simulate_trace`] runs the whole campaign and pools
+//! on every step. Link bookkeeping downstream of it is
+//! delta-proportional; the component summary merges on insert-only
+//! steps and relabels the snapshot on any step that removes an edge.
+//! [`simulate_trace`] runs the whole campaign and pools
 //! the records into a [`TraceSummary`].
 
 use crate::{

@@ -18,8 +18,8 @@
 //!   trajectory into a stream of **edge deltas** — `O(changed edges)`
 //!   per step instead of `O(n²)` rebuilds — and
 //!   [`manet_graph::DynamicComponents`] maintains the component
-//!   summary under that stream, so connectivity episodes need no
-//!   per-step relabeling either;
+//!   summary under that stream (union-find merges on insert-only
+//!   steps, one relabel on any step that removes an edge);
 //! * [`TraceRecorder`] folds one trajectory's delta stream into link
 //!   **events** (edge up/down, plus mean/peak per-step churn) and
 //!   connectivity **episodes** (connected/partitioned runs, per-node
