@@ -33,12 +33,6 @@ pub struct RunOptions {
     pub seed: u64,
     /// Pinned thread count (None = auto).
     pub threads: Option<usize>,
-    /// `--skin auto|off|RADIUS`: the step kernel's Verlet-cache skin
-    /// policy (None = the kernel default, auto). A performance knob
-    /// only: artifacts are byte-identical across settings, which CI
-    /// pins. Only `trace` (alone or in `all`) runs the step kernel;
-    /// [`RunOptions::check_command`] rejects the flag elsewhere.
-    pub skin: Option<manet_core::graph::Skin>,
     /// CSV output directory.
     pub out_dir: PathBuf,
     /// Mobility models to sweep (`--models a,b,c`); `None` keeps each
@@ -80,7 +74,6 @@ impl Default for RunOptions {
             placements: 1_000,
             seed: 20_020_623, // DSN 2002 conference date
             threads: None,
-            skin: None,
             out_dir: PathBuf::from("results"),
             models: None,
             nodes: None,
@@ -95,7 +88,9 @@ impl Default for RunOptions {
 }
 
 impl RunOptions {
-    /// Parses `--flag value` style options.
+    /// Parses `--flag value` style options. A bare word is an error:
+    /// the caller strips `theory`'s selector, the only one a command
+    /// takes, before parsing.
     pub fn parse(args: &[String]) -> Result<Self, String> {
         let mut opts = RunOptions::default();
         let mut i = 0;
@@ -126,11 +121,6 @@ impl RunOptions {
                             "--step-threads must be 1 (intra-step sharding was removed), got {t}"
                         ));
                     }
-                }
-                "--skin" => {
-                    i += 1;
-                    let v = args.get(i).ok_or("--skin requires auto, off or a radius")?;
-                    opts.skin = Some(v.parse().map_err(|e| format!("--skin: {e}"))?);
                 }
                 "--out" => {
                     i += 1;
@@ -196,9 +186,7 @@ impl RunOptions {
                     }
                     opts.models = Some(names);
                 }
-                // Sub-command words (e.g. `theory t1`) are consumed by
-                // the caller; tolerate bare words here.
-                w if !w.starts_with("--") => {}
+                w if !w.starts_with("--") => return Err(format!("unexpected argument `{w}`")),
                 other => return Err(format!("unknown option `{other}`")),
             }
             i += 1;
@@ -226,20 +214,8 @@ impl RunOptions {
         Ok(opts)
     }
 
-    /// Rejects options that `command` would ignore: `--skin` reaches
-    /// only the step kernel, which only `trace` (alone or in `all`)
-    /// runs.
-    pub fn check_command(self, command: &str) -> Result<Self, String> {
-        if self.skin.is_some() && !matches!(command, "trace" | "all") {
-            return Err(format!(
-                "--skin applies only to trace and all; `{command}` runs no step kernel"
-            ));
-        }
-        Ok(self)
-    }
-
     /// The campaign configuration of `nodes` nodes in `[0, side]²` at
-    /// this run's iterations, steps, seed and thread/kernel knobs — the
+    /// this run's iterations, steps, seed and thread count — the
     /// one place a command-line option reaches a [`SimConfig`]. Callers
     /// add what only they set (a profile stride, a pinned thread
     /// count) before building.
@@ -252,9 +228,6 @@ impl RunOptions {
             .seed(self.seed);
         if let Some(t) = self.threads {
             b.threads(t);
-        }
-        if let Some(s) = self.skin {
-            b.skin(s);
         }
         b
     }
@@ -480,10 +453,31 @@ mod tests {
         assert_eq!(parse(&["--nodes", "2"]).unwrap().nodes, Some(2));
     }
 
+    /// The Verlet-cache skin is the step kernel's own choice: every
+    /// value the deleted `--skin` flag took is now an unknown option.
     #[test]
-    fn bare_words_tolerated_for_subcommands() {
-        let o = parse(&["t3", "--quick"]).unwrap();
-        assert_eq!(o.iterations, 5);
+    fn skin_flag_is_an_unknown_option() {
+        for value in ["auto", "off", "0", "12.5", "-3", "warm"] {
+            assert_eq!(
+                parse(&["--skin", value]).unwrap_err(),
+                "unknown option `--skin`",
+                "--skin {value}"
+            );
+        }
+        assert_eq!(parse(&["--skin"]).unwrap_err(), "unknown option `--skin`");
+    }
+
+    #[test]
+    fn bare_words_are_rejected() {
+        for args in [&["t3", "--quick"][..], &["--quick", "waypoint"]] {
+            let err = parse(args).unwrap_err();
+            assert!(err.starts_with("unexpected argument"), "{args:?}: {err}");
+        }
+        // An option's value is not a bare word.
+        assert_eq!(
+            parse(&["--out", "t3"]).unwrap().out_dir,
+            PathBuf::from("t3")
+        );
     }
 
     #[test]
@@ -497,50 +491,10 @@ mod tests {
     }
 
     #[test]
-    fn skin_is_rejected_without_a_step_kernel() {
-        let o = parse(&["--skin", "off"]).unwrap();
-        assert!(o.clone().check_command("trace").is_ok());
-        assert!(o.clone().check_command("all").is_ok());
-        for command in [
-            "figs",
-            "fig2",
-            "fixed",
-            "uptime",
-            "quantity",
-            "critical-scaling",
-        ] {
-            let err = o.clone().check_command(command).unwrap_err();
-            assert!(err.contains("--skin"), "{command}: {err}");
-        }
-        assert!(parse(&[]).unwrap().check_command("figs").is_ok());
-    }
-
-    #[test]
-    fn skin_flag_parses_and_validates() {
-        use manet_core::graph::Skin;
-        let o = parse(&[]).unwrap();
-        assert_eq!(o.skin, None);
-        assert_eq!(parse(&["--skin", "auto"]).unwrap().skin, Some(Skin::Auto));
-        assert_eq!(parse(&["--skin", "off"]).unwrap().skin, Some(Skin::Off));
-        assert_eq!(parse(&["--skin", "0"]).unwrap().skin, Some(Skin::Off));
-        assert_eq!(
-            parse(&["--skin", "12.5"]).unwrap().skin,
-            Some(Skin::Fixed(12.5))
-        );
-        assert!(parse(&["--skin"]).is_err());
-        assert!(parse(&["--skin", "-3"]).is_err());
-        assert!(parse(&["--skin", "nan"]).is_err());
-        assert!(parse(&["--skin", "warm"]).is_err());
-    }
-
-    #[test]
     fn sim_config_carries_every_run_option() {
-        use manet_core::graph::Skin;
         let o = parse(&[
             "--threads",
             "3",
-            "--skin",
-            "7.5",
             "--seed",
             "9",
             "--iterations",
@@ -553,32 +507,27 @@ mod tests {
         assert_eq!((c.nodes(), c.side()), (16, 256.0));
         assert_eq!((c.iterations(), c.steps(), c.seed()), (2, 5, 9));
         assert_eq!(c.threads(), Some(3));
-        assert_eq!(c.skin(), Skin::Fixed(7.5));
         // Unset knobs keep the SimConfig defaults.
         let c = parse(&[]).unwrap().sim_config(16, 256.0).build().unwrap();
         assert_eq!(c.threads(), None);
-        assert_eq!(c.skin(), Skin::Auto);
     }
 
-    /// The step kernel's knob reaches a `SimConfig` only through
-    /// `RunOptions::sim_config`: no other experiment source names it
-    /// except the run manifest in obs.rs.
+    /// The step kernel's one remaining flag, `--step-threads`, stops
+    /// in `RunOptions::parse`: no other experiment source names it.
     #[test]
     fn kernel_knobs_are_read_only_by_sim_config() {
         let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
         for entry in std::fs::read_dir(src).unwrap() {
             let path = entry.unwrap().path();
             let name = path.file_name().unwrap().to_string_lossy().into_owned();
-            if name == "common.rs" || name == "obs.rs" {
+            if name == "common.rs" {
                 continue;
             }
             let text = std::fs::read_to_string(&path).unwrap();
-            for knob in ["step_threads", ".skin"] {
-                assert!(
-                    !text.contains(knob),
-                    "{name} names `{knob}`; set it through RunOptions::sim_config"
-                );
-            }
+            assert!(
+                !text.contains("step_threads"),
+                "{name} names `step_threads`; set it through RunOptions::sim_config"
+            );
         }
     }
 

@@ -31,10 +31,6 @@
 //!                    quantity (defaults n = 32, 32, 64, 32; N >= 2)
 //!   --step-threads 1 accepted for compatibility; the step kernel is
 //!                    serial and any other value is an error
-//!   --skin S         Verlet-cache skin policy for trace's step
-//!                    kernel (trace and all only): auto (default),
-//!                    off, or a fixed radius; artifacts are
-//!                    byte-identical across settings
 //!   --metrics PATH   write metrics.json (run manifest + deterministic
 //!                    kernel counters + spans) to PATH
 //!   --profile        arm wall-clock span profiling; span table goes
@@ -78,7 +74,15 @@ fn main() {
         return;
     }
     let command = args[0].clone();
-    let opts = match RunOptions::parse(&args[1..]).and_then(|o| o.check_command(&command)) {
+    // `theory` takes one bare word, its selector, right after the
+    // command; every other argument is an option.
+    let (selector, rest) = match args.get(1).map(String::as_str) {
+        Some(w @ ("t1" | "t2" | "t3" | "t4" | "t5" | "all")) if command == "theory" => {
+            (Some(w), &args[2..])
+        }
+        _ => (None, &args[1..]),
+    };
+    let opts = match RunOptions::parse(rest) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}");
@@ -105,14 +109,7 @@ fn main() {
         "fixed" => fixed::run(&opts, s),
         "trace" => trace::run(&opts, s),
         "critical-scaling" => scaling::run(&opts, s),
-        "theory" => {
-            let which = args[1..]
-                .iter()
-                .find(|a| matches!(a.as_str(), "t1" | "t2" | "t3" | "t4" | "t5" | "all"))
-                .map(String::as_str)
-                .unwrap_or("all");
-            theory::run(which, &opts, s)
-        }
+        "theory" => theory::run(selector.unwrap_or("all"), &opts, s),
         "all" => stationary::run(&opts, s)
             .and_then(|_| figures::all(&opts, s))
             .and_then(|_| theory::run("all", &opts, s))
@@ -142,7 +139,6 @@ fn print_usage() {
          options: --quick | --paper | --iterations N | --steps N | --placements N\n\
          \x20        --seed N | --threads N | --step-threads 1 | --out DIR\n\
          \x20        --models A,B,.. | --nodes N (trace/fixed/uptime/quantity)\n\
-         \x20        --skin S (trace/all)\n\
          \x20        --metrics PATH | --profile | --progress\n\
          \x20        --target F | --k-target K | --n-sweep A,B,.. (critical-scaling)"
     );

@@ -49,9 +49,6 @@ impl ObsSession {
         manifest.iterations = opts.iterations;
         manifest.steps = opts.steps;
         manifest.threads = opts.threads.unwrap_or(0); // 0 = auto
-        manifest.skin = opts
-            .skin
-            .map_or_else(|| "auto".to_string(), |s| s.to_string());
         manifest.features = manet_core::compiled_features()
             .into_iter()
             .map(String::from)
@@ -183,12 +180,7 @@ mod tests {
         assert_eq!(s.manifest.iterations, 7);
         assert_eq!(s.manifest.steps, 11);
         assert_eq!(s.manifest.threads, 4);
-        assert_eq!(s.manifest.skin, "auto");
         assert!(s.manifest.models.is_empty());
-
-        o.skin = Some(manet_core::graph::Skin::Fixed(7.5));
-        let s = ObsSession::new("trace", &o);
-        assert_eq!(s.manifest.skin, "7.5");
     }
 
     #[test]

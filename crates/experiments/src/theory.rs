@@ -25,7 +25,7 @@ pub fn run(which: &str, opts: &RunOptions, session: &mut ObsSession) -> Result<(
         "t3" => timed("t3", session, t3),
         "t4" => timed("t4", session, t4),
         "t5" => timed("t5", session, t5),
-        "all" | "" => {
+        "all" => {
             timed("t1", session, t1)?;
             timed("t2", session, t2)?;
             timed("t3", session, t3)?;

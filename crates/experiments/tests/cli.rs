@@ -644,71 +644,49 @@ fn trace_step_threads_accepts_only_one() {
     );
 }
 
-/// Strips every embedded `kernel` counter block from an artifact:
-/// the path counters (bulk vs verify vs rebuild) are *supposed* to
-/// differ across skin settings — they record which kernel path ran —
-/// while everything observable must not.
-fn strip_kernel_counters(json: &str) -> String {
-    let mut s = json.to_string();
-    while let Some(start) = s.find("\"kernel\":{") {
-        // The counter block holds only numeric fields (no strings), so
-        // brace counting finds its end without a full JSON parse.
-        let open = start + "\"kernel\":".len();
-        let mut depth = 0usize;
-        let mut end = s.len();
-        for (j, c) in s[open..].char_indices() {
-            match c {
-                '{' => depth += 1,
-                '}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        end = open + j + 1;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        // Swallow one adjacent comma so the remainder stays valid JSON.
-        if s[end..].starts_with(',') {
-            s.replace_range(start..end + 1, "");
-        } else if s[..start].ends_with(',') {
-            s.replace_range(start - 1..end, "");
-        } else {
-            s.replace_range(start..end, "");
-        }
-    }
-    s
-}
-
-/// The Verlet cache is a performance knob, not a semantics one: the
-/// cached verify/rebuild path (`--skin auto`, the default) must
-/// produce the same observables as the legacy kernel with the cache
-/// off (`--skin 0`). The CSV is
-/// compared byte-for-byte; trace.json embeds kernel path counters
-/// (which record *how* each step committed and so legitimately vary),
-/// so those blocks are stripped first. This is the end-to-end
-/// cache-path identity gate the CI smoke mirrors at larger n.
+/// The Verlet-cache skin is the step kernel's own choice, not an
+/// option: `--skin` is an unknown option like any other. Bare words
+/// are usage errors too, except `theory`'s one selector. Each exits 2
+/// with a usage error and writes no artifact.
 #[test]
-fn trace_artifacts_byte_identical_across_skin_settings() {
-    let run = |skin: &str| {
-        let tag = format!("trace_skin{skin}");
-        let (code, artifacts) = run_small_trace(&tag, &["--nodes", "48", "--skin", skin]);
-        assert_eq!(code, Some(0), "--skin {skin} failed");
-        let (json, csv) = artifacts.unwrap();
-        (strip_kernel_counters(&json), csv)
-    };
-    assert_eq!(
-        run("0"),
-        run("auto"),
-        "trace observables must not depend on --skin"
-    );
+fn skin_and_stray_bare_words_are_usage_errors() {
+    for (tag, argv, message) in [
+        (
+            "usage_skin",
+            &["trace", "--quick", "--skin", "auto"][..],
+            "unknown option `--skin`",
+        ),
+        (
+            "usage_trace_word",
+            &["trace", "waypoint", "--quick"],
+            "unexpected argument `waypoint`",
+        ),
+        (
+            "usage_theory_t9",
+            &["theory", "t9", "--placements", "50"],
+            "unexpected argument `t9`",
+        ),
+        (
+            "usage_theory_two_words",
+            &["theory", "t4", "t5", "--placements", "50"],
+            "unexpected argument `t5`",
+        ),
+    ] {
+        let dir = temp_out(tag);
+        let out = repro().args(argv).arg("--out").arg(&dir).output().unwrap();
+        let written = std::fs::read_dir(&dir).unwrap().count();
+        std::fs::remove_dir_all(&dir).ok();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {stderr}");
+        assert!(stderr.contains(message), "{argv:?}: {stderr}");
+        assert_eq!(written, 0, "{argv:?} wrote an artifact");
+    }
 }
 
-/// `critical-scaling` runs no step kernel, so `--skin` and any
-/// `--step-threads` but 1 are usage errors there. perfbench's argv
-/// passes `--step-threads 1`, which still runs, and `metrics.json`
-/// records no kernel counters.
+/// `--skin` (an unknown option) and any `--step-threads` but 1 are
+/// usage errors on `critical-scaling`. perfbench's argv passes
+/// `--step-threads 1`, which still runs, and `metrics.json` records no
+/// kernel counters.
 #[test]
 fn critical_scaling_rejects_skin_and_step_threads() {
     let run = |tag: &str, extra: &[&str]| {

@@ -5,8 +5,8 @@
 //! `O(n + E)` allocations and work per step even when almost nothing
 //! changed. [`DynamicGraph`] is now a **zero-rebuild step kernel**: it
 //! keeps a [`MovingCellGrid`] built once and updated per step, and
-//! derives each step's [`EdgeDiff`] directly from the nodes that
-//! actually moved.
+//! derives each step's [`EdgeDiff`] from it — from the nodes that
+//! moved, a bulk rescan, or the Verlet candidate cache below.
 //!
 //! # The displacement argument
 //!
@@ -191,9 +191,10 @@ const BOUND_SLACK: f64 = 1.0 + 1e-9;
 
 /// How the step kernel chooses the Verlet-cache skin radius (the
 /// margin added to the transmitting range when building the candidate
-/// arena); see [`DynamicGraph::with_skin`].
+/// arena); see [`DynamicGraph::with_skin`]. The simulator always runs
+/// the default, [`Skin::Auto`]; `Off` and `Fixed` bypass its cost model
+/// for the oracles and the step-kernel capture.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Skin {
     /// Never arm the cache: the kernel runs exactly its classic
     /// incremental/bulk/fallback paths.
@@ -206,28 +207,6 @@ pub enum Skin {
     /// Arm with this skin radius (finite, strictly positive) on the
     /// first eligible step, bypassing the cost model.
     Fixed(f64),
-}
-
-impl std::str::FromStr for Skin {
-    type Err = String;
-
-    /// Parses the `--skin` flag grammar: `auto`, `off`, or a finite
-    /// non-negative radius (`0` means `off`).
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "auto" => Ok(Skin::Auto),
-            "off" => Ok(Skin::Off),
-            _ => {
-                let v: f64 = s.parse().map_err(|_| {
-                    format!("invalid skin {s:?}: expected \"auto\", \"off\" or a radius")
-                })?;
-                if !v.is_finite() || v < 0.0 {
-                    return Err(format!("skin must be finite and non-negative, got {v}"));
-                }
-                Ok(if v == 0.0 { Skin::Off } else { Skin::Fixed(v) })
-            }
-        }
-    }
 }
 
 impl std::fmt::Display for Skin {
@@ -323,11 +302,14 @@ struct VerletCache {
 /// A communication graph maintained across mobility steps by an
 /// incremental, allocation-free step kernel.
 ///
-/// [`DynamicGraph::step`] updates the internal [`MovingCellGrid`] (only
-/// boundary-crossing nodes relocate), rescans only the nodes that
-/// moved, emits the step's [`EdgeDiff`] into a held, capacity-reusing
-/// buffer, and patches the snapshot's sorted neighbor lists in place —
-/// after warm-up the hot loop performs no allocation. A declared
+/// [`DynamicGraph::step`] serves each step through one of four paths —
+/// a rescan of the moved nodes' neighborhoods, a bulk rescan of the
+/// whole grid, a verify pass over the Verlet candidate cache, or the
+/// rebuild-and-diff fallback — chosen by the step's moved fraction, the
+/// declared displacement bound and the [`Skin`] policy's cost model.
+/// Each path emits the step's [`EdgeDiff`] into a held,
+/// capacity-reusing buffer and updates the snapshot's sorted neighbor
+/// lists; after warm-up the hot loop performs no allocation. A declared
 /// per-step displacement bound (see
 /// [`DynamicGraph::with_displacement_bound`]) is policed every step;
 /// violations fall back to the full rebuild-and-diff oracle for that
@@ -521,7 +503,7 @@ impl<const D: usize> DynamicGraph<D> {
     /// observed per-step displacement `d` — and declines when the
     /// budget is too small to amortize anything. Models that never
     /// declare a bound (and degenerate grids) simply keep the classic
-    /// paths; [`Skin::Off`] (or `--skin 0`) pins them unconditionally,
+    /// paths; [`Skin::Off`] pins them unconditionally,
     /// byte-identical to a kernel without the cache.
     ///
     /// Reconfiguring disarms an armed cache; it re-arms (or not) under
@@ -604,12 +586,19 @@ impl<const D: usize> DynamicGraph<D> {
     /// [`DynamicGraph::last_diff`] and the snapshot off
     /// [`DynamicGraph::graph`]. Allocation-free after warm-up.
     ///
-    /// Dispatch: measure the step (moved set + max displacement) on
-    /// the moving grid, then (1) police a declared displacement bound —
-    /// violations go to the from-scratch oracle; (2) below
-    /// [`BULK_RESCAN_FRACTION`] moved, relocate only moved nodes and
-    /// rescan their neighborhoods; (3) otherwise re-bucket in one pass
-    /// and bulk-rescan the snapshot. All three paths produce
+    /// Dispatch, until the Verlet cache arms: measure the step (moved
+    /// set + max displacement) on the moving grid, then (1) police a
+    /// declared displacement bound — violations go to the from-scratch
+    /// oracle; (2) below [`BULK_RESCAN_FRACTION`] moved, relocate only
+    /// moved nodes and rescan their neighborhoods; (3) otherwise try to
+    /// arm the cache — under a declared bound, when the [`Skin`]
+    /// policy's cost model predicts a win (see
+    /// [`DynamicGraph::with_skin`]) — and bulk-rescan the snapshot at
+    /// `r + skin` if it arms, at `r` if it declines. (4) Once armed,
+    /// every later step verifies the cached candidates against the
+    /// current positions, rebuilding the arena when some node has
+    /// drifted more than `skin/2` since the last build; a bound
+    /// violation still goes to the oracle. All paths produce
     /// bit-identical snapshots and deltas.
     ///
     /// # Panics
@@ -1589,18 +1578,10 @@ mod tests {
     }
 
     #[test]
-    fn skin_parses_and_displays() {
-        assert_eq!("auto".parse::<Skin>(), Ok(Skin::Auto));
-        assert_eq!("off".parse::<Skin>(), Ok(Skin::Off));
-        assert_eq!("0".parse::<Skin>(), Ok(Skin::Off));
-        assert_eq!("12.5".parse::<Skin>(), Ok(Skin::Fixed(12.5)));
-        assert!("-1".parse::<Skin>().is_err());
-        assert!("nan".parse::<Skin>().is_err());
-        assert!("inf".parse::<Skin>().is_err());
-        assert!("fast".parse::<Skin>().is_err());
-        for s in [Skin::Auto, Skin::Off, Skin::Fixed(7.25)] {
-            assert_eq!(s.to_string().parse::<Skin>(), Ok(s), "display round-trip");
-        }
+    fn skin_displays_and_defaults_to_auto() {
+        assert_eq!(Skin::Auto.to_string(), "auto");
+        assert_eq!(Skin::Off.to_string(), "off");
+        assert_eq!(Skin::Fixed(7.25).to_string(), "7.25");
         assert_eq!(Skin::default(), Skin::Auto);
     }
 

@@ -393,8 +393,8 @@ const SKIN_SWEEP: [Skin; 3] = [Skin::Off, Skin::Auto, Skin::Fixed(25.0)];
 /// step count against the path partition (including the Verlet cache
 /// buckets). Only every `moving_stride`-th node follows the model; the
 /// rest stay where they were placed, so a stride above 2 keeps every
-/// step on the moved-node path. Returns the kernel's final counter
-/// block.
+/// step on the moved-node path. `pause` is the registry scale's pause
+/// time in steps. Returns the kernel's final counter block.
 #[expect(clippy::too_many_arguments, reason = "one replay, many knobs")]
 fn replay_kernel_against_oracle(
     model_name: &str,
@@ -404,10 +404,11 @@ fn replay_kernel_against_oracle(
     steps: usize,
     seed: u64,
     moving_stride: usize,
+    pause: u32,
     skin: Skin,
 ) -> Result<manet_obs::StepKernelMetrics, TestCaseError> {
     let registry = ModelRegistry::<2>::with_builtins();
-    let scale = PaperScale::new(side).with_pause(3);
+    let scale = PaperScale::new(side).with_pause(pause);
     let mut model = registry.build(model_name, &scale).expect("registry model");
 
     let region: Region<2> = Region::new(side).expect("positive side");
@@ -526,6 +527,7 @@ proptest! {
             steps,
             seed,
             1,
+            3,
             SKIN_SWEEP[skin_idx],
         )?;
     }
@@ -546,7 +548,8 @@ fn step_kernel_paths_cover_every_registry_model_with_bounded_fallback() {
     for name in registry.names() {
         // Skin stays off here — this test pins the legacy two-path
         // split; the armed cache has its own coverage test below.
-        let m = replay_kernel_against_oracle(name, 40, 100.0, 18.0, 80, 99, 1, Skin::Off).unwrap();
+        let m =
+            replay_kernel_against_oracle(name, 40, 100.0, 18.0, 80, 99, 1, 3, Skin::Off).unwrap();
         let (incremental, bulk, fallback) =
             (m.incremental_steps, m.bulk_rescan_steps, m.fallback_steps);
         assert!(
@@ -587,7 +590,8 @@ fn verlet_cache_arms_across_registry_models_under_auto_skin() {
             .expect("registry model")
             .max_step_displacement()
             .is_some();
-        let m = replay_kernel_against_oracle(name, 40, 100.0, 18.0, 80, 99, 1, Skin::Auto).unwrap();
+        let m =
+            replay_kernel_against_oracle(name, 40, 100.0, 18.0, 80, 99, 1, 3, Skin::Auto).unwrap();
         if !bounded {
             assert_eq!(
                 m.cache_verify_steps + m.cache_rebuilds,
@@ -665,16 +669,68 @@ fn step_kernel_dmax_violation_falls_back_not_corrupts() {
 /// `from_points` + `diff`. The moved-node path runs with one node in
 /// four moving, the bulk path with the cache off and every node moving,
 /// and the cache-verify path with a fixed skin (waypoint only: a model
-/// without a bound never arms the cache).
+/// without a bound never arms the cache). Two more inputs run the
+/// simulator's own kernel, [`Skin::Auto`], at the shapes `trace` runs:
+/// the paper horizon (verify-heavy) and n = 2000 (rebuild-heavy).
 #[test]
 #[ignore = "release-only oracle; run by CI"]
 fn step_kernel_paths_match_oracle_at_scale() {
+    let multiples = [0.75, 1.0, 1.25, 1.5];
+    // The paper horizon: n = 32 on side 1024, pause 2000, 10,000 steps
+    // at trace's 4 range multiples of its x1 range (the `ranges` of
+    // tests/goldens/trace_metrics.json's manifest). Few nodes move per
+    // step, and the armed cache serves almost every step.
+    let r1 = 454.19185303556463;
+    let mut verify_steps = 0;
+    for model in ["waypoint", "direction"] {
+        for seed in [0, 1] {
+            for k in multiples {
+                let m = replay_kernel_against_oracle(
+                    model,
+                    32,
+                    1024.0,
+                    k * r1,
+                    10_000,
+                    seed,
+                    1,
+                    2000,
+                    Skin::Auto,
+                )
+                .unwrap();
+                verify_steps += m.cache_verify_steps;
+            }
+        }
+    }
+    assert!(
+        verify_steps >= 150_000,
+        "paper horizon: only {verify_steps} of 160,000 steps verified the cache"
+    );
+    // n = 2000 on side 1024 with short pauses: the wider ranges arm the
+    // cache and alternate verify steps with rebuilds.
+    for k in multiples {
+        let m = replay_kernel_against_oracle(
+            "waypoint",
+            2000,
+            1024.0,
+            k * 54.0,
+            40,
+            7,
+            1,
+            8,
+            Skin::Auto,
+        )
+        .unwrap();
+        if k >= 1.25 {
+            assert!(m.cache_verify_steps > 0, "n = 2000 x{k}: {m:?}");
+        }
+    }
+
     for n in [2000usize, 5000] {
         // Trace-large's density: n = 2000 on side 1024, range 60.
         let side = 1024.0 * (n as f64 / 2000.0).sqrt();
         for model in ["waypoint", "gauss-markov"] {
             let replay = |stride, skin| {
-                replay_kernel_against_oracle(model, n, side, 60.0, 6, 7, stride, skin).unwrap()
+                replay_kernel_against_oracle(model, n, side, 60.0, 6, 7, stride, 3, skin).unwrap()
             };
             let m = replay(4, Skin::Off);
             assert_eq!(m.incremental_steps, 6, "{model} n={n}: {m:?}");

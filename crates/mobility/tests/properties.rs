@@ -31,6 +31,34 @@ fn all_inside(side: f64, pos: &[Point<2>]) -> bool {
     pos.iter().all(|p| region.contains(p))
 }
 
+/// Runs the registry model `name` at `scale` like [`run_model`],
+/// failing on the first step that leaves a node outside the region.
+fn run_registry_model_contained(
+    name: &str,
+    scale: &PaperScale,
+    n: usize,
+    steps: usize,
+    seed: u64,
+) -> Result<Vec<Point<2>>, TestCaseError> {
+    let mut model = ModelRegistry::<2>::with_builtins()
+        .build(name, scale)
+        .unwrap();
+    let region: Region<2> = Region::new(scale.side).unwrap();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut pos = region.place_uniform(n, &mut rng);
+    model.init(&pos, &region, &mut rng);
+    for step in 0..steps {
+        model.step(&mut pos, &region, &mut rng);
+        if let Some(i) = pos.iter().position(|p| !region.contains(p)) {
+            return Err(TestCaseError::fail(format!(
+                "{name}: node {i} left the region at step {step}: {:?}",
+                pos[i]
+            )));
+        }
+    }
+    Ok(pos)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -217,12 +245,10 @@ proptest! {
     ) {
         let registry = ModelRegistry::<2>::with_builtins();
         let scale = PaperScale::new(side).with_pause(pause);
-        for name in ["gauss-markov", "rpgm", "walk-wrap", "direction-bounce"] {
-            let mut a = registry.build(name, &scale).unwrap();
-            let mut b = registry.build(name, &scale).unwrap();
-            let out_a = run_model(&mut a, side, n, 30, seed);
-            prop_assert!(all_inside(side, &out_a), "{} escaped", name);
-            prop_assert_eq!(out_a, run_model(&mut b, side, n, 30, seed));
+        for name in registry.names() {
+            let out = run_registry_model_contained(name, &scale, n, 30, seed)?;
+            let mut replay = registry.build(name, &scale).unwrap();
+            prop_assert_eq!(out, run_model(&mut replay, side, n, 30, seed), "{}", name);
         }
     }
 
@@ -320,5 +346,29 @@ fn wrap_and_gaussian_models_decline_to_declare_bounds() {
             model.max_step_displacement().is_some(),
             "{name} folds motion non-expansively and should declare its bound"
         );
+    }
+}
+
+/// Every registry model keeps every node inside the region after every
+/// step at the simulator's own shapes: `critical-scaling`'s n = 32
+/// (side 362) over 2,000 steps, trace-large's n = 2000 on side 1024,
+/// and the paper's smallest and largest systems, each with the paper's
+/// pause scaled to its horizon as `manet-repro` scales it.
+#[test]
+fn every_registry_model_stays_in_region_at_simulator_shapes() {
+    let registry = ModelRegistry::<2>::with_builtins();
+    assert_eq!(registry.names().len(), 13, "registry model count drifted");
+    for (side, n, steps) in [
+        (362.0, 32, 2_000u32),
+        (1024.0, 2000, 60),
+        (256.0, 16, 500),
+        (16384.0, 128, 500),
+    ] {
+        let scale = PaperScale::new(side).with_pause(steps / 5);
+        for name in registry.names() {
+            for seed in 0..2 {
+                run_registry_model_contained(name, &scale, n, steps as usize, seed).unwrap();
+            }
+        }
     }
 }

@@ -34,11 +34,6 @@ pub struct RunManifest {
     pub threads: usize,
     /// Cargo features compiled into the binary, sorted.
     pub features: Vec<String>,
-    /// The step kernel's Verlet skin policy (`"auto"`, `"off"` or a
-    /// radius), as invoked. Recorded for provenance only: artifacts
-    /// are byte-identical across settings, and like `threads` the CI
-    /// identity gate normalizes this field before diffing.
-    pub skin: String,
 }
 
 impl RunManifest {
@@ -74,7 +69,6 @@ mod tests {
             "\"ranges\"",
             "\"threads\"",
             "\"features\"",
-            "\"skin\"",
         ];
         let positions: Vec<usize> = keys.iter().map(|k| json.find(k).unwrap()).collect();
         assert!(positions.windows(2).all(|w| w[0] < w[1]));

@@ -22,10 +22,6 @@ pub struct SimConfig<const D: usize> {
     profile_stride: usize,
     profile_bins: usize,
     profile_max_range: Option<f64>,
-    /// Verlet skin policy for the step kernel's candidate cache
-    /// (default [`Skin::Auto`]; a performance knob only — every
-    /// artifact is byte-identical across settings).
-    skin: Skin,
 }
 
 impl<const D: usize> SimConfig<D> {
@@ -87,12 +83,11 @@ impl<const D: usize> SimConfig<D> {
         self.profile_max_range.unwrap_or(self.side / 2.0)
     }
 
-    /// The step kernel's Verlet skin policy (see
-    /// [`DynamicGraph::with_skin`](manet_graph::DynamicGraph::with_skin)).
-    /// A performance knob only: every artifact is byte-identical
-    /// across settings.
+    /// The step kernel's Verlet skin policy: always [`Skin::Auto`],
+    /// the kernel's own cost model. It stays only until ROADMAP item
+    /// 1(d) stops perfbench from reading it.
     pub fn skin(&self) -> Skin {
-        self.skin
+        Skin::Auto
     }
 
     /// A copy of this config with a different seed — convenient for
@@ -119,7 +114,6 @@ pub struct SimConfigBuilder<const D: usize> {
     profile_stride: usize,
     profile_bins: usize,
     profile_max_range: Option<f64>,
-    skin: Skin,
 }
 
 impl<const D: usize> Default for SimConfigBuilder<D> {
@@ -135,7 +129,6 @@ impl<const D: usize> Default for SimConfigBuilder<D> {
             profile_stride: 1,
             profile_bins: 1024,
             profile_max_range: None,
-            skin: Skin::Auto,
         }
     }
 }
@@ -204,13 +197,6 @@ impl<const D: usize> SimConfigBuilder<D> {
         self
     }
 
-    /// Sets the step kernel's Verlet skin policy (default
-    /// [`Skin::Auto`]).
-    pub fn skin(&mut self, skin: Skin) -> &mut Self {
-        self.skin = skin;
-        self
-    }
-
     /// Validates and builds the configuration.
     ///
     /// # Errors
@@ -274,13 +260,6 @@ impl<const D: usize> SimConfigBuilder<D> {
                 });
             }
         }
-        if let Skin::Fixed(s) = self.skin {
-            if !(s.is_finite() && s > 0.0) {
-                return Err(SimError::InvalidConfig {
-                    reason: format!("fixed skin must be positive and finite, got {s}"),
-                });
-            }
-        }
         Ok(SimConfig {
             nodes: self.nodes,
             side: self.side,
@@ -291,7 +270,6 @@ impl<const D: usize> SimConfigBuilder<D> {
             profile_stride: self.profile_stride,
             profile_bins: self.profile_bins,
             profile_max_range: self.profile_max_range,
-            skin: self.skin,
         })
     }
 }
@@ -333,9 +311,6 @@ mod tests {
         assert!(base().profile_stride(0).build().is_err());
         assert!(base().profile_bins(1).build().is_err());
         assert!(base().profile_max_range(-1.0).build().is_err());
-        assert!(base().skin(Skin::Fixed(0.0)).build().is_err());
-        assert!(base().skin(Skin::Fixed(f64::NAN)).build().is_err());
-        assert!(base().skin(Skin::Fixed(3.5)).build().is_ok());
         let mut b = SimConfig::<2>::builder();
         b.nodes(5).side(f64::INFINITY);
         assert!(b.build().is_err());

@@ -31,9 +31,11 @@
 //! series alone. Every range-free metric above is a pure function of
 //! those outputs, so no metric re-simulates.
 //!
-//! A bisection-based [`search`] path recomputes the same quantities the
-//! slow way (fresh simulation per candidate range); tests hold the two
-//! paths equal.
+//! [`bisect_critical_range`] recomputes a critical range the slow way
+//! the paper did: [`search::bisect_monotone`] (the [`search`] module's
+//! one function) over fresh fixed-range campaigns, one per candidate
+//! range. It is a test oracle only; tests hold it equal to the
+//! quantile path of [`critical`] and to [`find_critical_range`].
 //!
 //! Beyond the paper's snapshot metrics, the [`trace`] module drives the
 //! `manet-trace` temporal subsystem from the same observer machinery:

@@ -4,15 +4,17 @@
 //! The trace observer is the one consumer of edge deltas, so it owns
 //! the step kernel: per iteration it builds a
 //! [`DynamicGraph`] + [`DynamicComponents`] from the step-0 positions
-//! and steps them on every later step. The kernel rescans only moved
-//! nodes over a grid-accelerated `O(n + E)` snapshot (never the
-//! brute-force `O(n²)`), reuses every buffer, and polices the model's
-//! declared displacement bound ([`Mobility::max_step_displacement`])
-//! on every step. Link bookkeeping downstream of it is
-//! delta-proportional; the component summary merges on insert-only
-//! steps and relabels the snapshot on any step that removes an edge.
-//! [`simulate_trace`] runs the whole campaign and pools
-//! the records into a [`TraceSummary`].
+//! and steps them on every later step. The kernel serves each step
+//! from its moving cell grid (never the brute-force `O(n²)`): a
+//! moved-node rescan when fewer than half the nodes move, otherwise a
+//! bulk rescan, or a verify pass over the Verlet candidate cache once
+//! its cost model arms it. It reuses every buffer and polices the
+//! model's declared displacement bound
+//! ([`Mobility::max_step_displacement`]) on every step. Link
+//! bookkeeping downstream of it is delta-proportional; the component
+//! summary merges on insert-only steps and relabels the snapshot on any
+//! step that removes an edge. [`simulate_trace`] runs the whole
+//! campaign and pools the records into a [`TraceSummary`].
 
 use crate::{
     config::SimConfig,
@@ -54,8 +56,7 @@ impl<const D: usize> ConnectivityObserver<D> for TraceObserver<'_, D> {
         let positions = view.positions();
         let (dg, dc) = self.kernel.get_or_insert_with(|| {
             let dg = DynamicGraph::new(positions, self.config.side(), self.range)
-                .with_displacement_bound(self.bound)
-                .with_skin(self.config.skin());
+                .with_displacement_bound(self.bound);
             (dg, DynamicComponents::new(positions.len()))
         });
         if view.step() > 0 {
@@ -95,8 +96,8 @@ impl<const D: usize> ConnectivityObserver<D> for TraceObserver<'_, D> {
 }
 
 /// Runs a campaign and pools every iteration's temporal metrics. The
-/// step kernel takes its side and skin from `config`
-/// and its displacement bound from `model`.
+/// step kernel takes its side from `config` and its displacement bound
+/// from `model`.
 ///
 /// # Errors
 ///
@@ -121,7 +122,7 @@ where
 mod tests {
     use super::*;
     use manet_geom::{Point, Region};
-    use manet_graph::{AdjacencyList, ComponentSummary, Skin};
+    use manet_graph::{AdjacencyList, ComponentSummary};
     use manet_mobility::{Drunkard, RandomWaypoint, StationaryModel};
     use proptest::prelude::*;
     use rand::Rng;
@@ -354,30 +355,5 @@ mod tests {
             b.step_threads(1);
         });
         assert_eq!(simulate_trace(&pinned, &model, 35.0).unwrap(), serial);
-    }
-
-    /// The Verlet skin is a throughput knob, not a semantic one: every
-    /// temporal metric is identical whether the candidate cache is off,
-    /// auto-armed, or oversized. Only the kernel's path counters, which
-    /// record what the cache did, may differ.
-    #[test]
-    fn outputs_identical_across_skin_settings() {
-        // Zero pause: all-moving, the regime where the cache arms.
-        let model = RandomWaypoint::new(0.8, 6.0, 0, 0.0).unwrap();
-        let run = |skin: Skin| {
-            let cfg = knob_config(|b| {
-                b.skin(skin);
-            });
-            let mut summary = simulate_trace(&cfg, &model, 35.0).unwrap();
-            summary.kernel = KernelMetrics::default();
-            summary
-        };
-        let off = run(Skin::Off);
-        assert_eq!(run(Skin::Auto), off, "auto skin changed the trace");
-        assert_eq!(
-            run(Skin::Fixed(20.0)),
-            off,
-            "oversized fixed skin changed the trace"
-        );
     }
 }
