@@ -5,7 +5,8 @@ use manet_bench::placement;
 use manet_core::geom::{Point, Region};
 use manet_core::graph::mst::{minimum_spanning_tree_grid, minimum_spanning_tree_prim};
 use manet_core::graph::{
-    components, critical_range, AdjacencyList, CriticalRangeTracker, MergeProfile, UnionFind,
+    components, critical_range, minimum_spanning_tree, AdjacencyList, CriticalRangeTracker,
+    MergeProfile, UnionFind,
 };
 use manet_core::mobility::{Mobility, RandomWaypoint};
 use manet_core::occupancy::Occupancy;
@@ -61,6 +62,32 @@ fn bench_mst(c: &mut Criterion) {
             }
         })
     });
+    group.finish();
+
+    // `critical_range` from `GRID_MST_MIN_NODES` up (recorded in
+    // DESIGN.md): the bottleneck kernel against the longest edge of the
+    // grid-Kruskal tree it replaced, over the same 8 uniform placements
+    // at trace-large's density (side 1024 at n = 2000).
+    let mut group = c.benchmark_group("critical_range");
+    for &n in &[2000usize, 20_000] {
+        let side = 1024.0 * (n as f64 / 2000.0).sqrt();
+        let sets: Vec<Vec<Point<2>>> = (0..8).map(|seed| placement(n, side, 60 + seed)).collect();
+        group.bench_function(format!("bottleneck_n={n}"), |b| {
+            b.iter(|| {
+                for pts in &sets {
+                    black_box(critical_range(black_box(pts)));
+                }
+            })
+        });
+        group.bench_function(format!("mst_longest_n={n}"), |b| {
+            b.iter(|| {
+                for pts in &sets {
+                    let tree = minimum_spanning_tree(black_box(pts));
+                    black_box(tree.iter().map(|e| e.length).fold(0.0, f64::max));
+                }
+            })
+        });
+    }
     group.finish();
 }
 

@@ -225,7 +225,8 @@ impl<const D: usize> core::fmt::Display for Point<D> {
 /// The smallest range `r` whose range test `d2 <= r * r` admits a pair
 /// at squared distance `d2`: `r.next_down()² < d2 <= r²` in floating
 /// point. `d2.sqrt()` alone is not enough, because its square often
-/// rounds just below `d2`. `d2 = 0` gives 0, and a NaN gives NaN.
+/// rounds just below `d2`. `d2 = 0` gives 0, `+∞` (a squared distance
+/// that overflowed) gives `+∞`, and a NaN gives NaN.
 ///
 /// # Example
 ///
@@ -239,6 +240,11 @@ impl<const D: usize> core::fmt::Display for Point<D> {
 /// ```
 pub fn covering_range(d2: f64) -> f64 {
     let mut r = d2.sqrt();
+    // No finite `r` admits `+∞`, and stepping down from it would walk
+    // every float below `f64::MAX`, since their squares overflow too.
+    if !r.is_finite() {
+        return r;
+    }
     // `sqrt` is correctly rounded, so each loop runs at most once or
     // twice; rounding `r * r` is monotone in `r`.
     while r * r < d2 {
@@ -270,6 +276,19 @@ mod tests {
         assert_eq!(covering_range(2.0), 2.0_f64.sqrt());
         assert_eq!(covering_range(0.0), 0.0);
         assert!(covering_range(f64::NAN).is_nan());
+    }
+
+    #[test]
+    fn covering_range_of_an_overflowed_square_is_infinite() {
+        // (1e200)² overflows: the pair has no finite covering range.
+        let d2 = Point::new([0.0, 0.0]).distance_sq(&Point::new([1e200, 0.0]));
+        assert_eq!(d2, f64::INFINITY);
+        assert_eq!(covering_range(d2), f64::INFINITY);
+        assert!(covering_range(f64::NAN).is_nan());
+        // The largest finite square still has a finite answer.
+        let r = covering_range(f64::MAX);
+        assert!(r.is_finite() && f64::MAX <= r * r);
+        assert!(r.next_down() * r.next_down() < f64::MAX);
     }
 
     #[test]

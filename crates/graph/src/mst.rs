@@ -12,8 +12,9 @@
 //!
 //! Two entry points compute it:
 //!
-//! * [`critical_range`] — stateless, one [`minimum_spanning_tree`] per
-//!   call. The answer for independent placements.
+//! * [`critical_range`] — stateless: the answer for independent
+//!   placements. It reads the bottleneck without building a tree (see
+//!   [the bottleneck kernel](#the-bottleneck-kernel)).
 //! * [`CriticalRangeTracker`] — the same value, bit for bit, for a
 //!   *sequence* of placements that each moved a little since the last
 //!   (one mobility trajectory). It keeps the previous step's spanning
@@ -80,6 +81,35 @@
 //! bucket sizes before it runs: when the passes would examine more
 //! than half of Prim's pairs (clustered or coincident points), the grid
 //! gives way to Prim, so no input costs more than about 1.5 Prims.
+//! Pass 0 collects every in-range pair without a `find`, since its
+//! forest holds only singletons.
+//!
+//! # The bottleneck kernel
+//!
+//! [`critical_range`] needs only the bottleneck, so it builds no tree.
+//! Below [`GRID_MST_MIN_NODES`] it takes dense Prim's longest edge.
+//! From there up it runs grid-Kruskal's own passes (the same `R_0`,
+//! growth, pair budget and Prim fallback), and each pass
+//!
+//! 1. tracks every node's nearest-neighbour `d²` over the pairs seen so
+//!    far, and takes `L = max_i nn²(i)`, which is `+∞` while some node
+//!    has no neighbour within `R_k`;
+//! 2. unions every pair with `d² <= L` in scan order, with no sort;
+//! 3. sorts only the pairs above `L` that join two components, and
+//!    unions them in that order until the graph connects.
+//!
+//! It returns `covering_range` of the `d²` that connected the graph.
+//! This is exact. At any threshold below `nn²(i)` node `i` is
+//! isolated, so the bottleneck `b*` is at least `L`. The graph on the
+//! pairs up to `L` is the same whatever order they union in, so when
+//! it is connected `b* = L`, and otherwise step 3 is Kruskal's order
+//! above `L`, which connects the graph at exactly `b*`. When `L = +∞`
+//! the pass cannot connect the graph, and its pairs union unsorted.
+//! `b*` is one pair's `distance_sq`, the longest edge of every MST,
+//! and `covering_range` is monotone, so the result is bit-identical to
+//! `longest(minimum_spanning_tree(..))`. About half of uniform
+//! placements at n = 2000 and 5000 connect at `b* = L` and sort
+//! nothing.
 
 use crate::dsu::UnionFind;
 use manet_geom::{covering_range, MovingCellGrid, Point};
@@ -273,16 +303,36 @@ fn unit_ball_volume(d: usize) -> f64 {
     }
 }
 
-/// Exact incremental grid-Kruskal (see the [module docs](self)):
-/// `Ok((tree, pairs examined))`, or `Err(pairs examined)` when the
+/// One grid pass's kept pairs, as `(d² bits, a, b)` in scan order.
+type PassPairs = Vec<(u64, u32, u32)>;
+
+/// What a grid pass does with the pairs it scans: the one point where
+/// grid-Kruskal and the bottleneck kernel differ (see
+/// [`grid_passes`]).
+trait GridPass {
+    type Output;
+
+    /// Sees every pair new to this pass (`R_{k−1}² < d² <= R_k²`) and
+    /// says whether to keep it for [`close`](Self::close).
+    fn offer(&mut self, d2: f64, a: u32, b: u32) -> bool;
+
+    /// Consumes the pass's kept pairs, in scan order; `Some` ends the
+    /// passes.
+    fn close(&mut self, pairs: &mut PassPairs) -> Option<Self::Output>;
+}
+
+/// The grid passes of the [module docs](self), shared by grid-Kruskal
+/// and the bottleneck kernel: the first radius, its growth, the cell
+/// rule and the pair budget. Runs until `pass` closes with a result:
+/// `Ok((result, pairs examined))`, or `Err(pairs examined)` when the
 /// input is outside the grid's domain (a negative coordinate, zero
-/// extent) or the next pass would take the examined pairs past half
-/// of Prim's. Expects finite points.
-fn grid_kruskal<const D: usize>(points: &[Point<D>]) -> Result<(Vec<MstEdge>, u64), u64> {
+/// extent) or the next pass would take the examined pairs past half of
+/// Prim's. Expects `n >= 2` finite points.
+fn grid_passes<const D: usize, P: GridPass>(
+    points: &[Point<D>],
+    pass: &mut P,
+) -> Result<(P::Output, u64), u64> {
     let n = points.len();
-    if n <= 1 {
-        return Ok((Vec::new(), 0));
-    }
     let mut side = 0.0f64;
     for p in points {
         for c in p.coords() {
@@ -306,9 +356,7 @@ fn grid_kruskal<const D: usize>(points: &[Point<D>]) -> Result<(Vec<MstEdge>, u6
     let mut grid = cell_for(radius)
         .and_then(|cell| MovingCellGrid::build(points, side, cell))
         .map_err(|_| 0u64)?;
-    let mut components = UnionFind::new(n);
-    let mut tree: Vec<(u32, u32, f64)> = Vec::with_capacity(n - 1);
-    let mut pass: Vec<(u64, u32, u32)> = Vec::new();
+    let mut pairs: PassPairs = Vec::new();
     let mut examined = 0u64;
     let mut done_r2 = f64::NEG_INFINITY;
     loop {
@@ -316,25 +364,16 @@ fn grid_kruskal<const D: usize>(points: &[Point<D>]) -> Result<(Vec<MstEdge>, u6
             return Err(examined);
         }
         let r2 = radius * radius;
-        pass.clear();
+        pairs.clear();
         examined += grid.scan_forward_pairs(r2, |a, b| {
             let d2 = points[a as usize].distance_sq(&points[b as usize]);
-            // A pair within the last pass's radius already shares a
-            // component: skip it before the two finds.
-            if d2 > done_r2 && components.find(a as usize) != components.find(b as usize) {
-                pass.push((d2.to_bits(), a, b));
+            // A pair within the last pass's radius was offered then.
+            if d2 > done_r2 && pass.offer(d2, a, b) {
+                pairs.push((d2.to_bits(), a, b));
             }
         });
-        // Non-negative f64s order as their bit patterns; ties may union
-        // in any order, every one of them yields an MST.
-        pass.sort_unstable_by_key(|&(bits, _, _)| bits);
-        for &(bits, a, b) in &pass {
-            if components.union(a as usize, b as usize) {
-                tree.push((a, b, f64::from_bits(bits)));
-                if tree.len() == n - 1 {
-                    return Ok((breadth_first(n, &tree), examined));
-                }
-            }
+        if let Some(out) = pass.close(&mut pairs) {
+            return Ok((out, examined));
         }
         done_r2 = r2;
         radius *= GRID_MST_RADIUS_GROWTH;
@@ -342,6 +381,127 @@ fn grid_kruskal<const D: usize>(points: &[Point<D>]) -> Result<(Vec<MstEdge>, u6
             .and_then(|cell| grid.rebuild_with_cell_size(points, side, cell))
             .map_err(|_| examined)?;
     }
+}
+
+/// Non-negative f64s order as their bit patterns: sorts a pass's pairs
+/// by `d²`. Ties may come out in any order; each yields an MST.
+fn sort_by_length(pairs: &mut PassPairs) {
+    pairs.sort_unstable_by_key(|&(bits, _, _)| bits);
+}
+
+/// Grid-Kruskal's pass: sort the pairs that join two components and
+/// union them in that order, until the forest has `n − 1` edges.
+struct KruskalPass {
+    components: UnionFind,
+    tree: Vec<(u32, u32, f64)>,
+}
+
+impl GridPass for KruskalPass {
+    type Output = Vec<MstEdge>;
+
+    fn offer(&mut self, _: f64, a: u32, b: u32) -> bool {
+        // An empty forest holds only singletons: every pair joins two.
+        self.tree.is_empty() || self.components.find(a as usize) != self.components.find(b as usize)
+    }
+
+    fn close(&mut self, pairs: &mut PassPairs) -> Option<Vec<MstEdge>> {
+        let n = self.components.len();
+        sort_by_length(pairs);
+        for &(bits, a, b) in pairs.iter() {
+            if self.components.union(a as usize, b as usize) {
+                self.tree.push((a, b, f64::from_bits(bits)));
+                if self.tree.len() == n - 1 {
+                    return Some(breadth_first(n, &self.tree));
+                }
+            }
+        }
+        None
+    }
+}
+
+/// Exact incremental grid-Kruskal (see the [module docs](self)):
+/// `Ok((tree, pairs examined))`, or `Err(pairs examined)` where
+/// [`grid_passes`] gives way to Prim. Expects finite points.
+fn grid_kruskal<const D: usize>(points: &[Point<D>]) -> Result<(Vec<MstEdge>, u64), u64> {
+    let n = points.len();
+    if n <= 1 {
+        return Ok((Vec::new(), 0));
+    }
+    let mut pass = KruskalPass {
+        components: UnionFind::new(n),
+        tree: Vec::with_capacity(n - 1),
+    };
+    grid_passes(points, &mut pass)
+}
+
+/// The bottleneck kernel's pass (see the [module docs](self)): every
+/// node's nearest-neighbour `d²` so far bounds the bottleneck from
+/// below, so the pairs up to that bound union unsorted and only the
+/// pairs above it that join two components are sorted.
+struct BottleneckPass {
+    components: UnionFind,
+    /// Each node's smallest `d²` to any other node over the pairs
+    /// offered so far; `+∞` while it has none.
+    nearest: Vec<f64>,
+}
+
+impl GridPass for BottleneckPass {
+    /// The bottleneck `d²`.
+    type Output = f64;
+
+    fn offer(&mut self, d2: f64, a: u32, b: u32) -> bool {
+        for v in [a, b] {
+            let nearest = &mut self.nearest[v as usize];
+            *nearest = nearest.min(d2);
+        }
+        self.components.component_count() == self.components.len()
+            || self.components.find(a as usize) != self.components.find(b as usize)
+    }
+
+    fn close(&mut self, pairs: &mut PassPairs) -> Option<f64> {
+        // `+∞` while some node has no neighbour within this pass's
+        // radius: the graph cannot connect yet, and every pair unions.
+        let bound = self.nearest.iter().copied().fold(0.0, f64::max);
+        // One pass unions the pairs up to `bound` and compacts the rest.
+        let mut above = 0;
+        for k in 0..pairs.len() {
+            let (bits, a, b) = pairs[k];
+            if f64::from_bits(bits) <= bound {
+                self.components.union(a as usize, b as usize);
+                if self.components.is_single_component() {
+                    return Some(bound);
+                }
+            } else {
+                pairs[above] = pairs[k];
+                above += 1;
+            }
+        }
+        pairs.truncate(above);
+        let components = &mut self.components;
+        pairs.retain(|&(_, a, b)| components.find(a as usize) != components.find(b as usize));
+        sort_by_length(pairs);
+        for &(bits, a, b) in pairs.iter() {
+            if self.components.union(a as usize, b as usize)
+                && self.components.is_single_component()
+            {
+                return Some(f64::from_bits(bits));
+            }
+        }
+        None
+    }
+}
+
+/// The bottleneck `d²` over [`grid_passes`] (see the
+/// [module docs](self)), with the pairs examined, or `Err(pairs
+/// examined)` where the passes give way to Prim. Expects `n >= 2`
+/// finite points.
+fn grid_bottleneck<const D: usize>(points: &[Point<D>]) -> Result<(f64, u64), u64> {
+    let n = points.len();
+    let mut pass = BottleneckPass {
+        components: UnionFind::new(n),
+        nearest: vec![f64::INFINITY; n],
+    };
+    grid_passes(points, &mut pass)
 }
 
 /// Re-emits a spanning tree, given as `(a, b, d²)` edges, breadth-first
@@ -395,8 +555,16 @@ fn breadth_first(n: usize, tree: &[(u32, u32, f64)]) -> Vec<MstEdge> {
 /// builders' `d² <= r·r` test connects the graph at the returned `c`
 /// and disconnects it at `c.next_down()`.
 ///
+/// Below [`GRID_MST_MIN_NODES`] nodes this is dense Prim's longest
+/// edge. From there up it runs the bottleneck kernel, which builds no
+/// tree: grid-Kruskal's passes with every node's nearest-neighbour
+/// distance as a lower bound, so that only the pairs above it are
+/// sorted (see the [module docs](self)). It falls back to Prim where
+/// grid-Kruskal does, and returns the same bits as
+/// `longest(minimum_spanning_tree(..))` either way.
+///
 /// Returns `0.0` for fewer than two points (a single node is trivially
-/// connected).
+/// connected), and `+∞` when a squared distance overflows.
 ///
 /// # Panics
 ///
@@ -422,7 +590,42 @@ fn breadth_first(n: usize, tree: &[(u32, u32, f64)]) -> Vec<MstEdge> {
 /// assert!(connected(c) && !connected(c.next_down()));
 /// ```
 pub fn critical_range<const D: usize>(points: &[Point<D>]) -> f64 {
-    longest(&minimum_spanning_tree(points))
+    let grid = if points.len() >= GRID_MST_MIN_NODES {
+        assert_finite(points);
+        grid_bottleneck(points).ok()
+    } else {
+        None
+    };
+    let range = match grid {
+        Some((d2, _)) => covering_range(d2),
+        None => longest(&minimum_spanning_tree_prim(points)),
+    };
+    #[cfg(feature = "strict-invariants")]
+    debug_assert_eq!(
+        range.to_bits(),
+        longest(&minimum_spanning_tree_prim(points)).to_bits(),
+        "strict-invariants: bottleneck kernel differs from Prim's longest edge"
+    );
+    range
+}
+
+/// The bottleneck kernel at any `n >= 2`, as a range with the pair
+/// distances it evaluated, or `None` where [`critical_range`] would
+/// fall back to Prim (the inputs [`minimum_spanning_tree_grid`]
+/// declines); exposed for the oracle tests.
+///
+/// # Panics
+///
+/// As [`minimum_spanning_tree`].
+#[doc(hidden)]
+pub fn critical_range_grid<const D: usize>(points: &[Point<D>]) -> Option<(f64, u64)> {
+    assert_finite(points);
+    if points.len() < 2 {
+        return Some((0.0, 0));
+    }
+    grid_bottleneck(points)
+        .ok()
+        .map(|(d2, pairs)| (covering_range(d2), pairs))
 }
 
 /// Length of the longest edge (`0.0` for none).
@@ -733,6 +936,14 @@ mod tests {
             Point::new([2.0, f64::INFINITY]),
         ];
         critical_range(&pts);
+    }
+
+    #[test]
+    fn overflowing_squared_distance_gives_an_infinite_range() {
+        // d² = (1e200)² overflows to +∞: no finite range admits the pair.
+        let pts = [Point::new([0.0, 0.0]), Point::new([1e200, 0.0])];
+        assert_eq!(critical_range(&pts), f64::INFINITY);
+        assert_eq!(minimum_spanning_tree(&pts)[0].length, f64::INFINITY);
     }
 
     #[test]

@@ -925,6 +925,273 @@ fn grid_mst_matches_prim_on_every_registry_model_at_scale() {
 }
 
 // ---------------------------------------------------------------------------
+// The bottleneck kernel: `critical_range` from GRID_MST_MIN_NODES up
+// builds no tree. It must return the bits of dense Prim's longest edge,
+// and that range must be the exact connectivity threshold.
+
+use manet_graph::mst::critical_range_grid;
+
+/// Asserts `critical_range(pts)` is Prim's longest edge bit for bit,
+/// that the kernel takes the grid path exactly where grid-Kruskal
+/// does, and that the range connects `graph` at `c` and not at
+/// `c.next_down()`. Returns whether the grid path took the input.
+fn assert_bottleneck_matches_prim<const D: usize>(
+    pts: &[Point<D>],
+    graph: impl Fn(f64) -> AdjacencyList,
+    what: &str,
+) -> bool {
+    let c = critical_range(pts);
+    let prim = minimum_spanning_tree_prim(pts)
+        .iter()
+        .map(|e| e.length)
+        .fold(0.0, f64::max);
+    assert_eq!(
+        c.to_bits(),
+        prim.to_bits(),
+        "{what}: {c:e} vs Prim {prim:e}"
+    );
+    let grid = critical_range_grid(pts);
+    assert_eq!(
+        grid.is_some(),
+        minimum_spanning_tree_grid(pts).is_some(),
+        "{what}: the kernel and grid-Kruskal disagree on the grid path"
+    );
+    if let Some((range, pairs)) = grid {
+        assert_eq!(range.to_bits(), c.to_bits(), "{what}");
+        let n = pts.len() as u64;
+        assert!(pairs <= n * (n - 1) / 4, "{what}: {pairs} pairs");
+    }
+    assert!(
+        components::is_connected(&graph(c)),
+        "{what}: disconnected at {c:e}"
+    );
+    if c > 0.0 {
+        assert!(
+            !components::is_connected(&graph(c.next_down())),
+            "{what}: already connected below {c:e}"
+        );
+    }
+    grid.is_some()
+}
+
+/// The graph builder the CLI uses, on the region `[0, side]^D` that
+/// holds `pts`.
+fn from_points_on<const D: usize>(pts: &[Point<D>]) -> impl Fn(f64) -> AdjacencyList + '_ {
+    let side = pts
+        .iter()
+        .flat_map(|p| p.coords())
+        .fold(f64::MIN_POSITIVE, f64::max);
+    move |r| AdjacencyList::from_points(pts, side, r)
+}
+
+/// `n` random-waypoint nodes on `[0, side]²` after `steps` steps: the
+/// model's stationary distribution crowds the centre.
+fn waypoint_placement(n: usize, side: f64, steps: usize, seed: u64) -> Vec<Point<2>> {
+    let registry = ModelRegistry::<2>::with_builtins();
+    let mut model = registry
+        .build("waypoint", &PaperScale::new(side).with_pause(2))
+        .expect("registry model");
+    let region: Region<2> = Region::new(side).expect("positive side");
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut positions = region.place_uniform(n, &mut rng);
+    model.init(&positions, &region, &mut rng);
+    for _ in 0..steps {
+        model.step(&mut positions, &region, &mut rng);
+    }
+    positions
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn bottleneck_kernel_matches_prim_above_the_crossover(
+        large in any::<bool>(),
+        waypoint in any::<bool>(),
+        side in 1.0..5000.0f64,
+        seed in 0u64..1_000_000,
+    ) {
+        let n = if large { 1000 } else { GRID_MST_MIN_NODES };
+        let pts = if waypoint {
+            waypoint_placement(n, side, 60, seed)
+        } else {
+            uniform::<2>(n, side, seed)
+        };
+        let what = format!("n={n} side={side} seed={seed} waypoint={waypoint}");
+        let on_grid = assert_bottleneck_matches_prim(&pts, from_points_on(&pts), &what);
+        // A clustered placement may price the passes above the budget.
+        prop_assert!(on_grid || waypoint, "{} declined the grid", what);
+    }
+}
+
+/// A corner node whose nearest neighbour lies beyond the first pass's
+/// radius `R_0` (1.3 connectivity radii, see `manet_graph::mst`): the
+/// first pass cannot connect the graph, so the kernel must run a
+/// second one, and the node's own edge is the bottleneck.
+#[test]
+fn bottleneck_kernel_runs_a_second_pass_for_a_boundary_isolated_node() {
+    use rand::RngExt;
+    for (n, seed) in [(GRID_MST_MIN_NODES, 3u64), (1000, 4)] {
+        let side = 1000.0;
+        let nf = n as f64;
+        let r0 = 1.3 * side * (nf.ln() / (std::f64::consts::PI * nf)).sqrt();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut pts = vec![Point::new([0.0, 0.0])];
+        while pts.len() < n {
+            let p = Point::new([rng.random_range(0.0..side), rng.random_range(0.0..side)]);
+            if p.distance(&pts[0]) > 1.25 * r0 {
+                pts.push(p);
+            }
+        }
+        let c = critical_range(&pts);
+        assert!(c > r0, "n={n}: the bottleneck {c} is beyond R_0 = {r0}");
+        let what = format!("boundary-isolated n={n}");
+        assert!(assert_bottleneck_matches_prim(
+            &pts,
+            from_points_on(&pts),
+            &what
+        ));
+    }
+}
+
+/// Integer lattice points, some doubled: every squared distance is an
+/// integer, so many pairs tie, and the bottleneck itself is a tied
+/// value.
+#[test]
+fn bottleneck_kernel_on_lattice_ties() {
+    use rand::RngExt;
+    let full: Vec<Point<2>> = (0..24u32)
+        .flat_map(|x| (0..24u32).map(move |y| Point::new([f64::from(x), f64::from(y)])))
+        .collect();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+    let mut sparse = Vec::new();
+    for x in 0..40u32 {
+        for y in 0..40u32 {
+            if rng.random_range(0.0..1.0) < 0.45 {
+                let p = Point::new([f64::from(x), f64::from(y)]);
+                sparse.push(p);
+                if rng.random_range(0.0..1.0) < 0.1 {
+                    sparse.push(p);
+                }
+            }
+        }
+    }
+    for (what, pts) in [("full 24x24", full), ("sparse 40x40", sparse)] {
+        assert!(
+            pts.len() >= GRID_MST_MIN_NODES,
+            "{what} sits above the crossover"
+        );
+        assert!(assert_bottleneck_matches_prim(
+            &pts,
+            from_points_on(&pts),
+            what
+        ));
+        let c = critical_range(&pts);
+        let mut at_bottleneck = 0;
+        for (i, p) in pts.iter().enumerate() {
+            for q in &pts[i + 1..] {
+                at_bottleneck += usize::from(covering_range(p.distance_sq(q)) == c);
+            }
+        }
+        assert!(at_bottleneck > 1, "{what}: the bottleneck {c} ties");
+    }
+}
+
+/// Collinear points in the plane, one lattice row deep.
+#[test]
+fn bottleneck_kernel_on_collinear_points() {
+    for n in [GRID_MST_MIN_NODES, 1000] {
+        let pts: Vec<Point<2>> = uniform::<1>(n, 500.0, 3)
+            .into_iter()
+            .map(|p| Point::new([p.coord(0), 0.5 * p.coord(0) + 7.0]))
+            .collect();
+        assert!(assert_bottleneck_matches_prim(
+            &pts,
+            from_points_on(&pts),
+            "collinear"
+        ));
+    }
+}
+
+/// Inputs the grid declines take Prim: a negative coordinate, zero
+/// extent, and a dense cluster with one far outlier, whose first pass
+/// is priced above the pair budget.
+#[test]
+fn bottleneck_kernel_falls_back_to_prim() {
+    use rand::RngExt;
+    for n in [GRID_MST_MIN_NODES, 1000] {
+        let negative: Vec<Point<2>> = uniform::<2>(n, 100.0, 5)
+            .into_iter()
+            .map(|p| Point::new([p.coord(0) - 50.0, p.coord(1)]))
+            .collect();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(6);
+        let mut outlier: Vec<Point<2>> = (0..n - 1)
+            .map(|_| Point::new([rng.random_range(0.0..10.0), rng.random_range(0.0..10.0)]))
+            .collect();
+        outlier.push(Point::new([1000.0, 1000.0]));
+        let cases = [
+            ("negative coordinates", negative),
+            ("zero extent", vec![Point::new([0.0, 0.0]); n]),
+            ("cluster plus outlier", outlier),
+        ];
+        for (what, pts) in cases {
+            let graph = |r| AdjacencyList::from_points_brute_force(&pts, r);
+            let what = format!("{what} n={n}");
+            assert!(
+                !assert_bottleneck_matches_prim(&pts, graph, &what),
+                "{what}"
+            );
+        }
+    }
+}
+
+/// Every registry model's placements at n = 2000, 5000 and 20000 (at
+/// trace-large's density) after the model's init and a few steps: the
+/// kernel takes every one and matches Prim bit for bit, and its range
+/// is the exact threshold of `from_points`.
+fn assert_bottleneck_on_registry_models(n: usize, steps: usize) {
+    let registry = ModelRegistry::<2>::with_builtins();
+    let names = registry.names();
+    assert_eq!(names.len(), 13, "every registry model is covered");
+    let side = 1024.0 * (n as f64 / 2000.0).sqrt();
+    let scale = PaperScale::new(side).with_pause(3);
+    let region: Region<2> = Region::new(side).expect("positive side");
+    for name in &names {
+        let mut model = registry.build(name, &scale).expect("registry model");
+        let mut rng = rand::rngs::StdRng::seed_from_u64(20020623);
+        let mut positions = region.place_uniform(n, &mut rng);
+        model.init(&positions, &region, &mut rng);
+        for step in 0..steps {
+            let what = format!("{name} n={n} step {step}");
+            let graph = |r| AdjacencyList::from_points(&positions, side, r);
+            assert!(
+                assert_bottleneck_matches_prim(&positions, graph, &what),
+                "{what}"
+            );
+            model.step(&mut positions, &region, &mut rng);
+        }
+    }
+}
+
+#[test]
+#[ignore = "release-only oracle; run by CI"]
+fn grid_mst_bottleneck_matches_prim_at_n2000() {
+    assert_bottleneck_on_registry_models(2000, 4);
+}
+
+#[test]
+#[ignore = "release-only oracle; run by CI"]
+fn grid_mst_bottleneck_matches_prim_at_n5000() {
+    assert_bottleneck_on_registry_models(5000, 2);
+}
+
+#[test]
+#[ignore = "release-only oracle; run by CI"]
+fn grid_mst_bottleneck_matches_prim_at_n20000() {
+    assert_bottleneck_on_registry_models(20000, 1);
+}
+
+// ---------------------------------------------------------------------------
 // The grid graph build against brute force, at the sizes the grid path
 // (counting-sorted pairs from the batched forward scan) is built for.
 

@@ -9,10 +9,40 @@
 //! placement's critical range, and report a high quantile of that
 //! distribution (default 0.99 — the range connecting 99% of random
 //! placements). See DESIGN.md "Substitutions".
+//!
+//! Each placement is a one-step campaign iteration whose
+//! positions-only observer calls [`critical_range`] once. A warm-start
+//! tracker would reseed on every placement and build a spanning tree
+//! that no later step reads. From
+//! [`GRID_MST_MIN_NODES`](manet_graph::mst::GRID_MST_MIN_NODES) nodes
+//! up, [`critical_range`] builds no tree at all: it runs the
+//! bottleneck kernel of [`manet_graph::mst`], bit-identical to the
+//! longest MST edge.
 
-use crate::{config::SimConfig, critical::simulate_critical_ranges, SimError};
+use crate::{
+    config::SimConfig,
+    stream::{run_connectivity_stream, ConnectivityObserver, StepView},
+    SimError,
+};
+use manet_graph::critical_range;
 use manet_mobility::StationaryModel;
 use manet_stats::FrozenSeries;
+
+/// Positions-only observer of a one-step iteration: its placement's
+/// critical range.
+struct PlacementRange(f64);
+
+impl<const D: usize> ConnectivityObserver<D> for PlacementRange {
+    type Output = f64;
+
+    fn observe(&mut self, view: &StepView<'_, D>) {
+        self.0 = critical_range(view.positions());
+    }
+
+    fn finish(self) -> f64 {
+        self.0
+    }
+}
 
 /// Distribution of the stationary critical transmitting range.
 #[derive(Debug, Clone)]
@@ -28,8 +58,9 @@ impl StationaryAnalysis {
     ///
     /// # Errors
     ///
-    /// Propagates [`SimError`] from configuration validation and the
-    /// engine.
+    /// Propagates [`SimError`] from configuration validation, and
+    /// [`SimError::Stats`] when a critical range is not finite (a
+    /// squared distance overflowed).
     pub fn run<const D: usize>(
         nodes: usize,
         side: f64,
@@ -44,14 +75,11 @@ impl StationaryAnalysis {
             .steps(1)
             .seed(seed);
         let config = builder.build()?;
-        let results = simulate_critical_ranges(&config, &StationaryModel::new())?;
-        let mut all = Vec::with_capacity(placements);
-        for s in results.per_iteration() {
-            debug_assert_eq!(s.len(), 1);
-            all.push(s.min());
-        }
+        let ranges = run_connectivity_stream(&config, &StationaryModel::new(), |_| {
+            PlacementRange(f64::NAN)
+        });
         Ok(StationaryAnalysis {
-            ctr: FrozenSeries::new(all)?,
+            ctr: FrozenSeries::new(ranges)?,
             nodes,
             side,
         })
@@ -100,6 +128,13 @@ mod tests {
         assert_eq!(a.ctr_distribution().len(), 50);
         assert_eq!(a.nodes(), 10);
         assert_eq!(a.side(), 100.0);
+    }
+
+    #[test]
+    fn overflowing_ranges_are_an_error_not_a_hang() {
+        // On side 1e200 squared distances overflow to +∞.
+        let err = StationaryAnalysis::run::<2>(4, 1e200, 3, 1).unwrap_err();
+        assert!(matches!(err, SimError::Stats(_)), "{err:?}");
     }
 
     #[test]
