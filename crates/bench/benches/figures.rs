@@ -118,7 +118,7 @@ fn fig9(c: &mut Criterion) {
 /// S1 pipeline: the stationary calibration behind every figure.
 fn stationary(c: &mut Criterion) {
     c.bench_function("stationary_calibration", |b| {
-        b.iter(|| black_box(StationaryAnalysis::run::<2>(16, 256.0, 100, 5).unwrap()))
+        b.iter(|| black_box(StationaryAnalysis::run::<2>(16, 256.0, 100, 5, None).unwrap()))
     });
 }
 

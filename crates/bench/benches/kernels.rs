@@ -17,7 +17,7 @@ use std::hint::black_box;
 
 fn bench_mst(c: &mut Criterion) {
     let mut group = c.benchmark_group("critical_range_prim");
-    for &n in &[16usize, 64, 128, 256] {
+    for &n in &[16usize, 32, 64, 128, 256] {
         let pts = placement(n, 1000.0, 7);
         group.bench_function(format!("n={n}"), |b| {
             b.iter(|| black_box(critical_range(black_box(&pts))))
@@ -139,7 +139,7 @@ fn bench_critical_range_warm(c: &mut Criterion) {
 
 fn bench_merge_profile(c: &mut Criterion) {
     let mut group = c.benchmark_group("merge_profile_kruskal");
-    for &n in &[16usize, 64, 128] {
+    for &n in &[16usize, 32, 64, 128] {
         let pts = placement(n, 1000.0, 8);
         group.bench_function(format!("n={n}"), |b| {
             b.iter(|| black_box(MergeProfile::of(black_box(&pts))))

@@ -38,6 +38,9 @@ use manet_sim::StationaryAnalysis;
 pub struct MtrProblem<const D: usize> {
     nodes: usize,
     side: f64,
+    /// Workers for the sampling campaigns (`None`: one per available
+    /// CPU); the samples do not depend on it.
+    threads: Option<usize>,
 }
 
 impl<const D: usize> MtrProblem<D> {
@@ -63,7 +66,24 @@ impl<const D: usize> MtrProblem<D> {
                 reason: format!("side must be positive, got {side}"),
             });
         }
-        Ok(MtrProblem { nodes, side })
+        Ok(MtrProblem {
+            nodes,
+            side,
+            threads: None,
+        })
+    }
+
+    /// The same instance, sampled by [`stationary_analysis`] and
+    /// [`r_stationary`] on `threads` workers instead of one per
+    /// available CPU. The samples are the same at every count.
+    ///
+    /// [`stationary_analysis`]: Self::stationary_analysis
+    /// [`r_stationary`]: Self::r_stationary
+    pub fn with_threads(self, threads: usize) -> Self {
+        MtrProblem {
+            threads: Some(threads),
+            ..self
+        }
     }
 
     /// Number of nodes `n`.
@@ -142,7 +162,11 @@ impl<const D: usize> MtrProblem<D> {
         seed: u64,
     ) -> Result<StationaryAnalysis, CoreError> {
         Ok(StationaryAnalysis::run::<D>(
-            self.nodes, self.side, placements, seed,
+            self.nodes,
+            self.side,
+            placements,
+            seed,
+            self.threads,
         )?)
     }
 

@@ -324,8 +324,21 @@ pub fn r_stationary(opts: &RunOptions, l: f64) -> Result<f64, CoreError> {
 
 /// [`r_stationary`] at an explicit node count (the `--nodes` override).
 pub fn r_stationary_for(opts: &RunOptions, l: f64, n: usize) -> Result<f64, CoreError> {
+    mtr_problem(opts, l, n)?.r_stationary(
+        R_STATIONARY_QUANTILE,
+        opts.placements,
+        opts.seed ^ 0x5747,
+    )
+}
+
+/// The stationary MTR instance of `n` nodes on side `l`, sampled on
+/// `--threads` workers when that is set.
+pub fn mtr_problem(opts: &RunOptions, l: f64, n: usize) -> Result<MtrProblem<2>, CoreError> {
     let problem = MtrProblem::<2>::new(n, l)?;
-    problem.r_stationary(R_STATIONARY_QUANTILE, opts.placements, opts.seed ^ 0x5747)
+    Ok(match opts.threads {
+        Some(threads) => problem.with_threads(threads),
+        None => problem,
+    })
 }
 
 /// A simple aligned-table printer for stdout.

@@ -3,7 +3,7 @@
 
 use crate::common::{self, banner, fmt, nodes_for_side, RunOptions, Table};
 use crate::obs::ObsSession;
-use manet_core::{CoreError, MtrProblem};
+use manet_core::CoreError;
 
 /// Prints the stationary critical-range distribution for each paper
 /// system size, with `r_stationary` at several quantiles and the
@@ -31,7 +31,7 @@ pub fn run(opts: &RunOptions, session: &mut ObsSession) -> Result<(), CoreError>
             common::L_VALUES.len()
         ));
         session.span_enter("stationary/side");
-        let problem = MtrProblem::<2>::new(n, l)?;
+        let problem = common::mtr_problem(opts, l, n)?;
         let analysis = problem.stationary_analysis(opts.placements, opts.seed ^ 0x5747)?;
         let ctr = analysis.ctr_distribution();
         let mean = ctr.mean();

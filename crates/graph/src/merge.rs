@@ -6,7 +6,8 @@
 //! function of `r`. The components at range `r` are exactly the
 //! components of the minimum spanning tree's edges of length `<= r`
 //! (the cut property), so [`MergeProfile`] materializes that step
-//! function from the `n − 1` edges of [`minimum_spanning_tree`] alone:
+//! function from the `n − 1` edges of
+//! [`minimum_spanning_tree`](crate::minimum_spanning_tree) alone:
 //! Kruskal's union order over the MST, recording every range at which
 //! the maximum component size grows. The same MST that yields the
 //! critical range therefore answers every range query.
@@ -18,8 +19,8 @@
 //! instead of re-simulating for every candidate range.
 
 use crate::dsu::UnionFind;
-use crate::mst::{minimum_spanning_tree, MstEdge};
-use manet_geom::Point;
+use crate::mst::{spanning_edges, MstEdge};
+use manet_geom::{covering_range, Point};
 
 /// Step function `r -> size of largest connected component`.
 ///
@@ -49,42 +50,56 @@ pub struct MergeProfile {
 
 impl MergeProfile {
     /// Builds the profile of `points` by union-find over the `n − 1`
-    /// edges of their minimum spanning tree sorted by length: the cost
-    /// of one [`minimum_spanning_tree`] (`O(n²)` dense Prim below its
-    /// crossover, about `O(n log n)` grid-Kruskal on spread-out
-    /// placements above it), `O(n)` memory. Equal-length edges form
-    /// one event, so the profile does not depend on which tied MST the
-    /// builder returns.
+    /// `(a, b, d²)` edges of their minimum spanning tree sorted by
+    /// `d²`. The cost is one
+    /// [`minimum_spanning_tree`](crate::minimum_spanning_tree) (`O(n²)`
+    /// dense Prim below its crossover, about `O(n log n)` grid-Kruskal
+    /// on spread-out placements above it) without orienting the tree or
+    /// taking a per-edge `covering_range`, plus a sort of `n − 1` keys;
+    /// `O(n)` memory. `covering_range` runs only at the edges where the
+    /// largest component grows. Equal-range edges form one event, so
+    /// the profile does not depend on which tied MST the builder
+    /// returns.
     ///
     /// # Panics
     ///
     /// Panics naming the first node with a non-finite coordinate (see
-    /// [`minimum_spanning_tree`]).
+    /// [`minimum_spanning_tree`](crate::minimum_spanning_tree)).
     pub fn of<const D: usize>(points: &[Point<D>]) -> Self {
-        Self::from_spanning_tree(points.len(), minimum_spanning_tree(points))
+        Self::from_edges(points.len(), spanning_edges(points), covering_range)
     }
 
     /// The profile of `n` nodes from any of their minimum spanning
     /// trees; exposed so the oracle tests can compare the profiles of
     /// two MST builders.
     #[doc(hidden)]
-    pub fn from_spanning_tree(n: usize, mut edges: Vec<MstEdge>) -> Self {
-        // Unstable is enough: a tie group collapses into one event, and
-        // the components after the whole group do not depend on the
-        // order its edges merge in.
-        edges.sort_unstable_by(|a, b| a.length.total_cmp(&b.length));
+    pub fn from_spanning_tree(n: usize, edges: Vec<MstEdge>) -> Self {
+        let edges = edges.into_iter().map(|e| (e.a, e.b, e.length)).collect();
+        Self::from_edges(n, edges, |length| length)
+    }
+
+    /// The profile from tree edges `(a, b, w)`, where `range(w)` is the
+    /// range admitting an edge of weight `w` and is nondecreasing in
+    /// `w`, so sorting by `w` sorts by range.
+    fn from_edges(n: usize, mut edges: Vec<(u32, u32, f64)>, range: fn(f64) -> f64) -> Self {
+        // Non-negative f64s order as their bit patterns. Unstable is
+        // enough: a tie group collapses into one event, and the
+        // components after the whole group do not depend on the order
+        // its edges merge in.
+        edges.sort_unstable_by_key(|&(_, _, w)| w.to_bits());
 
         let mut uf = UnionFind::new(n);
         let mut events: Vec<(f64, u32)> = Vec::new();
         let mut current_max = 1u32;
-        for e in edges {
-            uf.union(e.a as usize, e.b as usize);
+        for (a, b, w) in edges {
+            uf.union(a as usize, b as usize);
             let m = uf.largest_component() as u32;
             if m > current_max {
                 current_max = m;
+                let r = range(w);
                 match events.last_mut() {
-                    Some(last) if last.0 == e.length => last.1 = m,
-                    _ => events.push((e.length, m)),
+                    Some(last) if last.0 == r => last.1 = m,
+                    _ => events.push((r, m)),
                 }
             }
         }
@@ -157,7 +172,7 @@ mod tests {
     use super::*;
     use crate::adjacency::AdjacencyList;
     use crate::components::largest_component_size;
-    use crate::mst::critical_range;
+    use crate::mst::{critical_range, minimum_spanning_tree};
     use manet_geom::covering_range;
     use rand::{RngExt, SeedableRng};
 

@@ -49,10 +49,46 @@
 //! mobility step needs one or two rounds, and its longest edge usually
 //! cuts off one node or a few, so each round costs `O(n)`.
 //!
+//! # Dense Prim
+//!
+//! Every spanning tree and bottleneck below [`GRID_MST_MIN_NODES`]
+//! nodes, and on every input the grid declines, comes from one dense
+//! Prim kernel (`n(n−1)/2` pair distances, `O(n)` memory). It keeps the
+//! vertices outside the tree as struct-of-arrays columns: one
+//! coordinate column per axis, a `d²` column (each vertex's squared
+//! distance to the tree so far, `+∞` at the start), the vertex's index
+//! and, when the caller wants the tree, its parent. Adding the vertex
+//! in slot `k` moves the last slot into `k` (a swap-remove), so every
+//! sweep streams over the vertices still outside.
+//!
+//! Each step relaxes every column slot against the vertex that just
+//! joined with no data-dependent branch: `acc` is
+//! [`Point::distance_sq`] bit for bit, the new `d²` is a select on
+//! `acc < old`, and the parent a mask select on the same comparison.
+//! The next vertex is the first slot holding the smallest `d²`: four
+//! independent lanes find the minimum, then one scan finds its first
+//! slot. That is the tie-breaking contract of the array-of-structs
+//! loop this kernel replaced, kept as its test oracle: the next vertex
+//! is the first minimum in swap-remove-compacted order, and a parent
+//! moves only on a strictly shorter pair, so it is the earliest tree
+//! vertex at the final distance. Finite points can still overflow to
+//! `d² = +∞` (coordinates 1e200 apart). Such a pair never lowers the
+//! initial `+∞`, so the parent stays node 0, and a step whose every
+//! `d²` is `+∞` takes slot 0, as the old loop did. Its edge reaches
+//! range `+∞`.
+//!
+//! The kernel serves three kinds of caller. [`minimum_spanning_tree`]
+//! and [`CriticalRangeTracker`]'s reseeds take the oriented tree, in
+//! the order Prim adds it. [`MergeProfile`](crate::MergeProfile) takes
+//! the raw `(a, b, d²)` edges. [`critical_range`] runs a
+//! bottleneck-only mode with no parent column, which takes one
+//! `covering_range` of the largest `d²` extracted, since
+//! `covering_range` is monotone.
+//!
 //! # One dispatch rule
 //!
-//! [`minimum_spanning_tree`] runs dense Prim (`n(n−1)/2` pair
-//! distances, `O(n)` memory) below [`GRID_MST_MIN_NODES`] nodes, and on
+//! [`minimum_spanning_tree`] runs dense Prim below
+//! [`GRID_MST_MIN_NODES`] nodes, and on
 //! any input with a negative coordinate or zero extent. Otherwise it
 //! runs an exact incremental grid-Kruskal over a [`MovingCellGrid`] on
 //! `[0, side]^D`, `side` the largest coordinate. Pass `k` buckets the
@@ -87,7 +123,8 @@
 //! # The bottleneck kernel
 //!
 //! [`critical_range`] needs only the bottleneck, so it builds no tree.
-//! Below [`GRID_MST_MIN_NODES`] it takes dense Prim's longest edge.
+//! Below [`GRID_MST_MIN_NODES`], and where the grid declines, it runs
+//! dense Prim's bottleneck-only mode.
 //! From there up it runs grid-Kruskal's own passes (the same `R_0`,
 //! growth, pair budget and Prim fallback), and each pass
 //!
@@ -158,29 +195,147 @@ const GRID_MST_FIRST_RADIUS: f64 = 1.3;
 /// Growth of the radius from one grid-Kruskal pass to the next.
 const GRID_MST_RADIUS_GROWTH: f64 = 1.5;
 
+/// A spanning-tree edge before orientation: `(a, b, d²)`.
+type RawEdge = (u32, u32, f64);
+
+/// Grid-Kruskal's unoriented tree where the dispatch rule of the
+/// [module docs](self) takes the grid, with the pairs it examined, or
+/// `Err(pairs examined)` where it takes dense Prim.
+fn grid_tree<const D: usize>(points: &[Point<D>]) -> Result<(Vec<RawEdge>, u64), u64> {
+    assert_finite(points);
+    if points.len() < GRID_MST_MIN_NODES {
+        return Err(0);
+    }
+    grid_kruskal(points)
+}
+
 /// The MST of `points` and the number of pair distances evaluated
 /// to build it: the one dispatch rule of the [module docs](self).
 fn spanning_tree<const D: usize>(points: &[Point<D>]) -> (Vec<MstEdge>, u64) {
-    let n = points.len();
-    let mut examined = 0;
-    if n >= GRID_MST_MIN_NODES {
-        assert_finite(points);
-        match grid_kruskal(points) {
-            Ok(tree) => return tree,
-            Err(spent) => examined = spent,
-        }
+    match grid_tree(points) {
+        Ok((tree, pairs)) => (breadth_first(points.len(), &tree), pairs),
+        Err(spent) => (
+            minimum_spanning_tree_prim(points),
+            spent + pair_count(points.len()),
+        ),
     }
-    (minimum_spanning_tree_prim(points), examined + pair_count(n))
 }
 
-/// A vertex outside Prim's tree: its position, its best known squared
-/// distance to the tree and the tree vertex achieving it.
-#[derive(Clone, Copy)]
-struct Candidate<const D: usize> {
-    point: Point<D>,
-    d2: f64,
-    parent: u32,
-    index: u32,
+/// The edges of [`minimum_spanning_tree`]'s tree as `(a, b, d²)`, in
+/// no particular order: what [`MergeProfile`](crate::MergeProfile)
+/// sorts, with no orientation and no per-edge `covering_range`.
+pub(crate) fn spanning_edges<const D: usize>(points: &[Point<D>]) -> Vec<RawEdge> {
+    match grid_tree(points) {
+        Ok((tree, _)) => tree,
+        Err(_) => {
+            let mut edges = Vec::with_capacity(points.len().saturating_sub(1));
+            dense_prim::<D, true>(points, |a, b, d2| edges.push((a, b, d2)));
+            edges
+        }
+    }
+}
+
+/// Dense Prim over struct-of-arrays columns (see
+/// [the module docs](self#dense-prim)). Grows one tree from node 0 and
+/// hands each edge to `emit(a, b, d²)` in the order Prim adds it, `a`
+/// already in the tree. Without `TREE` it keeps no parent column and
+/// every `a` reads 0: the bottleneck needs only the `d²`s. Expects
+/// finite points.
+fn dense_prim<const D: usize, const TREE: bool>(
+    points: &[Point<D>],
+    mut emit: impl FnMut(u32, u32, f64),
+) {
+    let Some((first, rest)) = points.split_first() else {
+        return;
+    };
+    // The non-tree vertices, compacted: adding the vertex in slot `k`
+    // moves the last slot into `k` (a swap-remove), so each sweep
+    // streams over the non-tree vertices only.
+    let mut axes: [Vec<f64>; D] =
+        std::array::from_fn(|axis| rest.iter().map(|p| p.coord(axis)).collect());
+    let mut d2 = vec![f64::INFINITY; rest.len()];
+    let mut parent = vec![0u32; if TREE { rest.len() } else { 0 }];
+    let mut index: Vec<u32> = (1u32..).take(rest.len()).collect();
+    let (mut current, mut p) = (0u32, first.coords());
+    for last in (0..rest.len()).rev() {
+        let len = last + 1;
+        relax::<D, TREE>(p, current, &axes, &mut d2[..len], &mut parent);
+        let next = first_minimum(&d2[..len]);
+        let b = index[next];
+        emit(if TREE { parent[next] } else { 0 }, b, d2[next]);
+        (current, p) = (b, std::array::from_fn(|axis| axes[axis][next]));
+        for axis in &mut axes {
+            axis[next] = axis[last];
+        }
+        d2[next] = d2[last];
+        index[next] = index[last];
+        if TREE {
+            parent[next] = parent[last];
+        }
+    }
+}
+
+/// Lowers each non-tree slot's `d²` to its distance from `p`, the
+/// vertex `current` that just joined, with no data-dependent branch:
+/// the new `d²` and (with `TREE`) the parent are selects on the one
+/// mask `acc < old`. Each `acc` is [`Point::distance_sq`] bit for bit
+/// (the same axis order and subtraction).
+#[inline(always)]
+fn relax<const D: usize, const TREE: bool>(
+    p: [f64; D],
+    current: u32,
+    axes: &[Vec<f64>; D],
+    d2: &mut [f64],
+    parent: &mut [u32],
+) {
+    let len = d2.len();
+    let axes: [&[f64]; D] = std::array::from_fn(|axis| &axes[axis][..len]);
+    let parent = &mut parent[..if TREE { len } else { 0 }];
+    for k in 0..len {
+        let mut acc = 0.0;
+        for axis in 0..D {
+            let d = p[axis] - axes[axis][k];
+            acc += d * d;
+        }
+        let closer = acc < d2[k];
+        d2[k] = if closer { acc } else { d2[k] };
+        if TREE {
+            // An all-ones mask where `closer`: a select the compiler
+            // keeps branch-free.
+            let mask = u32::from(closer).wrapping_neg();
+            parent[k] = (current & mask) | (parent[k] & !mask);
+        }
+    }
+}
+
+/// The first slot holding the smallest `d²`: slot 0 when every value
+/// is `+∞`. The minimum comes from independent lanes, then one scan
+/// finds its first slot.
+fn first_minimum(d2: &[f64]) -> usize {
+    const LANES: usize = 4;
+    let min = |m: f64, x: f64| if x < m { x } else { m };
+    let mut lanes = [f64::INFINITY; LANES];
+    let chunks = d2.chunks_exact(LANES);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for (lane, &x) in lanes.iter_mut().zip(chunk) {
+            *lane = min(*lane, x);
+        }
+    }
+    let smallest = lanes
+        .into_iter()
+        .chain(tail.iter().copied())
+        .fold(f64::INFINITY, min);
+    d2.iter().position(|&x| x == smallest).unwrap_or(0)
+}
+
+/// The bottleneck `d²` of dense Prim's tree: the largest `d²` the
+/// kernel extracts (`0.0` for fewer than two points). Expects finite
+/// points.
+fn prim_bottleneck<const D: usize>(points: &[Point<D>]) -> f64 {
+    let mut widest = 0.0f64;
+    dense_prim::<D, false>(points, |_, _, d2| widest = widest.max(d2));
+    widest
 }
 
 /// Computes the Euclidean MST: dense Prim below
@@ -230,7 +385,9 @@ pub fn minimum_spanning_tree_grid<const D: usize>(
     points: &[Point<D>],
 ) -> Option<(Vec<MstEdge>, u64)> {
     assert_finite(points);
-    grid_kruskal(points).ok()
+    grid_kruskal(points)
+        .ok()
+        .map(|(tree, pairs)| (breadth_first(points.len(), &tree), pairs))
 }
 
 /// Dense Prim at any `n`, [`minimum_spanning_tree`]'s path below
@@ -240,57 +397,29 @@ pub fn minimum_spanning_tree_grid<const D: usize>(
 /// distance evaluations. Edges come in the order Prim adds them,
 /// growing one tree from node 0.
 ///
+/// The kernel keeps the vertices outside the tree in struct-of-arrays
+/// columns and relaxes them without a data-dependent branch (see
+/// [the module docs](self#dense-prim)). Ties break as in the
+/// array-of-structs loop it replaced: the next vertex is the first
+/// slot of smallest `d²` in swap-remove-compacted order, and a
+/// vertex's parent moves only on a strictly shorter pair. A pair whose
+/// `d²` overflows to `+∞` never becomes a parent; when every remaining
+/// `d²` is `+∞`, slot 0 joins from node 0 at length `+∞`.
+///
 /// # Panics
 ///
 /// As [`minimum_spanning_tree`].
 #[doc(hidden)]
 pub fn minimum_spanning_tree_prim<const D: usize>(points: &[Point<D>]) -> Vec<MstEdge> {
     assert_finite(points);
-    let n = points.len();
-    if n <= 1 {
-        return Vec::new();
-    }
-    // The non-tree vertices, compacted: adding a vertex swap-removes
-    // its slot, so the scan streams over non-tree vertices only and
-    // needs no membership test.
-    let mut rest: Vec<Candidate<D>> = points
-        .iter()
-        .zip(0u32..)
-        .skip(1)
-        .map(|(&point, index)| Candidate {
-            point,
-            d2: f64::INFINITY,
-            parent: 0,
-            index,
-        })
-        .collect();
-    let mut edges = Vec::with_capacity(n - 1);
-
-    let (mut current, mut p) = (0u32, points[0]);
-    while !rest.is_empty() {
-        // Relax distances against the vertex just added, then pick the
-        // closest non-tree vertex.
-        let mut next = 0;
-        let mut next_d2 = f64::INFINITY;
-        for (k, c) in rest.iter_mut().enumerate() {
-            let d2 = p.distance_sq(&c.point);
-            if d2 < c.d2 {
-                c.d2 = d2;
-                c.parent = current;
-            }
-            if c.d2 < next_d2 {
-                next_d2 = c.d2;
-                next = k;
-            }
-        }
-        let added = rest.swap_remove(next);
+    let mut edges = Vec::with_capacity(points.len().saturating_sub(1));
+    dense_prim::<D, true>(points, |a, b, d2| {
         edges.push(MstEdge {
-            a: added.parent,
-            b: added.index,
-            length: covering_range(added.d2),
-        });
-        (current, p) = (added.index, added.point);
-    }
+            a,
+            b,
+            length: covering_range(d2),
+        })
+    });
     edges
 }
 
@@ -393,25 +522,25 @@ fn sort_by_length(pairs: &mut PassPairs) {
 /// union them in that order, until the forest has `n − 1` edges.
 struct KruskalPass {
     components: UnionFind,
-    tree: Vec<(u32, u32, f64)>,
+    tree: Vec<RawEdge>,
 }
 
 impl GridPass for KruskalPass {
-    type Output = Vec<MstEdge>;
+    type Output = Vec<RawEdge>;
 
     fn offer(&mut self, _: f64, a: u32, b: u32) -> bool {
         // An empty forest holds only singletons: every pair joins two.
         self.tree.is_empty() || self.components.find(a as usize) != self.components.find(b as usize)
     }
 
-    fn close(&mut self, pairs: &mut PassPairs) -> Option<Vec<MstEdge>> {
+    fn close(&mut self, pairs: &mut PassPairs) -> Option<Vec<RawEdge>> {
         let n = self.components.len();
         sort_by_length(pairs);
         for &(bits, a, b) in pairs.iter() {
             if self.components.union(a as usize, b as usize) {
                 self.tree.push((a, b, f64::from_bits(bits)));
                 if self.tree.len() == n - 1 {
-                    return Some(breadth_first(n, &self.tree));
+                    return Some(std::mem::take(&mut self.tree));
                 }
             }
         }
@@ -420,9 +549,10 @@ impl GridPass for KruskalPass {
 }
 
 /// Exact incremental grid-Kruskal (see the [module docs](self)):
-/// `Ok((tree, pairs examined))`, or `Err(pairs examined)` where
-/// [`grid_passes`] gives way to Prim. Expects finite points.
-fn grid_kruskal<const D: usize>(points: &[Point<D>]) -> Result<(Vec<MstEdge>, u64), u64> {
+/// `Ok((tree, pairs examined))` with the tree's `(a, b, d²)` edges in
+/// Kruskal's order, or `Err(pairs examined)` where [`grid_passes`]
+/// gives way to Prim. Expects finite points.
+fn grid_kruskal<const D: usize>(points: &[Point<D>]) -> Result<(Vec<RawEdge>, u64), u64> {
     let n = points.len();
     if n <= 1 {
         return Ok((Vec::new(), 0));
@@ -506,7 +636,7 @@ fn grid_bottleneck<const D: usize>(points: &[Point<D>]) -> Result<(f64, u64), u6
 
 /// Re-emits a spanning tree, given as `(a, b, d²)` edges, breadth-first
 /// from node 0, oriented so each edge's `a` is already in the tree.
-fn breadth_first(n: usize, tree: &[(u32, u32, f64)]) -> Vec<MstEdge> {
+fn breadth_first(n: usize, tree: &[RawEdge]) -> Vec<MstEdge> {
     // Compressed adjacency: node v's neighbors are
     // `adj[start[v]..start[v + 1]]`.
     let mut start = vec![0u32; n + 1];
@@ -555,11 +685,13 @@ fn breadth_first(n: usize, tree: &[(u32, u32, f64)]) -> Vec<MstEdge> {
 /// builders' `d² <= r·r` test connects the graph at the returned `c`
 /// and disconnects it at `c.next_down()`.
 ///
-/// Below [`GRID_MST_MIN_NODES`] nodes this is dense Prim's longest
-/// edge. From there up it runs the bottleneck kernel, which builds no
-/// tree: grid-Kruskal's passes with every node's nearest-neighbour
-/// distance as a lower bound, so that only the pairs above it are
-/// sorted (see the [module docs](self)). It falls back to Prim where
+/// Below [`GRID_MST_MIN_NODES`] nodes this is dense Prim's
+/// bottleneck-only mode: no parent column and no tree, one
+/// `covering_range` of the largest `d²` it extracts. From there up it
+/// runs the bottleneck kernel, which builds no tree either:
+/// grid-Kruskal's passes with every node's nearest-neighbour distance
+/// as a lower bound, so that only the pairs above it are sorted (see
+/// the [module docs](self)). It falls back to dense Prim where
 /// grid-Kruskal does, and returns the same bits as
 /// `longest(minimum_spanning_tree(..))` either way.
 ///
@@ -590,16 +722,12 @@ fn breadth_first(n: usize, tree: &[(u32, u32, f64)]) -> Vec<MstEdge> {
 /// assert!(connected(c) && !connected(c.next_down()));
 /// ```
 pub fn critical_range<const D: usize>(points: &[Point<D>]) -> f64 {
-    let grid = if points.len() >= GRID_MST_MIN_NODES {
-        assert_finite(points);
-        grid_bottleneck(points).ok()
-    } else {
-        None
-    };
-    let range = match grid {
-        Some((d2, _)) => covering_range(d2),
-        None => longest(&minimum_spanning_tree_prim(points)),
-    };
+    assert_finite(points);
+    let grid = (points.len() >= GRID_MST_MIN_NODES).then(|| grid_bottleneck(points));
+    let range = covering_range(match grid {
+        Some(Ok((d2, _))) => d2,
+        _ => prim_bottleneck(points),
+    });
     #[cfg(feature = "strict-invariants")]
     debug_assert_eq!(
         range.to_bits(),

@@ -1192,6 +1192,217 @@ fn grid_mst_bottleneck_matches_prim_at_n20000() {
 }
 
 // ---------------------------------------------------------------------------
+// The struct-of-arrays dense Prim against the array-of-structs loop it
+// replaced (`support::prim_reference`): the same tree edge for edge,
+// under ties, coincident points and overflowed `+∞` distances, and the
+// same bottleneck and merge profile through every entry point.
+
+mod support;
+use support::prim_reference;
+
+/// Asserts the kernel's tree is `prim_reference`'s edge for edge (`a`,
+/// `b` and `length` bits), that `critical_range` is its longest edge
+/// bit for bit, and that `MergeProfile::of` is its profile.
+fn assert_kernel_matches_reference<const D: usize>(
+    pts: &[Point<D>],
+    what: &str,
+) -> Result<(), TestCaseError> {
+    let reference = prim_reference(pts);
+    let edges = |tree: &[MstEdge]| -> Vec<(u32, u32, u64)> {
+        tree.iter()
+            .map(|e| (e.a, e.b, e.length.to_bits()))
+            .collect()
+    };
+    prop_assert_eq!(
+        edges(&minimum_spanning_tree_prim(pts)),
+        edges(&reference),
+        "{}: tree",
+        what
+    );
+    let longest = reference.iter().map(|e| e.length).fold(0.0, f64::max);
+    prop_assert_eq!(
+        critical_range(pts).to_bits(),
+        longest.to_bits(),
+        "{}: critical range",
+        what
+    );
+    prop_assert_eq!(
+        MergeProfile::of(pts),
+        MergeProfile::from_spanning_tree(pts.len(), reference),
+        "{}: merge profile",
+        what
+    );
+    Ok(())
+}
+
+/// `n` points in `[0, side)^D`, or with `lattice` on the integers
+/// `0..side`, so that distances tie and points coincide.
+fn dense_prim_input<const D: usize>(
+    n: usize,
+    side: f64,
+    lattice: bool,
+    seed: u64,
+) -> Vec<Point<D>> {
+    let pts = uniform::<D>(n, side, seed);
+    if !lattice {
+        return pts;
+    }
+    pts.into_iter()
+        .map(|p| Point::new(p.coords().map(f64::floor)))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn dense_prim_matches_the_reference_loop(
+        n in 0usize..=600,
+        dim in 1usize..=3,
+        side in 1.0..2000.0f64,
+        lattice in any::<bool>(),
+        seed in 0u64..1_000_000,
+    ) {
+        let side = if lattice { side.min(12.0) } else { side };
+        let what = format!("n={n} dim={dim} side={side} lattice={lattice} seed={seed}");
+        match dim {
+            1 => assert_kernel_matches_reference(&dense_prim_input::<1>(n, side, lattice, seed), &what)?,
+            2 => assert_kernel_matches_reference(&dense_prim_input::<2>(n, side, lattice, seed), &what)?,
+            _ => assert_kernel_matches_reference(&dense_prim_input::<3>(n, side, lattice, seed), &what)?,
+        }
+    }
+}
+
+/// Integer lattices, full and sparse with doubled points, in two and
+/// three dimensions: most pairs tie, so the tree depends on the
+/// tie-breaking rule at almost every step.
+#[test]
+fn dense_prim_on_lattice_ties() {
+    use rand::RngExt;
+    let full: Vec<Point<2>> = (0..13u32)
+        .flat_map(|x| (0..11u32).map(move |y| Point::new([f64::from(x), f64::from(y)])))
+        .collect();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(23);
+    let mut sparse = Vec::new();
+    for x in 0..20u32 {
+        for y in 0..20u32 {
+            if rng.random_range(0.0..1.0) < 0.4 {
+                let p = Point::new([f64::from(x), f64::from(y)]);
+                sparse.push(p);
+                if rng.random_range(0.0..1.0) < 0.15 {
+                    sparse.push(p);
+                }
+            }
+        }
+    }
+    let cube: Vec<Point<3>> = (0..125u32)
+        .map(|k| Point::new([k % 5, k / 5 % 5, k / 25].map(f64::from)))
+        .collect();
+    assert_kernel_matches_reference(&full, "full 13x11").unwrap();
+    assert_kernel_matches_reference(&sparse, "sparse 20x20").unwrap();
+    assert_kernel_matches_reference(&cube, "cube 5x5x5").unwrap();
+}
+
+/// Coincident points: every point at one place (every `d²` is 0), and
+/// a few places each holding many copies.
+#[test]
+fn dense_prim_on_coincident_points() {
+    for n in [2usize, 3, 5, 50, 131] {
+        let same = vec![Point::new([3.0, 4.0]); n];
+        assert_kernel_matches_reference(&same, &format!("all at one point n={n}")).unwrap();
+        let stacks: Vec<Point<2>> = (0..n)
+            .map(|k| Point::new([(k % 3) as f64 * 7.0, (k % 3) as f64]))
+            .collect();
+        assert_kernel_matches_reference(&stacks, &format!("three stacks n={n}")).unwrap();
+    }
+}
+
+/// Collinear points: evenly spaced (every tree edge ties) and random
+/// along a slanted line, in two and three dimensions.
+#[test]
+fn dense_prim_on_collinear_points() {
+    for n in [7usize, 64, 129] {
+        let even: Vec<Point<2>> = (0..n)
+            .map(|k| Point::new([k as f64, 2.0 * k as f64]))
+            .collect();
+        assert_kernel_matches_reference(&even, &format!("evenly spaced n={n}")).unwrap();
+        let slanted: Vec<Point<3>> = uniform::<1>(n, 500.0, n as u64)
+            .into_iter()
+            .map(|p| Point::new([p.coord(0), 0.5 * p.coord(0) + 7.0, -p.coord(0)]))
+            .collect();
+        assert_kernel_matches_reference(&slanted, &format!("slanted n={n}")).unwrap();
+    }
+}
+
+/// Every pair at least 1e200 apart, so every `d²` overflows to `+∞`:
+/// each step's minimum is `+∞`, and the kernel must pick slot 0 as the
+/// reference does, at every slot count modulo the kernel's lanes.
+#[test]
+fn dense_prim_when_every_distance_overflows() {
+    for n in 2usize..=19 {
+        let pts: Vec<Point<2>> = (0..n)
+            .map(|k| {
+                let sign = if k % 2 == 0 { 1.0 } else { -1.0 };
+                Point::new([sign * 1e200 * (k / 2 + 1) as f64, (k % 3) as f64])
+            })
+            .collect();
+        let tree = prim_reference(&pts);
+        assert!(tree.iter().all(|e| e.length == f64::INFINITY), "n={n}");
+        assert_kernel_matches_reference(&pts, &format!("all overflow n={n}")).unwrap();
+    }
+}
+
+/// Clusters 1e200 apart: distances inside a cluster are finite, and
+/// every pair across clusters overflows to `+∞`, so some steps find a
+/// finite minimum and the steps that bridge clusters find only `+∞`.
+#[test]
+fn dense_prim_when_some_distances_overflow() {
+    use rand::RngExt;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(31);
+    for n in 2usize..=40 {
+        let pts: Vec<Point<2>> = (0..n)
+            .map(|_| {
+                let cluster = [-1e200, 0.0, 1e200][rng.random_range(0..3usize)];
+                Point::new([
+                    cluster + rng.random_range(0.0..10.0),
+                    rng.random_range(0.0..10.0),
+                ])
+            })
+            .collect();
+        assert_kernel_matches_reference(&pts, &format!("mixed overflow n={n}")).unwrap();
+    }
+}
+
+/// Every registry model's trajectories at the sizes where dense Prim
+/// serves every range query (n < `GRID_MST_MIN_NODES`): the kernel
+/// matches the reference on every step.
+#[test]
+#[ignore = "release-only oracle; run by CI"]
+fn grid_mst_dense_prim_matches_reference_on_every_registry_model() {
+    let registry = ModelRegistry::<2>::with_builtins();
+    let names = registry.names();
+    assert_eq!(names.len(), 13, "every registry model is covered");
+    for n in [16usize, 32, 64, 128, GRID_MST_MIN_NODES - 1] {
+        let side = 1024.0 * (n as f64 / 2000.0).sqrt();
+        let scale = PaperScale::new(side).with_pause(3);
+        let region: Region<2> = Region::new(side).expect("positive side");
+        for name in &names {
+            let mut model = registry.build(name, &scale).expect("registry model");
+            let mut rng = rand::rngs::StdRng::seed_from_u64(20020623);
+            let mut positions = region.place_uniform(n, &mut rng);
+            model.init(&positions, &region, &mut rng);
+            for step in 0..20 {
+                let what = format!("{name} n={n} step {step}");
+                if let Err(e) = assert_kernel_matches_reference(&positions, &what) {
+                    panic!("{e:?}");
+                }
+                model.step(&mut positions, &region, &mut rng);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // The grid graph build against brute force, at the sizes the grid path
 // (counting-sorted pairs from the batched forward scan) is built for.
 

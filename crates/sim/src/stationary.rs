@@ -54,7 +54,9 @@ pub struct StationaryAnalysis {
 
 impl StationaryAnalysis {
     /// Samples `placements` stationary deployments of `nodes` nodes in
-    /// `[0, side]^D` and records each critical range.
+    /// `[0, side]^D` and records each critical range, spread over
+    /// `threads` workers (`None`: one per available CPU). The
+    /// distribution is the same at every thread count.
     ///
     /// # Errors
     ///
@@ -66,6 +68,7 @@ impl StationaryAnalysis {
         side: f64,
         placements: usize,
         seed: u64,
+        threads: Option<usize>,
     ) -> Result<Self, SimError> {
         let mut builder = SimConfig::<D>::builder();
         builder
@@ -74,6 +77,9 @@ impl StationaryAnalysis {
             .iterations(placements)
             .steps(1)
             .seed(seed);
+        if let Some(threads) = threads {
+            builder.threads(threads);
+        }
         let config = builder.build()?;
         let ranges = run_connectivity_stream(&config, &StationaryModel::new(), |_| {
             PlacementRange(f64::NAN)
@@ -124,7 +130,7 @@ mod tests {
 
     #[test]
     fn distribution_has_requested_placements() {
-        let a = StationaryAnalysis::run::<2>(10, 100.0, 50, 7).unwrap();
+        let a = StationaryAnalysis::run::<2>(10, 100.0, 50, 7, None).unwrap();
         assert_eq!(a.ctr_distribution().len(), 50);
         assert_eq!(a.nodes(), 10);
         assert_eq!(a.side(), 100.0);
@@ -133,13 +139,13 @@ mod tests {
     #[test]
     fn overflowing_ranges_are_an_error_not_a_hang() {
         // On side 1e200 squared distances overflow to +∞.
-        let err = StationaryAnalysis::run::<2>(4, 1e200, 3, 1).unwrap_err();
+        let err = StationaryAnalysis::run::<2>(4, 1e200, 3, 1, None).unwrap_err();
         assert!(matches!(err, SimError::Stats(_)), "{err:?}");
     }
 
     #[test]
     fn r_stationary_monotone_in_quantile() {
-        let a = StationaryAnalysis::run::<2>(12, 150.0, 80, 3).unwrap();
+        let a = StationaryAnalysis::run::<2>(12, 150.0, 80, 3, None).unwrap();
         let r50 = a.r_stationary(0.5).unwrap();
         let r90 = a.r_stationary(0.9).unwrap();
         let r99 = a.r_stationary(0.99).unwrap();
@@ -150,7 +156,7 @@ mod tests {
 
     #[test]
     fn connectivity_probability_is_cdf() {
-        let a = StationaryAnalysis::run::<2>(10, 100.0, 60, 11).unwrap();
+        let a = StationaryAnalysis::run::<2>(10, 100.0, 60, 11, None).unwrap();
         let r = a.r_stationary(0.9).unwrap();
         assert!(a.connectivity_probability(r) >= 0.9);
         assert!(a.connectivity_probability(0.0) == 0.0);
@@ -161,8 +167,8 @@ mod tests {
     fn more_nodes_reduce_ctr_at_fixed_side() {
         // Denser networks connect at shorter ranges (law of large
         // numbers over 60 placements keeps this stable).
-        let sparse = StationaryAnalysis::run::<2>(8, 200.0, 60, 5).unwrap();
-        let dense = StationaryAnalysis::run::<2>(64, 200.0, 60, 5).unwrap();
+        let sparse = StationaryAnalysis::run::<2>(8, 200.0, 60, 5, None).unwrap();
+        let dense = StationaryAnalysis::run::<2>(64, 200.0, 60, 5, None).unwrap();
         assert!(
             dense.r_stationary(0.9).unwrap() < sparse.r_stationary(0.9).unwrap(),
             "denser placements should connect at smaller ranges"
@@ -173,15 +179,15 @@ mod tests {
     fn one_dimensional_ctr_is_max_gap() {
         // In 1-D the CTR of a placement equals its largest inter-node
         // gap, which is at most l.
-        let a = StationaryAnalysis::run::<1>(5, 100.0, 40, 9).unwrap();
+        let a = StationaryAnalysis::run::<1>(5, 100.0, 40, 9, None).unwrap();
         assert!(a.ctr_distribution().max() <= 100.0);
         assert!(a.ctr_distribution().min() > 0.0);
     }
 
     #[test]
     fn deterministic_in_seed() {
-        let a = StationaryAnalysis::run::<2>(10, 100.0, 30, 21).unwrap();
-        let b = StationaryAnalysis::run::<2>(10, 100.0, 30, 21).unwrap();
+        let a = StationaryAnalysis::run::<2>(10, 100.0, 30, 21, None).unwrap();
+        let b = StationaryAnalysis::run::<2>(10, 100.0, 30, 21, None).unwrap();
         assert_eq!(
             a.ctr_distribution().as_sorted(),
             b.ctr_distribution().as_sorted()

@@ -12,7 +12,7 @@ const SEED: u64 = 20_020_623 ^ 0x5747;
 
 /// Asserts the two campaigns' sorted distributions are bit-identical.
 fn assert_same_distribution(nodes: usize, side: f64, placements: usize) {
-    let analysis = StationaryAnalysis::run::<2>(nodes, side, placements, SEED).unwrap();
+    let analysis = StationaryAnalysis::run::<2>(nodes, side, placements, SEED, None).unwrap();
     let mut b = SimConfig::<2>::builder();
     b.nodes(nodes)
         .side(side)
@@ -49,4 +49,23 @@ fn figs_quick_calibrations_are_unchanged() {
 #[test]
 fn trace_large_calibration_is_unchanged() {
     assert_same_distribution(2000, 1024.0, 50);
+}
+
+/// `--threads 1` reaches the calibration: one worker, or any other
+/// count, yields the default fan-out's distribution bit for bit.
+#[test]
+fn thread_count_does_not_change_the_distribution() {
+    let bits = |threads: Option<usize>| -> Vec<u64> {
+        StationaryAnalysis::run::<2>(64, 4096.0, 120, SEED, threads)
+            .unwrap()
+            .ctr_distribution()
+            .as_sorted()
+            .iter()
+            .map(|r| r.to_bits())
+            .collect()
+    };
+    let default = bits(None);
+    for threads in [1, 2, 3] {
+        assert_eq!(bits(Some(threads)), default, "threads = {threads}");
+    }
 }

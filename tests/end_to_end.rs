@@ -196,7 +196,7 @@ fn paper_simulator_interface_reports_all_fields() {
 
 #[test]
 fn stationary_analysis_matches_mtr_facade() {
-    let analysis = StationaryAnalysis::run::<2>(20, 200.0, 100, 9).unwrap();
+    let analysis = StationaryAnalysis::run::<2>(20, 200.0, 100, 9, None).unwrap();
     let problem = MtrProblem::<2>::new(20, 200.0).unwrap();
     let via_problem = problem.r_stationary(0.9, 100, 9).unwrap();
     let direct = analysis.r_stationary(0.9).unwrap();
