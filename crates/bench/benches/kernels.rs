@@ -15,12 +15,35 @@ use manet_core::stats::FrozenSeries;
 use rand::SeedableRng;
 use std::hint::black_box;
 
+/// 8 uniform placements of `n` nodes on side 1000, seeded from
+/// `first_seed` on.
+fn eight_placements(n: usize, first_seed: u64) -> Vec<Vec<Point<2>>> {
+    (0..8)
+        .map(|i| placement(n, 1000.0, first_seed + i))
+        .collect()
+}
+
+/// Times `f` on one placement per call, cycling through `sets`, so a
+/// row reads the per-placement cost without the branch predictor
+/// learning one fixed placement.
+fn bench_cycling<T>(
+    b: &mut criterion::Bencher,
+    sets: &[Vec<Point<2>>],
+    f: impl Fn(&[Point<2>]) -> T,
+) {
+    let mut next = 0;
+    b.iter(|| {
+        next = (next + 1) % sets.len();
+        black_box(f(black_box(&sets[next])))
+    })
+}
+
 fn bench_mst(c: &mut Criterion) {
     let mut group = c.benchmark_group("critical_range_prim");
     for &n in &[16usize, 32, 64, 128, 256] {
-        let pts = placement(n, 1000.0, 7);
+        let sets = eight_placements(n, 70);
         group.bench_function(format!("n={n}"), |b| {
-            b.iter(|| black_box(critical_range(black_box(&pts))))
+            bench_cycling(b, &sets, critical_range)
         });
     }
     group.finish();
@@ -140,9 +163,9 @@ fn bench_critical_range_warm(c: &mut Criterion) {
 fn bench_merge_profile(c: &mut Criterion) {
     let mut group = c.benchmark_group("merge_profile_kruskal");
     for &n in &[16usize, 32, 64, 128] {
-        let pts = placement(n, 1000.0, 8);
+        let sets = eight_placements(n, 80);
         group.bench_function(format!("n={n}"), |b| {
-            b.iter(|| black_box(MergeProfile::of(black_box(&pts))))
+            bench_cycling(b, &sets, MergeProfile::of)
         });
     }
     group.finish();

@@ -6,7 +6,7 @@
 //! `overhead` group runs grids of near-empty jobs, so any gap between
 //! thread counts is pure scheduling. Second, how does the
 //! critical-scaling workload (the `manet-repro critical-scaling`
-//! spine: two merge-profile passes per cell) scale with workers? Cells
+//! spine: one merge-profile pass per cell) scale with workers? Cells
 //! are independent campaigns, so the `critical_cells` group should
 //! approach linear speedup until cells run out.
 //!

@@ -5,7 +5,7 @@
 //! node count. This experiment locates the transition for each
 //! (mobility model × `n`) cell of a density-preserving sweep
 //! (`side_for(n)` keeps `n / l²` at the paper's base density) with
-//! [`find_critical_range`] (exact merge-profile passes for the giant
+//! [`find_critical_range`] (one exact merge-profile pass for the giant
 //! fraction, and for `k`-connectivity the pooled quantile of each
 //! step's exact threshold: the MST bottleneck for `k = 1`,
 //! `critical_range_k` for `k >= 2`), then fits

@@ -975,7 +975,7 @@ fn critical_scaling_golden_moved_down_within_the_bisection_tolerance() {
         String::from_utf8_lossy(&out.stderr)
     );
     let csv = std::fs::read_to_string(dir.join("critical_scaling.csv")).unwrap();
-    assert_moved_down_from_bisection(&csv, &BISECTED, "2");
+    assert_moved_down_from_bisection(&csv, &BISECTED, "1");
     std::fs::remove_dir_all(dir).ok();
 }
 

@@ -16,23 +16,26 @@
 //! only raise vertex connectivity). [`find_critical_range`] answers
 //! each metric exactly, from positions only:
 //!
-//! * **Giant fraction: two positions-only merge-profile passes.** A
+//! * **Giant fraction: one positions-only merge-profile pass.** A
 //!   step's largest component at `r` is the step function
 //!   [`MergeProfile::largest_component_at`]: 1 plus the size growth of
-//!   every profile event at a range `<= r`. The pooled mean is the sum
-//!   of those over every step, divided by `iterations · steps · n`.
-//!   Pass 1 bins each event's integer size
-//!   growth into a histogram of width `rel_tol · side` and picks the
-//!   first bin whose cumulative total reaches the target; pass 2
-//!   re-runs the same trajectories, keeps only that bin's events, and
-//!   applies them in range order. Pass 1 also records the bin of each
-//!   step's critical range (its last event), and pass 2 profiles only
-//!   the steps whose recorded bin reaches the answer bin: every event
-//!   of a step lies at or below its critical range, so the skipped
-//!   steps hold no event of that bin. The answer is exact in the
-//!   graph builders' `d² <= r·r` convention, and memory is one
-//!   histogram per iteration plus 4 B per step, plus the events of one
-//!   bin.
+//!   every profile event at a range `<= r`. Over `total = iterations ·
+//!   steps · n` node slots the pooled mean reaches the target at `r`
+//!   exactly when the growth of the events strictly above `r` is at
+//!   most `allow`, the largest deficit the target tolerates (found once
+//!   by binary search). The answer is the lowest event range whose
+//!   pooled growth strictly above it is at most `allow`, or 0 when the
+//!   target holds before any event. Pooled growth above an event is at
+//!   least its growth above within its own iteration, so an event that
+//!   already has more than `allow` above it there can never be the
+//!   answer. Each iteration therefore keeps only its top tie groups
+//!   while the growth above them is at most `allow`, compacting when
+//!   its buffer doubles, and pushes nothing below the lowest kept range
+//!   once the kept growth exceeds `allow`. Finished iterations merge
+//!   into one shared pool compacted by the same rule, so the answer
+//!   does not depend on merge order. Memory is `O(allow + largest tie
+//!   group)` pooled events plus one buffer per worker, and the answer
+//!   is exact in the graph builders' `d² <= r·r` convention.
 //! * **k-connectivity: the pooled quantile.** Step `t` is k-connected
 //!   at `r` ⟺ `c_t^(k) <= r`, so the threshold is an order statistic
 //!   of the per-step thresholds, from one campaign. For `k = 1`,
@@ -75,6 +78,7 @@ use manet_graph::{AdjacencyList, ComponentSummary, MergeProfile};
 use manet_mobility::Mobility;
 use manet_obs::KernelMetrics;
 use manet_stats::{ConfidenceInterval, FrozenSeries, LinearFit};
+use std::sync::{Mutex, PoisonError};
 
 /// The per-step connectivity metric a critical-range search thresholds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,8 +130,8 @@ impl CriticalRangeSearch {
     }
 
     /// Sets the tolerance as a fraction of the region side
-    /// (chainable): the bisection's bracket width, and the histogram
-    /// bin width of the giant fraction's exact search.
+    /// (chainable): the bracket width of [`bisect_critical_range`].
+    /// The exact rules of [`find_critical_range`] do not read it.
     pub fn with_rel_tol(mut self, rel_tol: f64) -> Self {
         self.rel_tol = rel_tol;
         self
@@ -183,10 +187,9 @@ pub struct CriticalPoint {
     pub range: f64,
     /// `range / side` — the scale-free quantity the power law fits.
     pub normalized: f64,
-    /// Seeded campaigns run over the cell's trajectories: 2 for the
-    /// giant fraction's merge-profile passes (the second replays every
-    /// step but profiles only those reaching the answer bin), 1 for
-    /// the k-connectivity quantile, and one per probe from
+    /// Seeded campaigns run over the cell's trajectories: 1 for each
+    /// exact rule (the giant fraction's merge-profile pass, the
+    /// k-connectivity quantile), and one per probe from
     /// [`bisect_critical_range`].
     pub probes: usize,
     /// Step-kernel counters, always zero: no path runs the step kernel.
@@ -279,11 +282,9 @@ where
 /// answers in.
 const BRACKET_LO: f64 = 1e-9;
 
-/// Upper bound on the giant-fraction histogram's bin count. The bin
-/// width only trades pass 1's histogram against pass 2's kept events;
-/// the answer does not depend on it, so a tiny `rel_tol` widens the
-/// bins instead of allocating billions of them.
-const MAX_BINS: usize = 1 << 16;
+/// The least cap of an iteration's giant-fraction buffer: shorter
+/// buffers are compacted only when the iteration ends.
+const MIN_RETAIN_CAP: usize = 256;
 
 /// Locates the critical range of one `(config, model)` cell: the
 /// smallest range in `[1e-9, diameter]` whose mean metric over the
@@ -304,9 +305,9 @@ where
     M: Mobility<D> + Clone + Send + Sync,
 {
     search.validate(config)?;
-    let (range, probes) = match search.metric {
+    let range = match search.metric {
         ConnectivityMetric::GiantFraction => {
-            (giant_fraction_threshold(config, model, search)?.0, 2)
+            giant_fraction_threshold(config, model, search.target).0
         }
         ConnectivityMetric::KConnectivity(k) => {
             let series = if k == 1 {
@@ -317,15 +318,14 @@ where
                     series: Vec::with_capacity(config.steps()),
                 })
             };
-            let pooled = FrozenSeries::new(series.concat())?;
-            (pooled.smallest_covering(search.target)?, 1)
+            FrozenSeries::new(series.concat())?.smallest_covering(search.target)?
         }
     };
     let range = range.clamp(BRACKET_LO, config.region().diameter());
     Ok(CriticalPoint {
         range,
         normalized: range / config.side(),
-        probes,
+        probes: 1,
         kernel: KernelMetrics::default(),
     })
 }
@@ -364,22 +364,6 @@ where
     })
 }
 
-/// Histogram bins of width `width` over `[0, diameter]`: bin `j` holds
-/// the ranges in `((j − 1)·width, j·width]`, bin 0 the range 0. The
-/// index is monotone in the range, so every event of a lower bin has a
-/// strictly smaller range than every event of a higher one.
-#[derive(Clone, Copy)]
-struct Bins {
-    width: f64,
-    last: usize,
-}
-
-impl Bins {
-    fn of(&self, range: f64) -> usize {
-        ((range / self.width).ceil() as usize).min(self.last)
-    }
-}
-
 /// Calls `f(range, growth)` for every event of the merge profile of
 /// `view`'s positions, `growth` being how much the largest component
 /// grows at `range`.
@@ -391,135 +375,132 @@ fn for_each_growth<const D: usize>(view: &StepView<'_, D>, mut f: impl FnMut(f64
     }
 }
 
-/// Pass 1: one iteration's total growth per bin, and the bin of each
-/// step's critical range (its last event; bin 0 when it has none).
-struct GrowthHistogram {
-    bins: Bins,
-    totals: Vec<u64>,
-    top_bins: Vec<u32>,
-}
-
-impl<const D: usize> ConnectivityObserver<D> for GrowthHistogram {
-    type Output = (Vec<u64>, Vec<u32>);
-
-    fn observe(&mut self, view: &StepView<'_, D>) {
-        let mut top = 0;
-        for_each_growth(view, |range, growth| {
-            top = self.bins.of(range);
-            self.totals[top] += growth;
-        });
-        self.top_bins.push(top as u32);
-    }
-
-    fn finish(self) -> Self::Output {
-        (self.totals, self.top_bins)
-    }
-}
-
-/// Pass 2: one iteration's `(range, growth)` events inside one bin,
-/// and how many steps it profiled to find them. Every event of a step
-/// lies at or below its critical range, so a step whose critical range
-/// falls in a lower bin has none in `bin` and is skipped.
-struct GrowthInBin<'a> {
-    bins: Bins,
-    bin: usize,
-    top_bins: &'a [u32],
-    events: Vec<(f64, u64)>,
-    profiled: u64,
-}
-
-impl<const D: usize> ConnectivityObserver<D> for GrowthInBin<'_> {
-    type Output = (Vec<(f64, u64)>, u64);
-
-    fn observe(&mut self, view: &StepView<'_, D>) {
-        if (self.top_bins[view.step()] as usize) < self.bin {
-            return;
+/// The largest deficit `allow` the target tolerates: the pooled mean
+/// over `total = iterations · steps · n` node slots reaches `target`
+/// with `total − allow` slots in largest components, and not with one
+/// fewer. The predicate holds at `total` (`target <= 1`) and fails at
+/// 0 (`target > 0`), so a binary search finds the boundary.
+fn deficit_allowance(total: u64, target: f64) -> u64 {
+    let reaches = |filled: u64| filled as f64 / total as f64 >= target;
+    // reaches(total − lo) holds and reaches(total − hi) does not.
+    let (mut lo, mut hi) = (0, total);
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if reaches(total - mid) {
+            lo = mid;
+        } else {
+            hi = mid;
         }
-        self.profiled += 1;
+    }
+    lo
+}
+
+/// Keeps the top of `events` (`(range bits, growth)` pairs): whole tie
+/// groups, highest range first, while the growth strictly above the
+/// group is at most `allow`. Once the kept growth exceeds `allow`,
+/// returns the lowest kept range: every dropped event then has more
+/// than `allow` growth above it here, and so in any pool holding these
+/// events, and can never be the answer.
+fn retain_top(events: &mut Vec<(u64, u64)>, allow: u64) -> Option<u64> {
+    // Non-negative f64s order as their bit patterns.
+    events.sort_unstable_by_key(|e| std::cmp::Reverse(e.0));
+    let mut above = 0;
+    let mut kept = 0;
+    for group in events.chunk_by(|a, b| a.0 == b.0) {
+        if above > allow {
+            break;
+        }
+        above += group.iter().map(|e| e.1).sum::<u64>();
+        kept += group.len();
+    }
+    events.truncate(kept);
+    events.last().filter(|_| above > allow).map(|e| e.0)
+}
+
+/// The cell's kept growth events, and the most events any buffer or
+/// the pool held at once.
+#[derive(Default)]
+struct Pool {
+    events: Vec<(u64, u64)>,
+    peak: usize,
+}
+
+/// One iteration's growth events at or above its `floor`, compacted by
+/// [`retain_top`] whenever the buffer passes `cap`, and merged into
+/// the shared pool when the iteration ends.
+struct TopGrowth<'a> {
+    allow: u64,
+    floor: u64,
+    cap: usize,
+    events: Vec<(u64, u64)>,
+    peak: usize,
+    pool: &'a Mutex<Pool>,
+}
+
+impl TopGrowth<'_> {
+    fn compact(&mut self) {
+        self.peak = self.peak.max(self.events.len());
+        if let Some(floor) = retain_top(&mut self.events, self.allow) {
+            self.floor = floor;
+        }
+        self.cap = (2 * self.events.len()).max(MIN_RETAIN_CAP);
+    }
+}
+
+impl<const D: usize> ConnectivityObserver<D> for TopGrowth<'_> {
+    type Output = ();
+
+    fn observe(&mut self, view: &StepView<'_, D>) {
         for_each_growth(view, |range, growth| {
-            if self.bins.of(range) == self.bin {
-                self.events.push((range, growth));
+            if range.to_bits() >= self.floor {
+                self.events.push((range.to_bits(), growth));
             }
         });
+        if self.events.len() > self.cap {
+            self.compact();
+        }
     }
 
-    fn finish(self) -> Self::Output {
-        (self.events, self.profiled)
+    fn finish(mut self) {
+        self.compact();
+        // A poisoned pool is never answered from: `run_indexed`
+        // re-raises the panic that poisoned it once the workers stop.
+        let mut pool = self.pool.lock().unwrap_or_else(PoisonError::into_inner);
+        pool.events.append(&mut self.events);
+        pool.peak = pool.peak.max(self.peak).max(pool.events.len());
+        retain_top(&mut pool.events, self.allow);
     }
 }
 
 /// The exact giant-fraction threshold in the graph builders'
 /// `d² <= r·r` convention: the smallest `r` with
 /// `Σ_steps largest_component_at(r) / (iterations · steps · n) >= target`,
-/// from two positions-only passes over the cell's trajectories, and
-/// the number of steps pass 2 profiled.
+/// from one positions-only pass over the cell's trajectories, and the
+/// most events held at once.
 fn giant_fraction_threshold<const D: usize, M>(
     config: &SimConfig<D>,
     model: &M,
-    search: &CriticalRangeSearch,
-) -> Result<(f64, u64), SimError>
+    target: f64,
+) -> (f64, usize)
 where
     M: Mobility<D> + Clone + Send + Sync,
 {
-    let hi = config.region().diameter();
-    let width = (search.rel_tol * config.side()).max(hi / MAX_BINS as f64);
-    let bins = Bins {
-        width,
-        last: (hi / width).ceil() as usize,
-    };
-    let step_count = (config.iterations() * config.steps()) as u64;
-    let denominator = (step_count * config.nodes() as u64) as f64;
-    let reaches = |total: u64| total as f64 / denominator >= search.target;
-
-    // Pool each iteration's histogram as it arrives; only the per-step
-    // bins outlive pass 1.
-    let mut pooled = vec![0u64; bins.last + 1];
-    let mut top_bins = Vec::with_capacity(config.iterations());
-    for (totals, tops) in run_connectivity_stream(config, model, |_| GrowthHistogram {
-        bins,
-        totals: vec![0; bins.last + 1],
-        top_bins: Vec::with_capacity(config.steps()),
-    }) {
-        for (p, t) in pooled.iter_mut().zip(totals) {
-            *p += t;
-        }
-        top_bins.push(tops);
-    }
-    // Every step starts from singletons: a largest component of 1.
-    let mut below = step_count;
-    let Some(bin) = pooled.iter().position(|&t| {
-        below += t;
-        reaches(below)
-    }) else {
-        // Unreachable for n >= 1: the last bin brings every step to n.
-        return Ok((hi, 0));
-    };
-    below -= pooled[bin];
-    if reaches(below) {
-        return Ok((0.0, 0));
-    }
-
-    let mut events = Vec::new();
-    let mut profiled = 0;
-    for (e, p) in run_connectivity_stream(config, model, |iteration| GrowthInBin {
-        bins,
-        bin,
-        top_bins: &top_bins[iteration],
+    let total = (config.iterations() * config.steps() * config.nodes()) as u64;
+    let allow = deficit_allowance(total, target);
+    let pool = Mutex::new(Pool::default());
+    run_connectivity_stream(config, model, |_| TopGrowth {
+        allow,
+        floor: 0,
+        cap: MIN_RETAIN_CAP,
         events: Vec::new(),
-        profiled: 0,
-    }) {
-        events.extend(e);
-        profiled += p;
-    }
-    events.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let range = events
-        .chunk_by(|a, b| a.0 == b.0)
-        .find_map(|run| {
-            below += run.iter().map(|e| e.1).sum::<u64>();
-            reaches(below).then_some(run[0].0)
-        })
-        .unwrap_or(hi);
-    Ok((range, profiled))
+        peak: 0,
+        pool: &pool,
+    });
+    let mut pool = pool.into_inner().unwrap_or_else(PoisonError::into_inner);
+    // The lowest group whose growth tips the deficit past `allow` is
+    // the answer; when none does, the target holds before any event.
+    let range = retain_top(&mut pool.events, allow).map_or(0.0, f64::from_bits);
+    (range, pool.peak)
 }
 
 /// A fitted finite-size scaling exponent `rho_c ~ n^(-beta)` with its
@@ -639,9 +620,8 @@ mod tests {
             .collect()
     }
 
-    /// The single-pass answer the two passes must reproduce bit for
-    /// bit: every event of every step, sorted by range.
-    fn all_events_threshold<M>(cfg: &SimConfig<2>, model: &M, target: f64) -> f64
+    /// Every `(range, growth)` event of every step of the cell.
+    fn all_events<M>(cfg: &SimConfig<2>, model: &M) -> Vec<(f64, u64)>
     where
         M: Mobility<2> + Clone + Send + Sync,
     {
@@ -655,11 +635,19 @@ mod tests {
                 self.0
             }
         }
-        let mut events: Vec<(f64, u64)> =
-            run_connectivity_stream(cfg, model, |_| AllEvents(Vec::new()))
-                .into_iter()
-                .flatten()
-                .collect();
+        run_connectivity_stream(cfg, model, |_| AllEvents(Vec::new()))
+            .into_iter()
+            .flatten()
+            .collect()
+    }
+
+    /// The answer the kept events must reproduce bit for bit: every
+    /// event of every step, sorted by range.
+    fn all_events_threshold<M>(cfg: &SimConfig<2>, model: &M, target: f64) -> f64
+    where
+        M: Mobility<2> + Clone + Send + Sync,
+    {
+        let mut events = all_events(cfg, model);
         events.sort_by(|a, b| a.0.total_cmp(&b.0));
         let steps = (cfg.iterations() * cfg.steps()) as u64;
         let reaches = |total: u64| total as f64 / (steps * cfg.nodes() as u64) as f64 >= target;
@@ -676,51 +664,40 @@ mod tests {
             .unwrap()
     }
 
-    #[test]
-    fn pass_two_skips_a_step_whose_critical_range_closes_the_bin_below() {
-        // Side 1024 at rel_tol 2^-10 makes the bin width exactly 1.
-        // Rows at spacing 3.5 reach the target at r = 3.5, so the
-        // answer bin is b* = 4; rows at spacing 3 have a critical range
-        // of exactly (b* − 1)·w = 3, every event in bin 3, and must be
-        // skipped by pass 2 without moving the answer.
-        let cfg = config(4, 1024.0, 1, 21);
-        let model = Script::new(vec![row(4, 3.0), row(4, 3.5)]);
-        let search = CriticalRangeSearch::new()
-            .with_target(0.95)
-            .with_rel_tol(1.0 / 1024.0);
-        let (range, profiled) = giant_fraction_threshold(&cfg, &model, &search).unwrap();
-        assert_eq!(range, 3.5);
-        assert_eq!(range, all_events_threshold(&cfg, &model, 0.95));
-        // Step 0's uniform placement and the ten 3.5-rows; not the
-        // ten 3-rows.
-        assert_eq!(profiled, 11);
+    /// `iterations · steps · n`, the node slots a cell's mean pools.
+    fn slots(cfg: &SimConfig<2>) -> u64 {
+        (cfg.iterations() * cfg.steps() * cfg.nodes()) as u64
     }
 
     #[test]
-    fn pass_two_compares_bins_not_raw_ranges() {
-        // At side 100 the default bin width is w = 0.1, and 3·w rounds
-        // up to 0.30000000000000004, whose bin is ⌈c / w⌉ = 4. Pairs
-        // at that distance put b* = 4 although their critical range
-        // equals (b* − 1)·w as floats: a raw-range test would skip
-        // every step holding the answer's events.
-        let cfg = config(2, 100.0, 1, 11);
-        let w: f64 = 1e-3 * 100.0;
-        let c = 3.0 * w;
-        assert_eq!((c / w).ceil(), 4.0);
-        let model = Script::new(vec![vec![Point::new([0.0, 50.0]), Point::new([c, 50.0])]]);
-        let search = CriticalRangeSearch::new().with_target(0.95);
-        let (range, profiled) = giant_fraction_threshold(&cfg, &model, &search).unwrap();
-        assert_eq!(range, c);
-        assert_eq!(range, all_events_threshold(&cfg, &model, 0.95));
-        assert_eq!(profiled, 11, "step 0 and the ten pairs all reach bin 4");
+    fn answer_tie_group_straddles_the_floor_and_the_iterations() {
+        // Steps 1.. cycle through ten rows of 4 nodes, each one event
+        // of growth 3: one row at spacing 5, six at 3, three at 1.
+        // Target 0.89 leaves allow = 396 of 3,600 slots. Each
+        // iteration's first compaction (257 events) finds more than
+        // 396 growth at or above 3, so its floor lands on 3 and its
+        // later 3-rows are pushed at the floor. Pooled, the 5-rows and
+        // step 0 hold at most 279 growth above 3: the answer is the
+        // tie group at 3, gathered from all three iterations.
+        let cfg = config(4, 100.0, 3, 300);
+        assert_eq!(deficit_allowance(slots(&cfg), 0.89), 396);
+        let mut layouts = vec![row(4, 5.0)];
+        layouts.extend(std::iter::repeat_n(row(4, 3.0), 6));
+        layouts.extend(std::iter::repeat_n(row(4, 1.0), 3));
+        let model = Script::new(layouts);
+        let (range, peak) = giant_fraction_threshold(&cfg, &model, 0.89);
+        assert_eq!(range, 3.0);
+        assert_eq!(range, all_events_threshold(&cfg, &model, 0.89));
+        assert!(peak < all_events(&cfg, &model).len(), "peak {peak}");
     }
 
     #[test]
-    fn target_one_profiles_only_the_steps_in_the_top_bin() {
+    fn target_one_is_the_pooled_r100() {
+        // allow = 0: only each iteration's top tie group survives.
         let cfg = config(12, 120.0, 3, 40);
         let model = RandomWaypoint::new(0.5, 2.0, 1, 0.0).unwrap();
-        let search = CriticalRangeSearch::new().with_target(1.0);
-        let (range, profiled) = giant_fraction_threshold(&cfg, &model, &search).unwrap();
+        assert_eq!(deficit_allowance(slots(&cfg), 1.0), 0);
+        let (range, _) = giant_fraction_threshold(&cfg, &model, 1.0);
         let r100 = simulate_critical_ranges(&cfg, &model)
             .unwrap()
             .pooled()
@@ -728,19 +705,16 @@ mod tests {
             .max();
         assert_eq!(range.to_bits(), r100.to_bits());
         assert_eq!(range, all_events_threshold(&cfg, &model, 1.0));
-        assert!(0 < profiled && profiled < 120, "profiled {profiled}");
 
-        // Two nodes in opposite corners are a diameter apart: their
-        // critical range lands in the clamped last bin.
+        // Two nodes in opposite corners are a diameter apart.
         let cfg = config(2, 1024.0, 1, 5);
         let corners = Script::new(vec![vec![
             Point::new([0.0, 0.0]),
             Point::new([1024.0, 1024.0]),
         ]]);
-        let search = search.with_rel_tol(1.0 / 1024.0);
-        let (range, profiled) = giant_fraction_threshold(&cfg, &corners, &search).unwrap();
+        let (range, _) = giant_fraction_threshold(&cfg, &corners, 1.0);
         assert_eq!(range, cfg.region().diameter());
-        assert_eq!(profiled, 4, "the four corner steps, not step 0");
+        assert_eq!(range, all_events_threshold(&cfg, &corners, 1.0));
     }
 
     #[test]
@@ -749,36 +723,83 @@ mod tests {
         // steps (one pair at r = 0): 42 of 44 nodes at r = 0 reach 0.95.
         let cfg = config(2, 100.0, 2, 11);
         let model = Script::new(vec![vec![Point::new([5.0, 5.0]); 2]]);
-        let search = CriticalRangeSearch::new().with_target(0.95);
-        let (range, profiled) = giant_fraction_threshold(&cfg, &model, &search).unwrap();
+        let (range, _) = giant_fraction_threshold(&cfg, &model, 0.95);
         assert_eq!(range, 0.0);
         assert_eq!(range, all_events_threshold(&cfg, &model, 0.95));
-        assert_eq!(profiled, 22, "every step reaches bin 0");
+        let search = CriticalRangeSearch::new().with_target(0.95);
         let point = find_critical_range(&cfg, &model, &search).unwrap();
         assert_eq!(point.range, 1e-9);
     }
 
     #[test]
-    fn pass_two_profiles_a_fraction_of_a_quick_cell_and_all_of_a_frozen_one() {
+    fn allowance_is_the_last_deficit_that_reaches_the_target() {
+        let reaches = |total: u64, filled: u64, target: f64| filled as f64 / total as f64 >= target;
+        for total in [1, 2, 3, 7, 100, 3_600, 40_000, 1_000_003, 50 * 2_000 * 256] {
+            for target in [1e-9, 0.3, 0.5, 0.89, 0.9, 0.99, 0.999, 1.0 - 1e-12, 1.0] {
+                let allow = deficit_allowance(total, target);
+                assert!(allow < total, "{total} {target}");
+                assert!(reaches(total, total - allow, target), "{total} {target}");
+                assert!(
+                    !reaches(total, total - allow - 1, target),
+                    "{total} {target}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn answer_moves_up_one_group_when_the_allowance_drops_by_one() {
+        // At target (total − D) / total the allowance is exactly D, the
+        // pooled growth strictly above some tie group: that group is
+        // the answer, and one slot less of allowance moves it to the
+        // group above.
+        let cfg = config(4, 100.0, 2, 60);
+        let model = Script::new(vec![row(4, 1.0), row(4, 2.0), row(4, 4.0), row(4, 3.0)]);
+        let total = slots(&cfg);
+        let mut events = all_events(&cfg, &model);
+        events.sort_by(|a, b| b.0.total_cmp(&a.0));
+        let mut above = 0;
+        let mut higher = None;
+        for group in events.chunk_by(|a, b| a.0 == b.0) {
+            let at = (total - above) as f64 / total as f64;
+            assert_eq!(deficit_allowance(total, at), above);
+            let (range, _) = giant_fraction_threshold(&cfg, &model, at);
+            assert_eq!(range, group[0].0);
+            assert_eq!(range, all_events_threshold(&cfg, &model, at));
+            if let Some(higher) = higher {
+                let tighter = (total - above + 1) as f64 / total as f64;
+                let (range, _) = giant_fraction_threshold(&cfg, &model, tighter);
+                assert_eq!(range, higher);
+                assert_eq!(range, all_events_threshold(&cfg, &model, tighter));
+            }
+            above += group.iter().map(|e| e.1).sum::<u64>();
+            higher = Some(group[0].0);
+        }
+    }
+
+    #[test]
+    fn kept_events_stay_within_twice_the_allowance_and_ties() {
         // The `critical-scaling --quick` shape at n = 16: side 64·√16,
         // paper waypoint with its pause scaled to 500 steps, 5 × 500
-        // steps, target 0.99.
+        // steps, target 0.99 (allow = 400 of 40,000 slots).
         let cfg = config(16, 256.0, 5, 500);
         let model = RandomWaypoint::new(0.1, 2.56, 100, 0.0).unwrap();
-        let search = CriticalRangeSearch::new();
-        let (range, profiled) = giant_fraction_threshold(&cfg, &model, &search).unwrap();
+        let allow = deficit_allowance(slots(&cfg), 0.99) as usize;
+        let mut events = all_events(&cfg, &model);
+        events.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let ties = events
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(<[_]>::len)
+            .max()
+            .unwrap();
+        let (range, peak) = giant_fraction_threshold(&cfg, &model, 0.99);
         assert_eq!(range, all_events_threshold(&cfg, &model, 0.99));
-        assert!(0 < profiled && profiled < 2500, "profiled {profiled}");
-
-        // Nothing moves: every step of the one placement shares its
-        // critical range, so at target 1 every step reaches the answer
-        // bin.
-        let cfg = config(16, 256.0, 1, 80);
-        let model = StationaryModel::new();
-        let search = search.with_target(1.0);
-        let (range, profiled) = giant_fraction_threshold(&cfg, &model, &search).unwrap();
-        assert_eq!(range, all_events_threshold(&cfg, &model, 1.0));
-        assert_eq!(profiled, 80);
+        // A buffer compacts once it passes max(2 · kept, 256), kept
+        // being at most allow + ties, so it holds at most that plus one
+        // step's n − 1 events; the pool holds at most two kept sets.
+        let bound = (2 * (allow + ties)).max(MIN_RETAIN_CAP) + cfg.nodes() - 1;
+        assert!(peak <= bound, "peak {peak} over {bound}");
+        assert!(peak * 10 < events.len(), "peak {peak} of {}", events.len());
     }
 
     #[test]
@@ -811,7 +832,7 @@ mod tests {
         let point = find_critical_range(&cfg, &model, &search).unwrap();
         assert!(point.range > 0.0 && point.range < cfg.region().diameter());
         assert!((point.normalized - point.range / 120.0).abs() < 1e-15);
-        assert_eq!(point.probes, 2, "two merge-profile passes");
+        assert_eq!(point.probes, 1, "one merge-profile pass");
         assert_eq!(
             point.kernel,
             KernelMetrics::default(),
@@ -833,9 +854,8 @@ mod tests {
     }
 
     #[test]
-    fn exact_giant_fraction_does_not_depend_on_the_bin_width() {
-        // The width only splits the work between the two passes; a tiny
-        // tolerance must not allocate `diameter / width` bins either.
+    fn exact_giant_fraction_does_not_depend_on_rel_tol() {
+        // Only the bisection oracle reads the tolerance.
         let cfg = config(12, 120.0, 2, 15);
         let model = RandomWaypoint::new(0.5, 2.0, 1, 0.0).unwrap();
         let find = |rel_tol: f64| {

@@ -319,27 +319,34 @@ fn exact_finder_matches_oracles_at_scale() {
     }
 }
 
-/// The giant-fraction finder in the `critical-scaling --quick` shape
-/// (side 64·√n, pauses scaled to 500 steps, 5 × 500 steps, the four
-/// default models, target 0.99), where pass 2 profiles only the few
-/// steps whose critical range reaches the answer bin: the answer must
-/// still be the profile mean's exact crossing. Release-only.
+/// The giant-fraction finder where its kept events are a small top
+/// slice of each iteration: the `critical-scaling --quick` shape (side
+/// 64·√n, pauses scaled to 500 steps, 5 × 500 steps, target 0.99) on
+/// every registry model at n = 16 and 64, and 2 × 60 steps at n = 512
+/// and 1024. The answer must be the profile mean's exact crossing, and
+/// a 20-iteration cell, whose iterations merge into the shared pool in
+/// whatever order the workers finish, must give the same bits at 1–4
+/// engine threads. Release-only.
 #[test]
 #[ignore = "release-only oracle; run by CI"]
 fn giant_fraction_finder_is_exact_in_the_quick_shape() {
-    let registry = ModelRegistry::<2>::with_builtins();
     let target = 0.99;
-    for nodes in [16, 64] {
+    let shape = |nodes: usize, iterations: usize, steps: usize, threads: usize| {
         let side = 64.0 * (nodes as f64).sqrt();
         let mut b = SimConfig::<2>::builder();
         b.nodes(nodes)
             .side(side)
-            .iterations(5)
-            .steps(500)
-            .seed(20020623);
-        let cfg = b.build().unwrap();
-        let scale = PaperScale::new(side).with_pause(100);
-        for name in ["waypoint", "drunkard", "gauss-markov", "rpgm"] {
+            .iterations(iterations)
+            .steps(steps)
+            .seed(20020623)
+            .threads(threads);
+        let pause = (2000 * steps / 10_000) as u32;
+        (b.build().unwrap(), PaperScale::new(side).with_pause(pause))
+    };
+    let registry = ModelRegistry::<2>::with_builtins();
+    for (nodes, iterations, steps) in [(16, 5, 500), (64, 5, 500), (512, 2, 60), (1024, 2, 60)] {
+        let (cfg, scale) = shape(nodes, iterations, steps, 2);
+        for name in registry.names() {
             let model = registry.build(name, &scale).unwrap();
             let search = CriticalRangeSearch::new().with_target(target);
             let r = find_critical_range(&cfg, &model, &search).unwrap().range;
@@ -354,4 +361,28 @@ fn giant_fraction_finder_is_exact_in_the_quick_shape() {
             );
         }
     }
+
+    let find = |threads: usize| {
+        let (cfg, scale) = shape(64, 20, 100, threads);
+        let model = registry.build("waypoint", &scale).unwrap();
+        let search = CriticalRangeSearch::new().with_target(target);
+        find_critical_range(&cfg, &model, &search).unwrap().range
+    };
+    let reference = find(1);
+    for threads in 2..=4 {
+        assert_eq!(
+            find(threads).to_bits(),
+            reference.to_bits(),
+            "threads {threads}"
+        );
+    }
+    let (cfg, scale) = shape(64, 20, 100, 1);
+    let profiles = step_profiles(&cfg, &registry.build("waypoint", &scale).unwrap());
+    assert!(profile_mean_reaches(&cfg, &profiles, reference, target));
+    assert!(!profile_mean_reaches(
+        &cfg,
+        &profiles,
+        reference.next_down(),
+        target
+    ));
 }
