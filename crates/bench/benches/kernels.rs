@@ -3,10 +3,13 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use manet_bench::placement;
 use manet_core::geom::{Point, Region};
-use manet_core::graph::mst::{minimum_spanning_tree_grid, minimum_spanning_tree_prim};
+use manet_core::graph::mst::{
+    critical_range_grid, critical_range_prim, minimum_spanning_tree_grid,
+    minimum_spanning_tree_prim,
+};
 use manet_core::graph::{
     components, critical_range, minimum_spanning_tree, AdjacencyList, CriticalRangeTracker,
-    MergeProfile, UnionFind,
+    FloorProfile, MergeProfile, UnionFind,
 };
 use manet_core::mobility::{Mobility, RandomWaypoint};
 use manet_core::occupancy::Occupancy;
@@ -29,7 +32,7 @@ fn eight_placements(n: usize, first_seed: u64) -> Vec<Vec<Point<2>>> {
 fn bench_cycling<T>(
     b: &mut criterion::Bencher,
     sets: &[Vec<Point<2>>],
-    f: impl Fn(&[Point<2>]) -> T,
+    mut f: impl FnMut(&[Point<2>]) -> T,
 ) {
     let mut next = 0;
     b.iter(|| {
@@ -60,7 +63,7 @@ fn bench_mst(c: &mut Criterion) {
     let grid = |pts: &[Point<2>]| {
         minimum_spanning_tree_grid(pts).map_or_else(|| minimum_spanning_tree_prim(pts), |t| t.0)
     };
-    for &n in &[128usize, 256, 384, 512, 1000] {
+    for &n in &[128usize, 256, 384, 512, 640, 768, 896, 1000] {
         let sets = placements(n);
         group.bench_function(format!("prim_n={n}"), |b| {
             b.iter(|| {
@@ -87,11 +90,35 @@ fn bench_mst(c: &mut Criterion) {
     });
     group.finish();
 
+    // `critical_range`'s side of the same crossover: dense Prim's
+    // bottleneck-only mode against the bottleneck kernel as the
+    // dispatch would run it, on the `mst` rows' placements.
+    let mut group = c.benchmark_group("critical_range");
+    let grid_bottleneck = |pts: &[Point<2>]| {
+        critical_range_grid(pts).map_or_else(|| critical_range_prim(pts), |c| c.0)
+    };
+    for &n in &[512usize, 640, 768, 896, 1000] {
+        let sets = placements(n);
+        group.bench_function(format!("prim_n={n}"), |b| {
+            b.iter(|| {
+                for pts in &sets {
+                    black_box(critical_range_prim(black_box(pts)));
+                }
+            })
+        });
+        group.bench_function(format!("grid_n={n}"), |b| {
+            b.iter(|| {
+                for pts in &sets {
+                    black_box(grid_bottleneck(black_box(pts)));
+                }
+            })
+        });
+    }
+
     // `critical_range` from `GRID_MST_MIN_NODES` up (recorded in
     // DESIGN.md): the bottleneck kernel against the longest edge of the
     // grid-Kruskal tree it replaced, over the same 8 uniform placements
     // at trace-large's density (side 1024 at n = 2000).
-    let mut group = c.benchmark_group("critical_range");
     for &n in &[2000usize, 20_000] {
         let side = 1024.0 * (n as f64 / 2000.0).sqrt();
         let sets: Vec<Vec<Point<2>>> = (0..8).map(|seed| placement(n, side, 60 + seed)).collect();
@@ -167,6 +194,26 @@ fn bench_merge_profile(c: &mut Criterion) {
         group.bench_function(format!("n={n}"), |b| {
             bench_cycling(b, &sets, MergeProfile::of)
         });
+    }
+    group.finish();
+
+    // `FloorProfile` on the same placements, one profiler reused across
+    // calls: at floor 0 it builds every profile, as the rows above do;
+    // at the median of the placements' critical ranges about half of
+    // them have no event at or above the floor. Consecutive placements
+    // are independent, so the stale-tree screen rarely passes here.
+    // The n >= 512 rows build grid-Kruskal trees (`GRID_MST_MIN_NODES`).
+    let mut group = c.benchmark_group("floor_profile");
+    for &n in &[16usize, 64, 512, 640, 768, 896, 1000] {
+        let sets = eight_placements(n, 80);
+        let mut bottlenecks: Vec<f64> = sets.iter().map(|pts| critical_range(pts)).collect();
+        bottlenecks.sort_by(f64::total_cmp);
+        for (label, floor) in [("0", 0.0), ("median", bottlenecks[sets.len() / 2])] {
+            let mut profile = FloorProfile::new();
+            group.bench_function(format!("n={n}_floor={label}"), |b| {
+                bench_cycling(b, &sets, |pts| profile.events_at_or_above(pts, floor).len())
+            });
+        }
     }
     group.finish();
 }

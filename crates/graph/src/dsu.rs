@@ -22,7 +22,7 @@
 /// uf.union(1, 2);
 /// assert!(uf.is_single_component());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct UnionFind {
     parent: Vec<u32>,
@@ -34,16 +34,28 @@ pub struct UnionFind {
 impl UnionFind {
     /// Creates `n` singleton sets.
     pub fn new(n: usize) -> Self {
+        let mut uf = UnionFind {
+            parent: Vec::new(),
+            size: Vec::new(),
+            components: 0,
+            largest: 0,
+        };
+        uf.reset(n);
+        uf
+    }
+
+    /// Makes `n` singleton sets again, reusing the buffers.
+    pub fn reset(&mut self, n: usize) {
         assert!(
             n <= u32::MAX as usize,
             "UnionFind supports up to 2^32 - 1 elements"
         );
-        UnionFind {
-            parent: (0..n as u32).collect(),
-            size: vec![1; n],
-            components: n,
-            largest: if n == 0 { 0 } else { 1 },
-        }
+        self.parent.clear();
+        self.parent.extend(0..n as u32);
+        self.size.clear();
+        self.size.resize(n, 1);
+        self.components = n;
+        self.largest = if n == 0 { 0 } else { 1 };
     }
 
     /// Number of elements.
@@ -133,6 +145,16 @@ mod tests {
         for i in 0..5 {
             assert_eq!(uf.find(i), i);
         }
+    }
+
+    #[test]
+    fn reset_makes_fresh_singletons() {
+        let mut uf = UnionFind::new(3);
+        uf.union(0, 2);
+        uf.reset(5);
+        assert_eq!(uf, UnionFind::new(5));
+        uf.reset(0);
+        assert_eq!(uf, UnionFind::new(0));
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //!   derived, plus [`CriticalRangeTracker`], which certifies it along
 //!   a trajectory from the previous step's tree;
 //! * [`merge`] — the Kruskal merge profile over the same MST's edges:
-//!   largest component size as a step function of the range;
+//!   largest component size as a step function of the range, and
+//!   [`FloorProfile`], its growth events above a floor along a
+//!   trajectory;
 //! * [`dynamic`] — edge deltas between snapshots and [`DynamicGraph`],
 //!   the streaming path that feeds the temporal-connectivity subsystem
 //!   (`manet-trace`) with per-step changed edges instead of `O(n²)`
@@ -67,7 +69,7 @@ pub use components::ComponentSummary;
 pub use dsu::UnionFind;
 pub use dynamic::{DynamicGraph, EdgeDiff, Skin};
 pub use dynamic_components::DynamicComponents;
-pub use merge::MergeProfile;
+pub use merge::{FloorProfile, MergeProfile};
 pub use mst::{
     critical_range, minimum_spanning_tree, CriticalRangeTracker, MstEdge, TrackerCounts,
 };

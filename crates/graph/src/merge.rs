@@ -17,9 +17,14 @@
 //! `rl90`, `rl75`, `rl50` at which it crosses `0.9n`, `0.75n`, `0.5n`
 //! — can be evaluated *exactly* from one profile per simulation step,
 //! instead of re-simulating for every candidate range.
+//!
+//! [`FloorProfile`] serves callers that want only the events at or
+//! above a floor, one step of a trajectory after another: it skips the
+//! steps whose last tree still shows every event lies below the floor,
+//! and sorts only the tree edges above it.
 
 use crate::dsu::UnionFind;
-use crate::mst::{spanning_edges, MstEdge};
+use crate::mst::{spanning_edges, MstEdge, RawEdge};
 use manet_geom::{covering_range, Point};
 
 /// Step function `r -> size of largest connected component`.
@@ -66,7 +71,9 @@ impl MergeProfile {
     /// Panics naming the first node with a non-finite coordinate (see
     /// [`minimum_spanning_tree`](crate::minimum_spanning_tree)).
     pub fn of<const D: usize>(points: &[Point<D>]) -> Self {
-        Self::from_edges(points.len(), spanning_edges(points), covering_range)
+        let mut edges = Vec::new();
+        spanning_edges(points, &mut edges);
+        Self::from_edges(points.len(), edges, covering_range)
     }
 
     /// The profile of `n` nodes from any of their minimum spanning
@@ -80,29 +87,25 @@ impl MergeProfile {
 
     /// The profile from tree edges `(a, b, w)`, where `range(w)` is the
     /// range admitting an edge of weight `w` and is nondecreasing in
-    /// `w`, so sorting by `w` sorts by range.
-    fn from_edges(n: usize, mut edges: Vec<(u32, u32, f64)>, range: fn(f64) -> f64) -> Self {
-        // Non-negative f64s order as their bit patterns. Unstable is
-        // enough: a tie group collapses into one event, and the
-        // components after the whole group do not depend on the order
-        // its edges merge in.
-        edges.sort_unstable_by_key(|&(_, _, w)| w.to_bits());
-
-        let mut uf = UnionFind::new(n);
-        let mut events: Vec<(f64, u32)> = Vec::new();
-        let mut current_max = 1u32;
-        for (a, b, w) in edges {
-            uf.union(a as usize, b as usize);
-            let m = uf.largest_component() as u32;
-            if m > current_max {
-                current_max = m;
-                let r = range(w);
-                match events.last_mut() {
-                    Some(last) if last.0 == r => last.1 = m,
-                    _ => events.push((r, m)),
-                }
-            }
-        }
+    /// `w`: [`push_growth`] at floor 0, its growths summed into sizes.
+    fn from_edges(n: usize, mut edges: Vec<RawEdge>, range: fn(f64) -> f64) -> Self {
+        let mut growth = Vec::new();
+        let mut components = UnionFind::new(n);
+        push_growth(
+            &mut edges,
+            f64::NEG_INFINITY,
+            range,
+            &mut components,
+            &mut growth,
+        );
+        let mut size = 1;
+        let events = growth
+            .into_iter()
+            .map(|(r, g)| {
+                size += g as u32;
+                (r, size)
+            })
+            .collect();
         MergeProfile { n, events }
     }
 
@@ -164,6 +167,162 @@ impl MergeProfile {
             1 => Some(0.0),
             n => self.range_for_size(n),
         }
+    }
+}
+
+/// The one profile loop. `components` holds the tree's `n` nodes as
+/// singletons. Every edge `(a, b, w)` with `w <= lim` unions unsorted;
+/// then the edges above `lim` are sorted by `w` and union in that
+/// order. Each distinct `range(w)` at which the largest component
+/// grows pushes one `(range, growth)` onto `events`, `growth` counted
+/// from the largest component before that range, which starts at the
+/// largest the edges up to `lim` left. `range` must be nondecreasing
+/// in `w`, so sorting by `w` sorts by range.
+fn push_growth(
+    edges: &mut [RawEdge],
+    lim: f64,
+    range: fn(f64) -> f64,
+    components: &mut UnionFind,
+    events: &mut Vec<(f64, u64)>,
+) {
+    let mut cut = 0;
+    for i in 0..edges.len() {
+        let (a, b, w) = edges[i];
+        if w <= lim {
+            components.union(a as usize, b as usize);
+            edges.swap(cut, i);
+            cut += 1;
+        }
+    }
+    let above = &mut edges[cut..];
+    // Non-negative f64s order as their bit patterns. Unstable is
+    // enough: a tie group collapses into one event, and the components
+    // after the whole group do not depend on the order its edges merge
+    // in.
+    above.sort_unstable_by_key(|&(_, _, w)| w.to_bits());
+    let mut largest = components.largest_component();
+    for &(a, b, w) in &*above {
+        components.union(a as usize, b as usize);
+        let m = components.largest_component();
+        if m > largest {
+            let growth = (m - largest) as u64;
+            largest = m;
+            let r = range(w);
+            match events.last_mut() {
+                Some(last) if last.0 == r => last.1 += growth,
+                _ => events.push((r, growth)),
+            }
+        }
+    }
+}
+
+/// The largest `d²` whose covering range lies below `floor`:
+/// `covering_range(d²) < floor` ⟺ `d² <= below_floor(floor)`, since
+/// `covering_range(d²) <= r` ⟺ `d² <= r·r` for `r = floor.next_down()`.
+/// At floor 0 no range lies below, not even a coincident pair's 0.
+fn below_floor(floor: f64) -> f64 {
+    if floor > 0.0 {
+        let r = floor.next_down();
+        // A `d²` that overflowed to `+∞` has range `+∞`, which no floor
+        // exceeds.
+        (r * r).min(f64::MAX)
+    } else {
+        f64::NEG_INFINITY
+    }
+}
+
+/// The [`MergeProfile`] growth events at or above a floor, for the
+/// steps of one trajectory in turn, with the buffers kept from one
+/// step to the next.
+///
+/// [`events_at_or_above`](Self::events_at_or_above) returns, bit for
+/// bit, the `(range, growth)` events of [`MergeProfile::of`] whose
+/// range is at least `floor`, `growth` being how much the largest
+/// component grows at `range`. Let `lim` be the largest `d²` whose
+/// covering range is below the floor (`floor.next_down()²`), so no
+/// `sqrt` runs except at a growth event:
+///
+/// 1. *Screen.* When `floor > 0` and every pair of the last tree built
+///    (over as many points) is at most `lim` apart at the new
+///    positions, that tree connects the graph below the floor. No
+///    spanning tree's longest edge is shorter than the MST bottleneck,
+///    the step's last event, so the step has no event at or above the
+///    floor and no tree is built. A NaN distance fails the test, so a
+///    non-finite position still reaches the tree builder's panic.
+/// 2. *Cut.* Otherwise the step builds its tree, keeps it for the next
+///    screen, unions the edges up to `lim` unsorted and sorts only the
+///    edges above it. The first event's growth counts from the largest
+///    component the edges below the floor left. Floor 0 takes every
+///    edge: coincident points still make an event at range 0.
+///
+/// # Example
+///
+/// ```
+/// use manet_geom::Point;
+/// use manet_graph::FloorProfile;
+///
+/// // Nodes at 0, 1, 3: events at range 1 (growth 1) and 2 (growth 1).
+/// let pts = vec![Point::new([0.0]), Point::new([1.0]), Point::new([3.0])];
+/// let mut profile = FloorProfile::new();
+/// assert_eq!(profile.events_at_or_above(&pts, 0.0), &[(1.0, 1), (2.0, 1)]);
+/// assert_eq!(profile.events_at_or_above(&pts, 1.5), &[(2.0, 1)]);
+/// // Every edge of the last tree is below 2.5: screened.
+/// assert!(profile.events_at_or_above(&pts, 2.5).is_empty());
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct FloorProfile {
+    /// The last tree built, as `(a, b, d²)`; its pairs screen the next
+    /// step.
+    tree: Vec<RawEdge>,
+    components: UnionFind,
+    events: Vec<(f64, u64)>,
+    trees: u64,
+}
+
+impl FloorProfile {
+    /// A profiler that holds no tree yet.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// How many calls built a tree; the screen answered the others.
+    pub fn trees_built(&self) -> u64 {
+        self.trees
+    }
+
+    /// The growth events of `points`' merge profile whose range is at
+    /// least `floor`, in increasing range order (see the [type
+    /// docs](Self)).
+    ///
+    /// # Panics
+    ///
+    /// As [`MergeProfile::of`], whenever the step builds its tree.
+    pub fn events_at_or_above<const D: usize>(
+        &mut self,
+        points: &[Point<D>],
+        floor: f64,
+    ) -> &[(f64, u64)] {
+        self.events.clear();
+        let lim = below_floor(floor);
+        let screened = floor > 0.0
+            && self.tree.len() + 1 == points.len()
+            && self
+                .tree
+                .iter()
+                .all(|&(a, b, _)| points[a as usize].distance_sq(&points[b as usize]) <= lim);
+        if !screened {
+            self.trees += 1;
+            spanning_edges(points, &mut self.tree);
+            self.components.reset(points.len());
+            push_growth(
+                &mut self.tree,
+                lim,
+                covering_range,
+                &mut self.components,
+                &mut self.events,
+            );
+        }
+        &self.events
     }
 }
 
@@ -276,6 +435,78 @@ mod tests {
             widest_tie >= 50,
             "the lattice must tie: widest group {widest_tie}"
         );
+    }
+
+    /// The `(a, b)` pairs of the profiler's kept tree, each low end
+    /// first, sorted.
+    fn kept_pairs(profile: &FloorProfile) -> Vec<(u32, u32)> {
+        let mut pairs: Vec<_> = profile
+            .tree
+            .iter()
+            .map(|&(a, b, _)| (a.min(b), a.max(b)))
+            .collect();
+        pairs.sort_unstable();
+        pairs
+    }
+
+    #[test]
+    fn stale_edge_above_the_floor_fails_the_screen() {
+        // The stale tree 0–1–2 has its 0–1 pair 3 apart at the new
+        // positions, above the floor 2.8, while the new tree 0–2–1
+        // connects at 2.5, below it. The step must build that tree and
+        // report nothing: profiling the stale tree would report its
+        // 0–1 pair as an event at 3.
+        let before = vec![Point::new([0.0]), Point::new([1.0]), Point::new([2.0])];
+        let after = vec![Point::new([0.0]), Point::new([3.0]), Point::new([0.5])];
+        let mut profile = FloorProfile::new();
+        profile.events_at_or_above(&before, 0.0);
+        assert_eq!(kept_pairs(&profile), [(0, 1), (1, 2)]);
+        assert!(profile.events_at_or_above(&after, 2.8).is_empty());
+        assert_eq!(profile.trees_built(), 2);
+        assert_eq!(kept_pairs(&profile), [(0, 2), (1, 2)]);
+        // The new tree screens the same step, and at the bottleneck
+        // itself the tie group at the floor is an event.
+        assert!(profile.events_at_or_above(&after, 2.8).is_empty());
+        assert_eq!(profile.trees_built(), 2);
+        assert_eq!(profile.events_at_or_above(&after, 2.5), &[(2.5, 1)]);
+        assert_eq!(profile.trees_built(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "minimum_spanning_tree: node 1 has a non-finite coordinate")]
+    fn non_finite_position_fails_the_screen_and_names_the_node() {
+        let pts = vec![Point::new([0.0]), Point::new([0.5]), Point::new([1.0])];
+        let mut profile = FloorProfile::new();
+        profile.events_at_or_above(&pts, 0.0);
+        // Every finite pair of the kept tree would pass at floor 10.
+        let nan = vec![Point::new([0.0]), Point::new([f64::NAN]), Point::new([1.0])];
+        profile.events_at_or_above(&nan, 10.0);
+    }
+
+    #[test]
+    fn coincident_points_make_an_event_at_floor_zero() {
+        let pts = vec![Point::new([1.0]), Point::new([1.0]), Point::new([3.0])];
+        let mut profile = FloorProfile::new();
+        assert_eq!(profile.events_at_or_above(&pts, 0.0), &[(0.0, 1), (2.0, 1)]);
+        // The smallest positive floor leaves the pair below it.
+        let tiny = 0.0_f64.next_up();
+        assert_eq!(profile.events_at_or_above(&pts, tiny), &[(2.0, 1)]);
+    }
+
+    #[test]
+    fn overflowed_pairs_stay_above_every_floor() {
+        // Coordinates 1e200 apart square to `+∞`: the pair's range is
+        // `+∞`, an event at every floor up to `+∞` itself.
+        let pts = vec![Point::new([0.0]), Point::new([1e200])];
+        let mut profile = FloorProfile::new();
+        for floor in [0.0, 1.0, f64::MAX, f64::INFINITY] {
+            assert_eq!(
+                profile.events_at_or_above(&pts, floor),
+                &[(f64::INFINITY, 1)],
+                "floor {floor}"
+            );
+        }
+        assert_eq!(profile.trees_built(), 4);
     }
 
     #[test]

@@ -196,7 +196,7 @@ const GRID_MST_FIRST_RADIUS: f64 = 1.3;
 const GRID_MST_RADIUS_GROWTH: f64 = 1.5;
 
 /// A spanning-tree edge before orientation: `(a, b, d²)`.
-type RawEdge = (u32, u32, f64);
+pub(crate) type RawEdge = (u32, u32, f64);
 
 /// Grid-Kruskal's unoriented tree where the dispatch rule of the
 /// [module docs](self) takes the grid, with the pairs it examined, or
@@ -221,16 +221,16 @@ fn spanning_tree<const D: usize>(points: &[Point<D>]) -> (Vec<MstEdge>, u64) {
     }
 }
 
-/// The edges of [`minimum_spanning_tree`]'s tree as `(a, b, d²)`, in
-/// no particular order: what [`MergeProfile`](crate::MergeProfile)
-/// sorts, with no orientation and no per-edge `covering_range`.
-pub(crate) fn spanning_edges<const D: usize>(points: &[Point<D>]) -> Vec<RawEdge> {
+/// Replaces `edges` with the edges of [`minimum_spanning_tree`]'s tree
+/// as `(a, b, d²)`, in no particular order: what
+/// [`MergeProfile`](crate::MergeProfile) sorts, with no orientation and
+/// no per-edge `covering_range`. Prim's trees reuse the buffer.
+pub(crate) fn spanning_edges<const D: usize>(points: &[Point<D>], edges: &mut Vec<RawEdge>) {
     match grid_tree(points) {
-        Ok((tree, _)) => tree,
+        Ok((tree, _)) => *edges = tree,
         Err(_) => {
-            let mut edges = Vec::with_capacity(points.len().saturating_sub(1));
+            edges.clear();
             dense_prim::<D, true>(points, |a, b, d2| edges.push((a, b, d2)));
-            edges
         }
     }
 }
@@ -754,6 +754,19 @@ pub fn critical_range_grid<const D: usize>(points: &[Point<D>]) -> Option<(f64, 
     grid_bottleneck(points)
         .ok()
         .map(|(d2, pairs)| (covering_range(d2), pairs))
+}
+
+/// Dense Prim's bottleneck-only mode at any `n`, [`critical_range`]'s
+/// path below [`GRID_MST_MIN_NODES`]; exposed for the benches that
+/// place the crossover.
+///
+/// # Panics
+///
+/// As [`minimum_spanning_tree`].
+#[doc(hidden)]
+pub fn critical_range_prim<const D: usize>(points: &[Point<D>]) -> f64 {
+    assert_finite(points);
+    covering_range(prim_bottleneck(points))
 }
 
 /// Length of the longest edge (`0.0` for none).

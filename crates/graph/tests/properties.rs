@@ -1605,3 +1605,112 @@ fn critical_range_k_is_exact_on_every_registry_model() {
 fn critical_range_k_is_exact_on_every_registry_model_at_n64() {
     assert_exact_on_placements(&registry_placements(64));
 }
+
+// ---------------------------------------------------------------------------
+// FloorProfile: the merge profile's growth events at or above a floor.
+// ---------------------------------------------------------------------------
+
+use manet_graph::FloorProfile;
+
+/// `MergeProfile::of`'s events as `(range bits, growth)`, each growth
+/// counted from the event before it, kept where the range is at least
+/// `floor`.
+fn profile_events_at_or_above(pts: &[Point<2>], floor: f64) -> Vec<(u64, u64)> {
+    let mut size = 1;
+    let mut out = Vec::new();
+    for &(range, s) in MergeProfile::of(pts).events() {
+        if range >= floor {
+            out.push((range.to_bits(), u64::from(s - size)));
+        }
+        size = s;
+    }
+    out
+}
+
+fn bits(events: &[(f64, u64)]) -> Vec<(u64, u64)> {
+    events.iter().map(|&(r, g)| (r.to_bits(), g)).collect()
+}
+
+/// `n` points of one kind and the same points one step later: uniform
+/// on side 100 (then jittered), on a small integer lattice with
+/// duplicates (then some moved one unit), or stacked on a few
+/// coincident sites (then some moved to another site).
+fn floor_fixture(kind: u8, n: usize, seed: u64) -> (Vec<Point<2>>, Vec<Point<2>>) {
+    use rand::RngExt;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let (before, after): (Vec<_>, Vec<_>) = match kind {
+        0 => (0..n)
+            .map(|_| {
+                let p = [rng.random_range(0.0..100.0), rng.random_range(0.0..100.0)];
+                let q = p.map(|c| c + rng.random_range(-0.5..0.5));
+                (Point::new(p), Point::new(q))
+            })
+            .unzip(),
+        1 => {
+            let side = ((n as f64).sqrt() * 0.8).ceil().max(1.0) as u32;
+            (0..n)
+                .map(|_| {
+                    let p = [0, 1].map(|_| f64::from(rng.random_range(0..side)));
+                    let mut q = p;
+                    if rng.random_range(0.0..1.0) < 0.2 {
+                        q[rng.random_range(0..2usize)] += 1.0;
+                    }
+                    (Point::new(p), Point::new(q))
+                })
+                .unzip()
+        }
+        _ => {
+            let sites: Vec<[f64; 2]> = (0..1 + n / 8)
+                .map(|_| [rng.random_range(0.0..50.0), rng.random_range(0.0..50.0)])
+                .collect();
+            (0..n)
+                .map(|_| {
+                    let p = sites[rng.random_range(0..sites.len())];
+                    let q = if rng.random_range(0.0..1.0) < 0.2 {
+                        sites[rng.random_range(0..sites.len())]
+                    } else {
+                        p
+                    };
+                    (Point::new(p), Point::new(q))
+                })
+                .unzip()
+        }
+    };
+    (before, after)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The profiler returns `MergeProfile::of`'s events at or above the
+    /// floor bit for bit, holding no tree, its own tree (the screen's
+    /// exact case) and the previous step's tree. Floors: 0, the
+    /// bottleneck and one ulp above it, and event ranges picked at
+    /// random with the floats either side.
+    #[test]
+    fn floor_profile_matches_the_filtered_merge_profile(
+        kind in 0u8..3,
+        n in 0usize..=600,
+        seed in any::<u64>(),
+        picks in prop::collection::vec(any::<u64>(), 0..3),
+    ) {
+        let (before, after) = floor_fixture(kind, n, seed);
+        let ranges: Vec<f64> = MergeProfile::of(&after).events().iter().map(|e| e.0).collect();
+        let mut floors = vec![0.0];
+        if let Some(&last) = ranges.last() {
+            floors.extend([last, last.next_up()]);
+            for pick in &picks {
+                let r = ranges[(pick % ranges.len() as u64) as usize];
+                floors.extend([r.next_down(), r, r.next_up()]);
+            }
+        }
+        for floor in floors.into_iter().filter(|&f| f >= 0.0) {
+            let want = profile_events_at_or_above(&after, floor);
+            let mut profile = FloorProfile::new();
+            prop_assert_eq!(bits(profile.events_at_or_above(&after, floor)), want.clone());
+            prop_assert_eq!(bits(profile.events_at_or_above(&after, floor)), want.clone());
+            profile.events_at_or_above(&before, 0.0);
+            prop_assert_eq!(bits(profile.events_at_or_above(&after, floor)), want, "floor {}", floor);
+        }
+    }
+}

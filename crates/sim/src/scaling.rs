@@ -31,11 +31,18 @@
 //!   answer. Each iteration therefore keeps only its top tie groups
 //!   while the growth above them is at most `allow`, compacting when
 //!   its buffer doubles, and pushes nothing below the lowest kept range
-//!   once the kept growth exceeds `allow`. Finished iterations merge
-//!   into one shared pool compacted by the same rule, so the answer
-//!   does not depend on merge order. Memory is `O(allow + largest tie
-//!   group)` pooled events plus one buffer per worker, and the answer
-//!   is exact in the graph builders' `d² <= r·r` convention.
+//!   (its floor) once the kept growth exceeds `allow`. Finished
+//!   iterations merge into one shared pool compacted by the same rule,
+//!   so the answer does not depend on merge order, and an iteration
+//!   that starts later takes the pool's floor as its own: every event
+//!   below it already has more than `allow` growth above it in the
+//!   pool. Each step runs [`FloorProfile`], which skips a step whose
+//!   previous tree is still shorter than the floor at the new
+//!   positions (its MST bottleneck, the last event, lies below the
+//!   floor) and otherwise sorts only the tree edges at or above it.
+//!   Memory is `O(allow + largest tie group)` pooled events plus one
+//!   buffer per worker, and the answer is exact in the graph builders'
+//!   `d² <= r·r` convention.
 //! * **k-connectivity: the pooled quantile.** Step `t` is k-connected
 //!   at `r` ⟺ `c_t^(k) <= r`, so the threshold is an order statistic
 //!   of the per-step thresholds, from one campaign. For `k = 1`,
@@ -65,6 +72,8 @@
 //! reports both; [`fit_scaling_exponent`] fits `log rho_c` against
 //! `log n` and reports `beta = -slope` with a Student-t confidence
 //! interval from [`LinearFit::fit_with_slope_ci`].
+//!
+//! [`MergeProfile::largest_component_at`]: manet_graph::MergeProfile::largest_component_at
 
 use crate::{
     config::SimConfig,
@@ -74,7 +83,7 @@ use crate::{
     SimError,
 };
 use manet_graph::kconn::{critical_range_k, is_k_connected};
-use manet_graph::{AdjacencyList, ComponentSummary, MergeProfile};
+use manet_graph::{AdjacencyList, ComponentSummary, FloorProfile};
 use manet_mobility::Mobility;
 use manet_obs::KernelMetrics;
 use manet_stats::{ConfidenceInterval, FrozenSeries, LinearFit};
@@ -364,17 +373,6 @@ where
     })
 }
 
-/// Calls `f(range, growth)` for every event of the merge profile of
-/// `view`'s positions, `growth` being how much the largest component
-/// grows at `range`.
-fn for_each_growth<const D: usize>(view: &StepView<'_, D>, mut f: impl FnMut(f64, u64)) {
-    let mut size = 1;
-    for &(range, s) in MergeProfile::of(view.positions()).events() {
-        f(range, u64::from(s - size));
-        size = s;
-    }
-}
-
 /// The largest deficit `allow` the target tolerates: the pooled mean
 /// over `total = iterations · steps · n` node slots reaches `target`
 /// with `total − allow` slots in largest components, and not with one
@@ -417,23 +415,27 @@ fn retain_top(events: &mut Vec<(u64, u64)>, allow: u64) -> Option<u64> {
     events.last().filter(|_| above > allow).map(|e| e.0)
 }
 
-/// The cell's kept growth events, and the most events any buffer or
-/// the pool held at once.
+/// The cell's kept growth events, the lowest range any compaction of
+/// them has kept (0 until one exceeds `allow`), and the most events any
+/// buffer or the pool held at once.
 #[derive(Default)]
 struct Pool {
     events: Vec<(u64, u64)>,
+    floor: u64,
     peak: usize,
 }
 
-/// One iteration's growth events at or above its `floor`, compacted by
-/// [`retain_top`] whenever the buffer passes `cap`, and merged into
-/// the shared pool when the iteration ends.
+/// One iteration's growth events at or above its `floor`, which starts
+/// at the pool's: [`FloorProfile`] profiles each step above the floor,
+/// the buffer is compacted by [`retain_top`] whenever it passes `cap`,
+/// and it merges into the shared pool when the iteration ends.
 struct TopGrowth<'a> {
     allow: u64,
     floor: u64,
     cap: usize,
     events: Vec<(u64, u64)>,
     peak: usize,
+    profile: FloorProfile,
     pool: &'a Mutex<Pool>,
 }
 
@@ -451,11 +453,10 @@ impl<const D: usize> ConnectivityObserver<D> for TopGrowth<'_> {
     type Output = ();
 
     fn observe(&mut self, view: &StepView<'_, D>) {
-        for_each_growth(view, |range, growth| {
-            if range.to_bits() >= self.floor {
-                self.events.push((range.to_bits(), growth));
-            }
-        });
+        let floor = f64::from_bits(self.floor);
+        let growth = self.profile.events_at_or_above(view.positions(), floor);
+        self.events
+            .extend(growth.iter().map(|&(range, g)| (range.to_bits(), g)));
         if self.events.len() > self.cap {
             self.compact();
         }
@@ -468,7 +469,9 @@ impl<const D: usize> ConnectivityObserver<D> for TopGrowth<'_> {
         let mut pool = self.pool.lock().unwrap_or_else(PoisonError::into_inner);
         pool.events.append(&mut self.events);
         pool.peak = pool.peak.max(self.peak).max(pool.events.len());
-        retain_top(&mut pool.events, self.allow);
+        if let Some(floor) = retain_top(&mut pool.events, self.allow) {
+            pool.floor = pool.floor.max(floor);
+        }
     }
 }
 
@@ -490,10 +493,11 @@ where
     let pool = Mutex::new(Pool::default());
     run_connectivity_stream(config, model, |_| TopGrowth {
         allow,
-        floor: 0,
+        floor: pool.lock().unwrap_or_else(PoisonError::into_inner).floor,
         cap: MIN_RETAIN_CAP,
         events: Vec::new(),
         peak: 0,
+        profile: FloorProfile::new(),
         pool: &pool,
     });
     let mut pool = pool.into_inner().unwrap_or_else(PoisonError::into_inner);
@@ -572,6 +576,7 @@ mod tests {
     use crate::critical::simulate_critical_ranges;
     use crate::fixed::simulate_fixed_ranges;
     use manet_geom::{Point, Region};
+    use manet_graph::MergeProfile;
     use manet_mobility::{RandomWaypoint, StationaryModel};
     use rand::Rng;
 
@@ -620,7 +625,8 @@ mod tests {
             .collect()
     }
 
-    /// Every `(range, growth)` event of every step of the cell.
+    /// Every `(range, growth)` event of every step of the cell, from
+    /// [`MergeProfile::of`].
     fn all_events<M>(cfg: &SimConfig<2>, model: &M) -> Vec<(f64, u64)>
     where
         M: Mobility<2> + Clone + Send + Sync,
@@ -629,7 +635,11 @@ mod tests {
         impl ConnectivityObserver<2> for AllEvents {
             type Output = Vec<(f64, u64)>;
             fn observe(&mut self, view: &StepView<'_, 2>) {
-                for_each_growth(view, |range, growth| self.0.push((range, growth)));
+                let mut size = 1;
+                for &(range, s) in MergeProfile::of(view.positions()).events() {
+                    self.0.push((range, u64::from(s - size)));
+                    size = s;
+                }
             }
             fn finish(self) -> Vec<(f64, u64)> {
                 self.0
@@ -689,6 +699,54 @@ mod tests {
         assert_eq!(range, 3.0);
         assert_eq!(range, all_events_threshold(&cfg, &model, 0.89));
         assert!(peak < all_events(&cfg, &model).len(), "peak {peak}");
+    }
+
+    #[test]
+    fn script_trajectory_is_screened_after_its_first_step() {
+        // From step 1 on, four nodes sit on a row at spacing 1: every
+        // spanning tree of it has pairs at most 3 apart, and its
+        // profile is one event of growth 3 at range 1.
+        struct Screened {
+            profile: FloorProfile,
+            floor: f64,
+            events: Vec<(usize, f64, u64)>,
+        }
+        impl ConnectivityObserver<2> for Screened {
+            type Output = (Vec<(usize, f64, u64)>, u64);
+            fn observe(&mut self, view: &StepView<'_, 2>) {
+                let step = view.step();
+                let events = self
+                    .profile
+                    .events_at_or_above(view.positions(), self.floor);
+                self.events
+                    .extend(events.iter().map(|&(r, g)| (step, r, g)));
+            }
+            fn finish(self) -> Self::Output {
+                (self.events, self.profile.trees_built())
+            }
+        }
+        let cfg = config(4, 100.0, 1, 10);
+        let model = Script::new(vec![row(4, 1.0)]);
+        let run = |floor: f64| {
+            let mut out = run_connectivity_stream(&cfg, &model, |_| Screened {
+                profile: FloorProfile::new(),
+                floor,
+                events: Vec::new(),
+            });
+            let (mut events, trees) = out.pop().unwrap();
+            // Step 0 is the seeded uniform placement: check the row.
+            events.retain(|e| e.0 > 0);
+            (events, trees)
+        };
+        // Above 3, step 0's tree already screens step 1: one tree.
+        assert_eq!(run(3.5), (vec![], 1));
+        // Just above 1, step 1 still has stale pairs up to 3 apart and
+        // builds the row's tree, which screens every later step.
+        assert_eq!(run(1.0_f64.next_up()), (vec![], 2));
+        // At 1 itself the row's tie group is an event on every step.
+        let (events, trees) = run(1.0);
+        assert_eq!(trees, 10);
+        assert_eq!(events, (1..10).map(|s| (s, 1.0, 3)).collect::<Vec<_>>());
     }
 
     #[test]

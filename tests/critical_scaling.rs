@@ -97,6 +97,40 @@ fn step_profiles(cfg: &SimConfig<2>, model: &AnyModel<2>) -> Vec<MergeProfile> {
         .collect()
 }
 
+/// The exact giant-fraction threshold from every event of `profiles`,
+/// clamped into the finder's bracket `[1e-9, diameter]`: the lowest
+/// event range at which the pooled largest components reach `target`,
+/// or 0 when the singletons already do.
+fn all_events_threshold(cfg: &SimConfig<2>, profiles: &[MergeProfile], target: f64) -> f64 {
+    let mut events: Vec<(f64, u64)> = profiles
+        .iter()
+        .flat_map(|p| {
+            let mut size = 1;
+            p.events().iter().map(move |&(range, s)| {
+                let growth = u64::from(s - size);
+                size = s;
+                (range, growth)
+            })
+        })
+        .collect();
+    events.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let slots = (profiles.len() * cfg.nodes()) as u64;
+    let reaches = |filled: u64| filled as f64 / slots as f64 >= target;
+    let mut filled = profiles.len() as u64;
+    let range = if reaches(filled) {
+        0.0
+    } else {
+        events
+            .into_iter()
+            .find_map(|(range, growth)| {
+                filled += growth;
+                reaches(filled).then_some(range)
+            })
+            .unwrap()
+    };
+    range.clamp(1e-9, cfg.region().diameter())
+}
+
 /// Whether the mean of `largest_component_at(r) / n` over every step of
 /// every iteration reaches `target`, summed in integers.
 fn profile_mean_reaches(
@@ -324,9 +358,11 @@ fn exact_finder_matches_oracles_at_scale() {
 /// 64·√n, pauses scaled to 500 steps, 5 × 500 steps, target 0.99) on
 /// every registry model at n = 16 and 64, and 2 × 60 steps at n = 512
 /// and 1024. The answer must be the profile mean's exact crossing, and
-/// a 20-iteration cell, whose iterations merge into the shared pool in
-/// whatever order the workers finish, must give the same bits at 1–4
-/// engine threads. Release-only.
+/// at targets 0.5, 0.9 and 1 the threshold of every step's events, bit
+/// for bit. A 20-iteration cell, whose iterations merge into the
+/// shared pool and seed their floors from it in whatever order the
+/// workers finish, must give the same bits at 1–4 engine threads.
+/// Release-only.
 #[test]
 #[ignore = "release-only oracle; run by CI"]
 fn giant_fraction_finder_is_exact_in_the_quick_shape() {
@@ -359,6 +395,19 @@ fn giant_fraction_finder_is_exact_in_the_quick_shape() {
                 !profile_mean_reaches(&cfg, &profiles, r.next_down(), target),
                 "{name} n = {nodes}: the profile mean already reaches the target below {r}"
             );
+            assert_eq!(
+                r.to_bits(),
+                all_events_threshold(&cfg, &profiles, target).to_bits()
+            );
+            for other in [0.5, 0.9, 1.0] {
+                let search = search.with_target(other);
+                let r = find_critical_range(&cfg, &model, &search).unwrap().range;
+                assert_eq!(
+                    r.to_bits(),
+                    all_events_threshold(&cfg, &profiles, other).to_bits(),
+                    "{name} n = {nodes} target {other}"
+                );
+            }
         }
     }
 
