@@ -161,7 +161,10 @@ fn waypoint_trajectory(n: usize, steps: usize, seed: u64) -> Vec<Vec<Point<2>>> 
 /// Per-step critical range along one fixed 200-step trajectory: the
 /// warm-start tracker (fresh per pass, so each pass pays its first-step
 /// reseed, as each simulation iteration does) against one stateless
-/// Prim per step. Divide ns/iter by 200 for the per-step cost.
+/// Prim per step. Every row folds the steps to their maximum, `r100`;
+/// the `ceiling` rows compute only that, passing the running maximum
+/// as the tracker's ceiling, as Figures 7–9's r100 pass does. Divide
+/// ns/iter by 200 for the per-step cost.
 fn bench_critical_range_warm(c: &mut Criterion) {
     let mut group = c.benchmark_group("critical_range_warm");
     for &n in &[16usize, 64, 128] {
@@ -173,6 +176,16 @@ fn bench_critical_range_warm(c: &mut Criterion) {
                     .iter()
                     .map(|pts| tracker.critical_range(black_box(pts)))
                     .fold(0.0, f64::max)
+            })
+        });
+        group.bench_function(format!("ceiling_n={n}_200_steps"), |b| {
+            b.iter(|| {
+                let mut tracker = CriticalRangeTracker::new();
+                trajectory.iter().fold(f64::NEG_INFINITY, |max, pts| {
+                    tracker
+                        .critical_range_above(black_box(pts), max)
+                        .unwrap_or(max)
+                })
             })
         });
         group.bench_function(format!("prim_n={n}_200_steps"), |b| {

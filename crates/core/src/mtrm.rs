@@ -15,7 +15,10 @@
 //! range-free metric is an accessor on its result: [`MtrmProblem::solve`]
 //! runs the critical-range pass behind [`MtrmSolution`], and
 //! [`MtrmProblem::campaign`] runs one fused pass that also records the
-//! component-size profiles behind [`MtrmCampaign`]. A solution keeps the
+//! component-size profiles behind [`MtrmCampaign`], and
+//! [`MtrmProblem::r100_per_iteration`] runs a pass that keeps only each
+//! iteration's `r100`, certifying only the steps that could raise it
+//! (the paper's Figures 7–9 read nothing else). A solution keeps the
 //! time-ordered per-step critical-range series `c_t`, so
 //! [`MtrmSolution::uptime_at`] reads outage runs off the same campaign
 //! as the quantiles. Query the result as often as needed; nothing
@@ -34,8 +37,9 @@
 use crate::CoreError;
 use manet_mobility::AnyModel;
 use manet_sim::{
-    simulate_campaign, simulate_fixed_ranges, simulate_raw_critical_series, CriticalRangeResults,
-    FixedRangeReport, MobileRangeSummary, ProfileResults, RangeQuantiles, SimConfig, UptimeSummary,
+    simulate_campaign, simulate_fixed_ranges, simulate_max_critical_ranges,
+    simulate_raw_critical_series, CriticalRangeResults, FixedRangeReport, MobileRangeSummary,
+    ProfileResults, RangeQuantiles, SimConfig, UptimeSummary,
 };
 
 /// An MTRM problem instance: configuration plus mobility model.
@@ -167,6 +171,15 @@ impl<const D: usize> MtrmProblem<D> {
     /// Propagates [`CoreError::Sim`].
     pub fn solve(&self) -> Result<MtrmSolution, CoreError> {
         MtrmSolution::new(simulate_raw_critical_series(&self.config, &self.model))
+    }
+
+    /// Each iteration's `r100`, its largest per-step critical range, in
+    /// iteration order: one critical-range pass that certifies only the
+    /// steps able to raise the running maximum. Bit for bit the maxima
+    /// of [`MtrmProblem::solve`]'s per-iteration series, so their
+    /// maximum is its pooled `r100` and their moments its `ranges.r100`.
+    pub fn r100_per_iteration(&self) -> Vec<f64> {
+        simulate_max_critical_ranges(&self.config, &self.model)
     }
 
     /// Runs one fused pass recording both the critical range of every
@@ -460,6 +473,55 @@ mod tests {
         for s in sol.critical.per_iteration() {
             let sorted = UptimeReport::from_series(s.as_sorted(), median).unwrap();
             assert!(sorted.failures <= 1);
+        }
+    }
+
+    /// `r100_per_iteration()` is the r100-only pass of Figures 7–9: on
+    /// every registry model, at n = 16 and 64 and at 1 and 3 threads,
+    /// its maxima are bit for bit those of `solve()`'s series, and they
+    /// give its pooled `r100` and its `ranges.r100` moments.
+    #[test]
+    fn r100_per_iteration_matches_solve_on_every_registry_model() {
+        let registry = ModelRegistry::<2>::with_builtins();
+        assert_eq!(registry.names().len(), 13);
+        for n in [16, 64] {
+            let side = (n * n) as f64;
+            let scale = PaperScale::new(side).with_pause(20);
+            for threads in [1, 3] {
+                let config = SimConfig::<2>::builder()
+                    .nodes(n)
+                    .side(side)
+                    .iterations(4)
+                    .steps(100)
+                    .seed(0xA117)
+                    .threads(threads)
+                    .build()
+                    .unwrap();
+                for name in registry.names() {
+                    let p = MtrmProblem::new(config.clone(), registry.build(name, &scale).unwrap());
+                    let at = format!("{name} n={n} threads={threads}");
+                    let maxima = p.r100_per_iteration();
+                    let sol = p.solve().unwrap();
+                    let want: Vec<u64> = sol
+                        .critical
+                        .per_iteration()
+                        .iter()
+                        .map(|s| s.max().to_bits())
+                        .collect();
+                    let got: Vec<u64> = maxima.iter().map(|m| m.to_bits()).collect();
+                    assert_eq!(got, want, "{at}");
+                    let pooled = maxima.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                    let r100 = sol.pooled_quantiles().unwrap().r100;
+                    assert_eq!(pooled.to_bits(), r100.to_bits(), "{at}");
+                    let mut moments = manet_stats::RunningMoments::new();
+                    moments.extend(maxima);
+                    assert_eq!(
+                        format!("{moments:?}"),
+                        format!("{:?}", sol.ranges.r100),
+                        "{at}"
+                    );
+                }
+            }
         }
     }
 

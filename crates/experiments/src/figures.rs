@@ -10,8 +10,8 @@ use crate::common::{self, banner, fmt, nodes_for_side, r_stationary, RunOptions,
 use crate::obs::ObsSession;
 use manet_core::mobility::{Drunkard, RandomWaypoint};
 use manet_core::sim::{MobileRangeSummary, ProfileResults, RangeQuantiles};
+use manet_core::stats::RunningMoments;
 use manet_core::{AnyModel, CoreError, MtrmProblem, MtrmSolution};
-use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The mobility model of one figure campaign, with every parameter
@@ -101,44 +101,92 @@ impl CampaignKey {
     }
 }
 
+/// How much of a campaign the figures read, shallowest first. A deeper
+/// entry answers every shallower request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Depth {
+    /// Each iteration's `r100` only (Figures 7–9):
+    /// [`MtrmProblem::r100_per_iteration`].
+    R100,
+    /// Every step's critical range, for the quantiles (Figures 2–3):
+    /// [`MtrmProblem::solve`].
+    Series,
+    /// The series fused with the component-size profiles (Figures 4–6):
+    /// [`MtrmProblem::campaign`].
+    Fused,
+}
+
 /// What the figure rows read from one campaign. It keeps no raw
 /// critical-range series, so an entry is O(iterations · bins), not
 /// O(iterations · steps).
 #[derive(Debug)]
 struct CampaignRows {
-    /// Quantiles of all steps pooled over the iterations (`r100` is the
-    /// pooled max).
-    pooled: RangeQuantiles,
-    /// Across-iteration moments of `r100/r90/r10/r0`.
-    ranges: MobileRangeSummary,
-    /// Component-size profiles; `None` for a critical-only campaign.
+    /// The largest critical range over every step of every iteration.
+    r100: f64,
+    /// Across-iteration moments of each iteration's `r100`.
+    r100_moments: RunningMoments,
+    /// Quantiles of all steps pooled over the iterations, and the
+    /// across-iteration moments of `r100/r90/r10/r0`; `None` for an
+    /// r100-only campaign.
+    quantiles: Option<(RangeQuantiles, MobileRangeSummary)>,
+    /// Component-size profiles; `None` unless fused.
     profiles: Option<ProfileResults>,
 }
 
 impl CampaignRows {
-    /// Simulates `key`'s campaign: fused with the profile pass when
-    /// `fused`, otherwise the critical-range pass alone.
-    fn simulate(opts: &RunOptions, key: &CampaignKey, fused: bool) -> Result<Self, CoreError> {
+    /// Simulates `key`'s campaign at `depth`.
+    fn simulate(opts: &RunOptions, key: &CampaignKey, depth: Depth) -> Result<Self, CoreError> {
         let p = key.problem(opts)?;
-        if fused {
-            let campaign = p.campaign()?;
-            let profiles = campaign.component_profiles().clone();
-            Self::of(campaign.solution(), Some(profiles))
-        } else {
-            Self::of(&p.solve()?, None)
+        match depth {
+            Depth::R100 => {
+                let maxima = p.r100_per_iteration();
+                let mut r100_moments = RunningMoments::new();
+                r100_moments.extend(maxima.iter().copied());
+                Ok(CampaignRows {
+                    r100: maxima.into_iter().fold(f64::NEG_INFINITY, f64::max),
+                    r100_moments,
+                    quantiles: None,
+                    profiles: None,
+                })
+            }
+            Depth::Series => Self::of(&p.solve()?, None),
+            Depth::Fused => {
+                let campaign = p.campaign()?;
+                let profiles = campaign.component_profiles().clone();
+                Self::of(campaign.solution(), Some(profiles))
+            }
         }
     }
 
     fn of(solution: &MtrmSolution, profiles: Option<ProfileResults>) -> Result<Self, CoreError> {
+        let pooled = solution.pooled_quantiles()?;
         Ok(CampaignRows {
-            pooled: solution.pooled_quantiles()?,
-            ranges: solution.ranges,
+            r100: pooled.r100,
+            r100_moments: solution.ranges.r100,
+            quantiles: Some((pooled, solution.ranges)),
             profiles,
         })
     }
 
-    /// The profiles, which a profile-reading figure requested or its
-    /// run planned ([`FigureRun::for_all_figures`]).
+    fn depth(&self) -> Depth {
+        match (&self.quantiles, &self.profiles) {
+            (_, Some(_)) => Depth::Fused,
+            (Some(_), None) => Depth::Series,
+            (None, None) => Depth::R100,
+        }
+    }
+
+    /// The pooled quantiles and the across-iteration moments, which
+    /// [`FigureRun::campaign`] simulated for a request at
+    /// [`Depth::Series`] or deeper.
+    fn quantiles(&self) -> Result<&(RangeQuantiles, MobileRangeSummary), CoreError> {
+        self.quantiles.as_ref().ok_or_else(|| CoreError::Invalid {
+            reason: "campaign was run without its critical-range series".into(),
+        })
+    }
+
+    /// The profiles, which [`FigureRun::campaign`] simulated for a
+    /// request at [`Depth::Fused`].
     fn profiles(&self) -> Result<&ProfileResults, CoreError> {
         self.profiles.as_ref().ok_or_else(|| CoreError::Invalid {
             reason: "campaign was run without component profiles".into(),
@@ -192,26 +240,29 @@ impl FigureRun {
         Ok(rs)
     }
 
-    /// `key`'s campaign rows, simulated once per run under a `campaign`
-    /// span. The campaign runs fused when this call asks for
-    /// `profiles` or the run planned a later profile read of `key`.
+    /// `key`'s campaign rows, simulated under a `campaign` span at
+    /// `depth`, or fused when the run planned a later profile read of
+    /// `key`. An entry already deep enough answers; a shallower one is
+    /// re-run at the deeper depth and replaced.
     fn campaign(
         &mut self,
         opts: &RunOptions,
         session: &mut ObsSession,
         key: CampaignKey,
-        profiles: bool,
+        depth: Depth,
     ) -> Result<&CampaignRows, CoreError> {
-        match self.campaigns.entry(key) {
-            Entry::Occupied(e) => Ok(e.into_mut()),
-            Entry::Vacant(e) => {
-                let fused = profiles || self.fused.contains(&key);
-                session.span_enter("campaign");
-                let rows = CampaignRows::simulate(opts, &key, fused);
-                session.span_exit();
-                Ok(e.insert(rows?))
-            }
+        let depth = if self.fused.contains(&key) {
+            Depth::Fused
+        } else {
+            depth
+        };
+        if self.campaigns.get(&key).is_none_or(|c| c.depth() < depth) {
+            session.span_enter("campaign");
+            let rows = CampaignRows::simulate(opts, &key, depth);
+            session.span_exit();
+            self.campaigns.insert(key, rows?);
         }
+        Ok(&self.campaigns[&key])
     }
 }
 
@@ -228,11 +279,11 @@ fn write_table(opts: &RunOptions, table: &Table, name: &str) -> Result<(), CoreE
 }
 
 /// One figure over the paper's sides `l ∈ L_VALUES`: per side, the
-/// campaign of `key(l)` (with profiles when `profiles`) and the side's
-/// `r_stationary` feed `row`.
+/// campaign of `key(l)` at `depth` and the side's `r_stationary` feed
+/// `row`.
 #[expect(
     clippy::too_many_arguments,
-    reason = "the run context (options, session, memo) plus one figure's labels, key, profile need and row"
+    reason = "the run context (options, session, memo) plus one figure's labels, key, depth and row"
 )]
 fn side_sweep<K, R>(
     opts: &RunOptions,
@@ -242,7 +293,7 @@ fn side_sweep<K, R>(
     title: &str,
     headers: &[&str],
     key: K,
-    profiles: bool,
+    depth: Depth,
     row: R,
 ) -> Result<(), CoreError>
 where
@@ -261,7 +312,7 @@ where
             common::L_VALUES.len()
         ));
         let rs = run.r_stationary(opts, session, l)?;
-        let rows = run.campaign(opts, session, key, profiles)?;
+        let rows = run.campaign(opts, session, key, depth)?;
         session.span_enter(&format!("{name}/side"));
         let cells = row(rs, rows);
         session.span_exit();
@@ -288,15 +339,15 @@ const RANGE_RATIO_HEADERS: [&str; 9] = [
 /// aggregation remains available in the library
 /// (`CriticalRangeResults::summary`) and is ablated in DESIGN.md §6.
 fn range_ratio_row(rs: f64, c: &CampaignRows) -> Result<Vec<String>, CoreError> {
-    let q = c.pooled;
+    let (q, ranges) = c.quantiles()?;
     Ok(vec![
         fmt(rs),
         fmt(q.r100 / rs),
         fmt(q.r90 / rs),
         fmt(q.r10 / rs),
         fmt(q.r0 / rs),
-        fmt(c.ranges.r100.sample_std_dev() / rs),
-        fmt(c.ranges.r90.sample_std_dev() / rs),
+        fmt(ranges.r100.sample_std_dev() / rs),
+        fmt(ranges.r90.sample_std_dev() / rs),
     ])
 }
 
@@ -308,8 +359,9 @@ const COMPONENT_HEADERS: [&str; 5] = ["l", "n", "at_r90", "at_r10", "at_r0"];
 /// `r10`, `r0`.
 fn component_row(_rs: f64, c: &CampaignRows) -> Result<Vec<String>, CoreError> {
     let profiles = c.profiles()?;
+    let (q, _) = c.quantiles()?;
     let at = |r: f64| fmt(profiles.mean_average_fraction_at(r));
-    Ok(vec![at(c.pooled.r90), at(c.pooled.r10), at(c.pooled.r0)])
+    Ok(vec![at(q.r90), at(q.r10), at(q.r0)])
 }
 
 /// Figure 2: `r_x / r_stationary` vs `l`, random waypoint.
@@ -326,7 +378,7 @@ pub fn fig2(
         "Figure 2: r_x / r_stationary vs l (random waypoint)",
         &RANGE_RATIO_HEADERS,
         |l| CampaignKey::paper_waypoint(opts, l),
-        false,
+        Depth::Series,
         range_ratio_row,
     )
 }
@@ -345,7 +397,7 @@ pub fn fig3(
         "Figure 3: r_x / r_stationary vs l (drunkard)",
         &RANGE_RATIO_HEADERS,
         CampaignKey::paper_drunkard,
-        false,
+        Depth::Series,
         range_ratio_row,
     )
 }
@@ -364,7 +416,7 @@ pub fn fig4(
         "Figure 4: avg largest component fraction at r90/r10/r0 (random waypoint)",
         &COMPONENT_HEADERS,
         |l| CampaignKey::paper_waypoint(opts, l),
-        true,
+        Depth::Fused,
         component_row,
     )
 }
@@ -383,7 +435,7 @@ pub fn fig5(
         "Figure 5: avg largest component fraction at r90/r10/r0 (drunkard)",
         &COMPONENT_HEADERS,
         CampaignKey::paper_drunkard,
-        true,
+        Depth::Fused,
         component_row,
     )
 }
@@ -402,7 +454,7 @@ pub fn fig6(
         "Figure 6: rl90/rl75/rl50 over r_stationary vs l (random waypoint)",
         &["l", "n", "r_stat", "rl90/rs", "rl75/rs", "rl50/rs"],
         |l| CampaignKey::paper_waypoint(opts, l),
-        true,
+        Depth::Fused,
         |rs, c| {
             let profiles = c.profiles()?;
             let mut cells = vec![fmt(rs)];
@@ -439,12 +491,12 @@ where
     let mut table = Table::new(&[axis, "r100/rs", "r100_sd/rs"]);
     for (i, &x) in points.iter().enumerate() {
         session.progress(&format!("{name}: {axis}={x} ({}/{})", i + 1, points.len()));
-        let c = run.campaign(opts, session, key(x), false)?;
+        let c = run.campaign(opts, session, key(x), Depth::R100)?;
         session.span_enter(&format!("{name}/point"));
         table.row(vec![
             fmt(x),
-            fmt(c.pooled.r100 / rs),
-            fmt(c.ranges.r100.sample_std_dev() / rs),
+            fmt(c.r100 / rs),
+            fmt(c.r100_moments.sample_std_dev() / rs),
         ]);
         session.span_exit();
     }
@@ -575,8 +627,14 @@ mod tests {
         // base point: 14 + 5 + 6.
         assert_eq!(run.campaigns.len(), 33);
         assert_eq!(run.calibrations.len(), 4);
-        let fused = run.campaigns.values().filter(|c| c.profiles.is_some());
-        assert_eq!(fused.count(), 8, "only the side sweeps carry profiles");
+        let at = |depth| {
+            run.campaigns
+                .values()
+                .filter(|c| c.depth() == depth)
+                .count()
+        };
+        assert_eq!(at(Depth::Fused), 8, "only the side sweeps carry profiles");
+        assert_eq!(at(Depth::R100), 25, "figs 7–9 read only r100");
         std::fs::remove_dir_all(&opts.out_dir).ok();
     }
 
@@ -602,7 +660,41 @@ mod tests {
         let mut run = FigureRun::default();
         fig2(&opts, &mut session, &mut run).unwrap();
         assert_eq!(run.campaigns.len(), 4);
-        assert!(run.campaigns.values().all(|c| c.profiles.is_none()));
+        assert!(run.campaigns.values().all(|c| c.depth() == Depth::Series));
+        fig9(&opts, &mut session, &mut run).unwrap();
+        assert_eq!(run.campaigns.len(), 4 + 6);
+        let r100 = run.campaigns.values().filter(|c| c.depth() == Depth::R100);
+        assert_eq!(r100.count(), 6, "fig9's base point is fig2's cell");
+        std::fs::remove_dir_all(&opts.out_dir).ok();
+    }
+
+    /// An entry asked later for more is re-run deeper, and then holds
+    /// exactly the rows of a fresh run at that depth; the r100 rows are
+    /// the same bits at every depth, and a deeper entry answers every
+    /// shallower request.
+    #[test]
+    fn a_shallow_entry_asked_for_more_matches_a_fresh_deep_run() {
+        let opts = golden_opts("manet_figures_depth_test");
+        let mut session = ObsSession::new("figs", &opts);
+        let key = CampaignKey::paper_waypoint(&opts, 1024.0);
+        let depths = [Depth::R100, Depth::Series, Depth::Fused];
+        let mut run = FigureRun::default();
+        let mut r100_rows = Vec::new();
+        for depth in depths {
+            let fresh = CampaignRows::simulate(&opts, &key, depth).unwrap();
+            let rows = run.campaign(&opts, &mut session, key, depth).unwrap();
+            assert_eq!(rows.depth(), depth);
+            assert_eq!(format!("{rows:?}"), format!("{fresh:?}"), "{depth:?}");
+            r100_rows.push(format!("{:?}", (rows.r100, rows.r100_moments)));
+        }
+        assert!(
+            r100_rows.iter().all(|r| *r == r100_rows[0]),
+            "{r100_rows:?}"
+        );
+        for depth in depths {
+            let rows = run.campaign(&opts, &mut session, key, depth).unwrap();
+            assert_eq!(rows.depth(), Depth::Fused);
+        }
         std::fs::remove_dir_all(&opts.out_dir).ok();
     }
 }

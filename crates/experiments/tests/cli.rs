@@ -458,15 +458,18 @@ fn figs_match_goldens_across_thread_counts() {
 }
 
 /// A figure run alone gets a fresh campaign memo; `figs` shares one
-/// across Figures 2–9 and fuses the side-sweep campaigns. The profile
-/// readers (figs 4–6) and the sweeps sharing Figure 2's base point
-/// (figs 8–9) must reproduce `tests/goldens/figs/` byte-for-byte
-/// either way.
+/// across Figures 2–9 and fuses the side-sweep campaigns. Run alone,
+/// figs 2–3 read series-only campaigns, figs 4–6 fused ones, and figs
+/// 7–9 r100-only ones, whose base point `figs` reads off Figure 2's
+/// fused cell. Every figure must reproduce `tests/goldens/figs/`
+/// byte-for-byte either way.
 #[test]
 fn lone_figures_match_the_shared_memo_goldens() {
     let golden_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/goldens/figs");
     let dir = temp_out("figs_lone");
-    for fig in ["fig4", "fig5", "fig6", "fig8", "fig9"] {
+    for fig in [
+        "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
+    ] {
         let out = repro()
             .args([
                 fig,

@@ -40,14 +40,43 @@
 //! When `m < L`, swapping `e` for the shortest cross pair yields a
 //! spanning tree of strictly smaller total weight, and the tracker
 //! repeats. Total weight strictly decreases, so no tree repeats and the
-//! loop terminates; its cost is bounded explicitly instead: before each
-//! cut scan the tracker checks that the step's scans stay within
-//! Prim's own `n(n−1)/2` pairs and otherwise *reseeds* from
-//! [`minimum_spanning_tree`]. Any step therefore costs at most one
-//! budget of scans plus one MST build, which is at most about 1.5
-//! Prims (see below) and far less at large `n`. A typical
-//! mobility step needs one or two rounds, and its longest edge usually
-//! cuts off one node or a few, so each round costs `O(n)`.
+//! loop terminates; its cost is bounded explicitly instead. The budget
+//! of one query's cut scans is the price of the cold kernel: the pair
+//! distances the last reseed evaluated, capped at Prim's `n(n−1)/2`.
+//! Before each cut scan the tracker checks that the query's scans stay
+//! within it, and otherwise *reseeds* from [`minimum_spanning_tree`].
+//! Any query therefore costs at most one budget of scans plus one MST
+//! build: about two cold tree builds when consecutive reseeds cost
+//! alike. Below [`GRID_MST_MIN_NODES`] (and wherever the grid declines)
+//! a reseed is dense Prim and the budget is exactly `n(n−1)/2`. From
+//! there up a grid-Kruskal reseed examines a few percent of Prim's
+//! pairs, and the budget shrinks with it, so a query cannot spend many
+//! cold builds' worth of brute-force `|A|·|B|` scans before it gives
+//! up. A typical mobility step needs one or two rounds, and its longest
+//! edge usually cuts off one node or a few, so each round costs `O(n)`.
+//!
+//! # The ceiling
+//!
+//! [`CriticalRangeTracker::critical_range_above`] answers only where
+//! the critical range `c` exceeds a ceiling `M`, the running maximum
+//! of a trajectory's `r100`. Let `lim` be the largest `d²` whose
+//! covering range is at most `M`: `fl(M·M)`, capped at `f64::MAX` so an
+//! overflowed `d² = +∞` (range `+∞`) stays above every finite ceiling,
+//! `+∞` for `M = +∞`, and `−∞` for a negative or NaN `M`, which is no
+//! ceiling. Since `covering_range` is monotone, `c <= M` ⟺ `b* <= lim`.
+//!
+//! The same certify loop serves both queries ([`critical_range`] is the
+//! case `lim = −∞`). Each round first checks the kept tree's longest
+//! edge `L`: when `L <= lim`, then `b* <= L <= lim`, because the tree
+//! is a spanning tree, and the query answers `None` with no cut scan.
+//! The first round's check is thus a screen that costs one pass over
+//! the tree, and later rounds repair only the edges above the ceiling.
+//! A swap leaves a spanning tree, which is all the next query needs,
+//! so a screened query leaves the tree as valid as a certified one. A
+//! query that certifies `m == L > lim` returns `covering_range(L) > M`,
+//! bit-identical to [`critical_range`] as above; a query that reseeds
+//! compares the fresh bottleneck with `M` itself. The budget and reseed
+//! rules are the same for both queries.
 //!
 //! # Dense Prim
 //!
@@ -775,7 +804,9 @@ fn longest(edges: &[MstEdge]) -> f64 {
 }
 
 /// Deterministic work counters of a [`CriticalRangeTracker`]: pure
-/// functions of the placements it was fed.
+/// functions of the placements and ceilings it was fed. Every query is
+/// counted in exactly one of `certified`, `reseeds` and
+/// `below_ceiling`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrackerCounts {
     /// Queries answered.
@@ -788,6 +819,10 @@ pub struct TrackerCounts {
     /// the first query, a change of `n`, `n < 2`, or an exhausted
     /// budget.
     pub reseeds: u64,
+    /// Queries of [`critical_range_above`](CriticalRangeTracker::critical_range_above)
+    /// answered `None` because a kept spanning tree's longest edge was
+    /// within the ceiling, with no reseed.
+    pub below_ceiling: u64,
     /// Candidate pair distances evaluated: every cut scan's `|A|·|B|`
     /// plus each reseed's own count (`n(n−1)/2` for dense Prim, the
     /// pairs its passes examined for grid-Kruskal).
@@ -800,13 +835,15 @@ pub struct TrackerCounts {
 ///
 /// [`critical_range`](Self::critical_range) returns exactly
 /// [`critical_range`](fn@critical_range)'s value, bit for bit, for any
-/// sequence of placements. It is fast when consecutive placements are
-/// close (one mobility step apart) and never costs more than about 2.5
-/// cold Prims, because each query's cut scans are capped at Prim's
-/// `n(n−1)/2` pairs before it falls back to a reseed. It holds `O(n)`
-/// memory and no state but the last tree, so one tracker per
-/// trajectory keeps results independent of how trajectories are
-/// scheduled across threads.
+/// sequence of placements. [`critical_range_above`](Self::critical_range_above)
+/// returns the same value only where it exceeds a ceiling, and repairs
+/// only the tree edges above it. Both are fast when consecutive
+/// placements are close (one mobility step apart). A query's cut scans
+/// are capped at the pairs the last reseed examined (at most Prim's
+/// `n(n−1)/2`) before it reseeds, so no query costs more than about
+/// two cold tree builds. It holds `O(n)` memory and no state but the
+/// last tree, so one tracker per trajectory keeps results independent
+/// of how trajectories are scheduled across threads.
 ///
 /// The tree is kept rooted at node 0 with intrusive child lists, so the
 /// side of a cut edge below it is enumerated in time proportional to
@@ -823,8 +860,11 @@ pub struct TrackerCounts {
 /// assert_eq!(tracker.critical_range(&pts), 3.0); // reseed: first query
 /// pts[2] = Point::new([3.5]);
 /// assert_eq!(tracker.critical_range(&pts), critical_range(&pts)); // certified
-/// assert_eq!(tracker.counts().reseeds, 1);
-/// assert_eq!(tracker.counts().certified, 1);
+/// pts[2] = Point::new([3.0]);
+/// assert_eq!(tracker.critical_range_above(&pts, 2.5), None); // kept tree: 2 ≤ 2.5
+/// assert_eq!(tracker.critical_range_above(&pts, 1.5), Some(2.0));
+/// let c = tracker.counts();
+/// assert_eq!((c.reseeds, c.certified, c.below_ceiling), (1, 2, 1));
 /// ```
 #[derive(Debug, Default)]
 pub struct CriticalRangeTracker {
@@ -839,6 +879,9 @@ pub struct CriticalRangeTracker {
     /// Squared length of each node's edge to its parent at the current
     /// placement; `-inf` for the root, so it is never the longest.
     len2: Vec<f64>,
+    /// Pair distances the last reseed evaluated: the cold kernel's
+    /// price, which caps one query's cut scans.
+    reseed_pairs: u64,
     /// Scratch: the subtree below the current cut edge, as a list and
     /// as flags.
     subtree: Vec<u32>,
@@ -848,6 +891,22 @@ pub struct CriticalRangeTracker {
 
 /// The empty link of the tracker's parent and child lists.
 const NONE: u32 = u32::MAX;
+
+/// The largest `d²` whose covering range is at most `ceiling`:
+/// `covering_range(d²) <= ceiling` ⟺ `d² <= within(ceiling)`, since
+/// `covering_range(d²) <= r` ⟺ `d² <= r·r` for `r >= 0`. A negative or
+/// NaN ceiling admits nothing, not even a coincident pair's 0.
+fn within(ceiling: f64) -> f64 {
+    if ceiling == f64::INFINITY {
+        f64::INFINITY
+    } else if ceiling >= 0.0 {
+        // A `d²` that overflowed to `+∞` has range `+∞`, which no finite
+        // ceiling reaches.
+        (ceiling * ceiling).min(f64::MAX)
+    } else {
+        f64::NEG_INFINITY
+    }
+}
 
 impl CriticalRangeTracker {
     /// A tracker with no tree yet: its first query reseeds.
@@ -870,20 +929,61 @@ impl CriticalRangeTracker {
     /// Panics naming the first node with a non-finite coordinate, with
     /// [`minimum_spanning_tree`]'s message.
     pub fn critical_range<const D: usize>(&mut self, points: &[Point<D>]) -> f64 {
+        #[expect(
+            clippy::expect_used,
+            reason = "a range is never NaN, so every range exceeds a ceiling of -inf"
+        )]
+        let c = self
+            .critical_range_above(points, f64::NEG_INFINITY)
+            .expect("every range exceeds a ceiling of -inf");
+        c
+    }
+
+    /// The critical range `c` of `points` where it exceeds `ceiling`:
+    /// `None` exactly when `c <= ceiling`, otherwise `Some(c)` with `c`
+    /// bit-identical to [`critical_range`](fn@critical_range). A NaN or
+    /// negative ceiling is no ceiling.
+    ///
+    /// This is the query of a running maximum (a trajectory's `r100`):
+    /// a step whose kept spanning tree has every edge within the
+    /// ceiling cannot raise it, because no spanning tree's longest edge
+    /// is shorter than the bottleneck. Such a step costs one pass over
+    /// the tree, and the other steps repair only the edges above the
+    /// ceiling (see the [module docs](self#the-ceiling)).
+    ///
+    /// # Panics
+    ///
+    /// As [`critical_range`](Self::critical_range).
+    pub fn critical_range_above<const D: usize>(
+        &mut self,
+        points: &[Point<D>],
+        ceiling: f64,
+    ) -> Option<f64> {
         assert_finite(points);
         self.counts.calls += 1;
         let n = points.len();
-        if n < 2 || self.parent.len() != n {
-            return self.reseed(points);
-        }
-        let r = self.certify(points);
+        let c = if n < 2 || self.parent.len() != n {
+            self.reseed(points)
+        } else {
+            let c = self.certify(points, within(ceiling));
+            #[cfg(feature = "strict-invariants")]
+            debug_assert!(
+                c.is_some() || critical_range(points) <= ceiling,
+                "strict-invariants: screened a step whose critical range exceeds the ceiling"
+            );
+            c?
+        };
         #[cfg(feature = "strict-invariants")]
         debug_assert_eq!(
-            r.to_bits(),
+            c.to_bits(),
             critical_range(points).to_bits(),
             "strict-invariants: certified critical range differs from Prim's"
         );
-        r
+        if c <= ceiling {
+            None
+        } else {
+            Some(c)
+        }
     }
 
     /// Replaces the tree with a fresh MST and returns its bottleneck.
@@ -892,6 +992,7 @@ impl CriticalRangeTracker {
         let (mst, pairs) = spanning_tree(points);
         self.counts.reseeds += 1;
         self.counts.pairs += pairs;
+        self.reseed_pairs = pairs;
         for list in [
             &mut self.parent,
             &mut self.first_child,
@@ -913,10 +1014,11 @@ impl CriticalRangeTracker {
 
     /// Runs certification rounds on the kept tree (`n >= 2`), swapping
     /// the longest edge for the shortest cut pair until the certificate
-    /// holds or the budget runs out.
-    fn certify<const D: usize>(&mut self, points: &[Point<D>]) -> f64 {
+    /// holds or the budget runs out. Returns `None` as soon as the
+    /// tree's longest edge has `d² <= lim`.
+    fn certify<const D: usize>(&mut self, points: &[Point<D>], lim: f64) -> Option<f64> {
         let n = points.len();
-        let budget = pair_count(n);
+        let budget = pair_count(n).min(self.reseed_pairs);
         let mut scanned = 0u64;
         self.len2.clear();
         self.len2.push(f64::NEG_INFINITY);
@@ -927,11 +1029,15 @@ impl CriticalRangeTracker {
                 (0, f64::NEG_INFINITY),
                 |best, (v, d2)| if d2 > best.1 { (v, d2) } else { best },
             );
+            if l2 <= lim {
+                self.counts.below_ceiling += 1;
+                return None;
+            }
             self.collect_subtree(cut as u32);
             let size = self.subtree.len();
             let pairs = (size * (n - size)) as u64;
             if scanned + pairs > budget {
-                return self.reseed(points);
+                return Some(self.reseed(points));
             }
             scanned += pairs;
             self.counts.rounds += 1;
@@ -940,7 +1046,7 @@ impl CriticalRangeTracker {
             let (m, [inside, outside]) = self.shortest_cut_pair(points, cut, l2);
             if m == l2 {
                 self.counts.certified += 1;
-                return covering_range(l2);
+                return Some(covering_range(l2));
             }
             self.rehang(cut as u32, inside, outside, m);
         }
@@ -1359,5 +1465,97 @@ mod tests {
         t.critical_range(&pts);
         pts[2] = Point::new([f64::NAN, 1.0]);
         t.critical_range(&pts);
+    }
+
+    #[test]
+    fn a_negative_or_nan_ceiling_is_no_ceiling() {
+        // −∞ squares to +∞: taken as `ceiling²`, it would screen out
+        // every step.
+        assert_eq!(within(f64::NEG_INFINITY), f64::NEG_INFINITY);
+        assert_eq!(within(-1.0), f64::NEG_INFINITY);
+        assert_eq!(within(f64::NAN), f64::NEG_INFINITY);
+        assert_eq!(within(0.0), 0.0);
+        let pts = [Point::new([0.0, 0.0]), Point::new([3.0, 4.0])];
+        for ceiling in [f64::NEG_INFINITY, -1.0, f64::NAN] {
+            let mut t = CriticalRangeTracker::new();
+            assert_eq!(t.critical_range_above(&pts, ceiling), Some(5.0)); // reseed
+            assert_eq!(t.critical_range_above(&pts, ceiling), Some(5.0)); // kept tree
+            let c = t.counts();
+            assert_eq!(
+                (c.reseeds, c.certified, c.below_ceiling),
+                (1, 1, 0),
+                "{ceiling}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_overflowed_edge_stays_above_every_finite_ceiling() {
+        // d² = (1e200)² overflows to +∞, whose range +∞ exceeds every
+        // finite ceiling, even one whose own square overflows.
+        assert_eq!(within(1e200), f64::MAX);
+        assert_eq!(within(f64::INFINITY), f64::INFINITY);
+        let pts = [Point::new([0.0, 0.0]), Point::new([1e200, 0.0])];
+        let mut t = CriticalRangeTracker::new();
+        t.critical_range(&pts);
+        for ceiling in [1e200, f64::MAX] {
+            assert_eq!(t.critical_range_above(&pts, ceiling), Some(f64::INFINITY));
+        }
+        assert_eq!(t.critical_range_above(&pts, f64::INFINITY), None);
+        let c = t.counts();
+        assert_eq!((c.reseeds, c.certified, c.below_ceiling), (1, 2, 1));
+    }
+
+    #[test]
+    fn a_ceiling_screens_the_kept_tree_and_answers_exactly_above_it() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+        let mut pts: Vec<Point<2>> = (0..40)
+            .map(|_| Point::new([rng.random_range(0.0..10.0), rng.random_range(0.0..10.0)]))
+            .collect();
+        let mut t = CriticalRangeTracker::new();
+        let mut max = f64::NEG_INFINITY;
+        for step in 0..300 {
+            let c = critical_range(&pts);
+            let got = t.critical_range_above(&pts, max);
+            let want = (c > max).then_some(c);
+            assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "step {step}");
+            max = max.max(c);
+            for p in pts.iter_mut() {
+                let q = p.coords();
+                *p = Point::new(q.map(|x| (x + rng.random_range(-0.1..0.1)).clamp(0.0, 10.0)));
+            }
+        }
+        let c = t.counts();
+        assert_eq!(c.certified + c.reseeds + c.below_ceiling, c.calls, "{c:?}");
+        assert!(c.below_ceiling > 250, "most steps stay within r100: {c:?}");
+    }
+
+    #[test]
+    fn tracker_budget_is_the_pairs_the_last_reseed_examined() {
+        // Independent uniform placements at a grid-Kruskal size: the
+        // kept tree is no help, so queries run out of budget. Each
+        // query's cut scans stay within the pairs the last reseed
+        // examined, far below Prim's n(n−1)/2.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(12);
+        let n = GRID_MST_MIN_NODES + 100;
+        let mut t = CriticalRangeTracker::new();
+        let mut budget = 0;
+        for step in 0..6 {
+            let pts: Vec<Point<2>> = (0..n)
+                .map(|_| Point::new([rng.random_range(0.0..1000.0), rng.random_range(0.0..1000.0)]))
+                .collect();
+            let before = t.counts();
+            assert_same(&mut t, &pts, &format!("step {step}"));
+            let after = t.counts();
+            let mut scanned = after.pairs - before.pairs;
+            if after.reseeds > before.reseeds {
+                let (_, examined) = spanning_tree(&pts);
+                scanned -= examined;
+                budget = examined;
+            }
+            assert!(scanned <= budget, "step {step}: {scanned} > {budget}");
+            assert!(budget * 4 < pair_count(n), "{budget} pairs");
+        }
+        assert!(t.counts().reseeds > 1, "{:?}", t.counts());
     }
 }

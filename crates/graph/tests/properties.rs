@@ -1714,3 +1714,75 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// The tracker's ceiling query
+// ---------------------------------------------------------------------------
+
+/// `floor_fixture`'s placements, plus (kind 3) uniform points on side
+/// `3e155`, where many pairs' `d²` overflow to `+∞`, moved by `1e153`.
+fn ceiling_fixture(kind: u8, n: usize, seed: u64) -> (Vec<Point<2>>, Vec<Point<2>>) {
+    use rand::RngExt;
+    if kind < 3 {
+        return floor_fixture(kind, n, seed);
+    }
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|_| {
+            let p = [0, 1].map(|_| rng.random_range(0.0..3e155));
+            let q = p.map(|c| c + rng.random_range(-1e153..1e153));
+            (Point::new(p), Point::new(q))
+        })
+        .unzip()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `critical_range_above` answers `None` exactly when the critical
+    /// range `c` is at most the ceiling, and otherwise `c`'s bits,
+    /// holding no tree, its own tree (the screen's exact case) and a
+    /// moved copy's tree. Ceilings: no ceiling (−∞, −1, NaN), 0, 1e200
+    /// (whose square overflows), and `c` with the floats either side.
+    #[test]
+    fn ceiling_query_answers_exactly_above_the_ceiling(
+        kind in 0u8..4,
+        n in 0usize..=600,
+        seed in any::<u64>(),
+    ) {
+        let (before, after) = ceiling_fixture(kind, n, seed);
+        let c = critical_range(&after);
+        let ceilings = [
+            f64::NEG_INFINITY, -1.0, 0.0, f64::NAN, 1e200, c.next_down(), c, c.next_up(),
+        ];
+        for ceiling in ceilings {
+            let want = if c <= ceiling { None } else { Some(c.to_bits()) };
+            for kept in [None, Some(&after), Some(&before)] {
+                let mut tracker = CriticalRangeTracker::new();
+                if let Some(pts) = kept {
+                    tracker.critical_range(pts);
+                }
+                let got = tracker.critical_range_above(&after, ceiling).map(f64::to_bits);
+                prop_assert_eq!(got, want, "ceiling {} c {} kept {}", ceiling, c, kept.is_some());
+                let k = tracker.counts();
+                prop_assert_eq!(k.certified + k.reseeds + k.below_ceiling, k.calls);
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "minimum_spanning_tree: node 2 has a non-finite coordinate")]
+fn ceiling_query_non_finite_position_names_the_node() {
+    let mut pts = vec![
+        Point::new([0.0, 0.0]),
+        Point::new([1.0, 0.0]),
+        Point::new([2.0, 1.0]),
+    ];
+    let mut tracker = CriticalRangeTracker::new();
+    tracker.critical_range(&pts);
+    pts[2] = Point::new([f64::NAN, 1.0]);
+    // Every kept edge would pass the screen at this ceiling, had the
+    // NaN not been caught first.
+    tracker.critical_range_above(&pts, 1e9);
+}

@@ -10,6 +10,28 @@
 //! * `r_f` = the `f`-th order statistic ([`manet_stats::FrozenSeries::smallest_covering`]);
 //! * `r100 = max_t c_t`, `r0 = min_t c_t` (at any `r < min c_t` no
 //!   step is connected, and `min c_t` is the supremum of such ranges).
+//!
+//! Each iteration keeps one [`CriticalRangeTracker`]. Consecutive steps
+//! differ by one mobility step, so the tracker certifies each step's
+//! bottleneck against the previous step's spanning tree instead of
+//! building a cold MST, bit-identical to
+//! [`manet_graph::critical_range`]. Two passes read it:
+//!
+//! * [`simulate_raw_critical_series`] records every `c_t`, which the
+//!   quantiles, the availability and the up/down runs need.
+//! * [`simulate_max_critical_ranges`] records only each iteration's
+//!   `r100`, which is all the paper's Figures 7–9 plot. It passes the
+//!   running maximum to
+//!   [`critical_range_above`](CriticalRangeTracker::critical_range_above)
+//!   as a ceiling. A step whose kept tree has every edge within the
+//!   maximum cannot raise it, since no spanning tree's longest edge is
+//!   shorter than the bottleneck, so that step costs one pass over the
+//!   tree and no cut scan. The other steps repair only the edges above
+//!   the maximum, and each new maximum is certified exactly, so the
+//!   result is bit for bit the maximum of the series.
+//!
+//! Every iteration builds its own observer, so no tracker state
+//! crosses iterations and neither pass depends on the thread count.
 
 use crate::{
     config::SimConfig,
@@ -22,14 +44,6 @@ use manet_stats::{FrozenSeries, RunningMoments};
 
 /// Observer recording the critical transmitting range of every step in
 /// time order (the MST bottleneck needs no fixed-range snapshot).
-///
-/// Consecutive steps of one trajectory differ by one mobility step, so
-/// the observer keeps a [`CriticalRangeTracker`] that certifies each
-/// step's bottleneck against the previous step's spanning tree instead
-/// of building a cold MST; its values are bit-identical to
-/// [`manet_graph::critical_range`]. Every iteration builds its own
-/// observer, so no tracker state crosses iterations and the series do
-/// not depend on the thread count.
 pub(crate) struct CriticalRangeObserver {
     series: Vec<f64>,
     tracker: CriticalRangeTracker,
@@ -58,6 +72,30 @@ impl<const D: usize> ConnectivityObserver<D> for CriticalRangeObserver {
     }
 }
 
+/// Observer keeping one iteration's running maximum critical range,
+/// which is also the tracker's ceiling.
+struct MaxCriticalRangeObserver {
+    max: f64,
+    tracker: CriticalRangeTracker,
+}
+
+impl<const D: usize> ConnectivityObserver<D> for MaxCriticalRangeObserver {
+    type Output = f64;
+
+    fn observe(&mut self, view: &StepView<'_, D>) {
+        if let Some(c) = self
+            .tracker
+            .critical_range_above(view.positions(), self.max)
+        {
+            self.max = c;
+        }
+    }
+
+    fn finish(self) -> f64 {
+        self.max
+    }
+}
+
 /// Runs the campaign and returns each iteration's critical-range
 /// series **in time order** (the input of
 /// [`UptimeSummary::from_series`](crate::UptimeSummary::from_series)'s
@@ -71,6 +109,20 @@ where
 {
     run_connectivity_stream(config, model, |_| {
         CriticalRangeObserver::new(config.steps())
+    })
+}
+
+/// Runs the campaign and returns each iteration's `r100`, the largest
+/// critical range over its steps: bit for bit the maximum of each of
+/// [`simulate_raw_critical_series`]'s series, with no cut scan on the
+/// steps that stay within the running maximum.
+pub fn simulate_max_critical_ranges<const D: usize, M>(config: &SimConfig<D>, model: &M) -> Vec<f64>
+where
+    M: Mobility<D> + Clone + Send + Sync,
+{
+    run_connectivity_stream(config, model, |_| MaxCriticalRangeObserver {
+        max: f64::NEG_INFINITY,
+        tracker: CriticalRangeTracker::new(),
     })
 }
 

@@ -29,7 +29,9 @@
 //! [`simulate_campaign`] records the time-ordered series and the
 //! profiles from one pass; [`simulate_raw_critical_series`] records the
 //! series alone. Every range-free metric above is a pure function of
-//! those outputs, so no metric re-simulates.
+//! those outputs, so no metric re-simulates. [`simulate_max_critical_ranges`]
+//! records only each iteration's `r100` (Figures 7–9), certifying only
+//! the steps that could raise it.
 //!
 //! [`bisect_critical_range`] recomputes a critical range the slow way
 //! the paper did: [`search::bisect_monotone`] (the [`search`] module's
@@ -96,8 +98,8 @@ pub mod uptime;
 pub use campaign::simulate_campaign;
 pub use config::SimConfig;
 pub use critical::{
-    simulate_critical_ranges, simulate_raw_critical_series, CriticalRangeResults,
-    MobileRangeSummary, RangeQuantiles,
+    simulate_critical_ranges, simulate_max_critical_ranges, simulate_raw_critical_series,
+    CriticalRangeResults, MobileRangeSummary, RangeQuantiles,
 };
 pub use fixed::{simulate_fixed_ranges, FixedRangeReport, IterationStats};
 pub use manet_graph::Skin;
