@@ -228,6 +228,31 @@ fn bench_merge_profile(c: &mut Criterion) {
             });
         }
     }
+
+    // Consecutive steps of one 64-step waypoint trajectory, one step per
+    // call, at the trajectory's lowest bottleneck, so no step is
+    // screened. `cold` gives each step a fresh profiler, which builds
+    // its tree from scratch; `warm` carries one profiler from step to
+    // step, which grows each tree from the last one's edges below the
+    // floor where that costs fewer pairs than its last cold build.
+    for &n in &[64usize, 1024] {
+        let steps = waypoint_trajectory(n, 64, 17);
+        let floor = steps
+            .iter()
+            .map(|pts| critical_range(pts))
+            .fold(f64::INFINITY, f64::min);
+        group.bench_function(format!("cold_n={n}"), |b| {
+            bench_cycling(b, &steps, |pts| {
+                FloorProfile::new().events_at_or_above(pts, floor).len()
+            })
+        });
+        let mut profile = FloorProfile::new();
+        group.bench_function(format!("warm_n={n}"), |b| {
+            bench_cycling(b, &steps, |pts| {
+                profile.events_at_or_above(pts, floor).len()
+            })
+        });
+    }
     group.finish();
 }
 

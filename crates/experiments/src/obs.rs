@@ -11,8 +11,10 @@
 //! tables or artifacts.
 
 use crate::common::RunOptions;
+use manet_core::graph::FloorCounts;
 use manet_core::obs::{KernelMetrics, RunManifest, SpanEntry, SpanTimer};
 use manet_core::CoreError;
+use serde::ser::SerializeStruct;
 use std::path::PathBuf;
 
 /// One labeled counter snapshot, e.g. a `(model, range)` sweep cell.
@@ -22,19 +24,45 @@ struct CounterEntry {
     kernel: KernelMetrics,
 }
 
-/// The `metrics.json` schema: provenance, then the deterministic
-/// counters, then the (non-deterministic, possibly empty) span plane.
+/// One labeled critical-range finder snapshot: a `critical-scaling`
+/// cell's `FloorProfile` counters.
 #[derive(serde::Serialize)]
+struct FinderEntry {
+    label: String,
+    finder: FloorCounts,
+}
+
+/// The `metrics.json` schema: provenance, then the deterministic
+/// counters (the kernel counters, then the finder counters when a
+/// command recorded any), then the (non-deterministic, possibly empty)
+/// span plane.
 struct MetricsArtifact {
     manifest: RunManifest,
     counters: Vec<CounterEntry>,
+    finder: Vec<FinderEntry>,
     spans: Vec<SpanEntry>,
+}
+
+impl serde::Serialize for MetricsArtifact {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        // Commands without a finder keep the artifact's old bytes.
+        let finder = !self.finder.is_empty();
+        let mut out = serializer.serialize_struct("MetricsArtifact", 3 + usize::from(finder))?;
+        out.serialize_field("manifest", &self.manifest)?;
+        out.serialize_field("counters", &self.counters)?;
+        if finder {
+            out.serialize_field("finder", &self.finder)?;
+        }
+        out.serialize_field("spans", &self.spans)?;
+        out.end()
+    }
 }
 
 /// Observability state for one `manet-repro` invocation.
 pub struct ObsSession {
     manifest: RunManifest,
     counters: Vec<CounterEntry>,
+    finder: Vec<FinderEntry>,
     timer: SpanTimer,
     metrics_path: Option<PathBuf>,
     progress: bool,
@@ -56,6 +84,7 @@ impl ObsSession {
         ObsSession {
             manifest,
             counters: Vec::new(),
+            finder: Vec::new(),
             timer: if opts.profile {
                 SpanTimer::armed()
             } else {
@@ -102,6 +131,14 @@ impl ObsSession {
         });
     }
 
+    /// Appends a labeled critical-range finder counter snapshot.
+    pub fn record_finder(&mut self, label: &str, finder: &FloorCounts) {
+        self.finder.push(FinderEntry {
+            label: label.to_string(),
+            finder: *finder,
+        });
+    }
+
     /// Opens a named wall-clock span (no-op unless `--profile`).
     pub fn span_enter(&mut self, name: &str) {
         self.timer.enter(name);
@@ -139,6 +176,7 @@ impl ObsSession {
         let artifact = MetricsArtifact {
             manifest: self.manifest,
             counters: self.counters,
+            finder: self.finder,
             spans: report.spans,
         };
         let json = serde_json::to_string(&artifact).map_err(|e| CoreError::Invalid {

@@ -16,6 +16,7 @@
 
 use crate::common::{banner, fmt, side_for, RunOptions, Table};
 use crate::obs::ObsSession;
+use manet_core::graph::FloorCounts;
 use manet_core::obs::KernelMetrics;
 use manet_core::sim::parallel::default_threads;
 use manet_core::sim::{
@@ -122,7 +123,7 @@ pub fn run(opts: &RunOptions, session: &mut ObsSession) -> Result<(), CoreError>
         .run(&jobs, vec![None; jobs.len()], |_, job| {
             let config = opts.sim_config(job.n, job.side).threads(1).build()?;
             let point = find_critical_range(&config, &job.model, &search)?;
-            Ok(CellResult {
+            let cell = CellResult {
                 model: job.model_name.clone(),
                 n: job.n,
                 side: job.side,
@@ -130,13 +131,19 @@ pub fn run(opts: &RunOptions, session: &mut ObsSession) -> Result<(), CoreError>
                 rho_c: point.normalized,
                 probes: point.probes,
                 kernel: point.kernel,
-            })
+            };
+            // The finder counters go to `metrics.json` only.
+            Ok((cell, point.finder))
         })?
         .into_complete()?;
     session.span_exit();
+    let (cells, finders): (Vec<CellResult>, Vec<FloorCounts>) = cells.into_iter().unzip();
 
     let mut table = Table::new(&["model", "n", "side", "r_c", "rho_c", "probes"]);
-    for cell in &cells {
+    for (cell, finder) in cells.iter().zip(&finders) {
+        if opts.k_target.is_none() {
+            session.record_finder(&format!("{}@n{}", cell.model, cell.n), finder);
+        }
         session.note_model(&cell.model);
         session.note_nodes(cell.n);
         session.note_range(cell.r_c);

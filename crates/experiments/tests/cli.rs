@@ -1205,3 +1205,77 @@ fn single_node_is_a_clean_usage_error() {
     assert!(!dir.join("uptime_x2.csv").exists());
     std::fs::remove_dir_all(dir).ok();
 }
+
+/// `critical-scaling --quick` (perfbench's argv) records each cell's
+/// finder counters in `metrics.json`, the same at every thread count:
+/// the steps the kept tree screened, grew warm or built cold, and the
+/// pair distances the warm and cold trees evaluated. The CSV is the
+/// committed golden, and `critical_scaling.json` carries no finder
+/// counters.
+#[test]
+fn critical_scaling_quick_metrics_pin_the_finder_counters() {
+    // (label, [steps, screened, warm, cold, warm_pairs, cold_pairs])
+    const CELLS: [(&str, [u64; 6]); 12] = [
+        ("waypoint@n16", [2500, 1832, 633, 35, 22605, 4200]),
+        ("drunkard@n16", [2500, 2125, 336, 39, 12174, 4680]),
+        ("gauss-markov@n16", [2500, 1573, 891, 36, 39224, 4320]),
+        ("rpgm@n16", [2500, 1672, 780, 48, 49474, 5760]),
+        ("waypoint@n32", [2500, 839, 1612, 49, 192135, 24304]),
+        ("drunkard@n32", [2500, 1645, 805, 50, 120981, 24800]),
+        ("gauss-markov@n32", [2500, 896, 1555, 49, 211972, 24304]),
+        ("rpgm@n32", [2500, 1515, 952, 33, 175010, 16368]),
+        ("waypoint@n64", [2500, 303, 2164, 33, 1118869, 66528]),
+        ("drunkard@n64", [2500, 1300, 1166, 34, 463837, 68544]),
+        ("gauss-markov@n64", [2500, 299, 2168, 33, 1620678, 66528]),
+        ("rpgm@n64", [2500, 1683, 770, 47, 608204, 94752]),
+    ];
+    let cells: Vec<String> = CELLS
+        .iter()
+        .map(
+            |(label, [steps, screened, warm, cold, warm_pairs, cold_pairs])| {
+                format!(
+                "{{\"label\":\"{label}\",\"finder\":{{\"steps\":{steps},\"screened\":{screened},\
+                 \"warm\":{warm},\"cold\":{cold},\"warm_pairs\":{warm_pairs},\
+                 \"cold_pairs\":{cold_pairs}}}}}"
+            )
+            },
+        )
+        .collect();
+    let want = format!("\"finder\":[{}],\"spans\":[]}}", cells.join(","));
+    let golden = std::fs::read_to_string(
+        PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("../../tests/goldens/critical_scaling_quick.csv"),
+    )
+    .unwrap();
+    for threads in ["1", "2"] {
+        let dir = temp_out(&format!("critical_finder_t{threads}"));
+        let metrics_path = dir.join("metrics.json");
+        let out = repro()
+            .args([
+                "critical-scaling",
+                "--quick",
+                "--seed",
+                "20020623",
+                "--threads",
+                threads,
+                "--metrics",
+            ])
+            .arg(&metrics_path)
+            .arg("--out")
+            .arg(&dir)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let got = std::fs::read_to_string(&metrics_path).unwrap();
+        assert!(got.ends_with(&want), "--threads {threads}: {got}");
+        let csv = std::fs::read_to_string(dir.join("critical_scaling.csv")).unwrap();
+        assert_eq!(csv, golden, "--threads {threads}");
+        let json = std::fs::read_to_string(dir.join("critical_scaling.json")).unwrap();
+        assert!(!json.contains("screened"), "{json}");
+        std::fs::remove_dir_all(dir).ok();
+    }
+}

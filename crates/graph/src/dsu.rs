@@ -111,6 +111,16 @@ impl UnionFind {
         true
     }
 
+    /// Size of the set containing `x`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x >= len()`.
+    pub(crate) fn component_size(&mut self, x: usize) -> usize {
+        let root = self.find(x);
+        self.size[root] as usize
+    }
+
     /// Whether `a` and `b` are in the same set.
     pub fn connected(&mut self, a: usize, b: usize) -> bool {
         self.find(a) == self.find(b)

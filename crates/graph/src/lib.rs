@@ -20,7 +20,8 @@
 //! * [`merge`] — the Kruskal merge profile over the same MST's edges:
 //!   largest component size as a step function of the range, and
 //!   [`FloorProfile`], its growth events above a floor along a
-//!   trajectory;
+//!   trajectory, each step's tree grown from the last one's edges
+//!   below the floor;
 //! * [`dynamic`] — edge deltas between snapshots and [`DynamicGraph`],
 //!   the streaming path that feeds the temporal-connectivity subsystem
 //!   (`manet-trace`) with per-step changed edges instead of `O(n²)`
@@ -69,7 +70,7 @@ pub use components::ComponentSummary;
 pub use dsu::UnionFind;
 pub use dynamic::{DynamicGraph, EdgeDiff, Skin};
 pub use dynamic_components::DynamicComponents;
-pub use merge::{FloorProfile, MergeProfile};
+pub use merge::{FloorCounts, FloorProfile, MergeProfile};
 pub use mst::{
     critical_range, minimum_spanning_tree, CriticalRangeTracker, MstEdge, TrackerCounts,
 };

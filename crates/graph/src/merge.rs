@@ -21,10 +21,68 @@
 //! [`FloorProfile`] serves callers that want only the events at or
 //! above a floor, one step of a trajectory after another: it skips the
 //! steps whose last tree still shows every event lies below the floor,
-//! and sorts only the tree edges above it.
+//! grows the other steps' trees from the last tree's edges below the
+//! floor (the warm step), and sorts only the tree edges above it.
+//!
+//! # Warm step
+//!
+//! A step whose screen fails still has most of the last tree's work
+//! below the floor: the stale edges that are at most `lim` apart at the
+//! new positions (`lim` as in [`FloorProfile`]) usually join all but a
+//! few fringe nodes. The warm step grows the new tree from them.
+//!
+//! *Pieces.* The kept tree's edges are re-measured at the new
+//! positions, and those with `d² <= lim` union into pieces. Each piece
+//! is connected by pairs at most `lim` apart.
+//!
+//! *Contracted Prim.* Dense Prim then runs over the pieces instead of
+//! the nodes. Every node outside the largest piece takes a column
+//! slot: its coordinates, a key (its `d²` to the tree so far, `+∞` at
+//! the start) and a parent (a node of the largest piece). Each node of
+//! the largest piece relaxes every slot. Each round extracts the first
+//! slot of smallest key and adds its edge. That node's whole piece
+//! joins: its slots are swap-removed, and each of its nodes relaxes the
+//! slots left. The loops are dense Prim's own `relax` and
+//! `first_minimum` kernels (see [`crate::mst`]'s module docs). The new
+//! tree is the kept edges below the floor plus one edge per piece
+//! joined.
+//!
+//! *Exactness.* Let `H` be the graph whose vertices are the pieces,
+//! two pieces joined at the smallest `d²` of any pair across them; the
+//! contracted Prim builds an MST of `H`. Write `G(t)` for the points'
+//! graph on the pairs with `d² <= t`. For every `t >= lim`, two nodes
+//! are connected in `G(t)` exactly when their pieces are connected in
+//! `H(t)`, since each piece is connected at `lim`; and the MST's edges
+//! up to `t` connect exactly the pieces `H(t)` connects. So the new
+//! tree's edges up to `t` have the components of `G(t)` at every
+//! `t >= lim`, as any MST of the points does. The events at or above
+//! the floor, and the largest component at `lim` that the first
+//! event's growth counts from, are functions of those components
+//! alone, so they are bit-identical to a cold build's. A tie only
+//! chooses which tree is kept, which the next screen reads, and never
+//! moves an event.
+//!
+//! *Budget.* Every pair across two pieces is relaxed exactly once, when
+//! the earlier of its two pieces joins, so the warm step evaluates
+//! `(n² − Σ sᵢ²) / 2` pair distances for piece sizes `sᵢ`, known before
+//! the first relax. The step is warm only when that is fewer than the
+//! pairs the last cold build examined: `n(n−1)/2` for dense Prim, which
+//! any piece of two nodes or more beats, or grid-Kruskal's own count
+//! from [`GRID_MST_MIN_NODES`](crate::mst::GRID_MST_MIN_NODES) nodes
+//! on, which only large pieces beat. At a tie (no piece of two nodes
+//! under dense Prim) the warm step would be dense Prim plus the piece
+//! bookkeeping, so the step builds cold.
+//!
+//! *Two edge cases.* The parent column starts at a node of the largest
+//! piece, not at node 0. A pair whose `d²` overflows to `+∞` never
+//! relaxes, so a slot whose every pair to the tree overflowed joins
+//! through its initial parent, and node 0 may lie in that slot's own
+//! piece. And the warm step never reaches the tree builder's
+//! finiteness check, so it runs that check itself: a non-finite
+//! position still panics naming the node.
 
 use crate::dsu::UnionFind;
-use crate::mst::{spanning_edges, MstEdge, RawEdge};
+use crate::mst::{assert_finite, first_minimum, relax, spanning_edges, MstEdge, RawEdge};
 use manet_geom::{covering_range, Point};
 
 /// Step function `r -> size of largest connected component`.
@@ -171,7 +229,10 @@ impl MergeProfile {
 }
 
 /// The one profile loop. `components` holds the tree's `n` nodes as
-/// singletons. Every edge `(a, b, w)` with `w <= lim` unions unsorted;
+/// singletons, or with some pairs of weight at most `lim` already
+/// joined: the edges up to `lim` join them anyway, since the tree's
+/// edges up to `lim` connect whatever its points' pairs up to `lim`
+/// connect. Every edge `(a, b, w)` with `w <= lim` unions unsorted;
 /// then the edges above `lim` are sorted by `w` and union in that
 /// order. Each distinct `range(w)` at which the largest component
 /// grows pushes one `(range, growth)` onto `events`, `growth` counted
@@ -239,21 +300,34 @@ fn below_floor(floor: f64) -> f64 {
 /// bit, the `(range, growth)` events of [`MergeProfile::of`] whose
 /// range is at least `floor`, `growth` being how much the largest
 /// component grows at `range`. Let `lim` be the largest `d²` whose
-/// covering range is below the floor (`floor.next_down()²`), so no
-/// `sqrt` runs except at a growth event:
+/// covering range is below the floor (`floor.next_down()²`, and `−∞`
+/// at floor 0), so no `sqrt` runs except at a growth event. The
+/// profiler keeps the last step's spanning tree, each edge's `d²`
+/// measured at that step's positions. Each step first re-measures it
+/// at the new positions when it spans as many points, then takes one
+/// of three paths:
 ///
-/// 1. *Screen.* When `floor > 0` and every pair of the last tree built
-///    (over as many points) is at most `lim` apart at the new
-///    positions, that tree connects the graph below the floor. No
-///    spanning tree's longest edge is shorter than the MST bottleneck,
-///    the step's last event, so the step has no event at or above the
-///    floor and no tree is built. A NaN distance fails the test, so a
-///    non-finite position still reaches the tree builder's panic.
-/// 2. *Cut.* Otherwise the step builds its tree, keeps it for the next
-///    screen, unions the edges up to `lim` unsorted and sorts only the
-///    edges above it. The first event's growth counts from the largest
-///    component the edges below the floor left. Floor 0 takes every
-///    edge: coincident points still make an event at range 0.
+/// 1. *Screen.* When every kept edge is at most `lim` apart, the tree
+///    connects the graph below the floor. No spanning tree's longest
+///    edge is shorter than the MST bottleneck, the step's last event,
+///    so the step has no event at or above the floor and no tree is
+///    built. A NaN distance fails the test.
+/// 2. *Warm.* Otherwise the kept edges up to `lim` are grown into the
+///    step's tree by a contracted Prim over the pieces they join, when
+///    that costs fewer pair distances than the last cold build (see
+///    [the module docs](self#warm-step)). A non-finite position panics
+///    here, naming the node, as the tree builder would.
+/// 3. *Cold.* Otherwise (and on the first step, or when `n` changed)
+///    the step builds its tree from scratch.
+///
+/// A step that built its tree keeps it for the next screen, unions the
+/// edges up to `lim` unsorted and sorts only the edges above it. The
+/// first event's growth counts from the largest component the edges
+/// below the floor left. Floor 0 takes every edge: coincident points
+/// still make an event at range 0.
+///
+/// [`counts`](Self::counts) reports how many steps took each path and
+/// the pair distances the warm and cold builds evaluated.
 ///
 /// # Example
 ///
@@ -262,21 +336,63 @@ fn below_floor(floor: f64) -> f64 {
 /// use manet_graph::FloorProfile;
 ///
 /// // Nodes at 0, 1, 3: events at range 1 (growth 1) and 2 (growth 1).
-/// let pts = vec![Point::new([0.0]), Point::new([1.0]), Point::new([3.0])];
+/// let mut pts = vec![Point::new([0.0]), Point::new([1.0]), Point::new([3.0])];
 /// let mut profile = FloorProfile::new();
 /// assert_eq!(profile.events_at_or_above(&pts, 0.0), &[(1.0, 1), (2.0, 1)]);
+/// // The kept edge 0–1 is below the floor: node 2 joins it warm.
 /// assert_eq!(profile.events_at_or_above(&pts, 1.5), &[(2.0, 1)]);
 /// // Every edge of the last tree is below 2.5: screened.
 /// assert!(profile.events_at_or_above(&pts, 2.5).is_empty());
+/// // Node 2 moves away: a warm step again.
+/// pts[2] = Point::new([4.0]);
+/// assert_eq!(profile.events_at_or_above(&pts, 1.5), &[(3.0, 1)]);
+/// // One cold build (the first step) and two warm steps.
+/// assert_eq!((profile.trees_built(), profile.warm_steps()), (1, 2));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct FloorProfile {
-    /// The last tree built, as `(a, b, d²)`; its pairs screen the next
-    /// step.
+    /// The last step's tree, as `(a, b, d²)` at that step's positions;
+    /// its pairs screen the next step and seed its warm tree.
     tree: Vec<RawEdge>,
     components: UnionFind,
     events: Vec<(f64, u64)>,
-    trees: u64,
+    /// Pair distances the last cold build examined: the warm step's
+    /// budget.
+    budget: u64,
+    warm: Contracted,
+    counts: FloorCounts,
+}
+
+/// Deterministic work counters of a [`FloorProfile`]: pure functions
+/// of the placements and floors it was fed. Every step is counted in
+/// exactly one of `screened`, `warm` and `cold`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+pub struct FloorCounts {
+    /// Steps profiled.
+    pub steps: u64,
+    /// Steps the kept tree screened: no event at or above the floor.
+    pub screened: u64,
+    /// Steps whose tree grew from the kept edges below the floor.
+    pub warm: u64,
+    /// Steps that built their tree from scratch.
+    pub cold: u64,
+    /// Pair distances the warm steps relaxed.
+    pub warm_pairs: u64,
+    /// Pair distances the cold builds evaluated.
+    pub cold_pairs: u64,
+}
+
+impl FloorCounts {
+    /// Adds `other`'s counts into `self` (commutative, associative).
+    pub fn merge(&mut self, other: &FloorCounts) {
+        self.steps += other.steps;
+        self.screened += other.screened;
+        self.warm += other.warm;
+        self.cold += other.cold;
+        self.warm_pairs += other.warm_pairs;
+        self.cold_pairs += other.cold_pairs;
+    }
 }
 
 impl FloorProfile {
@@ -285,9 +401,27 @@ impl FloorProfile {
         Self::default()
     }
 
-    /// How many calls built a tree; the screen answered the others.
+    /// How many steps built their tree from scratch.
     pub fn trees_built(&self) -> u64 {
-        self.trees
+        self.counts.cold
+    }
+
+    /// How many steps grew their tree from the kept edges below the
+    /// floor.
+    pub fn warm_steps(&self) -> u64 {
+        self.counts.warm
+    }
+
+    /// Work counters accumulated over every step so far.
+    pub fn counts(&self) -> FloorCounts {
+        self.counts
+    }
+
+    /// The kept spanning tree as `(a, b, d²)`, each `d²` measured at
+    /// the last step's positions; exposed for the oracle tests.
+    #[doc(hidden)]
+    pub fn kept_tree(&self) -> &[(u32, u32, f64)] {
+        &self.tree
     }
 
     /// The growth events of `points`' merge profile whose range is at
@@ -296,33 +430,191 @@ impl FloorProfile {
     ///
     /// # Panics
     ///
-    /// As [`MergeProfile::of`], whenever the step builds its tree.
+    /// As [`MergeProfile::of`], whenever the step is not screened.
     pub fn events_at_or_above<const D: usize>(
         &mut self,
         points: &[Point<D>],
         floor: f64,
     ) -> &[(f64, u64)] {
         self.events.clear();
+        self.counts.steps += 1;
         let lim = below_floor(floor);
-        let screened = floor > 0.0
-            && self.tree.len() + 1 == points.len()
-            && self
-                .tree
-                .iter()
-                .all(|&(a, b, _)| points[a as usize].distance_sq(&points[b as usize]) <= lim);
-        if !screened {
-            self.trees += 1;
-            spanning_edges(points, &mut self.tree);
-            self.components.reset(points.len());
-            push_growth(
-                &mut self.tree,
-                lim,
-                covering_range,
-                &mut self.components,
-                &mut self.events,
-            );
+        let n = points.len();
+        let stale = self.tree.len() + 1 == n;
+        if stale {
+            let mut below = true;
+            for (a, b, d2) in &mut self.tree {
+                *d2 = points[*a as usize].distance_sq(&points[*b as usize]);
+                below &= *d2 <= lim;
+            }
+            if below {
+                self.counts.screened += 1;
+                return &self.events;
+            }
+            assert_finite(points);
         }
+        // The warm step leaves its pieces in `components`, whether or
+        // not it builds the tree: pairs at most `lim` apart, which
+        // `push_growth` may find joined.
+        self.components.reset(n);
+        let warm = if stale {
+            let pieces = &mut self.components;
+            self.warm
+                .grow(points, lim, pieces, &mut self.tree, self.budget)
+        } else {
+            None
+        };
+        if let Some(pairs) = warm {
+            self.counts.warm += 1;
+            self.counts.warm_pairs += pairs;
+        } else {
+            let pairs = spanning_edges(points, &mut self.tree);
+            self.budget = pairs;
+            self.counts.cold += 1;
+            self.counts.cold_pairs += pairs;
+        }
+        push_growth(
+            &mut self.tree,
+            lim,
+            covering_range,
+            &mut self.components,
+            &mut self.events,
+        );
         &self.events
+    }
+}
+
+/// The empty link of [`Contracted`]'s piece lists.
+const NONE: u32 = u32::MAX;
+
+/// The warm step's contracted Prim (see [the module docs](self#warm-step)),
+/// its buffers kept from one step to the next.
+#[derive(Debug, Clone, Default)]
+struct Contracted {
+    /// Each node's piece, named by its union-find root.
+    piece: Vec<u32>,
+    /// Each piece's first node (indexed by its root) and each node's
+    /// next node in its piece, [`NONE`]-terminated.
+    first: Vec<u32>,
+    next: Vec<u32>,
+    /// Each node's column slot while it is outside the tree.
+    slot: Vec<u32>,
+    /// The nodes outside the tree as columns: one coordinate column
+    /// per axis, the key (`d²` to the tree), the parent and the node.
+    axes: Vec<Vec<f64>>,
+    keys: Vec<f64>,
+    parent: Vec<u32>,
+    node: Vec<u32>,
+}
+
+impl Contracted {
+    /// Moves `tree`'s edges with `d² <= lim` (current at `points`) to
+    /// its front and unions them into `pieces`, which holds `n`
+    /// singletons. When the contracted Prim would relax fewer pairs
+    /// than `budget`, replaces the other edges with its edges and
+    /// returns that pair count; otherwise returns `None` and leaves the
+    /// edges for a cold build to replace. Expects finite points.
+    fn grow<const D: usize>(
+        &mut self,
+        points: &[Point<D>],
+        lim: f64,
+        pieces: &mut UnionFind,
+        tree: &mut Vec<RawEdge>,
+        budget: u64,
+    ) -> Option<u64> {
+        let n = points.len();
+        let mut below = 0;
+        for i in 0..tree.len() {
+            let (a, b, d2) = tree[i];
+            if d2 <= lim {
+                pieces.union(a as usize, b as usize);
+                tree.swap(below, i);
+                below += 1;
+            }
+        }
+        self.piece.clear();
+        self.first.clear();
+        self.first.resize(n, NONE);
+        self.next.resize(n, NONE);
+        let (mut largest, mut largest_size, mut squares) = (0, 0, 0);
+        for v in 0..n {
+            let root = pieces.find(v);
+            self.piece.push(root as u32);
+            self.next[v] = self.first[root];
+            self.first[root] = v as u32;
+            if root == v {
+                let size = pieces.component_size(v) as u64;
+                squares += size * size;
+                if size > largest_size {
+                    (largest, largest_size) = (v as u32, size);
+                }
+            }
+        }
+        let pairs = ((n as u64).pow(2) - squares) / 2;
+        if pairs >= budget {
+            return None;
+        }
+        tree.truncate(below);
+
+        self.axes.resize_with(D, Vec::new);
+        for axis in &mut self.axes {
+            axis.clear();
+        }
+        self.keys.clear();
+        self.parent.clear();
+        self.node.clear();
+        self.slot.resize(n, NONE);
+        for (v, p) in points.iter().enumerate() {
+            if self.piece[v] != largest {
+                self.slot[v] = self.node.len() as u32;
+                for (axis, column) in self.axes.iter_mut().enumerate() {
+                    column.push(p.coord(axis));
+                }
+                self.keys.push(f64::INFINITY);
+                // A node of the largest piece, never one of `v`'s own:
+                // a slot whose every pair overflows joins through it.
+                self.parent.push(largest);
+                self.node.push(v as u32);
+            }
+        }
+        let mut len = self.node.len();
+        self.relax_piece(points, largest, len);
+        while len > 0 {
+            let k = first_minimum(&self.keys[..len]);
+            let b = self.node[k];
+            tree.push((self.parent[k], b, self.keys[k]));
+            let joined = self.piece[b as usize];
+            let mut v = self.first[joined as usize];
+            while v != NONE {
+                len -= 1;
+                self.swap_remove(self.slot[v as usize] as usize, len);
+                v = self.next[v as usize];
+            }
+            self.relax_piece(points, joined, len);
+        }
+        Some(pairs)
+    }
+
+    /// Relaxes the first `len` slots against every node of `piece`.
+    fn relax_piece<const D: usize>(&mut self, points: &[Point<D>], piece: u32, len: usize) {
+        let columns: [&[f64]; D] = std::array::from_fn(|axis| &self.axes[axis][..]);
+        let mut v = self.first[piece as usize];
+        while v != NONE {
+            let p = points[v as usize].coords();
+            relax::<D, true, _>(p, v, &columns, &mut self.keys[..len], &mut self.parent);
+            v = self.next[v as usize];
+        }
+    }
+
+    /// Moves slot `last` into slot `k`.
+    fn swap_remove(&mut self, k: usize, last: usize) {
+        for column in &mut self.axes {
+            column[k] = column[last];
+        }
+        self.keys[k] = self.keys[last];
+        self.parent[k] = self.parent[last];
+        self.node[k] = self.node[last];
+        self.slot[self.node[k] as usize] = k as u32;
     }
 }
 
@@ -449,37 +741,60 @@ mod tests {
         pairs
     }
 
+    /// `(cold builds, warm steps)`.
+    fn paths(profile: &FloorProfile) -> (u64, u64) {
+        (profile.trees_built(), profile.warm_steps())
+    }
+
     #[test]
     fn stale_edge_above_the_floor_fails_the_screen() {
         // The stale tree 0–1–2 has its 0–1 pair 3 apart at the new
         // positions, above the floor 2.8, while the new tree 0–2–1
-        // connects at 2.5, below it. The step must build that tree and
-        // report nothing: profiling the stale tree would report its
-        // 0–1 pair as an event at 3.
+        // connects at 2.5, below it. The step must grow that tree from
+        // the stale edge 1–2 (2.5 apart) and report nothing: profiling
+        // the stale tree would report its 0–1 pair as an event at 3.
         let before = vec![Point::new([0.0]), Point::new([1.0]), Point::new([2.0])];
         let after = vec![Point::new([0.0]), Point::new([3.0]), Point::new([0.5])];
         let mut profile = FloorProfile::new();
         profile.events_at_or_above(&before, 0.0);
         assert_eq!(kept_pairs(&profile), [(0, 1), (1, 2)]);
         assert!(profile.events_at_or_above(&after, 2.8).is_empty());
-        assert_eq!(profile.trees_built(), 2);
+        assert_eq!(paths(&profile), (1, 1));
         assert_eq!(kept_pairs(&profile), [(0, 2), (1, 2)]);
         // The new tree screens the same step, and at the bottleneck
         // itself the tie group at the floor is an event.
         assert!(profile.events_at_or_above(&after, 2.8).is_empty());
-        assert_eq!(profile.trees_built(), 2);
+        assert_eq!(paths(&profile), (1, 1));
         assert_eq!(profile.events_at_or_above(&after, 2.5), &[(2.5, 1)]);
-        assert_eq!(profile.trees_built(), 3);
+        assert_eq!(paths(&profile), (1, 2));
+        let counts = profile.counts();
+        assert_eq!((counts.steps, counts.screened), (4, 1));
+        // Prim's 3 pairs, then one piece of 2 and a singleton: 2 pairs
+        // per warm step.
+        assert_eq!((counts.cold_pairs, counts.warm_pairs), (3, 4));
     }
 
     #[test]
-    #[should_panic(expected = "minimum_spanning_tree: node 1 has a non-finite coordinate")]
-    fn non_finite_position_fails_the_screen_and_names_the_node() {
-        let pts = vec![Point::new([0.0]), Point::new([0.5]), Point::new([1.0])];
+    fn a_warm_step_that_saves_no_pair_builds_cold() {
+        // No kept edge is below the floor: every piece is one node, so
+        // the warm step would relax all of Prim's pairs.
+        let pts = vec![Point::new([0.0]), Point::new([1.0]), Point::new([3.0])];
         let mut profile = FloorProfile::new();
         profile.events_at_or_above(&pts, 0.0);
-        // Every finite pair of the kept tree would pass at floor 10.
-        let nan = vec![Point::new([0.0]), Point::new([f64::NAN]), Point::new([1.0])];
+        assert_eq!(profile.events_at_or_above(&pts, 0.5), &[(1.0, 1), (2.0, 1)]);
+        assert_eq!(paths(&profile), (2, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "minimum_spanning_tree: node 3 has a non-finite coordinate")]
+    fn non_finite_position_fails_the_screen_and_names_the_node() {
+        let pts = [0.0, 0.5, 1.0, 5.0].map(|x| Point::new([x]));
+        let mut profile = FloorProfile::new();
+        profile.events_at_or_above(&pts, 0.0);
+        // The kept edges 0–1 and 1–2 stay below floor 10, so the step
+        // goes warm, which never meets the tree builder's check: a NaN
+        // key never relaxes, and node 3 would join at `+∞`.
+        let nan = [0.0, 0.5, 1.0, f64::NAN].map(|x| Point::new([x]));
         profile.events_at_or_above(&nan, 10.0);
     }
 

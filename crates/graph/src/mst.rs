@@ -196,7 +196,7 @@ pub struct MstEdge {
 
 /// Panics naming the first node with a non-finite coordinate: a NaN or
 /// infinite position has no distance to anything.
-fn assert_finite<const D: usize>(points: &[Point<D>]) {
+pub(crate) fn assert_finite<const D: usize>(points: &[Point<D>]) {
     for (i, p) in points.iter().enumerate() {
         assert!(
             p.is_finite(),
@@ -254,12 +254,18 @@ fn spanning_tree<const D: usize>(points: &[Point<D>]) -> (Vec<MstEdge>, u64) {
 /// as `(a, b, d²)`, in no particular order: what
 /// [`MergeProfile`](crate::MergeProfile) sorts, with no orientation and
 /// no per-edge `covering_range`. Prim's trees reuse the buffer.
-pub(crate) fn spanning_edges<const D: usize>(points: &[Point<D>], edges: &mut Vec<RawEdge>) {
+/// Returns the pair distances evaluated, as [`spanning_tree`] counts
+/// them.
+pub(crate) fn spanning_edges<const D: usize>(points: &[Point<D>], edges: &mut Vec<RawEdge>) -> u64 {
     match grid_tree(points) {
-        Ok((tree, _)) => *edges = tree,
-        Err(_) => {
+        Ok((tree, pairs)) => {
+            *edges = tree;
+            pairs
+        }
+        Err(spent) => {
             edges.clear();
             dense_prim::<D, true>(points, |a, b, d2| edges.push((a, b, d2)));
+            spent + pair_count(points.len())
         }
     }
 }
@@ -288,7 +294,7 @@ fn dense_prim<const D: usize, const TREE: bool>(
     let (mut current, mut p) = (0u32, first.coords());
     for last in (0..rest.len()).rev() {
         let len = last + 1;
-        relax::<D, TREE>(p, current, &axes, &mut d2[..len], &mut parent);
+        relax::<D, TREE, _>(p, current, &axes, &mut d2[..len], &mut parent);
         let next = first_minimum(&d2[..len]);
         let b = index[next];
         emit(if TREE { parent[next] } else { 0 }, b, d2[next]);
@@ -308,17 +314,19 @@ fn dense_prim<const D: usize, const TREE: bool>(
 /// vertex `current` that just joined, with no data-dependent branch:
 /// the new `d²` and (with `TREE`) the parent are selects on the one
 /// mask `acc < old`. Each `acc` is [`Point::distance_sq`] bit for bit
-/// (the same axis order and subtraction).
+/// (the same axis order and subtraction). The slots are `d2`'s, with
+/// their coordinates in the first `d2.len()` entries of each of
+/// `axes`' columns.
 #[inline(always)]
-fn relax<const D: usize, const TREE: bool>(
+pub(crate) fn relax<const D: usize, const TREE: bool, C: AsRef<[f64]>>(
     p: [f64; D],
     current: u32,
-    axes: &[Vec<f64>; D],
+    axes: &[C; D],
     d2: &mut [f64],
     parent: &mut [u32],
 ) {
     let len = d2.len();
-    let axes: [&[f64]; D] = std::array::from_fn(|axis| &axes[axis][..len]);
+    let axes: [&[f64]; D] = std::array::from_fn(|axis| &axes[axis].as_ref()[..len]);
     let parent = &mut parent[..if TREE { len } else { 0 }];
     for k in 0..len {
         let mut acc = 0.0;
@@ -340,7 +348,7 @@ fn relax<const D: usize, const TREE: bool>(
 /// The first slot holding the smallest `d²`: slot 0 when every value
 /// is `+∞`. The minimum comes from independent lanes, then one scan
 /// finds its first slot.
-fn first_minimum(d2: &[f64]) -> usize {
+pub(crate) fn first_minimum(d2: &[f64]) -> usize {
     const LANES: usize = 4;
     let min = |m: f64, x: f64| if x < m { x } else { m };
     let mut lanes = [f64::INFINITY; LANES];

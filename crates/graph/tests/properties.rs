@@ -1786,3 +1786,184 @@ fn ceiling_query_non_finite_position_names_the_node() {
     // NaN not been caught first.
     tracker.critical_range_above(&pts, 1e9);
 }
+
+// ---------------------------------------------------------------------------
+// FloorProfile along trajectories: the screen, the warm step and cold builds.
+// ---------------------------------------------------------------------------
+
+/// `steps` placements of `n` points, each a small move of the last:
+/// `ceiling_fixture`'s first placement of `kind`, moved by that kind's
+/// rule (uniform points jittered by up to 0.5, a fifth of the lattice
+/// points moved one unit, a fifth of the coincident points moved onto
+/// another point, side-`3e155` points jittered by up to `1e153`).
+fn floor_trajectory(kind: u8, n: usize, seed: u64, steps: usize) -> Vec<Vec<Point<2>>> {
+    use rand::RngExt;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
+    let mut placements = vec![ceiling_fixture(kind, n, seed).0];
+    for _ in 1..steps {
+        let mut next = placements[placements.len() - 1].clone();
+        for i in 0..n {
+            let c = next[i].coords();
+            next[i] = match kind {
+                0 => Point::new(c.map(|x| x + rng.random_range(-0.5..0.5))),
+                1 if rng.random_range(0.0..1.0) < 0.2 => {
+                    let mut c = c;
+                    c[rng.random_range(0..2usize)] += if rng.random_bool(0.5) { 1.0 } else { -1.0 };
+                    Point::new(c)
+                }
+                2 if rng.random_range(0.0..1.0) < 0.2 => next[rng.random_range(0..n)],
+                3 => Point::new(c.map(|x| x + rng.random_range(-1e153..1e153))),
+                _ => next[i],
+            };
+        }
+        placements.push(next);
+    }
+    placements
+}
+
+/// Asserts that the profiler's kept tree spans `pts` and that each
+/// stored `d²` is the pair's `distance_sq` at `pts`, bit for bit.
+fn assert_kept_tree_is_current(
+    profile: &FloorProfile,
+    pts: &[Point<2>],
+) -> Result<(), TestCaseError> {
+    let tree = profile.kept_tree();
+    prop_assert_eq!(tree.len() + 1, pts.len().max(1));
+    let mut uf = UnionFind::new(pts.len());
+    for &(a, b, d2) in tree {
+        prop_assert!(
+            uf.union(a as usize, b as usize),
+            "the kept tree has a cycle"
+        );
+        let want = pts[a as usize].distance_sq(&pts[b as usize]);
+        prop_assert_eq!(d2.to_bits(), want.to_bits(), "stale d² on {}–{}", a, b);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// One profiler per floor schedule follows a short trajectory and
+    /// returns `MergeProfile::of`'s events at or above the floor on
+    /// every step, bit for bit, keeping a current spanning tree.
+    /// Schedules: floor 0, the first step's bottleneck and one ulp
+    /// above it, event ranges picked from any step with the floats
+    /// either side, and one floor rising through all of them.
+    #[test]
+    fn floor_profile_matches_the_merge_profile_along_a_trajectory(
+        kind in 0u8..4,
+        n in 0usize..=600,
+        seed in any::<u64>(),
+        picks in prop::collection::vec(any::<u64>(), 0..3),
+    ) {
+        let trajectory = floor_trajectory(kind, n, seed, 6);
+        let ranges: Vec<Vec<f64>> = trajectory
+            .iter()
+            .map(|pts| MergeProfile::of(pts).events().iter().map(|e| e.0).collect())
+            .collect();
+        let mut floors = vec![0.0];
+        if let Some(&last) = ranges[0].last() {
+            floors.extend([last, last.next_up()]);
+        }
+        let all: Vec<f64> = ranges.concat();
+        for pick in picks.iter().filter(|_| !all.is_empty()) {
+            let r = all[(pick % all.len() as u64) as usize];
+            floors.extend([r.next_down(), r, r.next_up()]);
+        }
+        floors.retain(|&f| f >= 0.0);
+        floors.sort_by(f64::total_cmp);
+        let mut schedules: Vec<Vec<f64>> = floors.iter().map(|&f| vec![f; trajectory.len()]).collect();
+        schedules.push(
+            (0..trajectory.len())
+                .map(|t| floors[t * floors.len() / trajectory.len()])
+                .collect(),
+        );
+        for schedule in &schedules {
+            let mut profile = FloorProfile::new();
+            for (t, (pts, &floor)) in trajectory.iter().zip(schedule).enumerate() {
+                let want = profile_events_at_or_above(pts, floor);
+                prop_assert_eq!(
+                    bits(profile.events_at_or_above(pts, floor)),
+                    want,
+                    "step {} floor {}", t, floor
+                );
+                assert_kept_tree_is_current(&profile, pts)?;
+            }
+            let c = profile.counts();
+            prop_assert_eq!(c.screened + c.warm + c.cold, c.steps);
+        }
+    }
+}
+
+/// Two nodes of node 0's piece and three of the largest piece, every
+/// pair across them overflowing to `d² = +∞`. The warm step extracts
+/// node 0's piece at key `+∞`, through the parent its slot started
+/// with: a node of the largest piece. Started at node 0, that parent
+/// would make the edge 0–0 and drop the event at `+∞`.
+#[test]
+fn warm_step_joins_an_overflowed_piece_through_the_largest_piece() {
+    let pts = [
+        [0.0, 0.0],
+        [1.0, 0.0],
+        [1e200, 0.0],
+        [1e200, 1.0],
+        [1e200, 2.0],
+    ]
+    .map(Point::new);
+    let mut profile = FloorProfile::new();
+    profile.events_at_or_above(&pts, 0.0);
+    assert_eq!(
+        profile.events_at_or_above(&pts, 10.0),
+        &[(f64::INFINITY, 2)]
+    );
+    assert_eq!((profile.trees_built(), profile.warm_steps()), (1, 1));
+    let mut uf = UnionFind::new(pts.len());
+    for &(a, b, _) in profile.kept_tree() {
+        assert!(uf.union(a as usize, b as usize), "cycle through {a}–{b}");
+    }
+}
+
+#[test]
+#[should_panic(expected = "minimum_spanning_tree: node 2 has a non-finite coordinate")]
+fn warm_step_infinite_position_names_the_node() {
+    let mut pts = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]].map(Point::new);
+    let mut profile = FloorProfile::new();
+    profile.events_at_or_above(&pts, 0.0);
+    // The kept edge 0–1 stays below the floor, so the step goes warm;
+    // node 2's pairs measure `+∞`, which fails the screen like an
+    // overflow would.
+    pts[2] = Point::new([f64::INFINITY, 0.0]);
+    profile.events_at_or_above(&pts, 10.0);
+}
+
+/// At n = 600 the cold build is grid-Kruskal, which examines a few
+/// percent of Prim's pairs. Just above floor 0 every piece is one
+/// node, so a warm step would relax all `n(n−1)/2` pairs: the step
+/// builds cold. At the moved placement's bottleneck the pieces are
+/// large and the step goes warm.
+#[test]
+fn warm_step_over_the_cold_budget_builds_cold() {
+    let trajectory = floor_trajectory(0, 600, 7, 3);
+    let mut profile = FloorProfile::new();
+    profile.events_at_or_above(&trajectory[0], 0.0);
+    let grid_pairs = profile.counts().cold_pairs;
+    assert!(
+        grid_pairs < 600 * 599 / 2 / 4,
+        "grid-Kruskal pairs {grid_pairs}"
+    );
+    let tiny = f64::MIN_POSITIVE;
+    assert_eq!(
+        bits(profile.events_at_or_above(&trajectory[1], tiny)),
+        profile_events_at_or_above(&trajectory[1], tiny)
+    );
+    assert_eq!((profile.trees_built(), profile.warm_steps()), (2, 0));
+    let bottleneck = critical_range(&trajectory[2]);
+    assert_eq!(
+        bits(profile.events_at_or_above(&trajectory[2], bottleneck)),
+        profile_events_at_or_above(&trajectory[2], bottleneck)
+    );
+    assert_eq!((profile.trees_built(), profile.warm_steps()), (2, 1));
+    let c = profile.counts();
+    assert!(c.warm_pairs < grid_pairs, "{c:?}");
+}

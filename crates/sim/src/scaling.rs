@@ -39,7 +39,9 @@
 //!   pool. Each step runs [`FloorProfile`], which skips a step whose
 //!   previous tree is still shorter than the floor at the new
 //!   positions (its MST bottleneck, the last event, lies below the
-//!   floor) and otherwise sorts only the tree edges at or above it.
+//!   floor). Otherwise it grows the step's tree from the previous
+//!   tree's edges below the floor, where that costs fewer pairs than a
+//!   cold build, and sorts only the tree edges at or above it.
 //!   Memory is `O(allow + largest tie group)` pooled events plus one
 //!   buffer per worker, and the answer is exact in the graph builders'
 //!   `d² <= r·r` convention.
@@ -83,7 +85,7 @@ use crate::{
     SimError,
 };
 use manet_graph::kconn::{critical_range_k, is_k_connected};
-use manet_graph::{AdjacencyList, ComponentSummary, FloorProfile};
+use manet_graph::{AdjacencyList, ComponentSummary, FloorCounts, FloorProfile};
 use manet_mobility::Mobility;
 use manet_obs::KernelMetrics;
 use manet_stats::{ConfidenceInterval, FrozenSeries, LinearFit};
@@ -206,6 +208,12 @@ pub struct CriticalPoint {
     /// its graphs from positions. The field stays because the CLI
     /// forwards it to `ObsSession` and the benchmark harness reads it.
     pub kernel: KernelMetrics,
+    /// The giant-fraction rule's [`FloorProfile`] counters, summed
+    /// over the cell's iterations; zero for the other rules. An
+    /// iteration starts from the pool's floor, so with more than one
+    /// engine thread the counts (never the range) depend on the order
+    /// the iterations finish in.
+    pub finder: FloorCounts,
 }
 
 /// Observer recording each step's exact k-connectivity threshold
@@ -314,9 +322,10 @@ where
     M: Mobility<D> + Clone + Send + Sync,
 {
     search.validate(config)?;
-    let range = match search.metric {
+    let (range, finder) = match search.metric {
         ConnectivityMetric::GiantFraction => {
-            giant_fraction_threshold(config, model, search.target).0
+            let (range, _, finder) = giant_fraction_threshold(config, model, search.target);
+            (range, finder)
         }
         ConnectivityMetric::KConnectivity(k) => {
             let series = if k == 1 {
@@ -327,7 +336,11 @@ where
                     series: Vec::with_capacity(config.steps()),
                 })
             };
-            FrozenSeries::new(series.concat())?.smallest_covering(search.target)?
+            let series = FrozenSeries::new(series.concat())?;
+            (
+                series.smallest_covering(search.target)?,
+                FloorCounts::default(),
+            )
         }
     };
     let range = range.clamp(BRACKET_LO, config.region().diameter());
@@ -336,6 +349,7 @@ where
         normalized: range / config.side(),
         probes: 1,
         kernel: KernelMetrics::default(),
+        finder,
     })
 }
 
@@ -370,6 +384,7 @@ where
         normalized: range / config.side(),
         probes,
         kernel: KernelMetrics::default(),
+        finder: FloorCounts::default(),
     })
 }
 
@@ -416,13 +431,15 @@ fn retain_top(events: &mut Vec<(u64, u64)>, allow: u64) -> Option<u64> {
 }
 
 /// The cell's kept growth events, the lowest range any compaction of
-/// them has kept (0 until one exceeds `allow`), and the most events any
-/// buffer or the pool held at once.
+/// them has kept (0 until one exceeds `allow`), the most events any
+/// buffer or the pool held at once, and the iterations' profiler
+/// counters.
 #[derive(Default)]
 struct Pool {
     events: Vec<(u64, u64)>,
     floor: u64,
     peak: usize,
+    finder: FloorCounts,
 }
 
 /// One iteration's growth events at or above its `floor`, which starts
@@ -469,6 +486,7 @@ impl<const D: usize> ConnectivityObserver<D> for TopGrowth<'_> {
         let mut pool = self.pool.lock().unwrap_or_else(PoisonError::into_inner);
         pool.events.append(&mut self.events);
         pool.peak = pool.peak.max(self.peak).max(pool.events.len());
+        pool.finder.merge(&self.profile.counts());
         if let Some(floor) = retain_top(&mut pool.events, self.allow) {
             pool.floor = pool.floor.max(floor);
         }
@@ -478,13 +496,13 @@ impl<const D: usize> ConnectivityObserver<D> for TopGrowth<'_> {
 /// The exact giant-fraction threshold in the graph builders'
 /// `d² <= r·r` convention: the smallest `r` with
 /// `Σ_steps largest_component_at(r) / (iterations · steps · n) >= target`,
-/// from one positions-only pass over the cell's trajectories, and the
-/// most events held at once.
+/// from one positions-only pass over the cell's trajectories, the most
+/// events held at once, and the profilers' counters.
 fn giant_fraction_threshold<const D: usize, M>(
     config: &SimConfig<D>,
     model: &M,
     target: f64,
-) -> (f64, usize)
+) -> (f64, usize, FloorCounts)
 where
     M: Mobility<D> + Clone + Send + Sync,
 {
@@ -504,7 +522,7 @@ where
     // The lowest group whose growth tips the deficit past `allow` is
     // the answer; when none does, the target holds before any event.
     let range = retain_top(&mut pool.events, allow).map_or(0.0, f64::from_bits);
-    (range, pool.peak)
+    (range, pool.peak, pool.finder)
 }
 
 /// A fitted finite-size scaling exponent `rho_c ~ n^(-beta)` with its
@@ -695,7 +713,7 @@ mod tests {
         layouts.extend(std::iter::repeat_n(row(4, 3.0), 6));
         layouts.extend(std::iter::repeat_n(row(4, 1.0), 3));
         let model = Script::new(layouts);
-        let (range, peak) = giant_fraction_threshold(&cfg, &model, 0.89);
+        let (range, peak, _) = giant_fraction_threshold(&cfg, &model, 0.89);
         assert_eq!(range, 3.0);
         assert_eq!(range, all_events_threshold(&cfg, &model, 0.89));
         assert!(peak < all_events(&cfg, &model).len(), "peak {peak}");
@@ -722,7 +740,8 @@ mod tests {
                     .extend(events.iter().map(|&(r, g)| (step, r, g)));
             }
             fn finish(self) -> Self::Output {
-                (self.events, self.profile.trees_built())
+                let counts = self.profile.counts();
+                (self.events, counts.steps - counts.screened)
             }
         }
         let cfg = config(4, 100.0, 1, 10);
@@ -741,7 +760,8 @@ mod tests {
         // Above 3, step 0's tree already screens step 1: one tree.
         assert_eq!(run(3.5), (vec![], 1));
         // Just above 1, step 1 still has stale pairs up to 3 apart and
-        // builds the row's tree, which screens every later step.
+        // builds the row's tree (cold or warm), which screens every
+        // later step.
         assert_eq!(run(1.0_f64.next_up()), (vec![], 2));
         // At 1 itself the row's tie group is an event on every step.
         let (events, trees) = run(1.0);
@@ -755,7 +775,7 @@ mod tests {
         let cfg = config(12, 120.0, 3, 40);
         let model = RandomWaypoint::new(0.5, 2.0, 1, 0.0).unwrap();
         assert_eq!(deficit_allowance(slots(&cfg), 1.0), 0);
-        let (range, _) = giant_fraction_threshold(&cfg, &model, 1.0);
+        let (range, ..) = giant_fraction_threshold(&cfg, &model, 1.0);
         let r100 = simulate_critical_ranges(&cfg, &model)
             .unwrap()
             .pooled()
@@ -770,7 +790,7 @@ mod tests {
             Point::new([0.0, 0.0]),
             Point::new([1024.0, 1024.0]),
         ]]);
-        let (range, _) = giant_fraction_threshold(&cfg, &corners, 1.0);
+        let (range, ..) = giant_fraction_threshold(&cfg, &corners, 1.0);
         assert_eq!(range, cfg.region().diameter());
         assert_eq!(range, all_events_threshold(&cfg, &corners, 1.0));
     }
@@ -781,7 +801,7 @@ mod tests {
         // steps (one pair at r = 0): 42 of 44 nodes at r = 0 reach 0.95.
         let cfg = config(2, 100.0, 2, 11);
         let model = Script::new(vec![vec![Point::new([5.0, 5.0]); 2]]);
-        let (range, _) = giant_fraction_threshold(&cfg, &model, 0.95);
+        let (range, ..) = giant_fraction_threshold(&cfg, &model, 0.95);
         assert_eq!(range, 0.0);
         assert_eq!(range, all_events_threshold(&cfg, &model, 0.95));
         let search = CriticalRangeSearch::new().with_target(0.95);
@@ -821,12 +841,12 @@ mod tests {
         for group in events.chunk_by(|a, b| a.0 == b.0) {
             let at = (total - above) as f64 / total as f64;
             assert_eq!(deficit_allowance(total, at), above);
-            let (range, _) = giant_fraction_threshold(&cfg, &model, at);
+            let (range, ..) = giant_fraction_threshold(&cfg, &model, at);
             assert_eq!(range, group[0].0);
             assert_eq!(range, all_events_threshold(&cfg, &model, at));
             if let Some(higher) = higher {
                 let tighter = (total - above + 1) as f64 / total as f64;
-                let (range, _) = giant_fraction_threshold(&cfg, &model, tighter);
+                let (range, ..) = giant_fraction_threshold(&cfg, &model, tighter);
                 assert_eq!(range, higher);
                 assert_eq!(range, all_events_threshold(&cfg, &model, tighter));
             }
@@ -850,7 +870,7 @@ mod tests {
             .map(<[_]>::len)
             .max()
             .unwrap();
-        let (range, peak) = giant_fraction_threshold(&cfg, &model, 0.99);
+        let (range, peak, _) = giant_fraction_threshold(&cfg, &model, 0.99);
         assert_eq!(range, all_events_threshold(&cfg, &model, 0.99));
         // A buffer compacts once it passes max(2 · kept, 256), kept
         // being at most allow + ties, so it holds at most that plus one

@@ -7,7 +7,7 @@
 //! results must be byte-identical across engine, step-kernel and
 //! scheduler thread counts.
 
-use manet::graph::{kconn::critical_range_k, MergeProfile};
+use manet::graph::{kconn::critical_range_k, FloorCounts, MergeProfile};
 use manet::sim::{
     bisect_critical_range, find_critical_range, run_connectivity_stream, simulate_critical_ranges,
     simulate_fixed_ranges, ConnectivityMetric, ConnectivityObserver, CriticalRangeSearch,
@@ -353,66 +353,86 @@ fn exact_finder_matches_oracles_at_scale() {
     }
 }
 
+/// The `critical-scaling --quick` shape at `nodes`: side 64·√n,
+/// pauses scaled to the step count, the CLI's seed.
+fn quick_shape(
+    nodes: usize,
+    iterations: usize,
+    steps: usize,
+    threads: usize,
+) -> (SimConfig<2>, PaperScale) {
+    let side = 64.0 * (nodes as f64).sqrt();
+    let mut b = SimConfig::<2>::builder();
+    b.nodes(nodes)
+        .side(side)
+        .iterations(iterations)
+        .steps(steps)
+        .seed(20020623)
+        .threads(threads);
+    let pause = (2000 * steps / 10_000) as u32;
+    (b.build().unwrap(), PaperScale::new(side).with_pause(pause))
+}
+
+/// Checks the giant-fraction finder on one cell: at `target` the answer
+/// must be the profile mean's exact crossing, and at `target` and at
+/// 0.5, 0.9 and 1 the threshold of every step's events, bit for bit.
+/// Returns the finder counters summed over the four searches.
+fn check_giant_fraction(
+    cfg: &SimConfig<2>,
+    name: &str,
+    model: &AnyModel<2>,
+    target: f64,
+) -> FloorCounts {
+    let nodes = cfg.nodes();
+    let profiles = step_profiles(cfg, model);
+    let mut counts = FloorCounts::default();
+    for other in [target, 0.5, 0.9, 1.0] {
+        let search = CriticalRangeSearch::new().with_target(other);
+        let point = find_critical_range(cfg, model, &search).unwrap();
+        counts.merge(&point.finder);
+        let r = point.range;
+        if other == target {
+            assert!(
+                profile_mean_reaches(cfg, &profiles, r, target),
+                "{name} n = {nodes}: the profile mean misses the target at {r}"
+            );
+            assert!(
+                !profile_mean_reaches(cfg, &profiles, r.next_down(), target),
+                "{name} n = {nodes}: the profile mean already reaches the target below {r}"
+            );
+        }
+        assert_eq!(
+            r.to_bits(),
+            all_events_threshold(cfg, &profiles, other).to_bits(),
+            "{name} n = {nodes} target {other}"
+        );
+    }
+    counts
+}
+
 /// The giant-fraction finder where its kept events are a small top
-/// slice of each iteration: the `critical-scaling --quick` shape (side
-/// 64·√n, pauses scaled to 500 steps, 5 × 500 steps, target 0.99) on
-/// every registry model at n = 16 and 64, and 2 × 60 steps at n = 512
-/// and 1024. The answer must be the profile mean's exact crossing, and
-/// at targets 0.5, 0.9 and 1 the threshold of every step's events, bit
-/// for bit. A 20-iteration cell, whose iterations merge into the
-/// shared pool and seed their floors from it in whatever order the
-/// workers finish, must give the same bits at 1–4 engine threads.
-/// Release-only.
+/// slice of each iteration: the `critical-scaling --quick` shape (5 ×
+/// 500 steps, target 0.99) on every registry model at n = 16 and 64,
+/// and 2 × 60 steps at n = 512 and 1024, checked by
+/// [`check_giant_fraction`]. A 20-iteration cell, whose iterations
+/// merge into the shared pool and seed their floors from it in
+/// whatever order the workers finish, must give the same bits at 1–4
+/// engine threads. Release-only.
 #[test]
 #[ignore = "release-only oracle; run by CI"]
 fn giant_fraction_finder_is_exact_in_the_quick_shape() {
     let target = 0.99;
-    let shape = |nodes: usize, iterations: usize, steps: usize, threads: usize| {
-        let side = 64.0 * (nodes as f64).sqrt();
-        let mut b = SimConfig::<2>::builder();
-        b.nodes(nodes)
-            .side(side)
-            .iterations(iterations)
-            .steps(steps)
-            .seed(20020623)
-            .threads(threads);
-        let pause = (2000 * steps / 10_000) as u32;
-        (b.build().unwrap(), PaperScale::new(side).with_pause(pause))
-    };
     let registry = ModelRegistry::<2>::with_builtins();
     for (nodes, iterations, steps) in [(16, 5, 500), (64, 5, 500), (512, 2, 60), (1024, 2, 60)] {
-        let (cfg, scale) = shape(nodes, iterations, steps, 2);
+        let (cfg, scale) = quick_shape(nodes, iterations, steps, 2);
         for name in registry.names() {
             let model = registry.build(name, &scale).unwrap();
-            let search = CriticalRangeSearch::new().with_target(target);
-            let r = find_critical_range(&cfg, &model, &search).unwrap().range;
-            let profiles = step_profiles(&cfg, &model);
-            assert!(
-                profile_mean_reaches(&cfg, &profiles, r, target),
-                "{name} n = {nodes}: the profile mean misses the target at {r}"
-            );
-            assert!(
-                !profile_mean_reaches(&cfg, &profiles, r.next_down(), target),
-                "{name} n = {nodes}: the profile mean already reaches the target below {r}"
-            );
-            assert_eq!(
-                r.to_bits(),
-                all_events_threshold(&cfg, &profiles, target).to_bits()
-            );
-            for other in [0.5, 0.9, 1.0] {
-                let search = search.with_target(other);
-                let r = find_critical_range(&cfg, &model, &search).unwrap().range;
-                assert_eq!(
-                    r.to_bits(),
-                    all_events_threshold(&cfg, &profiles, other).to_bits(),
-                    "{name} n = {nodes} target {other}"
-                );
-            }
+            check_giant_fraction(&cfg, name, &model, target);
         }
     }
 
     let find = |threads: usize| {
-        let (cfg, scale) = shape(64, 20, 100, threads);
+        let (cfg, scale) = quick_shape(64, 20, 100, threads);
         let model = registry.build("waypoint", &scale).unwrap();
         let search = CriticalRangeSearch::new().with_target(target);
         find_critical_range(&cfg, &model, &search).unwrap().range
@@ -425,7 +445,7 @@ fn giant_fraction_finder_is_exact_in_the_quick_shape() {
             "threads {threads}"
         );
     }
-    let (cfg, scale) = shape(64, 20, 100, 1);
+    let (cfg, scale) = quick_shape(64, 20, 100, 1);
     let profiles = step_profiles(&cfg, &registry.build("waypoint", &scale).unwrap());
     assert!(profile_mean_reaches(&cfg, &profiles, reference, target));
     assert!(!profile_mean_reaches(
@@ -434,4 +454,29 @@ fn giant_fraction_finder_is_exact_in_the_quick_shape() {
         reference.next_down(),
         target
     ));
+}
+
+/// The giant-fraction finder at the sizes where its cold trees are
+/// grid-Kruskal's and a warm step must beat that build's pair count:
+/// the `critical-scaling` default models at n = 2048 and 4096, 2 × 30
+/// steps, checked by [`check_giant_fraction`]. The engine runs serial,
+/// so the counters repeat: each cell must build cold beyond its
+/// iterations' first steps, and some cell must take a warm step (7 of
+/// the 8 do). Release-only.
+#[test]
+#[ignore = "release-only oracle; run by CI"]
+fn giant_fraction_finder_is_exact_at_large_n() {
+    let registry = ModelRegistry::<2>::with_builtins();
+    let mut warm = 0;
+    for nodes in [2048, 4096] {
+        let (cfg, scale) = quick_shape(nodes, 2, 30, 1);
+        for name in ["waypoint", "drunkard", "gauss-markov", "rpgm"] {
+            let model = registry.build(name, &scale).unwrap();
+            let counts = check_giant_fraction(&cfg, name, &model, 0.99);
+            // Four searches of two iterations each.
+            assert!(counts.cold > 4 * 2, "{name} n = {nodes}: {counts:?}");
+            warm += counts.warm;
+        }
+    }
+    assert!(warm > 0);
 }
