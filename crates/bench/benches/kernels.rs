@@ -2,7 +2,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use manet_bench::placement;
-use manet_core::geom::{Point, Region};
+use manet_bench::step_kernel::{registry_trajectory, CLI_NODES, CLI_RANGES, CLI_SIDE};
+use manet_core::geom::{MovingCellGrid, Point, Region};
 use manet_core::graph::mst::{
     critical_range_grid, critical_range_prim, minimum_spanning_tree_grid,
     minimum_spanning_tree_prim,
@@ -293,6 +294,33 @@ fn bench_graph_build(c: &mut Criterion) {
     group.finish();
 }
 
+/// One full-lattice forward scan at the `trace-large` shape (n = 2000,
+/// side 1024, its four ranges), on a uniform placement and on random
+/// waypoint's centre-heavy placement after 300 steps. The cells follow
+/// the lattice rule at each range, as in the step kernel's bulk steps.
+fn bench_grid_scan(c: &mut Criterion) {
+    let mut group = c.benchmark_group("grid_scan");
+    let uniform = placement(CLI_NODES, CLI_SIDE, 12);
+    let (walk, _) = registry_trajectory("waypoint", CLI_NODES, CLI_SIDE, 300, 31);
+    let clustered = walk.last().expect("a non-empty trajectory");
+    for (label, pts) in [("uniform", &uniform), ("waypoint", clustered)] {
+        for r in CLI_RANGES {
+            let cell = MovingCellGrid::<2>::lattice_cell_size(pts.len(), CLI_SIDE, r)
+                .expect("valid lattice");
+            let mut grid = MovingCellGrid::build(pts, CLI_SIDE, cell).expect("valid grid");
+            group.bench_function(format!("{label}_n={CLI_NODES}_side=1024_r={r}"), |b| {
+                b.iter(|| {
+                    let mut kept = 0usize;
+                    let examined =
+                        grid.scan_forward_pairs(black_box(r * r), |batch| kept += batch.len());
+                    black_box((examined, kept))
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
 fn bench_components(c: &mut Criterion) {
     let pts = placement(128, 1000.0, 10);
     let g = AdjacencyList::from_points_brute_force(&pts, 120.0);
@@ -348,6 +376,7 @@ criterion_group!(
     bench_critical_range_warm,
     bench_merge_profile,
     bench_graph_build,
+    bench_grid_scan,
     bench_components,
     bench_union_find,
     bench_one_dim_fast_path,

@@ -15,8 +15,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use manet_bench::step_kernel::{
-    churn_per_node, run_cached, run_incremental, run_rebuild_diff, trajectory, RANGE, SCENARIOS,
-    SIDE,
+    churn_per_node, registry_trajectory, run_cached, run_incremental, run_rebuild_diff, trajectory,
+    CLI_NODES, CLI_RANGES, CLI_SIDE, CLI_STEPS, RANGE, SCENARIOS, SIDE,
 };
 use manet_core::graph::Skin;
 use std::hint::black_box;
@@ -62,12 +62,35 @@ fn bench_step_kernel_cache(c: &mut Criterion) {
             ("fixed12", Skin::Fixed(12.0)),
         ] {
             group.bench_function(format!("cached_n={n}_mid_skin={label}"), |b| {
-                b.iter(|| run_cached(black_box(&traj), SIDE, RANGE, scenario.v_max, skin))
+                b.iter(|| run_cached(black_box(&traj), SIDE, RANGE, Some(scenario.v_max), skin))
             });
         }
     }
     group.finish();
 }
 
-criterion_group!(benches, bench_step_kernel, bench_step_kernel_cache);
+/// The trace command's own kernels at the `trace-large` shape: one
+/// `Skin::Auto` kernel per model and range over a 60-step trajectory
+/// (n = 2000, side 1024), with the model's declared displacement
+/// bound. Waypoint's two widest ranges arm the Verlet cache;
+/// Gauss-Markov declares no bound and bulk-rescans every step.
+fn bench_step_kernel_cli(c: &mut Criterion) {
+    let mut group = c.benchmark_group("step_kernel");
+    for model in ["waypoint", "gauss-markov"] {
+        let (traj, bound) = registry_trajectory(model, CLI_NODES, CLI_SIDE, CLI_STEPS, 31);
+        for r in CLI_RANGES {
+            group.bench_function(format!("cli_{model}_n={CLI_NODES}_r={r}"), |b| {
+                b.iter(|| run_cached(black_box(&traj), CLI_SIDE, r, bound, Skin::Auto))
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_step_kernel,
+    bench_step_kernel_cache,
+    bench_step_kernel_cli
+);
 criterion_main!(benches);

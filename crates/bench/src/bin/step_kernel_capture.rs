@@ -120,7 +120,7 @@ fn measure(spec: &Spec, timer: &mut SpanTimer) -> Cell {
     let moved_fraction = moved as f64 / ((traj.len() - 1) as f64 * n as f64);
     timer.enter("time_incremental");
     let (inc, checksum) = time_ns_per_step(
-        || run_cached(&traj, side, RANGE, bound, skin),
+        || run_cached(&traj, side, RANGE, Some(bound), skin),
         steps - 1,
         repeats,
     );
@@ -379,9 +379,9 @@ fn main() {
             worst >= 3.0,
             "step kernel speedup regressed below 3x at n=4000 low churn: {worst:.2}x"
         );
-        // The SoA + forward-half-neighborhood scan must keep the serial
+        // The forward-half-neighborhood grid scan must keep the serial
         // kernel well ahead of rebuild in the all-moving regimes too
-        // (up from ~1.0-1.35x before the SoA/forward-scan kernel; typical
+        // (up from ~1.0-1.35x before the forward scan; typical
         // captures land 1.8-2.2x on `mid`). The floors leave headroom
         // for run-to-run noise on shared machines; `high` shares its
         // dominant cost (edge-churn diffing) with the rebuild path, so

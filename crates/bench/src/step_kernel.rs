@@ -11,6 +11,7 @@ use manet_core::geom::{Point, Region};
 use manet_core::graph::{AdjacencyList, DynamicGraph, Skin};
 use manet_core::mobility::{Mobility, RandomWaypoint};
 use manet_core::obs::KernelMetrics;
+use manet_core::{ModelRegistry, PaperScale};
 use rand::SeedableRng;
 
 /// Region side of the step-kernel workloads (sparse regime: the
@@ -108,6 +109,48 @@ pub fn trajectory_in(
     out
 }
 
+/// Region side of the `trace-large` workload (`manet-repro trace
+/// --nodes 2000 --models waypoint,gauss-markov --steps 60`).
+pub const CLI_SIDE: f64 = 1024.0;
+/// Node count of the `trace-large` workload.
+pub const CLI_NODES: usize = 2000;
+/// Mobility steps per iteration of the `trace-large` workload.
+pub const CLI_STEPS: usize = 60;
+/// The `trace-large` workload's four ranges at the default seed:
+/// `r_stationary` = 56.989 times 0.75, 1, 1.25 and 1.5.
+pub const CLI_RANGES: [f64; 4] = [42.742, 56.989, 71.237, 85.484];
+
+/// A pinned-seed trajectory of the registry model `name` as the trace
+/// command runs it: `steps` snapshots of `n` nodes on `side`, at the
+/// paper scale with the pause scaled to a 60-step horizon. Returns the
+/// model's declared per-step displacement bound with it.
+///
+/// # Panics
+///
+/// Panics on a name the registry does not know.
+pub fn registry_trajectory(
+    name: &str,
+    n: usize,
+    side: f64,
+    steps: usize,
+    seed: u64,
+) -> (Vec<Vec<Point<2>>>, Option<f64>) {
+    let region: Region<2> = Region::new(side).expect("positive side");
+    let scale = PaperScale::new(side).with_pause(12);
+    let mut model = ModelRegistry::<2>::with_builtins()
+        .build(name, &scale)
+        .expect("registered trace model");
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut positions = placement(n, side, seed);
+    model.init(&positions, &region, &mut rng);
+    let mut out = vec![positions.clone()];
+    for _ in 1..steps {
+        model.step(&mut positions, &region, &mut rng);
+        out.push(positions.clone());
+    }
+    (out, model.max_step_displacement())
+}
+
 /// Mean per-step churn of a trajectory as a fraction of `n` (printed
 /// into bench ids / the JSON so numbers can be read against regime).
 /// Shared by the `step_kernel` and `dynamic_components` benches.
@@ -134,16 +177,24 @@ pub fn run_incremental(traj: &[Vec<Point<2>>], side: f64, range: f64) -> usize {
     acc
 }
 
-/// The cached path: [`run_incremental`] with the scenario's
-/// per-step displacement bound declared (waypoint moves at most
-/// `v_max` per step) and a Verlet skin policy. With `Skin::Off` this
-/// is byte-identical to the legacy kernel; with `Skin::Auto`/`Fixed`
-/// the all-moving regimes commit most steps through the cache-verify
-/// path instead of bulk rescans. The checksum is invariant across
-/// skin policies — only the wall clock moves.
-pub fn run_cached(traj: &[Vec<Point<2>>], side: f64, range: f64, bound: f64, skin: Skin) -> usize {
+/// The cached path: [`run_incremental`] with a per-step displacement
+/// bound declared (waypoint moves at most `v_max` per step; `None`
+/// declares none, as Gauss-Markov does) and a Verlet skin policy. With
+/// `Skin::Off` this is byte-identical to the legacy kernel; with
+/// `Skin::Auto`/`Fixed` the all-moving regimes commit most steps
+/// through the cache-verify path instead of bulk rescans. The checksum
+/// is invariant across skin policies — only the wall clock moves.
+/// `Skin::Auto` with the model's own bound is the trace command's
+/// kernel.
+pub fn run_cached(
+    traj: &[Vec<Point<2>>],
+    side: f64,
+    range: f64,
+    bound: Option<f64>,
+    skin: Skin,
+) -> usize {
     let mut dg = DynamicGraph::new(&traj[0], side, range)
-        .with_displacement_bound(Some(bound))
+        .with_displacement_bound(bound)
         .with_skin(skin);
     let mut acc = dg.last_diff().churn();
     for pts in &traj[1..] {
@@ -238,7 +289,7 @@ mod tests {
             for skin in [Skin::Off, Skin::Auto, Skin::Fixed(12.0)] {
                 assert_eq!(
                     want,
-                    run_cached(&traj, SIDE, RANGE, scenario.v_max, skin),
+                    run_cached(&traj, SIDE, RANGE, Some(scenario.v_max), skin),
                     "scenario {} skin {skin:?}",
                     scenario.label
                 );

@@ -8,8 +8,15 @@
 //! pair once by visiting every adjacent cell pair once. The static
 //! graph build (`AdjacencyList::from_points_grid` in `manet-graph`)
 //! is one build plus one full scan. Each cell holds its occupants as
-//! one array of `(id, position)` entries, so a scan reads ids and
-//! coordinates from the same contiguous run.
+//! one array of `(id, position)` entries. The scan gathers each base
+//! cell's occupants and its forward cells' occupants into one reused
+//! run, so each base occupant tests one contiguous tail of it, and it
+//! hands the in-range pairs to its caller in batches. Its emission
+//! order (see [`MovingCellGrid::scan_forward_pairs`]) is fixed, but
+//! no caller depends on it: the graph builds counting-sort the pairs
+//! into lex order, and grid-Kruskal's ties between equal squared
+//! distances only choose among spanning trees of the same edge
+//! lengths.
 //!
 //! The step kernels build the index once and commit each step in two
 //! calls. [`MovingCellGrid::measure`] reports which nodes moved and the
@@ -62,7 +69,7 @@ use manet_obs::GridMetrics;
 ///
 /// // Every pair within range 1, each once, over the whole lattice.
 /// let mut pairs = Vec::new();
-/// grid.scan_forward_pairs(1.0, |a, b| pairs.push((a, b)));
+/// grid.scan_forward_pairs(1.0, |batch| pairs.extend_from_slice(batch));
 /// assert_eq!(pairs, vec![(0, 1)]);
 /// # Ok::<(), manet_geom::GeomError>(())
 /// ```
@@ -83,6 +90,9 @@ pub struct MovingCellGrid<const D: usize> {
     /// Deterministic commit counters (see [`GridMetrics`]); the build
     /// itself is not counted, only subsequent commits.
     metrics: GridMetrics,
+    /// Scratch for [`MovingCellGrid::scan_forward_pairs`]: one base
+    /// cell's occupants followed by its forward cells' occupants.
+    run: Vec<(u32, Point<D>)>,
 }
 
 impl<const D: usize> MovingCellGrid<D> {
@@ -108,6 +118,7 @@ impl<const D: usize> MovingCellGrid<D> {
             node_slot: vec![0; points.len()],
             points: points.to_vec(),
             metrics: GridMetrics::default(),
+            run: Vec::new(),
         };
         grid.bucket_all(points);
         #[cfg(feature = "strict-invariants")]
@@ -418,14 +429,21 @@ impl<const D: usize> MovingCellGrid<D> {
     /// cross-cell pairs once via the forward cell offsets
     /// (`CellLayout::for_each_forward_neighbor_cell`: first nonzero
     /// component `+1`) — and returns the number of candidate pairs
-    /// *examined* (in range or not). Distances are
+    /// *examined* (in range or not), which is
+    /// [`MovingCellGrid::forward_pair_count`]. Distances are
     /// [`Point::distance_sq`] on the stored positions.
     ///
-    /// Emission order is fixed: base cells in linear order; in each,
-    /// intra-cell pairs by slot, then each forward cell's pairs by the
-    /// base occupant's slot, then the partner's. Range tests run in
-    /// branch-free batches of 32 pairs, and the survivors keep that
-    /// order.
+    /// Each non-empty base cell gathers its own occupants, then each
+    /// forward cell's occupants, into one reused run; each base
+    /// occupant then tests the contiguous tail of the run behind it.
+    /// The emitted sequence is therefore: base cells in linear order;
+    /// in each, base occupants by slot; for each, its partners in run
+    /// order — the later base occupants by slot, then each forward
+    /// cell's occupants by slot, forward cells in offset order. The
+    /// range test has no data-dependent branch (every pair is written
+    /// and the buffer's end advances by the outcome), and the survivors
+    /// reach `emit` in batches: non-empty slices of at most 128 pairs
+    /// each, whose concatenation is that sequence.
     ///
     /// # Panics
     ///
@@ -446,45 +464,58 @@ impl<const D: usize> MovingCellGrid<D> {
     ///     Point::new([1.0, 0.5]),
     ///     Point::new([9.0, 9.0]),
     /// ];
-    /// let grid = MovingCellGrid::build(&pts, 10.0, 1.0)?;
+    /// let mut grid = MovingCellGrid::build(&pts, 10.0, 1.0)?;
     /// let mut pairs = Vec::new();
-    /// grid.scan_forward_pairs(1.0, |i, j| pairs.push((i, j)));
+    /// let examined = grid.scan_forward_pairs(1.0, |batch| pairs.extend_from_slice(batch));
     /// assert_eq!(pairs, vec![(0, 1)]);
+    /// assert_eq!(examined, grid.forward_pair_count());
     /// # Ok::<(), manet_geom::GeomError>(())
     /// ```
-    pub fn scan_forward_pairs<F: FnMut(u32, u32)>(&self, r2: f64, mut emit: F) -> u64 {
+    pub fn scan_forward_pairs<F: FnMut(&[(u32, u32)])>(&mut self, r2: f64, mut emit: F) -> u64 {
         let w = self.layout.cell_width;
         assert!(
             self.layout.cells_per_side == 1 || r2 <= w * w * (1.0 + 1e-9),
             "squared radius {r2} exceeds the squared cell width {}",
             w * w
         );
+        let MovingCellGrid {
+            layout,
+            buckets,
+            run,
+            ..
+        } = self;
         let mut examined = 0u64;
-        let mut batch = [(0u32, 0u32); EMIT_BATCH];
+        let mut out = [(0u32, 0u32); SCAN_BATCH];
+        let mut kept = 0usize;
         // Odometer over the per-axis cell coordinates, kept in sync
         // with the row-major linear index.
         let mut base = [0usize; D];
-        for bucket in &self.buckets {
+        for bucket in buckets.iter() {
             if !bucket.is_empty() {
-                // Intra-cell pairs, each once (ascending slot order).
-                let k = bucket.len() as u64;
-                examined += k * (k - 1) / 2;
-                for (sa, (a, pa)) in bucket.iter().enumerate() {
-                    emit_in_range(*a, pa, &bucket[sa + 1..], r2, &mut batch, &mut emit);
-                }
-                // Cross pairs against each forward-adjacent cell.
-                self.layout.for_each_forward_neighbor_cell(&base, |other| {
-                    let obucket = &self.buckets[other];
-                    examined += k * obucket.len() as u64;
-                    for (a, pa) in bucket {
-                        emit_in_range(*a, pa, obucket, r2, &mut batch, &mut emit);
-                    }
+                run.clear();
+                run.extend_from_slice(bucket);
+                layout.for_each_forward_neighbor_cell(&base, |other| {
+                    run.extend_from_slice(&buckets[other]);
                 });
+                let k = bucket.len() as u64;
+                examined += k * (k - 1) / 2 + k * (run.len() as u64 - k);
+                for (sa, &(a, pa)) in run[..bucket.len()].iter().enumerate() {
+                    for chunk in run[sa + 1..].chunks(SCAN_BATCH) {
+                        if kept + chunk.len() > SCAN_BATCH {
+                            emit(&out[..kept]);
+                            kept = 0;
+                        }
+                        for (b, pb) in chunk {
+                            out[kept] = (a.min(*b), a.max(*b));
+                            kept += usize::from(pa.distance_sq(pb) <= r2);
+                        }
+                    }
+                }
             }
             // Advance the odometer (least-significant axis is D-1).
             for k in (1..D).rev() {
                 base[k] += 1;
-                if base[k] < self.layout.cells_per_side {
+                if base[k] < layout.cells_per_side {
                     break;
                 }
                 base[k] = 0;
@@ -495,6 +526,9 @@ impl<const D: usize> MovingCellGrid<D> {
             if D == 1 {
                 base[0] += 1;
             }
+        }
+        if kept > 0 {
+            emit(&out[..kept]);
         }
         examined
     }
@@ -526,34 +560,9 @@ impl<const D: usize> MovingCellGrid<D> {
     }
 }
 
-/// Pairs one batch of [`emit_in_range`] collects before emitting.
-const EMIT_BATCH: usize = 32;
-
-/// Emits `(min(a, j), max(a, j))` for every occupant `(j, q)` of
-/// `others` with `pa.distance_sq(q) <= r2`, in `others`' order. Each
-/// chunk of [`EMIT_BATCH`] occupants writes every pair into `batch`
-/// (the caller's stack buffer, zeroed once per scan) and advances its
-/// end by the range test's outcome, so the distance loop carries no
-/// data-dependent branch; the survivors are emitted after the chunk.
-fn emit_in_range<const D: usize, F: FnMut(u32, u32)>(
-    a: u32,
-    pa: &Point<D>,
-    others: &[(u32, Point<D>)],
-    r2: f64,
-    batch: &mut [(u32, u32); EMIT_BATCH],
-    emit: &mut F,
-) {
-    for chunk in others.chunks(EMIT_BATCH) {
-        let mut kept = 0;
-        for (b, pb) in chunk {
-            batch[kept] = (a.min(*b), a.max(*b));
-            kept += usize::from(pa.distance_sq(pb) <= r2);
-        }
-        for &(lo, hi) in &batch[..kept] {
-            emit(lo, hi);
-        }
-    }
-}
+/// The most in-range pairs one [`MovingCellGrid::scan_forward_pairs`]
+/// batch holds.
+const SCAN_BATCH: usize = 128;
 
 #[cfg(test)]
 mod tests {
@@ -607,16 +616,16 @@ mod tests {
 
     #[test]
     fn empty_point_set_scans_no_pairs() {
-        let grid: MovingCellGrid<2> = MovingCellGrid::build(&[], 10.0, 1.0).unwrap();
+        let mut grid: MovingCellGrid<2> = MovingCellGrid::build(&[], 10.0, 1.0).unwrap();
         assert!(grid.is_empty());
-        let examined = grid.scan_forward_pairs(1.0, |_, _| panic!("an empty grid has no pairs"));
+        let examined = grid.scan_forward_pairs(1.0, |_| panic!("an empty grid has no pairs"));
         assert_eq!(examined, 0);
     }
 
     /// All in-range pairs, each once as `(min, max)`, sorted.
-    fn scanned_pairs<const D: usize>(grid: &MovingCellGrid<D>, r: f64) -> Vec<(u32, u32)> {
+    fn scanned_pairs<const D: usize>(grid: &mut MovingCellGrid<D>, r: f64) -> Vec<(u32, u32)> {
         let mut out = Vec::new();
-        grid.scan_forward_pairs(r * r, |a, b| out.push((a, b)));
+        grid.scan_forward_pairs(r * r, |batch| out.extend_from_slice(batch));
         out.sort_unstable();
         out
     }
@@ -647,9 +656,9 @@ mod tests {
     #[test]
     fn tiny_region_single_cell() {
         let pts = [Point::new([0.1]), Point::new([0.9])];
-        let grid = MovingCellGrid::build(&pts, 1.0, 5.0).unwrap();
+        let mut grid = MovingCellGrid::build(&pts, 1.0, 5.0).unwrap();
         assert_eq!(grid.cells_per_side(), 1);
-        assert_eq!(scanned_pairs(&grid, 5.0), vec![(0, 1)]);
+        assert_eq!(scanned_pairs(&mut grid, 5.0), vec![(0, 1)]);
     }
 
     /// Points on the far boundary (and outside the region) clamp into
@@ -662,10 +671,10 @@ mod tests {
             Point::new([10.5, 9.5]),
             Point::new([-0.5, 0.5]),
         ];
-        let grid = MovingCellGrid::build(&pts, 10.0, 1.0).unwrap();
+        let mut grid = MovingCellGrid::build(&pts, 10.0, 1.0).unwrap();
         assert_eq!(grid.len(), 4);
-        assert_eq!(scanned_pairs(&grid, 1.0), brute_force_pairs(&pts, 1.0));
-        assert_eq!(scanned_pairs(&grid, 1.0), vec![(0, 3), (1, 2)]);
+        assert_eq!(scanned_pairs(&mut grid, 1.0), brute_force_pairs(&pts, 1.0));
+        assert_eq!(scanned_pairs(&mut grid, 1.0), vec![(0, 3), (1, 2)]);
     }
 
     #[test]
@@ -684,8 +693,8 @@ mod tests {
     #[should_panic(expected = "exceeds the squared cell width")]
     fn radius_larger_than_cell_panics() {
         let pts = [Point::new([0.5, 0.5]), Point::new([3.0, 3.0])];
-        let grid = MovingCellGrid::build(&pts, 10.0, 1.0).unwrap();
-        grid.scan_forward_pairs(25.0, |_, _| {});
+        let mut grid = MovingCellGrid::build(&pts, 10.0, 1.0).unwrap();
+        grid.scan_forward_pairs(25.0, |_| {});
     }
 
     /// A per-node query (candidates filtered by exact distance) agrees
@@ -698,7 +707,7 @@ mod tests {
             Point::new([5.0, 5.0]),
             Point::new([1.0, 1.4]),
         ];
-        let grid = MovingCellGrid::build(&pts, 10.0, 1.0).unwrap();
+        let mut grid = MovingCellGrid::build(&pts, 10.0, 1.0).unwrap();
         let mut queried = Vec::new();
         for (i, p) in pts.iter().enumerate() {
             grid.for_each_candidate(p, |j, q| {
@@ -709,7 +718,7 @@ mod tests {
         }
         queried.sort_unstable();
         assert_eq!(queried, vec![(0, 1), (0, 3), (1, 3)]);
-        assert_eq!(queried, scanned_pairs(&grid, 1.0));
+        assert_eq!(queried, scanned_pairs(&mut grid, 1.0));
     }
 
     #[test]
@@ -721,9 +730,9 @@ mod tests {
                 .map(|_| Point::new([rng.random_range(0.0..100.0), rng.random_range(0.0..100.0)]))
                 .collect();
             let r = rng.random_range(2.0..15.0);
-            let grid = MovingCellGrid::build(&pts, 100.0, r).unwrap();
+            let mut grid = MovingCellGrid::build(&pts, 100.0, r).unwrap();
             assert_eq!(
-                scanned_pairs(&grid, r),
+                scanned_pairs(&mut grid, r),
                 brute_force_pairs(&pts, r),
                 "trial {trial} r={r}"
             );
@@ -737,8 +746,11 @@ mod tests {
         let pts1: Vec<Point<1>> = (0..200)
             .map(|_| Point::new([rng.random_range(0.0..50.0)]))
             .collect();
-        let grid1 = MovingCellGrid::build(&pts1, 50.0, 2.0).unwrap();
-        assert_eq!(scanned_pairs(&grid1, 2.0), brute_force_pairs(&pts1, 2.0));
+        let mut grid1 = MovingCellGrid::build(&pts1, 50.0, 2.0).unwrap();
+        assert_eq!(
+            scanned_pairs(&mut grid1, 2.0),
+            brute_force_pairs(&pts1, 2.0)
+        );
 
         let pts3: Vec<Point<3>> = (0..100)
             .map(|_| {
@@ -749,8 +761,11 @@ mod tests {
                 ])
             })
             .collect();
-        let grid3 = MovingCellGrid::build(&pts3, 20.0, 4.0).unwrap();
-        assert_eq!(scanned_pairs(&grid3, 4.0), brute_force_pairs(&pts3, 4.0));
+        let mut grid3 = MovingCellGrid::build(&pts3, 20.0, 4.0).unwrap();
+        assert_eq!(
+            scanned_pairs(&mut grid3, 4.0),
+            brute_force_pairs(&pts3, 4.0)
+        );
     }
 
     /// The scan's price, read off the bucket sizes, is exactly what the
@@ -761,8 +776,8 @@ mod tests {
             let pts: Vec<Point<D>> = (0..n)
                 .map(|_| Point::new(std::array::from_fn(|_| rng.random_range(0.0..side))))
                 .collect();
-            let grid = MovingCellGrid::build(&pts, side, cell).unwrap();
-            let examined = grid.scan_forward_pairs(cell * cell, |_, _| {});
+            let mut grid = MovingCellGrid::build(&pts, side, cell).unwrap();
+            let examined = grid.scan_forward_pairs(cell * cell, |_| {});
             assert_eq!(grid.forward_pair_count(), examined, "D = {D}, cell {cell}");
         }
         let mut rng = rand::rngs::StdRng::seed_from_u64(12);
@@ -917,17 +932,17 @@ mod tests {
                 .map(|_| Point::new([rng.random_range(0.0..100.0), rng.random_range(0.0..100.0)]))
                 .collect()
         };
-        let collect = |g: &MovingCellGrid<2>| {
+        let collect = |g: &mut MovingCellGrid<2>| {
             let mut v = Vec::new();
-            let examined = g.scan_forward_pairs(25.0, |i, j| v.push((i, j)));
+            let examined = g.scan_forward_pairs(25.0, |batch| v.extend_from_slice(batch));
             (v, examined)
         };
         let mut grid = MovingCellGrid::build(&place(&mut rng), 100.0, 5.0).unwrap();
         for trial in 0..12 {
             let pts = place(&mut rng);
             grid.reset(&pts);
-            let fresh = MovingCellGrid::build(&pts, 100.0, 5.0).unwrap();
-            assert_eq!(collect(&grid), collect(&fresh), "trial {trial}");
+            let mut fresh = MovingCellGrid::build(&pts, 100.0, 5.0).unwrap();
+            assert_eq!(collect(&mut grid), collect(&mut fresh), "trial {trial}");
             assert_eq!(grid.points(), fresh.points());
             assert_eq!(grid.len(), 60);
         }
@@ -1062,11 +1077,9 @@ mod tests {
     fn forward_scan_matches_brute_force_pairs() {
         let side = 40.0;
         let r = 3.0;
-        let (grid, pts) = random_walk_grid(23, 60, side, r);
+        let (mut grid, pts) = random_walk_grid(23, 60, side, r);
         let mut scanned = Vec::new();
-        let examined = grid.scan_forward_pairs(r * r, |a, b| {
-            scanned.push((a, b));
-        });
+        let examined = grid.scan_forward_pairs(r * r, |batch| scanned.extend_from_slice(batch));
         scanned.sort_unstable();
         assert_eq!(
             scanned,
@@ -1084,8 +1097,11 @@ mod tests {
     }
 
     /// Reference scan: one range test and one emitted pair per examined
-    /// pair, in bucket order — the specification of the batched scan's
-    /// emitted *sequence*, not only its set.
+    /// pair, with no gathered run — the specification of the batched
+    /// scan's emitted *sequence*, not only its set. Per base cell in
+    /// linear order, each occupant by slot meets the later occupants of
+    /// its own cell by slot, then each forward cell's occupants by
+    /// slot, forward cells in offset order.
     fn scan_forward_pairs_per_pair<const D: usize>(
         grid: &MovingCellGrid<D>,
         r2: f64,
@@ -1094,47 +1110,55 @@ mod tests {
         let cps = grid.layout.cells_per_side;
         let mut examined = 0u64;
         for (lin, bucket) in grid.buckets.iter().enumerate() {
-            for (sa, (a, pa)) in bucket.iter().enumerate() {
-                for (b, pb) in &bucket[sa + 1..] {
-                    examined += 1;
-                    if pa.distance_sq(pb) <= r2 {
-                        out.push((*a.min(b), *a.max(b)));
-                    }
-                }
-            }
             let mut base = [0usize; D];
             let mut rest = lin;
             for c in base.iter_mut().rev() {
                 *c = rest % cps;
                 rest /= cps;
             }
-            grid.layout.for_each_forward_neighbor_cell(&base, |other| {
-                for (a, pa) in bucket {
-                    for (b, pb) in &grid.buckets[other] {
-                        examined += 1;
-                        if pa.distance_sq(pb) <= r2 {
-                            out.push((*a.min(b), *a.max(b)));
-                        }
+            let mut forward = Vec::new();
+            grid.layout
+                .for_each_forward_neighbor_cell(&base, |other| forward.push(other));
+            for (sa, (a, pa)) in bucket.iter().enumerate() {
+                let partners = bucket[sa + 1..]
+                    .iter()
+                    .chain(forward.iter().flat_map(|&other| &grid.buckets[other]));
+                for (b, pb) in partners {
+                    examined += 1;
+                    if pa.distance_sq(pb) <= r2 {
+                        out.push((*a.min(b), *a.max(b)));
                     }
                 }
-            });
+            }
         }
         examined
     }
 
     /// The batched scan emits exactly the per-pair reference's
-    /// sequence with the same examined count.
+    /// sequence, in non-empty batches of at most [`SCAN_BATCH`] pairs,
+    /// and examines what [`MovingCellGrid::forward_pair_count`] prices.
     fn check_scan_sequence<const D: usize>(
-        grid: &MovingCellGrid<D>,
+        grid: &mut MovingCellGrid<D>,
         r2: f64,
         at: usize,
     ) -> Result<(), TestCaseError> {
         let mut want = Vec::new();
         let want_examined = scan_forward_pairs_per_pair(grid, r2, &mut want);
         let mut full = Vec::new();
-        let examined = grid.scan_forward_pairs(r2, |a, b| full.push((a, b)));
+        let mut batch_sizes = Vec::new();
+        let examined = grid.scan_forward_pairs(r2, |batch| {
+            batch_sizes.push(batch.len());
+            full.extend_from_slice(batch);
+        });
         prop_assert_eq!(&full, &want, "commit {}: emitted sequence", at);
         prop_assert_eq!(examined, want_examined, "commit {}: examined", at);
+        prop_assert_eq!(examined, grid.forward_pair_count(), "commit {}: price", at);
+        prop_assert!(
+            batch_sizes.iter().all(|&k| (1..=SCAN_BATCH).contains(&k)),
+            "commit {}: batch sizes {:?}",
+            at,
+            batch_sizes
+        );
         Ok(())
     }
 
@@ -1142,11 +1166,14 @@ mod tests {
     /// checks the scan's sequence after the build and after each of
     /// `commits` random steps: every node moves with probability
     /// `move_prob` (a jitter, or a teleport one time in ten), and the
-    /// step commits by `measure` + `relocate` or by `reset`.
+    /// step commits by `measure` + `relocate` or by `reset`. With
+    /// `widen > 1` the cells are built `widen` times wider than the
+    /// range, as when the step kernel arms its Verlet cache.
     fn check_scan_sequence_history<const D: usize>(
         seed: u64,
         n: usize,
         r: f64,
+        widen: f64,
         move_prob: f64,
         commits: usize,
     ) -> Result<(), TestCaseError> {
@@ -1155,9 +1182,9 @@ mod tests {
         let mut pts: Vec<Point<D>> = (0..n)
             .map(|_| Point::new(std::array::from_fn(|_| rng.random_range(0.0..side))))
             .collect();
-        let cell = MovingCellGrid::<D>::lattice_cell_size(n, side, r).unwrap();
+        let cell = MovingCellGrid::<D>::lattice_cell_size(n, side, r * widen).unwrap();
         let mut grid = MovingCellGrid::build(&pts, side, cell).unwrap();
-        check_scan_sequence(&grid, r * r, 0)?;
+        check_scan_sequence(&mut grid, r * r, 0)?;
         let mut moved = Vec::new();
         for k in 1..=commits {
             for p in &mut pts {
@@ -1177,7 +1204,7 @@ mod tests {
             } else {
                 commit(&mut grid, &pts, &mut moved);
             }
-            check_scan_sequence(&grid, r * r, k)?;
+            check_scan_sequence(&mut grid, r * r, k)?;
         }
         Ok(())
     }
@@ -1186,41 +1213,44 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// Ranges up to 60 in a side of 100 put up to all `n` nodes in
-        /// one cell, so buckets routinely span several emission
-        /// batches.
+        /// one cell, so gathered runs routinely span several emission
+        /// batches; `widen` stretches the cells past the range, as the
+        /// Verlet cache does. Every scan's `examined` must equal
+        /// `forward_pair_count()` in 1-D, 2-D and 3-D.
         #[test]
         fn batched_scan_emits_the_per_pair_sequence(
             seed in any::<u64>(),
             n in 1usize..300,
             r in 0.5..60.0,
+            widen in 1.0..2.5,
             dim in 1usize..=3,
             move_prob in 0.0..=1.0,
             commits in 0usize..5,
         ) {
             match dim {
-                1 => check_scan_sequence_history::<1>(seed, n, r, move_prob, commits)?,
-                2 => check_scan_sequence_history::<2>(seed, n, r, move_prob, commits)?,
-                _ => check_scan_sequence_history::<3>(seed, n, r, move_prob, commits)?,
+                1 => check_scan_sequence_history::<1>(seed, n, r, widen, move_prob, commits)?,
+                2 => check_scan_sequence_history::<2>(seed, n, r, widen, move_prob, commits)?,
+                _ => check_scan_sequence_history::<3>(seed, n, r, widen, move_prob, commits)?,
             }
         }
     }
 
-    /// One crowded cell pins every chunk boundary: 100 occupants span
-    /// emission batches of 32, 32, 32 and 4, and each batch mixes
-    /// in-range and out-of-range partners.
+    /// One crowded cell pins every batch boundary: 400 occupants give
+    /// tails longer than a batch, and each batch mixes in-range and
+    /// out-of-range partners.
     #[test]
     fn batched_scan_crosses_chunk_boundaries() {
-        let pts: Vec<Point<2>> = (0..100)
-            .map(|i| Point::new([0.01 * i as f64, 0.5 + 0.25 * (i % 3) as f64]))
+        let pts: Vec<Point<2>> = (0..400)
+            .map(|i| Point::new([0.0025 * i as f64, 0.5 + 0.25 * (i % 3) as f64]))
             .collect();
-        let grid = MovingCellGrid::build(&pts, 10.0, 2.0).unwrap();
-        assert_eq!(grid.buckets[0].len(), 100, "every node shares one cell");
+        let mut grid = MovingCellGrid::build(&pts, 10.0, 2.0).unwrap();
+        assert_eq!(grid.buckets[0].len(), 400, "every node shares one cell");
         for r in [0.1, 0.3, 1.5] {
-            check_scan_sequence(&grid, r * r, 0).unwrap();
+            check_scan_sequence(&mut grid, r * r, 0).unwrap();
         }
         let mut want = Vec::new();
         scan_forward_pairs_per_pair(&grid, 0.3 * 0.3, &mut want);
-        assert!(want.len() > 32 && want.len() < 100 * 99 / 2);
+        assert!(want.len() > 3 * SCAN_BATCH && want.len() < 400 * 399 / 2);
     }
 
     /// A stored position out of step with the authoritative `points`

@@ -44,7 +44,7 @@ fn brute_force_pairs<const D: usize>(pts: &[Point<D>], r2: f64) -> Vec<(u32, u32
 /// Checks every query of `grid` against brute force over `pts`: the
 /// forward scan, the scan's price and the per-node candidate query.
 fn check_grid_queries<const D: usize>(
-    grid: &MovingCellGrid<D>,
+    grid: &mut MovingCellGrid<D>,
     pts: &[Point<D>],
     r2: f64,
     at: usize,
@@ -52,7 +52,7 @@ fn check_grid_queries<const D: usize>(
     prop_assert_eq!(grid.points(), pts, "commit {}: positions", at);
     let want = brute_force_pairs(pts, r2);
     let mut full = Vec::new();
-    let examined = grid.scan_forward_pairs(r2, |a, b| full.push((a, b)));
+    let examined = grid.scan_forward_pairs(r2, |batch| full.extend_from_slice(batch));
     prop_assert_eq!(grid.forward_pair_count(), examined, "commit {}: price", at);
     full.sort_unstable();
     prop_assert_eq!(&full, &want, "commit {}: full scan", at);
@@ -105,7 +105,7 @@ fn check_grid_history<const D: usize>(
     let mut pts = region.place_uniform(n, &mut rng);
     let cell = MovingCellGrid::<D>::lattice_cell_size(n, side, r).unwrap();
     let mut grid = MovingCellGrid::build(&pts, side, cell).unwrap();
-    check_grid_queries(&grid, &pts, r * r, 0)?;
+    check_grid_queries(&mut grid, &pts, r * r, 0)?;
     let mut moved = Vec::new();
     for (k, step) in history.iter().enumerate() {
         let old = pts.clone();
@@ -142,7 +142,7 @@ fn check_grid_history<const D: usize>(
         } else {
             grid.relocate(&pts, &moved);
         }
-        check_grid_queries(&grid, &pts, r * r, k + 1)?;
+        check_grid_queries(&mut grid, &pts, r * r, k + 1)?;
     }
     Ok(())
 }

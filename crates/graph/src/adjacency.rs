@@ -72,6 +72,20 @@ pub(crate) fn sort_packed_pairs(pairs: &mut [u64], n: usize, scratch: &mut PairS
     }
 }
 
+/// Replaces `pairs` with every pair of `grid` within squared distance
+/// `r2`, packed, in the scan's emission order; returns the pairs
+/// examined.
+pub(crate) fn scan_packed_pairs<const D: usize>(
+    grid: &mut MovingCellGrid<D>,
+    r2: f64,
+    pairs: &mut Vec<u64>,
+) -> u64 {
+    pairs.clear();
+    grid.scan_forward_pairs(r2, |batch| {
+        pairs.extend(batch.iter().map(|&(a, b)| pack_pair(a, b)));
+    })
+}
+
 /// Refills `rows` with `n` neighbor rows holding the lex-sorted packed
 /// pairs, reusing every row's capacity. The rows come out sorted: for
 /// row `x`, every lower partner `a` (from pairs `(a, x)`, keys
@@ -214,18 +228,24 @@ impl AdjacencyList {
         range: f64,
     ) -> Result<Self, GeomError> {
         let cell_size = MovingCellGrid::<D>::lattice_cell_size(points.len(), side, range)?;
-        let grid = MovingCellGrid::build(points, side, cell_size)?;
+        let mut grid = MovingCellGrid::build(points, side, cell_size)?;
+        Ok(Self::from_grid(&mut grid, range))
+    }
+
+    /// The graph at `range` over `grid`'s current positions (cells at
+    /// least `range` wide): one forward scan into packed pairs, one
+    /// counting sort, one row fill.
+    pub(crate) fn from_grid<const D: usize>(grid: &mut MovingCellGrid<D>, range: f64) -> Self {
+        let n = grid.len();
         let mut pairs = Vec::new();
-        grid.scan_forward_pairs(range * range, |a, b| {
-            pairs.push(pack_pair(a, b));
-        });
-        sort_packed_pairs(&mut pairs, points.len(), &mut PairSortScratch::default());
+        scan_packed_pairs(grid, range * range, &mut pairs);
+        sort_packed_pairs(&mut pairs, n, &mut PairSortScratch::default());
         let mut neighbors = Vec::new();
-        fill_sorted_rows(&mut neighbors, points.len(), &pairs);
-        Ok(AdjacencyList {
+        fill_sorted_rows(&mut neighbors, n, &pairs);
+        AdjacencyList {
             neighbors,
             edge_count: pairs.len(),
-        })
+        }
     }
 
     /// Adds the undirected edge `(a, b)`.

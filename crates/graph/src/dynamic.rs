@@ -62,7 +62,7 @@
 //! [`DynamicGraph::with_skin`] for how `skin` is chosen.
 
 use crate::adjacency::{
-    fill_sorted_rows, pack_pair, sort_packed_pairs, unpack_pair, AdjacencyList, PairSortScratch,
+    pack_pair, scan_packed_pairs, sort_packed_pairs, unpack_pair, AdjacencyList, PairSortScratch,
 };
 use manet_geom::{MovingCellGrid, Point};
 use manet_obs::{GridMetrics, StepKernelMetrics};
@@ -233,38 +233,6 @@ const SKIN_REBUILD_COST_RATIO: f64 = 3.0;
 /// arms.
 const SKIN_MIN_REBUILD_STEPS: f64 = 3.0;
 
-/// Single linear merge of two lex-sorted packed edge lists into the
-/// diff. Packed order is lexicographic pair order, so `added` and
-/// `removed` come out exactly as the per-row oracle emits them.
-fn merge_packed_diff(old: &[u64], new: &[u64], diff: &mut EdgeDiff) {
-    debug_assert!(
-        old.windows(2).all(|w| w[0] < w[1]),
-        "unsorted packed edge list"
-    );
-    debug_assert!(
-        new.windows(2).all(|w| w[0] < w[1]),
-        "unsorted packed edge list"
-    );
-    diff.clear();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < old.len() && j < new.len() {
-        let (o, n) = (old[i], new[j]);
-        if o == n {
-            i += 1;
-            j += 1;
-        } else if o < n {
-            diff.removed.push(unpack_pair(o));
-            i += 1;
-        } else {
-            diff.added.push(unpack_pair(n));
-            j += 1;
-        }
-    }
-    diff.removed
-        .extend(old[i..].iter().map(|&p| unpack_pair(p)));
-    diff.added.extend(new[j..].iter().map(|&p| unpack_pair(p)));
-}
-
 /// Replaces `out` with the packed pairs of `cand` whose endpoints lie
 /// within squared distance `r2` of each other, in `cand`'s order.
 /// Every candidate is written and the write cursor advances by the
@@ -415,12 +383,16 @@ impl<const D: usize> DynamicGraph<D> {
     /// reports every present edge as added, so feeding it to a delta
     /// consumer makes step 0 uniform with the rest of the stream.
     pub fn new(points: &[Point<D>], side: f64, range: f64) -> Self {
-        let graph = AdjacencyList::from_points(points, side, range);
         // Degenerate parameters disable the grid and the kernel
         // rebuilds every step instead.
-        let grid = MovingCellGrid::<D>::lattice_cell_size(points.len(), side, range)
+        let mut grid = MovingCellGrid::<D>::lattice_cell_size(points.len(), side, range)
             .and_then(|cell_size| MovingCellGrid::build(points, side, cell_size))
             .ok();
+        // The step-0 snapshot comes off the kernel's own grid.
+        let graph = match grid.as_mut() {
+            Some(grid) => AdjacencyList::from_grid(grid, range),
+            None => AdjacencyList::from_points(points, side, range),
+        };
         let diff = EdgeDiff {
             added: graph.edges().map(|(a, b)| (a as u32, b as u32)).collect(),
             removed: Vec::new(),
@@ -806,12 +778,11 @@ impl<const D: usize> DynamicGraph<D> {
             clippy::expect_used,
             reason = "step() dispatches here only when the grid exists"
         )]
-        let grid = self.grid.as_ref().expect("caller checked the grid");
+        let grid = self.grid.as_mut().expect("caller checked the grid");
         let n = grid.len();
         let rs = self.range + self.skin;
         let pairs = &mut self.cache.pairs;
-        pairs.clear();
-        let examined = grid.scan_forward_pairs(rs * rs, |a, b| pairs.push(pack_pair(a, b)));
+        let examined = scan_packed_pairs(grid, rs * rs, pairs);
         sort_packed_pairs(pairs, n, &mut self.pair_sort);
         self.cache.stale = false;
         self.max_drift_sq = 0.0;
@@ -1075,12 +1046,10 @@ impl<const D: usize> DynamicGraph<D> {
             clippy::expect_used,
             reason = "step() dispatches here only when the grid exists"
         )]
-        let grid = self.grid.as_ref().expect("caller checked the grid");
+        let grid = self.grid.as_mut().expect("caller checked the grid");
         let n = grid.len();
         let pairs = &mut self.new_pairs;
-        pairs.clear();
-        let examined =
-            grid.scan_forward_pairs(self.range * self.range, |a, b| pairs.push(pack_pair(a, b)));
+        let examined = scan_packed_pairs(grid, self.range * self.range, pairs);
         sort_packed_pairs(pairs, n, &mut self.pair_sort);
         self.commit_new_pairs(n);
         // Counter compatibility: the historical bulk counter tallied
@@ -1093,13 +1062,45 @@ impl<const D: usize> DynamicGraph<D> {
 
     /// The bulk and verify paths' shared tail: `new_pairs` holds the
     /// next snapshot's lex-sorted packed edge list and `edge_pairs` the
-    /// current one. Fills the next rows, merges the two lists into the
-    /// diff, and swaps rows and lists in, so both sides' capacity is
-    /// reused on the following step.
+    /// current one. One pass over `new_pairs` fills the next rows and
+    /// merges the two lists into the diff; then rows and lists swap
+    /// in, so both sides' capacity is reused on the following step.
+    /// The rows come out sorted as `fill_sorted_rows`'s do, and packed
+    /// order is lexicographic pair order, so `added` and `removed` come
+    /// out exactly as the per-row oracle emits them.
     fn commit_new_pairs(&mut self, n: usize) {
-        fill_sorted_rows(&mut self.next_rows, n, &self.new_pairs);
-        merge_packed_diff(&self.edge_pairs, &self.new_pairs, &mut self.diff);
-        let pairs = self.new_pairs.len();
+        let (old, new) = (&self.edge_pairs, &self.new_pairs);
+        debug_assert!(
+            old.windows(2).all(|w| w[0] < w[1]),
+            "unsorted packed edge list"
+        );
+        debug_assert!(
+            new.windows(2).all(|w| w[0] < w[1]),
+            "unsorted packed edge list"
+        );
+        let rows = &mut self.next_rows;
+        rows.resize_with(n, Vec::new);
+        rows.iter_mut().for_each(Vec::clear);
+        let diff = &mut self.diff;
+        diff.clear();
+        let mut i = 0;
+        for &packed in new {
+            let (a, b) = unpack_pair(packed);
+            rows[a as usize].push(b);
+            rows[b as usize].push(a);
+            while i < old.len() && old[i] < packed {
+                diff.removed.push(unpack_pair(old[i]));
+                i += 1;
+            }
+            if i < old.len() && old[i] == packed {
+                i += 1;
+            } else {
+                diff.added.push((a, b));
+            }
+        }
+        diff.removed
+            .extend(old[i..].iter().map(|&p| unpack_pair(p)));
+        let pairs = new.len();
         self.graph.swap_neighbor_rows(&mut self.next_rows, pairs);
         std::mem::swap(&mut self.edge_pairs, &mut self.new_pairs);
     }

@@ -531,11 +531,13 @@ fn grid_passes<const D: usize, P: GridPass>(
         }
         let r2 = radius * radius;
         pairs.clear();
-        examined += grid.scan_forward_pairs(r2, |a, b| {
-            let d2 = points[a as usize].distance_sq(&points[b as usize]);
-            // A pair within the last pass's radius was offered then.
-            if d2 > done_r2 && pass.offer(d2, a, b) {
-                pairs.push((d2.to_bits(), a, b));
+        examined += grid.scan_forward_pairs(r2, |batch| {
+            for &(a, b) in batch {
+                let d2 = points[a as usize].distance_sq(&points[b as usize]);
+                // A pair within the last pass's radius was offered then.
+                if d2 > done_r2 && pass.offer(d2, a, b) {
+                    pairs.push((d2.to_bits(), a, b));
+                }
             }
         });
         if let Some(out) = pass.close(&mut pairs) {
