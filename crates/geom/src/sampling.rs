@@ -6,9 +6,102 @@
 //! any dimension via rejection from the bounding cube — for `d <= 3`
 //! the acceptance probability is at least `π/6 ≈ 0.52`, so the expected
 //! number of draws is below 2.
+//!
+//! Every sampler here is a rejection loop over candidates that each
+//! cost a fixed number of uniforms, and comes in two forms. The scalar
+//! form returns the first accepted candidate. The batch form
+//! (`*_batch`) fills a slice: it draws candidates until the slice's
+//! length of them are accepted, so it consumes exactly the draws of
+//! that many scalar calls and returns the same values bit for bit. It
+//! never draws past its last acceptance, which matters because a
+//! `&mut dyn Rng` cannot be rewound. Each candidate is written at a
+//! cursor that advances by the accept test, so the draw loop carries
+//! no data-dependent branch per candidate, and the transform (`ln` and
+//! `sqrt`, the shift to the center, the normalisation) runs in a
+//! second loop over the kept ones. Both forms share one candidate
+//! function and one transform per sampler.
 
 use crate::{GeomError, Point};
 use rand::{Rng, RngExt};
+
+/// Accepted candidates a batch keeps on the stack before transforming
+/// them.
+const BATCH_CHUNK: usize = 64;
+
+/// The scalar form: the transform of the first accepted candidate.
+#[inline]
+fn sample_one<C, T, R: Rng + ?Sized>(
+    rng: &mut R,
+    mut candidate: impl FnMut(&mut R) -> (C, bool),
+    transform: impl Fn(C) -> T,
+) -> T {
+    loop {
+        let (c, accepted) = candidate(rng);
+        if accepted {
+            return transform(c);
+        }
+    }
+}
+
+/// The batch form: fills `out` with the transforms of the first
+/// `out.len()` accepted candidates, drawing nothing after the last.
+#[inline]
+fn sample_batch<C: Copy, T, R: Rng + ?Sized>(
+    out: &mut [T],
+    rng: &mut R,
+    blank: C,
+    mut candidate: impl FnMut(&mut R) -> (C, bool),
+    transform: impl Fn(C) -> T,
+) {
+    let mut kept = [blank; BATCH_CHUNK];
+    for chunk in out.chunks_mut(BATCH_CHUNK) {
+        let kept = &mut kept[..chunk.len()];
+        let mut cursor = 0;
+        while cursor < kept.len() {
+            let (c, accepted) = candidate(rng);
+            kept[cursor] = c;
+            cursor += usize::from(accepted);
+        }
+        for (o, &c) in chunk.iter_mut().zip(kept.iter()) {
+            *o = transform(c);
+        }
+    }
+}
+
+fn validate_radius(radius: f64) -> Result<(), GeomError> {
+    if !radius.is_finite() {
+        return Err(GeomError::NonFinite { name: "radius" });
+    }
+    if radius <= 0.0 {
+        return Err(GeomError::NonPositive {
+            name: "radius",
+            value: radius,
+        });
+    }
+    Ok(())
+}
+
+/// A point of the cube `[-radius, radius]^D`, accepted inside the
+/// closed ball.
+#[inline]
+fn ball_candidate<const D: usize, R: Rng + ?Sized>(radius: f64, rng: &mut R) -> ([f64; D], bool) {
+    let mut offset = [0.0; D];
+    let mut norm_sq = 0.0;
+    for c in &mut offset {
+        *c = rng.random_range(-radius..=radius);
+        norm_sq += *c * *c;
+    }
+    (offset, norm_sq <= radius * radius)
+}
+
+#[inline]
+fn shift<const D: usize>(center: &Point<D>, offset: [f64; D]) -> Point<D> {
+    let mut out = center.coords();
+    for (o, d) in out.iter_mut().zip(&offset) {
+        *o += d;
+    }
+    Point::new(out)
+}
 
 /// Draws a point uniformly from the closed ball of radius `radius`
 /// centered at `center`.
@@ -35,30 +128,50 @@ pub fn sample_in_ball<const D: usize, R: Rng + ?Sized>(
     radius: f64,
     rng: &mut R,
 ) -> Result<Point<D>, GeomError> {
-    if !radius.is_finite() {
-        return Err(GeomError::NonFinite { name: "radius" });
-    }
-    if radius <= 0.0 {
-        return Err(GeomError::NonPositive {
-            name: "radius",
-            value: radius,
-        });
-    }
-    loop {
-        let mut offset = [0.0; D];
-        let mut norm_sq = 0.0;
-        for c in &mut offset {
-            *c = rng.random_range(-radius..=radius);
-            norm_sq += *c * *c;
-        }
-        if norm_sq <= radius * radius {
-            let mut out = center.coords();
-            for (o, d) in out.iter_mut().zip(&offset) {
-                *o += d;
-            }
-            return Ok(Point::new(out));
-        }
-    }
+    validate_radius(radius)?;
+    Ok(sample_one(
+        rng,
+        |rng| ball_candidate(radius, rng),
+        |offset| shift(center, offset),
+    ))
+}
+
+/// Fills `out` with the points `out.len()` calls of [`sample_in_ball`]
+/// would return, consuming the same draws.
+///
+/// # Errors
+///
+/// As [`sample_in_ball`]; on an error nothing is drawn.
+pub fn sample_in_ball_batch<const D: usize, R: Rng + ?Sized>(
+    center: &Point<D>,
+    radius: f64,
+    out: &mut [Point<D>],
+    rng: &mut R,
+) -> Result<(), GeomError> {
+    validate_radius(radius)?;
+    sample_batch(
+        out,
+        rng,
+        [0.0; D],
+        |rng| ball_candidate(radius, rng),
+        |offset| shift(center, offset),
+    );
+    Ok(())
+}
+
+/// A Marsaglia polar candidate `(u, s = u² + v²)`, accepted inside the
+/// open unit disk minus its center.
+#[inline]
+fn polar_candidate<R: Rng + ?Sized>(rng: &mut R) -> ([f64; 2], bool) {
+    let u = rng.random_range(-1.0..=1.0);
+    let v = rng.random_range(-1.0..=1.0);
+    let s = u * u + v * v;
+    ([u, s], s > 0.0 && s < 1.0)
+}
+
+#[inline]
+fn polar_transform([u, s]: [f64; 2]) -> f64 {
+    u * (-2.0 * s.ln() / s).sqrt()
 }
 
 /// Draws one standard-normal (`N(0, 1)`) variate.
@@ -83,37 +196,53 @@ pub fn sample_in_ball<const D: usize, R: Rng + ?Sized>(
 /// assert!(x.is_finite());
 /// ```
 pub fn sample_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    loop {
-        let u = rng.random_range(-1.0..=1.0);
-        let v = rng.random_range(-1.0..=1.0);
-        let s = u * u + v * v;
-        if s > 0.0 && s < 1.0 {
-            return u * (-2.0 * s.ln() / s).sqrt();
-        }
+    sample_one(rng, polar_candidate, polar_transform)
+}
+
+/// Fills `out` with the variates `out.len()` calls of
+/// [`sample_standard_normal`] would return, consuming the same draws.
+pub fn sample_standard_normal_batch<R: Rng + ?Sized>(out: &mut [f64], rng: &mut R) {
+    sample_batch(out, rng, [0.0; 2], polar_candidate, polar_transform);
+}
+
+/// A point of the cube `[-1, 1]^D` and its squared norm, accepted in
+/// the closed unit ball minus a tiny core (for numerical stability).
+#[inline]
+fn unit_candidate<const D: usize, R: Rng + ?Sized>(rng: &mut R) -> (([f64; D], f64), bool) {
+    let mut v = [0.0; D];
+    let mut norm_sq: f64 = 0.0;
+    for c in &mut v {
+        *c = rng.random_range(-1.0..=1.0);
+        norm_sq += *c * *c;
     }
+    ((v, norm_sq), norm_sq <= 1.0 && norm_sq > 1e-12)
+}
+
+#[inline]
+fn normalize<const D: usize>((mut v, norm_sq): ([f64; D], f64)) -> Point<D> {
+    let norm = norm_sq.sqrt();
+    for c in &mut v {
+        *c /= norm;
+    }
+    Point::new(v)
 }
 
 /// Draws a unit vector uniformly from the sphere `S^{D-1}`.
 ///
 /// Implemented by rejection-sampling a point in the unit ball
 /// (excluding a tiny core for numerical stability) and normalizing.
-/// Used by the random-direction mobility extension.
+/// Used by the random-direction and random-walk mobility models.
 pub fn sample_unit_vector<const D: usize, R: Rng + ?Sized>(rng: &mut R) -> Point<D> {
-    loop {
-        let mut v = [0.0; D];
-        let mut norm_sq: f64 = 0.0;
-        for c in &mut v {
-            *c = rng.random_range(-1.0..=1.0);
-            norm_sq += *c * *c;
-        }
-        if norm_sq <= 1.0 && norm_sq > 1e-12 {
-            let norm = norm_sq.sqrt();
-            for c in &mut v {
-                *c /= norm;
-            }
-            return Point::new(v);
-        }
-    }
+    sample_one(rng, unit_candidate, normalize)
+}
+
+/// Fills `out` with the vectors `out.len()` calls of
+/// [`sample_unit_vector`] would return, consuming the same draws.
+pub fn sample_unit_vector_batch<const D: usize, R: Rng + ?Sized>(
+    out: &mut [Point<D>],
+    rng: &mut R,
+) {
+    sample_batch(out, rng, ([0.0; D], 0.0), unit_candidate, normalize);
 }
 
 #[cfg(test)]

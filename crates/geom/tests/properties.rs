@@ -3,7 +3,7 @@
 use manet_geom::{covering_range, sampling, MovingCellGrid, Point, Region};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use rand::{RngExt, SeedableRng};
+use rand::{Rng, RngCore, RngExt, SeedableRng};
 
 fn coord() -> impl Strategy<Value = f64> {
     -1.0e3..1.0e3
@@ -278,5 +278,112 @@ proptest! {
             let below = r.next_down();
             prop_assert!(below * below < d2, "{} already admits {}", below, d2);
         }
+    }
+}
+
+/// Checks that `batch` fills `k` slots with exactly the values of `k`
+/// `scalar` calls (compared as bits) and leaves its RNG where the
+/// scalar calls leave theirs. Both sides draw through `&mut dyn Rng`,
+/// as the mobility models do.
+fn batch_replays_scalar<T: Clone>(
+    seed: u64,
+    k: usize,
+    blank: T,
+    scalar: impl Fn(&mut dyn Rng) -> T,
+    batch: impl Fn(&mut [T], &mut dyn Rng),
+    bits: impl Fn(&T) -> Vec<u64>,
+) -> Result<(), TestCaseError> {
+    let mut a = rand::rngs::StdRng::seed_from_u64(seed);
+    let want: Vec<T> = (0..k).map(|_| scalar(&mut a)).collect();
+    let mut b = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut got = vec![blank; k];
+    batch(&mut got, &mut b);
+    prop_assert_eq!(
+        want.iter().flat_map(&bits).collect::<Vec<_>>(),
+        got.iter().flat_map(&bits).collect::<Vec<_>>(),
+        "k = {}",
+        k
+    );
+    prop_assert_eq!(a.next_u64(), b.next_u64(), "RNG position after k = {}", k);
+    Ok(())
+}
+
+fn point_bits<const D: usize>(p: &Point<D>) -> Vec<u64> {
+    p.coords().map(f64::to_bits).to_vec()
+}
+
+/// The ball and unit-vector batches in dimension `D`.
+fn ball_and_unit_batches_replay<const D: usize>(
+    seed: u64,
+    k: usize,
+    center: f64,
+    radius: f64,
+) -> Result<(), TestCaseError> {
+    let c = Point::new([center; D]);
+    batch_replays_scalar(
+        seed,
+        k,
+        Point::new([0.0; D]),
+        |rng| sampling::sample_in_ball(&c, radius, rng).unwrap(),
+        |out, rng| sampling::sample_in_ball_batch(&c, radius, out, rng).unwrap(),
+        point_bits,
+    )?;
+    batch_replays_scalar(
+        seed,
+        k,
+        Point::new([0.0; D]),
+        |rng| sampling::sample_unit_vector::<D, _>(rng),
+        |out, rng| sampling::sample_unit_vector_batch(out, rng),
+        point_bits,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn batch_samplers_replay_scalar_calls(
+        seed in any::<u64>(),
+        k in 0usize..=300,
+        center_kind in 0usize..3,
+        c in coord(),
+        radius_kind in 0usize..4,
+        frac in 0.0..1.0f64,
+    ) {
+        let center = [c, 0.0, -1.0e308][center_kind];
+        // Moderate, tiny, squaring past f64::MAX, and doubling past it
+        // (the cube's span `2·radius` overflows).
+        let radius = [
+            1.0e-3 + frac * 1.0e3,
+            1.0e-300 * (1.0 + frac),
+            1.0e153 + frac * 1.0e155,
+            f64::MAX * (0.5 + 0.5 * frac),
+        ][radius_kind];
+        batch_replays_scalar(
+            seed,
+            k,
+            0.0,
+            |rng| sampling::sample_standard_normal(rng),
+            |out, rng| sampling::sample_standard_normal_batch(out, rng),
+            |x| vec![x.to_bits()],
+        )?;
+        ball_and_unit_batches_replay::<1>(seed, k, center, radius)?;
+        ball_and_unit_batches_replay::<2>(seed, k, center, radius)?;
+        ball_and_unit_batches_replay::<3>(seed, k, center, radius)?;
+    }
+
+    #[test]
+    fn ball_batch_rejects_what_the_scalar_form_rejects(
+        radius_kind in 0usize..4,
+        seed in any::<u64>(),
+    ) {
+        let radius = [0.0, -1.0, f64::NAN, f64::INFINITY][radius_kind];
+        let mut a = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut out = [Point::new([0.0; 2]); 4];
+        let err = sampling::sample_in_ball_batch(&Point::new([0.0; 2]), radius, &mut out, &mut a);
+        prop_assert_eq!(err, sampling::sample_in_ball(&Point::new([0.0; 2]), radius, &mut a).map(|_| ()));
+        prop_assert!(err.is_err());
+        let mut b = rand::rngs::StdRng::seed_from_u64(seed);
+        prop_assert_eq!(a.next_u64(), b.next_u64(), "an invalid radius drew");
     }
 }

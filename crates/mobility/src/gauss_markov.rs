@@ -24,7 +24,7 @@
 
 use crate::{validate_positive, validate_probability, FreeMobility, Mobility, ModelError};
 use manet_geom::{
-    sampling::{sample_standard_normal, sample_unit_vector},
+    sampling::{sample_standard_normal, sample_standard_normal_batch, sample_unit_vector},
     Point, Region,
 };
 use rand::{Rng, RngExt};
@@ -72,6 +72,9 @@ pub struct GaussMarkov<const D: usize> {
     sigma: f64,
     p_stationary: f64,
     state: Vec<NodeState<D>>,
+    /// One step's velocity noise, `D` normals per mobile node in node
+    /// order (sized at `init`, overwritten every step).
+    noise: Vec<f64>,
 }
 
 impl<const D: usize> GaussMarkov<D> {
@@ -108,6 +111,7 @@ impl<const D: usize> GaussMarkov<D> {
             sigma,
             p_stationary,
             state: Vec::new(),
+            noise: Vec::new(),
         })
     }
 
@@ -176,6 +180,7 @@ impl<const D: usize> Mobility<D> for GaussMarkov<D> {
                 }
             })
             .collect();
+        self.noise = vec![0.0; (self.state.len() - self.stationary_count()) * D];
     }
 
     fn step(&mut self, positions: &mut [Point<D>], region: &Region<D>, rng: &mut dyn Rng) {
@@ -210,13 +215,15 @@ impl<const D: usize> FreeMobility<D> for GaussMarkov<D> {
             "step called with a different node count than init"
         );
         let noise_scale = self.sigma * (1.0 - self.alpha * self.alpha).sqrt();
+        sample_standard_normal_batch(&mut self.noise, rng);
+        let mut next = 0;
         for (pos, state) in positions.iter_mut().zip(&mut self.state) {
             if let NodeState::Mobile { vel, drift } = state {
+                let noise = &self.noise[next..next + D];
+                next += D;
                 let mut out = pos.coords();
-                for ((v, d), c) in vel.iter_mut().zip(drift.iter()).zip(&mut out) {
-                    *v = self.alpha * *v
-                        + (1.0 - self.alpha) * *d
-                        + noise_scale * sample_standard_normal(rng);
+                for (((v, d), c), w) in vel.iter_mut().zip(drift.iter()).zip(&mut out).zip(noise) {
+                    *v = self.alpha * *v + (1.0 - self.alpha) * *d + noise_scale * w;
                     *c += *v;
                 }
                 *pos = Point::new(out);

@@ -15,7 +15,10 @@
 //! governed entirely by leader-to-leader distances.
 
 use crate::{validate_positive, Mobility, ModelError};
-use manet_geom::{sampling::sample_in_ball, Point, Region};
+use manet_geom::{
+    sampling::{sample_in_ball, sample_in_ball_batch},
+    Point, Region,
+};
 use rand::{Rng, RngExt};
 
 /// Leader leg state (random-waypoint kinematics).
@@ -66,6 +69,9 @@ pub struct ReferencePointGroup<const D: usize> {
     v_max: f64,
     pause_steps: u32,
     state: Vec<Role<D>>,
+    /// One step's member jitters, one per member in node order (sized
+    /// at `init`, overwritten every step).
+    jitter: Vec<Point<D>>,
 }
 
 impl<const D: usize> ReferencePointGroup<D> {
@@ -106,6 +112,7 @@ impl<const D: usize> ReferencePointGroup<D> {
             v_max,
             pause_steps,
             state: Vec::new(),
+            jitter: Vec::new(),
         })
     }
 
@@ -190,6 +197,8 @@ impl<const D: usize> Mobility<D> for ReferencePointGroup<D> {
                 }
             })
             .collect();
+        let members = positions.len() - positions.len().div_ceil(self.group_size);
+        self.jitter = vec![Point::new([0.0; D]); members];
     }
 
     fn step(&mut self, positions: &mut [Point<D>], region: &Region<D>, rng: &mut dyn Rng) {
@@ -199,40 +208,59 @@ impl<const D: usize> Mobility<D> for ReferencePointGroup<D> {
             "step called with a different node count than init"
         );
         let origin = Point::new([0.0; D]);
+        let half_tether = self.tether / 2.0;
+        let draw_jitters = |out: &mut [Point<D>], rng: &mut dyn Rng| {
+            #[expect(
+                clippy::expect_used,
+                reason = "tether validated positive and finite at construction"
+            )]
+            sample_in_ball_batch(&origin, half_tether, out, rng)
+                .expect("tether validated at construction");
+        };
+        // The draws, in the order a per-node pass makes them: a leader
+        // whose pause ran out draws its next leg, and the member
+        // jitters between two such leaders are drawn as one batch.
+        // Group `g`'s leader comes after `g·(group_size − 1)` members.
+        let mut drawn = 0;
+        for (g, leader) in (0..positions.len()).step_by(self.group_size).enumerate() {
+            if matches!(
+                self.state[leader],
+                Role::Leader(Leg::Paused { remaining: 0 })
+            ) {
+                let members_before = g * (self.group_size - 1);
+                draw_jitters(&mut self.jitter[drawn..members_before], rng);
+                drawn = members_before;
+                self.state[leader] = Role::Leader(self.new_leg(region, rng));
+            }
+        }
+        draw_jitters(&mut self.jitter[drawn..], rng);
         // Leaders precede their members in index order, so a single
         // pass sees every member's leader already advanced this step.
+        let mut leader = 0;
+        let mut member = 0;
         for i in 0..positions.len() {
             match self.state[i] {
-                Role::Leader(leg) => {
-                    let mut leg = match leg {
-                        Leg::Paused { remaining } if remaining > 0 => {
-                            self.state[i] = Role::Leader(Leg::Paused {
-                                remaining: remaining - 1,
-                            });
-                            continue;
-                        }
-                        Leg::Paused { .. } => self.new_leg(region, rng),
-                        moving => moving,
-                    };
-                    if let Leg::Moving { dest, speed } = leg {
-                        let (next, arrived) = positions[i].step_toward(&dest, speed);
-                        positions[i] = next;
-                        if arrived {
-                            leg = Leg::Paused {
-                                remaining: self.pause_steps,
-                            };
-                        }
+                // The draw pass started a leg for every expired pause.
+                Role::Leader(Leg::Paused { remaining }) => {
+                    leader = i;
+                    self.state[i] = Role::Leader(Leg::Paused {
+                        remaining: remaining - 1,
+                    });
+                }
+                Role::Leader(Leg::Moving { dest, speed }) => {
+                    leader = i;
+                    let (next, arrived) = positions[i].step_toward(&dest, speed);
+                    positions[i] = next;
+                    if arrived {
+                        self.state[i] = Role::Leader(Leg::Paused {
+                            remaining: self.pause_steps,
+                        });
                     }
-                    self.state[i] = Role::Leader(leg);
                 }
                 Role::Member { offset } => {
-                    let leader = positions[self.leader_of(i)];
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "tether validated positive and finite at construction"
-                    )]
-                    let jitter = sample_in_ball(&origin, self.tether / 2.0, rng)
-                        .expect("tether validated at construction");
+                    let leader = positions[leader];
+                    let jitter = self.jitter[member];
+                    member += 1;
                     let mut out = leader.coords();
                     for ((c, o), j) in out.iter_mut().zip(&offset).zip(&jitter.coords()) {
                         *c += o + j;

@@ -9,7 +9,7 @@
 //! matched displacement scales, which the ablation benches probe.
 
 use crate::{validate_positive, validate_probability, FreeMobility, Mobility, ModelError};
-use manet_geom::{sampling::sample_unit_vector, Point, Region};
+use manet_geom::{sampling::sample_unit_vector_batch, Point, Region};
 use rand::{Rng, RngExt};
 
 /// Fixed-step random walk with boundary reflection.
@@ -38,6 +38,9 @@ pub struct RandomWalk<const D: usize> {
     step_length: f64,
     p_stationary: f64,
     stationary: Vec<bool>,
+    /// One step's headings, one per mobile node in node order (sized
+    /// at `init`, overwritten every step).
+    headings: Vec<Point<D>>,
 }
 
 impl<const D: usize> RandomWalk<D> {
@@ -57,6 +60,7 @@ impl<const D: usize> RandomWalk<D> {
             step_length,
             p_stationary,
             stationary: Vec::new(),
+            headings: Vec::new(),
         })
     }
 
@@ -77,6 +81,8 @@ impl<const D: usize> Mobility<D> for RandomWalk<D> {
             .iter()
             .map(|_| self.p_stationary > 0.0 && rng.random_bool(self.p_stationary))
             .collect();
+        let mobile = self.stationary.iter().filter(|&&frozen| !frozen).count();
+        self.headings = vec![Point::new([0.0; D]); mobile];
     }
 
     fn step(&mut self, positions: &mut [Point<D>], region: &Region<D>, rng: &mut dyn Rng) {
@@ -105,11 +111,12 @@ impl<const D: usize> FreeMobility<D> for RandomWalk<D> {
             self.stationary.len(),
             "step called with a different node count than init"
         );
-        for (pos, &frozen) in positions.iter_mut().zip(&self.stationary) {
-            if frozen {
-                continue;
-            }
-            let dir: Point<D> = sample_unit_vector(rng);
+        sample_unit_vector_batch(&mut self.headings, rng);
+        let mobile = positions
+            .iter_mut()
+            .zip(&self.stationary)
+            .filter_map(|(pos, &frozen)| (!frozen).then_some(pos));
+        for (pos, &dir) in mobile.zip(&self.headings) {
             *pos = *pos + dir * self.step_length;
         }
     }
